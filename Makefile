@@ -1,8 +1,9 @@
 GO ?= go
 
-.PHONY: check vet lint lint-test allow-gate fmt-check build test race benchsmoke benchcmp scale-smoke baseline-smoke par-smoke fuzz-smoke live-smoke conformance bench fmt
+.PHONY: check vet lint lint-test allow-gate fmt-check build test race benchsmoke benchcmp scale-smoke baseline-smoke par-smoke fuzz-smoke live-smoke conformance bench bench-e2e fmt
 
 ## check: the pre-PR gate. Run this before sending any change for review.
+## CI (.github/workflows/ci.yml) runs the same gates, one named step each.
 check: vet lint lint-test allow-gate fmt-check build test race benchsmoke benchcmp scale-smoke baseline-smoke par-smoke fuzz-smoke live-smoke
 	@echo "check: all gates passed"
 
@@ -130,7 +131,8 @@ fuzz-smoke:
 ## live-smoke: the live-transport gate. A 3-node cluster of fdsd daemons on
 ## the in-process channel mesh (the deterministic core of the UDP path)
 ## forms, one node is crashed, and both survivors must detect it. Plus the
-## differential conformance suite: the simulator and the mesh transport must
+## differential conformance suite: the simulated radio and the daemon's
+## LinkTransport (one per host, over the deterministic mesh fabric) must
 ## produce bit-identical traces, wire bytes, states, and energy.
 live-smoke:
 	$(GO) test ./internal/daemon/ -run 'TestLiveSmokeCrashDetection' -count=1 -v
@@ -143,6 +145,11 @@ conformance:
 ## bench: the full evaluation harness (slow; regenerates every figure).
 bench:
 	$(GO) test -bench=. -benchmem .
+
+## bench-e2e: the end-to-end benchmark BENCHMARK.json declares — six
+## workloads, one JSON document per run. See bench/README.md.
+bench-e2e:
+	$(GO) run ./bench
 
 fmt:
 	gofmt -l -w .

@@ -43,6 +43,7 @@ import (
 
 	"clusterfds/internal/cluster"
 	"clusterfds/internal/metrics"
+	"clusterfds/internal/par"
 	"clusterfds/internal/scenario"
 	"clusterfds/internal/shard"
 	"clusterfds/internal/sim"
@@ -129,12 +130,13 @@ func main() {
 	}
 
 	if *epochWorkers > 0 {
-		runParallel(scenario.Config{
+		runParallel(par.Config{
 			Seed:         *seed,
 			Nodes:        *nodes,
 			FieldSide:    *field,
 			LossProb:     *lossProb,
-			EpochWorkers: *epochWorkers,
+			Workers:      *epochWorkers,
+			CollectTrace: true,
 		}, *epochs, *crashes, *crashEpoch)
 		return
 	}
@@ -395,12 +397,12 @@ func runSharded(cfg scenario.Config, shards, workers, epochs, crashes, crashEpoc
 // production cluster stack partitioned into field strips and drained by a
 // conservative-window worker pool. The printed trace hash is bit-identical at
 // every -epoch-workers value; the par-smoke gate greps stdout for it.
-func runParallel(cfg scenario.Config, epochs, crashes, crashEpoch int) {
+func runParallel(cfg par.Config, epochs, crashes, crashEpoch int) {
 	buildStart := time.Now()
-	p := scenario.BuildParallel(cfg)
+	p := par.Build(cfg)
 	buildElapsed := time.Since(buildStart)
 
-	timing := p.Config().Timing
+	timing := cluster.DefaultTiming() // cfg.Timing is zero: par.Build's default
 	ce := crashEpoch
 	if ce < 0 {
 		ce = 0
@@ -412,12 +414,11 @@ func runParallel(cfg scenario.Config, epochs, crashes, crashEpoch int) {
 	p.RunEpochs(epochs)
 	runElapsed := time.Since(runStart)
 
-	eng := p.Engine()
 	fmt.Printf("fdsim: parallel engine nodes=%d field=%.0fm p=%.2f epochs=%d seed=%d strips=%d workers=%d\n",
-		cfg.Nodes, cfg.FieldSide, cfg.LossProb, epochs, cfg.Seed, eng.Strips(), cfg.EpochWorkers)
+		cfg.Nodes, cfg.FieldSide, cfg.LossProb, epochs, cfg.Seed, p.Strips(), cfg.Workers)
 	fmt.Printf("build: %v; run: %v for %d sends / %d deliveries\n\n",
 		buildElapsed.Round(time.Millisecond), runElapsed.Round(time.Millisecond),
-		eng.Sends(), eng.Deliveries())
+		p.Sends(), p.Deliveries())
 
 	if len(victims) > 0 {
 		fmt.Printf("crashed at epoch %d (+%v): %v\n", ce, timing.Interval/2, victims)

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"clusterfds/internal/cluster"
+	"clusterfds/internal/par"
 	"clusterfds/internal/scenario"
 	"clusterfds/internal/sim"
 	"clusterfds/internal/trace"
@@ -91,7 +93,7 @@ func TestGoldenTraceHash(t *testing.T) {
 // goldenParallelHash pins the intra-replica parallel engine's canonical run:
 // the same two-wave crash scenario as the legacy golden test, on the
 // strip-partitioned engine (internal/par). The constant was computed at
-// EpochWorkers=1 when the engine landed; the test reruns the scenario at 1,
+// Workers=1 when the engine landed; the test reruns the scenario at 1,
 // 2, and 4 workers and requires the SAME digest from each — so it gates both
 // behavioral drift over time and worker-count divergence in one constant.
 // Update it only for changes MEANT to alter the parallel engine's timeline
@@ -104,20 +106,20 @@ const goldenParallelHash = "1f4057ea22bee85fd456f41a5cc788dad469c98163deec478629
 // worker count, and identically to the committed constant.
 func TestGoldenParallelTraceHash(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
-		p := scenario.BuildParallel(scenario.Config{
+		p := par.Build(par.Config{
 			Seed:         20260806,
 			Nodes:        200,
 			FieldSide:    700,
 			LossProb:     0.1,
-			Stack:        scenario.StackClusterFDS,
-			EpochWorkers: workers,
+			Workers:      workers,
+			CollectTrace: true,
 		})
-		timing := p.Config().Timing
+		timing := cluster.DefaultTiming()
 		p.CrashRandomAt(sim.Time(3)*timing.Interval+sim.Time(200*time.Millisecond), 3)
 		p.CrashRandomAt(sim.Time(6)*timing.Interval+sim.Time(700*time.Millisecond), 2)
 		p.RunEpochs(12)
 		if got := p.TraceHash(); got != goldenParallelHash {
-			t.Errorf("EpochWorkers=%d: parallel golden hash changed:\n  got  %s\n  want %s", workers, got, goldenParallelHash)
+			t.Errorf("Workers=%d: parallel golden hash changed:\n  got  %s\n  want %s", workers, got, goldenParallelHash)
 		}
 	}
 }

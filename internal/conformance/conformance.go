@@ -1,8 +1,9 @@
 // Package conformance is the differential sim-vs-live harness: it replays
 // one scripted scenario through two independent Transport backends — the
-// simulated radio medium (internal/radio) and the in-process mesh
-// (internal/transport.Mesh, the deterministic core of the live channel/UDP
-// path) — and asserts that the protocol stack behaved identically.
+// simulated radio medium (internal/radio), and one transport.LinkTransport
+// per host (the transport cmd/fdsd runs) over the deterministic
+// transport.Mesh fabric — and asserts that the protocol stack behaved
+// identically.
 //
 // "Identically" is checked at three levels, strongest first:
 //
@@ -115,10 +116,11 @@ func RunSim(sc Scenario) *Result {
 		params.MaxDelay = sc.MaxDelay
 	}
 	m := radio.New(k, params, radio.WithTrace(mem))
-	return run(sc, k, m, mem, m.EnergySpent)
+	return run(sc, k, func(wire.NodeID) transport.Transport { return m }, mem, m.EnergySpent)
 }
 
-// RunMesh replays the scenario on the in-process mesh.
+// RunMesh replays the scenario with every host bound to its own
+// LinkTransport on the in-process mesh.
 func RunMesh(sc Scenario) *Result {
 	k := sim.New(sc.Seed)
 	mem := trace.NewMemory()
@@ -128,14 +130,19 @@ func RunMesh(sc Scenario) *Result {
 		params.MaxDelay = sc.MaxDelay
 	}
 	m := transport.NewMesh(k, params, transport.WithMeshTrace(mem))
-	return run(sc, k, m, mem, func(id wire.NodeID) float64 { return m.Meter().Spent(id) })
+	ports := make(map[wire.NodeID]*transport.LinkTransport, sc.Nodes)
+	bind := func(id wire.NodeID) transport.Transport {
+		ports[id] = m.Port(id)
+		return ports[id]
+	}
+	return run(sc, k, bind, mem, func(id wire.NodeID) float64 { return ports[id].Meter().Spent(id) })
 }
 
-// run assembles the identical host stack over the given backend and
-// executes the script.
-func run(sc Scenario, k *sim.Kernel, backend transport.Transport, mem *trace.Memory, spent func(wire.NodeID) float64) *Result {
+// run assembles the identical host stack, each host on the transport bind
+// returns for it (called once per host, in NID order), and executes the
+// script.
+func run(sc Scenario, k *sim.Kernel, bind func(wire.NodeID) transport.Transport, mem *trace.Memory, spent func(wire.NodeID) float64) *Result {
 	res := &Result{}
-	rt := &recordingTransport{Transport: backend, sends: &res.Sends}
 
 	// Placement draws from a private source so both backends consume the
 	// kernel's stream identically; positions are still seed-dependent.
@@ -148,6 +155,7 @@ func run(sc Scenario, k *sim.Kernel, backend transport.Transport, mem *trace.Mem
 	fdss := make(map[wire.NodeID]*fds.Protocol, sc.Nodes)
 	for i := 1; i <= sc.Nodes; i++ {
 		id := wire.NodeID(i)
+		rt := &recordingTransport{Transport: bind(id), sends: &res.Sends}
 		h := node.New(k, rt, id, geo.UniformInRect(placer, field), node.WithTrace(mem))
 		cl := cluster.New(cluster.DefaultConfig())
 		f := fds.New(fds.DefaultConfig(timing), cl)

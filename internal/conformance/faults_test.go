@@ -13,9 +13,10 @@ import (
 	"clusterfds/internal/wire"
 )
 
-// faultRun assembles a full stack over a mesh with the given fault
-// parameters, crashes one host, and returns the per-host FDS protocols for
-// assertions. Deterministic: everything derives from the seed.
+// faultRun assembles a full stack, every host on its own LinkTransport over
+// a mesh with the given fault parameters, crashes one host, and returns the
+// per-host FDS protocols for assertions. Deterministic: everything derives
+// from the seed.
 func faultRun(t *testing.T, seed int64, params transport.MeshParams, nodes int, crash wire.NodeID, crashAt sim.Time, epochs int) map[wire.NodeID]*fds.Protocol {
 	t.Helper()
 	k := sim.New(seed)
@@ -25,7 +26,7 @@ func faultRun(t *testing.T, seed int64, params transport.MeshParams, nodes int, 
 	hosts := make([]*node.Host, 0, nodes)
 	for i := 1; i <= nodes; i++ {
 		id := wire.NodeID(i)
-		h := node.New(k, mesh, id, geo.Point{})
+		h := node.New(k, mesh.Port(id), id, geo.Point{})
 		cl := cluster.New(cluster.DefaultConfig())
 		f := fds.New(fds.DefaultConfig(timing), cl)
 		ic := intercluster.New(intercluster.DefaultConfig(timing), cl, f)

@@ -36,8 +36,9 @@ type Config struct {
 	Seed int64
 	// Timing is the shared protocol schedule. Zero means DefaultTiming.
 	Timing cluster.Timing
-	// Peers is the static roster of remote NIDs expected on the link; it
-	// plays the role of the radio neighborhood.
+	// Peers is the static roster of remote NIDs expected on the link. It is
+	// descriptive only: the link's own address list decides who hears a
+	// broadcast, and nothing in the stack queries the roster.
 	Peers []wire.NodeID
 	// Energy is the energy model. Zero means DefaultEnergy.
 	Energy transport.EnergyParams
@@ -80,7 +81,7 @@ func New(cfg Config, link transport.Link) *Daemon {
 		ltOpts = append(ltOpts, transport.WithLinkTrace(cfg.Trace))
 		hostOpts = append(hostOpts, node.WithTrace(cfg.Trace))
 	}
-	lt := transport.NewLinkTransport(k, link, cfg.Energy, cfg.Peers, ltOpts...)
+	lt := transport.NewLinkTransport(k, link, cfg.Energy, ltOpts...)
 	h := node.New(k, lt, cfg.ID, geo.Point{}, hostOpts...)
 
 	ccfg := cluster.DefaultConfig()

@@ -20,8 +20,9 @@ import (
 //     OnCallTaint/ReturnsTaintCall hooks) and report there, where the
 //     arena value actually leaks.
 //   - GoReachable: the set of function bodies that may execute on a
-//     spawned goroutine — `go` statement operands, closed over direct
-//     in-package calls and referenced function values/closures.
+//     spawned goroutine — `go` statement operands and the drain function
+//     handed to sim.RunWindows, closed over direct in-package calls and
+//     referenced function values/closures.
 //   - PropagateCalls: transitive closure of a per-function boolean
 //     property (e.g. "accumulates floating-point state") over the same
 //     call graph.
@@ -384,17 +385,36 @@ func derivedLocals(info *types.Info, decl *ast.FuncDecl, inputs []*types.Var) ma
 	return out
 }
 
+// WindowDrain returns the drain argument of a sim.RunWindows call — the
+// function the shared conservative-window driver runs on its worker pool —
+// or nil for any other call. The engines spawn no goroutines of their own;
+// this argument is where their worker regions start.
+func WindowDrain(info *types.Info, call *ast.CallExpr) ast.Expr {
+	fn := PkgFunc(info, call)
+	if fn == nil || fn.Name() != "RunWindows" || fn.Pkg() == nil || fn.Pkg().Path() != "clusterfds/internal/sim" {
+		return nil
+	}
+	params := fn.Type().(*types.Signature).Params()
+	for i := 0; i < params.Len() && i < len(call.Args); i++ {
+		if params.At(i).Name() == "drain" {
+			return call.Args[i]
+		}
+	}
+	return nil
+}
+
 // GoReachable returns the set of function bodies that may execute on a
-// spawned goroutine: the operands of every `go` statement in non-test
-// files, closed over direct in-package calls, references to in-package
-// functions as values, function literals bound to variables, and literals
-// nested in already-reachable code. The keys are *ast.FuncDecl and
-// *ast.FuncLit nodes.
+// spawned goroutine: the operands of every `go` statement and the drain
+// argument of every sim.RunWindows call (WindowDrain) in non-test files,
+// closed over direct in-package calls, references to in-package functions
+// as values, function literals bound to variables, and literals nested in
+// already-reachable code. The keys are *ast.FuncDecl and *ast.FuncLit nodes.
 //
-// The closure is syntactic: a handler registered with a cross-package API
-// (a kernel callback) and only invoked from there is not discovered. The
-// worker loops in internal/par and internal/shard call their drain paths
-// directly, so the repository's parallel sections are fully covered.
+// The closure is syntactic: a handler registered with any other
+// cross-package API (a kernel callback) and only invoked from there is not
+// discovered. internal/par and internal/shard hand their drain paths to
+// sim.RunWindows as plain func arguments, so the repository's parallel
+// sections are fully covered.
 func GoReachable(pass *Pass) map[ast.Node]bool {
 	info := pass.TypesInfo
 	decls := make(map[*types.Func]*ast.FuncDecl)
@@ -478,10 +498,15 @@ func GoReachable(pass *Pass) map[ast.Node]bool {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if g, ok := n.(*ast.GoStmt); ok {
-				addExpr(g.Call.Fun)
-				for _, a := range g.Call.Args {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				addExpr(n.Call.Fun)
+				for _, a := range n.Call.Args {
 					addExpr(a)
+				}
+			case *ast.CallExpr:
+				if d := WindowDrain(info, n); d != nil {
+					addExpr(d)
 				}
 			}
 			return true

@@ -227,7 +227,13 @@ func TestFile(fset *token.FileSet, pos token.Pos) bool {
 // PkgFunc returns the *types.Func for a package-level function or method
 // selector expression callee, or nil.
 func PkgFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	return FuncValue(info, call.Fun)
+}
+
+// FuncValue returns the *types.Func an expression names — a package-level
+// function or a method selector, called or passed as a value — or nil.
+func FuncValue(info *types.Info, x ast.Expr) *types.Func {
+	switch fun := ast.Unparen(x).(type) {
 	case *ast.Ident:
 		f, _ := info.Uses[fun].(*types.Func)
 		return f

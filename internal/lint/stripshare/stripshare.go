@@ -4,8 +4,10 @@
 // Everything cross-strip flows through the serial merge barrier, which is
 // what makes the parallel engines bit-identical to the serial kernel.
 //
-// Inside every goroutine-reachable region (lint.GoReachable) the analyzer
-// flags:
+// Neither engine spawns goroutines itself: a worker region starts at the
+// drain function handed to sim.RunWindows (or at a `go` statement), and
+// lint.GoReachable closes over what it calls. Inside every such region the
+// analyzer flags:
 //
 //   - writes to shared mutables: a store whose target is rooted at the
 //     receiver, a captured variable, or a package variable — state visible
@@ -20,9 +22,10 @@
 //     helper — treats its receiver as caller-owned storage: the worker
 //     hands the helper its own strip's object (§12: owners hand out storage
 //     they own), and it is the call site, not the helper body, where the
-//     cross-strip rule applies. Only a direct `go e.worker(...)` target
+//     cross-strip rule applies. Only a direct worker entry — the target of
+//     `go e.worker(...)`, or a method value e.worker passed as the drain —
 //     keeps its receiver shared: there the receiver is the whole engine,
-//     spawned once per worker.
+//     run once per worker.
 //
 //   - cross-strip index arithmetic: indexing a strip/shard-state container
 //     with a computed neighbor index (e.strips[w+1]) reaches another
@@ -105,9 +108,10 @@ func run(pass *lint.Pass) error {
 	return nil
 }
 
-// goTargets maps each FuncDecl that is the direct callee of a go statement
-// in a non-test file — the worker entry points whose receiver is the shared
-// engine, not a caller-owned strip object.
+// goTargets maps each FuncDecl that is the direct callee of a go statement,
+// or is handed by name to sim.RunWindows as the drain, in a non-test file —
+// the worker entry points whose receiver is the shared engine, not a
+// caller-owned strip object.
 func goTargets(pass *lint.Pass) map[*ast.FuncDecl]bool {
 	info := pass.TypesInfo
 	decls := make(map[*types.Func]*ast.FuncDecl)
@@ -126,14 +130,17 @@ func goTargets(pass *lint.Pass) map[*ast.FuncDecl]bool {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			g, ok := n.(*ast.GoStmt)
-			if !ok {
-				return true
-			}
-			if fn := lint.PkgFunc(info, g.Call); fn != nil {
-				if fd := decls[fn]; fd != nil {
-					out[fd] = true
+			var fn *types.Func
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				fn = lint.PkgFunc(info, n.Call)
+			case *ast.CallExpr:
+				if d := lint.WindowDrain(info, n); d != nil {
+					fn = lint.FuncValue(info, d)
 				}
+			}
+			if fd := decls[fn]; fd != nil {
+				out[fd] = true
 			}
 			return true
 		})

@@ -2,7 +2,11 @@
 // their own strip's state; everything else goes through the merge barrier.
 package par
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"clusterfds/internal/sim"
+)
 
 type stripState struct {
 	sends int
@@ -63,6 +67,44 @@ func (e *engine) badSharedInWorkerDecl(w int) {
 func (e *engine) worker(w int) {
 	e.strips[w].sends++
 	e.tick++ // want `worker writes shared state e\.tick outside the merge barrier`
+}
+
+// badDrain: the engines spawn no goroutines; their worker region is the
+// drain function handed to the shared window driver. The next and barrier
+// arguments run serially on the caller and stay unchecked.
+func (e *engine) badDrain() {
+	sim.RunWindows(len(e.strips), 2, 0, 10,
+		func(s int) (sim.Time, bool) {
+			e.tick++
+			return 0, false
+		},
+		func(s int, end sim.Time) {
+			e.strips[s].sends++
+			e.strips[s+1].sends++ // want `cross-strip index arithmetic e\.strips\[\.\.\.\] inside a worker region`
+			e.tick = int64(end)   // want `worker writes shared state e\.tick outside the merge barrier`
+		},
+		func(end sim.Time) {
+			e.tick = int64(end)
+			e.strips[0].sends += e.strips[0+1].sends
+		})
+}
+
+// badDrainMethod: a method value handed over as the drain is a worker entry
+// point like a `go e.worker(w)` target — its receiver is the whole engine.
+func (e *engine) badDrainMethod() {
+	sim.RunWindows(len(e.strips), 2, 0, 10, e.nextAt, e.drainLane, e.closeWindow)
+}
+
+func (e *engine) nextAt(s int) (sim.Time, bool) { return sim.Time(e.strips[s].sends), true }
+
+func (e *engine) drainLane(s int, end sim.Time) {
+	e.strips[s].sends++
+	e.tick++ // want `worker writes shared state e\.tick outside the merge barrier`
+}
+
+func (e *engine) closeWindow(end sim.Time) {
+	e.tick++
+	e.strips[0].sends += e.strips[0+1].sends
 }
 
 // --- non-firing -------------------------------------------------------------

@@ -40,9 +40,10 @@ type Protocol interface {
 
 // Host is one network node. It implements transport.Receiver and is
 // transport-agnostic: the same Host (and the same protocol stack above it)
-// runs on the simulated radio medium, the deterministic in-process mesh, or
-// a live UDP link, because it touches time, randomness, and the network only
-// through the transport.Runtime and transport.Transport interfaces.
+// runs on the simulated radio medium or, through a transport.LinkTransport,
+// on the deterministic in-process mesh or a live UDP link, because it touches
+// time, randomness, and the network only through the transport.Runtime and
+// transport.Transport interfaces.
 type Host struct {
 	id    wire.NodeID
 	pos   geo.Point
@@ -60,14 +61,10 @@ type Host struct {
 	radioOff bool
 	wakeAt   sim.Time
 
-	// Optional clock extensions, probed once at construction. When present,
-	// After/AfterArg run through pooled timer records and one shared
-	// ArgHandler instead of allocating a crash-guard closure per timer, and
-	// AfterBatched coalesces same-instant phase events.
-	argClock   transport.ArgClock
-	batchClock transport.BatchClock
-	timerFree  []*timerRec
-	tracing    bool
+	// After/AfterArg/AfterBatched run through pooled timer records and one
+	// shared ArgHandler instead of allocating a crash-guard closure per timer.
+	timerFree []*timerRec
+	tracing   bool
 }
 
 // timerRec carries one pending host timer through the kernel: the host (for
@@ -126,7 +123,8 @@ func WithTrace(s trace.Sink) Option {
 // host does not run protocols until Boot is called, so scenarios can finish
 // wiring before any traffic flows. rt is typically a *sim.Kernel (which
 // implements transport.Runtime directly); net is any transport backend —
-// *radio.Medium, *transport.Mesh, or *transport.LinkTransport.
+// *radio.Medium or a *transport.LinkTransport (a daemon's, or a
+// transport.Mesh port).
 func New(rt transport.Runtime, net transport.Transport, id wire.NodeID, pos geo.Point, opts ...Option) *Host {
 	h := &Host{
 		id:    id,
@@ -138,8 +136,6 @@ func New(rt transport.Runtime, net transport.Transport, id wire.NodeID, pos geo.
 	for _, opt := range opts {
 		opt(h)
 	}
-	h.argClock, _ = rt.(transport.ArgClock)
-	h.batchClock, _ = rt.(transport.BatchClock)
 	_, nop := h.sink.(trace.Nop)
 	h.tracing = !nop
 	net.Attach(h)
@@ -236,34 +232,20 @@ func (h *Host) Asleep() bool { return h.radioOff }
 // After schedules fn on the kernel; the callback is suppressed if the host
 // has crashed by the time it fires (a dead process runs no code). Pass a
 // long-lived fn (a stored per-protocol func, not a fresh closure) to keep the
-// call allocation-free on kernels with the ArgClock extension.
+// call allocation-free.
 func (h *Host) After(d sim.Time, fn func()) sim.Timer {
-	if h.argClock != nil {
-		rec := h.takeTimerRec()
-		rec.fn = fn
-		return h.argClock.ScheduleArg(d, fireTimerFn, rec)
-	}
-	return h.clock.Schedule(d, func() {
-		if !h.crashed {
-			fn()
-		}
-	})
+	rec := h.takeTimerRec()
+	rec.fn = fn
+	return h.clock.ScheduleArg(d, fireTimerFn, rec)
 }
 
 // AfterArg schedules fn(arg) with After's crash-guard semantics. It lets
 // protocols thread pooled per-event records through one long-lived handler,
 // the same trick sim.Kernel.ScheduleArg enables one layer down.
 func (h *Host) AfterArg(d sim.Time, fn sim.ArgHandler, arg any) sim.Timer {
-	if h.argClock != nil {
-		rec := h.takeTimerRec()
-		rec.afn, rec.arg = fn, arg
-		return h.argClock.ScheduleArg(d, fireTimerFn, rec)
-	}
-	return h.clock.Schedule(d, func() {
-		if !h.crashed {
-			fn(arg)
-		}
-	})
+	rec := h.takeTimerRec()
+	rec.afn, rec.arg = fn, arg
+	return h.clock.ScheduleArg(d, fireTimerFn, rec)
 }
 
 // AfterBatched schedules fn like After but coalesces all callbacks landing
@@ -272,13 +254,9 @@ func (h *Host) AfterArg(d sim.Time, fn sim.ArgHandler, arg any) sim.Timer {
 // suits the unconditional phase events of the epoch schedule: boundaries and
 // round ends, which every host hits at identical offsets.
 func (h *Host) AfterBatched(d sim.Time, fn func()) {
-	if h.batchClock != nil {
-		rec := h.takeTimerRec()
-		rec.fn = fn
-		h.batchClock.AtBatched(h.clock.Now()+d, fireTimerFn, rec)
-		return
-	}
-	h.After(d, fn)
+	rec := h.takeTimerRec()
+	rec.fn = fn
+	h.clock.AtBatched(h.clock.Now()+d, fireTimerFn, rec)
 }
 
 // Now returns the current virtual time.
@@ -289,9 +267,6 @@ func (h *Host) Rand() *rand.Rand { return h.clock.Rand() }
 
 // Energy returns the host's available energy per the transport's meter.
 func (h *Host) Energy() float64 { return h.net.Energy(h.id) }
-
-// Neighbors returns the operational hosts currently within radio range.
-func (h *Host) Neighbors() []wire.NodeID { return h.net.Neighbors(h.pos, h.id) }
 
 // Trace emits a structured trace event attributed to this host.
 func (h *Host) Trace(t trace.EventType, detail string) {

@@ -149,8 +149,8 @@ func TestBootAfterCrashIsNoop(t *testing.T) {
 }
 
 func TestNeighborsAndEnergy(t *testing.T) {
-	_, _, hosts := newWorld(t, []geo.Point{{X: 0, Y: 0}, {X: 50, Y: 0}, {X: 400, Y: 0}})
-	nbrs := hosts[0].Neighbors()
+	_, m, hosts := newWorld(t, []geo.Point{{X: 0, Y: 0}, {X: 50, Y: 0}, {X: 400, Y: 0}})
+	nbrs := m.Neighbors(hosts[0].Pos(), hosts[0].ID())
 	if len(nbrs) != 1 || nbrs[0] != 2 {
 		t.Errorf("Neighbors = %v, want [2]", nbrs)
 	}
@@ -170,16 +170,14 @@ func TestAfterFiresWhenAlive(t *testing.T) {
 }
 
 func TestMoveTo(t *testing.T) {
-	k, m, hosts := newWorld(t, []geo.Point{{X: 0, Y: 0}, {X: 500, Y: 0}})
-	if len(hosts[0].Neighbors()) != 0 {
+	_, m, hosts := newWorld(t, []geo.Point{{X: 0, Y: 0}, {X: 500, Y: 0}})
+	if len(m.Neighbors(hosts[0].Pos(), 1)) != 0 {
 		t.Fatal("hosts should start out of range")
 	}
 	hosts[1].MoveTo(geo.Point{X: 50, Y: 0})
-	if len(hosts[0].Neighbors()) != 1 {
+	if len(m.Neighbors(hosts[0].Pos(), 1)) != 1 {
 		t.Error("MoveTo did not update the medium's index")
 	}
-	_ = k
-	_ = m
 }
 
 func TestTraceOnCrash(t *testing.T) {

@@ -15,14 +15,17 @@
 //
 // Strips advance in lockstep conservative windows of width W = Radio.MinDelay,
 // the lower bound on delivery latency (the same lookahead internal/shard uses
-// at million-host scale). An event processed at time t inside window
-// (t0, t0+W] can reach another strip only through a radio delivery landing at
-// t+delay >= t+W > t0+W-ε — at or after the window's end — so strips process
-// a window in parallel with no communication. Cross-strip deliveries are
-// batched into per-(src,dst) outboxes and injected at the serial window
-// barrier. Between bursts of activity the barrier jumps the window start to
-// the earliest pending event over all strips, so the 10-second idle stretch
-// between FDS epochs costs one barrier, not ten thousand.
+// at million-host scale). An event processed at time t inside the closed
+// window [t0, t0+W] can reach another strip only through a radio delivery
+// landing at t+delay >= t+W >= t0+W — at or after the window's end, the
+// instant every strip has drained to — so strips process a window in parallel
+// with no communication. Cross-strip deliveries are batched into
+// per-(src,dst) outboxes and injected at the serial window barrier. Between
+// bursts of activity the barrier jumps the window start to the earliest
+// pending event over all strips, so the 10-second idle stretch between FDS
+// epochs costs one barrier, not ten thousand. That loop and its worker pool
+// are sim.RunWindows, shared with internal/shard; this package contributes
+// the strips' drain and the outbox merge.
 //
 // # Determinism at every worker count
 //
@@ -55,7 +58,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 
 	"clusterfds/internal/cluster"
 	"clusterfds/internal/fds"
@@ -154,11 +156,7 @@ func (r *hostRuntime) ScheduleArg(d sim.Time, fn sim.ArgHandler, a any) sim.Time
 }
 func (r *hostRuntime) AtBatched(at sim.Time, fn sim.ArgHandler, a any) { r.k.AtBatched(at, fn, a) }
 
-var (
-	_ transport.Runtime    = (*hostRuntime)(nil)
-	_ transport.ArgClock   = (*hostRuntime)(nil)
-	_ transport.BatchClock = (*hostRuntime)(nil)
-)
+var _ transport.Runtime = (*hostRuntime)(nil)
 
 // stripPort is the transport facade handed to the hosts of one strip.
 type stripPort struct {
@@ -169,9 +167,6 @@ type stripPort struct {
 func (p *stripPort) Attach(r transport.Receiver)           { p.e.hosts[r.ID()-1] = r.(*node.Host) }
 func (p *stripPort) Send(from wire.NodeID, m wire.Message) { p.e.send(p.s, from, m) }
 func (p *stripPort) Energy(id wire.NodeID) float64         { return p.e.energyOf(id) }
-func (p *stripPort) Neighbors(at geo.Point, exclude wire.NodeID) []wire.NodeID {
-	return p.e.neighborsAt(at, exclude)
-}
 func (p *stripPort) UpdatePos(wire.NodeID, geo.Point) {
 	panic("par: static topology — mobility is not supported")
 }
@@ -277,25 +272,6 @@ func (e *Engine) energyOf(id wire.NodeID) float64 {
 		return 0
 	}
 	return v
-}
-
-// neighborsAt scans the static placement for operational hosts in range of
-// at. Provided for transport completeness; the cluster stack never calls it
-// on the hot path.
-func (e *Engine) neighborsAt(at geo.Point, exclude wire.NodeID) []wire.NodeID {
-	var out []wire.NodeID
-	r2 := e.params.Range * e.params.Range
-	for i, p := range e.pos {
-		id := wire.NodeID(i + 1)
-		if id == exclude || !e.hosts[i].Operational() {
-			continue
-		}
-		dx, dy := p.X-at.X, p.Y-at.Y
-		if dx*dx+dy*dy <= r2 {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // Build lays out the field, partitions it into strips, and boots every host.
@@ -451,90 +427,27 @@ func (e *Engine) RunEpochs(n int) {
 	e.runTo(e.cfg.Timing.EpochStart(wire.Epoch(e.epochsRun)))
 }
 
-// runTo is the conservative window loop: jump to the earliest pending event,
-// drain one W-wide window across all strips in parallel, merge outboxes at
-// the serial barrier, repeat.
+// runTo advances every strip to the deadline through sim.RunWindows: closed
+// windows [t, t+W] with W = Radio.MinDelay, strips drained in parallel,
+// outboxes merged at the serial barrier.
 func (e *Engine) runTo(deadline sim.Time) {
-	w := e.params.MinDelay
-	nStrips := len(e.strips)
-	nw := e.cfg.Workers
-	if nw > nStrips {
-		nw = nStrips
-	}
-
-	var stripIdx int64
-	var tend sim.Time
-	drain := func() {
-		for {
-			i := atomic.AddInt64(&stripIdx, 1) - 1
-			if i >= int64(nStrips) {
-				return
-			}
-			e.strips[i].k.RunUntil(tend)
-		}
-	}
-
-	var start chan sim.Time
-	var done chan struct{}
-	if nw > 1 {
-		start = make(chan sim.Time)
-		done = make(chan struct{})
-		for i := 0; i < nw-1; i++ {
-			go func() {
-				for range start {
-					drain()
-					done <- struct{}{}
-				}
-			}()
-		}
-		defer close(start)
-	}
-
-	for {
-		// Serial barrier: find the earliest pending event anywhere.
-		tmin := deadline + 1
-		for s := range e.strips {
-			if t, ok := e.strips[s].k.NextEventAt(); ok && t < tmin {
-				tmin = t
-			}
-		}
-		if tmin > deadline {
-			break
-		}
-		tend = tmin + w
-		if tend > deadline {
-			tend = deadline
-		}
-
-		// Parallel window: every strip advances to tend in isolation.
-		atomic.StoreInt64(&stripIdx, 0)
-		if nw > 1 {
-			for i := 0; i < nw-1; i++ {
-				start <- tend
-			}
-			drain()
-			for i := 0; i < nw-1; i++ {
-				<-done
-			}
-		} else {
-			drain()
-		}
-
-		e.mergeOutboxes()
-	}
+	sim.RunWindows(len(e.strips), e.cfg.Workers, e.params.MinDelay, deadline,
+		func(s int) (sim.Time, bool) { return e.strips[s].k.NextEventAt() },
+		func(s int, end sim.Time) { e.strips[s].k.RunUntil(end) },
+		e.mergeOutboxes)
 
 	// Advance every idle clock to the deadline so the next call resumes
 	// from a common now.
 	for s := range e.strips {
 		e.strips[s].k.RunUntil(deadline)
 	}
-	e.mergeOutboxes()
 	e.now = deadline
 }
 
 // mergeOutboxes injects every pending cross-strip delivery into its
-// destination kernel in canonical (at, src, seq) order. Serial.
-func (e *Engine) mergeOutboxes() {
+// destination kernel in canonical (at, src, seq) order. Serial: it is the
+// window barrier, and end is the instant every strip has just drained to.
+func (e *Engine) mergeOutboxes(end sim.Time) {
 	for d := range e.strips {
 		dst := &e.strips[d]
 		var pend []crossEntry
@@ -557,10 +470,14 @@ func (e *Engine) mergeOutboxes() {
 			}
 			return a.seq < b.seq
 		})
-		now := dst.k.Now()
 		for i := range pend {
 			ce := pend[i]
-			dst.k.ScheduleArg(ce.at-now, deliverLocalFn, &parDelivery{
+			if ce.at < end {
+				// The destination already drained past ce.at; scheduling it
+				// "now" would silently reorder the run.
+				panic(fmt.Sprintf("par: conservative window invariant violated: cross-strip delivery at %d inside window ending %d", ce.at, end))
+			}
+			dst.k.ScheduleArg(ce.at-end, deliverLocalFn, &parDelivery{
 				e: e, s: int32(d), to: ce.to, from: ce.from, payload: ce.payload,
 			})
 		}

@@ -1,6 +1,8 @@
 package par
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"clusterfds/internal/sim"
@@ -77,4 +79,27 @@ func TestStripCountChangesAreExplicit(t *testing.T) {
 	if h1 == h4 {
 		t.Log("note: strip counts 2 and 4 happened to agree; not a failure")
 	}
+}
+
+// TestWindowInvariant is the twin of shard.TestWindowInvariant: an honest
+// multi-strip run never hands the barrier a cross-strip delivery dated inside
+// the window it just closed, and a delivery that does violate the lookahead
+// panics with the offending (at, window end) instead of being scheduled
+// "now", which would silently reorder the run.
+func TestWindowInvariant(t *testing.T) {
+	e := Build(Config{Seed: 42, Nodes: 200, FieldSide: 700, LossProb: 0.05, Strips: 4, Workers: 2})
+	e.RunEpochs(2) // panics on any invariant violation
+	if e.Deliveries() == 0 {
+		t.Fatal("run delivered nothing; the barrier was never exercised")
+	}
+
+	end := e.Now()
+	e.strips[0].out[1] = append(e.strips[0].out[1], crossEntry{at: end - 1, to: 0, from: 1})
+	defer func() {
+		want := fmt.Sprintf("cross-strip delivery at %d inside window ending %d", end-1, end)
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+			t.Fatalf("mergeOutboxes recovered %v, want a panic containing %q", r, want)
+		}
+	}()
+	e.mergeOutboxes(end)
 }

@@ -275,9 +275,6 @@ func (m *Medium) UpdatePos(id wire.NodeID, old geo.Point) {
 	m.grid.move(id, old, r.Pos())
 }
 
-// NodeCount returns the number of attached hosts.
-func (m *Medium) NodeCount() int { return len(m.nodes) }
-
 // Neighbors returns the NIDs of the operational hosts within range of the
 // given point, excluding exclude. The slice is freshly allocated; callers
 // on a hot path should prefer NeighborsAppend with a reused buffer.

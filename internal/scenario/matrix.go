@@ -61,16 +61,6 @@ func ScenarioKinds() []ScenarioKind {
 	return []ScenarioKind{ScenarioCrashWave, ScenarioPartition, ScenarioDutySleep, ScenarioMobility}
 }
 
-// ParseScenarioKind resolves a scenario by its String name.
-func ParseScenarioKind(name string) (ScenarioKind, error) {
-	for _, k := range ScenarioKinds() {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("scenario: unknown scenario %q", name)
-}
-
 // Matrix is the head-to-head study: Stacks x Scenarios, each cell a seeded
 // replica sweep. All cells reuse Config.Seed, so replica i of every cell
 // sees the same field layout and the same crash victims (for stacks sharing

@@ -4,32 +4,32 @@ import (
 	"math/rand"
 	"testing"
 
-	"clusterfds/internal/mobility"
+	"clusterfds/internal/cluster"
+	"clusterfds/internal/par"
 	"clusterfds/internal/replicate"
-	"clusterfds/internal/sim"
 )
 
 // runParallelReplica builds one parallel replica of the canonical crash-wave
 // scenario at the given seed and worker count and returns its trace hash.
 func runParallelReplica(seed int64, workers int) string {
-	p := BuildParallel(Config{
+	p := par.Build(par.Config{
 		Seed: seed, Nodes: 120, FieldSide: 500, LossProb: 0.1,
-		EpochWorkers: workers,
+		Workers: workers, CollectTrace: true,
 	})
-	timing := p.Config().Timing
+	timing := cluster.DefaultTiming()
 	p.CrashRandomAt(timing.EpochStart(2)+timing.Interval/2, 3)
 	p.RunEpochs(6)
 	return p.TraceHash()
 }
 
-// TestBuildParallelMatchesWorkerCounts is the scenario-level worker-count
+// TestBuildParallelMatchesWorkerCounts is the replica-level worker-count
 // invariance gate: the same replica hashes identically at 1, 2, and 4
 // epoch workers.
 func TestBuildParallelMatchesWorkerCounts(t *testing.T) {
 	want := runParallelReplica(7, 1)
 	for _, workers := range []int{2, 4} {
 		if got := runParallelReplica(7, workers); got != want {
-			t.Fatalf("EpochWorkers=%d hash %s != EpochWorkers=1 hash %s", workers, got, want)
+			t.Fatalf("Workers=%d hash %s != Workers=1 hash %s", workers, got, want)
 		}
 	}
 }
@@ -60,23 +60,4 @@ func TestParallelNestedInReplicas(t *testing.T) {
 			t.Fatalf("replica %d: nested hash %s != serial hash %s", i, nested[i], serial[i])
 		}
 	}
-}
-
-// TestBuildParallelRejectsUnsupported documents the parallel path's explicit
-// scope: only the static-field cluster stack.
-func TestBuildParallelRejectsUnsupported(t *testing.T) {
-	mustPanic := func(name string, cfg Config) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: BuildParallel did not panic", name)
-			}
-		}()
-		BuildParallel(cfg)
-	}
-	mustPanic("gossip stack", Config{Stack: StackGossip, EpochWorkers: 2})
-	mustPanic("mobility", Config{
-		EpochWorkers: 2,
-		Mobility:     &mobility.Config{Speed: 1, Pause: sim.Time(1e9)},
-	})
 }

@@ -128,11 +128,6 @@ type Config struct {
 	// Mobility, when set, attaches random-waypoint movement to every host
 	// (any stack). A zero Field is defaulted to the deployment field.
 	Mobility *mobility.Config
-	// EpochWorkers selects the intra-replica parallel engine (BuildParallel):
-	// the field is cut into fixed strips advanced by this many workers in
-	// conservative windows, bit-identical at every worker count. Zero keeps
-	// the serial engine; Build ignores this field.
-	EpochWorkers int
 }
 
 func (c Config) withDefaults() Config {

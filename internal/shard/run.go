@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"runtime"
 	"slices"
-	"sync"
 
 	"clusterfds/internal/sim"
 	"clusterfds/internal/wire"
@@ -27,142 +26,113 @@ const (
 // Run executes the built world to the horizon and returns the summary.
 // Results are bit-identical for every cfg.Shards and cfg.Workers value;
 // only wall-clock time changes. Run consumes the engine.
+//
+// The window loop is sim.RunWindows. This engine's windows are half-open —
+// shards drain [t, t+w) up to an exclusive horizon — so it hands the
+// closed-interval driver span w-1 and limit horizon-1 and drains events
+// strictly before end+1. Shards touch only host rows they own, their own
+// outboxes, and their own trace buffer, so the drain is race-free by layout.
 func (e *Engine) Run() Result {
-	k := e.nShards
 	workers := e.cfg.Workers
 	if workers < 1 {
 		workers = 1
 	}
-	if workers > k {
-		workers = k
+	if workers > e.nShards {
+		workers = e.nShards
+	}
+	sim.RunWindows(e.nShards, workers, e.w-1, e.horizon-1,
+		func(s int) (sim.Time, bool) { return e.shards[s].heap.minTime() },
+		func(s int, end sim.Time) { e.drain(int32(s), end+1) },
+		func(end sim.Time) { e.closeWindow(end + 1) })
+	return e.summarize(workers)
+}
+
+// closeWindow is the serial barrier after the window that ended
+// (exclusively) at wEnd.
+func (e *Engine) closeWindow(wEnd sim.Time) {
+	k := e.nShards
+
+	// Phase 1: merge outboxes in (dst, src) order. Heap order is by the
+	// global event key, so insertion order cannot matter — the fixed
+	// iteration order just keeps arena layouts canonical. A shard whose heap
+	// is still empty afterwards has no in-flight event referencing its
+	// payload arena, which is recycled.
+	for d := 0; d < k; d++ {
+		dst := &e.shards[d]
+		for s := 0; s < k; s++ {
+			ob := &e.shards[s].out[d]
+			if len(ob.evs) == 0 {
+				continue
+			}
+			base := uint32(len(dst.arena))
+			dst.arena = append(dst.arena, ob.payload...)
+			for _, evt := range ob.evs {
+				if evt.at < wEnd {
+					panic(fmt.Sprintf("shard: conservative window invariant violated: cross-shard event at %d inside window ending %d", evt.at, wEnd))
+				}
+				evt.off += base
+				dst.heap.push(evt)
+			}
+			ob.evs = ob.evs[:0]
+			ob.payload = ob.payload[:0]
+		}
+		if dst.heap.len() == 0 {
+			dst.arena = dst.arena[:0]
+		}
 	}
 
+	// Phase 2: fold this window's trace records into the run hash in global
+	// key order. Within a shard, records are already nearly sorted (heap pop
+	// order), but an event created mid-window at its creator's own instant
+	// pops after later-keyed events, so a full sort of the window is required
+	// for partition independence.
+	e.traceBuf = e.traceBuf[:0]
+	for s := range e.shards {
+		sh := &e.shards[s]
+		e.traceBuf = append(e.traceBuf, sh.trace...)
+		sh.trace = sh.trace[:0]
+	}
+	slices.SortFunc(e.traceBuf, func(x, y rec) int {
+		if x.at != y.at {
+			if x.at < y.at {
+				return -1
+			}
+			return 1
+		}
+		if x.owner != y.owner {
+			if x.owner < y.owner {
+				return -1
+			}
+			return 1
+		}
+		if x.seq != y.seq {
+			if x.seq < y.seq {
+				return -1
+			}
+			return 1
+		}
+		return 0
+	})
+	for i := range e.traceBuf {
+		r := &e.traceBuf[i]
+		e.traceHash = fold(e.traceHash, uint64(r.at))
+		e.traceHash = fold(e.traceHash, uint64(r.owner)<<32|uint64(r.seq))
+		e.traceHash = fold(e.traceHash, uint64(r.kind)<<40|uint64(r.aux)<<8|uint64(r.bytes)<<44)
+	}
+
+	// Liveness reporting only — reads counters at the barrier, touches
+	// nothing the simulation or its hashes depend on.
 	progEvery := e.cfg.ProgressEvery
 	if progEvery < 1 {
 		progEvery = 5000
 	}
-	windows := 0
-
-	var traceBuf []rec
-	var wg sync.WaitGroup
-	for {
-		// Serial phase: find the next instant with work anywhere, and
-		// recycle payload arenas of fully drained shards (an empty heap
-		// means no in-flight event references the arena).
-		var t sim.Time
-		found := false
+	if e.windows++; e.cfg.Progress != nil && e.windows%progEvery == 0 {
+		var events uint64
 		for s := range e.shards {
-			sh := &e.shards[s]
-			if sh.heap.len() == 0 {
-				sh.arena = sh.arena[:0]
-				continue
-			}
-			if mt, _ := sh.heap.minTime(); !found || mt < t {
-				t, found = mt, true
-			}
+			events += e.shards[s].c.events
 		}
-		if !found || t >= e.horizon {
-			break
-		}
-		wEnd := t + e.w
-		if wEnd > e.horizon {
-			wEnd = e.horizon
-		}
-
-		// Parallel phase: every shard drains its events in [t, wEnd).
-		// Shards touch only host rows they own, their own outboxes, and
-		// their own trace buffer, so this is race-free by layout.
-		if workers == 1 {
-			for s := range e.shards {
-				e.drain(int32(s), wEnd)
-			}
-		} else {
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for s := w; s < k; s += workers {
-						e.drain(int32(s), wEnd)
-					}
-				}(w)
-			}
-			wg.Wait()
-		}
-
-		// Barrier phase 1: merge outboxes in (dst, src) order. Heap order
-		// is by the global event key, so insertion order cannot matter —
-		// the fixed iteration order just keeps arena layouts canonical.
-		for d := 0; d < k; d++ {
-			dst := &e.shards[d]
-			for s := 0; s < k; s++ {
-				ob := &e.shards[s].out[d]
-				if len(ob.evs) == 0 {
-					continue
-				}
-				base := uint32(len(dst.arena))
-				dst.arena = append(dst.arena, ob.payload...)
-				for _, evt := range ob.evs {
-					if evt.at < wEnd {
-						panic(fmt.Sprintf("shard: conservative window invariant violated: cross-shard event at %d inside window ending %d", evt.at, wEnd))
-					}
-					evt.off += base
-					dst.heap.push(evt)
-				}
-				ob.evs = ob.evs[:0]
-				ob.payload = ob.payload[:0]
-			}
-		}
-
-		// Barrier phase 2: fold this window's trace records into the run
-		// hash in global key order. Within a shard, records are already
-		// nearly sorted (heap pop order), but an event created mid-window
-		// at its creator's own instant pops after later-keyed events, so a
-		// full sort of the window is required for partition independence.
-		traceBuf = traceBuf[:0]
-		for s := range e.shards {
-			sh := &e.shards[s]
-			traceBuf = append(traceBuf, sh.trace...)
-			sh.trace = sh.trace[:0]
-		}
-		slices.SortFunc(traceBuf, func(x, y rec) int {
-			if x.at != y.at {
-				if x.at < y.at {
-					return -1
-				}
-				return 1
-			}
-			if x.owner != y.owner {
-				if x.owner < y.owner {
-					return -1
-				}
-				return 1
-			}
-			if x.seq != y.seq {
-				if x.seq < y.seq {
-					return -1
-				}
-				return 1
-			}
-			return 0
-		})
-		for i := range traceBuf {
-			r := &traceBuf[i]
-			e.traceHash = fold(e.traceHash, uint64(r.at))
-			e.traceHash = fold(e.traceHash, uint64(r.owner)<<32|uint64(r.seq))
-			e.traceHash = fold(e.traceHash, uint64(r.kind)<<40|uint64(r.aux)<<8|uint64(r.bytes)<<44)
-		}
-
-		// Liveness reporting only — reads counters at the barrier, touches
-		// nothing the simulation or its hashes depend on.
-		if windows++; e.cfg.Progress != nil && windows%progEvery == 0 {
-			var events uint64
-			for s := range e.shards {
-				events += e.shards[s].c.events
-			}
-			e.cfg.Progress(wEnd, events)
-		}
+		e.cfg.Progress(wEnd, events)
 	}
-	return e.summarize(workers)
 }
 
 // drain processes every event of shard s scheduled before wEnd.

@@ -23,7 +23,9 @@
 // another shard via a delivery, which lands at t+delay ≥ t+MinDelay ≥
 // t0+W — strictly after the window. Shards therefore process a window in
 // parallel with no communication, and cross-shard sends are batched into
-// per-(src,dst) outboxes merged at the window barrier.
+// per-(src,dst) outboxes merged at the window barrier. The loop itself —
+// jump to the earliest event, drain the shards on a worker pool, run the
+// barrier — is sim.RunWindows, shared with internal/par.
 //
 // # Determinism at every shard and worker count
 //
@@ -247,6 +249,8 @@ type Engine struct {
 	shards []shardState
 
 	traceHash uint64
+	traceBuf  []rec // closeWindow's sort buffer, reused across windows
+	windows   int   // busy windows closed so far, for Progress cadence
 	horizon   sim.Time
 	w         sim.Time // conservative window width = Radio.MinDelay
 

@@ -8,11 +8,11 @@ import (
 	"clusterfds/internal/wire"
 )
 
-// LinkTransport adapts a Link (UDP socket, in-process channel mesh) into the
-// Transport surface a single host binds to. Where the radio medium and the
-// Mesh carry every host of a run, a LinkTransport carries exactly one — the
-// local daemon's — and treats everything beyond the Broadcast call as
-// another process.
+// LinkTransport adapts a Broadcaster (UDP socket, in-process channel mesh,
+// or the deterministic Mesh fabric) into the Transport surface a single host
+// binds to. Where the radio medium carries every host of a run, a
+// LinkTransport carries exactly one — the local daemon's — and treats
+// everything beyond the Broadcast call as another process.
 //
 // Outbound: Send encodes the message into a reused buffer and broadcasts the
 // wire bytes. Inbound: the daemon's event loop drains Link.Packets and calls
@@ -30,7 +30,6 @@ type LinkTransport struct {
 	sink  trace.Sink
 
 	self    Receiver
-	peers   []wire.NodeID
 	meter   *Meter
 	scratch *wire.DecodeScratch
 	txBuf   []byte
@@ -47,15 +46,12 @@ func WithLinkTrace(s trace.Sink) LinkOption {
 	return func(lt *LinkTransport) { lt.sink = s }
 }
 
-// NewLinkTransport creates a transport for one host over bc. peers is the
-// static roster of remote NIDs expected on the link (the live stand-in for
-// the radio neighborhood); it is copied.
-func NewLinkTransport(clock Clock, bc Broadcaster, energy EnergyParams, peers []wire.NodeID, opts ...LinkOption) *LinkTransport {
+// NewLinkTransport creates a transport for one host over bc.
+func NewLinkTransport(clock Clock, bc Broadcaster, energy EnergyParams, opts ...LinkOption) *LinkTransport {
 	lt := &LinkTransport{
 		clock:   clock,
 		bc:      bc,
 		sink:    trace.Nop{},
-		peers:   append([]wire.NodeID(nil), peers...),
 		scratch: wire.NewDecodeScratch(),
 	}
 	lt.meter = NewMeter(energy, clock)
@@ -138,18 +134,8 @@ func (lt *LinkTransport) BadDatagrams() int64 { return lt.rxBad }
 // asks about its own budget).
 func (lt *LinkTransport) Energy(id wire.NodeID) float64 { return lt.meter.Energy(id) }
 
-// Neighbors implements Transport: the configured peer roster minus exclude.
-// A link has no geometry, so the roster plays the role of the radio
-// neighborhood.
-func (lt *LinkTransport) Neighbors(at geo.Point, exclude wire.NodeID) []wire.NodeID {
-	var out []wire.NodeID
-	for _, id := range lt.peers {
-		if id != exclude {
-			out = append(out, id)
-		}
-	}
-	return out
-}
+// Meter returns the transport's energy meter (the local host's spend).
+func (lt *LinkTransport) Meter() *Meter { return lt.meter }
 
 // UpdatePos implements Transport; a link has no geometry.
 func (lt *LinkTransport) UpdatePos(id wire.NodeID, old geo.Point) {}

@@ -1,9 +1,9 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 
-	"clusterfds/internal/geo"
 	"clusterfds/internal/sim"
 	"clusterfds/internal/trace"
 	"clusterfds/internal/wire"
@@ -22,8 +22,9 @@ type MeshParams struct {
 	// setting) draws no randomness at all, preserving draw-order parity with
 	// the radio medium.
 	DupProb float64
-	// Energy is the per-host energy model; both backends share Meter so the
-	// energy-biased forwarding backoff behaves identically.
+	// Energy is the per-host energy model of every port's LinkTransport; the
+	// radio shares Meter so the energy-biased forwarding backoff behaves
+	// identically.
 	Energy EnergyParams
 }
 
@@ -39,46 +40,42 @@ func DefaultMeshParams(lossProb float64) MeshParams {
 	}
 }
 
-// meshMember is one attached host, with its private decode scratch.
-type meshMember struct {
-	id      wire.NodeID
-	r       Receiver
-	scratch *wire.DecodeScratch
-}
-
-// Mesh is the second deterministic Transport backend: a fully connected
-// in-process packet mesh with no geometry. Every transmission is encoded to
-// wire bytes once and offered to every other member in join order; each
-// delivery is independently lost, delayed, and (optionally) duplicated, then
-// decoded at reception time into the receiver's own scratch — the same
-// encode-once/decode-per-receiver byte path as the radio medium, through a
-// completely separate implementation.
+// Mesh is the deterministic in-process packet fabric: a fully connected
+// broadcast domain with no geometry, sitting under one real LinkTransport per
+// host exactly where a UDP socket or a ChanLink sits under a live daemon's.
+// Port hands out a host's LinkTransport; everything a host-side transport
+// does — operational checks, energy metering, encode, decode into its own
+// scratch, send and delivery trace events — is LinkTransport's code, the code
+// fdsd runs. The mesh decides only what a network decides: for every other
+// port, in join order, whether a broadcast is lost, how long it takes, and
+// whether it arrives twice.
 //
 // The per-receiver randomness draw sequence deliberately mirrors
 // radio.Medium.Send (one Float64 loss draw always; one Int63n delay draw iff
-// MaxDelay > MinDelay; duplication draws only when DupProb > 0), so a run on
-// a mesh with DupProb = 0 consumes the kernel's random stream exactly as the
+// MaxDelay > MinDelay; duplication draws only when DupProb > 0), and a lost
+// delivery emits the radio's drop event, so a run on a mesh with DupProb = 0
+// consumes the kernel's random stream and fills the trace exactly as the
 // equivalent single-cell radio run does. The differential conformance suite
 // (internal/conformance) relies on this to assert trace-for-trace equality.
 type Mesh struct {
 	rt     Runtime
 	params MeshParams
-	sink   trace.Sink
+	sink   trace.Sink // shared with every port's LinkTransport
 
-	members []meshMember // join order; delivery iteration order
-	index   map[wire.NodeID]int
-
-	linkLoss map[[2]wire.NodeID]float64
-	silenced map[wire.NodeID]bool
-
-	meter   *Meter
+	ports   []meshPort // join order; delivery iteration order
 	tracing bool
+}
+
+type meshPort struct {
+	id wire.NodeID
+	lt *LinkTransport
 }
 
 // MeshOption customizes a Mesh.
 type MeshOption func(*Mesh)
 
-// WithMeshTrace attaches a trace sink to the mesh.
+// WithMeshTrace attaches a trace sink to the mesh and to every port's
+// LinkTransport.
 func WithMeshTrace(s trace.Sink) MeshOption {
 	return func(m *Mesh) { m.sink = s }
 }
@@ -94,15 +91,7 @@ func NewMesh(rt Runtime, params MeshParams, opts ...MeshOption) *Mesh {
 	if params.MaxDelay < params.MinDelay {
 		panic("transport: mesh MaxDelay < MinDelay")
 	}
-	m := &Mesh{
-		rt:       rt,
-		params:   params,
-		sink:     trace.Nop{},
-		index:    make(map[wire.NodeID]int),
-		linkLoss: make(map[[2]wire.NodeID]float64),
-		silenced: make(map[wire.NodeID]bool),
-	}
-	m.meter = NewMeter(params.Energy, rt)
+	m := &Mesh{rt: rt, params: params, sink: trace.Nop{}}
 	for _, opt := range opts {
 		opt(m)
 	}
@@ -111,147 +100,71 @@ func NewMesh(rt Runtime, params MeshParams, opts ...MeshOption) *Mesh {
 	return m
 }
 
-// Attach implements Transport. Join order is delivery-iteration order, so
-// scenarios that want cross-backend parity must attach hosts in the same
-// order on both backends.
-func (m *Mesh) Attach(r Receiver) {
-	id := r.ID()
+// Port joins the mesh as id and returns the LinkTransport the host binds to.
+// Join order is delivery-iteration order, so scenarios that want
+// cross-backend parity must take ports in the order the other backend
+// attaches hosts.
+func (m *Mesh) Port(id wire.NodeID) *LinkTransport {
 	if id == wire.NoNode {
-		panic("transport: cannot attach node with NID 0")
+		panic("transport: cannot join mesh with NID 0")
 	}
-	if _, dup := m.index[id]; dup {
-		panic(fmt.Sprintf("transport: duplicate NID %v", id))
+	for i := range m.ports {
+		if m.ports[i].id == id {
+			panic(fmt.Sprintf("transport: duplicate mesh NID %v", id))
+		}
 	}
-	m.index[id] = len(m.members)
-	m.members = append(m.members, meshMember{id: id, r: r, scratch: wire.NewDecodeScratch()})
-	m.meter.Track(id)
+	lt := NewLinkTransport(m.rt, m, m.params.Energy, WithLinkTrace(m.sink))
+	m.ports = append(m.ports, meshPort{id: id, lt: lt})
+	return lt
 }
 
-// SetLinkLoss overrides the loss probability on the directed link from ->
-// to. Pass a negative probability to remove the override.
-func (m *Mesh) SetLinkLoss(from, to wire.NodeID, p float64) {
-	key := [2]wire.NodeID{from, to}
-	if p < 0 {
-		delete(m.linkLoss, key)
-		return
+// Broadcast implements Broadcaster for every port. See the type comment for
+// the draw-order contract with radio.Medium.Send.
+func (m *Mesh) Broadcast(from wire.NodeID, payload []byte) error {
+	if len(payload) == 0 {
+		return errors.New("transport: empty mesh broadcast")
 	}
-	if p > 1 {
-		p = 1
-	}
-	m.linkLoss[key] = p
-}
-
-// Silence makes every transmission from id vanish (on=true) or restores
-// normal behaviour (on=false).
-func (m *Mesh) Silence(id wire.NodeID, on bool) {
-	if on {
-		m.silenced[id] = true
-	} else {
-		delete(m.silenced, id)
-	}
-}
-
-// Send implements Transport. See the type comment for the draw-order
-// contract with radio.Medium.Send.
-func (m *Mesh) Send(from wire.NodeID, msg wire.Message) {
-	si, ok := m.index[from]
-	if !ok || !m.members[si].r.Operational() {
-		return
-	}
-	size := msg.WireSize()
-	m.meter.ChargeTx(from, size)
-	if m.tracing {
-		m.sink.Emit(trace.Event{
-			At: m.rt.Now(), Type: trace.TypeSend, Node: uint32(from),
-			Detail: msg.Kind().String(),
-		})
-	}
-	if m.silenced[from] {
-		return
-	}
-	// Encode once; every delivery of this transmission decodes the shared
-	// bytes into its receiver's own scratch at reception time.
-	buf := wire.Encode(msg)
+	// The sender's LinkTransport reuses payload for its next Send; every
+	// delivery of this transmission shares one private copy.
+	buf := append([]byte(nil), payload...)
 	rng := m.rt.Rand()
-	for i := range m.members {
-		if m.members[i].id == from {
+	for i := range m.ports {
+		p := &m.ports[i]
+		if p.id == from {
 			continue
 		}
-		mem := &m.members[i]
-		loss := m.params.LossProb
-		if override, ok := m.linkLoss[[2]wire.NodeID{from, mem.id}]; ok {
-			loss = override
-		}
-		if rng.Float64() < loss {
+		if rng.Float64() < m.params.LossProb {
 			if m.tracing {
 				m.sink.Emit(trace.Event{
-					At: m.rt.Now(), Type: trace.TypeDrop, Node: uint32(mem.id),
-					Detail: fmt.Sprintf("%s from %v", msg.Kind(), from),
+					At: m.rt.Now(), Type: trace.TypeDrop, Node: uint32(p.id),
+					Detail: fmt.Sprintf("%s from %v", wire.Kind(buf[0]), from),
 				})
 			}
 			continue
 		}
-		m.scheduleDelivery(mem, from, buf, size)
+		m.scheduleDelivery(p.lt, from, buf)
 		if m.params.DupProb > 0 && rng.Float64() < m.params.DupProb {
-			m.scheduleDelivery(mem, from, buf, size)
+			m.scheduleDelivery(p.lt, from, buf)
 		}
 	}
+	return nil
 }
 
 // scheduleDelivery draws the delivery delay for one receiver (consuming one
 // Int63n iff the delay window is non-degenerate, as the radio does) and
 // schedules the reception.
-func (m *Mesh) scheduleDelivery(mem *meshMember, from wire.NodeID, buf []byte, size int) {
-	rng := m.rt.Rand()
+func (m *Mesh) scheduleDelivery(to *LinkTransport, from wire.NodeID, buf []byte) {
 	delay := m.params.MinDelay
 	if span := m.params.MaxDelay - m.params.MinDelay; span > 0 {
-		delay += sim.Time(rng.Int63n(int64(span) + 1))
+		delay += sim.Time(m.rt.Rand().Int63n(int64(span) + 1))
 	}
-	m.rt.Schedule(delay, func() { m.deliver(mem, from, buf, size) })
-}
-
-// deliver completes one reception: charge, decode into the receiver's
-// scratch, trace, dispatch. The decoded message is valid only during the
-// Deliver call.
-func (m *Mesh) deliver(mem *meshMember, from wire.NodeID, buf []byte, size int) {
-	if !mem.r.Operational() {
-		return
-	}
-	m.meter.ChargeRx(mem.id, size)
-	decoded, err := wire.DecodeInto(mem.scratch, buf)
-	if err != nil {
-		// The mesh never corrupts messages; a decode failure is a codec bug.
-		panic(fmt.Sprintf("transport: mesh decode for delivery: %v", err))
-	}
-	if m.tracing {
-		m.sink.Emit(trace.Event{
-			At: m.rt.Now(), Type: trace.TypeDeliver, Node: uint32(mem.id),
-			Detail: fmt.Sprintf("%s from %v", decoded.Kind(), from),
-		})
-	}
-	mem.r.Deliver(decoded, from)
-}
-
-// Energy implements Transport via the shared meter.
-func (m *Mesh) Energy(id wire.NodeID) float64 { return m.meter.Energy(id) }
-
-// Meter returns the mesh's energy meter.
-func (m *Mesh) Meter() *Meter { return m.meter }
-
-// Neighbors implements Transport: every operational member except exclude,
-// in join order (the mesh has no geometry — everyone is in range).
-func (m *Mesh) Neighbors(at geo.Point, exclude wire.NodeID) []wire.NodeID {
-	var out []wire.NodeID
-	for i := range m.members {
-		if m.members[i].id == exclude || !m.members[i].r.Operational() {
-			continue
+	m.rt.Schedule(delay, func() {
+		if err := to.Inject(Packet{From: from, Payload: buf}); err != nil {
+			// The mesh never corrupts messages; a rejected datagram is a
+			// codec bug.
+			panic(fmt.Sprintf("transport: mesh delivery: %v", err))
 		}
-		out = append(out, m.members[i].id)
-	}
-	return out
+	})
 }
 
-// UpdatePos implements Transport; the mesh has no geometry.
-func (m *Mesh) UpdatePos(id wire.NodeID, old geo.Point) {}
-
-var _ Transport = (*Mesh)(nil)
+var _ Broadcaster = (*Mesh)(nil)

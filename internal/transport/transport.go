@@ -12,11 +12,12 @@
 //	Rand       is a seeded randomness source (*rand.Rand satisfies it).
 //	Transport  carries encoded messages between hosts.
 //
-// The simulated radio medium (internal/radio) is one Transport backend; the
-// in-process Mesh and the UDP/channel links in this package are the others.
-// All of them move the same internal/wire bytes, so a protocol binary-level
-// conformance harness (internal/conformance) can assert that the state
-// machines behave identically regardless of which backend feeds them. The
+// The simulated radio medium (internal/radio) is one Transport backend;
+// LinkTransport, one host's adapter over a UDP socket, a channel mesh or the
+// deterministic Mesh fabric in this package, is the other. Both move the same
+// internal/wire bytes, so a protocol binary-level conformance harness
+// (internal/conformance) can assert that the state machines behave
+// identically regardless of which backend feeds them. The
 // fdslint walltime analyzer polices this boundary mechanically: inside the
 // deterministic packages the only legal clock is a Clock and the only legal
 // randomness is a seeded Rand.
@@ -58,28 +59,29 @@ type Rand interface {
 	Shuffle(n int, swap func(i, j int))
 }
 
-// Runtime is what a host binds to: a clock plus the seeded random source the
-// clock's timeline was built with. *sim.Kernel implements it directly, both
-// under the simulator and under a live driver that paces a kernel against
-// the wall clock.
+// Runtime is what a host binds to: a clock with both scheduling extensions
+// plus the seeded random source the clock's timeline was built with.
+// *sim.Kernel implements it directly, both under the simulator and under a
+// live driver that paces a kernel against the wall clock.
 type Runtime interface {
 	Clock
+	ArgClock
+	BatchClock
 	// Rand returns the runtime's deterministic random source.
 	Rand() *rand.Rand
 }
 
-// ArgClock is an optional Clock extension: closure-free scheduling of a
-// long-lived handler with a per-event argument. Hosts probe for it once at
-// construction and use it to run crash-guarded timers through pooled records
-// instead of a fresh closure per timer. *sim.Kernel implements it.
+// ArgClock is closure-free scheduling of a long-lived handler with a
+// per-event argument. Hosts use it to run crash-guarded timers through pooled
+// records instead of a fresh closure per timer.
 type ArgClock interface {
 	// ScheduleArg runs fn(arg) after the given delay, ordered exactly like
 	// Schedule.
 	ScheduleArg(delay sim.Time, fn sim.ArgHandler, arg any) sim.Timer
 }
 
-// BatchClock is an optional Clock extension: same-instant callbacks are
-// coalesced into one kernel event that runs them in registration order (see
+// BatchClock coalesces same-instant callbacks into one kernel event that
+// runs them in registration order (see
 // sim.Kernel.AtBatched for the exact ordering contract). Protocol phase
 // schedules use it so an epoch boundary costs one event, not one per host.
 type BatchClock interface {
@@ -88,13 +90,11 @@ type BatchClock interface {
 	AtBatched(at sim.Time, fn sim.ArgHandler, arg any)
 }
 
-// Compile-time checks: the simulation kernel is a Runtime with both optional
-// scheduling extensions, and *rand.Rand is a Rand.
+// Compile-time checks: the simulation kernel is a Runtime, and *rand.Rand is
+// a Rand.
 var (
-	_ Runtime    = (*sim.Kernel)(nil)
-	_ ArgClock   = (*sim.Kernel)(nil)
-	_ BatchClock = (*sim.Kernel)(nil)
-	_ Rand       = (*rand.Rand)(nil)
+	_ Runtime = (*sim.Kernel)(nil)
+	_ Rand    = (*rand.Rand)(nil)
 )
 
 // Receiver is the surface a host exposes to a transport.
@@ -102,7 +102,7 @@ type Receiver interface {
 	// ID returns the host's globally unique NID.
 	ID() wire.NodeID
 	// Pos returns the host's current location. Transports without geometry
-	// (Mesh, LinkTransport) ignore it.
+	// (LinkTransport) ignore it.
 	Pos() geo.Point
 	// Operational reports whether the host can currently send and receive
 	// (false once crashed — the fail-stop model — or radio-asleep).
@@ -114,8 +114,8 @@ type Receiver interface {
 }
 
 // Transport carries messages between hosts. It is the full surface
-// node.Host needs from the network layer; *radio.Medium, *Mesh's per-node
-// ports, and *LinkTransport implement it.
+// node.Host needs from the network layer; *radio.Medium and *LinkTransport
+// implement it.
 //
 // Implementations are driven from Clock callbacks and must not be assumed
 // safe for concurrent use; in live mode the driver serializes everything
@@ -131,9 +131,6 @@ type Transport interface {
 	// backoff consults it). Transports without an energy model return a
 	// constant.
 	Energy(id wire.NodeID) float64
-	// Neighbors returns the hosts currently reachable from the given point,
-	// excluding exclude.
-	Neighbors(at geo.Point, exclude wire.NodeID) []wire.NodeID
 	// UpdatePos tells the transport a host moved from old to its current
 	// Pos. Transports without geometry ignore it.
 	UpdatePos(id wire.NodeID, old geo.Point)

@@ -154,8 +154,8 @@ func TestLinkTransportRoundTrip(t *testing.T) {
 	cm := NewChanMesh()
 	la := cm.Join(1)
 	lb := cm.Join(2)
-	ta := NewLinkTransport(k, la, DefaultEnergy(), []wire.NodeID{2})
-	tb := NewLinkTransport(k, lb, DefaultEnergy(), []wire.NodeID{1})
+	ta := NewLinkTransport(k, la, DefaultEnergy())
+	tb := NewLinkTransport(k, lb, DefaultEnergy())
 	ra := &stubReceiver{id: 1}
 	rb := &stubReceiver{id: 2}
 	ta.Attach(ra)
@@ -190,7 +190,7 @@ func TestLinkTransportRejectsHostileDatagrams(t *testing.T) {
 	k := sim.New(1)
 	cm := NewChanMesh()
 	l := cm.Join(1)
-	lt := NewLinkTransport(k, l, DefaultEnergy(), nil)
+	lt := NewLinkTransport(k, l, DefaultEnergy())
 	r := &stubReceiver{id: 1}
 	lt.Attach(r)
 
@@ -219,7 +219,7 @@ func TestLinkTransportGatesOnOperational(t *testing.T) {
 	cm := NewChanMesh()
 	la := cm.Join(1)
 	lb := cm.Join(2)
-	ta := NewLinkTransport(k, la, DefaultEnergy(), []wire.NodeID{2})
+	ta := NewLinkTransport(k, la, DefaultEnergy())
 	ra := &stubReceiver{id: 1, down: true}
 	ta.Attach(ra)
 
@@ -243,17 +243,6 @@ func TestLinkTransportGatesOnOperational(t *testing.T) {
 	case <-lb.Packets():
 		t.Error("transport sent on behalf of a foreign NID")
 	default:
-	}
-}
-
-func TestLinkTransportNeighborsIsRoster(t *testing.T) {
-	k := sim.New(1)
-	cm := NewChanMesh()
-	lt := NewLinkTransport(k, cm.Join(1), DefaultEnergy(), []wire.NodeID{2, 3, 4})
-	got := lt.Neighbors(geo.Point{}, 3)
-	want := []wire.NodeID{2, 4}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("Neighbors = %v, want %v", got, want)
 	}
 }
 
@@ -336,12 +325,11 @@ func TestMeterMatchesRadioArithmetic(t *testing.T) {
 	}
 }
 
-func TestMeshAttachRejectsBadIDs(t *testing.T) {
-	k := sim.New(1)
-	m := NewMesh(k, DefaultMeshParams(0))
-	m.Attach(&stubReceiver{id: 1})
-	mustPanic(t, "NID 0", func() { m.Attach(&stubReceiver{id: 0}) })
-	mustPanic(t, "duplicate", func() { m.Attach(&stubReceiver{id: 1}) })
+func TestMeshPortRejectsBadIDs(t *testing.T) {
+	m := NewMesh(sim.New(1), DefaultMeshParams(0))
+	m.Port(1)
+	mustPanic(t, "NID 0", func() { m.Port(0) })
+	mustPanic(t, "duplicate", func() { m.Port(1) })
 }
 
 func TestMeshDeliversWithDelayBounds(t *testing.T) {
@@ -350,9 +338,10 @@ func TestMeshDeliversWithDelayBounds(t *testing.T) {
 	m := NewMesh(k, params)
 	a := &stubReceiver{id: 1}
 	b := &stubReceiver{id: 2}
-	m.Attach(a)
-	m.Attach(b)
-	m.Send(1, &wire.Heartbeat{NID: 1, Epoch: 1})
+	pa := m.Port(1)
+	pa.Attach(a)
+	m.Port(2).Attach(b)
+	pa.Send(1, &wire.Heartbeat{NID: 1, Epoch: 1})
 	if len(b.got) != 0 {
 		t.Fatal("delivery before any time passed")
 	}

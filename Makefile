@@ -75,12 +75,18 @@ benchsmoke:
 ## FDSEpochParallel serial-vs-parallel pair) run in a second invocation at
 ## -benchtime 1x: one iteration is seconds of simulation, and their
 ## allocation counts are deterministic at fixed seed regardless of
-## iteration count. Both invocations feed one benchcmp run.
+## iteration count. The per-layer micro-benchmarks live in the packages that
+## own the code (internal/sim: heap push/pop and run fan-out; internal/radio:
+## broadcast fan-out vs density) and run as a third invocation; their pooled
+## steady state allocates nothing, and the gate holds them there. All three
+## invocations feed one benchcmp run.
 benchcmp:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkFDSEpoch$$|BenchmarkRadioBroadcast$$|BenchmarkCodec$$|BenchmarkSWIMEpoch$$|BenchmarkQueryResponseEpoch$$|BenchmarkAllPairsEpoch$$' \
 		-benchtime 20x -benchmem . && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFDSEpoch10k$$|BenchmarkShardedEpoch$$|BenchmarkFDSEpochParallel' \
-		-benchtime 1x -benchmem . ; } | $(GO) run ./cmd/benchcmp -baseline bench_baseline.json
+		-benchtime 1x -benchmem . && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkPushPop$$|BenchmarkRunFanout$$|BenchmarkBroadcast$$' \
+		-benchtime 10000x -benchmem ./internal/sim ./internal/radio ; } | $(GO) run ./cmd/benchcmp -baseline bench_baseline.json
 
 ## scale-smoke: the sharded engine's cross-partition determinism gate at a
 ## scale the unit tests don't reach: a 10,000-host crash wave, run with 1

@@ -52,11 +52,13 @@
 package par
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"clusterfds/internal/cluster"
@@ -130,6 +132,9 @@ type strip struct {
 	out     [][]crossEntry // per destination strip, this window's sends
 	seqCtr  uint32
 	scratch *wire.DecodeScratch
+	free    []*flight     // recycled flights of this strip's sends
+	freeIn  []*flight     // recycled flights of barrier arrivals: far larger, so pooled apart
+	enc     []byte        // the current encode chunk; see encode
 	events  []trace.Event // protocol trace buffer (CollectTrace)
 	sends   uint64
 	deliv   uint64
@@ -171,13 +176,39 @@ func (p *stripPort) UpdatePos(wire.NodeID, geo.Point) {
 	panic("par: static topology — mobility is not supported")
 }
 
-// parDelivery is one in-flight strip-local delivery.
-type parDelivery struct {
+// flight is one delivery run in a strip's kernel (sim.Run: one heap entry
+// however many receivers), pooled per strip. A send's same-strip receivers
+// share from and payload, and each item's Tag is the receiver's host index; a
+// window barrier's arrivals each bring their own in cross, and Tag indexes
+// that. The flight belongs to the kernel from ScheduleRun until its last item
+// has fired, and then returns to the free list it was made for.
+type flight struct {
+	run     sim.Run
 	e       *Engine
 	s       int32
-	to      uint32
+	pool    *[]*flight
 	from    wire.NodeID
 	payload []byte
+	cross   []crossEntry
+}
+
+// takeFlight pops a flight from pool, one of strip s's two free lists, or
+// makes one.
+func (e *Engine) takeFlight(s int32, pool *[]*flight) *flight {
+	if n := len(*pool); n > 0 {
+		f := (*pool)[n-1]
+		*pool = (*pool)[:n-1]
+		return f
+	}
+	return &flight{e: e, s: s, pool: pool}
+}
+
+// putFlight recycles f, dropping its payload references so the pool pins no
+// encode chunk.
+func putFlight(f *flight) {
+	clear(f.cross)
+	f.cross, f.payload = f.cross[:0], nil
+	*f.pool = append(*f.pool, f)
 }
 
 // Engine is a built, runnable parallel replica.
@@ -206,11 +237,20 @@ type Engine struct {
 	now       sim.Time
 }
 
-// deliverLocalFn completes one strip-local delivery: aliveness check at the
-// receiver, energy charge, decode into the strip scratch, dispatch.
-var deliverLocalFn sim.ArgHandler = func(a any) {
-	d := a.(*parDelivery)
-	d.e.deliver(d.s, d.to, d.from, d.payload)
+// land completes one delivery of a flight — aliveness check at the receiver,
+// energy charge, decode into the strip scratch, dispatch — and recycles the
+// flight after its last.
+func land(a any, it sim.RunItem) {
+	f := a.(*flight)
+	to, from, payload := it.Tag, f.from, f.payload
+	if len(f.cross) > 0 {
+		ce := &f.cross[it.Tag]
+		to, from, payload = ce.to, ce.from, ce.payload
+	}
+	f.e.deliver(f.s, to, from, payload)
+	if f.run.Done() {
+		putFlight(f)
+	}
 }
 
 func (e *Engine) deliver(s int32, to uint32, from wire.NodeID, payload []byte) {
@@ -227,38 +267,64 @@ func (e *Engine) deliver(s int32, to uint32, from wire.NodeID, payload []byte) {
 	h.Deliver(m, from)
 }
 
+// encChunk is the size of a strip's encode chunk: a few hundred messages.
+const encChunk = 64 << 10
+
+// encode returns m's wire bytes, carved from the strip's current chunk. A
+// payload is written once and then only read — by this strip's deliveries
+// and, after a barrier, by other strips' — so it needs no owner: a full chunk
+// is simply left to the collector, which frees it when its last delivery has
+// fired.
+func (st *strip) encode(m wire.Message) []byte {
+	if cap(st.enc)-len(st.enc) < m.WireSize() {
+		st.enc = make([]byte, 0, max(encChunk, m.WireSize()))
+	}
+	off := len(st.enc)
+	st.enc = wire.EncodeAppend(st.enc, m)
+	return st.enc[off:len(st.enc):len(st.enc)]
+}
+
 // send broadcasts m from host `from` (which lives in strip s). Loss and delay
 // are drawn from the sender's stream for every static roster neighbor, in
-// ascending receiver order, independent of receiver state.
+// ascending receiver order, independent of receiver state. Same-strip
+// receivers become one flight; outbox appends consume no kernel seq, so the
+// flight's consecutive seqs are the ones individual events would have taken.
 func (e *Engine) send(s int32, from wire.NodeID, m wire.Message) {
 	idx := uint32(from - 1)
-	payload := wire.Encode(m)
-	e.spent[idx] += e.params.TxBaseCost + e.params.TxByteCost*float64(len(payload))
 	st := &e.strips[s]
+	payload := st.encode(m)
+	e.spent[idx] += e.params.TxBaseCost + e.params.TxByteCost*float64(len(payload))
 	st.sends++
 	rng := e.rngs[idx]
 	span := int64(e.params.MaxDelay - e.params.MinDelay)
 	now := st.k.Now()
+	f := e.takeFlight(s, &st.free)
+	f.from, f.payload = from, payload
+	items := f.run.Items[:0]
 	for _, nb := range e.nbList[e.nbStart[idx]:e.nbStart[idx+1]] {
 		if p := e.params.LossProb; p > 0 && rng.Float64() < p {
 			continue
 		}
-		delay := e.params.MinDelay
+		at := now + e.params.MinDelay
 		if span > 0 {
-			delay += sim.Time(rng.Int63n(span + 1))
+			at += sim.Time(rng.Int63n(span + 1))
 		}
 		if d := e.stripOf[nb]; d == s {
-			st.k.ScheduleArg(delay, deliverLocalFn, &parDelivery{
-				e: e, s: s, to: nb, from: from, payload: payload,
-			})
+			items = append(items, sim.RunItem{At: at, Tag: nb})
 		} else {
 			st.out[d] = append(st.out[d], crossEntry{
-				at: now + delay, src: s, seq: st.seqCtr,
+				at: at, src: s, seq: st.seqCtr,
 				to: nb, from: from, payload: payload,
 			})
 			st.seqCtr++
 		}
 	}
+	f.run.Items = items
+	if len(items) > 0 {
+		st.k.ScheduleRun(&f.run, land, f)
+		return
+	}
+	putFlight(f)
 }
 
 // energyOf mirrors the radio medium's budget formula: initial plus harvest
@@ -445,42 +511,40 @@ func (e *Engine) runTo(deadline sim.Time) {
 }
 
 // mergeOutboxes injects every pending cross-strip delivery into its
-// destination kernel in canonical (at, src, seq) order. Serial: it is the
-// window barrier, and end is the instant every strip has just drained to.
+// destination kernel in canonical (at, src, seq) order, as one flight per
+// destination. Serial: it is the window barrier, and end is the instant every
+// strip has just drained to.
 func (e *Engine) mergeOutboxes(end sim.Time) {
 	for d := range e.strips {
-		dst := &e.strips[d]
-		var pend []crossEntry
+		var f *flight
 		for s := range e.strips {
 			if box := e.strips[s].out[d]; len(box) > 0 {
-				pend = append(pend, box...)
+				if f == nil {
+					f = e.takeFlight(int32(d), &e.strips[d].freeIn)
+				}
+				f.cross = append(f.cross, box...)
+				clear(box)
 				e.strips[s].out[d] = box[:0]
 			}
 		}
-		if len(pend) == 0 {
+		if f == nil {
 			continue
 		}
-		sort.Slice(pend, func(i, j int) bool {
-			a, b := pend[i], pend[j]
-			if a.at != b.at {
-				return a.at < b.at
-			}
-			if a.src != b.src {
-				return a.src < b.src
-			}
-			return a.seq < b.seq
+		slices.SortFunc(f.cross, func(a, b crossEntry) int {
+			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
 		})
-		for i := range pend {
-			ce := pend[i]
-			if ce.at < end {
-				// The destination already drained past ce.at; scheduling it
+		items := f.run.Items[:0]
+		for i := range f.cross {
+			at := f.cross[i].at
+			if at < end {
+				// The destination already drained past at; scheduling it
 				// "now" would silently reorder the run.
-				panic(fmt.Sprintf("par: conservative window invariant violated: cross-strip delivery at %d inside window ending %d", ce.at, end))
+				panic(fmt.Sprintf("par: conservative window invariant violated: cross-strip delivery at %d inside window ending %d", at, end))
 			}
-			dst.k.ScheduleArg(ce.at-end, deliverLocalFn, &parDelivery{
-				e: e, s: int32(d), to: ce.to, from: ce.from, payload: ce.payload,
-			})
+			items = append(items, sim.RunItem{At: at, Tag: uint32(i)})
 		}
+		f.run.Items = items
+		e.strips[d].k.ScheduleRun(&f.run, land, f)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"clusterfds/internal/geo"
-	"clusterfds/internal/wire"
 )
 
 // grid is a uniform spatial hash with cell size equal to the transmission
@@ -13,11 +12,11 @@ import (
 // O(network size), which matters for the 2000-node scalability runs.
 type grid struct {
 	cell  float64
-	cells map[[2]int64][]wire.NodeID
+	cells map[[2]int64][]uint32 // host slots (Medium.hosts indices)
 }
 
 func newGrid(cell float64) *grid {
-	return &grid{cell: cell, cells: make(map[[2]int64][]wire.NodeID)}
+	return &grid{cell: cell, cells: make(map[[2]int64][]uint32)}
 }
 
 // cellIndex maps one coordinate to its cell index with saturating conversion.
@@ -46,12 +45,12 @@ func (g *grid) key(p geo.Point) [2]int64 {
 	return [2]int64{cellIndex(p.X, g.cell), cellIndex(p.Y, g.cell)}
 }
 
-func (g *grid) insert(id wire.NodeID, p geo.Point) {
+func (g *grid) insert(id uint32, p geo.Point) {
 	k := g.key(p)
 	g.cells[k] = append(g.cells[k], id)
 }
 
-func (g *grid) remove(id wire.NodeID, p geo.Point) {
+func (g *grid) remove(id uint32, p geo.Point) {
 	k := g.key(p)
 	ids := g.cells[k]
 	for i, x := range ids {
@@ -87,7 +86,7 @@ func (g *grid) liveCells() int {
 	return n
 }
 
-func (g *grid) move(id wire.NodeID, from, to geo.Point) {
+func (g *grid) move(id uint32, from, to geo.Point) {
 	if g.key(from) == g.key(to) {
 		return
 	}
@@ -97,7 +96,7 @@ func (g *grid) move(id wire.NodeID, from, to geo.Point) {
 
 // forNear invokes fn for every ID in the 3x3 cell block around p. Callers
 // still need an exact range check; the grid only prunes.
-func (g *grid) forNear(p geo.Point, fn func(wire.NodeID)) {
+func (g *grid) forNear(p geo.Point, fn func(uint32)) {
 	c := g.key(p)
 	for dx := int64(-1); dx <= 1; dx++ {
 		for dy := int64(-1); dy <= 1; dy++ {
@@ -113,7 +112,7 @@ func (g *grid) forNear(p geo.Point, fn func(wire.NodeID)) {
 // would otherwise pay a closure: candidates come back in the same
 // deterministic cell order forNear uses. Callers still need an exact range
 // check; the grid only prunes.
-func (g *grid) appendNear(dst []wire.NodeID, p geo.Point) []wire.NodeID {
+func (g *grid) appendNear(dst []uint32, p geo.Point) []uint32 {
 	c := g.key(p)
 	for dx := int64(-1); dx <= 1; dx++ {
 		for dy := int64(-1); dy <= 1; dy++ {

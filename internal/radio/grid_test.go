@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"clusterfds/internal/geo"
-	"clusterfds/internal/wire"
 )
 
 // TestGridNoEmptyCellLeakUnderMobility pins the fix for the grid.remove leak:
@@ -27,13 +26,13 @@ func TestGridNoEmptyCellLeakUnderMobility(t *testing.T) {
 	pos := make([]geo.Point, nodes)
 	for i := range pos {
 		pos[i] = geo.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
-		g.insert(wire.NodeID(i+1), pos[i])
+		g.insert(uint32(i+1), pos[i])
 	}
 
 	for s := 0; s < steps; s++ {
 		i := rng.Intn(nodes)
 		to := geo.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
-		g.move(wire.NodeID(i+1), pos[i], to)
+		g.move(uint32(i+1), pos[i], to)
 		pos[i] = to
 	}
 
@@ -64,8 +63,8 @@ func TestGridNoEmptyCellLeakUnderMobility(t *testing.T) {
 	}
 	for i, p := range pos {
 		found := false
-		g.forNear(p, func(id wire.NodeID) {
-			if id == wire.NodeID(i+1) {
+		g.forNear(p, func(id uint32) {
+			if id == uint32(i+1) {
 				found = true
 			}
 		})
@@ -91,7 +90,7 @@ func TestGridLargeCoordinateRanges(t *testing.T) {
 		pts := make([]geo.Point, n)
 		for i := 0; i < n; i++ {
 			pts[i] = geo.Point{X: float64(i) * step, Y: float64(i) * step}
-			g.insert(wire.NodeID(i+1), pts[i])
+			g.insert(uint32(i+1), pts[i])
 		}
 		if got := len(g.cells); got != n {
 			t.Errorf("side %g: %d nodes in distinct cells hash to %d keys (collision)", side, n, got)
@@ -100,9 +99,9 @@ func TestGridLargeCoordinateRanges(t *testing.T) {
 		// probe around a point must not drag in far-away nodes.
 		for i, p := range pts {
 			found, nearby := false, 0
-			g.forNear(p, func(id wire.NodeID) {
+			g.forNear(p, func(id uint32) {
 				nearby++
-				if id == wire.NodeID(i+1) {
+				if id == uint32(i+1) {
 					found = true
 				}
 			})
@@ -143,13 +142,13 @@ func TestGridExtremeAndNonFiniteCoordinates(t *testing.T) {
 	}
 	// Insert/remove round-trips at the extremes must not leak or lose nodes.
 	for i, p := range []geo.Point{a, b, {X: inf, Y: inf}, {X: -1e300, Y: 1e300}} {
-		g.insert(wire.NodeID(i+1), p)
+		g.insert(uint32(i+1), p)
 	}
 	if g.liveCells() != 4 {
 		t.Errorf("liveCells = %d after 4 extreme inserts, want 4", g.liveCells())
 	}
 	for i, p := range []geo.Point{a, b, {X: inf, Y: inf}, {X: -1e300, Y: 1e300}} {
-		g.remove(wire.NodeID(i+1), p)
+		g.remove(uint32(i+1), p)
 	}
 	if len(g.cells) != 0 {
 		t.Errorf("cells leak after removing extreme nodes: %d keys", len(g.cells))

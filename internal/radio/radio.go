@@ -75,8 +75,14 @@ type Medium struct {
 	params Params
 	sink   trace.Sink
 
-	nodes map[wire.NodeID]Receiver
-	grid  *grid
+	// hosts is the dense table of attached hosts in attach order; a host's
+	// index in it — its slot — is what the grid stores and what a delivery
+	// record carries, so the fan-out path resolves receiver, decode scratch
+	// and NID with one indexed load. slotOf maps a NID to its slot for the
+	// per-call entry points (Send's sender, UpdatePos).
+	hosts  []host
+	slotOf map[wire.NodeID]uint32
+	grid   *grid
 
 	// linkLoss overrides the global loss probability for specific directed
 	// links; used by failure-injection tests.
@@ -108,41 +114,40 @@ type Medium struct {
 	// tracing is false when sink is the no-op sink, letting the hot paths
 	// skip building event detail strings nobody will read.
 	tracing bool
-	// nearScratch is Send's reusable neighbor-query buffer. The kernel is
-	// single-threaded and the buffer is never held across a scheduled
-	// callback, so plain reuse is safe.
-	nearScratch []wire.NodeID
+	// nearScratch is the reusable neighbor-query buffer of host slots. The
+	// kernel is single-threaded and the buffer is never held across a
+	// scheduled callback, so plain reuse is safe.
+	nearScratch []uint32
 
-	// scratch holds one decode workspace per attached receiver. Each
-	// delivery decodes the transmission into the receiver's own scratch, so
-	// no state is ever shared between hosts (transmission cannot alias
-	// memory, paper Section 2.2) and steady-state delivery allocates
-	// nothing. The message handed to Deliver is valid only for the duration
-	// of the call; receivers that keep any part of it must copy.
-	scratch map[wire.NodeID]*wire.DecodeScratch
-
-	// txFree and delFree pool the per-transmission encode buffers and the
-	// per-receiver delivery records between broadcasts; deliverFn is the
-	// shared ScheduleArg handler, resolved once so scheduling a delivery
-	// allocates neither a closure nor an interface box.
-	txFree    []*txBuf
-	delFree   []*delivery
-	deliverFn sim.ArgHandler
+	// txFree pools transmissions between broadcasts. maxFan is the largest
+	// in-range count any Send has seen: a transmission's item slice is made
+	// that long, so a pooled one is sized once rather than regrown by every
+	// denser sender that draws it.
+	txFree []*txBuf
+	maxFan int
 }
 
-// txBuf is one transmission's encoded bytes, shared by every in-flight
-// delivery of that transmission and returned to the medium's pool when the
-// last delivery has run.
+// host is one attached receiver's row in the dense table. Each delivery
+// decodes the transmission into the receiver's own scratch, so no state is
+// ever shared between hosts (transmission cannot alias memory, paper Section
+// 2.2) and steady-state delivery allocates nothing. The message handed to
+// Deliver is valid only for the duration of the call; receivers that keep
+// any part of it must copy.
+type host struct {
+	rcv     Receiver
+	scratch *wire.DecodeScratch
+	id      wire.NodeID
+}
+
+// txBuf is one transmission in flight: the encoded bytes and the sorted
+// per-receiver delivery run (one 16-byte item per surviving receiver, its
+// Tag the receiver's slot), scheduled as ONE kernel entry. It belongs to the
+// medium from Send until the run's last item has fired, and then returns to
+// the pool.
 type txBuf struct {
+	m    *Medium
 	buf  []byte
-	refs int
-}
-
-// delivery carries one receiver's pending reception through the kernel.
-type delivery struct {
-	tb   *txBuf
-	rcv  Receiver
-	to   wire.NodeID
+	run  sim.Run
 	from wire.NodeID
 	rxc  *metrics.Counter
 	size int
@@ -193,11 +198,10 @@ func New(kernel *sim.Kernel, params Params, opts ...Option) *Medium {
 		kernel:   kernel,
 		params:   params,
 		sink:     trace.Nop{},
-		nodes:    make(map[wire.NodeID]Receiver),
+		slotOf:   make(map[wire.NodeID]uint32),
 		grid:     newGrid(params.Range),
 		linkLoss: make(map[[2]wire.NodeID]float64),
 		silenced: make(map[wire.NodeID]bool),
-		scratch:  make(map[wire.NodeID]*wire.DecodeScratch),
 	}
 	m.energy = transport.NewMeter(transport.EnergyParams{
 		TxBaseCost:    params.TxBaseCost,
@@ -206,7 +210,6 @@ func New(kernel *sim.Kernel, params Params, opts ...Option) *Medium {
 		HarvestRate:   params.HarvestRate,
 		InitialEnergy: params.InitialEnergy,
 	}, kernel)
-	m.deliverFn = m.deliverEvent
 	for _, opt := range opts {
 		opt(m)
 	}
@@ -255,24 +258,25 @@ func (m *Medium) Attach(r Receiver) {
 	if id == wire.NoNode {
 		panic("radio: cannot attach node with NID 0")
 	}
-	if _, dup := m.nodes[id]; dup {
+	if _, dup := m.slotOf[id]; dup {
 		panic(fmt.Sprintf("radio: duplicate NID %v", id))
 	}
-	m.nodes[id] = r
-	m.grid.insert(id, r.Pos())
+	slot := uint32(len(m.hosts))
+	m.hosts = append(m.hosts, host{rcv: r, scratch: wire.NewDecodeScratch(), id: id})
+	m.slotOf[id] = slot
+	m.grid.insert(slot, r.Pos())
 	m.energy.Track(id)
-	m.scratch[id] = wire.NewDecodeScratch()
 }
 
 // UpdatePos tells the medium a host moved. (The paper defers migration to
 // future work; this exists so scenarios can reposition hosts between
 // epochs.)
 func (m *Medium) UpdatePos(id wire.NodeID, old geo.Point) {
-	r, ok := m.nodes[id]
+	slot, ok := m.slotOf[id]
 	if !ok {
 		return
 	}
-	m.grid.move(id, old, r.Pos())
+	m.grid.move(slot, old, m.hosts[slot].rcv.Pos())
 }
 
 // Neighbors returns the NIDs of the operational hosts within range of the
@@ -289,13 +293,13 @@ func (m *Medium) Neighbors(at geo.Point, exclude wire.NodeID) []wire.NodeID {
 // cell order), identical to Neighbors.
 func (m *Medium) NeighborsAppend(dst []wire.NodeID, at geo.Point, exclude wire.NodeID) []wire.NodeID {
 	m.nearScratch = m.grid.appendNear(m.nearScratch[:0], at)
-	for _, id := range m.nearScratch {
-		if id == exclude {
+	for _, slot := range m.nearScratch {
+		h := &m.hosts[slot]
+		if h.id == exclude {
 			continue
 		}
-		r := m.nodes[id]
-		if r.Operational() && at.WithinRange(r.Pos(), m.params.Range) {
-			dst = append(dst, id)
+		if h.rcv.Operational() && at.WithinRange(h.rcv.Pos(), m.params.Range) {
+			dst = append(dst, h.id)
 		}
 	}
 	return dst
@@ -342,15 +346,16 @@ func (m *Medium) Silence(id wire.NodeID, on bool) {
 // are tallied separately under tx-silenced-msgs/tx-silenced-bytes (and the
 // per-send drop:silenced), so partition studies can still account for them.
 func (m *Medium) Send(from wire.NodeID, msg wire.Message) {
-	sender, ok := m.nodes[from]
-	if !ok || !sender.Operational() {
+	fromSlot, ok := m.slotOf[from]
+	if !ok || !m.hosts[fromSlot].rcv.Operational() {
 		return
 	}
 	size := msg.WireSize()
 	m.chargeTx(from, size)
+	now := m.kernel.Now()
 	if m.tracing {
 		m.sink.Emit(trace.Event{
-			At: m.kernel.Now(), Type: trace.TypeSend, Node: uint32(from),
+			At: now, Type: trace.TypeSend, Node: uint32(from),
 			Detail: msg.Kind().String(),
 		})
 	}
@@ -363,63 +368,79 @@ func (m *Medium) Send(from wire.NodeID, msg wire.Message) {
 	m.txCounter(msg.Kind()).Add(1)
 	m.txBytes.Add(int64(size))
 
-	// Encode once into a pooled, reference-counted buffer shared by every
-	// in-flight delivery of this transmission. Each delivery decodes the
-	// bytes at reception time into the receiver's own scratch, so hosts
-	// never share message memory and the whole path — encode, schedule,
-	// decode, dispatch — reuses pooled storage in steady state.
+	// The hosts in range, in grid cell order — the order loss and delay are
+	// drawn in, and so the order of the seqs the deliveries take.
+	origin := m.hosts[fromSlot].rcv.Pos()
+	m.nearScratch = m.grid.appendNear(m.nearScratch[:0], origin)
+	inRange := m.nearScratch[:0]
+	for _, slot := range m.nearScratch {
+		if slot != fromSlot && origin.WithinRange(m.hosts[slot].rcv.Pos(), m.params.Range) {
+			inRange = append(inRange, slot)
+		}
+	}
+
+	// Encode once into a pooled transmission shared by every delivery. Each
+	// delivery decodes the bytes at reception time into the receiver's own
+	// scratch, so hosts never share message memory and the whole path —
+	// encode, schedule, decode, dispatch — reuses pooled storage in steady
+	// state. The item slice is sized once (see maxFan).
 	tb := m.takeTxBuf()
 	tb.buf = wire.EncodeAppend(tb.buf[:0], msg)
-	rxc := m.rxCounter(msg.Kind()) // resolved once; deliveries share the handle
-	origin := sender.Pos()
+	tb.from, tb.size = from, size
+	tb.rxc = m.rxCounter(msg.Kind()) // resolved once; deliveries share the handle
+	if cap(tb.run.Items) < len(inRange) {
+		m.maxFan = max(m.maxFan, len(inRange))
+		tb.run.Items = make([]sim.RunItem, 0, m.maxFan)
+	}
+	items := tb.run.Items[:0]
 	rng := m.kernel.Rand()
-	m.nearScratch = m.grid.appendNear(m.nearScratch[:0], origin)
-	for _, id := range m.nearScratch {
-		if id == from {
-			continue
-		}
-		rcv := m.nodes[id]
-		if !origin.WithinRange(rcv.Pos(), m.params.Range) {
-			continue
-		}
+	span := int64(m.params.MaxDelay - m.params.MinDelay)
+	for _, slot := range inRange {
 		loss := m.params.LossProb
-		if override, ok := m.linkLoss[[2]wire.NodeID{from, id}]; ok {
-			loss = override
+		if len(m.linkLoss) > 0 {
+			if override, ok := m.linkLoss[[2]wire.NodeID{from, m.hosts[slot].id}]; ok {
+				loss = override
+			}
 		}
 		if rng.Float64() < loss {
 			m.dropLoss.Add(1)
 			if m.tracing {
 				m.sink.Emit(trace.Event{
-					At: m.kernel.Now(), Type: trace.TypeDrop, Node: uint32(id),
+					At: now, Type: trace.TypeDrop, Node: uint32(m.hosts[slot].id),
 					Detail: fmt.Sprintf("%s from %v", msg.Kind(), from),
 				})
 			}
 			continue
 		}
-		delay := m.params.MinDelay
-		if span := m.params.MaxDelay - m.params.MinDelay; span > 0 {
-			delay += sim.Time(rng.Int63n(int64(span) + 1))
+		at := now + m.params.MinDelay
+		if span > 0 {
+			at += sim.Time(rng.Int63n(span + 1))
 		}
-		d := m.takeDelivery()
-		d.tb, d.rcv, d.to, d.from, d.rxc, d.size = tb, rcv, id, from, rxc, size
-		tb.refs++
-		m.kernel.ScheduleArg(delay, m.deliverFn, d)
+		items = append(items, sim.RunItem{At: at, Tag: slot})
 	}
-	if tb.refs == 0 {
-		// Nobody survived the loss draws; recycle the buffer immediately.
-		m.txFree = append(m.txFree, tb)
+	tb.run.Items = items
+	if len(items) > 0 {
+		m.kernel.ScheduleRun(&tb.run, receive, tb)
+		return
 	}
+	// Nobody survived the loss draws; recycle the buffer immediately.
+	m.txFree = append(m.txFree, tb)
 }
 
-// deliverEvent completes one scheduled delivery: charge, count, decode into
-// the receiver's scratch, dispatch, and recycle the pooled records. The
-// decoded message is valid only during the Deliver call (see Medium.scratch).
-func (m *Medium) deliverEvent(arg any) {
-	d := arg.(*delivery)
-	if d.rcv.Operational() {
-		m.chargeRx(d.to, d.size)
-		d.rxc.Add(1)
-		decoded, err := wire.DecodeInto(m.scratch[d.to], d.tb.buf)
+// receive completes one reception of a transmission: charge, count, decode
+// into the receiver's scratch, dispatch. The decoded message is valid only
+// during the Deliver call (see host). The transmission is recycled after the
+// last reception's Deliver has returned, so a receiver that sends from
+// inside it draws a different txBuf. (A plain function, not a method value:
+// scheduling a transmission then allocates no closure.)
+func receive(arg any, it sim.RunItem) {
+	tb := arg.(*txBuf)
+	m := tb.m
+	h := &m.hosts[it.Tag]
+	if h.rcv.Operational() {
+		m.chargeRx(h.id, tb.size)
+		tb.rxc.Add(1)
+		decoded, err := wire.DecodeInto(h.scratch, tb.buf)
 		if err != nil {
 			// The medium never corrupts messages (paper Section 2.2);
 			// a decode failure is a codec bug.
@@ -427,45 +448,27 @@ func (m *Medium) deliverEvent(arg any) {
 		}
 		if m.tracing {
 			m.sink.Emit(trace.Event{
-				At: m.kernel.Now(), Type: trace.TypeDeliver, Node: uint32(d.to),
-				Detail: fmt.Sprintf("%s from %v", decoded.Kind(), d.from),
+				At: m.kernel.Now(), Type: trace.TypeDeliver, Node: uint32(h.id),
+				Detail: fmt.Sprintf("%s from %v", decoded.Kind(), tb.from),
 			})
 		}
-		d.rcv.Deliver(decoded, d.from)
+		h.rcv.Deliver(decoded, tb.from)
 	} else {
 		m.dropRxDown.Add(1)
 	}
-	if d.tb.refs--; d.tb.refs == 0 {
-		m.txFree = append(m.txFree, d.tb)
+	if tb.run.Done() {
+		m.txFree = append(m.txFree, tb)
 	}
-	d.tb, d.rcv, d.rxc = nil, nil, nil
-	m.delFree = append(m.delFree, d)
 }
 
-// takeTxBuf pops a pooled transmission buffer or makes one.
+// takeTxBuf pops a pooled transmission or makes one.
 func (m *Medium) takeTxBuf() *txBuf {
 	if n := len(m.txFree); n > 0 {
 		tb := m.txFree[n-1]
 		m.txFree = m.txFree[:n-1]
 		return tb
 	}
-	return &txBuf{}
-}
-
-// takeDelivery pops a pooled delivery record. The pool grows by blocks of 64
-// records in one allocation so a rising in-flight high-water mark (traffic
-// grows as reports accrete) does not cost one allocation per delivery.
-func (m *Medium) takeDelivery() *delivery {
-	if len(m.delFree) == 0 {
-		blk := make([]delivery, 64)
-		for i := range blk {
-			m.delFree = append(m.delFree, &blk[i])
-		}
-	}
-	n := len(m.delFree)
-	d := m.delFree[n-1]
-	m.delFree = m.delFree[:n-1]
-	return d
+	return &txBuf{m: m}
 }
 
 // chargeTx debits transmission energy.

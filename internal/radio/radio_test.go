@@ -17,6 +17,8 @@ type stubNode struct {
 	pos      geo.Point
 	crashed  bool
 	received []receivedMsg
+	// onDeliver, when set, runs inside Deliver after the message is recorded.
+	onDeliver func()
 }
 
 type receivedMsg struct {
@@ -33,6 +35,9 @@ func (s *stubNode) Deliver(m wire.Message, from wire.NodeID) {
 	// receiver's decode scratch and valid only during the call; a recorder
 	// that keeps history must clone.
 	s.received = append(s.received, receivedMsg{msg: wire.Clone(m), from: from})
+	if s.onDeliver != nil {
+		s.onDeliver()
+	}
 }
 
 // lossless returns params with zero loss and fixed delay for deterministic
@@ -121,6 +126,114 @@ func TestCrashedReceiverDropsAtDelivery(t *testing.T) {
 	k.Run()
 	if len(nodes[1].received) != 0 {
 		t.Error("crashed receiver got a delivery")
+	}
+}
+
+// TestReceiverCrashesMidTransmission crashes one receiver after another
+// receiver of the same transmission has already heard it: one transmission is
+// one kernel entry, but each reception still checks its own receiver at its
+// own instant, and a reception that finds its host down costs that host
+// nothing.
+func TestReceiverCrashesMidTransmission(t *testing.T) {
+	k := sim.New(1)
+	params := Defaults(0) // delays spread over [1 ms, 12 ms]
+	m, nodes := makeField(t, k, params, []geo.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 0, Y: 10}, {X: 10, Y: 10}})
+	msg := &wire.Heartbeat{NID: 1}
+	// Whoever hears it first takes every other receiver down with it.
+	var first *stubNode
+	for _, n := range nodes[1:] {
+		n.onDeliver = func() {
+			first = n
+			for _, other := range nodes[1:] {
+				other.crashed = other != n
+			}
+		}
+	}
+	m.Send(1, msg)
+	k.Run()
+
+	if first == nil || k.Steps() != 3 {
+		t.Fatalf("first receiver %v, kernel steps %d; want a receiver and 3 firings", first, k.Steps())
+	}
+	c := m.Counters()
+	if c["rx:heartbeat"] != 1 || c["drop:receiver-down"] != 2 {
+		t.Errorf("rx = %d, drop:receiver-down = %d; want 1, 2", c["rx:heartbeat"], c["drop:receiver-down"])
+	}
+	wantRx := params.RxByteCost * float64(msg.WireSize())
+	for _, n := range nodes[1:] {
+		want, heard := 0.0, 0
+		if n == first {
+			want, heard = wantRx, 1
+		}
+		if got := m.EnergySpent(n.id); got != want || len(n.received) != heard {
+			t.Errorf("node %v: spent %v, heard %d; want %v, %d", n.id, got, len(n.received), want, heard)
+		}
+	}
+}
+
+// TestSendFromLastReception has the receiver of a transmission's LAST
+// reception answer from inside Deliver. The transmission is still the
+// medium's at that point — recycled only once Deliver has returned — so the
+// answer must get a buffer of its own and both must arrive intact.
+func TestSendFromLastReception(t *testing.T) {
+	k := sim.New(1)
+	m, nodes := makeField(t, k, lossless(), []geo.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 0, Y: 10}})
+	answer := &wire.Digest{NID: 3, CH: 1, Epoch: 9, Heard: []wire.NodeID{1, 2, 3, 4, 5}}
+	last := nodes[2] // fixed delay: receptions fire in attach order, so node 3's is the last
+	last.onDeliver = func() {
+		last.onDeliver = nil
+		m.Send(3, answer)
+	}
+	m.Send(1, &wire.Heartbeat{NID: 1, Epoch: 9})
+	k.Run()
+
+	for _, n := range nodes[1:] {
+		if hb, ok := n.received[0].msg.(*wire.Heartbeat); !ok || n.received[0].from != 1 || hb.Epoch != 9 {
+			t.Errorf("node %v: first reception %+v from %v, want node 1's heartbeat", n.id, n.received[0].msg, n.received[0].from)
+		}
+	}
+	for _, n := range nodes[:2] {
+		got := n.received[len(n.received)-1]
+		d, ok := got.msg.(*wire.Digest)
+		if !ok || got.from != 3 || d.Epoch != 9 || len(d.Heard) != 5 {
+			t.Errorf("node %v: last reception %+v from %v, want node 3's digest", n.id, got.msg, got.from)
+		}
+	}
+	if len(m.txFree) != 2 || m.txFree[0] == m.txFree[1] {
+		t.Errorf("pool after the drain is %v, want 2 distinct transmissions", m.txFree)
+	}
+}
+
+// TestTxPoolHighWaterIsFlat overlaps broadcasts (one per millisecond, each in
+// flight for up to 12) and checks that the pool stops growing once it covers
+// the overlap: every transmission comes back exactly once.
+func TestTxPoolHighWaterIsFlat(t *testing.T) {
+	k := sim.New(5)
+	m, _ := makeField(t, k, Defaults(0.1), []geo.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 0, Y: 10}, {X: 10, Y: 10}})
+	sent := 0
+	pooled := func(upTo int) int {
+		for ; sent < upTo; sent++ {
+			from := wire.NodeID(sent%4 + 1)
+			k.Schedule(sim.Time(sent%1000)*sim.Time(time.Millisecond), func() { m.Send(from, &wire.Heartbeat{NID: from}) })
+			if sent%1000 == 999 {
+				k.Run()
+			}
+		}
+		seen := make(map[*txBuf]bool)
+		for _, tb := range m.txFree {
+			if seen[tb] {
+				t.Fatalf("after %d broadcasts the pool holds one transmission twice", upTo)
+			}
+			seen[tb] = true
+		}
+		return len(m.txFree)
+	}
+	// One send per millisecond, each gone within 12: at most 13 overlap.
+	if warm := pooled(1000); warm < 2 || warm > 13 {
+		t.Fatalf("pool holds %d transmissions after 1000 broadcasts, want the <= 13 that overlap", warm)
+	}
+	if after := pooled(10000); after > 13 {
+		t.Errorf("pool grew to %d transmissions by 10k broadcasts, want the <= 13 that overlap", after)
 	}
 }
 
@@ -290,18 +403,18 @@ func TestSilencedSenderCounters(t *testing.T) {
 func TestDelayWithinBounds(t *testing.T) {
 	params := Defaults(0)
 	k := sim.New(3)
-	m, nodes := makeField(t, k, params, []geo.Point{{X: 0, Y: 0}, {X: 10, Y: 0}})
+	m := New(k, params)
+	m.Attach(&stubNode{id: 1})
+	deliveredAt := make([]sim.Time, 0, 200)
+	m.Attach(&timeRecorder{
+		stub: &stubNode{id: 2, pos: geo.Point{X: 10}}, k: k, times: &deliveredAt,
+	})
 	var sentAt []sim.Time
 	for i := 0; i < 200; i++ {
 		at := sim.Time(i) * sim.Time(time.Second)
 		k.At(at, func() { m.Send(1, &wire.Heartbeat{NID: 1}) })
 		sentAt = append(sentAt, at)
 	}
-	deliveredAt := make([]sim.Time, 0, 200)
-	orig := nodes[1]
-	// Wrap Deliver by recording kernel time via closure: use a receiver shim.
-	shim := &timeRecorder{stub: orig, k: k, times: &deliveredAt}
-	m.nodes[2] = shim
 	k.Run()
 	if len(deliveredAt) != 200 {
 		t.Fatalf("delivered %d, want 200", len(deliveredAt))
@@ -314,6 +427,7 @@ func TestDelayWithinBounds(t *testing.T) {
 	}
 }
 
+// timeRecorder is a receiver that records the kernel time of each delivery.
 type timeRecorder struct {
 	stub  *stubNode
 	k     *sim.Kernel

@@ -1,0 +1,83 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+)
+
+// BenchmarkPushPop is the heap alone: one pop plus one push per operation
+// with `pending` events queued. Every handler re-arms itself at a random
+// later instant, so the queue depth holds steady.
+func BenchmarkPushPop(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		pending int
+	}{{"1e3", 1e3}, {"1e5", 1e5}} {
+		pending := c.pending
+		b.Run(c.name, func(b *testing.B) {
+			k := New(1)
+			rng := rand.New(rand.NewSource(2))
+			left := 0
+			var fn ArgHandler
+			fn = func(any) {
+				if left--; left == 0 {
+					k.Stop()
+				}
+				k.ScheduleArg(Time(1+rng.Int63n(1_000_000)), fn, nil)
+			}
+			for i := 0; i < pending; i++ {
+				k.ScheduleArg(Time(1+rng.Int63n(1_000_000)), fn, nil)
+			}
+			left = pending // warm-up: every slot of the pool and the heap touched once
+			k.Run()
+			b.ReportAllocs()
+			b.ResetTimer()
+			left = b.N
+			k.Run()
+		})
+	}
+}
+
+// BenchmarkRunFanout is the run alone: one operation schedules a fan-out of
+// `fan` items spread over 11 ms and advances the clock 1 ms, so about a dozen
+// runs are in the heap at any time and every firing re-keys one of them — the
+// kernel's share of a radio broadcast, without the radio.
+func BenchmarkRunFanout(b *testing.B) {
+	for _, fan := range []int{10, 100} {
+		b.Run(fmt.Sprint(fan), func(b *testing.B) {
+			k := New(1)
+			rng := rand.New(rand.NewSource(2))
+			var free []*Run
+			var fire RunHandler = func(arg any, _ RunItem) {
+				if r := arg.(*Run); r.Done() {
+					free = append(free, r)
+				}
+			}
+			op := func() {
+				if len(free) == 0 {
+					free = append(free, &Run{Items: make([]RunItem, 0, fan)})
+				}
+				r := free[len(free)-1]
+				free = free[:len(free)-1]
+				r.Items = r.Items[:0]
+				for i := 0; i < fan; i++ {
+					at := k.Now() + Time(time.Millisecond) + Time(rng.Int63n(int64(11*time.Millisecond)))
+					r.Items = append(r.Items, RunItem{At: at, Tag: uint32(i)})
+				}
+				k.ScheduleRun(r, fire, r)
+				k.RunUntil(k.Now() + Time(time.Millisecond))
+			}
+			for i := 0; i < 100; i++ {
+				op()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fan), "ns/item")
+		})
+	}
+}

@@ -1,0 +1,416 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// TestRunFiresLikeIndividualEvents walks the run's contract case by case on
+// the real kernel, with the expected order written out by hand.
+func TestRunFiresLikeIndividualEvents(t *testing.T) {
+	k := New(1)
+	var got []string
+	log := func(s string) { got = append(got, fmt.Sprintf("%d:%s", k.Now(), s)) }
+	fire := func(arg any, it RunItem) { log(fmt.Sprintf("%s%d", arg, it.Tag)) }
+
+	// Seqs: a0..a2 take 0-2, the timer takes 3, b0..b1 take 4-5. Everything
+	// ties at 5 except a1 (at 7) and b1 (at 9).
+	a := &Run{Items: []RunItem{{At: 5, Tag: 0}, {At: 7, Tag: 1}, {At: 5, Tag: 2}}}
+	k.ScheduleRun(a, fire, "a")
+	k.Schedule(5, func() { log("timer") })
+	b := &Run{Items: []RunItem{{At: 9, Tag: 0}, {At: 5, Tag: 1}}}
+	k.ScheduleRun(b, fire, "b")
+
+	if k.Pending() != 6 {
+		t.Fatalf("Pending = %d, want 6 firings (3 heap entries)", k.Pending())
+	}
+	if at, ok := k.NextEventAt(); !ok || at != 5 {
+		t.Fatalf("NextEventAt = %v, %v; want 5", at, ok)
+	}
+
+	// A deadline between two items of one run: a's first two items fire (both
+	// at 5), its third (at 7) stays queued, and the run resumes later.
+	k.RunUntil(6)
+	want := []string{"5:a0", "5:a2", "5:timer", "5:b1"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("after RunUntil(6): got %v, want %v", got, want)
+	}
+	if k.Steps() != 4 || k.Pending() != 2 || k.Now() != 6 {
+		t.Fatalf("Steps, Pending, Now = %d, %d, %v; want 4, 2, 6", k.Steps(), k.Pending(), k.Now())
+	}
+	if a.Done() || b.Done() {
+		t.Fatal("a run reports Done with items unfired")
+	}
+	// A run is at the root, mid-way: its next item's instant is the answer.
+	if at, ok := k.NextEventAt(); !ok || at != 7 {
+		t.Fatalf("NextEventAt with a run at the root = %v, %v; want 7", at, ok)
+	}
+	k.Run()
+	want = append(want, "7:a1", "9:b0")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("after Run: got %v, want %v", got, want)
+	}
+	if !a.Done() || !b.Done() || k.Pending() != 0 {
+		t.Fatalf("drained: a.Done %v, b.Done %v, Pending %d", a.Done(), b.Done(), k.Pending())
+	}
+}
+
+func TestRunHandlerSchedulesAndStops(t *testing.T) {
+	k := New(1)
+	var got []string
+	log := func(s string) { got = append(got, fmt.Sprintf("%d:%s", k.Now(), s)) }
+
+	inner := &Run{Items: []RunItem{{At: 3, Tag: 0}, {At: 2, Tag: 1}}}
+	outer := &Run{Items: []RunItem{{At: 2, Tag: 0}, {At: 2, Tag: 1}, {At: 4, Tag: 2}}}
+	k.ScheduleRun(outer, func(_ any, it RunItem) {
+		log(fmt.Sprintf("outer%d", it.Tag))
+		switch it.Tag {
+		case 0:
+			// Scheduled from inside a firing, for this very instant: they
+			// take later seqs than outer1, so they fire after it.
+			k.Schedule(0, func() { log("follow-up") })
+			k.ScheduleRun(inner, func(_ any, it RunItem) { log(fmt.Sprintf("inner%d", it.Tag)) }, nil)
+		case 1:
+			k.Stop()
+		}
+	}, nil)
+
+	k.Run()
+	want := []string{"2:outer0", "2:outer1"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Stop mid-run: got %v, want %v", got, want)
+	}
+	if k.Pending() != 4 {
+		t.Fatalf("Pending after Stop = %d, want 4", k.Pending())
+	}
+	k.Run()
+	want = append(want, "2:follow-up", "2:inner1", "3:inner0", "4:outer2")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed: got %v, want %v", got, want)
+	}
+}
+
+func TestRunEdges(t *testing.T) {
+	k := New(1)
+	empty := &Run{}
+	k.ScheduleRun(empty, func(any, RunItem) { t.Fatal("empty run fired") }, nil)
+	if !empty.Done() || k.Pending() != 0 {
+		t.Fatalf("empty run: Done %v, Pending %d", empty.Done(), k.Pending())
+	}
+
+	// A Run is reusable once Done, and a stale pos from its last use is reset.
+	r := &Run{}
+	fired := 0
+	for round := 0; round < 3; round++ {
+		r.Items = append(r.Items[:0], RunItem{At: k.Now() + 1}, RunItem{At: k.Now() + 1})
+		k.ScheduleRun(r, func(any, RunItem) { fired++ }, nil)
+		k.Run()
+	}
+	if fired != 6 {
+		t.Fatalf("reused run fired %d items, want 6", fired)
+	}
+
+	k.RunUntil(100)
+	for name, fn := range map[string]func(){
+		"past item":   func() { k.ScheduleRun(&Run{Items: []RunItem{{At: 99}}}, func(any, RunItem) {}, nil) },
+		"nil handler": func() { k.ScheduleRun(&Run{Items: []RunItem{{At: 100}}}, nil, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// refKernel is the reference the differential test compares against: a flat
+// list scanned for its (at, seq) minimum, where a run is nothing but its
+// individual events. It shares no code with Kernel.
+type refKernel struct {
+	now     Time
+	seq     uint64
+	steps   uint64
+	stopped bool
+	evs     []*refEvent
+	batches map[Time]*[]func()
+}
+
+type refEvent struct {
+	at       Time
+	seq      uint64
+	fn       func()
+	canceled bool
+	fired    bool
+}
+
+func (e *refEvent) Cancel()      { e.canceled = true }
+func (e *refEvent) Active() bool { return !e.canceled && !e.fired }
+
+func (r *refKernel) Now() Time { return r.now }
+
+func (r *refKernel) Schedule(d Time, fn func()) handle {
+	if d < 0 {
+		d = 0
+	}
+	e := &refEvent{at: r.now + d, seq: r.seq, fn: fn}
+	r.seq++
+	r.evs = append(r.evs, e)
+	return e
+}
+
+func (r *refKernel) ScheduleArg(d Time, fn ArgHandler, arg any) handle {
+	return r.Schedule(d, func() { fn(arg) })
+}
+
+// AtBatched keeps the batch semantics (one event per instant, at the first
+// registration's seq): they are AtBatched's contract, not the heap's.
+func (r *refKernel) AtBatched(at Time, fn ArgHandler, arg any) {
+	if b, ok := r.batches[at]; ok {
+		*b = append(*b, func() { fn(arg) })
+		return
+	}
+	b := &[]func(){func() { fn(arg) }}
+	r.batches[at] = b
+	r.Schedule(at-r.now, func() {
+		delete(r.batches, at)
+		for _, f := range *b {
+			f()
+		}
+	})
+}
+
+func (r *refKernel) run(delays []Time, fire func(i int)) {
+	for i, d := range delays {
+		r.Schedule(d, func() { fire(i) })
+	}
+}
+
+// min returns the index of the earliest event, collecting canceled ones that
+// have reached the front, as the kernel does.
+func (r *refKernel) min() int {
+	for len(r.evs) > 0 {
+		m := 0
+		for i, e := range r.evs {
+			if e.at < r.evs[m].at || e.at == r.evs[m].at && e.seq < r.evs[m].seq {
+				m = i
+			}
+		}
+		if !r.evs[m].canceled {
+			return m
+		}
+		r.evs = append(r.evs[:m], r.evs[m+1:]...)
+	}
+	return -1
+}
+
+func (r *refKernel) NextEventAt() (Time, bool) {
+	if m := r.min(); m >= 0 {
+		return r.evs[m].at, true
+	}
+	return 0, false
+}
+
+func (r *refKernel) step(deadline Time, bounded bool) bool {
+	m := r.min()
+	if m < 0 || bounded && r.evs[m].at > deadline {
+		return false
+	}
+	e := r.evs[m]
+	r.evs = append(r.evs[:m], r.evs[m+1:]...)
+	r.now, e.fired = e.at, true
+	r.steps++
+	e.fn()
+	return true
+}
+
+func (r *refKernel) Run() Time {
+	r.stopped = false
+	for !r.stopped && r.step(0, false) {
+	}
+	return r.now
+}
+
+func (r *refKernel) RunUntil(deadline Time) Time {
+	r.stopped = false
+	for !r.stopped && r.step(deadline, true) {
+	}
+	if !r.stopped && r.now < deadline {
+		r.now = deadline
+	}
+	return r.now
+}
+
+func (r *refKernel) Stop()         { r.stopped = true }
+func (r *refKernel) Steps() uint64 { return r.steps }
+func (r *refKernel) Pending() int  { return len(r.evs) }
+
+// handle is the cancellation surface Timer and refEvent share.
+type handle interface {
+	Cancel()
+	Active() bool
+}
+
+// scheduler is what the random program below drives: Kernel through
+// realKernel, and refKernel.
+type scheduler interface {
+	Now() Time
+	Schedule(Time, func()) handle
+	ScheduleArg(Time, ArgHandler, any) handle
+	AtBatched(Time, ArgHandler, any)
+	run(delays []Time, fire func(i int))
+	NextEventAt() (Time, bool)
+	Run() Time
+	RunUntil(Time) Time
+	Stop()
+	Steps() uint64
+	Pending() int
+}
+
+type realKernel struct {
+	*Kernel
+	t *testing.T
+}
+
+func (r realKernel) Schedule(d Time, fn func()) handle { return r.Kernel.Schedule(d, fn) }
+func (r realKernel) ScheduleArg(d Time, fn ArgHandler, arg any) handle {
+	return r.Kernel.ScheduleArg(d, fn, arg)
+}
+
+func (r realKernel) run(delays []Time, fire func(i int)) {
+	run := &Run{}
+	for i, d := range delays {
+		run.Items = append(run.Items, RunItem{At: r.Now() + d, Tag: uint32(i)})
+	}
+	fired := 0
+	r.ScheduleRun(run, func(arg any, it RunItem) {
+		if arg != run {
+			r.t.Error("run handler got a foreign arg")
+		}
+		if fired++; run.Done() != (fired == len(delays)) {
+			r.t.Errorf("Done = %v after %d of %d items", run.Done(), fired, len(delays))
+		}
+		fire(int(it.Tag))
+	}, run)
+}
+
+// program is one random workload, replayable against any scheduler: every
+// choice comes from its own seeded source, never from the scheduler, so two
+// schedulers that fire in the same order execute the same program.
+type program struct {
+	s       scheduler
+	rng     *rand.Rand
+	nextID  int
+	budget  int // firings that may still schedule more work
+	handles []handle
+	log     []string
+}
+
+// delay draws from a tiny domain so that `at` ties — between runs, within a
+// run, against timers and batches — are the common case.
+func (p *program) delay() Time { return Time(p.rng.Intn(6)) }
+
+func (p *program) fired(id int) {
+	next, ok := p.s.NextEventAt()
+	p.log = append(p.log, fmt.Sprintf("t=%d id=%d steps=%d pending=%d next=%d/%v",
+		p.s.Now(), id, p.s.Steps(), p.s.Pending(), next, ok))
+	if p.budget <= 0 {
+		return
+	}
+	p.budget--
+	switch p.rng.Intn(10) {
+	case 0, 1, 2:
+		p.act()
+	case 3:
+		p.act()
+		p.act()
+	case 4:
+		p.s.Stop()
+	}
+}
+
+// act performs one random scheduling operation.
+func (p *program) act() {
+	id := p.nextID
+	p.nextID++
+	switch p.rng.Intn(6) {
+	case 0:
+		p.handles = append(p.handles, p.s.Schedule(p.delay(), func() { p.fired(id) }))
+	case 1:
+		p.handles = append(p.handles, p.s.ScheduleArg(p.delay(), func(any) { p.fired(id) }, nil))
+	case 2:
+		p.s.AtBatched(p.s.Now()+p.delay(), func(any) { p.fired(id) }, nil)
+	case 3:
+		if len(p.handles) > 0 {
+			h := p.handles[p.rng.Intn(len(p.handles))]
+			p.log = append(p.log, fmt.Sprintf("cancel active=%v", h.Active()))
+			h.Cancel()
+		}
+	default:
+		delays := make([]Time, p.rng.Intn(30))
+		for i := range delays {
+			delays[i] = p.delay()
+		}
+		base := p.nextID
+		p.nextID += len(delays)
+		p.s.run(delays, func(i int) { p.fired(base + i) })
+	}
+}
+
+// drive runs the program: bursts of top-level scheduling, each followed by a
+// bounded or unbounded drain that a handler may cut short with Stop.
+func (p *program) drive() []string {
+	for round := 0; round < 12; round++ {
+		for i := p.rng.Intn(8); i >= 0; i-- {
+			p.act()
+		}
+		if p.rng.Intn(3) == 0 {
+			p.s.Run()
+		} else {
+			p.s.RunUntil(p.s.Now() + p.delay())
+		}
+		next, ok := p.s.NextEventAt()
+		p.log = append(p.log, fmt.Sprintf("drained t=%d steps=%d pending=%d next=%d/%v",
+			p.s.Now(), p.s.Steps(), p.s.Pending(), next, ok))
+	}
+	p.budget = 0
+	p.s.Run()
+	p.log = append(p.log, fmt.Sprintf("end t=%d steps=%d pending=%d", p.s.Now(), p.s.Steps(), p.s.Pending()))
+	return p.log
+}
+
+// TestRunDifferentialOrder is the property behind ScheduleRun's doc: a random
+// mix of Schedule, ScheduleArg, AtBatched, cancellations and runs — scheduled
+// from the top level and from inside firings, drained by Run and by RunUntil
+// deadlines that land mid-run, interrupted by Stop — fires on the kernel in
+// exactly the order, with the same Steps, Pending and NextEventAt at every
+// firing, as on a reference that knows only individual events.
+func TestRunDifferentialOrder(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		progs := [2]*program{
+			{s: realKernel{New(seed), t}},
+			{s: &refKernel{batches: map[Time]*[]func(){}}},
+		}
+		var logs [2][]string
+		for i, p := range progs {
+			p.rng = rand.New(rand.NewSource(seed))
+			p.budget = 200
+			logs[i] = p.drive()
+		}
+		if len(logs[0]) < 20 {
+			t.Fatalf("seed %d: program logged only %d lines", seed, len(logs[0]))
+		}
+		for i := range min(len(logs[0]), len(logs[1])) {
+			if logs[0][i] != logs[1][i] {
+				t.Fatalf("seed %d: line %d differs\nkernel:    %s\nreference: %s", seed, i, logs[0][i], logs[1][i])
+			}
+		}
+		if len(logs[0]) != len(logs[1]) {
+			t.Fatalf("seed %d: kernel logged %d lines, reference %d", seed, len(logs[0]), len(logs[1]))
+		}
+	}
+}

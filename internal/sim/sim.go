@@ -11,8 +11,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -29,9 +31,10 @@ type Handler func()
 // Kernel.ScheduleArg.
 type ArgHandler func(arg any)
 
-// event is a scheduled callback. seq breaks ties so that events scheduled
-// for the same instant fire in scheduling order (FIFO), which keeps runs
-// deterministic.
+// event is a scheduled callback, or the kernel's handle on a Run. seq breaks
+// ties so that events scheduled for the same instant fire in scheduling order
+// (FIFO), which keeps runs deterministic. The firing instant is not here: it
+// is the heap entry's key (see eventQueue).
 //
 // Events are pooled: the kernel keeps a free list and recycles an event
 // once it has fired or its cancellation has been collected. gen counts
@@ -39,77 +42,99 @@ type ArgHandler func(arg any)
 // detect that its event is gone and stay inert instead of touching the new
 // occupant.
 //
-// Exactly one of fn and argFn is set. argFn+arg is the closure-free variant:
-// arg is typically a pointer, and storing a pointer in an interface does not
-// allocate, so ScheduleArg events cost zero heap beyond the pooled event.
+// Exactly one of fn, argFn and run is set. argFn+arg is the closure-free
+// variant: arg is typically a pointer, and storing a pointer in an interface
+// does not allocate, so ScheduleArg events cost zero heap beyond the pooled
+// event. A run's event carries the first seq of the run's block: no other
+// event's seq falls inside the block, so against everything else in the
+// queue any seq of the block orders the same.
 type event struct {
-	at       Time
 	seq      uint64
 	fn       Handler
 	argFn    ArgHandler
 	arg      any
-	canceled bool
-	index    int    // heap index, maintained by eventQueue; -1 once popped
+	run      *Run
+	next     *event // free-list link while pooled
 	gen      uint64 // incremented on every release to the pool
+	canceled bool
+	queued   bool // in the heap; what Timer.Active reads
 }
 
-// less orders events by (at, seq). seq is unique, so this is a strict total
+// entry is one heap slot: the firing instant inline, so a sift compares
+// neighbouring 16-byte slots and touches an event only on an `at` tie.
+type entry struct {
+	at Time
+	ev *event
+}
+
+// less orders entries by (at, seq). seq is unique, so this is a strict total
 // order: ANY correct min-heap pops events in exactly this order, which is
-// why swapping heap arity cannot change simulation output.
-func less(x, y *event) bool {
+// why heap arity, entry layout and replace-top cannot change simulation
+// output.
+func less(x, y entry) bool {
 	if x.at != y.at {
 		return x.at < y.at
 	}
-	return x.seq < y.seq
+	return x.ev.seq < y.ev.seq
 }
 
-// eventQueue is a hand-rolled 4-ary min-heap over *event ordered by
-// (at, seq). It replaces container/heap, whose interface-based API boxed
-// every Push/Pop argument in an `any` and paid dynamic dispatch on each
-// Less/Swap — measurable overhead at the millions-of-events scale of the
-// 2000-node runs. A 4-ary layout also halves the tree depth versus binary,
-// trading slightly more comparisons per level for far fewer cache-missing
-// levels; event keys are hot, so this wins on the sift-down path that
-// dominates pops. Sift operations hole-copy (shift parents/children into the
-// hole, then place the saved event once) instead of swapping pairwise.
+// eventQueue is a hand-rolled 4-ary min-heap of entries ordered by
+// (at, seq). The time key lives in the slot, not behind the event pointer:
+// the four children of a node are one 64-byte line, and choosing among them
+// reads no event unless two fire at the same instant. A 4-ary layout halves
+// the tree depth versus binary, trading slightly more comparisons per level
+// for far fewer cache-missing levels. Sift operations hole-copy (shift
+// parents/children into the hole, then place the saved entry once) instead
+// of swapping pairwise, and write nothing back into the events they move —
+// no event knows its position; Timer.Active needs only event.queued.
+//
+// There are three operations: push, pop, and replaceTop — the root's key
+// moved later (a Run advanced to its next item), so it sinks from the root
+// in one pass instead of a pop followed by a push.
 type eventQueue struct {
-	a []*event
+	a []entry
 }
 
 func (q *eventQueue) len() int { return len(q.a) }
 
-func (q *eventQueue) push(ev *event) {
+func (q *eventQueue) push(e entry) {
 	i := len(q.a)
-	q.a = append(q.a, ev)
+	q.a = append(q.a, e)
 	// Sift up: move the hole toward the root past larger parents.
 	a := q.a
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !less(ev, a[p]) {
+		if !less(e, a[p]) {
 			break
 		}
 		a[i] = a[p]
-		a[i].index = i
 		i = p
 	}
-	a[i] = ev
-	ev.index = i
+	a[i] = e
 }
 
-func (q *eventQueue) pop() *event {
+// pop removes and returns the root.
+func (q *eventQueue) pop() entry {
 	a := q.a
-	ev := a[0]
+	top := a[0]
 	n := len(a) - 1
 	last := a[n]
-	a[n] = nil
+	a[n] = entry{}
 	q.a = a[:n]
-	ev.index = -1
-	if n == 0 {
-		return ev
+	if n > 0 {
+		q.siftDown(last)
 	}
-	// Sift the old tail down from the root: move the hole toward the
-	// leaves past smaller children.
-	a = q.a
+	return top
+}
+
+// replaceTop overwrites the root with e and restores the heap.
+func (q *eventQueue) replaceTop(e entry) { q.siftDown(e) }
+
+// siftDown places e starting from a hole at the root: the hole moves toward
+// the leaves past smaller children.
+func (q *eventQueue) siftDown(e entry) {
+	a := q.a
+	n := len(a)
 	i := 0
 	for {
 		c := i<<2 + 1
@@ -126,16 +151,13 @@ func (q *eventQueue) pop() *event {
 				m = j
 			}
 		}
-		if !less(a[m], last) {
+		if !less(a[m], e) {
 			break
 		}
 		a[i] = a[m]
-		a[i].index = i
 		i = m
 	}
-	a[i] = last
-	last.index = i
-	return ev
+	a[i] = e
 }
 
 // Timer is a handle to a scheduled event that can be canceled. The zero
@@ -158,8 +180,47 @@ func (t Timer) Cancel() {
 // Active reports whether the timer is still pending (scheduled, not fired,
 // not canceled).
 func (t Timer) Active() bool {
-	return t.ev != nil && t.ev.gen == t.gen && !t.ev.canceled && t.ev.index >= 0
+	return t.ev != nil && t.ev.gen == t.gen && !t.ev.canceled && t.ev.queued
 }
+
+// RunItem is one firing of a Run.
+type RunItem struct {
+	// At is the absolute virtual instant the item fires.
+	At Time
+	// Tag is the caller's: the kernel hands it back to the RunHandler and
+	// never reads it (the radio keeps the receiver's slot here).
+	Tag uint32
+	// ord is the item's position in the order the caller appended it — its
+	// offset into the run's block of seqs, which breaks At ties within the
+	// run. ScheduleRun stamps it.
+	ord uint32
+}
+
+// RunHandler is the callback of a Run: it receives the argument the run was
+// scheduled with and the item that is firing.
+type RunHandler func(arg any, it RunItem)
+
+// Run is a series of firings that occupies ONE heap entry however many items
+// it holds: the scheduling unit for "one cause, many timed effects", such as
+// a radio transmission heard by every host in range. See Kernel.ScheduleRun.
+//
+// The caller owns the Run and its Items (typically inside a pooled record)
+// and must leave both alone from ScheduleRun until the last item has fired:
+// Done reports that from inside the handler, and is the caller's cue to
+// recycle the record once the handler's own work is finished.
+type Run struct {
+	// Items are the firings, appended by the caller in the order the
+	// equivalent individual ScheduleArg calls would have been made.
+	// ScheduleRun reorders them by firing time.
+	Items []RunItem
+
+	pos int // next unfired item
+	fn  RunHandler
+	arg any
+}
+
+// Done reports whether every item has fired (the one now firing included).
+func (r *Run) Done() bool { return r.pos == len(r.Items) }
 
 // Kernel is the discrete-event scheduler. Create one with New; the zero
 // value is not usable because it lacks a random source.
@@ -170,7 +231,8 @@ type Kernel struct {
 	rng     *rand.Rand
 	stopped bool
 	steps   uint64
-	free    []*event // recycled events (the #1 allocation site otherwise)
+	unfired int    // items of queued runs behind each run's next one: firings with no heap entry of their own
+	free    *event // recycled events (the #1 allocation site otherwise), linked through event.next
 
 	// Same-instant batching (AtBatched): one kernel event per distinct
 	// timestamp, carrying every callback registered for it in FIFO order.
@@ -211,9 +273,11 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // accounting and for benchmarks.
 func (k *Kernel) Steps() uint64 { return k.steps }
 
-// Pending returns the number of events currently scheduled (including
-// canceled events that have not yet been popped).
-func (k *Kernel) Pending() int { return k.queue.len() }
+// Pending returns the number of firings still scheduled: one per event
+// (including canceled events that have not yet been collected) and one per
+// unfired item of every Run — not the number of heap entries, which is one
+// per run.
+func (k *Kernel) Pending() int { return k.queue.len() + k.unfired }
 
 // Schedule runs fn after the given delay of virtual time and returns a
 // cancellable handle. A negative delay is treated as zero: the event fires
@@ -248,11 +312,78 @@ func (k *Kernel) schedule(delay Time) *event {
 		delay = 0
 	}
 	ev := k.alloc()
-	ev.at = k.now + delay
 	ev.seq = k.seq
 	k.seq++
-	k.queue.push(ev)
+	k.enqueue(k.now+delay, ev)
 	return ev
+}
+
+func (k *Kernel) enqueue(at Time, ev *event) {
+	ev.queued = true
+	k.queue.push(entry{at: at, ev: ev})
+}
+
+// ScheduleRun schedules every item of r as one heap entry. The firing order
+// — among the items and against everything else in the queue — is exactly
+// the order len(r.Items) ScheduleArg calls made now, one per item in Items
+// order with delay At-Now, would have produced: the run takes that many
+// consecutive seqs, item i gets the i-th, and a k-way merge of (at, seq)
+// sorted series is the same total order as a heap of their members. Steps
+// counts every item.
+//
+// What the run saves is heap work. Its items are sorted here, once, among
+// themselves — a contiguous sort of a few 16-byte records, not one sift each
+// through a heap of everything pending — and when one fires the kernel
+// re-keys the root to the next item and sinks it, instead of popping one
+// entry and having pushed another earlier.
+//
+// Items must not fire in the past. There is no cancellation handle. An empty
+// run schedules nothing and is Done at once.
+func (k *Kernel) ScheduleRun(r *Run, fn RunHandler, arg any) {
+	if fn == nil {
+		panic("sim: ScheduleRun called with nil handler")
+	}
+	items := r.Items
+	r.pos = 0
+	if len(items) == 0 {
+		return
+	}
+	for i := range items {
+		if items[i].At < k.now {
+			panic(fmt.Sprintf("sim: ScheduleRun item at %v is in the past (now %v)", items[i].At, k.now))
+		}
+		items[i].ord = uint32(i)
+	}
+	sortItems(items)
+	r.fn, r.arg = fn, arg
+	ev := k.alloc()
+	ev.run = r
+	ev.seq = k.seq
+	k.seq += uint64(len(items))
+	k.unfired += len(items) - 1
+	k.enqueue(items[0].At, ev)
+}
+
+// sortItems orders items by (At, ord). Fan-outs are mostly a handful of
+// items, where insertion sort beats the general sort's set-up.
+func sortItems(items []RunItem) {
+	if len(items) > 12 {
+		slices.SortFunc(items, func(a, b RunItem) int {
+			if c := cmp.Compare(a.At, b.At); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.ord, b.ord)
+		})
+		return
+	}
+	for i := 1; i < len(items); i++ {
+		it := items[i]
+		j := i
+		for ; j > 0 && items[j-1].At > it.At; j-- { // stable, so ties keep ord order
+			items[j] = items[j-1]
+		}
+		items[j] = it
+	}
 }
 
 // alloc takes an event from the free list. An empty list grows by a block of
@@ -260,16 +391,15 @@ func (k *Kernel) schedule(delay Time) *event {
 // reaches a steady high-water mark, so per-event allocation would recur every
 // epoch; block growth amortizes it 64×.
 func (k *Kernel) alloc() *event {
-	if len(k.free) == 0 {
+	if k.free == nil {
 		blk := make([]event, 64)
-		for i := range blk {
-			k.free = append(k.free, &blk[i])
+		for i := range blk[:len(blk)-1] {
+			blk[i].next = &blk[i+1]
 		}
+		k.free = &blk[0]
 	}
-	n := len(k.free)
-	ev := k.free[n-1]
-	k.free[n-1] = nil
-	k.free = k.free[:n-1]
+	ev := k.free
+	k.free, ev.next = ev.next, nil
 	return ev
 }
 
@@ -281,8 +411,9 @@ func (k *Kernel) release(ev *event) {
 	ev.fn = nil
 	ev.argFn = nil
 	ev.arg = nil
+	ev.run = nil
 	ev.canceled = false
-	k.free = append(k.free, ev)
+	ev.next, k.free = k.free, ev
 }
 
 // At runs fn at the given absolute virtual time, which must not be in the
@@ -356,16 +487,21 @@ func (k *Kernel) runBatch(arg any) {
 // executed completes. Pending events remain queued.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// step pops and executes the next live event. It reports whether an event
-// was executed.
+// step executes the next live firing. It reports whether one was executed.
 func (k *Kernel) step() bool {
 	for k.queue.len() > 0 {
-		ev := k.queue.pop()
+		top := k.queue.a[0]
+		ev := top.ev
+		if r := ev.run; r != nil {
+			k.fireRunItem(top.at, ev, r)
+			return true
+		}
+		k.pop()
 		if ev.canceled {
 			k.release(ev)
 			continue
 		}
-		k.now = ev.at
+		k.now = top.at
 		k.steps++
 		fn, argFn, arg := ev.fn, ev.argFn, ev.arg
 		// Recycle before running: the handler may immediately schedule a
@@ -380,6 +516,29 @@ func (k *Kernel) step() bool {
 		return true
 	}
 	return false
+}
+
+// pop removes the root entry.
+func (k *Kernel) pop() { k.queue.pop().ev.queued = false }
+
+// fireRunItem fires the next item of the run at the root. The heap is
+// settled first — root re-keyed to the following item, or removed after the
+// last — so the handler sees a consistent queue and, on the last item, a Run
+// the kernel no longer refers to.
+func (k *Kernel) fireRunItem(at Time, ev *event, r *Run) {
+	it := r.Items[r.pos]
+	r.pos++
+	fn, arg := r.fn, r.arg
+	if r.pos < len(r.Items) {
+		k.queue.replaceTop(entry{at: r.Items[r.pos].At, ev: ev})
+		k.unfired--
+	} else {
+		k.pop()
+		k.release(ev)
+	}
+	k.now = at
+	k.steps++
+	fn(arg, it)
 }
 
 // Run executes events until the queue drains or Stop is called. It returns
@@ -417,8 +576,9 @@ func (k *Kernel) NextEventAt() (Time, bool) { return k.peekTime() }
 // peekTime returns the timestamp of the next live event.
 func (k *Kernel) peekTime() (Time, bool) {
 	for k.queue.len() > 0 {
-		if k.queue.a[0].canceled {
-			k.release(k.queue.pop())
+		if top := k.queue.a[0]; top.ev.canceled {
+			k.pop()
+			k.release(top.ev)
 			continue
 		}
 		return k.queue.a[0].at, true

@@ -1,46 +1,25 @@
 GO ?= go
 
-.PHONY: check vet lint lint-test allow-gate fmt-check build test race benchsmoke benchcmp scale-smoke baseline-smoke par-smoke fuzz-smoke live-smoke conformance bench bench-e2e fmt
+.PHONY: check vet lint fmt-check build test race benchsmoke benchcmp scale-smoke baseline-smoke par-smoke fuzz-smoke conformance bench bench-e2e fmt
 
 ## check: the pre-PR gate. Run this before sending any change for review.
 ## CI (.github/workflows/ci.yml) runs the same gates, one named step each.
-check: vet lint lint-test allow-gate fmt-check build test race benchsmoke benchcmp scale-smoke baseline-smoke par-smoke fuzz-smoke live-smoke
+## No gate runs twice: `test` already covers the lint gate, the analyzers'
+## fixtures, the live-transport smoke and the conformance suite, so the
+## `lint` and `conformance` aliases below are not prerequisites.
+check: vet fmt-check build test race benchsmoke benchcmp scale-smoke baseline-smoke par-smoke fuzz-smoke
 	@echo "check: all gates passed"
 
 vet:
 	$(GO) vet ./...
 
-## lint: the repo's own analyzers (cmd/fdslint) — walltime, detmap,
-## deliverretain, scratchalias, arenaescape, floatfold, stripshare,
-## rngdraw — which machine-check the simulator's determinism, arena
-## ownership, strip isolation, and message-lifetime invariants. Runs
-## through `go vet -vettool`, so package loading, caching, and diagnostics
-## follow vet conventions. See DESIGN.md "Determinism & lifetime
-## invariants". `bin/fdslint -json ./...` / `-github` emit machine-readable
-## findings.
+## lint: the repo's own analyzers alone — walltime, detmap, deliverretain,
+## scratchalias, arenaescape, floatfold, stripshare, rngdraw — over every
+## package of the module, plus their fixtures. A convenience alias: these
+## are ordinary tests under ./internal/lint/ and `make test` runs them. See
+## DESIGN.md "Determinism & lifetime invariants".
 lint:
-	$(GO) build -o bin/fdslint ./cmd/fdslint
-	$(GO) vet -vettool=bin/fdslint ./...
-
-## lint-test: the analyzers' own test suite — every analyzer's
-## firing/non-firing/suppression fixtures plus the lintest runner's
-## self-tests. Separate from `test` so an analyzer regression is visible
-## as its own gate.
-lint-test:
 	$(GO) test ./internal/lint/...
-
-## allow-gate: the suppression budget. Policy since PR 5: zero
-## //lint:allow in the tree — when an analyzer misfires, the analyzer is
-## strengthened to prove the pattern safe, not waived. The pattern skips
-## doc comments and string literals (no quote or slash may precede the
-## directive on the line) and the fixture trees, where directives are the
-## test subject.
-allow-gate:
-	@bad="$$(grep -rEn --include='*.go' '^[^"/]*//lint:allow' . | grep -v '/testdata/' || true)"; \
-	if [ -n "$$bad" ]; then \
-		echo "allow-gate: //lint:allow suppressions found (policy: zero — strengthen the analyzer instead):"; \
-		echo "$$bad"; exit 1; fi; \
-	echo "allow-gate: zero //lint:allow suppressions in the tree"
 
 ## fmt-check: fails (listing the offenders) if any file is not gofmt-clean.
 fmt-check:
@@ -134,17 +113,10 @@ fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime 10s
 
-## live-smoke: the live-transport gate. A 3-node cluster of fdsd daemons on
-## the in-process channel mesh (the deterministic core of the UDP path)
-## forms, one node is crashed, and both survivors must detect it. Plus the
-## differential conformance suite: the simulated radio and the daemon's
-## LinkTransport (one per host, over the deterministic mesh fabric) must
-## produce bit-identical traces, wire bytes, states, and energy.
-live-smoke:
-	$(GO) test ./internal/daemon/ -run 'TestLiveSmokeCrashDetection' -count=1 -v
-	$(GO) test ./internal/conformance/ -run 'TestSimAndMeshAreEquivalent' -count=1
-
-## conformance: the full differential suite and transport-fault tests alone.
+## conformance: the differential suite (simulated radio vs. the daemon's
+## LinkTransport over the deterministic mesh fabric: bit-identical traces,
+## wire bytes, states, energy) and the transport-fault tests alone, verbose.
+## A convenience alias: `make test` runs them.
 conformance:
 	$(GO) test ./internal/conformance/ -count=1 -v
 

@@ -13,12 +13,10 @@
 //
 //	go test -run '^$' -bench '...' -benchmem . | benchcmp -baseline bench_baseline.json
 //
-// The baseline maps bare benchmark names (no -cpu suffix) to either a bare
-// number (legacy form, allocs/op only) or an object carrying all three
-// figures:
+// The baseline maps bare benchmark names (no -cpu suffix) to an object
+// carrying the three figures:
 //
-//	{"BenchmarkFDSEpoch": {"allocs": 1838, "bytes": 1036623, "ns": 20262772},
-//	 "BenchmarkCodec": 3}
+//	{"BenchmarkFDSEpoch": {"allocs": 1838, "bytes": 1036623, "ns": 20262772}}
 //
 // Allocation and byte counts at a fixed -benchtime are deterministic for
 // this repository's benchmarks (single-threaded simulation, fixed seeds), so
@@ -35,6 +33,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -47,28 +46,33 @@ import (
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op.*?([\d.]+) B/op\s+([\d.]+) allocs/op`)
 
 // entry is one benchmark's pinned figures. Allocs and Bytes are gated;
-// Bytes == 0 means "not pinned" (legacy baselines carry only allocs). NS is
-// informational only — machine-dependent, so deviations print but never
-// fail.
+// Bytes == 0 means "not pinned". NS is informational only —
+// machine-dependent, so deviations print but never fail.
 type entry struct {
 	Allocs float64 `json:"allocs"`
 	Bytes  float64 `json:"bytes,omitempty"`
 	NS     float64 `json:"ns,omitempty"`
 }
 
-// UnmarshalJSON accepts either the legacy bare-number form (allocs/op) or
-// the full object form.
-func (e *entry) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] != '{' {
-		return json.Unmarshal(b, &e.Allocs)
+// parseLine extracts the benchmark name and figures from one line of
+// `go test -bench -benchmem` output; ok is false for every other line.
+func parseLine(line string) (name string, e entry, ok bool) {
+	mm := benchLine.FindStringSubmatch(line)
+	if mm == nil {
+		return "", entry{}, false
 	}
-	type bare entry // drop methods to avoid recursion
-	return json.Unmarshal(b, (*bare)(e))
+	ns, err1 := strconv.ParseFloat(mm[2], 64)
+	bytes, err2 := strconv.ParseFloat(mm[3], 64)
+	allocs, err3 := strconv.ParseFloat(mm[4], 64)
+	if err1 != nil || err2 != nil || err3 != nil {
+		return "", entry{}, false
+	}
+	return mm[1], entry{Allocs: allocs, Bytes: bytes, NS: ns}, true
 }
 
 func main() {
 	baselinePath := flag.String("baseline", "bench_baseline.json",
-		"committed baseline JSON (name -> allocs/op number or {allocs, bytes, ns} object)")
+		"committed baseline JSON (name -> {allocs, bytes, ns} object)")
 	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional increase over baseline")
 	flag.Parse()
 
@@ -93,23 +97,24 @@ func main() {
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Println(line) // pass the raw results through for the log
-		mm := benchLine.FindStringSubmatch(line)
-		if mm == nil {
-			continue
+		if name, e, ok := parseLine(line); ok {
+			got[name] = e
 		}
-		ns, err1 := strconv.ParseFloat(mm[2], 64)
-		bytes, err2 := strconv.ParseFloat(mm[3], 64)
-		allocs, err3 := strconv.ParseFloat(mm[4], 64)
-		if err1 != nil || err2 != nil || err3 != nil {
-			continue
-		}
-		got[mm[1]] = entry{Allocs: allocs, Bytes: bytes, NS: ns}
 	}
 	if err := sc.Err(); err != nil {
 		fmt.Fprintf(os.Stderr, "benchcmp: reading stdin: %v\n", err)
 		os.Exit(2)
 	}
 
+	if compare(baseline, got, *tolerance, os.Stdout, os.Stderr) {
+		os.Exit(1)
+	}
+	fmt.Println("benchcmp: all allocation gates passed")
+}
+
+// compare prints one verdict line per gated figure — ok and info lines to
+// out, FAIL lines to errOut — and reports whether the gate failed.
+func compare(baseline, got map[string]entry, tolerance float64, out, errOut io.Writer) (failed bool) {
 	names := make([]string, 0, len(baseline))
 	for name := range baseline {
 		names = append(names, name)
@@ -128,34 +133,33 @@ func main() {
 	}
 	sort.Strings(extra)
 	for _, name := range extra {
-		fmt.Printf("benchcmp: new  %s: %.0f allocs/op, %.0f B/op (not in baseline — add it to ratchet the gate)\n",
+		fmt.Fprintf(out, "benchcmp: new  %s: %.0f allocs/op, %.0f B/op (not in baseline — add it to ratchet the gate)\n",
 			name, got[name].Allocs, got[name].Bytes)
 	}
 
 	// gauge compares one gated figure against its baseline and returns
 	// whether it regressed past the tolerance.
 	gauge := func(name, unit string, cur, base float64) bool {
-		limit := base * (1 + *tolerance)
+		limit := base * (1 + tolerance)
 		switch {
 		case cur > limit:
-			fmt.Fprintf(os.Stderr, "benchcmp: FAIL %s: %.0f %s > %.0f (baseline %.0f +%.0f%%)\n",
-				name, cur, unit, limit, base, *tolerance*100)
+			fmt.Fprintf(errOut, "benchcmp: FAIL %s: %.0f %s > %.0f (baseline %.0f +%.0f%%)\n",
+				name, cur, unit, limit, base, tolerance*100)
 			return true
 		case cur < base:
-			fmt.Printf("benchcmp: ok   %s: %.0f %s (improved from %.0f — consider tightening the baseline)\n",
+			fmt.Fprintf(out, "benchcmp: ok   %s: %.0f %s (improved from %.0f — consider tightening the baseline)\n",
 				name, cur, unit, base)
 		default:
-			fmt.Printf("benchcmp: ok   %s: %.0f %s (baseline %.0f)\n", name, cur, unit, base)
+			fmt.Fprintf(out, "benchcmp: ok   %s: %.0f %s (baseline %.0f)\n", name, cur, unit, base)
 		}
 		return false
 	}
 
-	failed := false
 	for _, name := range names {
 		base := baseline[name]
 		cur, ok := got[name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "benchcmp: FAIL %s: missing from benchmark output\n", name)
+			fmt.Fprintf(errOut, "benchcmp: FAIL %s: missing from benchmark output\n", name)
 			failed = true
 			continue
 		}
@@ -165,12 +169,9 @@ func main() {
 		}
 		if base.NS > 0 {
 			// Wall-clock is machine-dependent: report, never gate.
-			fmt.Printf("benchcmp: info %s: %.0f ns/op (baseline %.0f, %+.1f%%)\n",
+			fmt.Fprintf(out, "benchcmp: info %s: %.0f ns/op (baseline %.0f, %+.1f%%)\n",
 				name, cur.NS, base.NS, 100*(cur.NS-base.NS)/base.NS)
 		}
 	}
-	if failed {
-		os.Exit(1)
-	}
-	fmt.Println("benchcmp: all allocation gates passed")
+	return failed
 }

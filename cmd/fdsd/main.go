@@ -38,7 +38,7 @@ import (
 // realWall is the production WallClock: elapsed time since process start,
 // and timer channels backed by the runtime timer wheel. This is the only
 // place in the stack (outside tests) that touches package time — the
-// deterministic packages are policed by fdslint's walltime analyzer.
+// deterministic packages are policed by internal/lint's walltime analyzer.
 type realWall struct {
 	start time.Time
 }

@@ -160,11 +160,7 @@ func New(cfg Config, cl *cluster.Protocol, f *fds.Protocol, sampler Sampler) *Pr
 // Start implements node.Protocol.
 func (p *Protocol) Start(h *node.Host) {
 	p.host = h
-	e := p.cfg.Timing.EpochOf(h.Now())
-	if h.Now() > p.cfg.Timing.EpochStart(e) {
-		e++
-	}
-	p.scheduleEpoch(e)
+	p.scheduleEpoch(p.cfg.Timing.FirstEpochAt(h.Now()))
 }
 
 func (p *Protocol) scheduleEpoch(e wire.Epoch) {

@@ -262,12 +262,8 @@ func (p *Protocol) Start(h *node.Host) {
 		}
 		p.becomeCH(p.epoch)
 	}
-	e := p.cfg.Timing.EpochOf(h.Now())
-	if h.Now() > p.cfg.Timing.EpochStart(e) {
-		e++
-	}
-	p.epoch = e
-	p.scheduleEpoch(e)
+	p.epoch = p.cfg.Timing.FirstEpochAt(h.Now())
+	p.scheduleEpoch(p.epoch)
 }
 
 func (p *Protocol) scheduleEpoch(e wire.Epoch) {

@@ -67,6 +67,17 @@ func (t Timing) EpochOf(now sim.Time) wire.Epoch {
 	return wire.Epoch(uint64(now) / uint64(t.Interval))
 }
 
+// FirstEpochAt returns the first epoch that starts at or after now: where a
+// protocol booted at now joins. A host booted exactly on a boundary joins
+// that very epoch; one booted any later waits for the next boundary.
+func (t Timing) FirstEpochAt(now sim.Time) wire.Epoch {
+	e := t.EpochOf(now)
+	if now > t.EpochStart(e) {
+		e++
+	}
+	return e
+}
+
 // Round-offset helpers, all relative to the epoch start.
 
 // R1End is the end of the heartbeat-exchange round.

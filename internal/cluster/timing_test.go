@@ -117,6 +117,28 @@ func TestEpochStartSaturationTable(t *testing.T) {
 				}
 				prev = got
 			}
+			// The boot boundary at the same scales: on a boundary join that
+			// epoch, anywhere past it wait for the next — including the
+			// last instant there is, whose next boundary is saturated.
+			boots := []struct {
+				name string
+				now  sim.Time
+				want wire.Epoch
+			}{
+				{"before-zero", -5, 0},
+				{"at-zero", 0, 0},
+				{"tick-after-zero", 1, 1},
+				{"tick-before-one", tc.tm.Interval - 1, 1},
+				{"exactly-three", tc.tm.EpochStart(3), 3},
+				{"tick-after-three", tc.tm.EpochStart(3) + 1, 4},
+				{"last-exact-boundary", tc.tm.EpochStart(threshold), threshold},
+				{"end-of-time", math.MaxInt64, threshold + 1},
+			}
+			for _, b := range boots {
+				if got := tc.tm.FirstEpochAt(b.now); got != b.want {
+					t.Errorf("%s: FirstEpochAt(%v) = %d, want %d", b.name, b.now, got, b.want)
+				}
+			}
 		})
 	}
 }

@@ -49,7 +49,7 @@ func drive(daemons []*Daemon, end, step sim.Time) {
 	}
 }
 
-// TestLiveSmokeCrashDetection is the live-smoke gate: a 3-node channel-mesh
+// TestLiveSmokeCrashDetection is the live smoke: a 3-node channel-mesh
 // cluster forms, one node is crashed, and both survivors must detect the
 // failure within the FDS's detection horizon. Deterministic: fixed seeds,
 // fixed step schedule.

@@ -258,15 +258,7 @@ func (p *Protocol) Start(h *node.Host) {
 	p.detectFn = func() { p.detectAndAnnounce(p.epoch) }
 	p.checkCHFn = func() { p.checkCHFailure(p.epoch) }
 	p.reqFwdFn = func() { p.maybeRequestForward(p.epoch) }
-	e := p.cfg.Timing.EpochOf(h.Now())
-	// EpochOf floors, so EpochStart(e) <= Now() whenever the product does
-	// not saturate; comparing for exact equality (rather than ordering)
-	// keeps the boundary decision correct even when EpochStart is pinned
-	// at its saturation ceiling for astronomically late boots.
-	if h.Now() != p.cfg.Timing.EpochStart(e) {
-		e++
-	}
-	p.scheduleEpoch(e)
+	p.scheduleEpoch(p.cfg.Timing.FirstEpochAt(h.Now()))
 }
 
 func (p *Protocol) scheduleEpoch(e wire.Epoch) {

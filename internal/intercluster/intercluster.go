@@ -349,11 +349,7 @@ func (p *Protocol) Start(h *node.Host) {
 	p.host = h
 	p.epochFn = func() { p.runEpoch(p.cfg.Timing.EpochOf(p.host.Now())) }
 	p.originFn = func() { p.maybeOriginate(p.epoch) }
-	e := p.cfg.Timing.EpochOf(h.Now())
-	if h.Now() > p.cfg.Timing.EpochStart(e) {
-		e++
-	}
-	p.scheduleEpoch(e)
+	p.scheduleEpoch(p.cfg.Timing.FirstEpochAt(h.Now()))
 }
 
 func (p *Protocol) scheduleEpoch(e wire.Epoch) {

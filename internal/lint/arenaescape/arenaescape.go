@@ -39,8 +39,6 @@
 // dutyFree, updJobFree, ...): after `p.fooFree = append(p.fooFree, v)` the
 // block belongs to the pool, so any later use of v in the same function is
 // a use-after-free race with the next taker.
-//
-// Suppressions use `//lint:allow arenaescape -- reason`.
 package arenaescape
 
 import (

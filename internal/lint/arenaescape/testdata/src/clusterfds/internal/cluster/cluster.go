@@ -154,11 +154,3 @@ func (p *Protocol) goodRebind(j *job) int {
 	j = &job{}
 	return j.step
 }
-
-// --- suppression ------------------------------------------------------------
-
-// allowedEscape demonstrates the justified escape hatch.
-func (p *Protocol) allowedEscape(sink *Sink, src []NodeID) {
-	v := p.carveIDs(src)
-	sink.slots = v //lint:allow arenaescape -- fixture: sink is drained before the generation flip
-}

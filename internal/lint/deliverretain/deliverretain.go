@@ -26,9 +26,6 @@
 // by-value struct whose memory-carrying fields have all been reassigned to
 // owned values (the intercluster.getState pattern) is clean. Scalar reads
 // (m.From, m.Epoch) never taint.
-//
-// Suppressions use `//lint:allow deliverretain -- reason` on the flagged
-// store.
 package deliverretain
 
 import (

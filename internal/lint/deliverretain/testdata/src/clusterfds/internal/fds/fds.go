@@ -37,7 +37,6 @@ func (p *Protocol) Handle(m wire.Message, from wire.NodeID) {
 		p.goodUpdate(msg)
 		p.badReport(nil, msg)
 		p.goodLocalWork(msg)
-		p.allowedRetain(msg)
 	case *wire.FailureReport:
 		p.goodReport(msg)
 		p.badClosure(msg)
@@ -131,11 +130,6 @@ func (p *Protocol) goodLocalWork(m *wire.HealthUpdate) int {
 	tmp := m.AllFailed
 	n += len(tmp)
 	return n
-}
-
-// allowedRetain demonstrates the justified escape hatch.
-func (p *Protocol) allowedRetain(m *wire.HealthUpdate) {
-	p.lastFailed = m.NewFailed //lint:allow deliverretain -- fixture: consumed synchronously before return
 }
 
 func use(ids []wire.NodeID) {}

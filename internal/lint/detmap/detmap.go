@@ -44,8 +44,6 @@
 // different winner).
 //
 // Everything else is reported, at the statement that leaks the order.
-// Deliberate, justified exceptions put `//lint:allow detmap -- reason` on
-// (or directly above) that statement.
 //
 // _test.go files are exempt: the invariant guards the simulator's own
 // event order, not the assertions around it.
@@ -195,7 +193,7 @@ func (c *checker) check() {
 	}
 	for _, p := range c.problems {
 		c.pass.Reportf(p.pos,
-			"map iteration order is observable here (%s); make the loop order-insensitive, sort the keys first, or add //lint:allow detmap -- reason",
+			"map iteration order is observable here (%s); make the loop order-insensitive or sort the keys first",
 			p.reason)
 	}
 }

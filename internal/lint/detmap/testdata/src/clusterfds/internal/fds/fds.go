@@ -189,11 +189,3 @@ func (p *proto) goodCommaOK(dst map[NodeID]int, boxed map[NodeID]any) int {
 	}
 	return n
 }
-
-// allowed demonstrates the escape hatch with a mandatory justification on
-// the flagged statement.
-func (p *proto) allowed(emit func(NodeID)) {
-	for id := range p.members {
-		emit(id) //lint:allow detmap -- fixture: emit is order-insensitive by construction
-	}
-}

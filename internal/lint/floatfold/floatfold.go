@@ -25,8 +25,6 @@
 // accumulates floating-point state into shared storage is flagged at the
 // call site (lint.PropagateCalls) — this is how `total.Combine(s)` inside
 // a range over partials fires without Combine itself being in a worker.
-//
-// Suppressions use `//lint:allow floatfold -- reason`.
 package floatfold
 
 import (

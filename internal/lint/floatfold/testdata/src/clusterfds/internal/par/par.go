@@ -147,12 +147,3 @@ func goodSortedFold(parts map[int]stat) stat {
 	}
 	return total
 }
-
-// --- suppression ------------------------------------------------------------
-
-// allowedMapFold demonstrates the justified escape hatch.
-func (e *engine) allowedMapFold(parts map[int]float64) {
-	for _, v := range parts {
-		e.sum += v //lint:allow floatfold -- fixture: values are exact powers of two, the fold is order-exact
-	}
-}

@@ -1,32 +1,20 @@
-// Package lint is the first-party static-analysis framework behind
-// cmd/fdslint. It mirrors the shape of golang.org/x/tools/go/analysis —
-// Analyzer / Pass / Diagnostic and an analysistest-style fixture runner
-// (package lintest) — but is implemented entirely on the standard library
+// Package lint is the repository's first-party static-analysis framework.
+// It mirrors the shape of golang.org/x/tools/go/analysis — Analyzer / Pass /
+// Diagnostic, with package lintest as loader and analysistest-style fixture
+// runner — but is implemented entirely on the standard library
 // (go/ast, go/parser, go/types), because this repository builds hermetically
 // with no module downloads. The API is kept deliberately close to
 // go/analysis so the analyzers could be ported onto the upstream framework
 // mechanically if a vendored x/tools ever becomes available.
 //
 // The analyzers in the sub-packages machine-check the simulator's
-// determinism and message-lifetime invariants:
+// determinism, message-lifetime and strip-isolation invariants (each
+// package's doc comment states its rule; DESIGN.md §9 has the table).
+// TestTree in this package runs all of them over every package of the
+// module, so `go test ./...` is the lint gate.
 //
-//   - walltime: no wall-clock time or global math/rand inside the
-//     deterministic (kernel-driven) packages.
-//   - detmap: no observable effects ordered by map iteration in the
-//     deterministic packages.
-//   - deliverretain: a message handed to radio.Receiver.Deliver (and to the
-//     node.Protocol.Handle fan-out under it) is valid only during the call;
-//     nothing reachable from it may be stored anywhere that outlives the
-//     call without a deep copy.
-//   - scratchalias: wire.DecodeScratch-backed values die at the next decode
-//     and sync.Pool values die at Put; neither may be used past that point.
-//
-// Every analyzer honors a single suppression form:
-//
-//	//lint:allow <analyzer> -- <justification>
-//
-// placed on the flagged line or the line directly above it. The
-// justification is mandatory; a bare //lint:allow is itself reported.
+// There is no suppression comment: a finding is fixed, or the analyzer is
+// strengthened until it can prove the flagged pattern safe.
 package lint
 
 import (
@@ -40,10 +28,9 @@ import (
 
 // An Analyzer describes one invariant check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //lint:allow comments. It must be a valid identifier.
+	// Name identifies the analyzer in diagnostics.
 	Name string
-	// Doc is the one-paragraph description printed by `fdslint help`.
+	// Doc is the one-paragraph description of the invariant.
 	Doc string
 	// Run applies the analyzer to a single type-checked package,
 	// reporting findings through pass.Report*.
@@ -95,8 +82,8 @@ func NewInfo() *types.Info {
 	}
 }
 
-// Run applies one analyzer to one unit, applies //lint:allow suppression,
-// and returns the surviving findings sorted by position.
+// Run applies one analyzer to one unit and returns its findings sorted by
+// position.
 func Run(a *Analyzer, u *Unit) ([]Diagnostic, error) {
 	pass := &Pass{
 		Analyzer:  a,
@@ -108,89 +95,8 @@ func Run(a *Analyzer, u *Unit) ([]Diagnostic, error) {
 	if err := a.Run(pass); err != nil {
 		return nil, err
 	}
-	diags := suppress(a.Name, u, pass.diags)
-	sort.SliceStable(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
-	return diags, nil
-}
-
-// allowDirective is one parsed //lint:allow comment.
-type allowDirective struct {
-	pos       token.Pos
-	analyzer  string
-	justified bool // has a non-empty "-- reason" suffix
-}
-
-const allowPrefix = "//lint:allow"
-
-// parseAllows scans a file's comments for //lint:allow directives.
-func parseAllows(f *ast.File) []allowDirective {
-	var out []allowDirective
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			text := c.Text
-			if !strings.HasPrefix(text, allowPrefix) {
-				continue
-			}
-			rest := strings.TrimSpace(text[len(allowPrefix):])
-			name, reason, found := strings.Cut(rest, "--")
-			// The analyzer name is the first token, so trailing commentary
-			// on an unjustified directive doesn't change what it names.
-			if fields := strings.Fields(name); len(fields) > 0 {
-				name = fields[0]
-			} else {
-				name = ""
-			}
-			d := allowDirective{pos: c.Pos(), analyzer: name}
-			if found && strings.TrimSpace(reason) != "" {
-				d.justified = true
-			}
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// suppress drops diagnostics covered by a justified //lint:allow <name>
-// directive on the same line or the line directly above, and reports
-// directives for this analyzer that lack a justification.
-func suppress(name string, u *Unit, diags []Diagnostic) []Diagnostic {
-	type fileLine struct {
-		file string
-		line int
-	}
-	allowed := make(map[fileLine]bool)
-	var extra []Diagnostic
-	for _, f := range u.Files {
-		for _, d := range parseAllows(f) {
-			if d.analyzer != name {
-				continue
-			}
-			if !d.justified {
-				extra = append(extra, Diagnostic{
-					Pos: d.pos,
-					Message: fmt.Sprintf(
-						"//lint:allow %s needs a justification: write %q",
-						name, allowPrefix+" "+name+" -- reason"),
-				})
-				continue
-			}
-			p := u.Fset.Position(d.pos)
-			// A directive covers its own line and the next one, so it
-			// works both as a trailing comment and on its own line above
-			// the flagged statement.
-			allowed[fileLine{p.Filename, p.Line}] = true
-			allowed[fileLine{p.Filename, p.Line + 1}] = true
-		}
-	}
-	var out []Diagnostic
-	for _, d := range diags {
-		p := u.Fset.Position(d.Pos)
-		if allowed[fileLine{p.Filename, p.Line}] {
-			continue
-		}
-		out = append(out, d)
-	}
-	return append(out, extra...)
+	sort.SliceStable(pass.diags, func(i, j int) bool { return pass.diags[i].Pos < pass.diags[j].Pos })
+	return pass.diags, nil
 }
 
 // deterministicDirs are the kernel-driven packages in which simulated time

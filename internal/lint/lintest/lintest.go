@@ -1,6 +1,10 @@
-// Package lintest is the analysistest-style fixture runner for the fdslint
-// analyzers. Fixtures live under <analyzer>/testdata/src/<importpath>/ and
-// annotate lines that must be flagged with trailing comments of the form
+// Package lintest loads and type-checks Go packages from source for the
+// analyzers in internal/lint, and runs them: over fixture packages with
+// expected findings (Run, Load) and over a whole source tree the way
+// `go vet ./...` walks one (Tree). It is the only loader the lint suite has.
+//
+// Fixtures live under <analyzer>/testdata/src/<importpath>/ and annotate
+// lines that must be flagged with trailing comments of the form
 //
 //	x = m // want `regexp`
 //
@@ -11,19 +15,19 @@
 //	x = someVeryLongExpression(a, b, c)
 //	// want `regexp`
 //
-// Run type-checks the fixture package — resolving imports first against
-// the fixture tree, then against the compiled standard library — runs the
-// analyzer through the framework's suppression filter, and fails the test
-// on any mismatch in either direction.
+// Run type-checks the fixture package, runs the analyzer, and fails the
+// test on any mismatch in either direction.
 package lintest
 
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -39,12 +43,7 @@ import (
 // applies the analyzer, comparing diagnostics against // want comments.
 func Run(t *testing.T, dir string, a *lint.Analyzer, pkgPaths ...string) {
 	t.Helper()
-	ld := &loader{
-		root: filepath.Join(dir, "src"),
-		fset: token.NewFileSet(),
-		pkgs: make(map[string]*pkgUnit),
-		std:  importer.Default(),
-	}
+	ld := newLoader(filepath.Join(dir, "src"), "")
 	for _, path := range pkgPaths {
 		path := path
 		t.Run(path, func(t *testing.T) {
@@ -53,11 +52,11 @@ func Run(t *testing.T, dir string, a *lint.Analyzer, pkgPaths ...string) {
 			if err != nil {
 				t.Fatalf("loading fixture %s: %v", path, err)
 			}
-			diags, err := lint.Run(a, u.unit())
+			diags, err := lint.Run(a, u)
 			if err != nil {
 				t.Fatalf("running %s on %s: %v", a.Name, path, err)
 			}
-			check(t, ld.fset, u, diags)
+			check(t, u, diags)
 		})
 	}
 }
@@ -68,84 +67,162 @@ func Run(t *testing.T, dir string, a *lint.Analyzer, pkgPaths ...string) {
 // against // want comments.
 func Load(t *testing.T, dir, pkgPath string) *lint.Unit {
 	t.Helper()
-	ld := &loader{
-		root: filepath.Join(dir, "src"),
-		fset: token.NewFileSet(),
-		pkgs: make(map[string]*pkgUnit),
-		std:  importer.Default(),
-	}
-	u, err := ld.load(pkgPath)
+	u, err := newLoader(filepath.Join(dir, "src"), "").load(pkgPath)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", pkgPath, err)
 	}
-	return u.unit()
+	return u
 }
 
-type pkgUnit struct {
-	fset  *token.FileSet
-	files []*ast.File
-	pkg   *types.Package
-	info  *types.Info
+// Tree type-checks every package directory at or below root, where root
+// holds the package whose import path is prefix, and returns the units
+// `go vet ./...` checks: per directory the package together with its
+// in-package test files, then the external _test package if there is one.
+// Like the go command it skips testdata and directories whose names begin
+// with "." or "_".
+func Tree(root, prefix string) ([]*lint.Unit, error) {
+	ld := newLoader(root, prefix)
+	var units []*lint.Unit
+	err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); dir != root && (name == "testdata" || name[0] == '.' || name[0] == '_') {
+			return filepath.SkipDir
+		}
+		if goFiles, _ := filepath.Glob(filepath.Join(dir, "*.go")); len(goFiles) == 0 {
+			return nil
+		}
+		rel, err := filepath.Rel(root, dir)
+		if err != nil {
+			return err
+		}
+		us, err := ld.vetUnits(filepath.ToSlash(filepath.Join(prefix, rel)), dir)
+		units = append(units, us...)
+		return err
+	})
+	return units, err
 }
 
-func (u *pkgUnit) unit() *lint.Unit {
-	return &lint.Unit{Fset: u.fset, Files: u.files, Pkg: u.pkg, Info: u.info}
-}
-
-// loader type-checks fixture packages, resolving imports against the
-// fixture tree first and the standard library second.
+// loader type-checks packages from source. An import path at or under
+// prefix resolves to the matching directory below root when that directory
+// exists; every other import resolves to the standard library.
 type loader struct {
-	root string
-	fset *token.FileSet
-	pkgs map[string]*pkgUnit
-	std  types.Importer
-	src  types.Importer
+	root, prefix string
+	fset         *token.FileSet
+	pkgs         map[string]*lint.Unit // non-test packages, by import path
+	std, src     types.Importer
 }
 
-func (l *loader) load(path string) (*pkgUnit, error) {
+func newLoader(root, prefix string) *loader {
+	return &loader{
+		root:   root,
+		prefix: prefix,
+		fset:   token.NewFileSet(),
+		pkgs:   make(map[string]*lint.Unit),
+		std:    importer.Default(),
+	}
+}
+
+// dir maps an import path to its source directory below root.
+func (l *loader) dir(path string) (string, bool) {
+	rel, ok := strings.CutPrefix(path, l.prefix)
+	if !ok || (l.prefix != "" && rel != "" && rel[0] != '/') {
+		return "", false
+	}
+	dir := filepath.Join(l.root, filepath.FromSlash(rel))
+	st, err := os.Stat(dir)
+	return dir, err == nil && st.IsDir()
+}
+
+// load returns the non-test package at path — what an import of it sees.
+func (l *loader) load(path string) (*lint.Unit, error) {
 	if u, ok := l.pkgs[path]; ok {
 		return u, nil
 	}
-	dir := filepath.Join(l.root, filepath.FromSlash(path))
-	entries, err := os.ReadDir(dir)
+	dir, ok := l.dir(path)
+	if !ok {
+		return nil, fmt.Errorf("no source directory for %s under %s", path, l.root)
+	}
+	bp, err := build.ImportDir(dir, 0)
 	if err != nil {
 		return nil, err
 	}
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
+	u, err := l.check(path, dir, bp.GoFiles, l)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[path] = u
+	return u, nil
+}
+
+// vetUnits returns the units of the package directory dir, whose import
+// path is path, as `go vet` forms them. The external test package is checked against the in-package test
+// variant, not the plain package, so it sees what export_test.go declares.
+func (l *loader) vetUnits(path, dir string) ([]*lint.Unit, error) {
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	var under *lint.Unit
+	if len(bp.TestGoFiles) == 0 {
+		under, err = l.load(path)
+	} else {
+		under, err = l.check(path, dir, append(bp.GoFiles, bp.TestGoFiles...), l)
+	}
+	if err != nil {
+		return nil, err
+	}
+	units := []*lint.Unit{under}
+	if len(bp.XTestGoFiles) > 0 {
+		x, err := l.check(path+"_test", dir, bp.XTestGoFiles, importerFunc(func(p string) (*types.Package, error) {
+			if p == path {
+				return under.Pkg, nil
+			}
+			return l.Import(p)
+		}))
+		if err != nil {
+			return nil, err
 		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
+		units = append(units, x)
+	}
+	return units, nil
+}
+
+// check parses the named files of dir and type-checks them as one package.
+func (l *loader) check(path, dir string, names []string, imp types.Importer) (*lint.Unit, error) {
+	if len(names) == 0 {
+		return nil, fmt.Errorf("no .go files in %s", dir)
+	}
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
 	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no .go files in %s", dir)
-	}
 	info := lint.NewInfo()
-	conf := &types.Config{Importer: (*fixtureImporter)(l)}
+	conf := &types.Config{Importer: imp}
 	pkg, err := conf.Check(path, l.fset, files, info)
 	if err != nil {
 		return nil, err
 	}
-	u := &pkgUnit{fset: l.fset, files: files, pkg: pkg, info: info}
-	l.pkgs[path] = u
-	return u, nil
+	return &lint.Unit{Fset: l.fset, Files: files, Pkg: pkg, Info: info}, nil
 }
 
-type fixtureImporter loader
+type importerFunc func(path string) (*types.Package, error)
 
-func (fi *fixtureImporter) Import(path string) (*types.Package, error) {
-	l := (*loader)(fi)
-	if _, err := os.Stat(filepath.Join(l.root, filepath.FromSlash(path))); err == nil {
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// Import implements types.Importer.
+func (l *loader) Import(path string) (*types.Package, error) {
+	if _, ok := l.dir(path); ok {
 		u, err := l.load(path)
 		if err != nil {
 			return nil, err
 		}
-		return u.pkg, nil
+		return u.Pkg, nil
 	}
 	pkg, err := l.std.Import(path)
 	if err != nil {
@@ -160,7 +237,7 @@ func (fi *fixtureImporter) Import(path string) (*types.Package, error) {
 }
 
 // wantRe extracts the quoted patterns of a // want comment.
-var wantRe = regexp.MustCompile("//\\s*want\\s+((?:(?:`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\")\\s*)+)")
+var wantRe = regexp.MustCompile("^//\\s*want\\s+((?:(?:`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\")\\s*)+)")
 
 var patRe = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
 
@@ -172,18 +249,13 @@ type expectation struct {
 	hit  bool
 }
 
-func check(t *testing.T, fset *token.FileSet, u *pkgUnit, diags []lint.Diagnostic) {
+func check(t *testing.T, u *lint.Unit, diags []lint.Diagnostic) {
 	t.Helper()
 	srcLines := make(map[string][]string)
 	// wantLine resolves which source line a want comment annotates: its own
-	// line for a trailing comment, the line above for a pure `// want ...`
-	// comment that is the only thing on its line. Comments that merely embed
-	// a want after other text (a //lint:allow directive under test) stay on
-	// their own line — the directive itself is what gets diagnosed there.
-	wantLine := func(pos token.Position, text string) int {
-		if !strings.HasPrefix(strings.TrimSpace(strings.TrimPrefix(text, "//")), "want") {
-			return pos.Line
-		}
+	// line for a trailing comment, the line above for a comment that is the
+	// only thing on its line.
+	wantLine := func(pos token.Position) int {
 		lines, ok := srcLines[pos.Filename]
 		if !ok {
 			data, err := os.ReadFile(pos.Filename)
@@ -202,14 +274,14 @@ func check(t *testing.T, fset *token.FileSet, u *pkgUnit, diags []lint.Diagnosti
 		return pos.Line
 	}
 	var wants []*expectation
-	for _, f := range u.files {
+	for _, f := range u.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				m := wantRe.FindStringSubmatch(c.Text)
 				if m == nil {
 					continue
 				}
-				pos := fset.Position(c.Pos())
+				pos := u.Fset.Position(c.Pos())
 				for _, q := range patRe.FindAllString(m[1], -1) {
 					pat, err := strconv.Unquote(q)
 					if err != nil {
@@ -220,7 +292,7 @@ func check(t *testing.T, fset *token.FileSet, u *pkgUnit, diags []lint.Diagnosti
 						t.Fatalf("%s: bad want regexp %q: %v", pos, pat, err)
 					}
 					wants = append(wants, &expectation{
-						file: pos.Filename, line: wantLine(pos, c.Text), re: re, raw: pat,
+						file: pos.Filename, line: wantLine(pos), re: re, raw: pat,
 					})
 				}
 			}
@@ -233,7 +305,7 @@ func check(t *testing.T, fset *token.FileSet, u *pkgUnit, diags []lint.Diagnosti
 		return wants[i].line < wants[j].line
 	})
 	for _, d := range diags {
-		pos := fset.Position(d.Pos)
+		pos := u.Fset.Position(d.Pos)
 		matched := false
 		for _, w := range wants {
 			if w.hit || w.file != pos.Filename || w.line != pos.Line {

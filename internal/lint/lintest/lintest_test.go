@@ -9,8 +9,8 @@ import (
 )
 
 // probe flags every ++/-- statement: a minimal analyzer for exercising the
-// runner itself — multi-file fixtures, want-comment placement, and the
-// //lint:allow edge cases — independent of any real invariant.
+// runner itself — multi-file fixtures and want-comment placement —
+// independent of any real invariant.
 var probe = &lint.Analyzer{
 	Name: "probe",
 	Doc:  "flag every increment/decrement statement (lintest self-test)",
@@ -32,12 +32,4 @@ var probe = &lint.Analyzer{
 // its line attaches to the line above.
 func TestMultiFileFixture(t *testing.T) {
 	lintest.Run(t, "testdata", probe, "probefix")
-}
-
-// TestAllowPlacement covers the suppression edge cases: a justified
-// directive trailing the flagged line, a justified directive on the
-// preceding line, and the bare form — which suppresses nothing and is
-// itself reported.
-func TestAllowPlacement(t *testing.T) {
-	lintest.Run(t, "testdata", probe, "allowfix")
 }

@@ -24,8 +24,6 @@
 // Receiver-state guards are recognized as indexing a bool-element
 // container with anything other than the subject. Draws with no subject
 // (a bare *rand.Rand parameter) are only held to the map-order rule.
-//
-// Suppressions use `//lint:allow rngdraw -- reason`.
 package rngdraw
 
 import (

@@ -108,12 +108,3 @@ func (e *engine) goodSubjectless(r *rand.Rand, m int) float64 {
 	}
 	return r.Float64()
 }
-
-// --- suppression ------------------------------------------------------------
-
-// allowedMapDraw demonstrates the justified escape hatch.
-func (e *engine) allowedMapDraw(pend map[int]bool) {
-	for i := range pend {
-		e.rng[i].Uint64() //lint:allow rngdraw -- fixture: draws feed a statistic, not event order
-	}
-}

@@ -18,7 +18,7 @@
 // The retention analysis is shared with deliverretain (see the lint
 // package's TaintEngine): taint starts at DecodeInto results instead of
 // handler parameters, and follows the same aliasing, copying, and
-// cleansing rules. Suppressions use `//lint:allow scratchalias -- reason`.
+// cleansing rules.
 package scratchalias
 
 import (

@@ -77,9 +77,3 @@ func (m *Medium) goodPut(b *[]byte) int {
 	b = m.pool.Get().(*[]byte)
 	return len(*b)
 }
-
-// allowedRetain demonstrates the justified escape hatch.
-func (m *Medium) allowedRetain(buf []byte) {
-	decoded, _ := wire.DecodeInto(m.scratch, buf)
-	m.lastMsg = decoded //lint:allow scratchalias -- fixture: cleared before the next decode on this scratch
-}

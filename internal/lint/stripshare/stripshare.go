@@ -33,8 +33,6 @@
 //     element type is a named strip/shard struct are held to this rule —
 //     flat per-host rows like the []uint64 liveness bitsets are addressed
 //     as row+bit arithmetic legitimately.
-//
-// Suppressions use `//lint:allow stripshare -- reason`.
 package stripshare
 
 import (

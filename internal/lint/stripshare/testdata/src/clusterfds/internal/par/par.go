@@ -174,12 +174,3 @@ func (e *engine) goodSerial() {
 		e.strips[0].sends += e.strips[w].sends
 	}
 }
-
-// --- suppression ------------------------------------------------------------
-
-// allowedShared demonstrates the justified escape hatch.
-func (e *engine) allowedShared(flag *bool) {
-	go func() {
-		*flag = true //lint:allow stripshare -- fixture: set-once flag, read only after the barrier
-	}()
-}

@@ -39,14 +39,3 @@ func goodTime() time.Duration {
 	_ = t0
 	return 3 * time.Second
 }
-
-// allowed shows the escape hatch: a justified //lint:allow suppresses.
-func allowed() {
-	time.Sleep(time.Millisecond) //lint:allow walltime -- fixture: demonstrating the suppression path
-}
-
-// unjustified shows a bare allow being itself reported.
-func unjustified() {
-	//lint:allow walltime  // want `needs a justification`
-	time.Sleep(time.Millisecond) // want `time\.Sleep in deterministic package`
-}

@@ -77,9 +77,9 @@ type Medium struct {
 
 	// hosts is the dense table of attached hosts in attach order; a host's
 	// index in it — its slot — is what the grid stores and what a delivery
-	// record carries, so the fan-out path resolves receiver, decode scratch
-	// and NID with one indexed load. slotOf maps a NID to its slot for the
-	// per-call entry points (Send's sender, UpdatePos).
+	// record carries, so the fan-out path resolves receiver and NID with one
+	// indexed load. slotOf maps a NID to its slot for the per-call entry
+	// points (Send's sender, UpdatePos).
 	hosts  []host
 	slotOf map[wire.NodeID]uint32
 	grid   *grid
@@ -118,6 +118,10 @@ type Medium struct {
 	// kernel is single-threaded and the buffer is never held across a
 	// scheduled callback, so plain reuse is safe.
 	nearScratch []uint32
+	// scratch backs every delivery's decoded message. One suffices: a
+	// decoded message is valid only during Deliver, and deliveries never
+	// nest (a receiver that sends from inside Deliver only schedules).
+	scratch *wire.DecodeScratch
 
 	// txFree pools transmissions between broadcasts. maxFan is the largest
 	// in-range count any Send has seen: a transmission's item slice is made
@@ -128,15 +132,14 @@ type Medium struct {
 }
 
 // host is one attached receiver's row in the dense table. Each delivery
-// decodes the transmission into the receiver's own scratch, so no state is
-// ever shared between hosts (transmission cannot alias memory, paper Section
-// 2.2) and steady-state delivery allocates nothing. The message handed to
-// Deliver is valid only for the duration of the call; receivers that keep
-// any part of it must copy.
+// decodes the transmission's bytes afresh into the medium's scratch, so no
+// receiver ever sees memory another one was handed (transmission cannot
+// alias memory, paper Section 2.2) and steady-state delivery allocates
+// nothing. The message handed to Deliver is valid only for the duration of
+// the call; receivers that keep any part of it must copy.
 type host struct {
-	rcv     Receiver
-	scratch *wire.DecodeScratch
-	id      wire.NodeID
+	rcv Receiver
+	id  wire.NodeID
 }
 
 // txBuf is one transmission in flight: the encoded bytes and the sorted
@@ -202,6 +205,7 @@ func New(kernel *sim.Kernel, params Params, opts ...Option) *Medium {
 		grid:     newGrid(params.Range),
 		linkLoss: make(map[[2]wire.NodeID]float64),
 		silenced: make(map[wire.NodeID]bool),
+		scratch:  wire.NewDecodeScratch(),
 	}
 	m.energy = transport.NewMeter(transport.EnergyParams{
 		TxBaseCost:    params.TxBaseCost,
@@ -262,7 +266,7 @@ func (m *Medium) Attach(r Receiver) {
 		panic(fmt.Sprintf("radio: duplicate NID %v", id))
 	}
 	slot := uint32(len(m.hosts))
-	m.hosts = append(m.hosts, host{rcv: r, scratch: wire.NewDecodeScratch(), id: id})
+	m.hosts = append(m.hosts, host{rcv: r, id: id})
 	m.slotOf[id] = slot
 	m.grid.insert(slot, r.Pos())
 	m.energy.Track(id)
@@ -380,7 +384,7 @@ func (m *Medium) Send(from wire.NodeID, msg wire.Message) {
 	}
 
 	// Encode once into a pooled transmission shared by every delivery. Each
-	// delivery decodes the bytes at reception time into the receiver's own
+	// delivery decodes the bytes at reception time into the medium's
 	// scratch, so hosts never share message memory and the whole path —
 	// encode, schedule, decode, dispatch — reuses pooled storage in steady
 	// state. The item slice is sized once (see maxFan).
@@ -428,7 +432,7 @@ func (m *Medium) Send(from wire.NodeID, msg wire.Message) {
 }
 
 // receive completes one reception of a transmission: charge, count, decode
-// into the receiver's scratch, dispatch. The decoded message is valid only
+// into the medium's scratch, dispatch. The decoded message is valid only
 // during the Deliver call (see host). The transmission is recycled after the
 // last reception's Deliver has returned, so a receiver that sends from
 // inside it draws a different txBuf. (A plain function, not a method value:
@@ -440,7 +444,7 @@ func receive(arg any, it sim.RunItem) {
 	if h.rcv.Operational() {
 		m.chargeRx(h.id, tb.size)
 		tb.rxc.Add(1)
-		decoded, err := wire.DecodeInto(h.scratch, tb.buf)
+		decoded, err := wire.DecodeInto(m.scratch, tb.buf)
 		if err != nil {
 			// The medium never corrupts messages (paper Section 2.2);
 			// a decode failure is a codec bug.

@@ -172,7 +172,8 @@ type World struct {
 	aggs    map[wire.NodeID]*aggregate.Protocol
 	nextNID wire.NodeID
 
-	crashedAt      map[wire.NodeID]sim.Time
+	crashSched     map[wire.NodeID]bool                     // hosts with a crash scheduled, fired or not
+	crashedAt      map[wire.NodeID]sim.Time                 // when each crash fired
 	firstSuspected map[wire.NodeID]map[wire.NodeID]sim.Time // subject -> observer -> time
 
 	// metrics is the world's registry, shared with the medium (per-kind
@@ -210,6 +211,7 @@ func Build(cfg Config) *World {
 		fdss:           make(map[wire.NodeID]*fds.Protocol),
 		aggs:           make(map[wire.NodeID]*aggregate.Protocol),
 		nextNID:        1,
+		crashSched:     make(map[wire.NodeID]bool),
 		crashedAt:      make(map[wire.NodeID]sim.Time),
 		firstSuspected: make(map[wire.NodeID]map[wire.NodeID]sim.Time),
 	}
@@ -388,6 +390,7 @@ func (w *World) CrashAt(at sim.Time, id wire.NodeID) {
 	if !ok {
 		panic(fmt.Sprintf("scenario: no host %v", id))
 	}
+	w.crashSched[id] = true
 	w.Kernel.At(at, func() {
 		if !h.Crashed() {
 			h.Crash()
@@ -396,32 +399,30 @@ func (w *World) CrashAt(at sim.Time, id wire.NodeID) {
 	})
 }
 
-// CrashRandomAt schedules count crashes of distinct, currently scheduled-
-// alive hosts at the given time, chosen deterministically from the seed.
+// CrashRandomAt schedules count crashes at the given time, of distinct
+// hosts that are alive and have no crash scheduled yet, chosen
+// deterministically from the seed. Scheduled hosts are passed over after
+// the shuffle, not left out of it, so the shuffle spends the same draws
+// whether or not earlier waves are still pending.
 func (w *World) CrashRandomAt(at sim.Time, count int) []wire.NodeID {
 	candidates := make([]wire.NodeID, 0, len(w.order))
-	scheduled := make(map[wire.NodeID]bool, len(w.crashedAt))
-	for id := range w.crashedAt {
-		scheduled[id] = true
-	}
 	for _, id := range w.order {
-		if !scheduled[id] && !w.hosts[id].Crashed() {
+		if !w.hosts[id].Crashed() {
 			candidates = append(candidates, id)
 		}
 	}
 	w.Kernel.Rand().Shuffle(len(candidates), func(i, j int) {
 		candidates[i], candidates[j] = candidates[j], candidates[i]
 	})
-	if count > len(candidates) {
-		count = len(candidates)
+	picked := candidates[:0] // filtered in place: writes trail reads
+	for _, id := range candidates {
+		if len(picked) < count && !w.crashSched[id] {
+			picked = append(picked, id)
+			w.CrashAt(at, id)
+		}
 	}
-	picked := candidates[:count]
-	for _, id := range picked {
-		w.CrashAt(at, id)
-	}
-	sorted := append([]wire.NodeID(nil), picked...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted
+	sort.Slice(picked, func(i, j int) bool { return picked[i] < picked[j] })
+	return picked
 }
 
 // DeployAt schedules a replenishment host to appear at pos at the given

@@ -57,6 +57,24 @@ func TestCrashDetectedAndDisseminated(t *testing.T) {
 	}
 }
 
+// TestCrashWavesScheduledUpFrontAreDisjoint: two waves of k scheduled before
+// the run crash 2k distinct hosts. A wave used to exclude only hosts whose
+// crash had already fired, so a second up-front wave could name a victim of
+// the first and then crash fewer hosts than it reported.
+func TestCrashWavesScheduledUpFrontAreDisjoint(t *testing.T) {
+	const k = 5
+	for seed := int64(1); seed <= 40; seed++ {
+		w := Build(Config{Seed: seed, Nodes: 20, FieldSide: 200})
+		timing := w.Config().Timing
+		first := w.CrashRandomAt(timing.EpochStart(1)+timing.Interval/2, k)
+		second := w.CrashRandomAt(timing.EpochStart(2)+timing.Interval/2, k)
+		w.RunEpochs(3)
+		if crashed := 20 - len(w.Operational()); len(first) != k || len(second) != k || crashed != 2*k {
+			t.Errorf("seed %d: waves %v and %v crashed %d hosts, want %d", seed, first, second, crashed, 2*k)
+		}
+	}
+}
+
 func TestGossipStack(t *testing.T) {
 	w := Build(Config{
 		Seed: 3, Nodes: 30, FieldSide: 300, Stack: StackGossip,

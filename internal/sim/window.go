@@ -27,7 +27,7 @@ import (
 // it may touch only its own lane's state; given that, the sequence of
 // (lane, end) drains per lane and of barrier calls is the same at every
 // worker count, which is what makes the engines' results independent of it.
-// The fdslint stripshare and floatfold analyzers treat the function passed as
+// The lint stripshare and floatfold analyzers treat the function passed as
 // drain as a worker region (lint.GoReachable).
 func RunWindows(lanes, workers int, span, limit Time,
 	next func(lane int) (Time, bool),

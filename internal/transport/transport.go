@@ -18,7 +18,7 @@
 // internal/wire bytes, so a protocol binary-level conformance harness
 // (internal/conformance) can assert that the state machines behave
 // identically regardless of which backend feeds them. The
-// fdslint walltime analyzer polices this boundary mechanically: inside the
+// lint walltime analyzer polices this boundary mechanically: inside the
 // deterministic packages the only legal clock is a Clock and the only legal
 // randomness is a seeded Rand.
 package transport

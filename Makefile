@@ -1,21 +1,21 @@
 GO ?= go
 
-.PHONY: check vet lint fmt-check build test race benchsmoke benchcmp scale-smoke baseline-smoke par-smoke fuzz-smoke conformance bench bench-e2e fmt
+.PHONY: check vet lint fmt-check build test race benchsmoke benchcmp scale-smoke baseline-smoke fuzz-smoke conformance bench bench-e2e fmt
 
 ## check: the pre-PR gate. Run this before sending any change for review.
 ## CI (.github/workflows/ci.yml) runs the same gates, one named step each.
 ## No gate runs twice: `test` already covers the lint gate, the analyzers'
 ## fixtures, the live-transport smoke and the conformance suite, so the
 ## `lint` and `conformance` aliases below are not prerequisites.
-check: vet fmt-check build test race benchsmoke benchcmp scale-smoke baseline-smoke par-smoke fuzz-smoke
+check: vet fmt-check build test race benchsmoke benchcmp scale-smoke baseline-smoke fuzz-smoke
 	@echo "check: all gates passed"
 
 vet:
 	$(GO) vet ./...
 
 ## lint: the repo's own analyzers alone — walltime, detmap, deliverretain,
-## scratchalias, arenaescape, floatfold, stripshare, rngdraw — over every
-## package of the module, plus their fixtures. A convenience alias: these
+## scratchalias, arenaescape, rngdraw — over every package of the module,
+## plus their fixtures. A convenience alias: these
 ## are ordinary tests under ./internal/lint/ and `make test` runs them. See
 ## DESIGN.md "Determinism & lifetime invariants".
 lint:
@@ -90,19 +90,6 @@ baseline-smoke:
 	echo "$$a"; \
 	if [ "$$a" != "$$b" ]; then echo "baseline-smoke: HASH MISMATCH between -workers 1 and -workers 4:"; echo "$$b"; exit 1; fi; \
 	echo "baseline-smoke: 1-worker and 4-worker matrix hashes identical"
-
-## par-smoke: the intra-replica parallel engine's determinism gate at a
-## scale the unit tests don't reach: a 300-node crash wave, run with
-## -epoch-workers 1 and again with -epoch-workers 4, must print a
-## bit-identical trace hash. See EXPERIMENTS.md "Intra-replica cluster
-## parallelism".
-par-smoke:
-	$(GO) build -o bin/fdsim ./cmd/fdsim
-	@a="$$(bin/fdsim -epoch-workers 1 -nodes 300 -field 900 -crashes 8 -crash-epoch 3 -epochs 8 -seed 42 | grep 'trace hash:')"; \
-	b="$$(bin/fdsim -epoch-workers 4 -nodes 300 -field 900 -crashes 8 -crash-epoch 3 -epochs 8 -seed 42 | grep 'trace hash:')"; \
-	echo "$$a"; \
-	if [ "$$a" != "$$b" ]; then echo "par-smoke: HASH MISMATCH between -epoch-workers 1 and -epoch-workers 4:"; echo "$$b"; exit 1; fi; \
-	echo "par-smoke: 1-worker and 4-worker trace hashes identical"
 
 ## fuzz-smoke: a short native-fuzz pass over the wire codec's two targets
 ## (FuzzDecode: Decode vs DecodeInto differential on hostile bytes;

@@ -396,7 +396,7 @@ func runSharded(cfg scenario.Config, shards, workers, epochs, crashes, crashEpoc
 // runParallel drives the intra-replica parallel engine (internal/par): the
 // production cluster stack partitioned into field strips and drained by a
 // conservative-window worker pool. The printed trace hash is bit-identical at
-// every -epoch-workers value; the par-smoke gate greps stdout for it.
+// every -epoch-workers value (TestGoldenParallelTraceHash pins it at 1, 2, 4).
 func runParallel(cfg par.Config, epochs, crashes, crashEpoch int) {
 	buildStart := time.Now()
 	p := par.Build(cfg)

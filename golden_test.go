@@ -123,3 +123,37 @@ func TestGoldenParallelTraceHash(t *testing.T) {
 		}
 	}
 }
+
+// TestRunEpochsToVersusMore pins the two engines' opposite readings of the
+// same method name: scenario.World.RunEpochs(n) runs TO epoch n,
+// par.Engine.RunEpochs(n) runs n MORE epochs. Both reject a negative count,
+// which the world used to wrap into a silent no-op and the strip engine into
+// a horizon at the end of time.
+func TestRunEpochsToVersusMore(t *testing.T) {
+	w := scenario.Build(scenario.Config{Seed: 1, Nodes: 10, FieldSide: 100})
+	p := par.Build(par.Config{Seed: 1, Nodes: 10, FieldSide: 100})
+	interval := w.Config().Timing.Interval
+	for _, n := range []int{3, 5} {
+		w.RunEpochs(n)
+		p.RunEpochs(n)
+	}
+	if got, want := w.Kernel.Now(), 5*interval; got != want {
+		t.Errorf("World after RunEpochs(3), RunEpochs(5): now = %d, want %d (epoch 5)", got, want)
+	}
+	if got, want := p.Now(), 8*interval; got != want {
+		t.Errorf("par.Engine after RunEpochs(3), RunEpochs(5): now = %d, want %d (epoch 8)", got, want)
+	}
+	for name, run := range map[string]func(){
+		"World":      func() { w.RunEpochs(-1) },
+		"par.Engine": func() { p.RunEpochs(-1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s.RunEpochs(-1) did not panic", name)
+				}
+			}()
+			run()
+		}()
+	}
+}

@@ -5,8 +5,8 @@
 // fact, and only on the one scenario it pins. This analyzer catches the
 // bug class at compile time: inside internal/{sim,fds,radio,cluster,
 // intercluster,membership,sleep,mobility,scenario,montecarlo}, a `for k :=
-// range m` over a map must be provably order-insensitive, sort its keys
-// before acting on them, or carry an explicit justification.
+// range m` over a map must be provably order-insensitive or sort its keys
+// before acting on them.
 //
 // A loop body is accepted as order-insensitive when every statement is one
 // of:
@@ -37,11 +37,15 @@
 //
 // An expression is iteration-pure when it reads only loop variables,
 // loop-invariant state, and constants — never a variable the loop itself
-// assigns. Early exits (break / return) are accepted only for pure
-// existence checks: a body with no other effects that exits from a single
-// site, either returning constants or guarded by an equality test on the
-// range key (at most one key can match, so iteration order cannot pick a
-// different winner).
+// assigns. A call anywhere in the body, in statement or in expression
+// position (`_ = f()`, `x := f()`, `if f() {`), must be a conversion, a
+// builtin, one of the commutative methods above, or one of the read-only
+// accessors in queryMethods; the analyzer does not look into callees, so
+// any other call may schedule, draw or emit in map order. Early exits
+// (break / return) are accepted only for pure existence checks: a body with
+// no other effects that exits from a single site, either returning
+// constants or guarded by an equality test on the range key (at most one
+// key can match, so iteration order cannot pick a different winner).
 //
 // Everything else is reported, at the statement that leaks the order.
 //
@@ -156,6 +160,9 @@ func (c *checker) check() {
 	c.collectAssigned(c.rng.Body)
 	// Pass 2: classify statements.
 	c.block(c.rng.Body, false)
+	// Pass 3: calls in expression position, which pass 2's purity test
+	// (identifiers only) does not look at.
+	c.exprCalls(c.rng.Body)
 	// Early-exit policy.
 	if len(c.exits) > 0 {
 		if c.hasWrites {
@@ -362,12 +369,9 @@ func (c *checker) exprStmt(st *ast.ExprStmt) {
 	// iteration-pure arguments. These are the bitset/metrics idioms the
 	// dense-state rewrite introduced.
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		switch sel.Sel.Name {
-		case "Set", "Unset", "Add", "Insert", "Delete", "Remove", "Clear", "Observe":
-			if c.pure(sel.X) && c.allPure(call.Args) {
-				c.hasWrites = true
-				return
-			}
+		if commutativeMethods[sel.Sel.Name] && c.pure(sel.X) && c.allPure(call.Args) {
+			c.hasWrites = true
+			return
 		}
 	}
 	c.problems = append(c.problems, problem{st.Pos(), "call whose effect the analyzer cannot prove order-insensitive"})
@@ -757,6 +761,57 @@ func (c *checker) pure(e ast.Expr) bool {
 		return true
 	})
 	return pure
+}
+
+// commutativeMethods are the set/counter verbs whose effect does not depend
+// on the order of calls with distinct arguments (bitset, map-set and metrics
+// idioms). Like queryMethods, matched by name.
+var commutativeMethods = map[string]bool{
+	"Set": true, "Unset": true, "Add": true, "Insert": true,
+	"Delete": true, "Remove": true, "Clear": true, "Observe": true,
+}
+
+// queryMethods are the read-only accessors the tree's map ranges call in
+// conditions and arguments: node.Host.ID and Crashed, the detectors'
+// IsSuspected, strings.HasPrefix, time.Duration.Seconds.
+var queryMethods = map[string]bool{
+	"ID": true, "Crashed": true, "IsSuspected": true, "HasPrefix": true, "Seconds": true,
+}
+
+// exprCalls reports every call in expression position — `_ = f()`,
+// `x := f()`, `if f() {`, an argument — whose callee is not known to be
+// free of order-observable effects: a conversion, a builtin other than
+// copy, or a method on one of the two name lists. Any other callee may
+// schedule, draw or emit, and the analyzer does not look into it. A call
+// that is a statement of its own is exprStmt's.
+func (c *checker) exprCalls(body *ast.BlockStmt) {
+	info := c.pass.TypesInfo
+	stmtCall := make(map[*ast.CallExpr]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.ExprStmt:
+			if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok {
+				stmtCall[call] = true
+			}
+		case *ast.CallExpr:
+			if stmtCall[n] || info.Types[n.Fun].IsType() {
+				return true
+			}
+			switch fun := ast.Unparen(n.Fun).(type) {
+			case *ast.Ident:
+				if _, isBuiltin := info.Uses[fun].(*types.Builtin); isBuiltin && fun.Name != "copy" {
+					return true
+				}
+			case *ast.SelectorExpr:
+				if commutativeMethods[fun.Sel.Name] || queryMethods[fun.Sel.Name] {
+					return true
+				}
+			}
+			c.problems = append(c.problems, problem{n.Pos(), "call whose effect the analyzer cannot prove order-insensitive"})
+			return false // one finding for w.Kernel.Rand().Intn(2), not two
+		}
+		return true
+	})
 }
 
 // sortedLater reports whether the collector object is passed to a sort call

@@ -37,6 +37,28 @@ func (p *proto) badEmit(emit func(NodeID)) {
 	}
 }
 
+// badHiddenCall: a call in expression position is as effectful as the same
+// call standing alone — discarding or binding its result hides nothing.
+func (p *proto) badHiddenCall(deploy func(NodeID) int) {
+	for id := range p.members {
+		_ = deploy(id)      // want `call whose effect the analyzer cannot prove order-insensitive`
+		x := deploy(id)     // want `call whose effect the analyzer cannot prove order-insensitive`
+		if x > deploy(id) { // want `call whose effect the analyzer cannot prove order-insensitive`
+			continue
+		}
+	}
+}
+
+// badDraw consumes a random stream in map order (the rule rngdraw held
+// until detmap learned to look at calls in expressions).
+func (p *proto) badDraw(rng interface{ Intn(int) int }) int {
+	n := 0
+	for range p.members {
+		n += rng.Intn(2) // want `call whose effect the analyzer cannot prove order-insensitive`
+	}
+	return n
+}
+
 // badFloatSum: FP addition is not associative.
 func (p *proto) badFloatSum(w map[NodeID]float64) float64 {
 	var sum float64
@@ -146,6 +168,19 @@ func (p *proto) goodMinMax() NodeID {
 		lo = min(lo, id)
 	}
 	return lo
+}
+
+// goodQueryCalls: conversions, builtins and the named read-only accessors
+// may appear in conditions and arguments.
+func (p *proto) goodQueryCalls(self interface{ ID() NodeID }) []NodeID {
+	var out []NodeID
+	for id, on := range p.members {
+		if id != self.ID() && uint32(id) < uint32(len(p.order)) && on {
+			out = append(out, id)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }
 
 // badSelfInsert grows the map being ranged: the spec leaves it unspecified

@@ -6,26 +6,17 @@ import (
 	"go/types"
 )
 
-// This file is the interprocedural layer under the PR's four
-// ownership/determinism analyzers. The base TaintEngine is intra-procedural:
-// it follows a tainted value through one function body and reports stores
-// that outlive the value's window, but a store hidden behind one helper call
-// is invisible to it — `p.cache.keep(p.arena.carve(n))` looks like a
-// harmless synchronous call. The layer closes that hole with three pieces:
-//
-//   - Summarize: per-function, per-input retention summaries ({escapes
-//     globally, stored into another input's object graph, flows to a
-//     return}) computed over the package-local call graph to a fixpoint.
-//     Analyzers consult the summary at the call site (via the engine's
-//     OnCallTaint/ReturnsTaintCall hooks) and report there, where the
-//     arena value actually leaks.
-//   - GoReachable: the set of function bodies that may execute on a
-//     spawned goroutine — `go` statement operands and the drain function
-//     handed to sim.RunWindows, closed over direct in-package calls and
-//     referenced function values/closures.
-//   - PropagateCalls: transitive closure of a per-function boolean
-//     property (e.g. "accumulates floating-point state") over the same
-//     call graph.
+// This file is the interprocedural layer under arenaescape. The base
+// TaintEngine is intra-procedural: it follows a tainted value through one
+// function body and reports stores that outlive the value's window, but a
+// store hidden behind one helper call is invisible to it —
+// `p.cache.keep(p.arena.carve(n))` looks like a harmless synchronous call.
+// Summarize closes that hole: per-function, per-input retention summaries
+// ({escapes globally, stored into another input's object graph, flows to a
+// return}) computed over the package-local call graph to a fixpoint. The
+// analyzer consults the summary at the call site (via the engine's
+// OnCallTaint/ReturnsTaintCall hooks) and reports there, where the arena
+// value actually leaks.
 //
 // Everything is package-local: cross-package callees have no summary and
 // are treated as synchronous calls that retain nothing, which matches the
@@ -383,249 +374,4 @@ func derivedLocals(info *types.Info, decl *ast.FuncDecl, inputs []*types.Var) ma
 		})
 	}
 	return out
-}
-
-// WindowDrain returns the drain argument of a sim.RunWindows call — the
-// function the shared conservative-window driver runs on its worker pool —
-// or nil for any other call. The engines spawn no goroutines of their own;
-// this argument is where their worker regions start.
-func WindowDrain(info *types.Info, call *ast.CallExpr) ast.Expr {
-	fn := PkgFunc(info, call)
-	if fn == nil || fn.Name() != "RunWindows" || fn.Pkg() == nil || fn.Pkg().Path() != "clusterfds/internal/sim" {
-		return nil
-	}
-	params := fn.Type().(*types.Signature).Params()
-	for i := 0; i < params.Len() && i < len(call.Args); i++ {
-		if params.At(i).Name() == "drain" {
-			return call.Args[i]
-		}
-	}
-	return nil
-}
-
-// GoReachable returns the set of function bodies that may execute on a
-// spawned goroutine: the operands of every `go` statement and the drain
-// argument of every sim.RunWindows call (WindowDrain) in non-test files,
-// closed over direct in-package calls, references to in-package functions
-// as values, function literals bound to variables, and literals nested in
-// already-reachable code. The keys are *ast.FuncDecl and *ast.FuncLit nodes.
-//
-// The closure is syntactic: a handler registered with any other
-// cross-package API (a kernel callback) and only invoked from there is not
-// discovered. internal/par and internal/shard hand their drain paths to
-// sim.RunWindows as plain func arguments, so the repository's parallel
-// sections are fully covered.
-func GoReachable(pass *Pass) map[ast.Node]bool {
-	info := pass.TypesInfo
-	decls := make(map[*types.Func]*ast.FuncDecl)
-	varLits := make(map[types.Object][]*ast.FuncLit)
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
-					decls[fn] = fd
-				}
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			bind := func(l ast.Expr, r ast.Expr) {
-				lit, ok := ast.Unparen(r).(*ast.FuncLit)
-				if !ok {
-					return
-				}
-				id, ok := ast.Unparen(l).(*ast.Ident)
-				if !ok {
-					return
-				}
-				obj := info.Defs[id]
-				if obj == nil {
-					obj = info.Uses[id]
-				}
-				if obj != nil {
-					varLits[obj] = append(varLits[obj], lit)
-				}
-			}
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				if len(n.Lhs) == len(n.Rhs) {
-					for i := range n.Lhs {
-						bind(n.Lhs[i], n.Rhs[i])
-					}
-				}
-			case *ast.ValueSpec:
-				if len(n.Names) == len(n.Values) {
-					for i := range n.Names {
-						bind(n.Names[i], n.Values[i])
-					}
-				}
-			}
-			return true
-		})
-	}
-
-	reach := make(map[ast.Node]bool)
-	var frontier []ast.Node
-	add := func(n ast.Node) {
-		if n != nil && !reach[n] {
-			reach[n] = true
-			frontier = append(frontier, n)
-		}
-	}
-	addObj := func(obj types.Object) {
-		switch o := obj.(type) {
-		case *types.Func:
-			if d := decls[o]; d != nil {
-				add(d)
-			}
-		case *types.Var:
-			for _, lit := range varLits[o] {
-				add(lit)
-			}
-		}
-	}
-	addExpr := func(x ast.Expr) {
-		switch e := ast.Unparen(x).(type) {
-		case *ast.FuncLit:
-			add(e)
-		case *ast.Ident:
-			addObj(info.Uses[e])
-		case *ast.SelectorExpr:
-			addObj(info.Uses[e.Sel])
-		}
-	}
-	for _, f := range pass.Files {
-		if TestFile(pass.Fset, f.Pos()) {
-			continue
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.GoStmt:
-				addExpr(n.Call.Fun)
-				for _, a := range n.Call.Args {
-					addExpr(a)
-				}
-			case *ast.CallExpr:
-				if d := WindowDrain(info, n); d != nil {
-					addExpr(d)
-				}
-			}
-			return true
-		})
-	}
-	for len(frontier) > 0 {
-		region := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		var body *ast.BlockStmt
-		switch r := region.(type) {
-		case *ast.FuncDecl:
-			body = r.Body
-		case *ast.FuncLit:
-			body = r.Body
-		}
-		if body == nil {
-			continue
-		}
-		ast.Inspect(body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				add(n)
-			case *ast.Ident:
-				addObj(info.Uses[n])
-			}
-			return true
-		})
-	}
-	return reach
-}
-
-// DeclaredObjects returns every object defined inside body — the
-// variables (and labels, named results of nested literals, ...) private to
-// that block.
-func DeclaredObjects(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
-	out := make(map[types.Object]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if obj := info.Defs[id]; obj != nil {
-				out[obj] = true
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// RegionLocals is the set of objects private to a worker region: variables
-// declared in the body plus the declaration's non-receiver parameters
-// (strip/shard state is handed to each worker by value or by dedicated
-// pointer; the receiver is the shared engine).
-func RegionLocals(info *types.Info, body *ast.BlockStmt, ft *ast.FuncType) map[types.Object]bool {
-	locals := DeclaredObjects(info, body)
-	if ft != nil && ft.Params != nil {
-		for _, fld := range ft.Params.List {
-			for _, name := range fld.Names {
-				if obj := info.Defs[name]; obj != nil {
-					locals[obj] = true
-				}
-			}
-		}
-	}
-	return locals
-}
-
-// PropagateCalls computes the transitive closure of a per-function boolean
-// property over the package-local call graph: the result holds fn when
-// base is true of fn's declaration or fn directly or transitively calls an
-// in-package function with the property. Calls through function values are
-// not followed.
-func PropagateCalls(pass *Pass, base func(*ast.FuncDecl) bool) map[*types.Func]bool {
-	info := pass.TypesInfo
-	type fnDecl struct {
-		fn   *types.Func
-		decl *ast.FuncDecl
-	}
-	var order []fnDecl
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
-					order = append(order, fnDecl{fn, fd})
-				}
-			}
-		}
-	}
-	prop := make(map[*types.Func]bool)
-	callees := make(map[*types.Func][]*types.Func)
-	known := make(map[*types.Func]bool)
-	for _, fd := range order {
-		known[fd.fn] = true
-	}
-	for _, fd := range order {
-		if base(fd.decl) {
-			prop[fd.fn] = true
-		}
-		ast.Inspect(fd.decl.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if callee := PkgFunc(info, call); callee != nil && known[callee] {
-					callees[fd.fn] = append(callees[fd.fn], callee)
-				}
-			}
-			return true
-		})
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, fd := range order {
-			if prop[fd.fn] {
-				continue
-			}
-			for _, c := range callees[fd.fn] {
-				if prop[c] {
-					prop[fd.fn] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return prop
 }

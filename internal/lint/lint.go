@@ -8,7 +8,7 @@
 // mechanically if a vendored x/tools ever becomes available.
 //
 // The analyzers in the sub-packages machine-check the simulator's
-// determinism, message-lifetime and strip-isolation invariants (each
+// determinism, message-lifetime and arena-ownership invariants (each
 // package's doc comment states its rule; DESIGN.md §9 has the table).
 // TestTree in this package runs all of them over every package of the
 // module, so `go test ./...` is the lint gate.
@@ -130,16 +130,10 @@ func TestFile(fset *token.FileSet, pos token.Pos) bool {
 	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }
 
-// PkgFunc returns the *types.Func for a package-level function or method
-// selector expression callee, or nil.
+// PkgFunc returns the *types.Func a call's callee names — a package-level
+// function or a method selector — or nil.
 func PkgFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	return FuncValue(info, call.Fun)
-}
-
-// FuncValue returns the *types.Func an expression names — a package-level
-// function or a method selector, called or passed as a value — or nil.
-func FuncValue(info *types.Info, x ast.Expr) *types.Func {
-	switch fun := ast.Unparen(x).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		f, _ := info.Uses[fun].(*types.Func)
 		return f

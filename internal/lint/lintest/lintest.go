@@ -27,8 +27,10 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -87,7 +89,7 @@ func Tree(root, prefix string) ([]*lint.Unit, error) {
 		if err != nil || !d.IsDir() {
 			return err
 		}
-		if name := d.Name(); dir != root && (name == "testdata" || name[0] == '.' || name[0] == '_') {
+		if skipped(root, dir) {
 			return filepath.SkipDir
 		}
 		if goFiles, _ := filepath.Glob(filepath.Join(dir, "*.go")); len(goFiles) == 0 {
@@ -104,6 +106,13 @@ func Tree(root, prefix string) ([]*lint.Unit, error) {
 	return units, err
 }
 
+// skipped reports whether the go command passes over dir when it walks root:
+// testdata, and names beginning with "." or "_".
+func skipped(root, dir string) bool {
+	name := filepath.Base(dir)
+	return dir != root && (name == "testdata" || name[0] == '.' || name[0] == '_')
+}
+
 // loader type-checks packages from source. An import path at or under
 // prefix resolves to the matching directory below root when that directory
 // exists; every other import resolves to the standard library.
@@ -111,7 +120,7 @@ type loader struct {
 	root, prefix string
 	fset         *token.FileSet
 	pkgs         map[string]*lint.Unit // non-test packages, by import path
-	std, src     types.Importer
+	std          types.Importer        // made on first use
 }
 
 func newLoader(root, prefix string) *loader {
@@ -120,8 +129,67 @@ func newLoader(root, prefix string) *loader {
 		prefix: prefix,
 		fset:   token.NewFileSet(),
 		pkgs:   make(map[string]*lint.Unit),
-		std:    importer.Default(),
 	}
+}
+
+// stdImporter returns an importer over the toolchain's export data for every
+// standard-library package a file under root imports, and their
+// dependencies. importer.Default would find the same files by forking
+// `go list` once per package; this asks once for all of them.
+func (l *loader) stdImporter() (types.Importer, error) {
+	need := make(map[string]bool)
+	err := filepath.WalkDir(l.root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if skipped(l.root, path) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, im := range f.Imports {
+			p, err := strconv.Unquote(im.Path.Value)
+			if err != nil {
+				return err
+			}
+			if _, ok := l.dir(p); !ok {
+				need[p] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	args := []string{"list", "-export", "-deps", "-f", "{{if .Export}}{{.ImportPath}}={{.Export}}{{end}}"}
+	for p := range need {
+		args = append(args, p)
+	}
+	out, err := exec.Command("go", args...).Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list -export: %w", err)
+	}
+	export := make(map[string]string)
+	for _, line := range strings.Fields(string(out)) {
+		if path, file, ok := strings.Cut(line, "="); ok {
+			export[path] = file
+		}
+	}
+	return importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := export[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data listed for %s", path)
+		}
+		return os.Open(file)
+	}), nil
 }
 
 // dir maps an import path to its source directory below root.
@@ -224,16 +292,15 @@ func (l *loader) Import(path string) (*types.Package, error) {
 		}
 		return u.Pkg, nil
 	}
-	pkg, err := l.std.Import(path)
-	if err != nil {
-		// Toolchains without pre-compiled stdlib export data: fall back to
-		// type-checking the standard library from source.
-		if l.src == nil {
-			l.src = importer.ForCompiler(l.fset, "source", nil)
+	if l.std == nil {
+		var err error
+		if l.std, err = l.stdImporter(); err != nil {
+			// No go command or no export data: type-check the standard
+			// library from source.
+			l.std = importer.ForCompiler(l.fset, "source", nil)
 		}
-		return l.src.Import(path)
 	}
-	return pkg, nil
+	return l.std.Import(path)
 }
 
 // wantRe extracts the quoted patterns of a // want comment.

@@ -1,21 +1,16 @@
 // Package rngdraw machine-checks the sender-side randomness invariant
 // (DESIGN.md §12): every random draw in the deterministic packages must
 // come from the consuming host's private sim.Stream, in an order pinned by
-// the simulation itself. Two ways a draw's order or count can come loose
-// are policed:
-//
-//   - draws inside a range over a map: iteration order is unpinned, so
-//     which host draws first — and therefore every stream's contents —
-//     varies run to run;
-//
-//   - draws conditioned on receiver state: a guard like `if e.crashed[m]`
-//     (m another host) in front of a draw from host i's stream makes host
-//     i's draw count depend on what a *different* host's state looks like
-//     under the current decomposition — the classic source of serial vs.
-//     sharded divergence. Guards on the drawing host's own state
-//     (`if e.crashed[i]` before `e.rng[i]`) are the sanctioned shape, as
-//     are geometry comparisons and identity tests, which are functions of
-//     the deterministic field, not of execution order.
+// the simulation itself. It polices draws conditioned on receiver state: a
+// guard like `if e.crashed[m]` (m another host) in front of a draw from
+// host i's stream makes host i's draw count depend on what a *different*
+// host's state looks like under the current decomposition — the classic
+// source of serial vs. sharded divergence. Guards on the drawing host's own
+// state (`if e.crashed[i]` before `e.rng[i]`) are the sanctioned shape, as
+// are geometry comparisons and identity tests, which are functions of the
+// deterministic field, not of execution order. (The other way a draw's
+// order comes loose, a draw inside a range over a map, is detmap's: the
+// draw is a call it cannot prove order-insensitive.)
 //
 // A draw is a call to one of the math/rand-style methods (Uint64, Intn,
 // Float64, ...) on a sim.Stream or *math/rand.Rand receiver. The drawing
@@ -23,7 +18,7 @@
 // chain (`i` for e.rng[i].Int63n(...), `idx` for rng := e.rands[idx]).
 // Receiver-state guards are recognized as indexing a bool-element
 // container with anything other than the subject. Draws with no subject
-// (a bare *rand.Rand parameter) are only held to the map-order rule.
+// (a bare *rand.Rand parameter) are not checked.
 package rngdraw
 
 import (
@@ -38,8 +33,8 @@ import (
 // Analyzer is the sender-side randomness check.
 var Analyzer = &lint.Analyzer{
 	Name: "rngdraw",
-	Doc: "flag random draws made in map iteration order or conditioned on " +
-		"receiver state; randomness must be drawn sender-side from per-host streams",
+	Doc: "flag random draws conditioned on receiver state; randomness must " +
+		"be drawn sender-side from per-host streams",
 	Run: run,
 }
 
@@ -75,20 +70,14 @@ func run(pass *lint.Pass) error {
 	return nil
 }
 
-// ctx carries what governs the statement being walked: the conditions of
-// enclosing (and preceding early-exit) if statements, and whether a map
-// range encloses it.
-type ctx struct {
-	conds      []ast.Expr
-	inMapRange bool
-}
+// ctx is what governs the statement being walked: the conditions of
+// enclosing (and preceding early-exit) if statements.
+type ctx []ast.Expr
 
 // with returns cx extended by one governing condition, copying so sibling
 // branches don't see each other's conditions.
 func (cx ctx) with(cond ast.Expr) ctx {
-	conds := make([]ast.Expr, len(cx.conds), len(cx.conds)+1)
-	copy(conds, cx.conds)
-	return ctx{conds: append(conds, cond), inMapRange: cx.inMapRange}
+	return append(cx[:len(cx):len(cx)], cond)
 }
 
 type walker struct {
@@ -128,13 +117,7 @@ func (w *walker) stmt(s ast.Stmt, cx ctx) {
 		}
 	case *ast.RangeStmt:
 		w.exprs(s.X, cx)
-		body := cx
-		if t := w.info.TypeOf(s.X); t != nil {
-			if _, isMap := t.Underlying().(*types.Map); isMap {
-				body.inMapRange = true
-			}
-		}
-		w.block(s.Body, body)
+		w.block(s.Body, cx)
 	case *ast.ForStmt:
 		if s.Init != nil {
 			w.stmt(s.Init, cx)
@@ -275,17 +258,13 @@ func streamType(t types.Type) bool {
 	return name == "Rand" && path == "math/rand"
 }
 
-// checkDraw applies the two rules to one draw site.
+// checkDraw applies the receiver-state rule to one draw site.
 func (w *walker) checkDraw(call *ast.CallExpr, recv ast.Expr, cx ctx) {
-	if cx.inMapRange {
-		w.pass.Reportf(call.Pos(), "randomness drawn inside a range over a map; iteration order is unpinned — draw in pinned sender order")
-		return
-	}
 	subject := w.subject(recv)
 	if subject == "" {
-		return // no per-host subject: the map-order rule is all we can hold it to
+		return // no per-host subject to compare a guard's index with
 	}
-	for _, cond := range cx.conds {
+	for _, cond := range cx {
 		if guard, bad := w.receiverGuard(cond, subject); bad {
 			w.pass.Reportf(call.Pos(), "draw from %s conditioned on receiver state (%s); randomness must be drawn sender-side from the host's own stream",
 				render(recv), render(guard))

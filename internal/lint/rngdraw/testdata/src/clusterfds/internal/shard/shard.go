@@ -18,16 +18,6 @@ type engine struct {
 
 // --- firing -----------------------------------------------------------------
 
-// badMapDraw draws in map iteration order: which host draws first varies
-// run to run, so every stream diverges.
-func (e *engine) badMapDraw(pend map[int]bool) uint64 {
-	var last uint64
-	for i := range pend {
-		last = e.rng[i].Uint64() // want `randomness drawn inside a range over a map`
-	}
-	return last
-}
-
 // badReceiverExit: an early-exit guard on another host's state makes host
 // i's draw count depend on the receiver.
 func (e *engine) badReceiverExit(i, m int) int64 {
@@ -100,8 +90,8 @@ func (e *engine) goodPinnedLoop(i int, nbs []int) {
 	}
 }
 
-// goodSubjectless: a bare stream parameter has no per-host subject; only
-// the map-order rule applies to it.
+// goodSubjectless: a bare stream parameter has no per-host subject to
+// compare the guard with.
 func (e *engine) goodSubjectless(r *rand.Rand, m int) float64 {
 	if e.crashed[m] {
 		return 0

@@ -1,13 +1,8 @@
 // Package radio is the scratchalias fixture: scratch-backed decode results
-// must die with the delivery, and pooled values must not be touched after
-// Put.
+// must die with the delivery.
 package radio
 
-import (
-	"sync"
-
-	"clusterfds/internal/wire"
-)
+import "clusterfds/internal/wire"
 
 type Receiver interface {
 	Deliver(m wire.Message, from wire.NodeID)
@@ -17,7 +12,6 @@ type Medium struct {
 	scratch  *wire.DecodeScratch
 	lastMsg  wire.Message
 	lastSeen []wire.NodeID
-	pool     sync.Pool
 }
 
 // badRetain stores the scratch-backed result (and a slice reached through
@@ -63,17 +57,4 @@ func (m *Medium) helperChain(buf []byte) {
 
 func (m *Medium) stash(msg wire.Message) {
 	m.lastMsg = msg // want `scratch-backed decode result stored in field m\.lastMsg`
-}
-
-// badUseAfterPut touches a pooled buffer after giving it back.
-func (m *Medium) badUseAfterPut(b *[]byte) int {
-	m.pool.Put(b)
-	return len(*b) // want `b used after it was returned to a sync\.Pool`
-}
-
-// goodPut takes a fresh value after the Put: rebinding ends the hazard.
-func (m *Medium) goodPut(b *[]byte) int {
-	m.pool.Put(b)
-	b = m.pool.Get().(*[]byte)
-	return len(*b)
 }

@@ -4,18 +4,16 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
-	"reflect"
+	"strings"
 	"testing"
 
 	"clusterfds/internal/lint"
 	"clusterfds/internal/lint/arenaescape"
 	"clusterfds/internal/lint/deliverretain"
 	"clusterfds/internal/lint/detmap"
-	"clusterfds/internal/lint/floatfold"
 	"clusterfds/internal/lint/lintest"
 	"clusterfds/internal/lint/rngdraw"
 	"clusterfds/internal/lint/scratchalias"
-	"clusterfds/internal/lint/stripshare"
 	"clusterfds/internal/lint/walltime"
 )
 
@@ -27,8 +25,6 @@ var analyzers = []*lint.Analyzer{
 	deliverretain.Analyzer,
 	scratchalias.Analyzer,
 	arenaescape.Analyzer,
-	floatfold.Analyzer,
-	stripshare.Analyzer,
 	rngdraw.Analyzer,
 }
 
@@ -100,16 +96,31 @@ func TestTree(t *testing.T) {
 }
 
 // TestTreeReportsPlantedFinding is the negative control: the same driver
-// over a fixture tree with one wall-clock read in a deterministic package
-// reports exactly that, from a directory whose external test compiles only
-// against the in-package test variant.
+// over a fixture tree with one planted finding per analyzer reports exactly
+// those, so an analyzer unhooked from the list above fails here. The sim
+// directory's external test compiles only against the in-package test
+// variant.
 func TestTreeReportsPlantedFinding(t *testing.T) {
 	lines, _, units := findings(t, filepath.Join("testdata", "src", "clusterfds"), "clusterfds")
-	want := []string{"internal/sim/sim.go:15:29: time.Now in deterministic package clusterfds/internal/sim: simulated time only (use the sim kernel's clock and timers) [walltime]"}
-	if !reflect.DeepEqual(lines, want) {
-		t.Errorf("findings = %q\nwant %q", lines, want)
+	want := [][2]string{
+		{"internal/fds/fds.go:14:63: ", " [deliverretain]"},
+		{"internal/fds/fds.go:19:2: ", " [scratchalias]"},
+		{"internal/fds/fds.go:26:59: ", " [arenaescape]"},
+		{"internal/sim/sim.go:19:29: ", " [walltime]"},
+		{"internal/sim/sim.go:24:3: ", " [detmap]"},
+		{"internal/sim/sim.go:33:9: ", " [rngdraw]"},
 	}
-	if units != 2 {
-		t.Errorf("units = %d, want 2 (package with in-package tests, external test package)", units)
+	if len(want) != len(analyzers) {
+		t.Errorf("%d planted findings for %d analyzers", len(want), len(analyzers))
+	}
+	ok := len(lines) == len(want)
+	for i := 0; ok && i < len(want); i++ {
+		ok = strings.HasPrefix(lines[i], want[i][0]) && strings.HasSuffix(lines[i], want[i][1])
+	}
+	if !ok {
+		t.Errorf("findings = %q\nwant, by position and analyzer, %q", lines, want)
+	}
+	if units != 4 {
+		t.Errorf("units = %d, want 4 (fds; sim with in-package tests, its external test package; wire)", units)
 	}
 }

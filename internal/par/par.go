@@ -487,8 +487,14 @@ func (e *Engine) CrashRandomAt(at sim.Time, count int) []wire.NodeID {
 	return picked
 }
 
-// RunEpochs advances the replica through n more heartbeat intervals.
+// RunEpochs advances the replica through n MORE heartbeat intervals, from
+// where the last call stopped: RunEpochs(3) followed by RunEpochs(5) runs
+// eight intervals in all. (scenario.World.RunEpochs counts the other way, TO
+// epoch n.) It panics on a negative n.
 func (e *Engine) RunEpochs(n int) {
+	if n < 0 {
+		panic(fmt.Sprintf("par: RunEpochs(%d): negative epoch count", n))
+	}
 	e.epochsRun += n
 	e.runTo(e.cfg.Timing.EpochStart(wire.Epoch(e.epochsRun)))
 }

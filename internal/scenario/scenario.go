@@ -379,9 +379,15 @@ func (w *World) MetricsSnapshot() metrics.Snapshot {
 // Run advances the world to the given absolute virtual time.
 func (w *World) Run(until sim.Time) { w.Kernel.RunUntil(until) }
 
-// RunEpochs advances the world through n heartbeat intervals.
+// RunEpochs advances the world TO the start of epoch n, counted from time
+// zero: RunEpochs(3) followed by RunEpochs(5) runs five intervals in all.
+// (par.Engine.RunEpochs counts the other way, n MORE intervals.) It panics
+// on a negative n.
 func (w *World) RunEpochs(n int) {
-	w.Run(sim.Time(uint64(w.cfg.Timing.Interval) * uint64(n)))
+	if n < 0 {
+		panic(fmt.Sprintf("scenario: RunEpochs(%d): negative epoch", n))
+	}
+	w.Run(w.cfg.Timing.EpochStart(wire.Epoch(n)))
 }
 
 // CrashAt schedules a fail-stop crash of id at the given absolute time.

@@ -27,8 +27,8 @@ import (
 // it may touch only its own lane's state; given that, the sequence of
 // (lane, end) drains per lane and of barrier calls is the same at every
 // worker count, which is what makes the engines' results independent of it.
-// The lint stripshare and floatfold analyzers treat the function passed as
-// drain as a worker region (lint.GoReachable).
+// That rule is enforced dynamically: `make race` runs both engines' tests
+// with several workers under the race detector.
 func RunWindows(lanes, workers int, span, limit Time,
 	next func(lane int) (Time, bool),
 	drain func(lane int, end Time),

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint fmt-check build test race benchsmoke benchcmp scale-smoke baseline-smoke fuzz-smoke conformance bench bench-e2e fmt
+.PHONY: check vet lint fmt-check build test race benchsmoke benchcmp scale-smoke baseline-smoke fuzz-smoke conformance bench bench-e2e bench-claim fmt
 
 ## check: the pre-PR gate. Run this before sending any change for review.
 ## CI (.github/workflows/ci.yml) runs the same gates, one named step each.
@@ -115,6 +115,17 @@ bench:
 ## workloads, one JSON document per run. See bench/README.md.
 bench-e2e:
 	$(GO) run ./bench
+
+## bench-claim: the evidence a change to protocol traffic owes — the three
+## workloads that run the cluster stack, three repetitions each, on seed 1
+## and again on held-out seed 2 (~1 min). Run it on the parent commit and on
+## the change and compare: wall_s, alloc_mb, completeness,
+## false_suspicion_pairs, radio.tx.failure-report and the two
+## intercluster.report_tx_* figures. Not part of `check`: it gates nothing by
+## itself, a cost that is a property of the seed cannot be bounded in CI.
+bench-claim:
+	$(GO) run ./bench -workload field600,dense300,strips600 -reps 3 -seed 1
+	$(GO) run ./bench -workload field600,dense300,strips600 -reps 3 -seed 2
 
 fmt:
 	gofmt -l -w .

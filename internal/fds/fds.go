@@ -155,10 +155,11 @@ type Protocol struct {
 	fwdStamp  []uint64
 	fwdActive []uint32
 
-	// pendingRescind collects false detections withdrawn since the last
-	// health update (CH only; announced in the next update's Rescinded).
-	// Each entry keeps the epoch of the withdrawn detection so relayed
-	// rescissions cannot cancel later, genuine detections.
+	// pendingRescind collects the false detections this CH itself disproved
+	// (it heard the heartbeat) since its last health update; the next
+	// update's Rescinded announces them. Each entry is pinned to the epoch
+	// of that heartbeat, so it cancels every earlier accusation and no
+	// later, genuine detection.
 	pendingRescind []wire.Rescission
 
 	// conflictSeen counts takeover updates received for a cluster this
@@ -626,13 +627,16 @@ func (p *Protocol) onHeartbeat(m *wire.Heartbeat) {
 	// unmarked heartbeat re-admits it through the subscription path. The
 	// rescue is deliberately NOT gated on p.active: stale failure beliefs
 	// deserve correction whether or not this host participates this epoch.
-	if rec, failed := p.view.Record(m.NID); failed {
-		p.view.Forget(m.NID)
+	if p.view.IsFailed(m.NID) && p.view.ProveAlive(m.NID, m.Epoch) {
 		if p.snapshot.IsCH {
 			p.cluster.Readmit(m.NID)
 			if p.cfg.RescindPropagation {
+				// This CH holds the proof of life, so it authors the
+				// rescission, pinned to the heartbeat's epoch: that outranks
+				// every accusation made before the heartbeat, however the
+				// accuser (or this CH) learned of it.
 				p.pendingRescind = appendUnique(p.pendingRescind,
-					wire.Rescission{Node: m.NID, Epoch: rec.Epoch})
+					wire.Rescission{Node: m.NID, Epoch: m.Epoch})
 			}
 		}
 		p.mRescind.Add(uint64(p.epoch), 1)
@@ -923,24 +927,17 @@ func (p *Protocol) onFailureReport(m *wire.FailureReport) {
 	}
 }
 
-// applyRescinds withdraws suspicions a rescission proves false. A
-// rescission cancels only detections at or before ITS pinned epoch, so a
-// failure genuinely detected later survives every relayed echo.
+// applyRescinds records the proof of life each received rescission carries
+// and withdraws the suspicions it outranks: those at or before ITS pinned
+// epoch, so a failure genuinely detected later survives. A received
+// rescission is never re-announced — its one author is the clusterhead that
+// heard the heartbeat (onHeartbeat), and the backbone floods that report once.
 func (p *Protocol) applyRescinds(rs []wire.Rescission, _ wire.Epoch) {
 	if !p.cfg.RescindPropagation {
 		return
 	}
 	for _, r := range rs {
-		rec, ok := p.view.Record(r.Node)
-		if !ok || rec.Epoch > r.Epoch {
-			continue
-		}
-		p.view.Forget(r.Node)
-		if p.active && p.snapshot.IsCH {
-			// Keep relaying the correction on the CH's next update,
-			// preserving the original rescission epoch.
-			p.pendingRescind = appendUnique(p.pendingRescind, r)
-		}
+		p.view.ProveAlive(r.Node, r.Epoch)
 	}
 }
 

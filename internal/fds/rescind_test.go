@@ -84,6 +84,61 @@ func TestRescissionEpochPinning(t *testing.T) {
 	}
 }
 
+// TestRescissionCarriesProofOfLifeEpoch is the regression test for the
+// epoch-0 rescission: a rescuer that knew of the accusation only through a
+// cumulative list holds a record at epoch 0, and a rescission pinned to THAT
+// epoch is refused by everyone who learned the accusation through NewFailed
+// (their record is newer). Pinned to the heartbeat's epoch it outranks both.
+func TestRescissionCarriesProofOfLifeEpoch(t *testing.T) {
+	w := buildWorld(t, worldConfig{seed: 39}, star(8, 60))
+	w.runUntilEpoch(3)
+	now := w.kernel.Now()
+	// The CH heard of n5's "failure" in somebody's AllFailed; n2, across the
+	// ring and out of n5's earshot, heard the original NewFailed of epoch 2.
+	w.fds[0].view.MarkFailed(5, 0, now)
+	w.fds[1].view.MarkFailed(5, 2, now)
+	w.runUntilEpoch(6)
+	if w.fds[0].IsSuspected(5) {
+		t.Fatal("CH never rescued n5 on its heartbeat")
+	}
+	if w.fds[1].IsSuspected(5) {
+		t.Error("n2 refused the rescission: it was pinned to the rescuer's record epoch, not the heartbeat's")
+	}
+}
+
+// TestReceivedRescissionIsNotReannounced: only the clusterhead that heard the
+// heartbeat authors a rescission. A CH applying someone else's withdraws the
+// suspicion, keeps the proof of life, and queues nothing for its own update —
+// re-queuing is what made every clusterhead re-flood every rescission.
+func TestReceivedRescissionIsNotReannounced(t *testing.T) {
+	w := buildWorld(t, worldConfig{seed: 40}, star(8, 60))
+	w.runUntilEpoch(3)
+	ch := w.fds[0]
+	ch.view.MarkFailed(77, 2, w.kernel.Now())
+	ch.applyRescinds([]wire.Rescission{{Node: 77, Epoch: 3}}, 3)
+	if ch.IsSuspected(77) {
+		t.Fatal("rescission not applied")
+	}
+	if len(ch.pendingRescind) != 0 {
+		t.Errorf("received rescission re-queued for this CH's update: %v", ch.pendingRescind)
+	}
+	// The proof of life outlives the record: a stale cumulative list or an
+	// accusation no newer than the proof cannot re-poison the view ...
+	ch.Handle(w.hosts[0], &wire.FailureReport{OriginCH: 99, Seq: 4, Epoch: 4,
+		AllFailed: []wire.NodeID{77}}, 99)
+	ch.Handle(w.hosts[0], &wire.FailureReport{OriginCH: 98, Seq: 3, Epoch: 3,
+		NewFailed: []wire.NodeID{77}}, 98)
+	if ch.IsSuspected(77) {
+		t.Error("stale accusation re-poisoned the view after the rescission")
+	}
+	// ... while a detection made after it is believed.
+	ch.Handle(w.hosts[0], &wire.FailureReport{OriginCH: 98, Seq: 5, Epoch: 5,
+		NewFailed: []wire.NodeID{77}}, 98)
+	if !ch.IsSuspected(77) {
+		t.Error("detection newer than the proof of life ignored")
+	}
+}
+
 func TestGenuineDeathAfterRescindStillReported(t *testing.T) {
 	// n5 is falsely detected (transient silence), rescinded... then really
 	// crashes. The earlier rescission's echoes must not suppress the real

@@ -3,6 +3,7 @@ package intercluster
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"clusterfds/internal/cluster"
 	"clusterfds/internal/fds"
@@ -47,7 +48,47 @@ func TestCatchUpOnNewAdjacency(t *testing.T) {
 		at := w.timing.EpochStart(5) + w.timing.Interval/4
 		w.kernel.At(at, func() { h.Boot() })
 	}
+
+	// Three more populations probe how far the catch-up travels. IDs start
+	// at 11 so the late hosts above keep theirs.
+	//   - n11, a member of B whose only foreign contact will be n17;
+	//   - cluster Z (CH n12) west of A, bridged by n13: two adjacencies from
+	//     B, the cluster that will originate the catch-up;
+	//   - cluster E (CH n16), booted in epoch 4 — after the flood, before D —
+	//     south of B and reachable only over the distributed gateway
+	//     n11 <-> n17: nobody hears both clusterheads, so B never counts E as
+	//     a neighbor and E gets no catch-up of its own.
+	extra := []struct {
+		pos  geo.Point
+		boot wire.Epoch
+	}{
+		{geo.Point{X: 150, Y: -90}, 0},  // n11 member B, border to E
+		{geo.Point{X: -150, Y: 0}, 0},   // n12 CH Z
+		{geo.Point{X: -75, Y: 0}, 0},    // n13 gateway A-Z
+		{geo.Point{X: -180, Y: 30}, 0},  // n14 member Z
+		{geo.Point{X: -180, Y: -30}, 0}, // n15 member Z
+		{geo.Point{X: 150, Y: -250}, 4}, // n16 CH E
+		{geo.Point{X: 150, Y: -170}, 4}, // n17 member E, border to B
+		{geo.Point{X: 170, Y: -260}, 4}, // n18 member E
+	}
+	cls := make(map[wire.NodeID]*cluster.Protocol)
+	for i, x := range extra {
+		h, cl, f, _ := newStackHost(t, w, wire.NodeID(11+i), x.pos)
+		w.hosts = append(w.hosts, h)
+		w.fdss = append(w.fdss, f)
+		cls[wire.NodeID(11+i)] = cl
+		if x.boot == 0 {
+			h.Boot()
+		} else {
+			w.kernel.At(w.timing.EpochStart(x.boot)+w.timing.Interval/4, func() { h.Boot() })
+		}
+	}
 	w.runUntilEpoch(14)
+	for id, ch := range map[wire.NodeID]wire.NodeID{11: 2, 13: 1, 12: 12, 14: 12, 16: 16, 17: 16, 18: 16} {
+		if got := cls[id].View().CH; got != ch {
+			t.Fatalf("layout: n%d follows %v, want n%d", id, got, ch)
+		}
+	}
 
 	// The late hosts never heard the epoch-3 flood; the catch-up report on
 	// the new B<->D adjacency must deliver the old news.
@@ -69,6 +110,42 @@ func TestCatchUpOnNewAdjacency(t *testing.T) {
 	}
 	if !found {
 		t.Error("no catch-up report traced")
+	}
+
+	// B's catch-up leaves B over its own gateways, distributed ones
+	// included: E, which no flood and no catch-up of its own ever reached,
+	// learns the old failure over n11 -> n17.
+	for id := wire.NodeID(16); id <= 18; id++ {
+		if !w.fdss[id-1].IsSuspected(4) {
+			t.Errorf("n%d, behind the two-hop gateway, never learned the pre-formation failure of n4", id)
+		}
+	}
+	// And it stops after one adjacency: A rebroadcasts it for its members,
+	// but A's gateway does not engage on that, so nothing of Z's — which knew
+	// of n4 from the epoch-3 flood — transmits a report once D exists.
+	if !w.fdss[11].IsSuspected(4) {
+		t.Fatal("layout: Z never heard the original flood")
+	}
+	relayedByA, twoHop := false, false
+	for _, e := range w.tracer.Events() {
+		if e.Type == trace.TypeDetect || time.Duration(w.timing.EpochStart(5)) > e.At {
+			continue
+		}
+		if e.Node == 1 && strings.HasPrefix(e.Detail, "relay origin=n2") {
+			relayedByA = true
+		}
+		if e.Node == 11 && strings.HasPrefix(e.Detail, "two-hop origin=n2") {
+			twoHop = true
+		}
+		if e.Node >= 12 && e.Node <= 15 {
+			t.Errorf("catch-up travelled past its first adjacency: %v", e)
+		}
+	}
+	if !relayedByA {
+		t.Error("A, adjacent to the catch-up's origin, never rebroadcast it")
+	}
+	if !twoHop {
+		t.Error("B's border member n11 never relayed the catch-up toward E")
 	}
 }
 

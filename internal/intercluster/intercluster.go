@@ -25,6 +25,13 @@
 // De-duplication is by (origin CH, sequence); a clusterhead rebroadcasts
 // each report at most once (plus bounded retransmissions), so flooding over
 // the backbone terminates.
+//
+// A report either carries news — NewFailed or Rescinded, flooded across the
+// whole backbone as above — or is cumulative-only: the catch-up a clusterhead
+// sends when a neighbor cluster first appears. That one travels a single
+// adjacency: the origin's gateways forward it, each receiving clusterhead
+// rebroadcasts it once for its members, and nobody engages on that
+// rebroadcast. Every step is traced under one cause token (see note).
 package intercluster
 
 import (
@@ -101,6 +108,13 @@ func (st *reportState) addSender(id wire.NodeID) {
 	}
 }
 
+// cumulativeOnly reports whether the report carries no news — neither a new
+// failure nor a rescission, only the origin's cumulative list. That is the
+// catch-up on a new adjacency, which travels one adjacency and stops.
+func (st *reportState) cumulativeOnly() bool {
+	return len(st.content.NewFailed) == 0 && len(st.content.Rescinded) == 0
+}
+
 // duty returns the forwarding duty toward target, if one exists.
 func (st *reportState) duty(target wire.NodeID) *gwDuty {
 	for d := st.engaged; d != nil; d = d.next {
@@ -157,10 +171,7 @@ func fireDutyFn(a any) {
 			d.done = true
 			return
 		}
-		if p.host.Tracing() {
-			p.host.Trace(trace.TypeBGWAssist, fmt.Sprintf("-> %v origin=%v", d.target, st.content.OriginCH))
-		}
-		p.forwardNow(st, d, d.target, d.n)
+		p.forwardNow(d, trace.TypeBGWAssist, "bgw")
 	case dutyRefwd:
 		if d.done || st.sender(d.target) {
 			d.done = true
@@ -169,32 +180,21 @@ func fireDutyFn(a any) {
 		if d.forwarded >= 2 {
 			return // give up; the next epoch's cumulative report catches up
 		}
-		if p.host.Tracing() {
-			p.host.Trace(trace.TypeRetransmit, fmt.Sprintf("-> %v origin=%v", d.target, st.content.OriginCH))
-		}
-		p.forwardNow(st, d, d.target, d.n)
+		p.forwardNow(d, trace.TypeRetransmit, "gw-refwd")
 	case dutyTwoHop:
 		if d.done || p.targetHasReport(st, d.target) {
 			d.done = true
 			return
 		}
 		d.forwarded++
-		if p.host.Tracing() {
-			p.host.Trace(trace.TypeReportForward, fmt.Sprintf("two-hop -> %v origin=%v seq=%d",
-				d.target, st.content.OriginCH, st.content.Seq))
-		}
-		p.transmit(st, d.target)
+		p.send(st, d.target, trace.TypeReportForward, "two-hop")
 	case dutyInward:
 		if d.done || p.clusterHasReport(st) {
 			d.done = true
 			return
 		}
 		d.forwarded++
-		if p.host.Tracing() {
-			p.host.Trace(trace.TypeReportForward, fmt.Sprintf("inward -> %v origin=%v seq=%d",
-				p.cluster.View().CH, st.content.OriginCH, st.content.Seq))
-		}
-		p.transmit(st, p.cluster.View().CH)
+		p.send(st, p.cluster.View().CH, trace.TypeReportForward, "inward")
 	}
 }
 
@@ -386,22 +386,14 @@ func (p *Protocol) maybeOriginate(e wire.Epoch) {
 
 	if up, ok := p.fds.CurrentUpdate(); ok && up.Epoch == e &&
 		(len(up.NewFailed) > 0 || len(up.Rescinded) > 0) {
-		st := p.getState(key{origin: up.From, seq: uint64(up.Epoch)}, reportFromUpdate(&up))
-		if !st.rebroadcast {
-			st.rebroadcast = true
-			st.retriesLeft = p.cfg.CHRetries
-			// The cluster's own health update already reached the
-			// gateways; this CH now only arms the implicit-ack watch (its
-			// update was the hop-0 transmission), retransmitting the
-			// report itself if no gateway forwarding is overheard.
-			p.armCHWatch(st)
-		}
+		p.relay(p.getState(key{origin: up.From, seq: uint64(up.Epoch)}, reportFromUpdate(&up)))
 		return
 	}
 
 	// Catch-up on new adjacency: share what this cluster knows so a
 	// freshly (re)formed neighbor is not left waiting for the next
-	// failure to learn old news.
+	// failure to learn old news. The report is cumulative-only, which
+	// relay and onReport read as "one adjacency, then stop".
 	failed := p.fds.KnownFailed()
 	if !newNeighbor || len(failed) == 0 {
 		return
@@ -417,10 +409,7 @@ func (p *Protocol) maybeOriginate(e wire.Epoch) {
 	}
 	st.rebroadcast = true
 	st.retriesLeft = p.cfg.CHRetries
-	if p.host.Tracing() {
-		p.host.Trace(trace.TypeReportForward, fmt.Sprintf("catch-up seq=%d failed=%d", e, len(failed)))
-	}
-	p.transmit(st, wire.NoNode)
+	p.send(st, wire.NoNode, trace.TypeReportForward, "catch-up")
 	p.armCHWatch(st)
 }
 
@@ -458,10 +447,25 @@ func (p *Protocol) getState(k key, content wire.FailureReport) *reportState {
 	return st
 }
 
-// transmit broadcasts the report stamped with this host as sender. The
-// reusable buffer aliases the report's canonical slices; both are safe
-// because Send encodes before returning.
-func (p *Protocol) transmit(st *reportState, target wire.NodeID) {
+// note traces one backbone step of a report in the lineage grammar
+// "<cause> origin=<CH> seq=<n>[ -> <target>]": every report event's Detail
+// starts with the cause token, which is what fdstrace counts by.
+func (p *Protocol) note(t trace.EventType, cause string, st *reportState, target wire.NodeID) {
+	if !p.host.Tracing() {
+		return
+	}
+	detail := fmt.Sprintf("%s origin=%v seq=%d", cause, st.content.OriginCH, st.content.Seq)
+	if target != wire.NoNode {
+		detail += fmt.Sprintf(" -> %v", target)
+	}
+	p.host.Trace(t, detail)
+}
+
+// send traces (note) and broadcasts the report stamped with this host as
+// sender. The reusable buffer aliases the report's canonical slices; both
+// are safe because Send encodes before returning.
+func (p *Protocol) send(st *reportState, target wire.NodeID, t trace.EventType, cause string) {
+	p.note(t, cause, st, target)
 	p.txMsg = st.content
 	p.txMsg.Sender = p.host.ID()
 	p.txMsg.TargetCH = target
@@ -472,17 +476,32 @@ func (p *Protocol) transmit(st *reportState, target wire.NodeID) {
 
 // relay handles a report reaching a clusterhead: rebroadcast once (the
 // implicit ack for the upstream hop and the trigger for the downstream
-// gateways), then watch for downstream forwarding.
+// gateways), then watch for downstream forwarding. A cumulative-only report
+// ends here: the rebroadcast informs this cluster's members, no gateway
+// engages on it (onReport), so there is nothing downstream to watch for.
 func (p *Protocol) relay(st *reportState) {
 	if st.rebroadcast {
 		return
 	}
 	st.rebroadcast = true
-	st.retriesLeft = p.cfg.CHRetries
-	if p.host.Tracing() {
-		p.host.Trace(trace.TypeReportForward, fmt.Sprintf("relay origin=%v seq=%d", st.content.OriginCH, st.content.Seq))
+	if st.content.OriginCH == p.host.ID() {
+		// This CH's own news, noticed at the end of fds.R-3 (maybeOriginate)
+		// or on the first echo from a neighbor, whichever comes first. Its
+		// health update was the hop-0 transmission and already reached the
+		// gateways: it transmits nothing now, only arms the implicit-ack
+		// watch, which retransmits if no gateway forwarding is overheard.
+		cause := "origin-new"
+		if len(st.content.NewFailed) == 0 {
+			cause = "origin-rescind"
+		}
+		p.note(trace.TypeReportForward, cause, st, wire.NoNode)
+	} else {
+		p.send(st, wire.NoNode, trace.TypeReportForward, "relay")
+		if st.cumulativeOnly() {
+			return
+		}
 	}
-	p.transmit(st, wire.NoNode)
+	st.retriesLeft = p.cfg.CHRetries
 	p.armCHWatch(st)
 }
 
@@ -505,10 +524,7 @@ func (p *Protocol) checkCHWatch(st *reportState) {
 		return
 	}
 	st.retriesLeft--
-	if p.host.Tracing() {
-		p.host.Trace(trace.TypeRetransmit, fmt.Sprintf("origin=%v seq=%d", st.content.OriginCH, st.content.Seq))
-	}
-	p.transmit(st, wire.NoNode)
+	p.send(st, wire.NoNode, trace.TypeRetransmit, "ch-retry")
 	p.armCHWatch(st)
 }
 
@@ -676,35 +692,31 @@ func (p *Protocol) engageTarget(st *reportState, viaCH, target wire.NodeID) {
 		return
 	}
 	hop := 2 * p.cfg.Timing.Thop
+	duty.n = n
 	switch {
 	case rank == 1:
 		// Primary gateway: forward immediately, then watch for the
 		// downstream CH's implicit ack.
-		p.forwardNow(st, duty, target, n)
+		p.forwardNow(duty, trace.TypeReportForward, "gw-forward")
 	case p.cfg.BGWAssist:
 		// Backup gateway (paper rank k-1): arm the staggered standby
 		// timer; only act if nobody got the report through first.
 		duty.kind = dutyBGW
-		duty.n = n
 		duty.timer = p.host.AfterArg(sim.Time(rank-1)*hop, fireDutyFn, duty)
 	}
 }
 
-// forwardNow transmits toward target and, when implicit acks are on, arms
-// the (n+1)·2·Thop re-forward / release timer.
-func (p *Protocol) forwardNow(st *reportState, duty *gwDuty, target wire.NodeID, n int) {
+// forwardNow transmits toward the duty's target and, when implicit acks are
+// on, arms the (n+1)·2·Thop re-forward / release timer.
+func (p *Protocol) forwardNow(duty *gwDuty, t trace.EventType, cause string) {
 	duty.forwarded++
-	if p.host.Tracing() {
-		p.host.Trace(trace.TypeReportForward, fmt.Sprintf("-> %v origin=%v seq=%d", target, st.content.OriginCH, st.content.Seq))
-	}
-	p.transmit(st, target)
+	p.send(duty.st, duty.target, t, cause)
 	if !p.cfg.ImplicitAcks {
 		duty.done = true
 		return
 	}
 	duty.kind = dutyRefwd
-	duty.n = n
-	duty.timer = p.host.AfterArg(sim.Time(n+1)*2*p.cfg.Timing.Thop, fireDutyFn, duty)
+	duty.timer = p.host.AfterArg(sim.Time(duty.n+1)*2*p.cfg.Timing.Thop, fireDutyFn, duty)
 }
 
 // --- message handling ---------------------------------------------------------
@@ -729,6 +741,15 @@ func (p *Protocol) onReport(m *wire.FailureReport) {
 	if duty := st.duty(m.Sender); duty != nil {
 		duty.done = true
 		duty.timer.Cancel()
+	}
+
+	// A cumulative-only report rebroadcast by a clusterhead other than its
+	// origin has travelled its one adjacency: whoever hears it learns from it
+	// (fds.onFailureReport), but nobody relays or engages on it. What stays
+	// live is the origin's own transmission and anything addressed to a CH
+	// (a gateway's forward, the second hop of a distributed gateway).
+	if st.cumulativeOnly() && m.Sender != m.OriginCH && m.TargetCH == wire.NoNode {
+		return
 	}
 
 	v := p.cluster.View()

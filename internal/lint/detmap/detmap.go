@@ -765,10 +765,11 @@ func (c *checker) pure(e ast.Expr) bool {
 
 // commutativeMethods are the set/counter verbs whose effect does not depend
 // on the order of calls with distinct arguments (bitset, map-set and metrics
-// idioms). Like queryMethods, matched by name.
+// idioms). Like queryMethods, matched by name. Observe is not one of them:
+// metrics.Histogram.Observe folds a float sum, which is order-sensitive.
 var commutativeMethods = map[string]bool{
 	"Set": true, "Unset": true, "Add": true, "Insert": true,
-	"Delete": true, "Remove": true, "Clear": true, "Observe": true,
+	"Delete": true, "Remove": true, "Clear": true,
 }
 
 // queryMethods are the read-only accessors the tree's map ranges call in

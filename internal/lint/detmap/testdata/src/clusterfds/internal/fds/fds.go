@@ -49,6 +49,15 @@ func (p *proto) badHiddenCall(deploy func(NodeID) int) {
 	}
 }
 
+// badObserve: a histogram's Observe folds a float sum, so in map order the
+// sum's low bits depend on the iteration order (scenario.scheduleMonitor's
+// line before it walked the crash schedule instead).
+func (p *proto) badObserve(at map[NodeID]float64) {
+	for _, t := range at {
+		p.ids.Observe(t) // want `call whose effect the analyzer cannot prove order-insensitive`
+	}
+}
+
 // badDraw consumes a random stream in map order (the rule rngdraw held
 // until detmap learned to look at calls in expressions).
 func (p *proto) badDraw(rng interface{ Intn(int) int }) int {

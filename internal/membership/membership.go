@@ -28,21 +28,32 @@ type Record struct {
 // View is one host's failure knowledge. The zero value is ready to use.
 type View struct {
 	failed map[wire.NodeID]Record
+	// alive is the tombstone of a withdrawn suspicion: per node, the latest
+	// epoch in which it was proven alive (see ProveAlive). Accusations at or
+	// below it are stale and ignored, so proof of life orders against
+	// suspicions the way Sens et al.'s per-node "mistake" counter does.
+	alive map[wire.NodeID]wire.Epoch
 }
 
 // MarkFailed records that node failed, attributed to the given epoch.
 // It reports whether the fact was new to this view. Later reports about an
 // already-known failure never overwrite the original record, so LearnedAt
-// always reflects first knowledge.
+// always reflects first knowledge. An accusation no newer than the node's
+// latest proof of life is ignored: cumulative lists carry epoch 0, so once a
+// node has been proven alive only an epoch-stamped detection can accuse it
+// again.
 func (v *View) MarkFailed(node wire.NodeID, epoch wire.Epoch, at sim.Time) bool {
 	if node == wire.NoNode {
 		return false
 	}
-	if v.failed == nil {
-		v.failed = make(map[wire.NodeID]Record)
-	}
 	if _, known := v.failed[node]; known {
 		return false
+	}
+	if proof, ok := v.alive[node]; ok && epoch <= proof {
+		return false
+	}
+	if v.failed == nil {
+		v.failed = make(map[wire.NodeID]Record)
 	}
 	v.failed[node] = Record{Node: node, Epoch: epoch, LearnedAt: at}
 	return true
@@ -59,9 +70,27 @@ func (v *View) Merge(nodes []wire.NodeID, epoch wire.Epoch, at sim.Time) int {
 	return added
 }
 
-// Forget removes a node from the failed set (local re-admission after a
-// false detection is recognized: under fail-stop, a heartbeat from an
-// allegedly failed node proves it never failed).
+// ProveAlive records that node was alive in epoch — its heartbeat was heard
+// then, or a rescission pinned to that epoch names it — and withdraws a
+// suspicion no newer than the proof, reporting whether one was withdrawn.
+// The proof is kept whether or not a suspicion existed, so an accusation
+// that is still in flight cannot poison the view after the fact.
+func (v *View) ProveAlive(node wire.NodeID, epoch wire.Epoch) bool {
+	if v.alive == nil {
+		v.alive = make(map[wire.NodeID]wire.Epoch)
+	}
+	if proof, ok := v.alive[node]; !ok || epoch > proof {
+		v.alive[node] = epoch
+	}
+	if rec, known := v.failed[node]; !known || rec.Epoch > epoch {
+		return false
+	}
+	delete(v.failed, node)
+	return true
+}
+
+// Forget removes a node from the failed set without recording proof of life
+// (a host discarding a claim of its own failure).
 func (v *View) Forget(node wire.NodeID) bool {
 	if _, known := v.failed[node]; !known {
 		return false

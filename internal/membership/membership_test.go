@@ -80,3 +80,61 @@ func TestRecordMissing(t *testing.T) {
 		t.Error("Record on empty view should report !ok")
 	}
 }
+
+// TestProofOfLifeOrdersAgainstAccusations: a node's latest proof of life is a
+// tombstone that accusations at or below it cannot cross, whatever order the
+// two arrive in.
+func TestProofOfLifeOrdersAgainstAccusations(t *testing.T) {
+	type step struct {
+		accuse bool // MarkFailed at epoch; otherwise ProveAlive at epoch
+		epoch  wire.Epoch
+		want   bool // the call's result
+	}
+	for _, tc := range []struct {
+		name   string
+		steps  []step
+		failed bool // believed failed at the end
+	}{
+		{"older accusation ignored",
+			[]step{{false, 5, false}, {true, 4, false}}, false},
+		{"accusation of the proof's own epoch ignored",
+			[]step{{false, 5, false}, {true, 5, false}}, false},
+		{"newer accusation accepted",
+			[]step{{false, 5, false}, {true, 6, true}}, true},
+		{"epoch-0 merge after a rescission ignored",
+			[]step{{true, 3, true}, {false, 4, true}, {true, 0, false}}, false},
+		{"tombstone set with no record present",
+			[]step{{false, 0, false}, {true, 0, false}}, false},
+		{"proof older than the record withdraws nothing",
+			[]step{{true, 7, true}, {false, 6, false}}, true},
+		{"proof never moves backwards",
+			[]step{{false, 8, false}, {false, 2, false}, {true, 5, false}}, false},
+	} {
+		var v View
+		for i, s := range tc.steps {
+			var got bool
+			if s.accuse {
+				got = v.Merge([]wire.NodeID{9}, s.epoch, 0) == 1
+			} else {
+				got = v.ProveAlive(9, s.epoch)
+			}
+			if got != s.want {
+				t.Errorf("%s: step %d returned %v, want %v", tc.name, i, got, s.want)
+			}
+		}
+		if v.IsFailed(9) != tc.failed {
+			t.Errorf("%s: IsFailed = %v, want %v", tc.name, !tc.failed, tc.failed)
+		}
+	}
+}
+
+// TestForgetLeavesNoTombstone: Forget discards a claim without vouching for
+// the node, so the same accusation may return.
+func TestForgetLeavesNoTombstone(t *testing.T) {
+	var v View
+	v.MarkFailed(4, 3, 0)
+	v.Forget(4)
+	if !v.MarkFailed(4, 3, 0) {
+		t.Error("Forget must not block a later accusation")
+	}
+}

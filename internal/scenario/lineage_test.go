@@ -1,0 +1,217 @@
+package scenario
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"clusterfds/internal/intercluster"
+	"clusterfds/internal/trace"
+	"clusterfds/internal/wire"
+)
+
+// The backbone's invariants, read off the trace: every failure-report step
+// carries a cause token and its report's (origin, seq) — intercluster's
+// lineage grammar — so "who started this flood, and why" and "how often did
+// this node send it" are counts, not guesses.
+
+// reportStep is one parsed report-forward / retransmit / bgw-assist event.
+type reportStep struct {
+	epoch  int
+	node   wire.NodeID
+	cause  string
+	origin wire.NodeID
+	seq    uint64
+	target wire.NodeID // NoNode unless the step was addressed
+}
+
+// key identifies the report the step belongs to.
+func (s reportStep) key() [2]uint64 { return [2]uint64{uint64(s.origin), s.seq} }
+
+// origination reports whether the step starts a flood rather than carrying
+// one: an origin-* step transmits nothing (the health update was hop 0).
+func (s reportStep) origination() bool { return strings.HasPrefix(s.cause, "origin-") }
+
+func reportSteps(t *testing.T, tr *trace.Memory, interval time.Duration) []reportStep {
+	t.Helper()
+	var out []reportStep
+	for _, e := range tr.Events() {
+		switch e.Type {
+		case trace.TypeReportForward, trace.TypeRetransmit, trace.TypeBGWAssist:
+		default:
+			continue
+		}
+		s := reportStep{epoch: int(e.At / interval), node: wire.NodeID(e.Node)}
+		var origin, target uint32
+		n, _ := fmt.Sscanf(e.Detail, "%s origin=n%d seq=%d -> n%d", &s.cause, &origin, &s.seq, &target)
+		if n < 3 {
+			t.Fatalf("report event outside the lineage grammar: %v", e)
+		}
+		s.origin, s.target = wire.NodeID(origin), wire.NodeID(target)
+		out = append(out, s)
+	}
+	return out
+}
+
+// TestBackboneInvariantsWithoutCrashes runs a sparse field at p = 0.1 with
+// nobody crashing, so every detection is false and every flood is overhead,
+// and checks the three properties the report storm violated.
+func TestBackboneInvariantsWithoutCrashes(t *testing.T) {
+	const epochs = 10
+	tr := trace.NewMemory(trace.TypeReportForward, trace.TypeRetransmit, trace.TypeBGWAssist,
+		trace.TypeDetect, trace.TypeViewUpdate)
+	// field600's density on 250 hosts; the seed has false detections in
+	// three consecutive epochs, calm epochs before and after.
+	w := Build(Config{Seed: 12, Nodes: 250, FieldSide: 775, LossProb: 0.1, Trace: tr})
+	interval := time.Duration(w.Config().Timing.Interval)
+	sent := make([]int64, epochs) // failure-report transmissions per epoch
+	for e := 0; e < epochs; e++ {
+		before := w.Medium.Sent(wire.KindFailureReport)
+		w.RunEpochs(e + 1)
+		sent[e] = w.Medium.Sent(wire.KindFailureReport) - before
+	}
+
+	// What happened, by (host, epoch): its own detections (an orphan
+	// takeover fires on the boundary and is announced for the epoch that
+	// just ended) and its heartbeat rescues.
+	type at struct {
+		node  wire.NodeID
+		epoch int
+	}
+	detected, rescued := map[at]bool{}, map[at]bool{}
+	busy := make([]bool, epochs) // a detection, rescue or catch-up this epoch
+	detections := 0
+	for _, e := range tr.Events() {
+		epoch := int(e.At / interval)
+		switch {
+		case e.Type == trace.TypeDetect:
+			detections++
+			detected[at{wire.NodeID(e.Node), epoch}] = true
+			if e.At%interval == 0 {
+				detected[at{wire.NodeID(e.Node), epoch - 1}] = true
+			}
+		case e.Type == trace.TypeViewUpdate && strings.HasPrefix(e.Detail, "rescind "):
+			rescued[at{wire.NodeID(e.Node), epoch}] = true
+		default:
+			continue
+		}
+		busy[epoch] = true
+	}
+	if detections < 3 {
+		t.Fatalf("only %d false detections: the field exercises nothing", detections)
+	}
+
+	// 1. Every flood has an author with first-hand knowledge: a NewFailed
+	// flood's origin made a detection that epoch, and a rescission-only
+	// flood's origin heard the heartbeat itself — nobody re-floods a
+	// rescission it merely received. Each false detection therefore costs
+	// its own flood plus one per clusterhead in the accused's earshot (1.7
+	// on average here; that redundancy is deliberate, see EXPERIMENTS.md).
+	steps := reportSteps(t, tr, interval)
+	floods := map[[2]uint64]bool{}
+	for _, s := range steps {
+		if s.cause == "catch-up" {
+			busy[s.epoch] = true
+		}
+		if !s.origination() {
+			continue
+		}
+		floods[s.key()] = true
+		who := at{s.origin, int(s.seq)}
+		if s.node != s.origin {
+			t.Errorf("n%d originates n%d's report", s.node, s.origin)
+		}
+		if s.cause == "origin-new" && !detected[who] {
+			t.Errorf("n%d floods NewFailed for epoch %d without a detection of its own", s.origin, s.seq)
+		}
+		if s.cause == "origin-rescind" && !rescued[who] {
+			t.Errorf("n%d floods a rescission for epoch %d it did not author (no heartbeat heard)", s.origin, s.seq)
+		}
+	}
+	if len(floods) < detections || len(floods) > 4*detections {
+		t.Errorf("%d floods for %d false detections, want between 1x and 4x", len(floods), detections)
+	}
+
+	// 2. Bounded rebroadcast: per report, a node transmits at most
+	// 1 + CHRetries times as clusterhead, twice per gateway duty (forward
+	// and one re-forward), once per distributed-gateway relay.
+	chRetries := intercluster.DefaultConfig(w.Config().Timing).CHRetries
+	type duty struct {
+		node   wire.NodeID
+		key    [2]uint64
+		role   string
+		target wire.NodeID
+	}
+	count := map[duty]int{}
+	for _, s := range steps {
+		d := duty{node: s.node, key: s.key(), target: s.target}
+		limit := 1
+		switch s.cause {
+		case "relay", "ch-retry", "catch-up":
+			d.role, limit = "clusterhead", 1+chRetries
+		case "gw-forward", "gw-refwd", "bgw":
+			d.role, limit = "gateway", 2
+		case "two-hop", "inward":
+			d.role = s.cause
+		default:
+			continue
+		}
+		if count[d]++; count[d] == limit+1 {
+			t.Errorf("n%d sent report n%d/%d more than %d times as %s toward %v",
+				s.node, s.origin, s.seq, limit, d.role, s.target)
+		}
+	}
+
+	// 3. No news is good news: an epoch in which nobody detected, nobody
+	// was rescued and no adjacency appeared sends no failure report at all.
+	quiet := 0
+	for e, b := range busy {
+		if b {
+			continue
+		}
+		quiet++
+		if sent[e] != 0 {
+			t.Errorf("epoch %d: %d failure reports with no detection, rescue or new adjacency", e, sent[e])
+		}
+	}
+	if quiet < 3 || quiet > epochs-3 {
+		t.Fatalf("%d quiet epochs of %d: the field does not show both regimes", quiet, epochs)
+	}
+}
+
+// TestField600ReportBudget pins the cost of dissemination on the benchmark's
+// reference field (600 hosts, ~92 clusters, 6 crashes mid-epoch 3, 8 epochs):
+// a crash costs a few transmissions per clusterhead, not hundreds, every
+// victim is known to every operational host, and with the crash wave removed
+// the field does not feed a storm of its own.
+func TestField600ReportBudget(t *testing.T) {
+	field := func(seed int64, crashes int) (*World, []wire.NodeID) {
+		w := Build(Config{Seed: seed, Nodes: 600, FieldSide: 1200, LossProb: 0.1})
+		tm := w.Config().Timing
+		victims := w.CrashRandomAt(tm.EpochStart(3)+tm.Interval/2, crashes)
+		w.RunEpochs(8)
+		return w, victims
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			w, victims := field(seed, 6)
+			for _, v := range victims {
+				if aware, operational := w.Completeness(v); aware != operational {
+					t.Errorf("victim %v known to %d of %d operational hosts", v, aware, operational)
+				}
+			}
+			reports := w.Medium.Sent(wire.KindFailureReport)
+			if perCH := float64(reports) / float64(len(victims)*w.Census().Clusterheads); perCH > 25 {
+				t.Errorf("%.1f failure-report tx per failure per clusterhead (%d in all), want <= 25", perCH, reports)
+			}
+		})
+	}
+	t.Run("seed1-no-crashes", func(t *testing.T) {
+		t.Parallel()
+		if w, _ := field(1, 0); w.Medium.Sent(wire.KindFailureReport) >= 10000 {
+			t.Errorf("%d failure reports, want < 10000 (the echo sent 192764)", w.Medium.Sent(wire.KindFailureReport))
+		}
+	})
+}

@@ -173,6 +173,7 @@ type World struct {
 	nextNID wire.NodeID
 
 	crashSched     map[wire.NodeID]bool                     // hosts with a crash scheduled, fired or not
+	crashOrder     []wire.NodeID                            // the same hosts, in the order they were scheduled
 	crashedAt      map[wire.NodeID]sim.Time                 // when each crash fired
 	firstSuspected map[wire.NodeID]map[wire.NodeID]sim.Time // subject -> observer -> time
 
@@ -298,7 +299,12 @@ func (w *World) scheduleMonitor() {
 	var tick func()
 	tick = func() {
 		now := w.Kernel.Now()
-		for subject := range w.crashedAt {
+		// Schedule order, not map order: Observe folds a float sum.
+		for _, subject := range w.crashOrder {
+			crashed, fired := w.crashedAt[subject]
+			if !fired {
+				continue
+			}
 			obs := w.firstSuspected[subject]
 			if obs == nil {
 				obs = make(map[wire.NodeID]sim.Time)
@@ -313,7 +319,7 @@ func (w *World) scheduleMonitor() {
 				}
 				if w.dets[id].IsSuspected(subject) {
 					obs[id] = now
-					w.detLat.Observe(time.Duration(now - w.crashedAt[subject]).Seconds())
+					w.detLat.Observe(time.Duration(now - crashed).Seconds())
 				}
 			}
 		}
@@ -396,7 +402,10 @@ func (w *World) CrashAt(at sim.Time, id wire.NodeID) {
 	if !ok {
 		panic(fmt.Sprintf("scenario: no host %v", id))
 	}
-	w.crashSched[id] = true
+	if !w.crashSched[id] {
+		w.crashSched[id] = true
+		w.crashOrder = append(w.crashOrder, id)
+	}
 	w.Kernel.At(at, func() {
 		if !h.Crashed() {
 			h.Crash()

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint fmt-check build test race benchsmoke benchcmp scale-smoke baseline-smoke fuzz-smoke conformance bench bench-e2e bench-claim fmt
+.PHONY: check vet lint fmt-check build test race benchsmoke benchcmp scale-smoke baseline-smoke fuzz-smoke conformance bench bench-e2e bench-claim bench-claim-reception fmt
 
 ## check: the pre-PR gate. Run this before sending any change for review.
 ## CI (.github/workflows/ci.yml) runs the same gates, one named step each.
@@ -56,16 +56,18 @@ benchsmoke:
 ## allocation counts are deterministic at fixed seed regardless of
 ## iteration count. The per-layer micro-benchmarks live in the packages that
 ## own the code (internal/sim: heap push/pop and run fan-out; internal/radio:
-## broadcast fan-out vs density) and run as a third invocation; their pooled
-## steady state allocates nothing, and the gate holds them there. All three
-## invocations feed one benchcmp run.
+## broadcast fan-out vs density; internal/transport: one datagram through a
+## 160-port channel mesh) and run as a third invocation; the pooled steady
+## state of the first two allocates nothing and the mesh copies a broadcast's
+## payload exactly once (352 B/op, not once per port), and the gate holds
+## them there. All three invocations feed one benchcmp run.
 benchcmp:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkFDSEpoch$$|BenchmarkRadioBroadcast$$|BenchmarkCodec$$|BenchmarkSWIMEpoch$$|BenchmarkQueryResponseEpoch$$|BenchmarkAllPairsEpoch$$' \
 		-benchtime 20x -benchmem . && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFDSEpoch10k$$|BenchmarkShardedEpoch$$|BenchmarkFDSEpochParallel' \
 		-benchtime 1x -benchmem . && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkPushPop$$|BenchmarkRunFanout$$|BenchmarkBroadcast$$' \
-		-benchtime 10000x -benchmem ./internal/sim ./internal/radio ; } | $(GO) run ./cmd/benchcmp -baseline bench_baseline.json
+	  $(GO) test -run '^$$' -bench 'BenchmarkPushPop$$|BenchmarkRunFanout$$|BenchmarkBroadcast$$|BenchmarkChanMeshBroadcast$$' \
+		-benchtime 10000x -benchmem ./internal/sim ./internal/radio ./internal/transport ; } | $(GO) run ./cmd/benchcmp -baseline bench_baseline.json
 
 ## scale-smoke: the sharded engine's cross-partition determinism gate at a
 ## scale the unit tests don't reach: a 10,000-host crash wave, run with 1
@@ -126,6 +128,17 @@ bench-e2e:
 bench-claim:
 	$(GO) run ./bench -workload field600,dense300,strips600 -reps 3 -seed 1
 	$(GO) run ./bench -workload field600,dense300,strips600 -reps 3 -seed 2
+
+## bench-claim-reception: what a change under the reception path
+## (node.Host.Deliver, radio.receive, LinkTransport.Inject and what they call)
+## owes instead: the same, plus mesh160 and flood100, whose whole cost is
+## receptions (~3 min). Compare wall_s, alloc_mb, peak_rss_mb and, in the
+## traced pass, sim.ns_per_event, {fds,cluster}.handle_s, radio.send_s,
+## transport.broadcast_s and daemon.poll_s; events, fingerprint and every
+## radio.tx.* / radio.rx.* count must be the parent's.
+bench-claim-reception:
+	$(GO) run ./bench -workload mesh160,flood100,field600,dense300,strips600 -reps 3 -seed 1
+	$(GO) run ./bench -workload mesh160,flood100,field600,dense300,strips600 -reps 3 -seed 2
 
 fmt:
 	gofmt -l -w .

@@ -569,6 +569,12 @@ func BenchmarkRadioBroadcast(b *testing.B) {
 		m.Attach(hosts[i])
 	}
 	msg := &wire.Heartbeat{NID: 1, Epoch: 1}
+	// One broadcast before the clock starts: the pooled transmission, the
+	// kernel's event block and its sort scratch are made once per medium, and
+	// at -benchtime 20x they would otherwise be most of the B/op the gate
+	// reads.
+	m.Send(1, msg)
+	k.Run()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -84,6 +84,13 @@ func (v View) IsMember(id wire.NodeID) bool {
 // neighboring cluster.
 func (v View) IsGW() bool { return len(v.OtherCHs) > 0 }
 
+// gwSet is one pair's candidate set: a bitset over the protocol's interner
+// (ids) and its size.
+type gwSet struct {
+	in dense.Bitset
+	n  int
+}
+
 // pairKey identifies an unordered pair of neighboring clusterheads.
 type pairKey struct{ lo, hi wire.NodeID }
 
@@ -125,8 +132,9 @@ type Protocol struct {
 
 	// Gateway candidates per neighboring-cluster pair, learned from
 	// overheard GWRegister broadcasts. Used for BGW self-ranking and for
-	// the CH's primary-gateway choice.
-	gwCandidates map[pairKey]map[wire.NodeID]bool
+	// the CH's primary-gateway choice. A set only grows, and after the first
+	// epoch nearly every registration re-adds a candidate it already holds.
+	gwCandidates map[pairKey]*gwSet
 
 	// CH bookkeeping: neighbor clusterheads and per-member digest coverage.
 	// coverage is an exponentially weighted moving average of digest sizes
@@ -143,7 +151,8 @@ type Protocol struct {
 	// over interned NIDs plus an insertion-order list for iteration: the
 	// former map grew fresh buckets every epoch under churn, and every use of
 	// the set (minimum check, member-set inserts) is order-independent, so
-	// list order cannot affect behavior.
+	// list order cannot affect behavior. ids also indexes the gwCandidates
+	// sets, which outlive the epoch; an index, once assigned, never changes.
 	ids            dense.Interner
 	heardUnmarked  dense.Bitset
 	heardList      []wire.NodeID
@@ -228,7 +237,7 @@ func New(cfg Config) *Protocol {
 		borderPeers:   make(map[wire.NodeID]map[wire.NodeID]wire.Epoch),
 		gwFlag:        make(map[wire.NodeID]bool),
 		otherCHs:      make(map[wire.NodeID]wire.Epoch),
-		gwCandidates:  make(map[pairKey]map[wire.NodeID]bool),
+		gwCandidates:  make(map[pairKey]*gwSet),
 		neighborCHs:   make(map[wire.NodeID]wire.Epoch),
 		coverage:      make(map[wire.NodeID]float64),
 		epochCoverage: make(map[wire.NodeID]int),
@@ -522,10 +531,13 @@ func (p *Protocol) appendOtherCHs(dst []wire.NodeID, e wire.Epoch) []wire.NodeID
 func (p *Protocol) addGWCandidate(key pairKey, id wire.NodeID) {
 	set := p.gwCandidates[key]
 	if set == nil {
-		set = make(map[wire.NodeID]bool)
+		set = &gwSet{}
 		p.gwCandidates[key] = set
 	}
-	set[id] = true
+	if i := p.ids.Index(id); !set.in.Get(i) {
+		set.in.Set(i)
+		set.n++
+	}
 }
 
 // Handle implements node.Protocol.
@@ -905,19 +917,22 @@ func (p *Protocol) AppendNeighborCHs(dst []wire.NodeID) []wire.NodeID {
 // candidate for that pair.
 func (p *Protocol) GWRank(chA, chB wire.NodeID) (rank, n int, ok bool) {
 	set := p.gwCandidates[pairOf(chA, chB)]
+	if set == nil {
+		return 0, 0, false
+	}
 	me := p.host.ID()
-	if !set[me] {
-		return 0, len(set), false
+	if i, known := p.ids.Lookup(me); !known || !set.in.Get(i) {
+		return 0, set.n, false
 	}
 	// Rank in the sorted candidate list = 1 + the number of smaller NIDs;
 	// counting avoids materializing the sorted list.
 	rank = 1
-	for id := range set {
-		if id < me {
+	set.in.ForEach(func(i uint32) {
+		if p.ids.NodeID(i) < me {
 			rank++
 		}
-	}
-	return rank, len(set), true
+	})
+	return rank, set.n, true
 }
 
 // GatewayCandidates returns the known gateway candidates between chA and
@@ -929,10 +944,9 @@ func (p *Protocol) GatewayCandidates(chA, chB wire.NodeID) []wire.NodeID {
 // AppendGatewayCandidates is GatewayCandidates appending into dst; only the
 // appended tail is sorted.
 func (p *Protocol) AppendGatewayCandidates(dst []wire.NodeID, chA, chB wire.NodeID) []wire.NodeID {
-	set := p.gwCandidates[pairOf(chA, chB)]
 	start := len(dst)
-	for id := range set {
-		dst = append(dst, id)
+	if set := p.gwCandidates[pairOf(chA, chB)]; set != nil {
+		set.in.ForEach(func(i uint32) { dst = append(dst, p.ids.NodeID(i)) })
 	}
 	slices.Sort(dst[start:])
 	return dst

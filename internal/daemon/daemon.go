@@ -124,11 +124,15 @@ func (d *Daemon) Crash() { d.host.Crash() }
 
 // Poll drains every currently queued inbound datagram without blocking and
 // delivers each to the protocol stack at the current virtual time.
-// Malformed datagrams are counted by the transport and dropped.
+// Malformed datagrams are counted by the transport and dropped. "Currently"
+// is the queue depth on entry: datagrams a peer broadcasts from another
+// goroutine while Poll runs wait for the next call, so a busy mesh cannot
+// hold a cooperative driver here.
 func (d *Daemon) Poll() {
-	for {
+	packets := d.link.Packets()
+	for n := len(packets); n > 0; n-- {
 		select {
-		case p, ok := <-d.link.Packets():
+		case p, ok := <-packets:
 			if !ok {
 				return
 			}

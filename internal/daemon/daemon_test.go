@@ -8,6 +8,7 @@ import (
 
 	"clusterfds/internal/cluster"
 	"clusterfds/internal/sim"
+	"clusterfds/internal/trace"
 	"clusterfds/internal/transport"
 	"clusterfds/internal/wire"
 )
@@ -238,5 +239,55 @@ func TestMalformedDatagramsAreSurvivable(t *testing.T) {
 	}
 	if d.Transport().BadDatagrams() == 0 {
 		t.Error("no malformed datagrams were counted")
+	}
+}
+
+// answeringPeer is a trace sink that models the fastest possible concurrent
+// peer, deterministically: for every datagram the daemon's transport
+// delivers, one more is already on the daemon's port (up to a limit, so an
+// unbounded drain ends in a count instead of a hang).
+type answeringPeer struct {
+	link      *transport.ChanLink
+	datagram  []byte
+	delivered int
+	limit     int
+}
+
+func (p *answeringPeer) Emit(e trace.Event) {
+	if e.Type != trace.TypeDeliver {
+		return
+	}
+	if p.delivered++; p.delivered < p.limit {
+		p.link.Broadcast(p.link.ID(), p.datagram)
+	}
+}
+
+// TestPollDrainsOnlyWhatWasQueuedOnEntry pins Poll's bound. The mesh is
+// thread-safe and Run-driven daemons share it with cooperative ones, so a peer
+// may broadcast while Poll drains; Poll must deliver the datagrams it found
+// and return, not chase the queue until it happens to be empty — which, with
+// a peer that refills as fast as Inject empties, is never.
+func TestPollDrainsOnlyWhatWasQueuedOnEntry(t *testing.T) {
+	cm := transport.NewChanMesh()
+	link := cm.Join(1)
+	peer := &answeringPeer{
+		link:     cm.Join(99),
+		datagram: wire.Encode(&wire.Heartbeat{NID: 99}),
+		limit:    1000,
+	}
+	d := New(Config{ID: 1, Seed: 4, Peers: []wire.NodeID{99}, Trace: peer}, link)
+
+	const queued = 3
+	for i := 0; i < queued; i++ {
+		peer.link.Broadcast(99, peer.datagram)
+	}
+	d.Poll()
+	if peer.delivered != queued {
+		t.Fatalf("Poll delivered %d datagrams, want the %d queued when it was called", peer.delivered, queued)
+	}
+	// What arrived meanwhile is not lost: it is the next call's.
+	d.Poll()
+	if peer.delivered != 2*queued {
+		t.Errorf("second Poll brought deliveries to %d, want %d", peer.delivered, 2*queued)
 	}
 }

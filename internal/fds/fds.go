@@ -123,9 +123,13 @@ type Protocol struct {
 	heardHB dense.Bitset
 
 	// CH evidence (also collected by DCHs, which overhear everything the
-	// CH does thanks to promiscuous receiving).
+	// CH does thanks to promiscuous receiving). judging is set at the epoch
+	// boundary on exactly the hosts that arm detectFn or checkCHFn, the only
+	// readers (anyEvidence): everyone else skips folding each digest's Heard
+	// list, the one per-reception cost that grows with cluster size.
+	judging       bool
 	digestFrom    dense.Bitset // members whose digest arrived
-	aliveInDigest dense.Bitset // nodes some received digest lists
+	aliveInDigest dense.Bitset // nodes some received digest lists; judges only
 
 	// heardScratch is sendDigest's reusable member-list buffer.
 	heardScratch []wire.NodeID
@@ -274,6 +278,8 @@ func (p *Protocol) runEpoch(e wire.Epoch) {
 	p.pruneSleepers(e)
 	p.snapshot = p.cluster.View()
 	p.active = p.snapshot.Marked
+	rank := p.dchRank()
+	p.judging = p.snapshot.IsCH || rank > 0
 	p.heardHB.Clear()
 	p.digestFrom.Clear()
 	p.aliveInDigest.Clear()
@@ -307,7 +313,7 @@ func (p *Protocol) runEpoch(e wire.Epoch) {
 	// at the end of fds.R-3; lower-ranked deputies wait one extra round
 	// per rank (longer than any delivery delay) so they only act if their
 	// predecessors' takeover updates never appear.
-	if rank := p.dchRank(); rank > 0 {
+	if rank > 0 {
 		delay := t.R3End() + sim.Time(rank-1)*t.Thop
 		p.host.AfterBatched(delay, p.checkCHFn)
 	}
@@ -385,9 +391,19 @@ func (p *Protocol) hbHeard(id wire.NodeID) bool {
 // sources vouches for id this epoch: its heartbeat was heard (fds.R-1), its
 // digest arrived (fds.R-2), or some received digest lists it as heard.
 func (p *Protocol) anyEvidence(id wire.NodeID) bool {
+	if evidenceProbe != nil {
+		evidenceProbe(p.judging)
+	}
 	i, ok := p.ids.Lookup(id)
 	return ok && (p.heardHB.Get(i) || p.digestFrom.Get(i) || p.aliveInDigest.Get(i))
 }
+
+// evidenceProbe is nil outside tests. A test sets it to observe every
+// consultation of the evidence together with whether the consulting host
+// folded digests this epoch, so a reader added on a host that did not
+// (judging false: aliveInDigest is empty) fails a test instead of silently
+// detecting everyone.
+var evidenceProbe func(judging bool)
 
 // dchRank returns this host's 1-based rank among the snapshot's deputy
 // clusterheads, or 0 if it is not a deputy.
@@ -651,6 +667,9 @@ func (p *Protocol) onDigest(m *wire.Digest) {
 		return
 	}
 	p.digestFrom.Set(p.ids.Index(m.NID))
+	if !p.judging {
+		return
+	}
 	for _, id := range m.Heard {
 		p.aliveInDigest.Set(p.ids.Index(id))
 	}

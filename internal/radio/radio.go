@@ -265,11 +265,12 @@ func (m *Medium) Attach(r Receiver) {
 	if _, dup := m.slotOf[id]; dup {
 		panic(fmt.Sprintf("radio: duplicate NID %v", id))
 	}
-	slot := uint32(len(m.hosts))
+	// The meter hands out slots in Track order, so a host's meter slot is its
+	// slot here and a delivery's Tag charges the receiver directly.
+	slot := m.energy.Track(id)
 	m.hosts = append(m.hosts, host{rcv: r, id: id})
 	m.slotOf[id] = slot
 	m.grid.insert(slot, r.Pos())
-	m.energy.Track(id)
 }
 
 // UpdatePos tells the medium a host moved. (The paper defers migration to
@@ -355,7 +356,7 @@ func (m *Medium) Send(from wire.NodeID, msg wire.Message) {
 		return
 	}
 	size := msg.WireSize()
-	m.chargeTx(from, size)
+	m.energy.ChargeTx(fromSlot, size)
 	now := m.kernel.Now()
 	if m.tracing {
 		m.sink.Emit(trace.Event{
@@ -442,7 +443,7 @@ func receive(arg any, it sim.RunItem) {
 	m := tb.m
 	h := &m.hosts[it.Tag]
 	if h.rcv.Operational() {
-		m.chargeRx(h.id, tb.size)
+		m.energy.ChargeRx(it.Tag, tb.size)
 		tb.rxc.Add(1)
 		decoded, err := wire.DecodeInto(m.scratch, tb.buf)
 		if err != nil {
@@ -474,12 +475,6 @@ func (m *Medium) takeTxBuf() *txBuf {
 	}
 	return &txBuf{m: m}
 }
-
-// chargeTx debits transmission energy.
-func (m *Medium) chargeTx(id wire.NodeID, bytes int) { m.energy.ChargeTx(id, bytes) }
-
-// chargeRx debits reception energy.
-func (m *Medium) chargeRx(id wire.NodeID, bytes int) { m.energy.ChargeRx(id, bytes) }
 
 // Energy returns the host's available energy: initial budget plus harvest
 // minus spend, floored at zero. The peer-forwarding backoff consults this

@@ -1,10 +1,14 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
+	"time"
 )
 
 // TestRunFiresLikeIndividualEvents walks the run's contract case by case on
@@ -411,6 +415,125 @@ func TestRunDifferentialOrder(t *testing.T) {
 		}
 		if len(logs[0]) != len(logs[1]) {
 			t.Fatalf("seed %d: kernel logged %d lines, reference %d", seed, len(logs[0]), len(logs[1]))
+		}
+	}
+}
+
+// runShapes are the item distributions the run's sort must order exactly as
+// the reference does, whatever route they take through it: delays from now,
+// returned in the order the items are appended.
+var runShapes = []struct {
+	name   string
+	delays func(rng *rand.Rand, n int) []Time
+}{
+	{"all equal", func(_ *rand.Rand, n int) []Time {
+		d := make([]Time, n)
+		for i := range d {
+			d[i] = 7
+		}
+		return d
+	}},
+	// Everything inside 1 us except one item an hour out: by time, one
+	// bucket holds all but one item.
+	{"clustered with an outlier", func(rng *rand.Rand, n int) []Time {
+		d := spread(rng, n, 1000)
+		d[rng.Intn(n)] = Time(time.Hour)
+		return d
+	}},
+	// Each item twice as far out as the one before it, wrapping at 2^62:
+	// every level of the distribution peels off a few and leaves the rest in
+	// its first bucket.
+	{"geometric", func(rng *rand.Rand, n int) []Time {
+		d := make([]Time, n)
+		for i := range d {
+			d[i] = Time(1) << (i % 63)
+		}
+		rng.Shuffle(n, func(i, j int) { d[i], d[j] = d[j], d[i] })
+		return d
+	}},
+	{"span 1ns", func(rng *rand.Rand, n int) []Time { return spread(rng, n, 1) }},
+	{"span 11ms", func(rng *rand.Rand, n int) []Time { return spread(rng, n, int64(11*time.Millisecond)) }},
+	{"span 2^41ns", func(rng *rand.Rand, n int) []Time { return spread(rng, n, 1<<41) }},
+	{"span to the end of time", func(rng *rand.Rand, n int) []Time { return spread(rng, n, math.MaxInt64) }},
+}
+
+// spread returns n delays drawn from [0, span], each end at least once.
+func spread(rng *rand.Rand, n int, span int64) []Time {
+	d := make([]Time, n)
+	for i := range d {
+		d[i] = Time(rng.Int63n(span/2+1) + rng.Int63n(span-span/2+1))
+	}
+	d[0], d[n-1] = 0, Time(span)
+	rng.Shuffle(n, func(i, j int) { d[i], d[j] = d[j], d[i] })
+	return d
+}
+
+// TestRunSortMatchesReference takes every shape at the sizes on either side of
+// the insertion-only limit and well past it, as a run, a timer and a second
+// run over the same instants, and compares the firing order — ties within a
+// run, between the runs and against the timer included — with the reference
+// kernel, which knows nothing of runs or sorting. (The reference finds each
+// next event by scanning all of them, so the largest size goes without the
+// second run: a quarter of the scanning.)
+func TestRunSortMatchesReference(t *testing.T) {
+	for _, shape := range runShapes {
+		for _, n := range []int{insertLimit, insertLimit + 1, 100, 4096} {
+			delays := shape.delays(rand.New(rand.NewSource(int64(n))), n)
+			var logs [2][]string
+			for i, s := range []scheduler{realKernel{New(1), t}, &refKernel{batches: map[Time]*[]func(){}}} {
+				note := func(id string) {
+					logs[i] = append(logs[i], fmt.Sprintf("t=%d %s steps=%d pending=%d", s.Now(), id, s.Steps(), s.Pending()))
+				}
+				s.run(delays, func(j int) { note(fmt.Sprint("a", j)) })
+				s.Schedule(delays[n/2], func() { note("timer") })
+				if n <= 100 {
+					s.run(delays, func(j int) { note(fmt.Sprint("b", j)) })
+				}
+				s.Run()
+			}
+			if len(logs[0]) < n+1 || len(logs[0]) != len(logs[1]) {
+				t.Fatalf("%s, n=%d: kernel logged %d firings, reference %d", shape.name, n, len(logs[0]), len(logs[1]))
+			}
+			for i := range logs[0] {
+				if logs[0][i] != logs[1][i] {
+					t.Fatalf("%s, n=%d: firing %d differs\nkernel:    %s\nreference: %s", shape.name, n, i, logs[0][i], logs[1][i])
+				}
+			}
+		}
+	}
+}
+
+// TestRunSortWorstCaseIsNotQuadratic counts steps instead of timing them. The
+// sort is distribute, then one insertion pass; the pass moves an item once
+// per inversion left, so counting the inversions distribute leaves is
+// counting the pass's work. On the shapes built to defeat a single level of
+// buckets it must stay within insertLimit per item — the bound distribute
+// promises — where a pass over the undistributed items would need ~n²/4.
+func TestRunSortWorstCaseIsNotQuadratic(t *testing.T) {
+	const n = 1 << 16
+	for _, shape := range runShapes {
+		delays := shape.delays(rand.New(rand.NewSource(1)), n)
+		items := make([]RunItem, n)
+		for i, d := range delays {
+			items[i] = RunItem{At: d, Tag: uint32(i)}
+		}
+		want := slices.Clone(items)
+		slices.SortStableFunc(want, func(a, b RunItem) int { return cmp.Compare(a.At, b.At) })
+
+		k := New(1)
+		k.distribute(items)
+		moves := 0
+		for i := 1; i < n; i++ {
+			for j := i; j > 0 && items[j-1].At > items[j].At; j-- {
+				items[j-1], items[j] = items[j], items[j-1]
+				moves++
+			}
+		}
+		if moves > insertLimit*n {
+			t.Errorf("%s: %d moves left to the insertion pass for %d items, want at most %d", shape.name, moves, n, insertLimit*n)
+		}
+		if !slices.Equal(items, want) {
+			t.Errorf("%s: distribute + insertion is not the stable order by At", shape.name)
 		}
 	}
 }

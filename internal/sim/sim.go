@@ -11,10 +11,9 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"slices"
 	"time"
 )
 
@@ -190,10 +189,6 @@ type RunItem struct {
 	// Tag is the caller's: the kernel hands it back to the RunHandler and
 	// never reads it (the radio keeps the receiver's slot here).
 	Tag uint32
-	// ord is the item's position in the order the caller appended it — its
-	// offset into the run's block of seqs, which breaks At ties within the
-	// run. ScheduleRun stamps it.
-	ord uint32
 }
 
 // RunHandler is the callback of a Run: it receives the argument the run was
@@ -233,6 +228,11 @@ type Kernel struct {
 	steps   uint64
 	unfired int    // items of queued runs behind each run's next one: firings with no heap entry of their own
 	free    *event // recycled events (the #1 allocation site otherwise), linked through event.next
+
+	// sortTmp and sortCnt are distribute's scratch, grown to the largest run
+	// scheduled so far.
+	sortTmp []RunItem
+	sortCnt []uint32
 
 	// Same-instant batching (AtBatched): one kernel event per distinct
 	// timestamp, carrying every callback registered for it in FIFO order.
@@ -352,9 +352,8 @@ func (k *Kernel) ScheduleRun(r *Run, fn RunHandler, arg any) {
 		if items[i].At < k.now {
 			panic(fmt.Sprintf("sim: ScheduleRun item at %v is in the past (now %v)", items[i].At, k.now))
 		}
-		items[i].ord = uint32(i)
 	}
-	sortItems(items)
+	k.sortItems(items)
 	r.fn, r.arg = fn, arg
 	ev := k.alloc()
 	ev.run = r
@@ -364,17 +363,15 @@ func (k *Kernel) ScheduleRun(r *Run, fn RunHandler, arg any) {
 	k.enqueue(items[0].At, ev)
 }
 
-// sortItems orders items by (At, ord). Fan-outs are mostly a handful of
-// items, where insertion sort beats the general sort's set-up.
-func sortItems(items []RunItem) {
-	if len(items) > 12 {
-		slices.SortFunc(items, func(a, b RunItem) int {
-			if c := cmp.Compare(a.At, b.At); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.ord, b.ord)
-		})
-		return
+// sortItems orders items by (At, ord), ord being an item's position in the
+// order the caller appended it: its offset into the run's block of seqs. The
+// items arrive in that order, so any stable sort by At alone produces it and
+// no item carries its ord. Up to insertLimit items an insertion pass is the
+// whole sort; a longer run is first distributed by time, which leaves every
+// item within insertLimit places of its own, and the same pass finishes it.
+func (k *Kernel) sortItems(items []RunItem) {
+	if len(items) > insertLimit {
+		k.distribute(items)
 	}
 	for i := 1; i < len(items); i++ {
 		it := items[i]
@@ -383,6 +380,70 @@ func sortItems(items []RunItem) {
 			items[j] = items[j-1]
 		}
 		items[j] = it
+	}
+}
+
+// insertLimit is the longest stretch the insertion pass is left to order by
+// itself. Fan-outs are mostly a handful of items, where it beats any set-up.
+const insertLimit = 12
+
+// distribute moves items, stably, into at most len(items) equal-width time
+// buckets in firing order, and does the same again inside every bucket that
+// holds more than insertLimit items, so that what is left out of order is
+// confined to stretches of at most insertLimit. A delivery run's delays are
+// spread evenly over a few milliseconds, which one level sorts almost
+// completely: a counting pass and a scatter in place of a comparison sort.
+// Whatever the spread, a bucket that is divided again holds more than
+// insertLimit items, which makes its buckets at most an eighth as wide as
+// itself: at most 64/3 levels of O(n) each. Items that tie on At are left
+// alone, in ord order.
+func (k *Kernel) distribute(items []RunItem) {
+	n := len(items)
+	lo, hi := items[0].At, items[0].At
+	for i := range items {
+		lo, hi = min(lo, items[i].At), max(hi, items[i].At)
+	}
+	if lo == hi {
+		return
+	}
+	// Buckets are 2^shift wide: the narrowest power of two that needs no
+	// more than n of them to cover [lo, hi].
+	shift := bits.Len64(uint64(hi-lo) / uint64(n))
+	if len(k.sortTmp) < n {
+		k.sortTmp = make([]RunItem, n)
+		k.sortCnt = make([]uint32, n+1)
+	}
+	tmp, cnt := k.sortTmp[:n], k.sortCnt[:n+1]
+	clear(cnt)
+	for i := range items {
+		cnt[uint64(items[i].At-lo)>>shift+1]++
+	}
+	var most uint32 // the fullest bucket
+	for b := 1; b <= n; b++ {
+		most = max(most, cnt[b])
+		cnt[b] += cnt[b-1] // cnt[b] is now where bucket b starts
+	}
+	for i := range items {
+		b := uint64(items[i].At-lo) >> shift
+		tmp[cnt[b]] = items[i]
+		cnt[b]++
+	}
+	copy(items, tmp)
+	if most <= insertLimit {
+		return
+	}
+	// The scratch is free again; the buckets' bounds are read back off the
+	// items themselves.
+	for i := 0; i < n; {
+		b := uint64(items[i].At-lo) >> shift
+		j := i + 1
+		for j < n && uint64(items[j].At-lo)>>shift == b {
+			j++
+		}
+		if j-i > insertLimit {
+			k.distribute(items[i:j])
+		}
+		i = j
 	}
 }
 

@@ -1,0 +1,36 @@
+package transport
+
+import (
+	"testing"
+
+	"clusterfds/internal/wire"
+)
+
+// BenchmarkChanMeshBroadcast is one datagram through the channel mesh at the
+// size of bench's mesh160: 160 ports, a 333-byte payload (about that
+// workload's mean datagram), every queue drained after each broadcast. What
+// benchcmp pins is B/op: one payload copy per broadcast, whatever the number
+// of ports.
+func BenchmarkChanMeshBroadcast(b *testing.B) {
+	cm := NewChanMesh()
+	links := make([]*ChanLink, 160)
+	for i := range links {
+		links[i] = cm.Join(wire.NodeID(i + 1))
+	}
+	payload := make([]byte, 333)
+	var got int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := links[0].Broadcast(1, payload); err != nil {
+			b.Fatal(err)
+		}
+		for _, l := range links[1:] {
+			got += len((<-l.Packets()).Payload)
+		}
+	}
+	if want := b.N * (len(links) - 1) * len(payload); got != want {
+		b.Fatalf("received %d bytes, want %d", got, want)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(len(links)-1)), "ns/rx")
+}

@@ -13,13 +13,15 @@ import (
 const chanLinkBuffer = 1024
 
 // ChanMesh is a thread-safe in-process broadcast hub: every joined port's
-// Broadcast is copied into every other port's inbound channel. It is the
-// test stand-in for N UDP sockets on localhost — daemon tests run whole
-// multi-node clusters in one process, with no real sockets and no wall
+// Broadcast is copied once and queued on every other port's inbound channel.
+// It is the test stand-in for N UDP sockets on localhost — daemon tests run
+// whole multi-node clusters in one process, with no real sockets and no wall
 // time, and can model a vanished node by simply leaving the mesh.
 //
-// Delivery is best-effort: a port whose inbound queue is full drops the
-// datagram, exactly as a saturated socket buffer would.
+// A received Packet's payload is read-only and may be shared by all
+// receivers of one broadcast (see Packet); it never aliases the sender's
+// buffer. Delivery is best-effort: a port whose inbound queue is full drops
+// the datagram, exactly as a saturated socket buffer would.
 type ChanMesh struct {
 	mu    sync.Mutex
 	ports []*ChanLink // join order; closed ports are compacted out
@@ -57,20 +59,20 @@ func (cm *ChanMesh) leave(link *ChanLink) {
 	}
 }
 
-// broadcast copies payload to every port except the sender's own.
+// broadcast queues payload on every port except the sender's own.
 func (cm *ChanMesh) broadcast(sender *ChanLink, from wire.NodeID, payload []byte) {
+	// The sender's LinkTransport reuses payload for its next Send; every
+	// port's Packet shares one private, read-only copy, as Mesh.Broadcast's
+	// deliveries do.
+	pkt := Packet{From: from, Payload: append([]byte(nil), payload...)}
 	cm.mu.Lock()
 	defer cm.mu.Unlock()
 	for _, p := range cm.ports {
 		if p == sender {
 			continue
 		}
-		// Per-receiver copy: a received Packet's payload is owned by its
-		// receiver and must not alias the sender's reused encode buffer or
-		// another receiver's copy.
-		cp := append([]byte(nil), payload...)
 		select {
-		case p.in <- Packet{From: from, Payload: cp}:
+		case p.in <- pkt:
 		default:
 			// Queue full: drop, like a saturated socket buffer.
 		}

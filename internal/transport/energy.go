@@ -2,7 +2,7 @@ package transport
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"clusterfds/internal/wire"
 )
@@ -34,68 +34,72 @@ func DefaultEnergy() EnergyParams {
 	}
 }
 
-// meterCell tracks one host's cumulative spend; available energy is computed
-// lazily from the harvest rate and the clock.
-type meterCell struct {
-	spent float64
-}
-
 // Meter is the shared per-host energy meter. Both transport backends (the
 // simulated radio medium and the in-process mesh) delegate to it, so the
 // floating-point arithmetic — and therefore the energy-biased peer-forwarding
 // backoff in fds — is bit-identical regardless of backend.
 //
-// Charging an untracked host is a no-op, mirroring the historical radio
-// behaviour for unattached NIDs.
+// A host is charged by its slot — its position in Track order, which the
+// radio keeps equal to the slot its delivery records carry — so a reception
+// costs an indexed add, not a map probe; reads are by NID. Charging a slot
+// nobody was tracked into is a no-op, mirroring the historical radio
+// behaviour for unattached NIDs. Available energy is computed lazily from
+// the harvest rate and the clock.
 type Meter struct {
 	params EnergyParams
 	clock  Clock
-	cells  map[wire.NodeID]*meterCell
+	slotOf map[wire.NodeID]uint32
+	spent  []float64 // by slot: cumulative spend
 }
 
 // NewMeter creates a meter reading virtual time from clock.
 func NewMeter(p EnergyParams, clock Clock) *Meter {
-	return &Meter{params: p, clock: clock, cells: make(map[wire.NodeID]*meterCell)}
+	return &Meter{params: p, clock: clock, slotOf: make(map[wire.NodeID]uint32)}
 }
 
-// Track starts metering the given host (zero spend). Tracking an
-// already-tracked host is a no-op.
-func (m *Meter) Track(id wire.NodeID) {
-	if _, ok := m.cells[id]; !ok {
-		m.cells[id] = &meterCell{}
+// Track starts metering the given host (zero spend) and returns its slot:
+// 0 for the first host tracked, 1 for the next, and so on. Tracking an
+// already-tracked host changes nothing and returns the slot it has.
+func (m *Meter) Track(id wire.NodeID) uint32 {
+	slot, ok := m.slotOf[id]
+	if !ok {
+		slot = uint32(len(m.spent))
+		m.slotOf[id] = slot
+		m.spent = append(m.spent, 0)
 	}
+	return slot
 }
 
 // ChargeTx debits transmission energy: the base keying cost plus the
 // per-byte cost.
-func (m *Meter) ChargeTx(id wire.NodeID, bytes int) {
-	if c := m.cells[id]; c != nil {
-		c.spent += m.params.TxBaseCost + m.params.TxByteCost*float64(bytes)
+func (m *Meter) ChargeTx(slot uint32, bytes int) {
+	if int(slot) < len(m.spent) {
+		m.spent[slot] += m.params.TxBaseCost + m.params.TxByteCost*float64(bytes)
 	}
 }
 
 // ChargeRx debits reception energy.
-func (m *Meter) ChargeRx(id wire.NodeID, bytes int) {
-	if c := m.cells[id]; c != nil {
-		c.spent += m.params.RxByteCost * float64(bytes)
+func (m *Meter) ChargeRx(slot uint32, bytes int) {
+	if int(slot) < len(m.spent) {
+		m.spent[slot] += m.params.RxByteCost * float64(bytes)
 	}
 }
 
 // Energy returns the host's available energy: initial budget plus harvest
 // minus spend, floored at zero. Untracked hosts have zero energy.
 func (m *Meter) Energy(id wire.NodeID) float64 {
-	c, ok := m.cells[id]
+	slot, ok := m.slotOf[id]
 	if !ok {
 		return 0
 	}
 	harvested := m.params.HarvestRate * m.clock.Now().Seconds()
-	return math.Max(0, m.params.InitialEnergy+harvested-c.spent)
+	return math.Max(0, m.params.InitialEnergy+harvested-m.spent[slot])
 }
 
 // Spent returns the host's cumulative energy expenditure.
 func (m *Meter) Spent(id wire.NodeID) float64 {
-	if c, ok := m.cells[id]; ok {
-		return c.spent
+	if slot, ok := m.slotOf[id]; ok {
+		return m.spent[slot]
 	}
 	return 0
 }
@@ -103,14 +107,14 @@ func (m *Meter) Spent(id wire.NodeID) float64 {
 // TotalSpent sums expenditure over all tracked hosts in NID order, so the
 // floating-point total is identical across runs.
 func (m *Meter) TotalSpent() float64 {
-	ids := make([]wire.NodeID, 0, len(m.cells))
-	for id := range m.cells {
+	ids := make([]wire.NodeID, 0, len(m.slotOf))
+	for id := range m.slotOf {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	var t float64
 	for _, id := range ids {
-		t += m.cells[id].spent
+		t += m.spent[m.slotOf[id]]
 	}
 	return t
 }

@@ -38,6 +38,10 @@ type LinkTransport struct {
 	rxBad int64
 }
 
+// selfSlot is the local host's slot in the transport's meter: the only one,
+// since Attach tracks exactly one host.
+const selfSlot = 0
+
 // LinkOption customizes a LinkTransport.
 type LinkOption func(*LinkTransport)
 
@@ -84,7 +88,7 @@ func (lt *LinkTransport) Send(from wire.NodeID, msg wire.Message) {
 		return
 	}
 	size := msg.WireSize()
-	lt.meter.ChargeTx(from, size)
+	lt.meter.ChargeTx(selfSlot, size)
 	if lt.tracing {
 		lt.sink.Emit(trace.Event{
 			At: lt.clock.Now(), Type: trace.TypeSend, Node: uint32(from),
@@ -114,7 +118,7 @@ func (lt *LinkTransport) Inject(p Packet) error {
 		lt.rxBad++
 		return fmt.Errorf("transport: undecodable datagram from %v: %w", p.From, err)
 	}
-	lt.meter.ChargeRx(lt.self.ID(), len(p.Payload))
+	lt.meter.ChargeRx(selfSlot, len(p.Payload))
 	if lt.tracing {
 		lt.sink.Emit(trace.Event{
 			At: lt.clock.Now(), Type: trace.TypeDeliver, Node: uint32(lt.self.ID()),

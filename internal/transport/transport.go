@@ -137,7 +137,9 @@ type Transport interface {
 }
 
 // Packet is one received datagram: the sender's NID and the encoded
-// message bytes (internal/wire format, no framing).
+// message bytes (internal/wire format, no framing). Payload is read-only and
+// may be shared by all receivers of one broadcast: a receiver decodes it
+// (LinkTransport.Inject) and must copy before changing a byte.
 type Packet struct {
 	From    wire.NodeID
 	Payload []byte
@@ -152,8 +154,8 @@ type Broadcaster interface {
 
 // Link is a full-duplex best-effort broadcast link for a live node: UDP on
 // localhost (UDPLink) or an in-process channel mesh (ChanMesh). Inbound
-// packets surface on Packets; the payload of a received Packet is owned by
-// the receiver until the next channel receive.
+// packets surface on Packets; a received Packet's payload is read-only (see
+// Packet) and stays valid for as long as the receiver holds it.
 type Link interface {
 	Broadcaster
 	// Packets returns the inbound datagram stream. The channel is closed

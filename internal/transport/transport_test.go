@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"bytes"
+	"sync"
 	"testing"
 	"time"
 
@@ -95,18 +97,78 @@ func TestChanMeshBroadcastReachesAllOthers(t *testing.T) {
 	}
 }
 
+// TestChanMeshPayloadsDoNotAlias pins the datagram's ownership rule: every
+// port of one broadcast may see the same read-only bytes, but never the
+// sender's buffer, which its LinkTransport rewrites on the next Send.
 func TestChanMeshPayloadsDoNotAlias(t *testing.T) {
 	cm := NewChanMesh()
 	l1 := cm.Join(1)
-	l2 := cm.Join(2)
-	buf := []byte{1, 2, 3}
+	ports := []*ChanLink{cm.Join(2), cm.Join(3), cm.Join(4)}
+	sent := []byte{1, 2, 3, 4, 5}
+	buf := append([]byte(nil), sent...)
 	if err := l1.Broadcast(1, buf); err != nil {
 		t.Fatal(err)
 	}
-	buf[0] = 99 // sender reuses its buffer immediately
-	p := <-l2.Packets()
-	if p.Payload[0] != 1 {
-		t.Error("received payload aliases the sender's reused buffer")
+	for i := range buf {
+		buf[i] = 99 // sender reuses its buffer immediately
+	}
+	for _, l := range ports {
+		if p := <-l.Packets(); p.From != 1 || !bytes.Equal(p.Payload, sent) {
+			t.Errorf("port %v got %v from %v, want %v from n1: payload aliases the sender's reused buffer", l.ID(), p.Payload, p.From, sent)
+		}
+	}
+}
+
+// TestChanMeshConcurrentUse runs broadcasters that rewrite their buffer after
+// every Broadcast against receivers that read every byte of what arrives, all
+// at once: under -race this is the gate on "the shared copy is written once,
+// before any port can see it".
+func TestChanMeshConcurrentUse(t *testing.T) {
+	const nPorts, perSender, size = 4, 200, 64 // (nPorts-1)*perSender < chanLinkBuffer: nothing drops
+	cm := NewChanMesh()
+	links := make([]*ChanLink, nPorts)
+	for i := range links {
+		links[i] = cm.Join(wire.NodeID(i + 1))
+	}
+	var senders, receivers sync.WaitGroup
+	got := make([]int, nPorts)
+	for i, l := range links {
+		senders.Add(1)
+		go func() {
+			defer senders.Done()
+			buf := make([]byte, size)
+			for seq := 0; seq < perSender; seq++ {
+				for j := range buf {
+					buf[j] = byte(seq) // every byte of a datagram is its seq
+				}
+				if err := l.Broadcast(l.ID(), buf); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+		receivers.Add(1)
+		go func() {
+			defer receivers.Done()
+			for p := range l.Packets() {
+				for _, b := range p.Payload {
+					if len(p.Payload) != size || b != p.Payload[0] {
+						t.Errorf("port %v: torn datagram from %v: % x", l.ID(), p.From, p.Payload)
+						return
+					}
+				}
+				got[i]++
+			}
+		}()
+	}
+	senders.Wait()
+	for _, l := range links {
+		l.Close() // ends its receiver once the queue is drained
+	}
+	receivers.Wait()
+	for i, n := range got {
+		if n != (nPorts-1)*perSender {
+			t.Errorf("port %v received %d datagrams, want %d", links[i].ID(), n, (nPorts-1)*perSender)
+		}
 	}
 }
 
@@ -128,16 +190,24 @@ func TestChanMeshLeaveStopsDelivery(t *testing.T) {
 func TestChanMeshDropsWhenQueueFull(t *testing.T) {
 	cm := NewChanMesh()
 	l1 := cm.Join(1)
-	l2 := cm.Join(2)
-	for i := 0; i < chanLinkBuffer+10; i++ {
+	l2 := cm.Join(2) // never drained: fills, then drops
+	l3 := cm.Join(3) // drained as it goes: must lose nothing to l2's full queue
+	const sent = chanLinkBuffer + 10
+	for i := 0; i < sent; i++ {
 		if err := l1.Broadcast(1, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
+		}
+		if p := <-l3.Packets(); p.Payload[0] != byte(i) {
+			t.Fatalf("draining port got datagram %d at broadcast %d", p.Payload[0], i)
 		}
 	}
 	n := 0
 	for {
 		select {
-		case <-l2.Packets():
+		case p := <-l2.Packets():
+			if p.Payload[0] != byte(n) {
+				t.Fatalf("full port holds datagram %d at position %d: it must keep the oldest %d in order", p.Payload[0], n, chanLinkBuffer)
+			}
 			n++
 			continue
 		default:
@@ -303,23 +373,31 @@ func TestMeterMatchesRadioArithmetic(t *testing.T) {
 	k := sim.New(1)
 	p := DefaultEnergy()
 	m := NewMeter(p, k)
-	m.Track(1)
+	s1 := m.Track(1)
 	if got := m.Energy(1); got != p.InitialEnergy {
 		t.Fatalf("fresh meter energy %v, want %v", got, p.InitialEnergy)
 	}
-	m.ChargeTx(1, 100)
-	m.ChargeRx(1, 40)
+	m.ChargeTx(s1, 100)
+	m.ChargeRx(s1, 40)
 	wantSpent := p.TxBaseCost + p.TxByteCost*100 + p.RxByteCost*40
 	if got := m.Spent(1); got != wantSpent {
 		t.Errorf("Spent = %v, want %v", got, wantSpent)
 	}
 	// Charging an untracked host is a no-op; its energy reads zero.
 	m.ChargeTx(9, 1000)
+	m.ChargeRx(s1+1, 1000) // the slot the next Track will hand out
 	if m.Spent(9) != 0 || m.Energy(9) != 0 {
 		t.Error("untracked host has nonzero meter state")
 	}
-	m.Track(2)
-	m.ChargeTx(2, 10)
+	// Slots follow Track order, and tracking twice keeps the first slot.
+	s2 := m.Track(2)
+	if s1 != 0 || s2 != 1 || m.Track(1) != s1 {
+		t.Fatalf("slots = %d, %d, re-Track(1) = %d; want 0, 1, 0", s1, s2, m.Track(1))
+	}
+	if m.Spent(2) != 0 {
+		t.Error("a charge to a slot nobody held yet was kept for its later owner")
+	}
+	m.ChargeTx(s2, 10)
 	if got, want := m.TotalSpent(), wantSpent+p.TxBaseCost+p.TxByteCost*10; got != want {
 		t.Errorf("TotalSpent = %v, want %v", got, want)
 	}

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint fmt-check build test race benchsmoke benchcmp scale-smoke baseline-smoke fuzz-smoke conformance bench bench-e2e bench-claim bench-claim-reception fmt
+.PHONY: check vet lint fmt-check build test race benchsmoke benchcmp scale-smoke baseline-smoke fuzz-smoke conformance bench bench-e2e bench-claim fmt
 
 ## check: the pre-PR gate. Run this before sending any change for review.
 ## CI (.github/workflows/ci.yml) runs the same gates, one named step each.
@@ -48,8 +48,12 @@ benchsmoke:
 ## SWIM/QueryResponse/AllPairs epoch benchmarks) and fails if any allocs/op
 ## or B/op figure regresses more than 10% against the committed baseline
 ## (bench_baseline.json); ns/op deltas print as info lines but never gate
-## (wall-clock is machine-dependent). When an optimization lowers a count,
-## tighten the baseline in the same PR so the gate keeps biting.
+## (wall-clock is machine-dependent). Bytes are what BENCHMARK.json gates
+## (alloc_mb, 2 %) and what a host pays in memory; counts are the proxy that
+## catches a new per-message allocation early, and may rise when one large
+## block becomes several small objects that add up to less. When a change
+## lowers a figure, tighten the baseline in the same PR so the gate keeps
+## biting.
 ## The scale benchmarks (FDSEpoch10k, ShardedEpoch, and the
 ## FDSEpochParallel serial-vs-parallel pair) run in a second invocation at
 ## -benchtime 1x: one iteration is seconds of simulation, and their
@@ -118,27 +122,25 @@ bench:
 bench-e2e:
 	$(GO) run ./bench
 
-## bench-claim: the evidence a change to protocol traffic owes — the three
-## workloads that run the cluster stack, three repetitions each, on seed 1
-## and again on held-out seed 2 (~1 min). Run it on the parent commit and on
-## the change and compare: wall_s, alloc_mb, completeness,
-## false_suspicion_pairs, radio.tx.failure-report and the two
-## intercluster.report_tx_* figures. Not part of `check`: it gates nothing by
-## itself, a cost that is a property of the seed cannot be bounded in CI.
+## bench-claim: the evidence a change owes when it touches protocol traffic,
+## the reception path or allocation — all six workloads, three repetitions
+## each, on seed 1 and again on held-out seed 2 (~2 min). Run it on the parent
+## commit and on the change and compare. A traffic change (what fds,
+## intercluster, membership or cluster send, or when): wall_s, alloc_mb,
+## completeness, false_suspicion_pairs, radio.tx.failure-report and the two
+## intercluster.report_tx_* figures. A reception-path change (node.Host.Deliver,
+## radio.receive, LinkTransport.Inject and what they call): wall_s, alloc_mb,
+## peak_rss_mb and, in the traced pass, sim.ns_per_event,
+## {fds,cluster}.handle_s, radio.send_s, transport.broadcast_s and
+## daemon.poll_s. An allocation change (a pool, arena, interner or table):
+## alloc_mb and peak_rss_mb, with wall_s and setup_s as the no-regression
+## check. For the last two, events, fingerprint, energy_per_host_epoch and
+## every radio.tx.* / radio.rx.* count must be the parent's. Not part of
+## `check`: it gates nothing by itself, a cost that is a property of the seed
+## cannot be bounded in CI.
 bench-claim:
-	$(GO) run ./bench -workload field600,dense300,strips600 -reps 3 -seed 1
-	$(GO) run ./bench -workload field600,dense300,strips600 -reps 3 -seed 2
-
-## bench-claim-reception: what a change under the reception path
-## (node.Host.Deliver, radio.receive, LinkTransport.Inject and what they call)
-## owes instead: the same, plus mesh160 and flood100, whose whole cost is
-## receptions (~3 min). Compare wall_s, alloc_mb, peak_rss_mb and, in the
-## traced pass, sim.ns_per_event, {fds,cluster}.handle_s, radio.send_s,
-## transport.broadcast_s and daemon.poll_s; events, fingerprint and every
-## radio.tx.* / radio.rx.* count must be the parent's.
-bench-claim-reception:
-	$(GO) run ./bench -workload mesh160,flood100,field600,dense300,strips600 -reps 3 -seed 1
-	$(GO) run ./bench -workload mesh160,flood100,field600,dense300,strips600 -reps 3 -seed 2
+	$(GO) run ./bench -reps 3 -seed 1
+	$(GO) run ./bench -reps 3 -seed 2
 
 fmt:
 	gofmt -l -w .

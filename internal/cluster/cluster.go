@@ -36,18 +36,21 @@ import (
 // Config parameterizes the formation algorithm.
 type Config struct {
 	Timing Timing
-	// MaxDCH is how many deputy clusterheads a CH designates (feature F2).
-	MaxDCH int
-	// DeclareBackoffFrac bounds the RCC-style random backoff before a
-	// clusterhead declaration, as a fraction of Thop. Random competition
-	// resolves concurrent conflicting CH declarations (paper footnote 1).
-	DeclareBackoffFrac float64
 }
 
 // DefaultConfig returns the configuration used by the experiments.
 func DefaultConfig() Config {
-	return Config{Timing: DefaultTiming(), MaxDCH: 2, DeclareBackoffFrac: 0.5}
+	return Config{Timing: DefaultTiming()}
 }
+
+const (
+	// maxDCH is how many deputy clusterheads a CH designates (feature F2).
+	maxDCH = 2
+	// declareBackoffFrac bounds the RCC-style random backoff before a
+	// clusterhead declaration, as a fraction of Thop. Random competition
+	// resolves concurrent conflicting CH declarations (paper footnote 1).
+	declareBackoffFrac = 0.5
+)
 
 // View is an immutable snapshot of a host's cluster state.
 type View struct {
@@ -228,9 +231,6 @@ func New(cfg Config) *Protocol {
 	if !cfg.Timing.Valid() {
 		panic("cluster: invalid timing")
 	}
-	if cfg.MaxDCH < 1 {
-		cfg.MaxDCH = 1
-	}
 	return &Protocol{
 		cfg:           cfg,
 		members:       make(map[wire.NodeID]bool),
@@ -247,6 +247,11 @@ func New(cfg Config) *Protocol {
 // Timing returns the protocol's timing so co-resident protocols can share
 // the epoch schedule.
 func (p *Protocol) Timing() Timing { return p.cfg.Timing }
+
+// IDs returns the host's one interner, for the co-resident failure detection
+// service to key its per-node evidence by. Indices are stable, so both layers
+// may keep state by index; neither may assume it assigned them all.
+func (p *Protocol) IDs() *dense.Interner { return &p.ids }
 
 // Start implements node.Protocol: it enters the epoch loop at the next
 // epoch boundary. A host booted mid-run (replenishment, F4) waits for the
@@ -341,7 +346,7 @@ func (p *Protocol) maybeDeclare(e wire.Epoch) {
 			return // not the lowest unmarked node in the neighborhood
 		}
 	}
-	backoffMax := int64(float64(p.cfg.Timing.Thop) * p.cfg.DeclareBackoffFrac)
+	backoffMax := int64(float64(p.cfg.Timing.Thop) * declareBackoffFrac)
 	if backoffMax < 1 {
 		backoffMax = 1
 	}
@@ -439,24 +444,24 @@ func (p *Protocol) rankDCHs() {
 		return cmp.Compare(a, b)
 	})
 	p.rankScratch = candidates // keep the grown capacity for the next epoch
-	if len(candidates) > p.cfg.MaxDCH {
-		candidates = candidates[:p.cfg.MaxDCH]
+	if len(candidates) > maxDCH {
+		candidates = candidates[:maxDCH]
 	}
 	// Hysteresis: surviving incumbents keep their posts; vacancies are
 	// filled by the best challengers; at most one decisive replacement per
 	// epoch so all members' views stay convergent. The new ranking is built
 	// in the spare buffer and ping-ponged with the live one, so re-ranking
-	// never reads the buffer it is writing. Seat counts are tiny (MaxDCH,
-	// typically 2), so membership tests are linear scans, not a set.
+	// never reads the buffer it is writing. Seat counts are tiny (maxDCH),
+	// so membership tests are linear scans, not a set.
 	const challengeFactor = 1.5
 	next := p.dchSpare[:0]
 	for _, d := range p.dchs {
-		if len(next) < p.cfg.MaxDCH && p.members[d] && d != p.host.ID() && !slices.Contains(next, d) {
+		if len(next) < maxDCH && p.members[d] && d != p.host.ID() && !slices.Contains(next, d) {
 			next = append(next, d)
 		}
 	}
 	for _, c := range candidates {
-		if len(next) >= p.cfg.MaxDCH {
+		if len(next) >= maxDCH {
 			break
 		}
 		if !slices.Contains(next, c) {

@@ -68,9 +68,9 @@ func TestSingleClusterFormation(t *testing.T) {
 			t.Errorf("node %d sees %d members, want 5", i+1, len(v.Members))
 		}
 	}
-	// DCHs designated (F2), at most MaxDCH, not including the CH.
+	// DCHs designated (F2), at most maxDCH, not including the CH.
 	v := w.protos[0].View()
-	if len(v.DCHs) == 0 || len(v.DCHs) > DefaultConfig().MaxDCH {
+	if len(v.DCHs) == 0 || len(v.DCHs) > maxDCH {
 		t.Errorf("DCHs = %v", v.DCHs)
 	}
 	for _, d := range v.DCHs {

@@ -1,6 +1,6 @@
-// Package dense provides roster-scoped dense indexing for per-node protocol
-// state: an Interner that maps sparse wire.NodeIDs onto small stable integers
-// and a word-packed Bitset keyed by those integers.
+// Package dense provides dense indexing for per-node protocol state: an
+// Interner that maps sparse wire.NodeIDs onto small stable integers and a
+// word-packed Bitset keyed by those integers.
 //
 // The failure detection service keeps several per-node evidence sets that are
 // rebuilt every epoch (heartbeats heard, digests received, nodes listed alive
@@ -12,9 +12,13 @@
 //
 // Indices are stable for the lifetime of the Interner: once a NodeID is
 // interned its index never changes, so state keyed by index survives across
-// epochs without remapping. The interner is per-host (roster-scoped): a host
-// interns only the IDs it actually hears, so index space stays proportional
-// to neighborhood size, not network size.
+// epochs without remapping. A host interns only the IDs it actually hears, so
+// its index space — and every bitset and table keyed by it — stays
+// proportional to neighborhood size. The NodeID-to-index table does not: it
+// is directly indexed, hence as long as the largest NodeID interned, which on
+// a field numbered 1..N is O(N) per interner whatever the neighborhood. That
+// is why a host owns exactly one (cluster.Protocol's, shared with fds through
+// cluster.Protocol.IDs).
 package dense
 
 import (
@@ -25,11 +29,9 @@ import (
 
 // smallLimit bounds the direct-index fast path: NodeIDs below it are mapped
 // through a flat slice (scenarios number hosts 1..N, so this is the only
-// path the experiments exercise — including the million-node sharded fields,
-// whose hosts are numbered 1..1e6); larger IDs fall back to a map so
-// arbitrary 32-bit IDs still work. The slice grows to the largest interned
-// ID, so the worst case is 4 MB per interner — and roster-scoped interners
-// only ever see their own neighborhood's IDs.
+// path the experiments exercise); larger IDs fall back to a map so arbitrary
+// 32-bit IDs still work. The slice grows to the largest interned ID, so the
+// worst case is 4 MB per interner.
 const smallLimit = 1 << 20
 
 // Interner assigns dense, stable uint32 indices to wire.NodeIDs.

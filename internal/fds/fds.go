@@ -64,20 +64,13 @@ type Config struct {
 	// Monte-Carlo validation enables it so measured rates match the
 	// formulas exactly; production configurations leave it off.
 	StrictModelMode bool
-	// OrphanEpochs is how many consecutive epochs without a health update
-	// or a CH heartbeat a member tolerates before concluding its cluster
-	// has dissolved and re-entering formation.
-	OrphanEpochs int
 	// OrphanTakeover lets the lowest-NID surviving member of an orphaned
 	// cluster declare the silent CH failed and take over, instead of the
 	// cluster dissolving silently. It is the last line of defense when
 	// every deputy's view was desynchronized at the moment the CH died;
 	// the multi-epoch silence requirement keeps its false-positive
-	// probability around P̂(False detection)^OrphanEpochs.
+	// probability around P̂(False detection)^orphanEpochs.
 	OrphanTakeover bool
-	// ReferenceEnergy scales the energy-aware forwarding backoff: peers
-	// with more remaining energy than this wait less.
-	ReferenceEnergy float64
 	// Metrics, when non-nil, receives the protocol's per-epoch event series
 	// (detections, false detections, rescissions, peer-forward traffic,
 	// orphan events) and the update-delivery latency histogram. Instrument
@@ -93,10 +86,18 @@ func DefaultConfig(t cluster.Timing) Config {
 		PeerForwarding:     true,
 		RescindPropagation: true,
 		OrphanTakeover:     true,
-		OrphanEpochs:       3,
-		ReferenceEnergy:    100000,
 	}
 }
+
+const (
+	// orphanEpochs is how many consecutive epochs without a health update
+	// or a CH heartbeat a member tolerates before concluding its cluster
+	// has dissolved and re-entering formation.
+	orphanEpochs = 3
+	// referenceEnergy scales the energy-aware forwarding backoff: peers
+	// with more remaining energy than this wait less.
+	referenceEnergy = 100000.0
+)
 
 // Protocol is the per-host failure detection service. It observes the same
 // promiscuous message stream as the cluster protocol and mutates the cluster
@@ -111,11 +112,12 @@ type Protocol struct {
 	snapshot cluster.View // role snapshot taken at epoch start
 	active   bool         // participating this epoch (marked at epoch start)
 
-	// ids interns every NodeID this host collects evidence about onto
-	// dense, stable indices; all bitset/slice state below is keyed by
-	// those indices. Roster-scoped: only IDs actually heard are interned,
-	// so the index space tracks neighborhood size, not network size.
-	ids dense.Interner
+	// ids is the co-resident cluster protocol's interner — a host owns one —
+	// and all bitset/slice state below is keyed by its indices. The cluster
+	// layer interns IDs of its own (unmarked heartbeats, gateway candidates),
+	// so an index bounds nothing here: every table grows to the index it is
+	// asked about, and every ForEach consumer sorts.
+	ids *dense.Interner
 
 	// R-1 evidence: in-cluster heartbeats heard this epoch. Dense bitset
 	// cleared in place at each epoch boundary — the map predecessor was
@@ -187,7 +189,6 @@ type Protocol struct {
 	fwdUpdMsg                                        wire.ForwardedUpdate
 	newFailedScratch                                 []wire.NodeID
 	failedScratch                                    []wire.NodeID
-	fwdJobFree                                       []*fwdJob
 
 	// readingSource, when set, supplies a sensor measurement to piggyback
 	// on each epoch's digest — the Section 6 "message sharing between
@@ -229,16 +230,11 @@ func New(cfg Config, cl *cluster.Protocol) *Protocol {
 	if !cfg.Timing.Valid() {
 		panic("fds: invalid timing")
 	}
-	if cfg.OrphanEpochs < 1 {
-		cfg.OrphanEpochs = 1
-	}
-	if cfg.ReferenceEnergy <= 0 {
-		cfg.ReferenceEnergy = 1
-	}
 	r := cfg.Metrics // nil registry yields nil (no-op) handles
 	return &Protocol{
 		cfg:      cfg,
 		cluster:  cl,
+		ids:      cl.IDs(),
 		mDetect:  r.Series("detections"),
 		mFalse:   r.Series("false-detections"),
 		mRescind: r.Series("rescissions"),
@@ -339,7 +335,7 @@ func (p *Protocol) finishEpoch() {
 		return
 	}
 	p.missedUpdates++
-	if p.missedUpdates < p.cfg.OrphanEpochs {
+	if p.missedUpdates < orphanEpochs {
 		return
 	}
 	p.missedUpdates = 0
@@ -778,15 +774,14 @@ func (p *Protocol) onForwardRequest(m *wire.ForwardRequest) {
 	if t, ok := p.fwdEntry(ri); ok && t.Active() {
 		return
 	}
-	j := p.takeFwdJob()
-	j.ri, j.e, j.requester, j.upd = ri, p.epoch, requester, *p.update
+	j := &fwdJob{p: p, ri: ri, e: p.epoch, requester: requester, upd: *p.update}
 	p.setFwdEntry(ri, p.host.AfterArg(p.forwardWait(), fireForwardFn, j))
 }
 
 // fwdJob carries one armed peer-forward through the kernel: the snapshot of
-// the update to send plus the requester bookkeeping. Jobs that fire return to
-// the per-protocol pool; canceled jobs (ack overheard, epoch boundary) are
-// simply dropped with their dead kernel event.
+// the update to send plus the requester bookkeeping. Most are canceled (the
+// requester's ack is overheard, or the epoch ends) and die with their kernel
+// event.
 type fwdJob struct {
 	p         *Protocol
 	ri        uint32
@@ -813,18 +808,6 @@ var fireForwardFn sim.ArgHandler = func(a any) {
 		Update:    j.upd,
 	}
 	p.host.Send(&p.fwdUpdMsg)
-	j.upd = wire.HealthUpdate{} // drop slice refs before pooling
-	p.fwdJobFree = append(p.fwdJobFree, j)
-}
-
-func (p *Protocol) takeFwdJob() *fwdJob {
-	if n := len(p.fwdJobFree); n > 0 {
-		j := p.fwdJobFree[n-1]
-		p.fwdJobFree[n-1] = nil
-		p.fwdJobFree = p.fwdJobFree[:n-1]
-		return j
-	}
-	return &fwdJob{p: p}
 }
 
 // fwdEntry returns the live forward timer for dense index i, if one was
@@ -890,7 +873,7 @@ func (p *Protocol) forwardWait() sim.Time {
 	}
 	// bias in [0, Thop/2): inversely related to remaining energy.
 	e := math.Max(p.host.Energy(), 0)
-	frac := p.cfg.ReferenceEnergy / (p.cfg.ReferenceEnergy + e) // 1 at E=0, ->0 as E grows
+	frac := referenceEnergy / (referenceEnergy + e) // 1 at E=0, ->0 as E grows
 	bias := sim.Time(float64(p.cfg.Timing.Thop) / 2 * frac)
 	return sim.Time(index-1)*slot + bias
 }

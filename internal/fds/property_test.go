@@ -2,6 +2,7 @@ package fds
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -171,5 +172,64 @@ func TestSleepExcusalExpires(t *testing.T) {
 	f.Handle(h, &wire.SleepNotice{NID: 3, Epoch: 5, Until: 5}, 3)
 	if f.excused(3, 5) {
 		t.Error("malformed notice granted an excusal")
+	}
+}
+
+// TestEvidenceKeyedBySharedInterner: fds keys its evidence by the cluster
+// layer's interner, which has handed out indices of its own (unmarked
+// heartbeats, gateway candidates) before fds hears its first member. Every
+// per-index table must answer for an index far beyond the number of IDs fds
+// itself has heard, and the digest must list exactly the members heard.
+func TestEvidenceKeyedBySharedInterner(t *testing.T) {
+	// Host 2 is a deputy: it folds digests like the CH, and answers forward
+	// requests and sends digests like any member.
+	f, h, _ := newBenchProtocol(t, 2, []wire.NodeID{1, 2, 3, 4, 5, 6}, []wire.NodeID{2})
+	const foreign = 150
+	for i := 0; i < foreign; i++ {
+		f.cluster.Handle(h, &wire.Heartbeat{NID: wire.NodeID(1000 + i), Epoch: 0}, wire.NodeID(1000+i))
+		gw := wire.NodeID(2000 + i)
+		f.cluster.Handle(h, &wire.GWRegister{GW: gw, AffiliateCH: 900, OtherCHs: []wire.NodeID{901}}, gw)
+	}
+	if f.ids.Len() != 2*foreign {
+		t.Fatalf("cluster layer interned %d IDs, want %d (test setup broken)", f.ids.Len(), 2*foreign)
+	}
+
+	for _, v := range []wire.NodeID{1, 3, 4, 77} { // 77 is heard but no member
+		f.Handle(h, &wire.Heartbeat{NID: v, Epoch: 0, Marked: true}, v)
+	}
+	f.Handle(h, &wire.Digest{NID: 3, CH: 1, Epoch: 0, Heard: []wire.NodeID{1, 5}}, 3)
+	for id, want := range map[wire.NodeID]bool{1: true, 3: true, 4: true, 77: true, 5: false, 6: false, 1000: false, 2000: false} {
+		if got := f.hbHeard(id); got != want {
+			t.Errorf("hbHeard(%v) = %v, want %v", id, got, want)
+		}
+	}
+	for id, want := range map[wire.NodeID]bool{1: true, 3: true, 4: true, 5: true, 6: false, 1000: false, 2000: false, 4242: false} {
+		if got := f.anyEvidence(id); got != want {
+			t.Errorf("anyEvidence(%v) = %v, want %v", id, got, want)
+		}
+	}
+
+	f.Handle(h, &wire.SleepNotice{NID: 6, Epoch: 0, Until: 2}, 6)
+	if !f.excused(6, 1) || f.excused(5, 1) || f.excused(1000, 1) || f.SleepExcusals() != 1 {
+		t.Errorf("sleep excusals: 6 %v, 5 %v, 1000 %v, %d recorded; want only 6 excused",
+			f.excused(6, 1), f.excused(5, 1), f.excused(1000, 1), f.SleepExcusals())
+	}
+
+	f.Handle(h, &wire.HealthUpdate{From: 1, CH: 1, Epoch: 0}, 1)
+	f.Handle(h, &wire.ForwardRequest{NID: 5, Epoch: 0}, 5)
+	f.Handle(h, &wire.ForwardRequest{NID: 5, Epoch: 0}, 5) // already armed
+	f.Handle(h, &wire.ForwardRequest{NID: 6, Epoch: 0}, 6)
+	if n := f.pendingForwards(); n != 2 {
+		t.Errorf("%d forwards pending after requests from 5 (twice) and 6, want 2", n)
+	}
+	f.Handle(h, &wire.ForwardAck{NID: 1000, Epoch: 0}, 1000) // interned by the cluster layer, never a requester
+	f.Handle(h, &wire.ForwardAck{NID: 5, Epoch: 0}, 5)
+	if n := f.pendingForwards(); n != 1 {
+		t.Errorf("%d forwards pending after 5's ack, want 6's alone", n)
+	}
+
+	f.sendDigest(0)
+	if got, want := f.digestMsg.Heard, []wire.NodeID{1, 3, 4}; !slices.Equal(got, want) {
+		t.Errorf("digest lists %v, want the members heard %v", got, want)
 	}
 }

@@ -39,7 +39,6 @@ import (
 	"slices"
 
 	"clusterfds/internal/cluster"
-	"clusterfds/internal/dense"
 	"clusterfds/internal/fds"
 	"clusterfds/internal/node"
 	"clusterfds/internal/sim"
@@ -51,9 +50,6 @@ import (
 type Config struct {
 	// Timing must match the co-resident cluster/FDS timing.
 	Timing cluster.Timing
-	// CHRetries bounds how many times a clusterhead retransmits a report
-	// for which it overheard no gateway forwarding.
-	CHRetries int
 	// BGWAssist enables backup-gateway assisted forwarding; the ablation
 	// benchmarks disable it to quantify its contribution.
 	BGWAssist bool
@@ -62,9 +58,13 @@ type Config struct {
 	ImplicitAcks bool
 }
 
+// CHRetries bounds how many times a clusterhead retransmits a report for
+// which it overheard no gateway forwarding.
+const CHRetries = 2
+
 // DefaultConfig returns the configuration used by the experiments.
 func DefaultConfig(t cluster.Timing) Config {
-	return Config{Timing: t, CHRetries: 2, BGWAssist: true, ImplicitAcks: true}
+	return Config{Timing: t, BGWAssist: true, ImplicitAcks: true}
 }
 
 // key de-duplicates reports network-wide.
@@ -73,38 +73,33 @@ type key struct {
 	seq    uint64
 }
 
-// reportState is everything this host knows about one report. The former
-// map-of-maps representation (a senders map and an engaged map per report,
-// reallocated on every first sight) is flattened into interned slices:
-// reports live for the rest of the run, and both sets stay tiny (a handful of
-// transmitters and downstream targets), so linear scans beat hashing and the
-// only allocations left are the once-per-report content copy.
+// reportState is everything this host knows about one report. Reports live
+// for the rest of the run, and a host sees a few dozen of them with a handful
+// of transmitters and downstream targets each, so every set is a short slice
+// scanned linearly and each state is its own small allocation.
 type reportState struct {
 	p       *Protocol
 	content wire.FailureReport // canonical content (Sender/TargetCH cleared)
-	// senders records every host overheard transmitting this report, as
-	// indices into the protocol's interner; implicit acknowledgments are
-	// lookups in this set.
-	senders []uint32
+	// senders records every host overheard transmitting this report;
+	// implicit acknowledgments are lookups in this set.
+	senders []wire.NodeID
 	// rebroadcast marks that this host (as CH) already relayed the report.
 	rebroadcast bool
 	retriesLeft int
 	// engaged tracks gateway duty per downstream clusterhead, as an
-	// intrusive list threaded through the duty arena (duties are only ever
-	// searched by target, never ordered, so list order is irrelevant).
+	// intrusive list (duties are only ever searched by target, never
+	// ordered, so list order is irrelevant).
 	engaged *gwDuty
 }
 
 // sender reports whether id has been overheard transmitting this report.
 func (st *reportState) sender(id wire.NodeID) bool {
-	i, ok := st.p.ids.Lookup(id)
-	return ok && slices.Contains(st.senders, i)
+	return slices.Contains(st.senders, id)
 }
 
 func (st *reportState) addSender(id wire.NodeID) {
-	i := st.p.ids.Index(id)
-	if !slices.Contains(st.senders, i) {
-		st.senders = append(st.senders, i)
+	if !st.sender(id) {
+		st.senders = append(st.senders, id)
 	}
 }
 
@@ -125,12 +120,10 @@ func (st *reportState) duty(target wire.NodeID) *gwDuty {
 	return nil
 }
 
-// addDuty records a fresh duty toward target, drawn from the block arena and
-// pushed onto the report's intrusive duty list — no per-duty allocation.
+// addDuty records a fresh duty toward target at the head of the report's
+// intrusive duty list.
 func (st *reportState) addDuty(target wire.NodeID) *gwDuty {
-	d := st.p.newDuty()
-	d.st, d.target = st, target
-	d.next = st.engaged
+	d := &gwDuty{st: st, target: target, next: st.engaged}
 	st.engaged = d
 	return d
 }
@@ -214,114 +207,23 @@ type Protocol struct {
 	reports map[key]*reportState
 	epoch   wire.Epoch
 
-	// ids interns every NodeID appearing in sender sets and the adjacency
-	// bitset onto dense indices, shared across all report states.
-	ids dense.Interner
-
 	// knownNeighbors tracks, on a clusterhead, which adjacent clusters
 	// have been seen before: a NEW adjacency (clusters forming or
 	// re-forming next door) triggers a catch-up report carrying the
 	// cumulative failed set, so knowledge holes left by topology churn
-	// heal instead of waiting for the next failure. Dense bitset over ids.
-	knownNeighbors dense.Bitset
+	// heal instead of waiting for the next failure. A clusterhead has a
+	// handful of neighbors, so the set is a short slice.
+	knownNeighbors []wire.NodeID
 
 	// Persistent epoch callbacks, the reusable transmit buffer (safe because
-	// every transport encodes during Send), pooled deferred-engage jobs, and
-	// reused query scratch.
+	// every transport encodes during Send), and reused query scratch.
 	epochFn, originFn func()
 	txMsg             wire.FailureReport
-	updJobFree        []*updJob
 	nbScratch         []wire.NodeID
 	candScratch       []wire.NodeID
 	bridgedScratch    []wire.NodeID
 	borderScratch     []wire.NodeID
 	oneTarget         [1]wire.NodeID
-
-	// Block arenas for once-per-report state. Reports accrete for the rest of
-	// the run (they are never freed), so these are bump arenas, not pools:
-	// fresh reportStates and gwDuties come from 32/64-element blocks, and the
-	// deep copies of report content are carved as capped sub-slices of shared
-	// backing chunks. One allocation per block instead of several per report.
-	stateFree []*reportState
-	dutyFree  []*gwDuty
-	idArena   []wire.NodeID
-	resArena  []wire.Rescission
-	sndArena  []uint32
-}
-
-// newState hands out a zeroed reportState from the block arena.
-func (p *Protocol) newState() *reportState {
-	if len(p.stateFree) == 0 {
-		blk := make([]reportState, 32)
-		for i := range blk {
-			p.stateFree = append(p.stateFree, &blk[i])
-		}
-	}
-	n := len(p.stateFree)
-	st := p.stateFree[n-1]
-	p.stateFree = p.stateFree[:n-1]
-	return st
-}
-
-// newDuty hands out a zeroed gwDuty from the block arena.
-func (p *Protocol) newDuty() *gwDuty {
-	if len(p.dutyFree) == 0 {
-		blk := make([]gwDuty, 64)
-		for i := range blk {
-			p.dutyFree = append(p.dutyFree, &blk[i])
-		}
-	}
-	n := len(p.dutyFree)
-	d := p.dutyFree[n-1]
-	p.dutyFree = p.dutyFree[:n-1]
-	return d
-}
-
-// carveIDs copies src into the NodeID arena and returns a capped sub-slice;
-// appends to the result never touch later carves.
-func (p *Protocol) carveIDs(src []wire.NodeID) []wire.NodeID {
-	if len(src) == 0 {
-		return nil
-	}
-	if cap(p.idArena)-len(p.idArena) < len(src) {
-		c := 512
-		if len(src) > c {
-			c = len(src)
-		}
-		p.idArena = make([]wire.NodeID, 0, c)
-	}
-	n := len(p.idArena)
-	p.idArena = append(p.idArena, src...)
-	return p.idArena[n:len(p.idArena):len(p.idArena)]
-}
-
-// carveRes is carveIDs for rescission lists.
-func (p *Protocol) carveRes(src []wire.Rescission) []wire.Rescission {
-	if len(src) == 0 {
-		return nil
-	}
-	if cap(p.resArena)-len(p.resArena) < len(src) {
-		c := 128
-		if len(src) > c {
-			c = len(src)
-		}
-		p.resArena = make([]wire.Rescission, 0, c)
-	}
-	n := len(p.resArena)
-	p.resArena = append(p.resArena, src...)
-	return p.resArena[n:len(p.resArena):len(p.resArena)]
-}
-
-// carveSenders reserves a capped 16-slot sender set in the arena; the rare
-// report overheard from more transmitters spills to a heap reallocation.
-func (p *Protocol) carveSenders() []uint32 {
-	const slot = 16
-	if cap(p.sndArena)-len(p.sndArena) < slot {
-		p.sndArena = make([]uint32, 0, 512)
-	}
-	n := len(p.sndArena)
-	p.sndArena = p.sndArena[:n+slot]
-	return p.sndArena[n : n : n+slot]
 }
 
 // New returns a forwarder bound to the co-resident cluster and FDS
@@ -332,9 +234,6 @@ func New(cfg Config, cl *cluster.Protocol, f *fds.Protocol) *Protocol {
 	}
 	if !cfg.Timing.Valid() {
 		panic("intercluster: invalid timing")
-	}
-	if cfg.CHRetries < 0 {
-		cfg.CHRetries = 0
 	}
 	return &Protocol{
 		cfg:     cfg,
@@ -378,8 +277,8 @@ func (p *Protocol) maybeOriginate(e wire.Epoch) {
 	newNeighbor := false
 	p.nbScratch = p.cluster.AppendNeighborCHs(p.nbScratch[:0])
 	for _, nb := range p.nbScratch {
-		if i := p.ids.Index(nb); !p.knownNeighbors.Get(i) {
-			p.knownNeighbors.Set(i)
+		if !slices.Contains(p.knownNeighbors, nb) {
+			p.knownNeighbors = append(p.knownNeighbors, nb)
 			newNeighbor = true
 		}
 	}
@@ -408,7 +307,7 @@ func (p *Protocol) maybeOriginate(e wire.Epoch) {
 		return
 	}
 	st.rebroadcast = true
-	st.retriesLeft = p.cfg.CHRetries
+	st.retriesLeft = CHRetries
 	p.send(st, wire.NoNode, trace.TypeReportForward, "catch-up")
 	p.armCHWatch(st)
 }
@@ -437,11 +336,10 @@ func (p *Protocol) getState(k key, content wire.FailureReport) *reportState {
 	if !ok {
 		content.Sender = wire.NoNode
 		content.TargetCH = wire.NoNode
-		content.NewFailed = p.carveIDs(content.NewFailed)
-		content.AllFailed = p.carveIDs(content.AllFailed)
-		content.Rescinded = p.carveRes(content.Rescinded)
-		st = p.newState()
-		st.p, st.content, st.senders = p, content, p.carveSenders()
+		content.NewFailed = slices.Clone(content.NewFailed)
+		content.AllFailed = slices.Clone(content.AllFailed)
+		content.Rescinded = slices.Clone(content.Rescinded)
+		st = &reportState{p: p, content: content}
 		p.reports[k] = st
 	}
 	return st
@@ -501,7 +399,7 @@ func (p *Protocol) relay(st *reportState) {
 			return
 		}
 	}
-	st.retriesLeft = p.cfg.CHRetries
+	st.retriesLeft = CHRetries
 	p.armCHWatch(st)
 }
 
@@ -604,8 +502,8 @@ func (p *Protocol) targetHasReport(st *reportState, target wire.NodeID) bool {
 	if st.sender(target) {
 		return true
 	}
-	for _, si := range st.senders {
-		if p.cluster.IsBorderPeer(target, p.ids.NodeID(si)) {
+	for _, sender := range st.senders {
+		if p.cluster.IsBorderPeer(target, sender) {
 			return true
 		}
 	}
@@ -645,8 +543,8 @@ func (p *Protocol) clusterHasReport(st *reportState) bool {
 	if st.sender(v.CH) {
 		return true
 	}
-	for _, si := range st.senders {
-		if sender := p.ids.NodeID(si); sender != p.host.ID() && v.IsMember(sender) {
+	for _, sender := range st.senders {
+		if sender != p.host.ID() && v.IsMember(sender) {
 			return true
 		}
 	}
@@ -796,15 +694,12 @@ func (p *Protocol) onUpdate(m *wire.HealthUpdate) {
 	// the paper; the update may arrive during R-3, so delay until then.
 	tEnd := p.cfg.Timing.EpochStart(m.Epoch) + p.cfg.Timing.R3End() + p.cfg.Timing.Thop/8
 	delay := tEnd - p.host.Now()
-	j := p.takeUpdJob()
-	j.st, j.via, j.takeover, j.oldCH = st, m.From, m.Takeover, m.CH
-	p.host.AfterArg(delay, fireUpdJobFn, j)
+	p.host.AfterArg(delay, fireUpdJobFn, &updJob{st: st, via: m.From, takeover: m.Takeover, oldCH: m.CH})
 }
 
 // updJob carries one deferred gateway engagement (onUpdate's end-of-R-3
-// delay) through the kernel. Jobs return to the per-protocol pool on fire.
+// delay) through the kernel.
 type updJob struct {
-	p        *Protocol
 	st       *reportState
 	via      wire.NodeID
 	oldCH    wire.NodeID
@@ -813,7 +708,8 @@ type updJob struct {
 
 func fireUpdJobFn(a any) {
 	j := a.(*updJob)
-	p, st := j.p, j.st
+	st := j.st
+	p := st.p
 	if j.takeover {
 		// Candidate pairs are still keyed by the failed CH until gateways
 		// re-register; rank lookups must use the old CH while the targets
@@ -833,18 +729,6 @@ func fireUpdJobFn(a any) {
 	} else {
 		p.engage(st, j.via)
 	}
-	j.st = nil
-	p.updJobFree = append(p.updJobFree, j)
-}
-
-func (p *Protocol) takeUpdJob() *updJob {
-	if n := len(p.updJobFree); n > 0 {
-		j := p.updJobFree[n-1]
-		p.updJobFree[n-1] = nil
-		p.updJobFree = p.updJobFree[:n-1]
-		return j
-	}
-	return &updJob{p: p}
 }
 
 // --- queries -------------------------------------------------------------------

@@ -9,15 +9,15 @@
 // What counts as arena memory:
 //
 //   - the result of any call whose callee name starts with "carve"
-//     (carveIDs, carveRes, carveSenders — the repository's bump-allocation
-//     verbs);
+//     (epochArena.carve in internal/cluster — the repository's
+//     bump-allocation verb);
 //   - any read through a field or variable named `arena` or `*Arena`
-//     (sh.arena, p.idArena), the backing stores themselves.
+//     (p.arena, sh.arena), the backing stores themselves.
 //
 // What the analyzer allows:
 //
 //   - stores rooted at the arena's owner — the object at the base of the
-//     source's selector chain (`p` for p.idArena / p.carveIDs(...)) and
+//     source's selector chain (`p` for p.arena / p.arena.carve(...)) and
 //     anything derived from it (`st := p.newState()`). Owners retain their
 //     own storage by construction: the two-generation flip is exactly the
 //     owner promising carved values one full generation of validity.
@@ -35,8 +35,8 @@
 // the callee's per-input retention summary, so a PR-4-shaped bug moved one
 // function away still fires.
 //
-// A second, flow-sensitive check guards the block free lists (stateFree,
-// dutyFree, updJobFree, ...): after `p.fooFree = append(p.fooFree, v)` the
+// A second, flow-sensitive check guards the free lists (timerFree, txFree,
+// batchFree, jobFree): after `p.fooFree = append(p.fooFree, v)` the
 // block belongs to the pool, so any later use of v in the same function is
 // a use-after-free race with the next taker.
 package arenaescape
@@ -111,8 +111,8 @@ func sourceExpr(x ast.Expr) bool {
 }
 
 // owners collects the objects that own arena memory used in fd: the chain
-// root of every carve call and arena-named read (p for p.idArena and
-// p.carveIDs(...)), closed over derivation (`st := p.newState()` makes st
+// root of every carve call and arena-named read (p for p.arena and
+// p.arena.carve(...)), closed over derivation (`st := p.newState()` makes st
 // part of p's graph, so stores through st stay inside the owner).
 func owners(pass *lint.Pass, fd *ast.FuncDecl) map[types.Object]bool {
 	info := pass.TypesInfo

@@ -2,9 +2,12 @@ package par
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"clusterfds/internal/node"
 	"clusterfds/internal/sim"
 	"clusterfds/internal/wire"
 )
@@ -102,4 +105,81 @@ func TestWindowInvariant(t *testing.T) {
 		}
 	}()
 	e.mergeOutboxes(end)
+}
+
+// recorder is a one-protocol stack that keeps a copy of every message its
+// host is handed (the original is scratch-backed) and runs a hook from
+// inside the delivery.
+type recorder struct {
+	got      []reception
+	onHandle func(h *node.Host, m wire.Message)
+}
+
+type reception struct {
+	msg  wire.Message
+	from wire.NodeID
+}
+
+func (r *recorder) Start(*node.Host) {}
+
+func (r *recorder) Handle(h *node.Host, m wire.Message, from wire.NodeID) {
+	r.got = append(r.got, reception{wire.Clone(m), from})
+	if r.onHandle != nil {
+		r.onHandle(h, m)
+	}
+}
+
+// TestSendFromLastLanding is the twin of radio.TestSendFromLastReception:
+// the receiver of a flight's LAST landing answers from inside Deliver. The
+// flight is still the strip's at that point — recycled only once the delivery
+// has returned — so the answer must draw a flight of its own and both
+// messages must arrive intact.
+func TestSendFromLastLanding(t *testing.T) {
+	// Three hosts within range of each other on one lossless strip; the
+	// production stacks are crashed and replaced by recorders.
+	e := Build(Config{Seed: 1, Nodes: 3, FieldSide: 50, Strips: 1})
+	st := &e.strips[0]
+	recs := make([]*recorder, 3)
+	for i := range recs {
+		e.hosts[i].Crash()
+		recs[i] = &recorder{}
+		h := node.New(&hostRuntime{k: st.k, rng: e.rngs[i]}, &stripPort{e: e}, wire.NodeID(i+1), e.pos[i])
+		h.Use(recs[i])
+		h.Boot()
+	}
+	heard := []wire.NodeID{1, 2, 3, 4, 5}
+	landed, answerer := 0, wire.NoNode
+	for _, r := range recs[1:] {
+		r.onHandle = func(h *node.Host, m wire.Message) {
+			if _, ok := m.(*wire.Heartbeat); !ok {
+				return
+			}
+			if landed++; landed == 2 { // hosts 2 and 3 are the flight's only landings
+				answerer = h.ID()
+				h.Send(&wire.Digest{NID: h.ID(), CH: 1, Epoch: 9, Heard: heard})
+			}
+		}
+	}
+	e.send(0, 1, &wire.Heartbeat{NID: 1, Epoch: 9})
+	st.k.RunUntil(sim.Time(time.Second))
+
+	for i, r := range recs[1:] {
+		first := r.got[0]
+		if hb, ok := first.msg.(*wire.Heartbeat); !ok || first.from != 1 || hb.NID != 1 || hb.Epoch != 9 {
+			t.Errorf("host %d: first reception %+v from %v, want host 1's heartbeat", i+2, first.msg, first.from)
+		}
+	}
+	for i, r := range recs {
+		if wire.NodeID(i+1) == answerer {
+			continue
+		}
+		last := r.got[len(r.got)-1]
+		d, ok := last.msg.(*wire.Digest)
+		if !ok || last.from != answerer || d.NID != answerer || d.Epoch != 9 || !slices.Equal(d.Heard, heard) {
+			t.Errorf("host %d: last reception %+v from %v, want host %v's digest", i+1, last.msg, last.from, answerer)
+		}
+	}
+	if len(st.free) != 2 || st.free[0] == st.free[1] {
+		t.Errorf("free list after the drain is %v, want 2 distinct flights", st.free)
+	}
 }

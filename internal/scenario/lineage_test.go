@@ -136,7 +136,6 @@ func TestBackboneInvariantsWithoutCrashes(t *testing.T) {
 	// 2. Bounded rebroadcast: per report, a node transmits at most
 	// 1 + CHRetries times as clusterhead, twice per gateway duty (forward
 	// and one re-forward), once per distributed-gateway relay.
-	chRetries := intercluster.DefaultConfig(w.Config().Timing).CHRetries
 	type duty struct {
 		node   wire.NodeID
 		key    [2]uint64
@@ -149,7 +148,7 @@ func TestBackboneInvariantsWithoutCrashes(t *testing.T) {
 		limit := 1
 		switch s.cause {
 		case "relay", "ch-retry", "catch-up":
-			d.role, limit = "clusterhead", 1+chRetries
+			d.role, limit = "clusterhead", 1+intercluster.CHRetries
 		case "gw-forward", "gw-refwd", "bgw":
 			d.role, limit = "gateway", 2
 		case "two-hop", "inward":

@@ -112,13 +112,8 @@ type Config struct {
 	// BaselinePeriod is the heartbeat/gossip period for the baselines;
 	// zero means the cluster timing's interval (fair comparison).
 	BaselinePeriod sim.Time
-	// FloodTTL bounds flood relaying; zero means 16.
-	FloodTTL uint8
 	// Trace receives structured events; nil means discard.
 	Trace trace.Sink
-	// MonitorPeriod is how often detection latency is sampled; zero means
-	// 500 ms.
-	MonitorPeriod sim.Time
 	// AggregateSampler, when set, attaches the in-network aggregation
 	// service (cluster stack only) with the given per-host sensor model.
 	AggregateSampler func(wire.NodeID, wire.Epoch) (float64, bool)
@@ -129,6 +124,13 @@ type Config struct {
 	// (any stack). A zero Field is defaulted to the deployment field.
 	Mobility *mobility.Config
 }
+
+const (
+	// floodTTL bounds flood relaying.
+	floodTTL = 16
+	// monitorPeriod is how often detection latency is sampled.
+	monitorPeriod = sim.Time(500 * time.Millisecond)
+)
 
 func (c Config) withDefaults() Config {
 	if c.Nodes <= 0 {
@@ -146,14 +148,8 @@ func (c Config) withDefaults() Config {
 	if c.BaselinePeriod <= 0 {
 		c.BaselinePeriod = c.Timing.Interval
 	}
-	if c.FloodTTL == 0 {
-		c.FloodTTL = 16
-	}
 	if c.Trace == nil {
 		c.Trace = trace.Nop{}
-	}
-	if c.MonitorPeriod <= 0 {
-		c.MonitorPeriod = sim.Time(500 * time.Millisecond)
 	}
 	return c
 }
@@ -269,7 +265,7 @@ func (w *World) addHostWithID(id wire.NodeID, pos geo.Point) {
 		d, err := baseline.New(w.cfg.Stack.String(), baseline.Params{
 			Interval:     w.cfg.BaselinePeriod,
 			SuspectAfter: 4 * w.cfg.BaselinePeriod,
-			TTL:          w.cfg.FloodTTL,
+			TTL:          floodTTL,
 			RelayJitter:  sim.Time(5 * time.Millisecond),
 		})
 		if err != nil {
@@ -323,9 +319,9 @@ func (w *World) scheduleMonitor() {
 				}
 			}
 		}
-		w.Kernel.Schedule(w.cfg.MonitorPeriod, tick)
+		w.Kernel.Schedule(monitorPeriod, tick)
 	}
-	w.Kernel.Schedule(w.cfg.MonitorPeriod, tick)
+	w.Kernel.Schedule(monitorPeriod, tick)
 }
 
 // scheduleEpochSampler ticks at every heartbeat-interval boundary and turns

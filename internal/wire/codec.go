@@ -102,8 +102,8 @@ func newMessage(k Kind) Message {
 }
 
 // Clone round-trips m through the codec, producing an independent copy with
-// no shared slices. The radio medium clones every delivery so receivers can
-// never mutate a sender's message.
+// no shared slices. A delivered message is scratch-backed and dies with its
+// handler; tests that record deliveries keep a Clone.
 func Clone(m Message) Message {
 	c, err := Decode(Encode(m))
 	if err != nil {

@@ -62,9 +62,10 @@ type View struct {
 	CH wire.NodeID
 	// IsCH reports whether the host is currently a clusterhead.
 	IsCH bool
-	// Members is the sorted cluster membership, including the CH. For the
-	// CH it is authoritative; for members it reflects the latest
-	// cluster-organization announcement.
+	// Members is the cluster membership, including the CH, in strictly
+	// ascending NID order: a copy of the protocol's own sorted list, which
+	// IsMember binary-searches. For the CH it is authoritative; for members
+	// it reflects the latest cluster-organization announcement.
 	Members []wire.NodeID
 	// DCHs lists the deputy clusterheads, highest-ranked first.
 	DCHs []wire.NodeID
@@ -75,12 +76,8 @@ type View struct {
 
 // IsMember reports whether id is in the snapshot's membership.
 func (v View) IsMember(id wire.NodeID) bool {
-	for _, m := range v.Members {
-		if m == id {
-			return true
-		}
-	}
-	return false
+	_, ok := slices.BinarySearch(v.Members, id)
+	return ok
 }
 
 // IsGW reports whether the host is a gateway candidate to at least one
@@ -118,7 +115,13 @@ type Protocol struct {
 	myCH   wire.NodeID
 
 	// Cluster composition (authoritative on the CH, advisory on members).
-	members map[wire.NodeID]bool
+	// members is the membership itself, sorted and duplicate-free (hasMember,
+	// addMember, dropMember keep it so): it changes a few times an epoch and
+	// is read whole once per View rebuild and per announcement, which are
+	// therefore a copy, and every loop over it runs in NID order. It is held
+	// once: a sorted cache beside a map costs more memory than its sort saves
+	// (DESIGN.md §12).
+	members []wire.NodeID
 	dchs    []wire.NodeID
 	gwFlag  map[wire.NodeID]bool // CH: members known to be gateways
 
@@ -233,7 +236,6 @@ func New(cfg Config) *Protocol {
 	}
 	return &Protocol{
 		cfg:           cfg,
-		members:       make(map[wire.NodeID]bool),
 		borderPeers:   make(map[wire.NodeID]map[wire.NodeID]wire.Epoch),
 		gwFlag:        make(map[wire.NodeID]bool),
 		otherCHs:      make(map[wire.NodeID]wire.Epoch),
@@ -363,10 +365,10 @@ func (p *Protocol) becomeCH(e wire.Epoch) {
 	p.isCH = true
 	p.myCH = p.host.ID()
 	p.invalidateView()
-	clear(p.members)
-	p.members[p.host.ID()] = true
+	p.members = p.members[:0]
+	p.addMember(p.host.ID())
 	for _, id := range p.heardList {
-		p.members[id] = true
+		p.addMember(id)
 	}
 	p.memberChanged = true
 	p.host.Send(&wire.CHDeclare{CH: p.host.ID(), Iteration: uint32(e)})
@@ -386,7 +388,7 @@ func (p *Protocol) maybeAnnounce(e wire.Epoch) {
 		return
 	}
 	for _, id := range p.heardList {
-		p.members[id] = true
+		p.addMember(id)
 	}
 	p.foldCoverage()
 	p.rankDCHs()
@@ -398,7 +400,7 @@ func (p *Protocol) maybeAnnounce(e wire.Epoch) {
 	p.annMsg = wire.ClusterAnnounce{
 		CH:      p.host.ID(),
 		Epoch:   e,
-		Members: p.appendSortedMembers(p.annMsg.Members[:0]),
+		Members: append(p.annMsg.Members[:0], p.members...),
 		DCHs:    p.dchs,
 	}
 	p.host.Send(&p.annMsg)
@@ -409,7 +411,7 @@ func (p *Protocol) maybeAnnounce(e wire.Epoch) {
 // per-member coverage (EWMA with decay for members whose digest was lost).
 func (p *Protocol) foldCoverage() {
 	const alpha = 0.3
-	for id := range p.members {
+	for _, id := range p.members {
 		if id == p.host.ID() {
 			continue
 		}
@@ -428,7 +430,7 @@ func (p *Protocol) foldCoverage() {
 // watches the CH — stays stable under channel noise.
 func (p *Protocol) rankDCHs() {
 	candidates := p.rankScratch[:0]
-	for id := range p.members {
+	for _, id := range p.members {
 		if id != p.host.ID() {
 			candidates = append(candidates, id)
 		}
@@ -456,7 +458,7 @@ func (p *Protocol) rankDCHs() {
 	const challengeFactor = 1.5
 	next := p.dchSpare[:0]
 	for _, d := range p.dchs {
-		if len(next) < maxDCH && p.members[d] && d != p.host.ID() && !slices.Contains(next, d) {
+		if len(next) < maxDCH && p.hasMember(d) && d != p.host.ID() && !slices.Contains(next, d) {
 			next = append(next, d)
 		}
 	}
@@ -639,11 +641,11 @@ func (p *Protocol) onAnnounce(m *wire.ClusterAnnounce) {
 }
 
 func (p *Protocol) setMembersFromAnnounce(m *wire.ClusterAnnounce) {
-	clear(p.members)
+	p.members = p.members[:0]
 	for _, id := range m.Members {
-		p.members[id] = true
+		p.addMember(id)
 	}
-	p.members[m.CH] = true
+	p.addMember(m.CH)
 	p.dchs = append(p.dchs[:0], m.DCHs...)
 	p.invalidateView()
 }
@@ -671,8 +673,7 @@ func (p *Protocol) onGWRegister(m *wire.GWRegister) {
 	// feature F3 gives each gateway exactly one home cluster.
 	for _, oc := range m.OtherCHs {
 		if oc == me {
-			if p.members[m.GW] {
-				delete(p.members, m.GW)
+			if p.dropMember(m.GW) {
 				p.memberChanged = true
 				p.invalidateView()
 			}
@@ -695,7 +696,7 @@ func (p *Protocol) onDigest(m *wire.Digest) {
 		}
 		peers[m.NID] = p.epoch
 	}
-	if p.isCH && p.members[m.NID] {
+	if p.isCH && p.hasMember(m.NID) {
 		if m.CH != wire.NoNode && m.CH != p.host.ID() {
 			// The digest names a different home cluster: this host was
 			// admitted elsewhere (simultaneous formation in the overlap)
@@ -703,14 +704,14 @@ func (p *Protocol) onDigest(m *wire.Digest) {
 			// registration was lost. Drop it — feature F3 gives every
 			// host exactly one affiliation — so it cannot be falsely
 			// detected or designated deputy here.
-			delete(p.members, m.NID)
+			p.dropMember(m.NID)
 			delete(p.coverage, m.NID)
 			delete(p.epochCoverage, m.NID)
 			p.memberChanged = true
 			p.invalidateView()
 			return
 		}
-		p.epochCoverage[m.NID] = len(m.Heard)
+		p.epochCoverage[m.NID] = m.HeardCount()
 	}
 }
 
@@ -765,11 +766,8 @@ func (p *Protocol) NoteFailed(ids []wire.NodeID) {
 		p.invalidateView()
 	}
 	for _, id := range ids {
-		if p.members[id] {
-			delete(p.members, id)
-			if p.isCH {
-				p.memberChanged = true
-			}
+		if p.dropMember(id) && p.isCH {
+			p.memberChanged = true
 		}
 		delete(p.coverage, id)
 		delete(p.epochCoverage, id)
@@ -787,10 +785,9 @@ func (p *Protocol) NoteFailed(ids []wire.NodeID) {
 // detection is rescinded (the FDS heard a heartbeat from a host it believed
 // failed — impossible under fail-stop unless the detection was false).
 func (p *Protocol) Readmit(id wire.NodeID) {
-	if !p.isCH || p.members[id] {
+	if !p.isCH || !p.addMember(id) {
 		return
 	}
-	p.members[id] = true
 	p.memberChanged = true
 	p.invalidateView()
 }
@@ -804,7 +801,7 @@ func (p *Protocol) Demote() {
 	p.marked = false
 	p.isCH = false
 	p.myCH = wire.NoNode
-	clear(p.members)
+	p.members = p.members[:0]
 	p.dchs = p.dchs[:0]
 	p.invalidateView()
 }
@@ -815,8 +812,8 @@ func (p *Protocol) TakeOver() {
 	old := p.myCH
 	p.isCH = true
 	p.myCH = p.host.ID()
-	delete(p.members, old)
-	p.members[p.host.ID()] = true
+	p.dropMember(old)
+	p.addMember(p.host.ID())
 	for i, d := range p.dchs {
 		if d == p.host.ID() {
 			p.dchs = append(p.dchs[:i:i], p.dchs[i+1:]...)
@@ -841,8 +838,8 @@ func (p *Protocol) NoteNewCH(oldCH, newCH wire.NodeID) {
 		return
 	}
 	p.myCH = newCH
-	delete(p.members, oldCH)
-	p.members[newCH] = true
+	p.dropMember(oldCH)
+	p.addMember(newCH)
 	for i, d := range p.dchs {
 		if d == newCH {
 			p.dchs = append(p.dchs[:i:i], p.dchs[i+1:]...)
@@ -871,7 +868,7 @@ func (p *Protocol) View() View {
 		}
 		if p.marked {
 			start := len(p.arena.cur)
-			p.arena.cur = p.appendSortedMembers(p.arena.cur)
+			p.arena.cur = append(p.arena.cur, p.members...)
 			v.Members = p.arena.carve(start)
 			start = len(p.arena.cur)
 			p.arena.cur = append(p.arena.cur, p.dchs...)
@@ -957,15 +954,34 @@ func (p *Protocol) AppendGatewayCandidates(dst []wire.NodeID, chA, chB wire.Node
 	return dst
 }
 
-// appendSortedMembers appends the sorted membership to dst; only the
-// appended tail is sorted.
-func (p *Protocol) appendSortedMembers(dst []wire.NodeID) []wire.NodeID {
-	start := len(dst)
-	for id := range p.members {
-		dst = append(dst, id)
+// hasMember reports whether id is in the membership.
+func (p *Protocol) hasMember(id wire.NodeID) bool {
+	_, ok := slices.BinarySearch(p.members, id)
+	return ok
+}
+
+// addMember inserts id at its place in the sorted membership and reports
+// whether it was new. A list arriving in NID order — every announcement a
+// clusterhead of this tree sends — is a run of appends.
+func (p *Protocol) addMember(id wire.NodeID) bool {
+	if n := len(p.members); n == 0 || p.members[n-1] < id {
+		p.members = append(p.members, id)
+		return true
 	}
-	slices.Sort(dst[start:])
-	return dst
+	i, ok := slices.BinarySearch(p.members, id)
+	if !ok {
+		p.members = slices.Insert(p.members, i, id)
+	}
+	return !ok
+}
+
+// dropMember removes id from the membership and reports whether it was there.
+func (p *Protocol) dropMember(id wire.NodeID) bool {
+	i, ok := slices.BinarySearch(p.members, id)
+	if ok {
+		p.members = slices.Delete(p.members, i, i+1)
+	}
+	return ok
 }
 
 // --- test/scenario support ---------------------------------------------------
@@ -977,11 +993,11 @@ func (p *Protocol) InstallStaticView(ch wire.NodeID, members, dchs []wire.NodeID
 	p.marked = true
 	p.myCH = ch
 	p.isCH = ch == self
-	p.members = make(map[wire.NodeID]bool, len(members))
+	p.members = p.members[:0]
 	for _, id := range members {
-		p.members[id] = true
+		p.addMember(id)
 	}
-	p.members[ch] = true
+	p.addMember(ch)
 	p.dchs = append([]wire.NodeID(nil), dchs...)
 	p.invalidateView()
 }

@@ -60,6 +60,47 @@ func TestOnlyJudgesFoldDigests(t *testing.T) {
 	}
 }
 
+// TestMemberWorkIndependentOfDigestLength hands a host a digest as the
+// transports do — decoded into a scratch, its list still in the datagram — for
+// lists of 10, 100 and 1,000 IDs. The member does the same work for each: no
+// allocation, nothing interned, and the scratch's ID arena not written (a list
+// carved from it just before still reads as it did). The clusterhead beside it
+// is the control that the probe can see a list being decoded.
+func TestMemberWorkIndependentOfDigestLength(t *testing.T) {
+	members := []wire.NodeID{1, 2, 3, 4, 5}
+	for _, n := range []int{10, 100, 1000} {
+		for _, self := range []wire.NodeID{4, 1} {
+			f, h, _ := newBenchProtocol(t, self, members, []wire.NodeID{2})
+			marker := make([]wire.NodeID, n) // n sevens
+			listed := make([]wire.NodeID, n) // n strangers, from 10001 up
+			for i := range listed {
+				marker[i], listed[i] = 7, wire.NodeID(10001+i)
+			}
+			scratch := wire.NewDecodeScratch()
+			decode := func(heard []wire.NodeID) *wire.Digest {
+				m, err := wire.DecodeInto(scratch, wire.Encode(&wire.Digest{NID: 3, CH: 1, Epoch: 0, Heard: heard}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m.(*wire.Digest)
+			}
+			carved := decode(marker).HeardIDs() // the arena's first n slots, which the next list read would reuse
+			d := decode(listed)
+			f.Handle(h, d, 3)
+			interned := f.ids.Len()
+			allocs := testing.AllocsPerRun(20, func() { f.Handle(h, d, 3) })
+			read := carved[0] != 7
+			switch {
+			case f.judging && (!read || interned < n):
+				t.Errorf("clusterhead, %d IDs: list decoded = %v, %d IDs interned; the control saw no list", n, read, interned)
+			case !f.judging && (read || allocs != 0 || interned > len(members)):
+				t.Errorf("member, %d IDs: list decoded = %v, %.0f allocs per digest, %d IDs interned; want false, 0, at most %d",
+					n, read, allocs, interned, len(members))
+			}
+		}
+	}
+}
+
 // TestEvidenceOnlyConsultedByJudges is the property that keeps the gate
 // honest: along every path on which some host comes to apply a rule — the
 // standing CH, a deputy whose CH died, the second deputy after the first

@@ -127,8 +127,9 @@ type Protocol struct {
 	// CH evidence (also collected by DCHs, which overhear everything the
 	// CH does thanks to promiscuous receiving). judging is set at the epoch
 	// boundary on exactly the hosts that arm detectFn or checkCHFn, the only
-	// readers (anyEvidence): everyone else skips folding each digest's Heard
-	// list, the one per-reception cost that grows with cluster size.
+	// readers (anyEvidence): everyone else never asks a digest for its Heard
+	// list, which then stays undecoded in the datagram — the one
+	// per-reception cost that grows with cluster size.
 	judging       bool
 	digestFrom    dense.Bitset // members whose digest arrived
 	aliveInDigest dense.Bitset // nodes some received digest lists; judges only
@@ -666,7 +667,7 @@ func (p *Protocol) onDigest(m *wire.Digest) {
 	if !p.judging {
 		return
 	}
-	for _, id := range m.Heard {
+	for _, id := range m.HeardIDs() {
 		p.aliveInDigest.Set(p.ids.Index(id))
 	}
 }

@@ -21,6 +21,7 @@ type Protocol struct {
 	updateStore wire.HealthUpdate
 	lastFailed  []wire.NodeID
 	lastEpoch   wire.Epoch
+	heardCount  int
 	reports     map[key]*reportState
 	deferred    func()
 	inbox       chan wire.Message
@@ -37,6 +38,9 @@ func (p *Protocol) Handle(m wire.Message, from wire.NodeID) {
 		p.goodUpdate(msg)
 		p.badReport(nil, msg)
 		p.goodLocalWork(msg)
+	case *wire.Digest:
+		p.badDigest(msg)
+		p.goodDigest(msg)
 	case *wire.FailureReport:
 		p.goodReport(msg)
 		p.badClosure(msg)
@@ -61,6 +65,21 @@ func (p *Protocol) goodUpdate(m *wire.HealthUpdate) {
 	st.Rescinded = append(st.Rescinded[:0], m.Rescinded...)
 	p.update = st
 	p.lastEpoch = m.Epoch
+}
+
+// badDigest keeps what the accessor hands out: the list lives in the
+// receiver's scratch (decoded from the datagram on demand) and dies with the
+// message, whatever the method's body looks like from here.
+func (p *Protocol) badDigest(m *wire.Digest) {
+	ids := m.HeardIDs()
+	p.lastFailed = ids // want `delivered message stored in field p\.lastFailed`
+	p.heardCount = m.HeardCount()
+}
+
+// goodDigest copies the IDs first; the count is a scalar.
+func (p *Protocol) goodDigest(m *wire.Digest) {
+	p.lastFailed = append(p.lastFailed[:0], m.HeardIDs()...)
+	p.heardCount = m.HeardCount()
 }
 
 // badReport stores a struct copy whose slices still alias the scratch.

@@ -25,6 +25,20 @@ type Heartbeat struct {
 
 func (*Heartbeat) MsgKind() Kind { return 1 }
 
+// Digest mirrors the real one's surface: a received digest is read through
+// its accessors, whose bodies the handler's package cannot see.
+type Digest struct {
+	NID   NodeID
+	Epoch Epoch
+	Heard []NodeID
+}
+
+func (*Digest) MsgKind() Kind { return 2 }
+
+func (m *Digest) HeardCount() int { return len(m.Heard) }
+
+func (m *Digest) HeardIDs() []NodeID { return m.Heard }
+
 type HealthUpdate struct {
 	From      NodeID
 	CH        NodeID

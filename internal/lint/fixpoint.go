@@ -85,7 +85,8 @@ func CheckRetention(pass *Pass, seeds func(fn *types.Func, decl *ast.FuncDecl) [
 			ReturnsTaint: func(f *types.Func) bool {
 				return returns[f]
 			},
-			Report: report,
+			ReturnsTaintCall: messageMethodTaint(pass.TypesInfo),
+			Report:           report,
 		}
 		var changed bool
 		eng.OnArgTaint = func(callee *types.Func, param *types.Var, arg ast.Expr) {
@@ -126,5 +127,31 @@ func CheckRetention(pass *Pass, seeds func(fn *types.Func, decl *ast.FuncDecl) [
 		analyze(fd, func(pos token.Pos, format string, args ...any) {
 			pass.Reportf(pos, format, args...)
 		})
+	}
+}
+
+// messageMethodTaint is the rule for the wire package's accessors, whose
+// bodies a caller's package cannot see: an exported method of a wire message
+// that returns memory hands out memory the message owns — its scratch's, or
+// the datagram's (wire.Digest.HeardIDs) — so on a tainted receiver the result
+// is tainted exactly as a field read would be. (Unexported methods are the
+// codec's own append/decode, which copy.)
+func messageMethodTaint(info *types.Info) func(*ast.CallExpr, func(ast.Expr) bool) bool {
+	return func(call *ast.CallExpr, tainted func(ast.Expr) bool) bool {
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		fn := PkgFunc(info, call)
+		if !ok || fn == nil || !fn.Exported() {
+			return false
+		}
+		sig := fn.Type().(*types.Signature)
+		if sig.Recv() == nil || !WireMessageType(sig.Recv().Type()) || !tainted(sel.X) {
+			return false
+		}
+		for i := 0; i < sig.Results().Len(); i++ {
+			if RetainsMemory(sig.Results().At(i).Type()) {
+				return true
+			}
+		}
+		return false
 	}
 }

@@ -175,7 +175,7 @@ func TestSendFromLastLanding(t *testing.T) {
 		}
 		last := r.got[len(r.got)-1]
 		d, ok := last.msg.(*wire.Digest)
-		if !ok || last.from != answerer || d.NID != answerer || d.Epoch != 9 || !slices.Equal(d.Heard, heard) {
+		if !ok || last.from != answerer || d.NID != answerer || d.Epoch != 9 || !slices.Equal(d.HeardIDs(), heard) {
 			t.Errorf("host %d: last reception %+v from %v, want host %v's digest", i+1, last.msg, last.from, answerer)
 		}
 	}

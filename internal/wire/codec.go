@@ -102,8 +102,9 @@ func newMessage(k Kind) Message {
 }
 
 // Clone round-trips m through the codec, producing an independent copy with
-// no shared slices. A delivered message is scratch-backed and dies with its
-// handler; tests that record deliveries keep a Clone.
+// no shared slices. A delivered message is scratch-backed (a digest's list,
+// datagram-backed) and dies with its handler; tests that record deliveries
+// keep a Clone, which is always in the heap form Decode returns.
 func Clone(m Message) Message {
 	c, err := Decode(Encode(m))
 	if err != nil {
@@ -177,27 +178,42 @@ func readBool(b []byte) (bool, []byte, error) {
 	return b[0] != 0, b[1:], nil
 }
 
-func readIDs(b []byte, s *DecodeScratch) ([]NodeID, []byte, error) {
+// idList validates a uint16-counted node-ID list at the head of b and
+// returns its 4·n encoded bytes, still in b, and what follows them.
+func idList(b []byte) (list, rest []byte, err error) {
 	n, b, err := readU16(b)
 	if err != nil {
 		return nil, nil, err
 	}
-	if n == 0 {
-		return nil, b, nil
-	}
-	if len(b) < int(n)*4 {
+	if len(b) < 4*int(n) {
 		return nil, nil, errShort
+	}
+	return b[:4*int(n)], b[4*int(n):], nil
+}
+
+// decodeIDs materialises a list idList validated, carved from s's arena when
+// s is non-nil. An empty list is nil and touches no arena.
+func decodeIDs(list []byte, s *DecodeScratch) []NodeID {
+	n := len(list) / 4
+	if n == 0 {
+		return nil
 	}
 	var ids []NodeID
 	if s != nil {
-		ids = s.ids.take(int(n))
+		ids = s.ids.take(n)
 	} else {
 		ids = make([]NodeID, n)
 	}
 	for i := range ids {
-		var u uint32
-		u, b, _ = readU32(b)
-		ids[i] = NodeID(u)
+		ids[i] = NodeID(binary.LittleEndian.Uint32(list[4*i:]))
 	}
-	return ids, b, nil
+	return ids
+}
+
+func readIDs(b []byte, s *DecodeScratch) ([]NodeID, []byte, error) {
+	list, b, err := idList(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	return decodeIDs(list, s), b, nil
 }

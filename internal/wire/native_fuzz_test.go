@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -46,6 +47,15 @@ func FuzzDecode(f *testing.F) {
 		}
 		if got := heap.WireSize(); got != len(b) {
 			t.Fatalf("accepted %d bytes but WireSize reports %d: %#v", len(b), got, heap)
+		}
+		// A scratch digest holds its list in b: what the accessors and
+		// WireSize report from there must be what Decode materialised.
+		if d, ok := reused.(*Digest); ok {
+			want := heap.(*Digest).Heard
+			if d.HeardCount() != len(want) || !slices.Equal(d.HeardIDs(), want) || d.WireSize() != len(b) {
+				t.Fatalf("scratch digest of % x: count %d, IDs %v, WireSize %d; Decode has %v",
+					b, d.HeardCount(), d.HeardIDs(), d.WireSize(), want)
+			}
 		}
 	})
 }

@@ -16,10 +16,20 @@ import "fmt"
 // delivery contract). Handlers that need a heap-owned message can still use
 // Decode, which is unchanged.
 //
+// A list its receiver may ignore is not copied at all: DecodeInto validates a
+// Digest's Heard list in place and the scratch keeps a view of those datagram
+// bytes (Digest.HeardIDs decodes them into the ids arena on demand). Such a
+// message aliases the datagram as well as the scratch, so the caller keeps b
+// unchanged for as long as it uses the message — every transport here holds
+// the datagram until Deliver returns.
+//
 // A DecodeScratch must not be shared between hosts that can hold messages
 // concurrently; in this repository each attached receiver gets its own.
 type DecodeScratch struct {
-	msgs        [kindEnd]Message
+	msgs [kindEnd]Message
+	// heard is the Heard list of the scratch's Digest: validated, and still
+	// in the datagram it came in, 4 bytes per ID with the count stripped.
+	heard       []byte
 	ids         arena[NodeID]
 	rescissions arena[Rescission]
 	entries     arena[GossipEntry]
@@ -39,7 +49,8 @@ func NewDecodeScratch() *DecodeScratch {
 // DecodeInto parses one message from b into s, performing exactly the same
 // validation as Decode (unknown kind, truncation, trailing bytes are hard
 // errors). The returned message and its slices are valid only until the next
-// DecodeInto call on s; callers that outlive the call must copy. A nil
+// DecodeInto call on s, and only while b is unchanged (a Digest reads its
+// list from b); callers that outlive either must copy. A nil
 // scratch falls back to Decode, so code can be written against DecodeInto
 // unconditionally.
 func DecodeInto(s *DecodeScratch, b []byte) (Message, error) {

@@ -6,6 +6,18 @@ import (
 	"testing"
 )
 
+// heapForm returns a DecodeInto result in the form Decode gives: a digest's
+// list read through the accessor into Heard, every other message as it is. A
+// DeepEqual against Decode's result then compares every field and every ID.
+func heapForm(m Message) Message {
+	d, ok := m.(*Digest)
+	if !ok {
+		return m
+	}
+	return &Digest{NID: d.NID, CH: d.CH, Epoch: d.Epoch, Heard: d.HeardIDs(),
+		HasReading: d.HasReading, Reading: d.Reading}
+}
+
 // TestDecodeIntoMatchesDecode pins the core equivalence: for every message
 // kind, DecodeInto produces a value identical to Decode's.
 func TestDecodeIntoMatchesDecode(t *testing.T) {
@@ -20,7 +32,7 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: DecodeInto: %v", m.Kind(), err)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(heapForm(got), want) {
 			t.Errorf("%v: DecodeInto = %+v, want %+v", m.Kind(), got, want)
 		}
 	}

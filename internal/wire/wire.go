@@ -235,6 +235,14 @@ func (m *Heartbeat) decode(b []byte, s *DecodeScratch) ([]byte, error) {
 // border node learns it can serve as a distributed (two-hop) gateway when
 // no single node hears both clusterheads — the fallback gateway form the
 // paper describes in Section 3.
+//
+// The list is addressed to the judges (the clusterhead and its deputies,
+// Section 4.2); every other member of the cluster overhears the digest and
+// ignores the list. Heard is therefore the field a sender fills and Decode
+// returns, and DecodeInto leaves it nil: it validates the list where it lies
+// and its scratch keeps a view of those datagram bytes instead, so a receiver
+// pays for the IDs only if it asks for them. A received digest is read
+// through HeardCount and HeardIDs, which serve both forms.
 type Digest struct {
 	NID   NodeID
 	CH    NodeID
@@ -246,19 +254,49 @@ type Digest struct {
 	// service rides the FDS's round-2 traffic for free.
 	HasReading bool
 	Reading    float64
+
+	// scratch is non-nil exactly on the digest a DecodeInto produced: the
+	// workspace that holds the view of its list (DecodeScratch.heard) and
+	// that HeardIDs materialises it into. One pointer, so the struct stays in
+	// its 64-byte size class.
+	scratch *DecodeScratch
 }
 
 // Kind implements Message.
 func (*Digest) Kind() Kind { return KindDigest }
 
 // WireSize implements Message.
-func (m *Digest) WireSize() int { return 1 + 4 + 4 + 8 + 2 + 4*len(m.Heard) + 1 + 8 }
+func (m *Digest) WireSize() int { return 1 + 4 + 4 + 8 + 2 + 4*m.HeardCount() + 1 + 8 }
+
+// HeardCount returns how many IDs the digest lists.
+func (m *Digest) HeardCount() int {
+	if m.scratch != nil {
+		return len(m.scratch.heard) / 4
+	}
+	return len(m.Heard)
+}
+
+// HeardIDs returns the listed IDs in wire order. On a DecodeInto digest each
+// call decodes them into the receiver's scratch: the result dies, like the
+// message, at the next DecodeInto on that scratch, and must be copied to be
+// kept.
+func (m *Digest) HeardIDs() []NodeID {
+	if m.scratch != nil {
+		return decodeIDs(m.scratch.heard, m.scratch)
+	}
+	return m.Heard
+}
 
 func (m *Digest) append(b []byte) []byte {
 	b = appendU32(b, uint32(m.NID))
 	b = appendU32(b, uint32(m.CH))
 	b = appendU64(b, uint64(m.Epoch))
-	b = appendIDs(b, m.Heard)
+	if m.scratch != nil {
+		b = appendU16(b, uint16(m.HeardCount()))
+		b = append(b, m.scratch.heard...)
+	} else {
+		b = appendIDs(b, m.Heard)
+	}
 	b = appendBool(b, m.HasReading)
 	return appendU64(b, math.Float64bits(m.Reading))
 }
@@ -279,8 +317,15 @@ func (m *Digest) decode(b []byte, s *DecodeScratch) ([]byte, error) {
 		return nil, err
 	}
 	m.Epoch = Epoch(u64)
-	if m.Heard, b, err = readIDs(b, s); err != nil {
+	var list []byte
+	if list, b, err = idList(b); err != nil {
 		return nil, err
+	}
+	m.Heard, m.scratch = nil, s
+	if s != nil {
+		s.heard = list
+	} else {
+		m.Heard = decodeIDs(list, nil)
 	}
 	if m.HasReading, b, err = readBool(b); err != nil {
 		return nil, err

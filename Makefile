@@ -61,9 +61,10 @@ benchsmoke:
 ## iteration count. The per-layer micro-benchmarks live in the packages that
 ## own the code (internal/sim: heap push/pop and run fan-out; internal/radio:
 ## broadcast fan-out vs density; internal/transport: one datagram through a
-## 160-port channel mesh; internal/wire: a digest of 10, 100 and 1,000 IDs
-## decoded by a receiver that does not read the list) and run as a third
-## invocation; the pooled steady state of the first two and the unread digest
+## 160-port mesh; internal/daemon: one Poll + AdvanceTo of a daemon with
+## nothing to do; internal/wire: a digest of 10, 100 and 1,000 IDs decoded by
+## a receiver that does not read the list) and run as a third invocation; the
+## pooled steady state of the first two, the idle step and the unread digest
 ## allocate nothing — the digest's ns/op is also the same at every length —
 ## and the mesh copies a broadcast's payload exactly once (352 B/op, not once
 ## per port), and the gate holds them there. All three invocations feed one
@@ -73,8 +74,8 @@ benchcmp:
 		-benchtime 20x -benchmem . && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFDSEpoch10k$$|BenchmarkShardedEpoch$$|BenchmarkFDSEpochParallel' \
 		-benchtime 1x -benchmem . && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkPushPop$$|BenchmarkRunFanout$$|BenchmarkBroadcast$$|BenchmarkChanMeshBroadcast$$|BenchmarkDecodeDigestUnread$$' \
-		-benchtime 10000x -benchmem ./internal/sim ./internal/radio ./internal/transport ./internal/wire ; } | $(GO) run ./cmd/benchcmp -baseline bench_baseline.json
+	  $(GO) test -run '^$$' -bench 'BenchmarkPushPop$$|BenchmarkRunFanout$$|BenchmarkBroadcast$$|BenchmarkChanMeshBroadcast$$|BenchmarkDaemonIdleStep$$|BenchmarkDecodeDigestUnread$$' \
+		-benchtime 10000x -benchmem ./internal/sim ./internal/radio ./internal/transport ./internal/daemon ./internal/wire ; } | $(GO) run ./cmd/benchcmp -baseline bench_baseline.json
 
 ## scale-smoke: the sharded engine's cross-partition determinism gate at a
 ## scale the unit tests don't reach: a 10,000-host crash wave, run with 1

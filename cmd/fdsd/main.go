@@ -160,4 +160,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fdsd: %v\n", err)
 		os.Exit(1)
 	}
+	// The dump's last line counts what the socket's framing threw away
+	// before the daemon's port: frames too short to name a sender.
+	fmt.Printf("  runt-frames: %d\n", link.Runts())
 }

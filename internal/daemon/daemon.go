@@ -54,6 +54,8 @@ type Daemon struct {
 	cfg    Config
 	kernel *sim.Kernel
 	link   transport.Link
+	inbox  *transport.Inbox       // link.Inbox(), fetched once: Poll runs every step of a cooperative driver
+	inject func(transport.Packet) // what a drain hands each datagram to
 	lt     *transport.LinkTransport
 	host   *node.Host
 	cl     *cluster.Protocol
@@ -93,7 +95,9 @@ func New(cfg Config, link transport.Link) *Daemon {
 	h.Use(f)
 	h.Use(ic)
 
-	d := &Daemon{cfg: cfg, kernel: k, link: link, lt: lt, host: h, cl: cl, fds: f, ic: ic}
+	d := &Daemon{cfg: cfg, kernel: k, link: link, inbox: link.Inbox(), lt: lt, host: h, cl: cl, fds: f, ic: ic}
+	// Malformed datagrams are counted by the transport and dropped.
+	d.inject = func(p transport.Packet) { _ = lt.Inject(p) }
 	if cfg.BootAt > 0 {
 		k.At(cfg.BootAt, h.Boot)
 	} else {
@@ -124,22 +128,13 @@ func (d *Daemon) Crash() { d.host.Crash() }
 
 // Poll drains every currently queued inbound datagram without blocking and
 // delivers each to the protocol stack at the current virtual time.
-// Malformed datagrams are counted by the transport and dropped. "Currently"
-// is the queue depth on entry: datagrams a peer broadcasts from another
-// goroutine while Poll runs wait for the next call, so a busy mesh cannot
-// hold a cooperative driver here.
+// "Currently" is the queue depth on entry (transport.Inbox.Drain): datagrams
+// a peer broadcasts from another goroutine while Poll runs wait for the next
+// call, so a busy mesh cannot hold a cooperative driver here. On an empty
+// port it is two loads and takes no lock.
 func (d *Daemon) Poll() {
-	packets := d.link.Packets()
-	for n := len(packets); n > 0; n-- {
-		select {
-		case p, ok := <-packets:
-			if !ok {
-				return
-			}
-			_ = d.lt.Inject(p)
-		default:
-			return
-		}
+	if d.inbox.Len() != 0 {
+		d.inbox.Drain(d.inject)
 	}
 }
 
@@ -152,31 +147,36 @@ func (d *Daemon) AdvanceTo(t sim.Time) { d.kernel.RunUntil(t) }
 func (d *Daemon) Now() sim.Time { return d.kernel.Now() }
 
 // Run drives the daemon against a wall clock until stop is closed (or the
-// link's packet channel closes), then writes the final deterministic state
-// dump to out and returns. This is cmd/fdsd's main loop; tests run it
-// against a FakeWall so nothing sleeps on real time.
+// link closes), then writes the final deterministic state dump to out and
+// returns. This is cmd/fdsd's main loop; tests run it against a FakeWall so
+// nothing sleeps on real time.
 //
 // The loop keeps the kernel's virtual clock tracking wall.Elapsed(): it
 // sleeps exactly until the next protocol timer is due (sim.Kernel.
-// NextEventAt) or a datagram arrives, whichever is first.
+// NextEventAt) or the port has datagrams (transport.Inbox.Ready), whichever
+// is first.
 func (d *Daemon) Run(wall transport.WallClock, stop <-chan struct{}, out io.Writer) error {
+	// A WallClock timer cannot be taken back, so one is asked for only when
+	// none is pending or the next event moved ahead of the pending one; a
+	// timer that outlives its event wakes the loop once for nothing.
+	var timer <-chan struct{}
+	var timerAt sim.Time
 	for {
-		var timer <-chan struct{}
-		if next, ok := d.kernel.NextEventAt(); ok {
-			timer = wall.After(next - wall.Elapsed())
+		if next, ok := d.kernel.NextEventAt(); ok && (timer == nil || next < timerAt) {
+			timer, timerAt = wall.After(next-wall.Elapsed()), next
 		}
 		select {
 		case <-stop:
 			d.kernel.RunUntil(wall.Elapsed())
 			return d.DumpState(out)
-		case p, ok := <-d.link.Packets():
-			if !ok {
-				d.kernel.RunUntil(wall.Elapsed())
+		case _, open := <-d.inbox.Ready():
+			d.kernel.RunUntil(wall.Elapsed())
+			d.Poll()
+			if !open {
 				return d.DumpState(out)
 			}
-			d.kernel.RunUntil(wall.Elapsed())
-			_ = d.lt.Inject(p)
 		case <-timer:
+			timer = nil
 			d.kernel.RunUntil(wall.Elapsed())
 		}
 	}
@@ -199,8 +199,8 @@ func (d *Daemon) DumpState(w io.Writer) error {
 	members := append([]wire.NodeID(nil), v.Members...)
 	slices.Sort(members)
 	_, err := fmt.Fprintf(w,
-		"fdsd node %v\n  vtime: %v\n  epoch: %v\n  role: %s\n  members: %v\n  dchs: %v\n  suspected: %v\n  update-received: %v\n  bad-datagrams: %v\n",
+		"fdsd node %v\n  vtime: %v\n  epoch: %v\n  role: %s\n  members: %v\n  dchs: %v\n  suspected: %v\n  update-received: %v\n  bad-datagrams: %v\n  queue-drops: %v\n",
 		d.cfg.ID, d.kernel.Now(), d.fds.Epoch(), role, members, v.DCHs, suspected,
-		d.fds.UpdateReceived(), d.lt.BadDatagrams())
+		d.fds.UpdateReceived(), d.lt.BadDatagrams(), d.inbox.Dropped())
 	return err
 }

@@ -2,7 +2,9 @@ package daemon
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -144,7 +146,7 @@ func TestGracefulShutdownDumpIsDeterministic(t *testing.T) {
 	if a != b {
 		t.Errorf("two identical runs dumped different state:\n--- a ---\n%s--- b ---\n%s", a, b)
 	}
-	for _, want := range []string{"fdsd node n1", "epoch:", "role:", "suspected: []", "bad-datagrams: 0"} {
+	for _, want := range []string{"fdsd node n1", "epoch:", "role:", "suspected: []", "bad-datagrams: 0", "queue-drops: 0"} {
 		if !strings.Contains(a, want) {
 			t.Errorf("dump missing %q:\n%s", want, a)
 		}
@@ -289,5 +291,199 @@ func TestPollDrainsOnlyWhatWasQueuedOnEntry(t *testing.T) {
 	d.Poll()
 	if peer.delivered != 2*queued {
 		t.Errorf("second Poll brought deliveries to %d, want %d", peer.delivered, 2*queued)
+	}
+}
+
+// deliveries is a trace sink that counts the datagrams a daemon's transport
+// delivered from one sender. The daemon's goroutine emits; a test waits.
+type deliveries struct {
+	suffix string // " from <sender>", as LinkTransport.Inject words a delivery
+	n      atomic.Int64
+	tick   chan struct{} // one token: n moved
+}
+
+func deliveriesFrom(sender wire.NodeID) *deliveries {
+	return &deliveries{suffix: fmt.Sprintf(" from %v", sender), tick: make(chan struct{}, 1)}
+}
+
+func (s *deliveries) Emit(e trace.Event) {
+	if e.Type != trace.TypeDeliver || !strings.HasSuffix(e.Detail, s.suffix) {
+		return
+	}
+	s.n.Add(1)
+	select {
+	case s.tick <- struct{}{}:
+	default:
+	}
+}
+
+// awaitLimit is how long a test waits for a delivery before it calls the
+// daemon hung.
+const awaitLimit = 10 * time.Second
+
+// await blocks until n deliveries have been counted; false means they had not
+// been after a wait no healthy run comes near.
+func (s *deliveries) await(n int64) bool {
+	if s.n.Load() >= n {
+		return true
+	}
+	timeout := time.After(awaitLimit)
+	for s.n.Load() < n {
+		select {
+		case <-s.tick:
+		case <-timeout:
+			return false
+		}
+	}
+	return true
+}
+
+// TestRunFleetDetectsVanishedPeer is the live smoke under Run rather than
+// under a cooperative driver: three daemons, each on its own goroutine in the
+// loop cmd/fdsd runs, share one mesh and one fake wall clock; one leaves the
+// mesh and the survivors' final dumps must suspect it. Every datagram the
+// fleet exchanges reaches its daemon through Inbox.Ready.
+//
+// The test paces the fleet by events, not sleeps: after each wall step a
+// pacer port broadcasts a datagram the FDS stack ignores (a flood-detector
+// heartbeat), and the next step waits until every live daemon has delivered
+// it — by then the daemon has run its timers up to the step and injected
+// everything queued ahead of the marker, which is as far as a cooperative
+// driver's Poll + AdvanceTo gets.
+func TestRunFleetDetectsVanishedPeer(t *testing.T) {
+	timing := cluster.Timing{Thop: 20 * time.Millisecond, Interval: 200 * time.Millisecond}
+	const n, pacerID = 3, wire.NodeID(99)
+	cm := transport.NewChanMesh()
+	wall := transport.NewFakeWall()
+	stop := make(chan struct{})
+	type runner struct {
+		d    *Daemon
+		seen *deliveries
+		out  bytes.Buffer
+		done chan error
+	}
+	fleet := make([]*runner, n)
+	for i := range fleet {
+		id := wire.NodeID(i + 1)
+		r := &runner{seen: deliveriesFrom(pacerID), done: make(chan error, 1)}
+		r.d = New(Config{ID: id, Seed: int64(100 + id), Timing: timing, Trace: r.seen}, cm.Join(id))
+		fleet[i] = r
+		go func() { r.done <- r.d.Run(wall, stop, &r.out) }()
+	}
+	pacer := cm.Join(pacerID)
+	marker := wire.Encode(&wire.FloodHeartbeat{Origin: pacerID})
+	step := timing.Thop / 4
+	var markers int64
+	pace := func(live []*runner, until sim.Time) {
+		for wall.Elapsed() < until {
+			wall.Advance(step)
+			pacer.Broadcast(pacerID, marker)
+			markers++
+			for _, r := range live {
+				if !r.seen.await(markers) {
+					t.Fatalf("node %v delivered %d of %d markers: its Run loop is parked on a port holding %d datagrams",
+						r.d.ID(), r.seen.n.Load(), markers, r.d.inbox.Len())
+				}
+			}
+		}
+	}
+
+	pace(fleet, 2*timing.Interval+timing.Interval/2)
+	victim, survivors := fleet[n-1], fleet[:n-1]
+	victim.d.link.Close() // a killed process: its Run returns, its port is gone
+	if err := <-victim.done; err != nil {
+		t.Fatalf("victim's Run: %v", err)
+	}
+	pace(survivors, 7*timing.Interval)
+	close(stop)
+	for _, r := range survivors {
+		if err := <-r.done; err != nil {
+			t.Fatalf("node %v Run: %v", r.d.ID(), err)
+		}
+		dump := r.out.String()
+		if !strings.Contains(dump, fmt.Sprintf("suspected: [%v]", victim.d.ID())) {
+			t.Errorf("survivor %v does not suspect exactly the vanished node %v:\n%s", r.d.ID(), victim.d.ID(), dump)
+		}
+		if !strings.Contains(dump, "queue-drops: 0") {
+			t.Errorf("survivor %v dropped datagrams on a paced mesh:\n%s", r.d.ID(), dump)
+		}
+	}
+}
+
+// runBesidePeer starts daemon n1 under Run on a mesh it shares with one peer
+// port, n2, whose datagrams seen counts. finish stops Run and returns its
+// final dump.
+func runBesidePeer(t *testing.T, seed int64, wall transport.WallClock) (d *Daemon, peer *transport.ChanLink, seen *deliveries, finish func() string) {
+	cm := transport.NewChanMesh()
+	link := cm.Join(1)
+	peer = cm.Join(2)
+	seen = deliveriesFrom(2)
+	d = New(Config{ID: 1, Seed: seed, Peers: []wire.NodeID{2}, Trace: seen}, link)
+	var out bytes.Buffer
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() { done <- d.Run(wall, stop, &out) }()
+	return d, peer, seen, func() string {
+		close(stop)
+		if err := <-done; err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return out.String()
+	}
+}
+
+// TestRunNeverParksOnQueuedDatagrams is the lost-wake-up test. The port
+// signals Ready when it turns non-empty, not per datagram, so datagrams that
+// land while Run is inside a drain raise no signal of their own: the drain
+// must re-arm Ready when it leaves datagrams behind, or Run parks on a
+// non-empty port until some later datagram or timer happens to wake it. Here
+// nothing later comes — the wall never moves, and after each round the sender
+// waits for every datagram of the round to be delivered. Within a round it
+// keeps sending while Run drains, holding back only to stay under the queue
+// bound, so that a round's last datagrams land behind a drain in progress.
+func TestRunNeverParksOnQueuedDatagrams(t *testing.T) {
+	const rounds, perRound, window = 30, 2000, 500 // window < the port's depth: nothing may drop
+	d, peer, seen, finish := runBesidePeer(t, 5, transport.NewFakeWall())
+
+	datagram := wire.Encode(&wire.Heartbeat{NID: 2})
+	var sent int64
+	await := func(n int64) {
+		if !seen.await(n) {
+			t.Fatalf("%d of %d datagrams delivered and Run is parked with %d queued: lost wake-up",
+				seen.n.Load(), sent, d.inbox.Len())
+		}
+	}
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < perRound; i++ {
+			await(sent - window + 1)
+			peer.Broadcast(2, datagram)
+			sent++
+		}
+		await(sent)
+	}
+	if dump := finish(); !strings.Contains(dump, "queue-drops: 0") {
+		t.Errorf("datagrams were dropped below the queue bound:\n%s", dump)
+	}
+}
+
+// TestRunKeepsOneWallTimer pins that Run asks the wall clock for a timer per
+// protocol event it sleeps towards, not per datagram it wakes for: a WallClock
+// timer cannot be cancelled, so each one abandoned when a datagram wins the
+// select stays allocated until it expires, up to an epoch later.
+func TestRunKeepsOneWallTimer(t *testing.T) {
+	wall := transport.NewFakeWall()
+	_, peer, seen, finish := runBesidePeer(t, 6, wall)
+
+	const datagrams = 200
+	datagram := wire.Encode(&wire.Heartbeat{NID: 2})
+	for i := int64(1); i <= datagrams; i++ {
+		peer.Broadcast(2, datagram)
+		if !seen.await(i) { // one wake-up of Run per datagram
+			t.Fatalf("datagram %d never delivered", i)
+		}
+	}
+	finish()
+	if got := wall.Pending(); got > 2 {
+		t.Errorf("%d wall timers pending after %d datagrams and no wall time: Run leaks one per wake-up", got, datagrams)
 	}
 }

@@ -308,15 +308,18 @@ func (r realKernel) run(delays []Time, fire func(i int)) {
 type program struct {
 	s       scheduler
 	rng     *rand.Rand
+	span    int // delays are drawn from [0, span)
 	nextID  int
 	budget  int // firings that may still schedule more work
 	handles []handle
 	log     []string
 }
 
-// delay draws from a tiny domain so that `at` ties — between runs, within a
-// run, against timers and batches — are the common case.
-func (p *program) delay() Time { return Time(p.rng.Intn(6)) }
+// delay draws from a small domain: at tieSpan, `at` ties — between runs,
+// within a run, against timers and batches — are the common case.
+func (p *program) delay() Time { return Time(p.rng.Intn(p.span)) }
+
+const tieSpan = 6
 
 func (p *program) fired(id int) {
 	next, ok := p.s.NextEventAt()
@@ -402,6 +405,7 @@ func TestRunDifferentialOrder(t *testing.T) {
 		var logs [2][]string
 		for i, p := range progs {
 			p.rng = rand.New(rand.NewSource(seed))
+			p.span = tieSpan
 			p.budget = 200
 			logs[i] = p.drive()
 		}
@@ -416,6 +420,98 @@ func TestRunDifferentialOrder(t *testing.T) {
 		if len(logs[0]) != len(logs[1]) {
 			t.Fatalf("seed %d: kernel logged %d lines, reference %d", seed, len(logs[0]), len(logs[1]))
 		}
+	}
+}
+
+// TestRunUntilIncrementsMatchRun drains the differential test's 300 programs a
+// second way: one kernel by Run, its twin by RunUntil in small seeded
+// increments, the way a live driver advances an idle daemon. RunUntil decides
+// from the root's heap slot alone whether anything is due, so the cases that
+// matter are a deadline that leaves a canceled root in place (later than the
+// deadline), one that reaches a canceled root but not the live event behind
+// it, and one that falls exactly on an event's instant — the test counts all
+// three to be sure the programs produce them. Both kernels must fire the same
+// events in the same order with the same Steps, Pending and NextEventAt at
+// each firing; a RunUntil may never run past its deadline; and every event the
+// kernel allocated is in the heap or on the free list whenever control is back
+// at the top level, and on the free list once the queue has drained: a
+// canceled root that a deadline stopped short of is collected later, not lost.
+// Odd seeds spread their delays out, so that most increments find nothing due
+// and a canceled event is often the earliest one left.
+func TestRunUntilIncrementsMatchRun(t *testing.T) {
+	freeLen := func(k *Kernel) (n int) {
+		for ev := k.free; ev != nil; ev = ev.next {
+			n++
+		}
+		return n
+	}
+	const block = 64 // events per allocation in Kernel.alloc
+	var keptCanceledRoot, reachedCanceledRoot, onInstant int
+	for seed := int64(1); seed <= 300; seed++ {
+		var logs [2][]string
+		var ks [2]*Kernel
+		for i := range ks {
+			k := New(seed)
+			ks[i] = k
+			p := &program{s: realKernel{k, t}, rng: rand.New(rand.NewSource(seed)), span: tieSpan, budget: 200}
+			if seed%2 == 1 {
+				p.span = 40
+			}
+			for n := 0; n < 12; n++ {
+				p.act()
+			}
+			if i == 0 {
+				for k.Pending() > 0 { // a handler's Stop ends a Run early
+					k.Run()
+				}
+			} else {
+				inc := rand.New(rand.NewSource(seed))
+				for k.Pending() > 0 {
+					deadline := k.Now() + Time(inc.Intn(4))
+					if k.queue.len() > 0 {
+						switch root := k.queue.a[0]; {
+						case root.ev.canceled && root.at <= deadline:
+							reachedCanceledRoot++
+						case !root.ev.canceled && root.at == deadline:
+							onInstant++
+						}
+					}
+					k.RunUntil(deadline)
+					if k.Now() > deadline || !k.stopped && k.Now() != deadline {
+						t.Fatalf("seed %d: RunUntil(%d) ended at %d (stopped=%v)", seed, deadline, k.Now(), k.stopped)
+					}
+					if k.queue.len() > 0 && k.queue.a[0].ev.canceled && k.queue.a[0].at > deadline {
+						keptCanceledRoot++
+					}
+					if held := k.queue.len() + freeLen(k); held%block != 0 {
+						t.Fatalf("seed %d: %d events in the heap or free at t=%d, not a whole number of blocks: one leaked", seed, held, k.Now())
+					}
+				}
+				if n := freeLen(k); k.queue.len() != 0 || n == 0 || n%block != 0 {
+					t.Fatalf("seed %d: drained kernel holds %d heap entries and %d free events", seed, k.queue.len(), n)
+				}
+			}
+			logs[i] = p.log
+		}
+		if len(logs[0]) < 10 {
+			t.Fatalf("seed %d: program logged only %d lines", seed, len(logs[0]))
+		}
+		if !slices.Equal(logs[0], logs[1]) {
+			for i := range min(len(logs[0]), len(logs[1])) {
+				if logs[0][i] != logs[1][i] {
+					t.Fatalf("seed %d: line %d differs\nRun:      %s\nRunUntil: %s", seed, i, logs[0][i], logs[1][i])
+				}
+			}
+			t.Fatalf("seed %d: Run logged %d lines, RunUntil %d", seed, len(logs[0]), len(logs[1]))
+		}
+		if ks[0].Steps() != ks[1].Steps() || ks[1].Now() < ks[0].Now() {
+			t.Fatalf("seed %d: Run ended at t=%d after %d steps, RunUntil at t=%d after %d",
+				seed, ks[0].Now(), ks[0].Steps(), ks[1].Now(), ks[1].Steps())
+		}
+	}
+	if keptCanceledRoot == 0 || reachedCanceledRoot == 0 || onInstant == 0 {
+		t.Errorf("the programs never produced a case the test is for: %d deadlines short of a canceled root, %d past one, %d on a live event's instant",
+			keptCanceledRoot, reachedCanceledRoot, onInstant)
 	}
 }
 

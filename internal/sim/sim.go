@@ -616,10 +616,19 @@ func (k *Kernel) Run() Time {
 // simulations can be resumed by calling RunUntil again with a later deadline.
 func (k *Kernel) RunUntil(deadline Time) Time {
 	k.stopped = false
-	for !k.stopped {
-		next, ok := k.peekTime()
-		if !ok || next > deadline {
+	// The root's instant lies in its heap slot: a root later than the
+	// deadline ends the call whether it is live or canceled, so an idle
+	// kernel does not chase the event pointer to learn it has nothing due. A
+	// canceled root is collected once the deadline reaches it.
+	for !k.stopped && k.queue.len() > 0 {
+		top := k.queue.a[0]
+		if top.at > deadline {
 			break
+		}
+		if top.ev.canceled {
+			k.pop()
+			k.release(top.ev)
+			continue
 		}
 		k.step()
 	}

@@ -7,21 +7,16 @@ import (
 	"clusterfds/internal/wire"
 )
 
-// chanLinkBuffer is the inbound queue depth of one ChanMesh port. Deep
-// enough that a cooperative test draining between virtual steps never
-// drops; a full queue drops like a full socket buffer would.
-const chanLinkBuffer = 1024
-
 // ChanMesh is a thread-safe in-process broadcast hub: every joined port's
-// Broadcast is copied once and queued on every other port's inbound channel.
+// Broadcast is copied once and queued on every other port's Inbox.
 // It is the test stand-in for N UDP sockets on localhost — daemon tests run
 // whole multi-node clusters in one process, with no real sockets and no wall
 // time, and can model a vanished node by simply leaving the mesh.
 //
 // A received Packet's payload is read-only and may be shared by all
 // receivers of one broadcast (see Packet); it never aliases the sender's
-// buffer. Delivery is best-effort: a port whose inbound queue is full drops
-// the datagram, exactly as a saturated socket buffer would.
+// buffer. Delivery is best-effort: a port whose inbox is full drops the
+// datagram and counts it, exactly as a saturated socket buffer would.
 type ChanMesh struct {
 	mu    sync.Mutex
 	ports []*ChanLink // join order; closed ports are compacted out
@@ -42,24 +37,30 @@ func (cm *ChanMesh) Join(id wire.NodeID) *ChanLink {
 			panic(fmt.Sprintf("transport: duplicate mesh NID %v", id))
 		}
 	}
-	link := &ChanLink{mesh: cm, id: id, in: make(chan Packet, chanLinkBuffer)}
+	link := &ChanLink{mesh: cm, id: id}
+	link.in.init()
 	cm.ports = append(cm.ports, link)
 	return link
 }
 
-// leave removes a port. Called by ChanLink.Close.
+// leave removes a port and closes its inbox: under the lock every broadcast
+// holds, so nothing is queued on a port once its Close has returned. Called
+// by ChanLink.Close; leaving twice is harmless.
 func (cm *ChanMesh) leave(link *ChanLink) {
 	cm.mu.Lock()
 	defer cm.mu.Unlock()
 	for i, p := range cm.ports {
 		if p == link {
 			cm.ports = append(cm.ports[:i], cm.ports[i+1:]...)
-			return
+			break
 		}
 	}
+	link.in.close()
 }
 
-// broadcast queues payload on every port except the sender's own.
+// broadcast queues payload on every port except the sender's own. The mesh
+// lock makes it the one producer every inbox expects, and is the only lock a
+// broadcast takes.
 func (cm *ChanMesh) broadcast(sender *ChanLink, from wire.NodeID, payload []byte) {
 	// The sender's LinkTransport reuses payload for its next Send; every
 	// port's Packet shares one private, read-only copy, as Mesh.Broadcast's
@@ -71,11 +72,7 @@ func (cm *ChanMesh) broadcast(sender *ChanLink, from wire.NodeID, payload []byte
 		if p == sender {
 			continue
 		}
-		select {
-		case p.in <- pkt:
-		default:
-			// Queue full: drop, like a saturated socket buffer.
-		}
+		p.in.push(pkt)
 	}
 }
 
@@ -83,9 +80,7 @@ func (cm *ChanMesh) broadcast(sender *ChanLink, from wire.NodeID, payload []byte
 type ChanLink struct {
 	mesh *ChanMesh
 	id   wire.NodeID
-	in   chan Packet
-
-	closeOnce sync.Once
+	in   Inbox
 }
 
 // ID returns the port's NID.
@@ -97,16 +92,13 @@ func (l *ChanLink) Broadcast(from wire.NodeID, payload []byte) error {
 	return nil
 }
 
-// Packets implements Link.
-func (l *ChanLink) Packets() <-chan Packet { return l.in }
+// Inbox implements Link.
+func (l *ChanLink) Inbox() *Inbox { return &l.in }
 
-// Close implements Link: the port leaves the mesh and its packet channel is
-// closed (after any queued datagrams are discarded by the receiver).
+// Close implements Link: the port leaves the mesh and its inbox is closed;
+// datagrams queued before that stay drainable.
 func (l *ChanLink) Close() error {
-	l.closeOnce.Do(func() {
-		l.mesh.leave(l)
-		close(l.in)
-	})
+	l.mesh.leave(l)
 	return nil
 }
 

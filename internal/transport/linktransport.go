@@ -15,7 +15,7 @@ import (
 // everything beyond the Broadcast call as another process.
 //
 // Outbound: Send encodes the message into a reused buffer and broadcasts the
-// wire bytes. Inbound: the daemon's event loop drains Link.Packets and calls
+// wire bytes. Inbound: the daemon's event loop drains the Link's Inbox and calls
 // Inject, which decodes into the transport's own scratch and delivers to the
 // local host. A live socket receives attacker-controlled bytes, so Inject
 // returns decode errors instead of panicking; the wire fuzz targets pin that

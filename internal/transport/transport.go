@@ -153,14 +153,14 @@ type Broadcaster interface {
 }
 
 // Link is a full-duplex best-effort broadcast link for a live node: UDP on
-// localhost (UDPLink) or an in-process channel mesh (ChanMesh). Inbound
-// packets surface on Packets; a received Packet's payload is read-only (see
+// localhost (UDPLink) or an in-process mesh (ChanMesh). Inbound datagrams
+// queue on the port's Inbox; a received Packet's payload is read-only (see
 // Packet) and stays valid for as long as the receiver holds it.
 type Link interface {
 	Broadcaster
-	// Packets returns the inbound datagram stream. The channel is closed
-	// when the link is closed.
-	Packets() <-chan Packet
-	// Close tears the link down and closes the packet channel.
+	// Inbox returns the port's inbound queue, the same one for the life of
+	// the link. One goroutine drains it.
+	Inbox() *Inbox
+	// Close tears the link down and closes the inbox's Ready channel.
 	Close() error
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -72,6 +73,23 @@ func TestFakeWallNonPositiveDelayIsClosed(t *testing.T) {
 	}
 }
 
+// recv is how these tests read a port: with a positive wait it parks on the
+// inbox's Ready for at most that long, the way daemon.Run does, and then (or
+// at once, when wait is 0) drains what is queued. open is false once the
+// link is closed and Ready with it.
+func recv(l Link, wait time.Duration) (pkts []Packet, open bool) {
+	in := l.Inbox()
+	open = true
+	if wait > 0 {
+		select {
+		case _, open = <-in.Ready():
+		case <-time.After(wait):
+		}
+	}
+	in.Drain(func(p Packet) { pkts = append(pkts, p) })
+	return pkts, open
+}
+
 func TestChanMeshBroadcastReachesAllOthers(t *testing.T) {
 	cm := NewChanMesh()
 	l1 := cm.Join(1)
@@ -82,18 +100,20 @@ func TestChanMeshBroadcastReachesAllOthers(t *testing.T) {
 	}
 	for _, l := range []*ChanLink{l2, l3} {
 		select {
-		case p := <-l.Packets():
-			if p.From != 1 || len(p.Payload) != 2 || p.Payload[0] != 0xAA {
-				t.Errorf("port %v got %+v", l.ID(), p)
-			}
+		case <-l.Inbox().Ready():
 		default:
-			t.Errorf("port %v got nothing", l.ID())
+			t.Errorf("port %v is not ready after a datagram was queued on it", l.ID())
+		}
+		pkts, _ := recv(l, 0)
+		if len(pkts) != 1 {
+			t.Fatalf("port %v got %d datagrams, want 1", l.ID(), len(pkts))
+		}
+		if p := pkts[0]; p.From != 1 || len(p.Payload) != 2 || p.Payload[0] != 0xAA {
+			t.Errorf("port %v got %+v", l.ID(), p)
 		}
 	}
-	select {
-	case p := <-l1.Packets():
-		t.Errorf("sender received its own broadcast: %+v", p)
-	default:
+	if pkts, _ := recv(l1, 0); len(pkts) != 0 {
+		t.Errorf("sender received its own broadcast: %+v", pkts)
 	}
 }
 
@@ -113,7 +133,11 @@ func TestChanMeshPayloadsDoNotAlias(t *testing.T) {
 		buf[i] = 99 // sender reuses its buffer immediately
 	}
 	for _, l := range ports {
-		if p := <-l.Packets(); p.From != 1 || !bytes.Equal(p.Payload, sent) {
+		pkts, _ := recv(l, 0)
+		if len(pkts) != 1 {
+			t.Fatalf("port %v got %d datagrams, want 1", l.ID(), len(pkts))
+		}
+		if p := pkts[0]; p.From != 1 || !bytes.Equal(p.Payload, sent) {
 			t.Errorf("port %v got %v from %v, want %v from n1: payload aliases the sender's reused buffer", l.ID(), p.Payload, p.From, sent)
 		}
 	}
@@ -122,9 +146,11 @@ func TestChanMeshPayloadsDoNotAlias(t *testing.T) {
 // TestChanMeshConcurrentUse runs broadcasters that rewrite their buffer after
 // every Broadcast against receivers that read every byte of what arrives, all
 // at once: under -race this is the gate on "the shared copy is written once,
-// before any port can see it".
+// before any port can see it" and on the inbox's hand-over of a slot between
+// its producer and its consumer. A receiver parks on Ready between drains, so
+// a lost wake-up shows as a port that ends short.
 func TestChanMeshConcurrentUse(t *testing.T) {
-	const nPorts, perSender, size = 4, 200, 64 // (nPorts-1)*perSender < chanLinkBuffer: nothing drops
+	const nPorts, perSender, size = 4, 200, 64 // (nPorts-1)*perSender < inboxDepth: nothing drops
 	cm := NewChanMesh()
 	links := make([]*ChanLink, nPorts)
 	for i := range links {
@@ -149,20 +175,29 @@ func TestChanMeshConcurrentUse(t *testing.T) {
 		receivers.Add(1)
 		go func() {
 			defer receivers.Done()
-			for p := range l.Packets() {
-				for _, b := range p.Payload {
-					if len(p.Payload) != size || b != p.Payload[0] {
-						t.Errorf("port %v: torn datagram from %v: % x", l.ID(), p.From, p.Payload)
-						return
+			last := make(map[wire.NodeID]int) // sender -> seq of its latest datagram
+			for open := true; open; {
+				var pkts []Packet
+				pkts, open = recv(l, 30*time.Second)
+				for _, p := range pkts {
+					for _, b := range p.Payload {
+						if len(p.Payload) != size || b != p.Payload[0] {
+							t.Errorf("port %v: torn datagram from %v: % x", l.ID(), p.From, p.Payload)
+							return
+						}
 					}
+					if seq, seen := last[p.From]; seen && int(p.Payload[0]) != seq+1 {
+						t.Errorf("port %v: datagram %d from %v follows %d: not FIFO", l.ID(), p.Payload[0], p.From, seq)
+					}
+					last[p.From] = int(p.Payload[0])
+					got[i]++
 				}
-				got[i]++
 			}
 		}()
 	}
 	senders.Wait()
 	for _, l := range links {
-		l.Close() // ends its receiver once the queue is drained
+		l.Close() // ends its receiver, which drains what is queued first
 	}
 	receivers.Wait()
 	for i, n := range got {
@@ -180,8 +215,8 @@ func TestChanMeshLeaveStopsDelivery(t *testing.T) {
 	if err := l1.Broadcast(1, []byte{7}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := <-l2.Packets(); ok {
-		t.Error("closed port still receives datagrams")
+	if pkts, open := recv(l2, time.Second); open || len(pkts) != 0 {
+		t.Errorf("closed port: Ready open = %v, %d datagrams; want closed and none", open, len(pkts))
 	}
 	// Double close is safe.
 	l2.Close()
@@ -192,30 +227,81 @@ func TestChanMeshDropsWhenQueueFull(t *testing.T) {
 	l1 := cm.Join(1)
 	l2 := cm.Join(2) // never drained: fills, then drops
 	l3 := cm.Join(3) // drained as it goes: must lose nothing to l2's full queue
-	const sent = chanLinkBuffer + 10
+	const sent = inboxDepth + 10
 	for i := 0; i < sent; i++ {
 		if err := l1.Broadcast(1, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
-		if p := <-l3.Packets(); p.Payload[0] != byte(i) {
-			t.Fatalf("draining port got datagram %d at broadcast %d", p.Payload[0], i)
+		if pkts, _ := recv(l3, 0); len(pkts) != 1 || pkts[0].Payload[0] != byte(i) {
+			t.Fatalf("draining port got %v at broadcast %d", pkts, i)
 		}
 	}
-	n := 0
-	for {
-		select {
-		case p := <-l2.Packets():
-			if p.Payload[0] != byte(n) {
-				t.Fatalf("full port holds datagram %d at position %d: it must keep the oldest %d in order", p.Payload[0], n, chanLinkBuffer)
+	if got := l2.Inbox().Len(); got != inboxDepth {
+		t.Errorf("full port reports %d queued, want the depth %d", got, inboxDepth)
+	}
+	pkts, _ := recv(l2, 0)
+	for n, p := range pkts {
+		if p.Payload[0] != byte(n) {
+			t.Fatalf("full port holds datagram %d at position %d: it must keep the oldest %d in order", p.Payload[0], n, inboxDepth)
+		}
+	}
+	if len(pkts) != inboxDepth {
+		t.Errorf("queued %d packets, want exactly the depth %d", len(pkts), inboxDepth)
+	}
+	if got := l2.Inbox().Dropped(); got != sent-inboxDepth {
+		t.Errorf("undrained port counted %d drops, want %d", got, sent-inboxDepth)
+	}
+	if got := l3.Inbox().Dropped(); got != 0 {
+		t.Errorf("drained port counted %d drops, want 0", got)
+	}
+	// A drained ring takes datagrams again, past the wrap.
+	for i := 0; i < 3; i++ {
+		l1.Broadcast(1, []byte{byte(100 + i)})
+	}
+	if pkts, _ := recv(l2, 0); len(pkts) != 3 || pkts[0].Payload[0] != 100 || pkts[2].Payload[0] != 102 {
+		t.Errorf("after the drain the port holds %v, want datagrams 100..102", pkts)
+	}
+}
+
+// TestChanMeshCloseRacesBroadcast closes a port while a peer broadcasts to it
+// and its consumer drains it. Nothing may panic — a wake-up sent to a Ready
+// that Close has closed would — and once Ready reads closed, the port's queue
+// takes no further datagram (TestChanMeshLeaveStopsDelivery's contract, under
+// contention). Run with -race.
+func TestChanMeshCloseRacesBroadcast(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		cm := NewChanMesh()
+		sender, l := cm.Join(1), cm.Join(2)
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				sender.Broadcast(1, []byte{1})
+				select {
+				case <-stop:
+					return
+				default:
+				}
 			}
-			n++
-			continue
-		default:
+		}()
+		recv(l, time.Second) // traffic is flowing
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			l.Close()
+		}()
+		for open := true; open; {
+			_, open = recv(l, time.Second)
 		}
-		break
-	}
-	if n != chanLinkBuffer {
-		t.Errorf("queued %d packets, want exactly the buffer depth %d", n, chanLinkBuffer)
+		tail := l.in.tail.Load() // moved by the producer only
+		sender.Broadcast(1, []byte{2})
+		close(stop)
+		wg.Wait()
+		if got := l.in.tail.Load(); got != tail {
+			t.Fatalf("round %d: %d datagrams were queued on the port after it closed", round, got-tail)
+		}
 	}
 }
 
@@ -233,8 +319,11 @@ func TestLinkTransportRoundTrip(t *testing.T) {
 
 	msg := &wire.Heartbeat{NID: 1, Epoch: 3}
 	ta.Send(1, msg)
-	p := <-lb.Packets()
-	if err := tb.Inject(p); err != nil {
+	pkts, _ := recv(lb, 0)
+	if len(pkts) != 1 {
+		t.Fatalf("port got %d datagrams, want 1", len(pkts))
+	}
+	if err := tb.Inject(pkts[0]); err != nil {
 		t.Fatalf("inject: %v", err)
 	}
 	if len(rb.got) != 1 {
@@ -295,10 +384,8 @@ func TestLinkTransportGatesOnOperational(t *testing.T) {
 
 	// Down host sends nothing.
 	ta.Send(1, &wire.Heartbeat{NID: 1})
-	select {
-	case <-lb.Packets():
+	if pkts, _ := recv(lb, 0); len(pkts) != 0 {
 		t.Error("non-operational host transmitted")
-	default:
 	}
 	// Down host receives nothing (and that is not an error).
 	if err := ta.Inject(Packet{From: 2, Payload: wire.Encode(&wire.Heartbeat{NID: 2})}); err != nil {
@@ -309,10 +396,8 @@ func TestLinkTransportGatesOnOperational(t *testing.T) {
 	}
 	// Sends from a foreign NID are ignored.
 	ta.Send(7, &wire.Heartbeat{NID: 7})
-	select {
-	case <-lb.Packets():
+	if pkts, _ := recv(lb, 0); len(pkts) != 0 {
 		t.Error("transport sent on behalf of a foreign NID")
-	default:
 	}
 }
 
@@ -332,20 +417,51 @@ func TestUDPLinkRoundTrip(t *testing.T) {
 	if err := lb.Broadcast(2, payload); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case p := <-la.Packets():
-		if p.From != 2 {
-			t.Errorf("From = %v, want 2", p.From)
-		}
-		m, err := wire.Decode(p.Payload)
-		if err != nil {
-			t.Fatalf("payload does not decode: %v", err)
-		}
-		if hb := m.(*wire.Heartbeat); hb.NID != 2 || hb.Epoch != 5 {
-			t.Errorf("decoded %+v, want heartbeat{2,5}", hb)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("datagram never arrived")
+	pkts, _ := recv(la, 5*time.Second)
+	if len(pkts) != 1 {
+		t.Fatalf("%d datagrams arrived, want 1", len(pkts))
+	}
+	p := pkts[0]
+	if p.From != 2 {
+		t.Errorf("From = %v, want 2", p.From)
+	}
+	m, err := wire.Decode(p.Payload)
+	if err != nil {
+		t.Fatalf("payload does not decode: %v", err)
+	}
+	if hb := m.(*wire.Heartbeat); hb.NID != 2 || hb.Epoch != 5 {
+		t.Errorf("decoded %+v, want heartbeat{2,5}", hb)
+	}
+}
+
+// TestUDPLinkCountsRunts sends a frame too short to name its sender, then a
+// good one: the runt is counted on the link and never reaches the inbox.
+func TestUDPLinkCountsRunts(t *testing.T) {
+	l, err := NewUDPLink(1, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Skipf("cannot bind UDP in this environment: %v", err)
+	}
+	defer l.Close()
+	conn, err := net.DialUDP("udp", nil, l.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Skipf("cannot dial UDP in this environment: %v", err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write([]byte{2, 0, 0, 0, 0xAB}); err != nil {
+		t.Fatal(err)
+	}
+	pkts, _ := recv(l, 5*time.Second)
+	if len(pkts) != 1 || pkts[0].From != 2 || !bytes.Equal(pkts[0].Payload, []byte{0xAB}) {
+		t.Fatalf("inbox holds %+v, want the one framed datagram from n2", pkts)
+	}
+	if got := l.Runts(); got != 1 {
+		t.Errorf("Runts = %d, want 1", got)
+	}
+	if got := l.Inbox().Dropped(); got != 0 {
+		t.Errorf("Dropped = %d, want 0: a runt is not a queue drop", got)
 	}
 }
 
@@ -357,13 +473,8 @@ func TestUDPLinkCloseClosesPackets(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case _, ok := <-l.Packets():
-		if ok {
-			t.Error("packet received after close")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("packet channel never closed")
+	if pkts, open := recv(l, 5*time.Second); open || len(pkts) != 0 {
+		t.Fatalf("after Close: Ready open = %v, %d datagrams; want closed and none", open, len(pkts))
 	}
 	// Double close is safe.
 	l.Close()

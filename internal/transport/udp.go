@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"clusterfds/internal/wire"
 )
@@ -20,22 +21,20 @@ const udpFrameHeader = 4
 // udpReadBuffer comfortably exceeds the largest wire message.
 const udpReadBuffer = 64 * 1024
 
-// udpQueueDepth is the inbound packet queue depth; the reader drops (like
-// the kernel socket buffer would) rather than block when the daemon's event
-// loop falls behind.
-const udpQueueDepth = 1024
-
 // UDPLink is a Link over UDP datagrams: one socket, a static peer list, and
-// a reader goroutine that surfaces inbound frames on Packets. It is the
-// live-deployment backend behind cmd/fdsd.
+// a reader goroutine that queues inbound frames on the port's Inbox, dropping
+// (like the kernel socket buffer would) rather than blocking when the
+// daemon's event loop falls behind. It is the live-deployment backend behind
+// cmd/fdsd.
 type UDPLink struct {
 	id    wire.NodeID
 	conn  *net.UDPConn
 	peers []*net.UDPAddr
 
-	packets chan Packet
-	txMu    sync.Mutex
-	txBuf   []byte
+	in    Inbox
+	runts atomic.Int64
+	txMu  sync.Mutex
+	txBuf []byte
 
 	closeOnce sync.Once
 }
@@ -55,11 +54,8 @@ func NewUDPLink(id wire.NodeID, listen string, peerAddrs []string) (*UDPLink, er
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %q: %w", listen, err)
 	}
-	l := &UDPLink{
-		id:      id,
-		conn:    conn,
-		packets: make(chan Packet, udpQueueDepth),
-	}
+	l := &UDPLink{id: id, conn: conn}
+	l.in.init()
 	for _, a := range peerAddrs {
 		addr, err := net.ResolveUDPAddr("udp", a)
 		if err != nil {
@@ -75,11 +71,11 @@ func NewUDPLink(id wire.NodeID, listen string, peerAddrs []string) (*UDPLink, er
 // LocalAddr returns the bound socket address (useful with ":0" listens).
 func (l *UDPLink) LocalAddr() net.Addr { return l.conn.LocalAddr() }
 
-// readLoop pumps datagrams from the socket into the packet channel until
-// the socket is closed. Runs in its own goroutine; ReadFromUDP is the only
-// blocking point and Close unblocks it.
+// readLoop pumps datagrams from the socket into the inbox until the socket is
+// closed, then closes the inbox. Runs in its own goroutine; ReadFromUDP is
+// the only blocking point and Close unblocks it.
 func (l *UDPLink) readLoop() {
-	defer close(l.packets)
+	defer l.in.close()
 	buf := make([]byte, udpReadBuffer)
 	for {
 		n, _, err := l.conn.ReadFromUDP(buf)
@@ -87,15 +83,11 @@ func (l *UDPLink) readLoop() {
 			return // closed socket (or fatal error): the link is done
 		}
 		if n < udpFrameHeader {
-			continue // runt frame: not even a sender NID
+			l.runts.Add(1) // not even a sender NID
+			continue
 		}
 		from := wire.NodeID(binary.LittleEndian.Uint32(buf[:udpFrameHeader]))
-		payload := append([]byte(nil), buf[udpFrameHeader:n]...)
-		select {
-		case l.packets <- Packet{From: from, Payload: payload}:
-		default:
-			// Queue full: drop, as the kernel would.
-		}
+		l.in.push(Packet{From: from, Payload: append([]byte(nil), buf[udpFrameHeader:n]...)})
 	}
 }
 
@@ -114,11 +106,16 @@ func (l *UDPLink) Broadcast(from wire.NodeID, payload []byte) error {
 	return nil
 }
 
-// Packets implements Link.
-func (l *UDPLink) Packets() <-chan Packet { return l.packets }
+// Inbox implements Link.
+func (l *UDPLink) Inbox() *Inbox { return &l.in }
+
+// Runts returns how many received frames were too short to carry a sender
+// NID. They never reach the inbox, so neither Inbox.Dropped nor
+// LinkTransport.BadDatagrams counts them.
+func (l *UDPLink) Runts() int64 { return l.runts.Load() }
 
 // Close implements Link: closing the socket unblocks the reader, which
-// closes the packet channel.
+// closes the inbox.
 func (l *UDPLink) Close() error {
 	var err error
 	l.closeOnce.Do(func() { err = l.conn.Close() })

@@ -71,6 +71,14 @@ func (w *FakeWall) After(d sim.Time) <-chan struct{} {
 	return ch
 }
 
+// Pending returns how many After channels have not fired yet: the timers a
+// driver has outstanding, whether or not it still waits on them.
+func (w *FakeWall) Pending() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.waiters)
+}
+
 // Advance moves the clock forward by d and fires every waiter whose
 // deadline has been reached. Advancing by a non-positive duration only
 // fires already-due waiters.

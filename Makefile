@@ -63,28 +63,31 @@ benchsmoke:
 ## broadcast fan-out vs density; internal/transport: one datagram through a
 ## 160-port mesh; internal/daemon: one Poll + AdvanceTo of a daemon with
 ## nothing to do; internal/wire: a digest of 10, 100 and 1,000 IDs decoded by
-## a receiver that does not read the list) and run as a third invocation; the
-## pooled steady state of the first two, the idle step and the unread digest
-## allocate nothing — the digest's ns/op is also the same at every length —
-## and the mesh copies a broadcast's payload exactly once (352 B/op, not once
-## per port), and the gate holds them there. All three invocations feed one
+## a receiver that does not read the list; internal/shard: one pop + one push
+## on the bucket queue with 10^5 deliveries in flight, beside the heap it
+## replaced) and run as a third invocation; the pooled steady state of the
+## first two, the idle step, the unread digest and the shard queue allocate
+## nothing — the digest's ns/op is also the same at every length — and the
+## mesh copies a broadcast's payload exactly once (352 B/op, not once per
+## port), and the gate holds them there. All three invocations feed one
 ## benchcmp run.
 benchcmp:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkFDSEpoch$$|BenchmarkRadioBroadcast$$|BenchmarkCodec$$|BenchmarkSWIMEpoch$$|BenchmarkQueryResponseEpoch$$|BenchmarkAllPairsEpoch$$' \
 		-benchtime 20x -benchmem . && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFDSEpoch10k$$|BenchmarkShardedEpoch$$|BenchmarkFDSEpochParallel' \
 		-benchtime 1x -benchmem . && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkPushPop$$|BenchmarkRunFanout$$|BenchmarkBroadcast$$|BenchmarkChanMeshBroadcast$$|BenchmarkDaemonIdleStep$$|BenchmarkDecodeDigestUnread$$' \
-		-benchtime 10000x -benchmem ./internal/sim ./internal/radio ./internal/transport ./internal/daemon ./internal/wire ; } | $(GO) run ./cmd/benchcmp -baseline bench_baseline.json
+	  $(GO) test -run '^$$' -bench 'BenchmarkPushPop$$|BenchmarkRunFanout$$|BenchmarkBroadcast$$|BenchmarkChanMeshBroadcast$$|BenchmarkDaemonIdleStep$$|BenchmarkDecodeDigestUnread$$|BenchmarkShardQueue$$' \
+		-benchtime 10000x -benchmem ./internal/sim ./internal/radio ./internal/transport ./internal/daemon ./internal/wire ./internal/shard ; } | $(GO) run ./cmd/benchcmp -baseline bench_baseline.json
 
 ## scale-smoke: the sharded engine's cross-partition determinism gate at a
 ## scale the unit tests don't reach: a 10,000-host crash wave, run with 1
 ## shard and again with 4 shards x 2 workers, must print bit-identical trace
-## and state hashes. See EXPERIMENTS.md "Sharded kernel".
+## and state hashes and the same number of busy windows (280 on this field:
+## the queue's minTime is exact). See EXPERIMENTS.md "Sharded kernel".
 scale-smoke:
 	$(GO) build -o bin/fdsim ./cmd/fdsim
-	@a="$$(bin/fdsim -shards 1 -nodes 10000 -field 2000 -crashes 25 -crash-epoch 1 -epochs 3 -seed 42 | grep 'hash:')"; \
-	b="$$(bin/fdsim -shards 4 -shard-workers 2 -nodes 10000 -field 2000 -crashes 25 -crash-epoch 1 -epochs 3 -seed 42 | grep 'hash:')"; \
+	@a="$$(bin/fdsim -shards 1 -nodes 10000 -field 2000 -crashes 25 -crash-epoch 1 -epochs 3 -seed 42 | grep -E 'hash:|busy windows:')"; \
+	b="$$(bin/fdsim -shards 4 -shard-workers 2 -nodes 10000 -field 2000 -crashes 25 -crash-epoch 1 -epochs 3 -seed 42 | grep -E 'hash:|busy windows:')"; \
 	echo "$$a"; \
 	if [ "$$a" != "$$b" ]; then echo "scale-smoke: HASH MISMATCH between -shards 1 and -shards 4:"; echo "$$b"; exit 1; fi; \
 	echo "scale-smoke: 1-shard and 4-shard hashes identical"

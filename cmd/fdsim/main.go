@@ -327,8 +327,9 @@ func runReplicated(cfg scenario.Config, stack scenario.Stack, trials, workers, c
 // runSharded executes the large-scale sharded engine (see internal/shard)
 // and prints its summary: detection outcomes per victim, traffic and energy
 // totals, epoch throughput, memory per node, and the two determinism
-// hashes. The hashes are the scale-smoke contract: `make scale-smoke`
-// asserts they are identical between -shards 1 and -shards 4.
+// hashes. The hashes and the busy-window count are the scale-smoke contract:
+// `make scale-smoke` asserts they are identical between -shards 1 and
+// -shards 4.
 func runSharded(cfg scenario.Config, shards, workers, epochs, crashes, crashEpoch int) {
 	sc := scenario.ShardedCrashWave(cfg, shards, workers, epochs, crashes, crashEpoch)
 
@@ -357,9 +358,10 @@ func runSharded(cfg scenario.Config, shards, workers, epochs, crashes, crashEpoc
 		float64(res.BuildHeapBytes)/(1<<20),
 		float64(res.BuildHeapBytes)/float64(sc.N))
 	perSec := float64(res.Events) / runElapsed.Seconds()
-	fmt.Printf("run: %v for %d events (%.0f events/sec, %.0f events/epoch)\n\n",
+	fmt.Printf("run: %v for %d events (%.0f events/sec, %.0f events/epoch)\n",
 		runElapsed.Round(time.Millisecond), res.Events, perSec,
 		float64(res.Events)/float64(epochs))
+	fmt.Printf("busy windows: %d\n\n", res.Windows)
 
 	if len(res.Victims) > 0 {
 		fmt.Printf("crash wave: %d victims at epoch %d midpoint; %d detected by their cells\n",

@@ -2,11 +2,11 @@ package shard
 
 import "clusterfds/internal/sim"
 
-// ev is one scheduled occurrence in a shard's heap. Unlike the pointer-based
-// pooled events of sim.Kernel, ev is a plain value moved inside the heap
-// slice: at a million hosts the heap holds tens of millions of in-flight
-// deliveries, and value events cost one 40-byte slot with zero per-event
-// allocation or pointer chasing.
+// ev is one scheduled occurrence in a shard's queue. Unlike the pointer-based
+// pooled events of sim.Kernel, ev is a plain value copied between the queue's
+// tiers: at a million hosts tens of millions of deliveries are in flight, and
+// value events cost one 40-byte slot with zero per-event allocation or
+// pointer chasing.
 //
 // Ordering is by the globally stable key (at, owner, seq) — owner is the
 // scheduling host's NodeID (0 for shard-control events) and seq its private
@@ -52,23 +52,15 @@ func (e *ev) less(o *ev) bool {
 }
 
 // evHeap is a 4-ary min-heap of value events, the same shape sim.Kernel
-// uses: half the depth of a binary heap means half the sift-down swaps,
-// which dominate the engine's profile when tens of millions of deliveries
-// are in flight. Hand-rolled rather than container/heap to avoid interface
-// boxing on every push/pop.
+// uses. It is exact for any times but sifts 40-byte values, so evQueue keeps
+// it for the two small sets a time bucket cannot hold — near and far — and
+// sorts the bulk, the deliveries, a bucket at a time. Hand-rolled rather
+// than container/heap to avoid interface boxing on every push/pop.
 type evHeap struct {
 	a []ev
 }
 
 func (h *evHeap) len() int { return len(h.a) }
-
-// minTime returns the earliest scheduled instant, or ok=false when empty.
-func (h *evHeap) minTime() (sim.Time, bool) {
-	if len(h.a) == 0 {
-		return 0, false
-	}
-	return h.a[0].at, true
-}
 
 func (h *evHeap) push(e ev) {
 	h.a = append(h.a, e)

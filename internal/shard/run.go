@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
-	"slices"
 
 	"clusterfds/internal/sim"
 	"clusterfds/internal/wire"
@@ -41,7 +40,7 @@ func (e *Engine) Run() Result {
 		workers = e.nShards
 	}
 	sim.RunWindows(e.nShards, workers, e.w-1, e.horizon-1,
-		func(s int) (sim.Time, bool) { return e.shards[s].heap.minTime() },
+		func(s int) (sim.Time, bool) { return e.shards[s].queue.minTime() },
 		func(s int, end sim.Time) { e.drain(int32(s), end+1) },
 		func(end sim.Time) { e.closeWindow(end + 1) })
 	return e.summarize(workers)
@@ -52,11 +51,12 @@ func (e *Engine) Run() Result {
 func (e *Engine) closeWindow(wEnd sim.Time) {
 	k := e.nShards
 
-	// Phase 1: merge outboxes in (dst, src) order. Heap order is by the
+	// Phase 1: merge outboxes in (dst, src) order. Queue order is by the
 	// global event key, so insertion order cannot matter — the fixed
-	// iteration order just keeps arena layouts canonical. A shard whose heap
-	// is still empty afterwards has no in-flight event referencing its
-	// payload arena, which is recycled.
+	// iteration order just keeps arena layouts canonical. A shard whose queue
+	// is still empty afterwards — all of it: a report waiting in a far-off
+	// bucket still points into the arena — has no in-flight event referencing
+	// its payload arena, which is recycled.
 	for d := 0; d < k; d++ {
 		dst := &e.shards[d]
 		for s := 0; s < k; s++ {
@@ -71,54 +71,21 @@ func (e *Engine) closeWindow(wEnd sim.Time) {
 					panic(fmt.Sprintf("shard: conservative window invariant violated: cross-shard event at %d inside window ending %d", evt.at, wEnd))
 				}
 				evt.off += base
-				dst.heap.push(evt)
+				dst.queue.push(evt)
 			}
 			ob.evs = ob.evs[:0]
 			ob.payload = ob.payload[:0]
 		}
-		if dst.heap.len() == 0 {
+		if dst.queue.len() == 0 {
 			dst.arena = dst.arena[:0]
 		}
 	}
 
 	// Phase 2: fold this window's trace records into the run hash in global
-	// key order. Within a shard, records are already nearly sorted (heap pop
-	// order), but an event created mid-window at its creator's own instant
-	// pops after later-keyed events, so a full sort of the window is required
-	// for partition independence.
-	e.traceBuf = e.traceBuf[:0]
-	for s := range e.shards {
-		sh := &e.shards[s]
-		e.traceBuf = append(e.traceBuf, sh.trace...)
-		sh.trace = sh.trace[:0]
-	}
-	slices.SortFunc(e.traceBuf, func(x, y rec) int {
-		if x.at != y.at {
-			if x.at < y.at {
-				return -1
-			}
-			return 1
-		}
-		if x.owner != y.owner {
-			if x.owner < y.owner {
-				return -1
-			}
-			return 1
-		}
-		if x.seq != y.seq {
-			if x.seq < y.seq {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
-	for i := range e.traceBuf {
-		r := &e.traceBuf[i]
-		e.traceHash = fold(e.traceHash, uint64(r.at))
-		e.traceHash = fold(e.traceHash, uint64(r.owner)<<32|uint64(r.seq))
-		e.traceHash = fold(e.traceHash, uint64(r.kind)<<40|uint64(r.aux)<<8|uint64(r.bytes)<<44)
-	}
+	// key order. Each shard's records are in that order already (drain saw to
+	// it, in parallel), so the barrier merges k sorted traces; no record is
+	// copied or compared against more than log k others.
+	e.foldTraces()
 
 	// Liveness reporting only — reads counters at the barrier, touches
 	// nothing the simulation or its hashes depend on.
@@ -135,15 +102,97 @@ func (e *Engine) closeWindow(wEnd sim.Time) {
 	}
 }
 
-// drain processes every event of shard s scheduled before wEnd.
+// foldTraces merges the shards' window traces, each in key order, into the
+// trace hash and empties them. The merge is a binary heap of the traces'
+// unread tails ordered by their first record; keys are unique across shards
+// (owner, seq), so the result is the one total order at every partition.
+func (e *Engine) foldTraces() {
+	h := e.traceTops[:0]
+	for s := range e.shards {
+		sh := &e.shards[s]
+		if len(sh.trace) > 0 {
+			h = append(h, sh.trace)
+			sh.trace = sh.trace[:0]
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftTrace(h, i)
+	}
+	hash := e.traceHash
+	for len(h) > 0 {
+		r := &h[0][0]
+		hash = fold(hash, uint64(r.at))
+		hash = fold(hash, uint64(r.owner)<<32|uint64(r.seq))
+		hash = fold(hash, uint64(r.kind)<<40|uint64(r.aux)<<8|uint64(r.bytes)<<44)
+		if h[0] = h[0][1:]; len(h[0]) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftTrace(h, 0)
+	}
+	e.traceHash = hash
+	e.traceTops = h
+}
+
+// siftTrace restores the merge heap below slot i.
+func siftTrace(h [][]rec, i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
+		}
+		if m+1 < len(h) && h[m+1][0].less(&h[m][0]) {
+			m++
+		}
+		if !h[m][0].less(&h[i][0]) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+// less orders trace records by their event's key (at, owner, seq).
+func (r *rec) less(o *rec) bool {
+	if r.at != o.at {
+		return r.at < o.at
+	}
+	if r.owner != o.owner {
+		return r.owner < o.owner
+	}
+	return r.seq < o.seq
+}
+
+// sortTrace puts a shard's window trace, recorded in pop order, in key
+// order. Pop order is key order except for an event created at its creator's
+// own instant with a smaller (owner, seq) — a relay that learn schedules with
+// jitter 0 on behalf of a host numbered below the sender being delivered —
+// which pops a few places late: one insertion pass.
+func sortTrace(t []rec) {
+	for i := 1; i < len(t); i++ {
+		if !t[i].less(&t[i-1]) {
+			continue
+		}
+		r := t[i]
+		j := i
+		for ; j > 0 && r.less(&t[j-1]); j-- {
+			t[j] = t[j-1]
+		}
+		t[j] = r
+	}
+}
+
+// drain processes every event of shard s scheduled before wEnd and leaves
+// the shard's trace of them in key order.
 func (e *Engine) drain(s int32, wEnd sim.Time) {
 	sh := &e.shards[s]
 	for {
-		mt, ok := sh.heap.minTime()
+		mt, ok := sh.queue.minTime()
 		if !ok || mt >= wEnd {
+			sortTrace(sh.trace)
 			return
 		}
-		v := sh.heap.pop()
+		v := sh.queue.pop()
 		switch v.kind {
 		case ekEpoch:
 			e.epochTick(s, sh, v)
@@ -205,12 +254,12 @@ func (e *Engine) epochTick(s int32, sh *shardState, v ev) {
 				}
 				e.healthSeen[i] = false
 				j := sim.Time(e.rng[i].Int63n(span))
-				sh.heap.push(ev{at: start + j, owner: i + 1, seq: e.nextSeq(i), kind: ekHB})
+				sh.queue.push(ev{at: start + j, owner: i + 1, seq: e.nextSeq(i), kind: ekHB})
 			}
 			if dep >= 0 {
 				i := uint32(dep)
 				at := start + e.cfg.Timing.R3End() + e.cfg.Timing.Thop
-				sh.heap.push(ev{at: at, owner: i + 1, seq: e.nextSeq(i), kind: ekCheck})
+				sh.queue.push(ev{at: at, owner: i + 1, seq: e.nextSeq(i), kind: ekCheck})
 			}
 		}
 	}
@@ -238,7 +287,7 @@ func (e *Engine) sendHB(s int32, sh *shardState, v ev) {
 	t := &e.cfg.Timing
 	j := sim.Time(e.rng[i].Int63n(t.JitterSpan()))
 	at := t.EpochStart(t.EpochOf(v.at)) + t.R1End() + j
-	sh.heap.push(ev{at: at, owner: v.owner, seq: e.nextSeq(i), kind: ekDigest})
+	sh.queue.push(ev{at: at, owner: v.owner, seq: e.nextSeq(i), kind: ekDigest})
 }
 
 // sendDigest is fds.R-2: broadcast the heard-set digest; the epoch's CH
@@ -259,7 +308,7 @@ func (e *Engine) sendDigest(s int32, sh *shardState, v ev) {
 		t := &e.cfg.Timing
 		j := sim.Time(e.rng[i].Int63n(t.JitterSpan()))
 		at := t.EpochStart(t.EpochOf(v.at)) + t.R2End() + j
-		sh.heap.push(ev{at: at, owner: v.owner, seq: e.nextSeq(i), kind: ekHealth})
+		sh.queue.push(ev{at: at, owner: v.owner, seq: e.nextSeq(i), kind: ekHealth})
 	}
 }
 
@@ -408,7 +457,7 @@ func (e *Engine) learn(sh *shardState, i uint32, slots []uint32, t sim.Time) {
 	e.relayPend[i] = true
 	j := sim.Time(e.rng[i].Int63n(e.cfg.Timing.JitterSpan()))
 	shOwn := &e.shards[e.shardOf(i)]
-	shOwn.heap.push(ev{at: t + j, owner: i + 1, seq: e.nextSeq(i), kind: ekRelay})
+	shOwn.queue.push(ev{at: t + j, owner: i + 1, seq: e.nextSeq(i), kind: ekRelay})
 }
 
 // bcastCell schedules per-receiver deliveries of an in-cell broadcast. The
@@ -429,7 +478,7 @@ func (e *Engine) bcastCell(sh *shardState, i uint32, t sim.Time, kind uint8, siz
 		if span > 0 {
 			delay += sim.Time(e.rng[i].Int63n(span + 1))
 		}
-		sh.heap.push(ev{at: t + delay, owner: i + 1, seq: e.nextSeq(i), kind: kind, aux: m, off: off, n: n, bytes: size})
+		sh.queue.push(ev{at: t + delay, owner: i + 1, seq: e.nextSeq(i), kind: kind, aux: m, off: off, n: n, bytes: size})
 	}
 }
 
@@ -478,7 +527,7 @@ func (e *Engine) bcastRadio(s int32, sh *shardState, i uint32, t sim.Time, off, 
 				}
 				evt := ev{at: t + delay, owner: i + 1, seq: e.nextSeq(i), kind: dReport, aux: m, off: off, n: n, bytes: size}
 				if dstShard == s {
-					sh.heap.push(evt)
+					sh.queue.push(evt)
 					continue
 				}
 				ob := &sh.out[dstShard]
@@ -551,6 +600,11 @@ type Result struct {
 	StateHash uint64 // final per-host state + victim metrics + counters
 
 	BuildHeapBytes uint64 // live heap after Build (approximate; see fdsim)
+
+	// Windows is how many conservative windows had work in them. It depends
+	// on the events alone, so like the hashes it is the same at every Shards
+	// and Workers.
+	Windows int
 }
 
 func (e *Engine) summarize(workers int) Result {
@@ -559,6 +613,7 @@ func (e *Engine) summarize(workers int) Result {
 		Workers:        workers,
 		TraceHash:      e.traceHash,
 		BuildHeapBytes: e.builtHeapBytes,
+		Windows:        e.windows,
 	}
 	var c counters
 	for s := range e.shards {

@@ -7,7 +7,7 @@
 // # Architecture
 //
 // The field is cut into K vertical strips of cluster-cell columns. Each
-// shard owns the hosts of its strip: their event heap, their struct-of-array
+// shard owns the hosts of its strip: their event queue, their struct-of-array
 // state, and every event that touches them. Cluster cells have side R/√2
 // (all in-cell pairs are within radio range R), and because strips are whole
 // columns of cells, a cluster never spans shards — all round traffic
@@ -35,7 +35,7 @@
 //
 //   - Events are keyed (at, owner NodeID, seq), with seq drawn from the
 //     owning host's private counter at creation time — never from a
-//     kernel-local tie-break, which would vary with the partition. Heaps
+//     kernel-local tie-break, which would vary with the partition. Queues
 //     pop in key order, so a shard's processing order for any one host's
 //     events is partition-independent.
 //   - Every random draw comes from the consuming host's private sim.Stream
@@ -46,8 +46,9 @@
 //     never depends on remote state.
 //   - Control events (epoch ticks, crashes) have owner 0 and touch only
 //     disjoint shard-local state, so their shard-local seq is harmless.
-//   - The trace hash folds each window's records after sorting by the
-//     global key, and outboxes merge in (src shard, key) order.
+//   - The trace hash folds each window's records in global key order: every
+//     shard puts its own in order as it drains, and the barrier merges them.
+//     Outboxes merge in (dst shard, src shard) order.
 //   - Energy totals and the state hash are folded serially in host-index
 //     order after the run (float addition is not associative).
 //
@@ -123,22 +124,23 @@ type victim struct {
 	crashed bool     // At was within the simulated horizon
 }
 
-// shardState is the per-shard mutable world: heap, outboxes, counters, and
+// shardState is the per-shard mutable world: queue, outboxes, counters, and
 // scratch. Host state lives in the Engine's SoA arrays; a shard only ever
 // touches rows it owns, which is what makes window parallelism race-free.
 type shardState struct {
-	heap    evHeap
+	queue   evQueue
 	ctrlSeq uint32 // seq counter for owner-0 control events
 
 	// arena holds victim-slot payloads referenced by in-flight report and
-	// health events via (off, n). It is reset whenever the heap drains.
+	// health events via (off, n). It is reset whenever the queue drains.
 	arena []uint32
 
 	// out[d] accumulates this window's cross-shard sends to shard d; its
 	// payloads are copied into d's arena at the barrier.
 	out []outbox
 
-	// trace is this window's processed-event records, in pop order.
+	// trace is this window's processed-event records: in pop order while the
+	// shard drains, in key order once drain returns.
 	trace []rec
 
 	// dstOff is radio-broadcast scratch: per destination shard, the offset
@@ -249,8 +251,8 @@ type Engine struct {
 	shards []shardState
 
 	traceHash uint64
-	traceBuf  []rec // closeWindow's sort buffer, reused across windows
-	windows   int   // busy windows closed so far, for Progress cadence
+	traceTops [][]rec // closeWindow's merge heap, reused across windows
+	windows   int     // busy windows closed so far, for Progress cadence
 	horizon   sim.Time
 	w         sim.Time // conservative window width = Radio.MinDelay
 
@@ -397,16 +399,17 @@ func Build(cfg Config) *Engine {
 	e.known = make([]uint64, n*e.vWords)
 	e.pending = make([]uint64, n*e.vWords)
 
-	// Shards: heaps seeded with the epoch ticks and crash events.
+	// Shards: queues seeded with the epoch ticks and crash events.
 	e.shards = make([]shardState, k)
 	for s := range e.shards {
 		e.shards[s].out = make([]outbox, k)
+		e.shards[s].queue.init(cfg.Radio.MinDelay, cfg.Radio.MaxDelay)
 	}
 	for ep := 0; ep < cfg.Epochs; ep++ {
 		at := cfg.Timing.EpochStart(wire.Epoch(ep))
 		for s := 0; s < k; s++ {
 			sh := &e.shards[s]
-			sh.heap.push(ev{at: at, owner: 0, seq: sh.ctrlSeq, kind: ekEpoch, aux: uint32(ep)})
+			sh.queue.push(ev{at: at, owner: 0, seq: sh.ctrlSeq, kind: ekEpoch, aux: uint32(ep)})
 			sh.ctrlSeq++
 		}
 	}
@@ -416,7 +419,7 @@ func Build(cfg Config) *Engine {
 		}
 		s := e.shardOf(v.idx)
 		sh := &e.shards[s]
-		sh.heap.push(ev{at: v.at, owner: 0, seq: sh.ctrlSeq, kind: ekCrash, aux: uint32(slot)})
+		sh.queue.push(ev{at: v.at, owner: 0, seq: sh.ctrlSeq, kind: ekCrash, aux: uint32(slot)})
 		sh.ctrlSeq++
 	}
 

@@ -1,6 +1,9 @@
 package shard
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -194,4 +197,192 @@ func TestCellsNeverSpanShards(t *testing.T) {
 			}
 		}
 	}
+}
+
+// goldenWindows is how many busy windows goldenConfig() takes. The number is
+// a property of the event set alone — sim.RunWindows opens a window at the
+// earliest pending instant of any shard — so it is the same at every shard
+// and worker count, and it was 691 on the single-heap engine this queue
+// replaced: minTime is exact to the nanosecond, and an epoch's idle 980 ms
+// costs one jump, not a thousand empty windows.
+const goldenWindows = 691
+
+func TestWindowCount(t *testing.T) {
+	for _, k := range []int{1, 2, 4, 8} {
+		for _, w := range []int{1, 2, 4} {
+			cfg := goldenConfig()
+			cfg.Shards, cfg.Workers = k, w
+			if res := Build(cfg).Run(); res.Windows != goldenWindows {
+				t.Errorf("shards=%d workers=%d: %d windows, want %d", k, w, res.Windows, goldenWindows)
+			}
+		}
+	}
+}
+
+// TestQueueExactForAnyRadio runs the golden field on two radios the ring is
+// not sized for by default — MaxDelay = 100 x MinDelay, and a MaxDelay more
+// windows ahead than the ring may span, so that late deliveries and their
+// victim-slot payloads wait in the far heap — and expects the hashes and
+// window counts the single-heap engine produced for them (commit ef669aa,
+// shards 1 and 4).
+func TestQueueExactForAnyRadio(t *testing.T) {
+	us, ms := sim.Time(time.Microsecond), sim.Time(time.Millisecond)
+	for _, c := range []struct {
+		minDelay, maxDelay sim.Time
+		trace, state       uint64
+		windows            int
+		farDeliveries      bool
+	}{
+		{100 * us, 10 * ms, 0x43db7890488db845, 0x97f0f1db1530b21a, 1499, false},
+		{2 * us, 12 * ms, 0x976b9b1c354c3b88, 0x981c7e47633f6234, 5170, true},
+	} {
+		for _, k := range []int{1, 4} {
+			cfg := goldenConfig()
+			cfg.Epochs = 5
+			cfg.Radio.MinDelay, cfg.Radio.MaxDelay = c.minDelay, c.maxDelay
+			cfg.Shards, cfg.Workers = k, 2
+			e := Build(cfg)
+			q := &e.shards[0].queue
+			if beyond := int64(c.maxDelay)>>q.shift >= int64(len(q.ring)); beyond != c.farDeliveries {
+				t.Fatalf("radio %v-%v: ring of %d buckets of %d ns, deliveries beyond it: %v, want %v",
+					c.minDelay, c.maxDelay, len(q.ring), 1<<q.shift, beyond, c.farDeliveries)
+			}
+			res := e.Run()
+			if res.TraceHash != c.trace || res.StateHash != c.state || res.Windows != c.windows {
+				t.Errorf("radio %v-%v shards=%d: trace %#016x state %#016x windows %d, the heap engine had %#016x %#016x %d",
+					c.minDelay, c.maxDelay, k, res.TraceHash, res.StateHash, res.Windows, c.trace, c.state, c.windows)
+			}
+		}
+	}
+}
+
+// TestArenaOutlivesEveryTier pins what closeWindow's arena recycling leans
+// on: queue.len() counts all three tiers. A report that is the shard's only
+// pending event — sorted into the open bucket, in the near heap, in a ring
+// bucket or in the far heap — keeps the arena its victim slots live in, the
+// delivery then reads them, and only an empty queue lets the arena go.
+func TestArenaOutlivesEveryTier(t *testing.T) {
+	ms := sim.Time(time.Millisecond)
+	for _, tier := range []string{"open", "near", "ring", "far"} {
+		cfg := goldenConfig()
+		cfg.Shards = 1
+		cfg.Radio.MinDelay = sim.Time(2 * time.Microsecond) // the ring spans 8.4 ms of MaxDelay's 12
+		e := Build(cfg)
+		sh := &e.shards[0]
+		q := &sh.queue
+		var now sim.Time
+		for q.n > 0 { // drop the epoch ticks and crashes
+			now = q.pop().at
+		}
+		sh.arena = append(sh.arena, 7)
+		e.closeWindow(now + 1)
+		if len(sh.arena) != 0 {
+			t.Fatalf("%s: an empty queue did not recycle the arena", tier)
+		}
+
+		const receiver, slot = 41, 3
+		report := ev{at: now, owner: 2, kind: dReport, aux: receiver, off: 0, n: 1, bytes: reportFixed}
+		sh.arena = append(sh.arena, slot)
+		switch tier {
+		case "open": // two in one ring bucket; popping the first sorts both into open
+			report.at += ms
+			q.push(ev{at: report.at - 1, kind: ekCrash, aux: 0})
+			q.push(report)
+			q.pop()
+		case "ring":
+			report.at += ms
+			q.push(report)
+		case "far":
+			report.at += 11 * ms
+			q.push(report)
+		default:
+			q.push(report)
+		}
+		in := map[string]int{"open": len(q.open) - q.pos, "near": q.near.len(), "ring": q.ringN, "far": q.far.len()}
+		if in[tier] != 1 || q.n != 1 {
+			t.Fatalf("%s: the report is not where the test means it to be: %v", tier, in)
+		}
+		e.closeWindow(now + 1)
+		if len(sh.arena) != 1 {
+			t.Fatalf("%s: arena recycled under a pending report", tier)
+		}
+		e.drain(0, report.at+1)
+		if !getBit(e.known, receiver*uint32(e.vWords), slot) {
+			t.Fatalf("%s: the delivery did not read its victim slot", tier)
+		}
+	}
+}
+
+// TestTraceMergeEqualsSort: sorting each shard's window trace as it drains
+// and merging the shards at the barrier folds the same hash as sorting the
+// whole window's records at once, which is what the barrier used to do. The
+// first case is the inversion by hand — a delivery from host 9 makes host 3
+// learn and, with jitter 0, relay at the same instant, so the relay's record
+// (owner 3) is appended after the delivery's (owner 9) — with the same
+// instant on another shard; the rest are seeded: instants that tie within
+// and across shards, every shard's records in key order but for events that
+// popped a few places late, some shards empty.
+func TestTraceMergeEqualsSort(t *testing.T) {
+	cases := [][][]rec{{
+		{{at: 100, owner: 9, seq: 4, kind: dReport, aux: 2}, {at: 100, owner: 3, seq: 7, kind: ekRelay, aux: 1},
+			{at: 100, owner: 12, seq: 0, kind: dReport, aux: 5}, {at: 130, owner: 3, seq: 8, kind: dReport, aux: 6}},
+		{},
+		{{at: 90, owner: 40, seq: 1, kind: dHB}, {at: 100, owner: 5, seq: 2, kind: dReport, aux: 30},
+			{at: 100, owner: 9, seq: 5, kind: dReport, aux: 31}, {at: 100, owner: 30, seq: 0, kind: ekRelay, aux: 1}},
+	}}
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		traces := make([][]rec, 1+rng.Intn(9))
+		for i, n := 0, rng.Intn(400); i < n; i++ {
+			s := rng.Intn(len(traces))
+			traces[s] = append(traces[s], rec{at: sim.Time(rng.Intn(40)), owner: uint32(1 + rng.Intn(50)), seq: uint32(i),
+				kind: uint8(rng.Intn(int(dReport) + 1)), aux: rng.Uint32() >> 8, bytes: uint32(rng.Intn(500))})
+		}
+		for _, tr := range traces {
+			slices.SortFunc(tr, cmpRec)
+			for i := range tr { // pop late: move a record up to three places down
+				if j := i + rng.Intn(4); rng.Intn(5) == 0 && j < len(tr) {
+					r := tr[i]
+					copy(tr[i:j], tr[i+1:j+1])
+					tr[j] = r
+				}
+			}
+		}
+		cases = append(cases, traces)
+	}
+	for i, traces := range cases {
+		var all []rec
+		e := &Engine{shards: make([]shardState, len(traces)), traceHash: fnvOffset}
+		for s, tr := range traces {
+			all = append(all, tr...)
+			e.shards[s].trace = slices.Clone(tr)
+			sortTrace(e.shards[s].trace)
+		}
+		e.foldTraces()
+		slices.SortFunc(all, cmpRec)
+		want := uint64(fnvOffset)
+		for _, r := range all {
+			want = fold(want, uint64(r.at))
+			want = fold(want, uint64(r.owner)<<32|uint64(r.seq))
+			want = fold(want, uint64(r.kind)<<40|uint64(r.aux)<<8|uint64(r.bytes)<<44)
+		}
+		if e.traceHash != want {
+			t.Fatalf("case %d: merged fold %#016x, sorted fold %#016x", i, e.traceHash, want)
+		}
+		for s := range e.shards {
+			if len(e.shards[s].trace) != 0 {
+				t.Fatalf("case %d: shard %d's trace not emptied", i, s)
+			}
+		}
+	}
+}
+
+func cmpRec(x, y rec) int {
+	if c := cmp.Compare(x.at, y.at); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.owner, y.owner); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.seq, y.seq)
 }

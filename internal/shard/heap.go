@@ -5,8 +5,8 @@ import "clusterfds/internal/sim"
 // ev is one scheduled occurrence in a shard's queue. Unlike the pointer-based
 // pooled events of sim.Kernel, ev is a plain value copied between the queue's
 // tiers: at a million hosts tens of millions of deliveries are in flight, and
-// value events cost one 40-byte slot with zero per-event allocation or
-// pointer chasing.
+// value events cost one 32-byte slot — two to a cache line — with zero
+// per-event allocation or pointer chasing.
 //
 // Ordering is by the globally stable key (at, owner, seq) — owner is the
 // scheduling host's NodeID (0 for shard-control events) and seq its private
@@ -17,11 +17,11 @@ type ev struct {
 	at    sim.Time
 	owner uint32 // NodeID of the scheduling host; 0 = shard-control
 	seq   uint32 // owner's private event counter (shard-local for control)
-	kind  uint8
 	aux   uint32 // receiver idx (deliveries), victim idx (crash), epoch (epoch tick)
-	off   uint32 // payload span into the shard's victim-slot arena
-	n     uint32
+	off   uint32 // payload span into the shard's victim-slot arena: off, n
 	bytes uint32 // wire size, for rx energy/byte accounting at delivery
+	n     uint16 // at most len(Config.Crashes) victim slots, which Build bounds
+	kind  uint8
 }
 
 // Event kinds. ek* fire on the owning host (sends and control), d* are
@@ -52,7 +52,7 @@ func (e *ev) less(o *ev) bool {
 }
 
 // evHeap is a 4-ary min-heap of value events, the same shape sim.Kernel
-// uses. It is exact for any times but sifts 40-byte values, so evQueue keeps
+// uses. It is exact for any times but sifts 32-byte values, so evQueue keeps
 // it for the two small sets a time bucket cannot hold — near and far — and
 // sorts the bulk, the deliveries, a bucket at a time. Hand-rolled rather
 // than container/heap to avoid interface boxing on every push/pop.

@@ -58,7 +58,7 @@ type bucket struct {
 }
 
 const (
-	chunkLen   = 256 // events per chunk: 10 KB
+	chunkLen   = 256 // events per chunk: 8 KB
 	chunkBlock = 16  // chunks per allocation
 )
 

@@ -30,7 +30,9 @@ const (
 // shards drain [t, t+w) up to an exclusive horizon — so it hands the
 // closed-interval driver span w-1 and limit horizon-1 and drains events
 // strictly before end+1. Shards touch only host rows they own, their own
-// outboxes, and their own trace buffer, so the drain is race-free by layout.
+// outboxes, and their own trace accumulator — written by the worker draining
+// the shard, read by summarize after RunWindows has returned — so the drain is
+// race-free by layout.
 func (e *Engine) Run() Result {
 	workers := e.cfg.Workers
 	if workers < 1 {
@@ -47,16 +49,14 @@ func (e *Engine) Run() Result {
 }
 
 // closeWindow is the serial barrier after the window that ended
-// (exclusively) at wEnd.
+// (exclusively) at wEnd: it merges the outboxes in (dst, src) order. Queue
+// order is by the global event key, so insertion order cannot matter — the
+// fixed iteration order just keeps arena layouts canonical. A shard whose
+// queue is still empty afterwards — all of it: a report waiting in a far-off
+// bucket still points into the arena — has no in-flight event referencing its
+// payload arena, which is recycled.
 func (e *Engine) closeWindow(wEnd sim.Time) {
 	k := e.nShards
-
-	// Phase 1: merge outboxes in (dst, src) order. Queue order is by the
-	// global event key, so insertion order cannot matter — the fixed
-	// iteration order just keeps arena layouts canonical. A shard whose queue
-	// is still empty afterwards — all of it: a report waiting in a far-off
-	// bucket still points into the arena — has no in-flight event referencing
-	// its payload arena, which is recycled.
 	for d := 0; d < k; d++ {
 		dst := &e.shards[d]
 		for s := 0; s < k; s++ {
@@ -81,19 +81,9 @@ func (e *Engine) closeWindow(wEnd sim.Time) {
 		}
 	}
 
-	// Phase 2: fold this window's trace records into the run hash in global
-	// key order. Each shard's records are in that order already (drain saw to
-	// it, in parallel), so the barrier merges k sorted traces; no record is
-	// copied or compared against more than log k others.
-	e.foldTraces()
-
 	// Liveness reporting only — reads counters at the barrier, touches
 	// nothing the simulation or its hashes depend on.
-	progEvery := e.cfg.ProgressEvery
-	if progEvery < 1 {
-		progEvery = 5000
-	}
-	if e.windows++; e.cfg.Progress != nil && e.windows%progEvery == 0 {
+	if e.windows++; e.cfg.Progress != nil && e.windows%e.cfg.ProgressEvery == 0 {
 		var events uint64
 		for s := range e.shards {
 			events += e.shards[s].c.events
@@ -102,94 +92,12 @@ func (e *Engine) closeWindow(wEnd sim.Time) {
 	}
 }
 
-// foldTraces merges the shards' window traces, each in key order, into the
-// trace hash and empties them. The merge is a binary heap of the traces'
-// unread tails ordered by their first record; keys are unique across shards
-// (owner, seq), so the result is the one total order at every partition.
-func (e *Engine) foldTraces() {
-	h := e.traceTops[:0]
-	for s := range e.shards {
-		sh := &e.shards[s]
-		if len(sh.trace) > 0 {
-			h = append(h, sh.trace)
-			sh.trace = sh.trace[:0]
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftTrace(h, i)
-	}
-	hash := e.traceHash
-	for len(h) > 0 {
-		r := &h[0][0]
-		hash = fold(hash, uint64(r.at))
-		hash = fold(hash, uint64(r.owner)<<32|uint64(r.seq))
-		hash = fold(hash, uint64(r.kind)<<40|uint64(r.aux)<<8|uint64(r.bytes)<<44)
-		if h[0] = h[0][1:]; len(h[0]) == 0 {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		siftTrace(h, 0)
-	}
-	e.traceHash = hash
-	e.traceTops = h
-}
-
-// siftTrace restores the merge heap below slot i.
-func siftTrace(h [][]rec, i int) {
-	for {
-		m := 2*i + 1
-		if m >= len(h) {
-			return
-		}
-		if m+1 < len(h) && h[m+1][0].less(&h[m][0]) {
-			m++
-		}
-		if !h[m][0].less(&h[i][0]) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
-
-// less orders trace records by their event's key (at, owner, seq).
-func (r *rec) less(o *rec) bool {
-	if r.at != o.at {
-		return r.at < o.at
-	}
-	if r.owner != o.owner {
-		return r.owner < o.owner
-	}
-	return r.seq < o.seq
-}
-
-// sortTrace puts a shard's window trace, recorded in pop order, in key
-// order. Pop order is key order except for an event created at its creator's
-// own instant with a smaller (owner, seq) — a relay that learn schedules with
-// jitter 0 on behalf of a host numbered below the sender being delivered —
-// which pops a few places late: one insertion pass.
-func sortTrace(t []rec) {
-	for i := 1; i < len(t); i++ {
-		if !t[i].less(&t[i-1]) {
-			continue
-		}
-		r := t[i]
-		j := i
-		for ; j > 0 && r.less(&t[j-1]); j-- {
-			t[j] = t[j-1]
-		}
-		t[j] = r
-	}
-}
-
-// drain processes every event of shard s scheduled before wEnd and leaves
-// the shard's trace of them in key order.
+// drain processes every event of shard s scheduled before wEnd.
 func (e *Engine) drain(s int32, wEnd sim.Time) {
 	sh := &e.shards[s]
 	for {
 		mt, ok := sh.queue.minTime()
 		if !ok || mt >= wEnd {
-			sortTrace(sh.trace)
 			return
 		}
 		v := sh.queue.pop()
@@ -281,7 +189,7 @@ func (e *Engine) sendHB(s int32, sh *shardState, v ev) {
 	sh.c.events++
 	setBit(e.heard, i*uint32(e.evWords), e.memberPos[i]) // "I know I'm alive"
 	e.spendTx(sh, i, hbBytes)
-	sh.trace = append(sh.trace, rec{v.at, v.owner, v.seq, ekHB, 0, hbBytes})
+	sh.record(v.at, v.owner, v.seq, ekHB, 0, hbBytes)
 	e.bcastCell(sh, i, v.at, dHB, hbBytes, 0, 0)
 
 	t := &e.cfg.Timing
@@ -301,7 +209,7 @@ func (e *Engine) sendDigest(s int32, sh *shardState, v ev) {
 	nHeard := popRow(e.heard, i, e.evWords)
 	size := uint32(digestFixed + perIDBytes*nHeard)
 	e.spendTx(sh, i, size)
-	sh.trace = append(sh.trace, rec{v.at, v.owner, v.seq, ekDigest, uint32(nHeard), size})
+	sh.record(v.at, v.owner, v.seq, ekDigest, uint32(nHeard), size)
 	e.bcastCell(sh, i, v.at, dDigest, size, 0, 0)
 
 	if e.cellCH[e.cellOf[i]] == int32(i) {
@@ -362,7 +270,7 @@ func (e *Engine) round3(s int32, sh *shardState, v ev) {
 	nAll := popRow(e.cellFailed, i, e.evWords)
 	size := uint32(healthFixed + perIDBytes*nNew + perIDBytes*nAll + perRescindSize*nResc)
 	e.spendTx(sh, i, size)
-	sh.trace = append(sh.trace, rec{v.at, v.owner, v.seq, v.kind, uint32(nNew), size})
+	sh.record(v.at, v.owner, v.seq, v.kind, uint32(nNew), size)
 	e.bcastCell(sh, i, v.at, dHealth, size, newStart, nSlots)
 	e.learn(sh, i, sh.arena[newStart:newStart+nSlots], v.at)
 }
@@ -394,7 +302,7 @@ func (e *Engine) sendRelay(s int32, sh *shardState, v ev) {
 	nAll := popRow(e.known, i, e.vWords)
 	size := uint32(reportFixed + perIDBytes*int(n) + perIDBytes*nAll)
 	e.spendTx(sh, i, size)
-	sh.trace = append(sh.trace, rec{v.at, v.owner, v.seq, ekRelay, n, size})
+	sh.record(v.at, v.owner, v.seq, ekRelay, n, size)
 	e.bcastRadio(s, sh, i, v.at, off, n, size)
 }
 
@@ -403,7 +311,7 @@ func (e *Engine) sendRelay(s int32, sh *shardState, v ev) {
 // consumption cannot depend on remote state.
 func (e *Engine) deliver(s int32, sh *shardState, v ev) {
 	sh.c.events++
-	sh.trace = append(sh.trace, rec{v.at, v.owner, v.seq, v.kind, v.aux, v.bytes})
+	sh.record(v.at, v.owner, v.seq, v.kind, v.aux, v.bytes)
 	r := v.aux
 	if e.crashed[r] {
 		sh.c.dropDead++
@@ -431,9 +339,9 @@ func (e *Engine) deliver(s int32, sh *shardState, v ev) {
 		// AllFailed catch-up), then learn the newly detected victims.
 		rr, sr := r*uint32(e.evWords), si*uint32(e.evWords)
 		copy(e.cellFailed[rr:rr+uint32(e.evWords)], e.cellFailed[sr:sr+uint32(e.evWords)])
-		e.learn(sh, r, sh.arena[v.off:v.off+v.n], v.at)
+		e.learn(sh, r, sh.arena[v.off:][:v.n], v.at)
 	case dReport:
-		e.learn(sh, r, sh.arena[v.off:v.off+v.n], v.at)
+		e.learn(sh, r, sh.arena[v.off:][:v.n], v.at)
 	}
 }
 
@@ -478,7 +386,7 @@ func (e *Engine) bcastCell(sh *shardState, i uint32, t sim.Time, kind uint8, siz
 		if span > 0 {
 			delay += sim.Time(e.rng[i].Int63n(span + 1))
 		}
-		sh.queue.push(ev{at: t + delay, owner: i + 1, seq: e.nextSeq(i), kind: kind, aux: m, off: off, n: n, bytes: size})
+		sh.queue.push(ev{at: t + delay, owner: i + 1, seq: e.nextSeq(i), kind: kind, aux: m, off: off, n: uint16(n), bytes: size})
 	}
 }
 
@@ -525,7 +433,7 @@ func (e *Engine) bcastRadio(s int32, sh *shardState, i uint32, t sim.Time, off, 
 				if span > 0 {
 					delay += sim.Time(e.rng[i].Int63n(span + 1))
 				}
-				evt := ev{at: t + delay, owner: i + 1, seq: e.nextSeq(i), kind: dReport, aux: m, off: off, n: n, bytes: size}
+				evt := ev{at: t + delay, owner: i + 1, seq: e.nextSeq(i), kind: dReport, aux: m, off: off, n: uint16(n), bytes: size}
 				if dstShard == s {
 					sh.queue.push(evt)
 					continue
@@ -596,7 +504,7 @@ type Result struct {
 
 	EnergySpent float64
 
-	TraceHash uint64 // send+delivery trace folded in global key order
+	TraceHash uint64 // send+delivery trace as a multiset: the sum of recMix over its records
 	StateHash uint64 // final per-host state + victim metrics + counters
 
 	BuildHeapBytes uint64 // live heap after Build (approximate; see fdsim)
@@ -611,13 +519,13 @@ func (e *Engine) summarize(workers int) Result {
 	res := Result{
 		Shards:         e.nShards,
 		Workers:        workers,
-		TraceHash:      e.traceHash,
 		BuildHeapBytes: e.builtHeapBytes,
 		Windows:        e.windows,
 	}
 	var c counters
 	for s := range e.shards {
 		c.add(&e.shards[s].c)
+		res.TraceHash += e.shards[s].traceSum
 	}
 	res.Events = c.events
 	res.Sends = c.sends
@@ -698,6 +606,25 @@ func fold(h, v uint64) uint64 {
 		h *= fnvPrime
 	}
 	return h
+}
+
+// record adds one send or delivery to the shard's trace: its event's key and
+// what happened. The sum wraps and is not an xor, so a record processed twice
+// moves it.
+func (sh *shardState) record(at sim.Time, owner, seq uint32, kind uint8, aux, bytes uint32) {
+	sh.traceSum += recMix(at, owner, seq, kind, aux, bytes)
+}
+
+// recMix binds a trace record's six fields into one 64-bit value. It is a
+// chain, not a sum of per-field mixes — which would hash the same whichever
+// record a field sat in: the key (at, owner, seq), unique to the record, is
+// mixed first, so what happened (kind, aux, bytes) is mixed into a state no
+// other record has. kind steps the last SplitMix64 as its generator would.
+func recMix(at sim.Time, owner, seq uint32, kind uint8, aux, bytes uint32) uint64 {
+	const gamma = 0x9E3779B97F4A7C15 // SplitMix64's increment
+	h := sim.SplitMix64(uint64(at))
+	h = sim.SplitMix64(h ^ (uint64(owner)<<32 | uint64(seq)))
+	return sim.SplitMix64((h ^ (uint64(aux)<<32 | uint64(bytes))) + uint64(kind)*gamma)
 }
 
 func floatBits(f float64) uint64 {

@@ -46,9 +46,13 @@
 //     never depends on remote state.
 //   - Control events (epoch ticks, crashes) have owner 0 and touch only
 //     disjoint shard-local state, so their shard-local seq is harmless.
-//   - The trace hash folds each window's records in global key order: every
-//     shard puts its own in order as it drains, and the barrier merges them.
-//     Outboxes merge in (dst shard, src shard) order.
+//   - The trace hash is a multiset hash: each shard sums a 64-bit mix of every
+//     record it processes as it drains, and the shard sums are added after the
+//     run. Addition commutes, so neither the partition nor the order within a
+//     window can show in it; record keys are unique, so two runs have the same
+//     multiset of records exactly when their key-sorted traces are equal, and
+//     an ordered fold would tell apart nothing more.
+//   - Outboxes merge in (dst shard, src shard) order.
 //   - Energy totals and the state hash are folded serially in host-index
 //     order after the run (float addition is not associative).
 //
@@ -139,9 +143,9 @@ type shardState struct {
 	// payloads are copied into d's arena at the barrier.
 	out []outbox
 
-	// trace is this window's processed-event records: in pop order while the
-	// shard drains, in key order once drain returns.
-	trace []rec
+	// traceSum is the shard's share of Result.TraceHash: the wrapping sum of
+	// recMix over every send and delivery it has processed.
+	traceSum uint64
 
 	// dstOff is radio-broadcast scratch: per destination shard, the offset
 	// of the current send's payload in that outbox (-1 = not yet copied).
@@ -181,17 +185,6 @@ func (c *counters) add(o *counters) {
 	c.rxBytes += o.rxBytes
 	c.falsePos += o.falsePos
 	c.rescues += o.rescues
-}
-
-// rec is one trace record: the event key plus what happened, folded into
-// the run's trace hash in global key order at every window barrier.
-type rec struct {
-	at    sim.Time
-	owner uint32
-	seq   uint32
-	kind  uint8
-	aux   uint32
-	bytes uint32
 }
 
 // Engine is a built, runnable sharded world. Build constructs it; Run
@@ -250,11 +243,9 @@ type Engine struct {
 
 	shards []shardState
 
-	traceHash uint64
-	traceTops [][]rec // closeWindow's merge heap, reused across windows
-	windows   int     // busy windows closed so far, for Progress cadence
-	horizon   sim.Time
-	w         sim.Time // conservative window width = Radio.MinDelay
+	windows int // busy windows closed so far, for Progress cadence
+	horizon sim.Time
+	w       sim.Time // conservative window width = Radio.MinDelay
 
 	builtHeapBytes uint64 // live heap after Build, for bytes-per-node
 }
@@ -279,6 +270,13 @@ func Build(cfg Config) *Engine {
 	}
 	if cfg.Radio.LossProb < 0 || cfg.Radio.LossProb > 1 {
 		panic(fmt.Sprintf("shard: loss probability %v outside [0,1]", cfg.Radio.LossProb))
+	}
+	if len(cfg.Crashes) > math.MaxUint16 {
+		panic(fmt.Sprintf("shard: %d crashes scheduled, an event's payload counts at most %d victim slots", len(cfg.Crashes), math.MaxUint16))
+	}
+
+	if cfg.ProgressEvery < 1 {
+		cfg.ProgressEvery = 5000
 	}
 
 	e := &Engine{cfg: cfg}
@@ -423,7 +421,6 @@ func Build(cfg Config) *Engine {
 		sh.ctrlSeq++
 	}
 
-	e.traceHash = fnvOffset
 	e.builtHeapBytes = liveHeapBytes()
 	return e
 }

@@ -1,11 +1,13 @@
 package shard
 
 import (
-	"cmp"
+	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"clusterfds/internal/cluster"
 	"clusterfds/internal/radio"
@@ -44,8 +46,8 @@ func goldenConfig() Config {
 // change moves them, re-pin BOTH from a -shards 1 -workers 1 run and say so
 // in the commit; if they move without such a change, determinism broke.
 const (
-	goldenTraceHash = 0x678b62fa35871ff1
-	goldenStateHash = 0x1ab6276f5f3b0a98
+	goldenTraceHash uint64 = 0x90d3272ad2fc23c2
+	goldenStateHash uint64 = 0x1ab6276f5f3b0a98
 )
 
 // TestShardedGoldenHashAcrossPartitions is the engine's core contract: the
@@ -183,6 +185,23 @@ func TestShardClamping(t *testing.T) {
 	}
 }
 
+// TestEventIsHalfACacheLine pins ev at 32 bytes and the bound that pays for
+// it: a payload's victim-slot count is a uint16, so Build refuses a crash
+// schedule longer than a payload can count.
+func TestEventIsHalfACacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(ev{}); size != 32 {
+		t.Errorf("ev is %d bytes, want 32", size)
+	}
+	cfg := goldenConfig()
+	cfg.Crashes = make([]Crash, math.MaxUint16+1)
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "65536 crashes scheduled") {
+			t.Fatalf("Build of 65536 crashes: recovered %q, want the payload-count panic", msg)
+		}
+	}()
+	Build(cfg)
+}
+
 // TestCellsNeverSpanShards pins the layout property the race-freedom
 // argument rests on: every member of a cell maps to the same shard.
 func TestCellsNeverSpanShards(t *testing.T) {
@@ -222,9 +241,12 @@ func TestWindowCount(t *testing.T) {
 // TestQueueExactForAnyRadio runs the golden field on two radios the ring is
 // not sized for by default — MaxDelay = 100 x MinDelay, and a MaxDelay more
 // windows ahead than the ring may span, so that late deliveries and their
-// victim-slot payloads wait in the far heap — and expects the hashes and
-// window counts the single-heap engine produced for them (commit ef669aa,
-// shards 1 and 4).
+// victim-slot payloads wait in the far heap — and expects the state hashes
+// and window counts the single-heap engine produced for them (commit ef669aa,
+// shards 1 and 4). The trace values are not the heap engine's: they are the
+// multiset hash, printed by one binary that summed it beside the ordered fold
+// it replaced while that fold still produced the heap engine's values
+// (EXPERIMENTS.md "The barrier hashes nothing", step 1).
 func TestQueueExactForAnyRadio(t *testing.T) {
 	us, ms := sim.Time(time.Microsecond), sim.Time(time.Millisecond)
 	for _, c := range []struct {
@@ -233,8 +255,8 @@ func TestQueueExactForAnyRadio(t *testing.T) {
 		windows            int
 		farDeliveries      bool
 	}{
-		{100 * us, 10 * ms, 0x43db7890488db845, 0x97f0f1db1530b21a, 1499, false},
-		{2 * us, 12 * ms, 0x976b9b1c354c3b88, 0x981c7e47633f6234, 5170, true},
+		{100 * us, 10 * ms, 0x6e7df48d885f43d4, 0x97f0f1db1530b21a, 1499, false},
+		{2 * us, 12 * ms, 0x04a7c30b26e53c7c, 0x981c7e47633f6234, 5170, true},
 	} {
 		for _, k := range []int{1, 4} {
 			cfg := goldenConfig()
@@ -249,7 +271,7 @@ func TestQueueExactForAnyRadio(t *testing.T) {
 			}
 			res := e.Run()
 			if res.TraceHash != c.trace || res.StateHash != c.state || res.Windows != c.windows {
-				t.Errorf("radio %v-%v shards=%d: trace %#016x state %#016x windows %d, the heap engine had %#016x %#016x %d",
+				t.Errorf("radio %v-%v shards=%d: trace %#016x state %#016x windows %d, want %#016x %#016x %d",
 					c.minDelay, c.maxDelay, k, res.TraceHash, res.StateHash, res.Windows, c.trace, c.state, c.windows)
 			}
 		}
@@ -313,76 +335,97 @@ func TestArenaOutlivesEveryTier(t *testing.T) {
 	}
 }
 
-// TestTraceMergeEqualsSort: sorting each shard's window trace as it drains
-// and merging the shards at the barrier folds the same hash as sorting the
-// whole window's records at once, which is what the barrier used to do. The
-// first case is the inversion by hand — a delivery from host 9 makes host 3
-// learn and, with jitter 0, relay at the same instant, so the relay's record
-// (owner 3) is appended after the delivery's (owner 9) — with the same
-// instant on another shard; the rest are seeded: instants that tie within
-// and across shards, every shard's records in key order but for events that
-// popped a few places late, some shards empty.
-func TestTraceMergeEqualsSort(t *testing.T) {
-	cases := [][][]rec{{
-		{{at: 100, owner: 9, seq: 4, kind: dReport, aux: 2}, {at: 100, owner: 3, seq: 7, kind: ekRelay, aux: 1},
-			{at: 100, owner: 12, seq: 0, kind: dReport, aux: 5}, {at: 130, owner: 3, seq: 8, kind: dReport, aux: 6}},
-		{},
-		{{at: 90, owner: 40, seq: 1, kind: dHB}, {at: 100, owner: 5, seq: 2, kind: dReport, aux: 30},
-			{at: 100, owner: 9, seq: 5, kind: dReport, aux: 31}, {at: 100, owner: 30, seq: 0, kind: ekRelay, aux: 1}},
-	}}
-	for seed := int64(1); seed <= 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		traces := make([][]rec, 1+rng.Intn(9))
-		for i, n := 0, rng.Intn(400); i < n; i++ {
-			s := rng.Intn(len(traces))
-			traces[s] = append(traces[s], rec{at: sim.Time(rng.Intn(40)), owner: uint32(1 + rng.Intn(50)), seq: uint32(i),
-				kind: uint8(rng.Intn(int(dReport) + 1)), aux: rng.Uint32() >> 8, bytes: uint32(rng.Intn(500))})
-		}
-		for _, tr := range traces {
-			slices.SortFunc(tr, cmpRec)
-			for i := range tr { // pop late: move a record up to three places down
-				if j := i + rng.Intn(4); rng.Intn(5) == 0 && j < len(tr) {
-					r := tr[i]
-					copy(tr[i:j], tr[i+1:j+1])
-					tr[j] = r
-				}
-			}
-		}
-		cases = append(cases, traces)
-	}
-	for i, traces := range cases {
-		var all []rec
-		e := &Engine{shards: make([]shardState, len(traces)), traceHash: fnvOffset}
-		for s, tr := range traces {
-			all = append(all, tr...)
-			e.shards[s].trace = slices.Clone(tr)
-			sortTrace(e.shards[s].trace)
-		}
-		e.foldTraces()
-		slices.SortFunc(all, cmpRec)
-		want := uint64(fnvOffset)
-		for _, r := range all {
-			want = fold(want, uint64(r.at))
-			want = fold(want, uint64(r.owner)<<32|uint64(r.seq))
-			want = fold(want, uint64(r.kind)<<40|uint64(r.aux)<<8|uint64(r.bytes)<<44)
-		}
-		if e.traceHash != want {
-			t.Fatalf("case %d: merged fold %#016x, sorted fold %#016x", i, e.traceHash, want)
-		}
-		for s := range e.shards {
-			if len(e.shards[s].trace) != 0 {
-				t.Fatalf("case %d: shard %d's trace not emptied", i, s)
-			}
-		}
-	}
+// traceRec is one trace record as the tests below build them: the six
+// fields shardState.record takes.
+type traceRec struct {
+	at    sim.Time
+	owner uint32
+	seq   uint32
+	kind  uint8
+	aux   uint32
+	bytes uint32
 }
 
-func cmpRec(x, y rec) int {
-	if c := cmp.Compare(x.at, y.at); c != 0 {
-		return c
+// hashDealt records recs on k shards — dealt round-robin from a shuffled
+// order when rng is not nil — and returns the TraceHash summarize makes of
+// them: the engine's own two additions, not a copy of them.
+func hashDealt(recs []traceRec, k int, rng *rand.Rand) uint64 {
+	order := slices.Clone(recs)
+	if rng != nil {
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	}
-	if c := cmp.Compare(x.owner, y.owner); c != 0 {
-		return c
+	e := &Engine{shards: make([]shardState, k)}
+	for i, r := range order {
+		e.shards[i%k].record(r.at, r.owner, r.seq, r.kind, r.aux, r.bytes)
 	}
-	return cmp.Compare(x.seq, y.seq)
+	return e.summarize(1).TraceHash
+}
+
+// TestTraceHashIsAMultisetHash pins what Result.TraceHash promises: it is a
+// function of the multiset of trace records and of nothing else — not of
+// which shard processed a record, nor in what order — and it tells apart any
+// two multisets the ordered fold it replaced could (record keys are unique,
+// so equal multisets are equal key-sorted sequences). Each clause names the
+// planted defect it was seen to fail on.
+func TestTraceHashIsAMultisetHash(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	recs := make([]traceRec, 500)
+	for i := range recs {
+		recs[i] = traceRec{at: sim.Time(rng.Intn(40)), owner: uint32(1 + rng.Intn(50)), seq: uint32(i),
+			kind: uint8(rng.Intn(int(dReport) + 1)), aux: rng.Uint32() >> 8, bytes: uint32(rng.Intn(500))}
+	}
+	want := hashDealt(recs, 1, nil)
+
+	// (a) Any deal, any order, one value.
+	for _, k := range []int{1, 2, 4, 8} {
+		for round := 0; round < 20; round++ {
+			if got := hashDealt(recs, k, rng); got != want {
+				t.Fatalf("%d shards, shuffle %d: %#016x, in order on one shard %#016x", k, round, got, want)
+			}
+		}
+	}
+
+	// (b), (d) One field of one record changed — at by one nanosecond (plant:
+	// at left out of recMix) — a record dropped, a record duplicated: each moves
+	// the hash, and a duplicate is not a drop (plant: xor for + in record and
+	// summarize — the second copy cancels the first).
+	for i := 0; i < len(recs); i += 7 {
+		r := recs[i]
+		for f, m := range []traceRec{
+			{r.at + 1, r.owner, r.seq, r.kind, r.aux, r.bytes},
+			{r.at, r.owner + 1, r.seq, r.kind, r.aux, r.bytes},
+			{r.at, r.owner, r.seq + 1, r.kind, r.aux, r.bytes},
+			{r.at, r.owner, r.seq, r.kind + 1, r.aux, r.bytes},
+			{r.at, r.owner, r.seq, r.kind, r.aux + 1, r.bytes},
+			{r.at, r.owner, r.seq, r.kind, r.aux, r.bytes + 1},
+		} {
+			mod := slices.Clone(recs)
+			mod[i] = m
+			if hashDealt(mod, 4, rng) == want {
+				t.Fatalf("record %d: changing field %d left the hash at %#016x", i, f, want)
+			}
+		}
+		dropped := hashDealt(slices.Delete(slices.Clone(recs), i, i+1), 4, rng)
+		doubled := hashDealt(append(slices.Clone(recs), r), 4, rng)
+		if dropped == want || doubled == want || dropped == doubled {
+			t.Fatalf("record %d: as is %#016x, dropped %#016x, duplicated %#016x", i, want, dropped, doubled)
+		}
+	}
+
+	// (c) aux or bytes swapped between two records (plant: recMix as a sum of
+	// one mix per field — the fields are hashed, the records are not).
+	for i := 0; i+1 < len(recs); i += 7 {
+		for f, swap := range []func(x, y *traceRec){
+			func(x, y *traceRec) { x.aux, y.aux = y.aux, x.aux },
+			func(x, y *traceRec) { x.bytes, y.bytes = y.bytes, x.bytes },
+		} {
+			mod := slices.Clone(recs)
+			if swap(&mod[i], &mod[i+1]); mod[i] == recs[i] {
+				continue // the two records agree on the field
+			}
+			if hashDealt(mod, 4, rng) == want {
+				t.Fatalf("records %d and %d: swapping field %d between them left the hash at %#016x", i, i+1, 4+f, want)
+			}
+		}
+	}
 }

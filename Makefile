@@ -92,17 +92,21 @@ scale-smoke:
 	if [ "$$a" != "$$b" ]; then echo "scale-smoke: HASH MISMATCH between -shards 1 and -shards 4:"; echo "$$b"; exit 1; fi; \
 	echo "scale-smoke: 1-shard and 4-shard hashes identical"
 
-## baseline-smoke: the head-to-head matrix's determinism gate. A tiny
-## all-detector sweep (every stack x every disruption scenario, 2 trials per
-## cell) must print bit-identical "matrix hash:" lines with 1 worker and with
-## 4 workers. See EXPERIMENTS.md "Head-to-head detector matrix".
+## baseline-smoke: the head-to-head matrix's determinism and behaviour gate.
+## A tiny all-detector sweep (every stack x every disruption scenario, 2
+## trials per cell) must print the committed "matrix hash:" below with 1
+## worker and with 4 workers. Moving MATRIX_HASH is a deliberate re-pin: do
+## it only for a change meant to alter some detector's behaviour, and say so
+## in CHANGES.md. See EXPERIMENTS.md "Head-to-head detector matrix".
+MATRIX_HASH := 6f3c164ce9656a34
 baseline-smoke:
 	$(GO) build -o bin/fdsfigs ./cmd/fdsfigs
 	@a="$$(bin/fdsfigs -fig I -matrix-trials 2 -seed 42 -workers 1 | grep 'matrix hash:')"; \
 	b="$$(bin/fdsfigs -fig I -matrix-trials 2 -seed 42 -workers 4 | grep 'matrix hash:')"; \
 	echo "$$a"; \
 	if [ "$$a" != "$$b" ]; then echo "baseline-smoke: HASH MISMATCH between -workers 1 and -workers 4:"; echo "$$b"; exit 1; fi; \
-	echo "baseline-smoke: 1-worker and 4-worker matrix hashes identical"
+	if [ "$$a" != "matrix hash: $(MATRIX_HASH)" ]; then echo "baseline-smoke: matrix hash moved from the committed $(MATRIX_HASH)"; exit 1; fi; \
+	echo "baseline-smoke: 1-worker and 4-worker matrix hashes equal the committed $(MATRIX_HASH)"
 
 ## fuzz-smoke: a short native-fuzz pass over the wire codec's two targets
 ## (FuzzDecode: Decode vs DecodeInto differential on hostile bytes;

@@ -341,7 +341,6 @@ func runSharded(cfg scenario.Config, shards, workers, epochs, crashes, crashEpoc
 			time.Duration(at).Round(time.Millisecond), events,
 			float64(events)/time.Since(startWall).Seconds())
 	}
-	sc.ProgressEvery = 500
 
 	buildStart := time.Now()
 	eng := shard.Build(sc)

@@ -14,6 +14,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"time"
 
 	"clusterfds/internal/scenario"
@@ -70,26 +72,27 @@ func run(stack scenario.Stack) result {
 	return r
 }
 
-func main() {
-	fmt.Printf("== detector stack comparison: %d nodes, %.0fm field, p=%.2f, %d intervals ==\n\n",
+func main() { report(os.Stdout) }
+
+// report runs the three stacks once each and prints the comparison table.
+func report(out io.Writer) {
+	fmt.Fprintf(out, "== detector stack comparison: %d nodes, %.0fm field, p=%.2f, %d intervals ==\n\n",
 		nodes, fieldSide, lossProb, epochs)
-	fmt.Printf("%-12s %12s %14s %12s %12s %10s %8s\n",
+	fmt.Fprintf(out, "%-12s %12s %14s %12s %12s %10s %8s\n",
 		"stack", "tx msgs", "tx bytes", "energy", "aware", "mean lat", "max lat")
 
-	var base result
+	var rs []result
 	for _, stack := range []scenario.Stack{scenario.StackClusterFDS, scenario.StackGossip, scenario.StackFlood} {
 		r := run(stack)
-		if stack == scenario.StackClusterFDS {
-			base = r
-		}
-		fmt.Printf("%-12v %12d %14d %12.0f %7d/%-4d %9.1fs %7.1fs\n",
+		rs = append(rs, r)
+		fmt.Fprintf(out, "%-12v %12d %14d %12.0f %7d/%-4d %9.1fs %7.1fs\n",
 			r.stack, r.txTotal, r.txBytes, r.energy, r.aware, r.operational, r.meanLat, r.maxLat)
 	}
 
-	fmt.Println("\nrelative to the cluster-based FDS:")
-	for _, stack := range []scenario.Stack{scenario.StackGossip, scenario.StackFlood} {
-		r := run(stack)
-		fmt.Printf("  %-8v sends %5.1fx the messages, %5.1fx the bytes, spends %5.1fx the energy\n",
+	fmt.Fprintln(out, "\nrelative to the cluster-based FDS:")
+	base := rs[0]
+	for _, r := range rs[1:] {
+		fmt.Fprintf(out, "  %-8v sends %5.1fx the messages, %5.1fx the bytes, spends %5.1fx the energy\n",
 			r.stack,
 			ratio(r.txTotal, base.txTotal),
 			ratio(r.txBytes, base.txBytes),

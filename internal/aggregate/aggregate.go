@@ -89,14 +89,15 @@ func (s Stat) String() string {
 type Config struct {
 	// Timing must match the co-resident cluster/FDS timing.
 	Timing cluster.Timing
-	// KeepEpochs bounds how many epochs of partials are retained for
-	// queries (older entries are pruned).
-	KeepEpochs int
 }
+
+// keepEpochs bounds how many epochs of partials are retained for queries
+// (older entries are pruned).
+const keepEpochs = 4
 
 // DefaultConfig returns the configuration used by the examples.
 func DefaultConfig(t cluster.Timing) Config {
-	return Config{Timing: t, KeepEpochs: 4}
+	return Config{Timing: t}
 }
 
 // aggKey identifies one cluster's partial for one epoch.
@@ -141,9 +142,6 @@ func New(cfg Config, cl *cluster.Protocol, f *fds.Protocol, sampler Sampler) *Pr
 	if !cfg.Timing.Valid() {
 		panic("aggregate: invalid timing")
 	}
-	if cfg.KeepEpochs < 1 {
-		cfg.KeepEpochs = 1
-	}
 	p := &Protocol{
 		cfg:       cfg,
 		cluster:   cl,
@@ -184,7 +182,7 @@ func (p *Protocol) runEpoch(e wire.Epoch) {
 // prune drops partials older than the retention window.
 func (p *Protocol) prune(now wire.Epoch) {
 	for k := range p.partials {
-		if uint64(now)-uint64(k.epoch) > uint64(p.cfg.KeepEpochs) {
+		if uint64(now)-uint64(k.epoch) > keepEpochs {
 			delete(p.partials, k)
 			delete(p.forwarded, k)
 			delete(p.heardTx, k)
@@ -252,7 +250,7 @@ func (p *Protocol) onDigest(m *wire.Digest) {
 // periodic aggregation tolerates).
 func (p *Protocol) onAggregate(m *wire.Aggregate) {
 	k := aggKey{origin: m.OriginCH, epoch: m.Epoch}
-	if uint64(p.epoch) > uint64(m.Epoch)+uint64(p.cfg.KeepEpochs) {
+	if uint64(p.epoch) > uint64(m.Epoch)+keepEpochs {
 		return // too old to matter
 	}
 	p.heardTx[k]++

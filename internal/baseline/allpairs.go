@@ -1,26 +1,10 @@
 package baseline
 
 import (
-	"sort"
-
 	"clusterfds/internal/node"
 	"clusterfds/internal/sim"
 	"clusterfds/internal/wire"
 )
-
-// AllPairsConfig parameterizes the all-pairs heartbeat strawman.
-type AllPairsConfig struct {
-	// Interval is the heartbeat period (per node).
-	Interval sim.Time
-	// SuspectAfter is how long a heartbeat may be absent before its origin
-	// is suspected.
-	SuspectAfter sim.Time
-}
-
-// Valid reports whether the configuration is usable.
-func (c AllPairsConfig) Valid() bool {
-	return c.Interval > 0 && c.SuspectAfter >= 2*c.Interval
-}
 
 // allPairsPeer is the per-origin liveness record.
 type allPairsPeer struct {
@@ -34,32 +18,26 @@ type allPairsPeer struct {
 // neighborhood; within a dense field it is the flat design whose O(n^2)
 // monitoring relationships the paper's Section 3 argues against.
 type AllPairs struct {
-	cfg  AllPairsConfig
-	host *node.Host
+	silence[allPairsPeer] // per-origin records
 
-	seq   uint64
-	peers map[wire.NodeID]allPairsPeer
+	seq uint64
 }
 
-// NewAllPairs returns an all-pairs heartbeat detector.
-func NewAllPairs(cfg AllPairsConfig) *AllPairs {
-	if !cfg.Valid() {
-		panic("baseline: invalid all-pairs config (need Interval > 0 and SuspectAfter >= 2*Interval)")
-	}
-	return &AllPairs{cfg: cfg, peers: make(map[wire.NodeID]allPairsPeer)}
+func newAllPairs(p Params) *AllPairs {
+	return &AllPairs{silence: newSilence(p, func(r allPairsPeer) sim.Time { return r.last })}
 }
 
 // Start implements node.Protocol.
 func (a *AllPairs) Start(h *node.Host) {
 	a.host = h
-	first := sim.Time(h.Rand().Int63n(int64(a.cfg.Interval)))
+	first := sim.Time(h.Rand().Int63n(int64(a.p.Interval)))
 	h.After(first, a.tick)
 }
 
 func (a *AllPairs) tick() {
 	a.seq++
 	a.host.Send(&wire.AllPairsHeartbeat{Origin: a.host.ID(), Seq: a.seq})
-	a.host.After(a.cfg.Interval, a.tick)
+	a.host.After(a.p.Interval, a.tick)
 }
 
 // Handle implements node.Protocol: only a strictly newer sequence advances an
@@ -69,33 +47,8 @@ func (a *AllPairs) Handle(h *node.Host, m wire.Message, from wire.NodeID) {
 	if !ok || hb.Origin == h.ID() {
 		return
 	}
-	p, known := a.peers[hb.Origin]
+	p, known := a.heard[hb.Origin]
 	if !known || hb.Seq > p.maxSeq {
-		a.peers[hb.Origin] = allPairsPeer{maxSeq: hb.Seq, last: h.Now()}
+		a.heard[hb.Origin] = allPairsPeer{maxSeq: hb.Seq, last: h.Now()}
 	}
 }
-
-// IsSuspected implements Detector.
-func (a *AllPairs) IsSuspected(id wire.NodeID) bool {
-	p, known := a.peers[id]
-	if !known {
-		return false
-	}
-	return a.host.Now()-p.last > a.cfg.SuspectAfter
-}
-
-// KnownFailed implements Detector.
-func (a *AllPairs) KnownFailed() []wire.NodeID {
-	var out []wire.NodeID
-	for id := range a.peers {
-		if id != a.host.ID() && a.IsSuspected(id) {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// KnownPopulation returns how many origins this detector has heard, plus
-// itself.
-func (a *AllPairs) KnownPopulation() int { return len(a.peers) + 1 }

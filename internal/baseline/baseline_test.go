@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -11,18 +12,12 @@ import (
 	"clusterfds/internal/wire"
 )
 
-func gossipCfg() GossipConfig {
-	return GossipConfig{
+// testParams is the setting the in-package tests run every detector with.
+func testParams() Params {
+	return Params{
 		Interval:     sim.Time(time.Second),
 		SuspectAfter: sim.Time(5 * time.Second),
-	}
-}
-
-func floodCfg() FloodConfig {
-	return FloodConfig{
-		Interval:     sim.Time(time.Second),
 		TTL:          8,
-		SuspectAfter: sim.Time(5 * time.Second),
 		RelayJitter:  sim.Time(5 * time.Millisecond),
 	}
 }
@@ -59,7 +54,7 @@ func buildGossip(t *testing.T, seed int64, lossProb float64, pts []geo.Point) *g
 	w := &gossipWorld{kernel: k, medium: m}
 	for i, pos := range pts {
 		h := node.New(k, m, wire.NodeID(i+1), pos)
-		g := NewGossip(gossipCfg())
+		g := newGossip(testParams())
 		h.Use(g)
 		w.hosts = append(w.hosts, h)
 		w.dets = append(w.dets, g)
@@ -75,7 +70,7 @@ func buildFlood(t *testing.T, seed int64, lossProb float64, pts []geo.Point) *go
 	w := &gossipWorld{kernel: k, medium: m}
 	for i, pos := range pts {
 		h := node.New(k, m, wire.NodeID(i+1), pos)
-		f := NewFlood(floodCfg())
+		f := newFlood(testParams())
 		h.Use(f)
 		w.hosts = append(w.hosts, h)
 		w.dets = append(w.dets, f)
@@ -157,14 +152,14 @@ func TestFloodReachesWholeChain(t *testing.T) {
 }
 
 func TestFloodTTLLimitsReach(t *testing.T) {
-	cfg := floodCfg()
-	cfg.TTL = 2 // origin + one relay: reaches 2 hops
+	p := testParams()
+	p.TTL = 2 // origin + one relay: reaches 2 hops
 	k := sim.New(7)
 	m := radio.New(k, radio.Defaults(0))
 	var dets []*Flood
 	for i, pos := range line(5) {
 		h := node.New(k, m, wire.NodeID(i+1), pos)
-		f := NewFlood(cfg)
+		f := newFlood(p)
 		h.Use(f)
 		dets = append(dets, f)
 		h.Boot()
@@ -187,7 +182,7 @@ func TestFloodMessageCostScalesWithPopulation(t *testing.T) {
 		m := radio.New(k, radio.Defaults(0))
 		for i, pos := range clique(n) {
 			h := node.New(k, m, wire.NodeID(i+1), pos)
-			h.Use(NewFlood(floodCfg()))
+			h.Use(newFlood(testParams()))
 			h.Boot()
 		}
 		k.RunUntil(sim.Time(5 * time.Second))
@@ -215,22 +210,96 @@ func TestGossipDetectionUnderLoss(t *testing.T) {
 	}
 }
 
+// TestConfigValidation: New is the one place Params are checked.
 func TestConfigValidation(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"gossip zero interval": func() { NewGossip(GossipConfig{SuspectAfter: sim.Time(time.Second)}) },
-		"gossip tight suspect": func() { NewGossip(GossipConfig{Interval: sim.Time(time.Second), SuspectAfter: sim.Time(time.Second)}) },
-		"flood zero ttl": func() {
-			NewFlood(FloodConfig{Interval: sim.Time(time.Second), SuspectAfter: sim.Time(5 * time.Second)})
-		},
-		"flood zero interval": func() { NewFlood(FloodConfig{TTL: 3, SuspectAfter: sim.Time(time.Second)}) },
+	for _, c := range []struct {
+		name string
+		det  string
+		edit func(*Params)
+	}{
+		{"zero interval", "gossip", func(p *Params) { p.Interval = 0 }},
+		{"tight suspect", "gossip", func(p *Params) { p.SuspectAfter = p.Interval }},
+		{"tight suspect", "swim", func(p *Params) { p.SuspectAfter = 2*p.Interval - 1 }},
+		{"zero ttl", "flood", func(p *Params) { p.TTL = 0 }},
+		{"zero interval", "flood", func(p *Params) { p.Interval = 0 }},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: want panic", name)
+		p := testParams()
+		c.edit(&p)
+		if d, err := New(c.det, p); err == nil {
+			t.Errorf("%s %s: New = %T, want an error", c.det, c.name, d)
+		}
+	}
+	// TTL 0 is only an error where TTL is read.
+	p := testParams()
+	p.TTL = 0
+	if _, err := New("gossip", p); err != nil {
+		t.Errorf("gossip with TTL 0: %v", err)
+	}
+}
+
+// TestLivenessQueriesEveryDetector holds every registered detector to the
+// shared verdict semantics on a dense field where two hosts fall silent.
+func TestLivenessQueriesEveryDetector(t *testing.T) {
+	const n = 6
+	victims := []wire.NodeID{5, 2}
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			k := sim.New(21)
+			m := radio.New(k, radio.Defaults(0))
+			var hosts []*node.Host
+			var dets []Detector
+			for i, pos := range clique(n) {
+				h := node.New(k, m, wire.NodeID(i+1), pos)
+				d, err := New(name, testParams())
+				if err != nil {
+					t.Fatal(err)
 				}
-			}()
-			fn()
-		}()
+				h.Use(d)
+				hosts = append(hosts, h)
+				dets = append(dets, d)
+				h.Boot()
+			}
+			check := func(when string) {
+				for i, d := range dets {
+					if hosts[i].Crashed() {
+						continue
+					}
+					self := wire.NodeID(i + 1)
+					if d.IsSuspected(99) {
+						t.Errorf("%s: node %d suspects a host it never heard of", when, self)
+					}
+					var want []wire.NodeID
+					for id := wire.NodeID(1); id <= n; id++ {
+						if d.IsSuspected(id) {
+							want = append(want, id)
+						}
+					}
+					got := d.KnownFailed()
+					if !slices.Equal(got, want) {
+						t.Errorf("%s: node %d KnownFailed = %v, IsSuspected says %v", when, self, got, want)
+					}
+					if slices.Contains(got, self) {
+						t.Errorf("%s: node %d lists itself in KnownFailed", when, self)
+					}
+				}
+			}
+			k.RunUntil(sim.Time(4 * time.Second))
+			check("healthy")
+			for _, v := range victims {
+				hosts[v-1].Crash()
+			}
+			k.RunUntil(k.Now() + testParams().SuspectAfter + 2*testParams().Interval)
+			check("after crash")
+			if name == "swim" {
+				return // verdicts come from probe timeouts, not silence
+			}
+			for i, d := range dets {
+				for _, v := range victims {
+					if !hosts[i].Crashed() && !d.IsSuspected(v) {
+						t.Errorf("node %d does not suspect node %d after more than SuspectAfter of silence", i+1, v)
+					}
+				}
+			}
+		})
 	}
 }

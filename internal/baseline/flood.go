@@ -1,32 +1,10 @@
 package baseline
 
 import (
-	"sort"
-
 	"clusterfds/internal/node"
 	"clusterfds/internal/sim"
 	"clusterfds/internal/wire"
 )
-
-// FloodConfig parameterizes the flat-flooding heartbeat detector.
-type FloodConfig struct {
-	// Interval is each node's heartbeat period.
-	Interval sim.Time
-	// TTL bounds how many hops a heartbeat is relayed; it must cover the
-	// network diameter for system-wide visibility.
-	TTL uint8
-	// SuspectAfter is how long a node's heartbeat may be absent before it
-	// is suspected.
-	SuspectAfter sim.Time
-	// RelayJitter spreads relays over a short window to avoid synchronized
-	// bursts; zero disables jitter.
-	RelayJitter sim.Time
-}
-
-// Valid reports whether the configuration is usable.
-func (c FloodConfig) Valid() bool {
-	return c.Interval > 0 && c.TTL >= 1 && c.SuspectAfter >= 2*c.Interval
-}
 
 // floodWindow is how many sequence numbers below the highest-seen one the
 // per-origin reorder window tracks. Relays arrive within a TTL-bounded number
@@ -50,28 +28,19 @@ type floodOrigin struct {
 // TTL), which is exactly the O(population) per-message cost the paper's
 // two-tier architecture avoids.
 type Flood struct {
-	cfg  FloodConfig
-	host *node.Host
+	silence[*floodOrigin] // per-origin records
 
-	seq     uint64
-	origins map[wire.NodeID]*floodOrigin
+	seq uint64
 }
 
-// NewFlood returns a flooding detector.
-func NewFlood(cfg FloodConfig) *Flood {
-	if !cfg.Valid() {
-		panic("baseline: invalid flood config")
-	}
-	return &Flood{
-		cfg:     cfg,
-		origins: make(map[wire.NodeID]*floodOrigin),
-	}
+func newFlood(p Params) *Flood {
+	return &Flood{silence: newSilence(p, func(o *floodOrigin) sim.Time { return o.last })}
 }
 
 // Start implements node.Protocol.
 func (f *Flood) Start(h *node.Host) {
 	f.host = h
-	first := sim.Time(h.Rand().Int63n(int64(f.cfg.Interval)))
+	first := sim.Time(h.Rand().Int63n(int64(f.p.Interval)))
 	h.After(first, f.tick)
 }
 
@@ -80,10 +49,10 @@ func (f *Flood) tick() {
 	f.host.Send(&wire.FloodHeartbeat{
 		Origin: f.host.ID(),
 		Seq:    f.seq,
-		TTL:    f.cfg.TTL,
+		TTL:    f.p.TTL,
 		Relay:  f.host.ID(),
 	})
-	f.host.After(f.cfg.Interval, f.tick)
+	f.host.After(f.p.Interval, f.tick)
 }
 
 // Handle implements node.Protocol: record liveness and relay unseen
@@ -98,10 +67,10 @@ func (f *Flood) Handle(h *node.Host, m wire.Message, from wire.NodeID) {
 		// of our own liveness, and re-relaying it would double the flood.
 		return
 	}
-	o, known := f.origins[hb.Origin]
+	o, known := f.heard[hb.Origin]
 	switch {
 	case !known:
-		f.origins[hb.Origin] = &floodOrigin{maxSeq: hb.Seq, recent: 1, last: h.Now()}
+		f.heard[hb.Origin] = &floodOrigin{maxSeq: hb.Seq, recent: 1, last: h.Now()}
 	case hb.Seq > o.maxSeq:
 		if shift := hb.Seq - o.maxSeq; shift >= floodWindow {
 			o.recent = 1
@@ -124,39 +93,14 @@ func (f *Flood) Handle(h *node.Host, m wire.Message, from wire.NodeID) {
 		return
 	}
 	relay := &wire.FloodHeartbeat{Origin: hb.Origin, Seq: hb.Seq, TTL: hb.TTL - 1, Relay: h.ID()}
-	if f.cfg.RelayJitter > 0 {
-		h.After(sim.Time(h.Rand().Int63n(int64(f.cfg.RelayJitter))), func() { h.Send(relay) })
+	if f.p.RelayJitter > 0 {
+		h.After(sim.Time(h.Rand().Int63n(int64(f.p.RelayJitter))), func() { h.Send(relay) })
 		return
 	}
 	h.Send(relay)
 }
 
-// IsSuspected implements Detector.
-func (f *Flood) IsSuspected(id wire.NodeID) bool {
-	o, known := f.origins[id]
-	if !known {
-		return false
-	}
-	return f.host.Now()-o.last > f.cfg.SuspectAfter
-}
-
-// KnownFailed implements Detector.
-func (f *Flood) KnownFailed() []wire.NodeID {
-	var out []wire.NodeID
-	for id := range f.origins {
-		if id != f.host.ID() && f.IsSuspected(id) {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// KnownPopulation returns how many distinct origins this host has heard,
-// plus itself, mirroring Gossip.KnownPopulation.
-func (f *Flood) KnownPopulation() int { return len(f.origins) + 1 }
-
 // dedupStateSize reports the number of per-origin dedup records — the
 // regression surface for the unbounded (origin, seq) map this replaced. It
 // is O(population) by construction now; the test pins that.
-func (f *Flood) dedupStateSize() int { return len(f.origins) }
+func (f *Flood) dedupStateSize() int { return len(f.heard) }

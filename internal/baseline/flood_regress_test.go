@@ -63,7 +63,7 @@ func TestFloodStaleRelayDoesNotMaskCrash(t *testing.T) {
 	k := sim.New(13)
 	m := radio.New(k, radio.Defaults(0))
 	h := node.New(k, m, 1, clique(1)[0])
-	f := NewFlood(floodCfg())
+	f := newFlood(testParams())
 	h.Use(f)
 	h.Boot()
 
@@ -99,7 +99,7 @@ func TestFloodReorderWindow(t *testing.T) {
 	h := node.New(k, m, 1, clique(1)[0])
 	// Deliberately not booted: the host's own heartbeat ticks would pollute
 	// the send count. Handle is driven directly.
-	f := NewFlood(floodCfg())
+	f := newFlood(testParams())
 
 	send := func(seq uint64) {
 		f.Handle(h, &wire.FloodHeartbeat{Origin: 7, Seq: seq, TTL: 4, Relay: 50}, 50)

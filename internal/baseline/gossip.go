@@ -19,7 +19,15 @@
 //
 // All five run on the same hosts, radio, and kernel as the cluster-based
 // FDS, so message counts, bytes, and energy are directly comparable
-// (experiments Ext. C and Ext. I in DESIGN.md). A shared conformance suite
+// (experiments Ext. C and Ext. I in DESIGN.md).
+//
+// All five are configured by one Params value — period, suspicion timeout,
+// flood TTL, relay jitter — and nothing else: the package exposes those 4
+// settable values, where five per-detector config structs once added 16 more
+// that only New filled in. New checks Params at one site; SWIM's remaining
+// settings are package constants. The four silence-timeout detectors share
+// their IsSuspected / KnownFailed / KnownPopulation through silence, which
+// reads each detector's own per-origin map. A shared conformance suite
 // (conformance_test.go) holds every Detector — these and the cluster FDS —
 // to the same contract: eventual detection, no self-suspicion, sorted and
 // deterministic KnownFailed, rescission on recovery.
@@ -33,21 +41,6 @@ import (
 	"clusterfds/internal/wire"
 )
 
-// GossipConfig parameterizes the gossip detector.
-type GossipConfig struct {
-	// Interval is the gossip period (per node).
-	Interval sim.Time
-	// SuspectAfter is how long a heartbeat counter may stall before its
-	// node is suspected. Van Renesse et al. choose it to bound the
-	// false-positive probability; several gossip intervals is typical.
-	SuspectAfter sim.Time
-}
-
-// Valid reports whether the configuration is usable.
-func (c GossipConfig) Valid() bool {
-	return c.Interval > 0 && c.SuspectAfter >= 2*c.Interval
-}
-
 // gossipEntry is one row of the local table.
 type gossipEntry struct {
 	counter   uint64
@@ -56,42 +49,36 @@ type gossipEntry struct {
 
 // Gossip is the per-host gossip failure detector protocol.
 type Gossip struct {
-	cfg  GossipConfig
-	host *node.Host
+	silence[gossipEntry] // the local table, this host's own row included
 
 	counter uint64
-	table   map[wire.NodeID]gossipEntry
 }
 
-// NewGossip returns a gossip detector.
-func NewGossip(cfg GossipConfig) *Gossip {
-	if !cfg.Valid() {
-		panic("baseline: invalid gossip config (need Interval > 0 and SuspectAfter >= 2*Interval)")
-	}
-	return &Gossip{cfg: cfg, table: make(map[wire.NodeID]gossipEntry)}
+func newGossip(p Params) *Gossip {
+	return &Gossip{silence: newSilence(p, func(e gossipEntry) sim.Time { return e.lastRaise })}
 }
 
 // Start implements node.Protocol.
 func (g *Gossip) Start(h *node.Host) {
 	g.host = h
-	g.table[h.ID()] = gossipEntry{counter: 0, lastRaise: h.Now()}
+	g.heard[h.ID()] = gossipEntry{counter: 0, lastRaise: h.Now()}
 	// Desynchronize the fleet: first tick lands at a random phase.
-	first := sim.Time(h.Rand().Int63n(int64(g.cfg.Interval)))
+	first := sim.Time(h.Rand().Int63n(int64(g.p.Interval)))
 	h.After(first, g.tick)
 }
 
 // tick advances the local heartbeat and diffuses the table.
 func (g *Gossip) tick() {
 	g.counter++
-	g.table[g.host.ID()] = gossipEntry{counter: g.counter, lastRaise: g.host.Now()}
+	g.heard[g.host.ID()] = gossipEntry{counter: g.counter, lastRaise: g.host.Now()}
 
-	entries := make([]wire.GossipEntry, 0, len(g.table))
-	for id, e := range g.table {
+	entries := make([]wire.GossipEntry, 0, len(g.heard))
+	for id, e := range g.heard {
 		entries = append(entries, wire.GossipEntry{NID: id, Heartbeat: e.counter})
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].NID < entries[j].NID })
 	g.host.Send(&wire.Gossip{From: g.host.ID(), Entries: entries})
-	g.host.After(g.cfg.Interval, g.tick)
+	g.host.After(g.p.Interval, g.tick)
 }
 
 // Handle implements node.Protocol: merge higher counters.
@@ -102,34 +89,13 @@ func (g *Gossip) Handle(h *node.Host, m wire.Message, from wire.NodeID) {
 	}
 	now := h.Now()
 	for _, e := range msg.Entries {
-		cur, known := g.table[e.NID]
+		cur, known := g.heard[e.NID]
 		if !known || e.Heartbeat > cur.counter {
-			g.table[e.NID] = gossipEntry{counter: e.Heartbeat, lastRaise: now}
+			g.heard[e.NID] = gossipEntry{counter: e.Heartbeat, lastRaise: now}
 		}
 	}
-}
-
-// IsSuspected implements Detector.
-func (g *Gossip) IsSuspected(id wire.NodeID) bool {
-	e, known := g.table[id]
-	if !known {
-		return false // never heard of it; cannot suspect
-	}
-	return g.host.Now()-e.lastRaise > g.cfg.SuspectAfter
-}
-
-// KnownFailed implements Detector.
-func (g *Gossip) KnownFailed() []wire.NodeID {
-	var out []wire.NodeID
-	for id := range g.table {
-		if id != g.host.ID() && g.IsSuspected(id) {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // KnownPopulation returns how many hosts this detector has heard of,
 // including itself — gossip's membership discovery progress.
-func (g *Gossip) KnownPopulation() int { return len(g.table) }
+func (g *Gossip) KnownPopulation() int { return len(g.heard) }

@@ -1,29 +1,10 @@
 package baseline
 
 import (
-	"slices"
-
 	"clusterfds/internal/node"
 	"clusterfds/internal/sim"
 	"clusterfds/internal/wire"
 )
-
-// QueryResponseConfig parameterizes the query-response detector.
-type QueryResponseConfig struct {
-	// Interval is the query period (per node).
-	Interval sim.Time
-	// SuspectAfter is how long a neighbor may stay silent before it is
-	// suspected.
-	SuspectAfter sim.Time
-	// ResponseJitter spreads responses to one query over a short window so
-	// they do not all land in the same instant; zero disables it.
-	ResponseJitter sim.Time
-}
-
-// Valid reports whether the configuration is usable.
-func (c QueryResponseConfig) Valid() bool {
-	return c.Interval > 0 && c.SuspectAfter >= 2*c.Interval
-}
 
 // QueryResponse is the Sens et al. style asynchronous query-response
 // detector for networks with partial connectivity and unknown membership: a
@@ -33,11 +14,9 @@ func (c QueryResponseConfig) Valid() bool {
 // monitors exactly its radio neighborhood, which is the property that makes
 // the design work when no node can see the whole system.
 type QueryResponse struct {
-	cfg  QueryResponseConfig
-	host *node.Host
+	silence[sim.Time] // when each sender was last heard
 
-	seq       uint64
-	lastHeard map[wire.NodeID]sim.Time
+	seq uint64
 
 	// Steady-state scratch: every transport encodes at Send, so one query
 	// and one response value are reused for every transmission, the tick
@@ -83,19 +62,15 @@ func (q *QueryResponse) takeJob() *qrRespJob {
 	return q.takeJob()
 }
 
-// NewQueryResponse returns a query-response detector.
-func NewQueryResponse(cfg QueryResponseConfig) *QueryResponse {
-	if !cfg.Valid() {
-		panic("baseline: invalid query-response config (need Interval > 0 and SuspectAfter >= 2*Interval)")
-	}
-	return &QueryResponse{cfg: cfg, lastHeard: make(map[wire.NodeID]sim.Time)}
+func newQueryResponse(p Params) *QueryResponse {
+	return &QueryResponse{silence: newSilence(p, func(t sim.Time) sim.Time { return t })}
 }
 
 // Start implements node.Protocol.
 func (q *QueryResponse) Start(h *node.Host) {
 	q.host = h
 	q.tickFn = q.tick
-	first := sim.Time(h.Rand().Int63n(int64(q.cfg.Interval)))
+	first := sim.Time(h.Rand().Int63n(int64(q.p.Interval)))
 	h.After(first, q.tickFn)
 }
 
@@ -103,7 +78,7 @@ func (q *QueryResponse) tick() {
 	q.seq++
 	q.query.From, q.query.Seq = q.host.ID(), q.seq
 	q.host.Send(&q.query)
-	q.host.After(q.cfg.Interval, q.tickFn)
+	q.host.After(q.p.Interval, q.tickFn)
 }
 
 // Handle implements node.Protocol: any directly heard query or response is
@@ -113,44 +88,19 @@ func (q *QueryResponse) Handle(h *node.Host, m wire.Message, from wire.NodeID) {
 	now := h.Now()
 	switch msg := m.(type) {
 	case *wire.FDQuery:
-		q.lastHeard[msg.From] = now
+		q.heard[msg.From] = now
 		// Copy the fields out: the message is scratch-owned and must not
 		// outlive Handle.
 		to, seq := msg.From, msg.Seq
-		if q.cfg.ResponseJitter > 0 {
+		if q.p.RelayJitter > 0 {
 			j := q.takeJob()
 			j.to, j.seq = to, seq
-			h.AfterArg(sim.Time(h.Rand().Int63n(int64(q.cfg.ResponseJitter))), fireQRRespFn, j)
+			h.AfterArg(sim.Time(h.Rand().Int63n(int64(q.p.RelayJitter))), fireQRRespFn, j)
 			return
 		}
 		q.resp.From, q.resp.To, q.resp.Seq = q.host.ID(), to, seq
 		q.host.Send(&q.resp)
 	case *wire.FDResponse:
-		q.lastHeard[msg.From] = now
+		q.heard[msg.From] = now
 	}
 }
-
-// IsSuspected implements Detector.
-func (q *QueryResponse) IsSuspected(id wire.NodeID) bool {
-	t, known := q.lastHeard[id]
-	if !known {
-		return false
-	}
-	return q.host.Now()-t > q.cfg.SuspectAfter
-}
-
-// KnownFailed implements Detector.
-func (q *QueryResponse) KnownFailed() []wire.NodeID {
-	var out []wire.NodeID
-	for id := range q.lastHeard {
-		if id != q.host.ID() && q.IsSuspected(id) {
-			out = append(out, id)
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
-// KnownPopulation returns how many hosts this detector has heard, plus
-// itself.
-func (q *QueryResponse) KnownPopulation() int { return len(q.lastHeard) + 1 }

@@ -8,29 +8,21 @@ import (
 	"clusterfds/internal/wire"
 )
 
-// SWIMConfig parameterizes the SWIM-style detector (Das, Gupta, Motivala:
-// ping / indirect-ping / ack with piggybacked membership rumors).
-type SWIMConfig struct {
-	// Interval is the protocol period: one probe per period per node.
-	Interval sim.Time
-	// ProbeTimeout is how long each probe stage (direct ping, then the
-	// indirect ping-req) waits for an ack. The two stages must both fit
-	// inside one period: 2*ProbeTimeout < Interval.
-	ProbeTimeout sim.Time
-	// IndirectProbes is how many proxies a ping-req enlists.
-	IndirectProbes int
-	// Retransmit is how many outgoing messages each rumor rides on before
-	// it is retired (SWIM's lambda*log(n) dissemination budget).
-	Retransmit int
-	// MaxPiggyback caps the rumors carried per message.
-	MaxPiggyback int
-}
-
-// Valid reports whether the configuration is usable.
-func (c SWIMConfig) Valid() bool {
-	return c.Interval > 0 && c.ProbeTimeout > 0 && 2*c.ProbeTimeout < c.Interval &&
-		c.IndirectProbes >= 1 && c.Retransmit >= 1 && c.MaxPiggyback >= 1
-}
+// SWIM's fixed settings (Das, Gupta, Motivala: ping / indirect-ping / ack
+// with piggybacked membership rumors). Only the period comes from Params.
+const (
+	// swimProbeDivisor sets the probe timeout to Interval/swimProbeDivisor:
+	// how long each probe stage (direct ping, then the indirect ping-req)
+	// waits for an ack. Both stages fit inside one period.
+	swimProbeDivisor = 8
+	// swimIndirectProbes is how many proxies a ping-req enlists.
+	swimIndirectProbes = 3
+	// swimRetransmit is how many outgoing messages each rumor rides on
+	// before it is retired (SWIM's lambda*log(n) dissemination budget).
+	swimRetransmit = 3
+	// swimMaxPiggyback caps the rumors carried per message.
+	swimMaxPiggyback = 4
+)
 
 // swimAnnounce is one queued rumor with its remaining piggyback budget.
 type swimAnnounce struct {
@@ -42,7 +34,7 @@ type swimAnnounce struct {
 // SWIM is the per-host SWIM-style failure detector. Each period it pings one
 // randomly chosen member (the paper's basic random-probe selection, drawn
 // from the kernel's seeded stream so runs stay bit-reproducible); a missed
-// ack escalates to an indirect probe through IndirectProbes proxies, and
+// ack escalates to an indirect probe through swimIndirectProbes proxies, and
 // only a miss there declares the target failed. Random selection matters:
 // a deterministic cursor over the sorted member list would march in
 // lockstep on every host of a dense field — the lists are near-identical —
@@ -50,7 +42,7 @@ type swimAnnounce struct {
 // nobody for a full cycle after, stretching worst-case detection to
 // len(members) periods.
 type SWIM struct {
-	cfg  SWIMConfig
+	p    Params
 	host *node.Host
 
 	members   []wire.NodeID // sorted, never includes self
@@ -66,13 +58,9 @@ type SWIM struct {
 	}
 }
 
-// NewSWIM returns a SWIM-style detector.
-func NewSWIM(cfg SWIMConfig) *SWIM {
-	if !cfg.Valid() {
-		panic("baseline: invalid SWIM config (need 2*ProbeTimeout < Interval)")
-	}
+func newSWIM(p Params) *SWIM {
 	return &SWIM{
-		cfg:       cfg,
+		p:         p,
 		lastAlive: make(map[wire.NodeID]sim.Time),
 		failed:    make(map[wire.NodeID]bool),
 	}
@@ -81,12 +69,12 @@ func NewSWIM(cfg SWIMConfig) *SWIM {
 // Start implements node.Protocol.
 func (s *SWIM) Start(h *node.Host) {
 	s.host = h
-	first := sim.Time(h.Rand().Int63n(int64(s.cfg.Interval)))
+	first := sim.Time(h.Rand().Int63n(int64(s.p.Interval)))
 	h.After(first, s.tick)
 }
 
 func (s *SWIM) tick() {
-	s.host.After(s.cfg.Interval, s.tick)
+	s.host.After(s.p.Interval, s.tick)
 	target, ok := s.pickTarget()
 	if !ok {
 		// Nobody to probe yet (or everybody we know is already declared
@@ -104,7 +92,7 @@ func (s *SWIM) tick() {
 		From: s.host.ID(), Target: target, Seq: s.seq, Events: s.takeEvents(),
 	})
 	seq := s.seq
-	s.host.After(s.cfg.ProbeTimeout, func() { s.directTimeout(seq) })
+	s.host.After(s.p.Interval/swimProbeDivisor, func() { s.directTimeout(seq) })
 }
 
 // pickTarget returns a uniformly chosen member that is not already declared
@@ -138,7 +126,7 @@ func (s *SWIM) directTimeout(seq uint64) {
 		From: s.host.ID(), Target: s.pending.target, Seq: seq,
 		Via: via, Events: s.takeEvents(),
 	})
-	s.host.After(s.cfg.ProbeTimeout, func() { s.indirectTimeout(seq) })
+	s.host.After(s.p.Interval/swimProbeDivisor, func() { s.indirectTimeout(seq) })
 }
 
 func (s *SWIM) indirectTimeout(seq uint64) {
@@ -148,7 +136,7 @@ func (s *SWIM) indirectTimeout(seq uint64) {
 	s.markFailed(s.pending.target)
 }
 
-// pickProxies returns up to IndirectProbes live members other than the
+// pickProxies returns up to swimIndirectProbes live members other than the
 // probe target, scanning from a random start.
 func (s *SWIM) pickProxies(target wire.NodeID) []wire.NodeID {
 	n := len(s.members)
@@ -161,7 +149,7 @@ func (s *SWIM) pickProxies(target wire.NodeID) []wire.NodeID {
 		m := s.members[(start+i)%n]
 		if m != target && !s.failed[m] {
 			via = append(via, m)
-			if len(via) == s.cfg.IndirectProbes {
+			if len(via) == swimIndirectProbes {
 				break
 			}
 		}
@@ -253,7 +241,7 @@ func (s *SWIM) absorbEvents(evs []wire.SWIMEvent, now sim.Time) {
 			if s.failed[e.Node] {
 				continue
 			}
-			if t, known := s.lastAlive[e.Node]; known && now-t <= s.cfg.Interval {
+			if t, known := s.lastAlive[e.Node]; known && now-t <= s.p.Interval {
 				continue
 			}
 			s.addMember(e.Node)
@@ -280,14 +268,14 @@ func (s *SWIM) enqueue(id wire.NodeID, failedVerdict bool) {
 	for i := range s.announce {
 		if s.announce[i].node == id {
 			s.announce[i].failed = failedVerdict
-			s.announce[i].left = s.cfg.Retransmit
+			s.announce[i].left = swimRetransmit
 			return
 		}
 	}
-	s.announce = append(s.announce, swimAnnounce{node: id, failed: failedVerdict, left: s.cfg.Retransmit})
+	s.announce = append(s.announce, swimAnnounce{node: id, failed: failedVerdict, left: swimRetransmit})
 }
 
-// takeEvents pops up to MaxPiggyback rumors for an outgoing message. Charged
+// takeEvents pops up to swimMaxPiggyback rumors for an outgoing message. Charged
 // rumors with budget left rotate to the back of the queue so every rumor
 // gets airtime; exhausted ones retire.
 func (s *SWIM) takeEvents() []wire.SWIMEvent {
@@ -295,8 +283,8 @@ func (s *SWIM) takeEvents() []wire.SWIMEvent {
 	if n == 0 {
 		return nil
 	}
-	if n > s.cfg.MaxPiggyback {
-		n = s.cfg.MaxPiggyback
+	if n > swimMaxPiggyback {
+		n = swimMaxPiggyback
 	}
 	evs := make([]wire.SWIMEvent, 0, n)
 	var requeue []swimAnnounce

@@ -51,27 +51,18 @@ import (
 )
 
 // Analyzer is the arena/free-list lifetime check.
-var Analyzer = newAnalyzer(true)
-
-// newAnalyzer builds the analyzer; interproc toggles the summary layer so
-// tests can demonstrate what the old intra-procedural semantics miss.
-func newAnalyzer(interproc bool) *lint.Analyzer {
-	return &lint.Analyzer{
-		Name: "arenaescape",
-		Doc: "flag retention of bump-arena / free-list memory past the " +
-			"generation boundary, including leaks hidden behind package-local calls",
-		Run: func(pass *lint.Pass) error { return run(pass, interproc) },
-	}
+var Analyzer = &lint.Analyzer{
+	Name: "arenaescape",
+	Doc: "flag retention of bump-arena / free-list memory past the " +
+		"generation boundary, including leaks hidden behind package-local calls",
+	Run: run,
 }
 
-func run(pass *lint.Pass, interproc bool) error {
+func run(pass *lint.Pass) error {
 	if !lint.DeterministicPackage(pass.Pkg.Path()) {
 		return nil
 	}
-	var sums *lint.Summaries
-	if interproc {
-		sums = lint.Summarize(pass)
-	}
+	sums := lint.Summarize(pass)
 	for _, f := range pass.Files {
 		if lint.TestFile(pass.Fset, f.Pos()) {
 			continue
@@ -205,35 +196,33 @@ func checkFunc(pass *lint.Pass, sums *lint.Summaries, fd *ast.FuncDecl) {
 		},
 		Report: reportf,
 	}
-	if sums != nil {
-		eng.ReturnsTaintCall = sums.ReturnsTaintFor(info)
-		eng.OnCallTaint = func(call *ast.CallExpr, callee *types.Func, input int, arg ast.Expr) {
-			cs := sums.Input(callee, input)
-			if cs == nil {
-				return // cross-package or summary-less: synchronous, retains nothing
-			}
-			if cs.Global {
-				reportf(arg.Pos(), "arena-carved value passed to %s, which retains it beyond the call; "+
+	eng.ReturnsTaintCall = sums.ReturnsTaintFor(info)
+	eng.OnCallTaint = func(call *ast.CallExpr, callee *types.Func, input int, arg ast.Expr) {
+		cs := sums.Input(callee, input)
+		if cs == nil {
+			return // cross-package or summary-less: synchronous, retains nothing
+		}
+		if cs.Global {
+			reportf(arg.Pos(), "arena-carved value passed to %s, which retains it beyond the call; "+
+				"it is only valid until the arena's next generation reset — copy it first", callee.Name())
+		}
+		for j := range cs.Into {
+			e := lint.InputExpr(call, callee, j)
+			if e == nil {
+				reportf(arg.Pos(), "arena-carved value passed to %s, which retains it; "+
 					"it is only valid until the arena's next generation reset — copy it first", callee.Name())
+				continue
 			}
-			for j := range cs.Into {
-				e := lint.InputExpr(call, callee, j)
-				if e == nil {
-					reportf(arg.Pos(), "arena-carved value passed to %s, which retains it; "+
-						"it is only valid until the arena's next generation reset — copy it first", callee.Name())
-					continue
-				}
-				root := lint.ChainRoot(info, e)
-				if root != nil && own[root] {
-					continue // stored back into the owner's graph
-				}
-				if lint.FrameLocal(root) {
-					continue // stored into a by-value local of this frame
-				}
-				reportf(e.Pos(), "arena-carved value stored into %s's object graph by %s; "+
-					"it is only valid until the arena's next generation reset — copy it first",
-					lint.ExprString(e), callee.Name())
+			root := lint.ChainRoot(info, e)
+			if root != nil && own[root] {
+				continue // stored back into the owner's graph
 			}
+			if lint.FrameLocal(root) {
+				continue // stored into a by-value local of this frame
+			}
+			reportf(e.Pos(), "arena-carved value stored into %s's object graph by %s; "+
+				"it is only valid until the arena's next generation reset — copy it first",
+				lint.ExprString(e), callee.Name())
 		}
 	}
 	// Returns of carved values are deliberately not flagged: View()-style

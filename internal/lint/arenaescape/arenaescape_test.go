@@ -15,38 +15,21 @@ func TestArenaEscape(t *testing.T) {
 	)
 }
 
-// TestInterprocCatchesCrossFunctionRetention pins the tentpole property:
-// the cross-function retention fixtures (a store hidden behind one helper
-// call) are invisible to the old intra-procedural semantics and caught by
-// the interprocedural summary layer at the call site.
+// TestInterprocCatchesCrossFunctionRetention pins the property the
+// interprocedural summary layer exists for: a store hidden behind one helper
+// call (the keep and publish fixtures) is caught at the call site.
 func TestInterprocCatchesCrossFunctionRetention(t *testing.T) {
 	u := lintest.Load(t, "testdata", "clusterfds/internal/cluster")
-
-	crossFunction := func(diags []lint.Diagnostic) (byKeep, byPublish bool) {
-		for _, d := range diags {
-			if strings.Contains(d.Message, "by keep") {
-				byKeep = true
-			}
-			if strings.Contains(d.Message, "passed to publish") {
-				byPublish = true
-			}
-		}
-		return
-	}
-
-	old, err := lint.Run(arenaescape.NewAnalyzer(false), u)
+	diags, err := lint.Run(arenaescape.Analyzer, u)
 	if err != nil {
-		t.Fatalf("intra-procedural run: %v", err)
+		t.Fatalf("run: %v", err)
 	}
-	if k, p := crossFunction(old); k || p {
-		t.Errorf("intra-procedural engine unexpectedly caught the cross-function fixtures (keep=%v publish=%v); the fixtures no longer demonstrate the summary layer", k, p)
+	var byKeep, byPublish bool
+	for _, d := range diags {
+		byKeep = byKeep || strings.Contains(d.Message, "by keep")
+		byPublish = byPublish || strings.Contains(d.Message, "passed to publish")
 	}
-
-	cur, err := lint.Run(arenaescape.NewAnalyzer(true), u)
-	if err != nil {
-		t.Fatalf("interprocedural run: %v", err)
-	}
-	if k, p := crossFunction(cur); !k || !p {
-		t.Errorf("interprocedural engine missed a cross-function retention fixture (keep=%v publish=%v)", k, p)
+	if !byKeep || !byPublish {
+		t.Errorf("analyzer missed a cross-function retention fixture (keep=%v publish=%v)", byKeep, byPublish)
 	}
 }

@@ -36,10 +36,11 @@ type Config struct {
 	Speed float64
 	// Pause is how long the host rests at each waypoint.
 	Pause sim.Time
-	// Step is the position-update granularity; smaller steps cost more
-	// simulation events. Zero means 1 s.
-	Step sim.Time
 }
+
+// moveStep is the position-update granularity; a smaller step costs more
+// simulation events.
+const moveStep = sim.Time(1e9) // 1 s
 
 // Valid reports whether the configuration is usable.
 func (c Config) Valid() bool {
@@ -62,9 +63,6 @@ func New(cfg Config) *Protocol {
 	if !cfg.Valid() {
 		panic("mobility: invalid config")
 	}
-	if cfg.Step <= 0 {
-		cfg.Step = 1e9 // 1 s
-	}
 	return &Protocol{cfg: cfg}
 }
 
@@ -72,7 +70,7 @@ func New(cfg Config) *Protocol {
 func (p *Protocol) Start(h *node.Host) {
 	p.host = h
 	p.pickTarget()
-	h.After(p.cfg.Step, p.step)
+	h.After(moveStep, p.step)
 }
 
 // Handle implements node.Protocol (the walker ignores traffic).
@@ -83,21 +81,21 @@ func (p *Protocol) pickTarget() {
 	p.moving = true
 }
 
-// step advances toward the target by Speed*Step meters.
+// step advances toward the target by Speed*moveStep meters.
 func (p *Protocol) step() {
 	if !p.moving {
 		p.pickTarget()
-		p.host.After(p.cfg.Step, p.step)
+		p.host.After(moveStep, p.step)
 		return
 	}
 	pos := p.host.Pos()
 	dist := pos.Dist(p.target)
-	hop := p.cfg.Speed * p.cfg.Step.Seconds()
+	hop := p.cfg.Speed * moveStep.Seconds()
 	if dist <= hop {
 		p.host.MoveTo(p.target)
 		p.traveled += dist
 		p.moving = false
-		p.host.After(p.cfg.Pause+p.cfg.Step, p.step)
+		p.host.After(p.cfg.Pause+moveStep, p.step)
 		return
 	}
 	frac := hop / dist
@@ -110,7 +108,7 @@ func (p *Protocol) step() {
 	next.Y = math.Min(math.Max(next.Y, p.cfg.Field.MinY), p.cfg.Field.MaxY)
 	p.host.MoveTo(next)
 	p.traveled += hop
-	p.host.After(p.cfg.Step, p.step)
+	p.host.After(moveStep, p.step)
 }
 
 // Traveled returns the total distance this host has moved.

@@ -19,7 +19,6 @@ func walkerCfg(side float64, speed float64) Config {
 		Field: geo.NewRect(side, side),
 		Speed: speed,
 		Pause: sim.Time(2 * time.Second),
-		Step:  sim.Time(time.Second),
 	}
 }
 
@@ -95,7 +94,7 @@ func TestMobileFieldKeepsDetecting(t *testing.T) {
 		// 1 m/s: a host crosses ~10 m per heartbeat interval — slow
 		// migration, the regime the paper's "sound clustering will
 		// support cluster stability" remark targets.
-		h.Use(New(Config{Field: field, Speed: 1, Pause: sim.Time(5 * time.Second), Step: sim.Time(time.Second)}))
+		h.Use(New(Config{Field: field, Speed: 1, Pause: sim.Time(5 * time.Second)}))
 		hosts = append(hosts, h)
 		fdss = append(fdss, f)
 	}

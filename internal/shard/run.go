@@ -83,7 +83,7 @@ func (e *Engine) closeWindow(wEnd sim.Time) {
 
 	// Liveness reporting only — reads counters at the barrier, touches
 	// nothing the simulation or its hashes depend on.
-	if e.windows++; e.cfg.Progress != nil && e.windows%e.cfg.ProgressEvery == 0 {
+	if e.windows++; e.cfg.Progress != nil && e.windows%progressEvery == 0 {
 		var events uint64
 		for s := range e.shards {
 			events += e.shards[s].c.events

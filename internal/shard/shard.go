@@ -112,13 +112,14 @@ type Config struct {
 	// receiving; detection metrics are tracked per victim.
 	Crashes []Crash
 	// Progress, when non-nil, is called from the serial barrier every
-	// ProgressEvery windows (default 5000) with the simulated instant and
-	// the cumulative event count, so long runs can report liveness. It has
-	// no effect on the simulation or its hashes.
+	// progressEvery windows with the simulated instant and the cumulative
+	// event count, so long runs can report liveness. It has no effect on
+	// the simulation or its hashes.
 	Progress func(at sim.Time, events uint64)
-	// ProgressEvery is the callback period in windows; < 1 means 5000.
-	ProgressEvery int
 }
+
+// progressEvery is the Progress callback period in windows.
+const progressEvery = 500
 
 // victim is the metrics record for one scheduled crash.
 type victim struct {
@@ -273,10 +274,6 @@ func Build(cfg Config) *Engine {
 	}
 	if len(cfg.Crashes) > math.MaxUint16 {
 		panic(fmt.Sprintf("shard: %d crashes scheduled, an event's payload counts at most %d victim slots", len(cfg.Crashes), math.MaxUint16))
-	}
-
-	if cfg.ProgressEvery < 1 {
-		cfg.ProgressEvery = 5000
 	}
 
 	e := &Engine{cfg: cfg}

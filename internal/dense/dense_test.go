@@ -1,6 +1,8 @@
 package dense
 
 import (
+	"math"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"testing"
@@ -31,19 +33,156 @@ func TestInternerAssignsStableConsecutiveIndices(t *testing.T) {
 	}
 }
 
-func TestInternerLargeIDsUseMapFallback(t *testing.T) {
+// TestInternerLargeIDs pins that IDs at the top of the 32-bit range take the
+// same path as small ones: consecutive indices in first-Index order, stable
+// and reversible.
+func TestInternerLargeIDs(t *testing.T) {
 	var in Interner
-	big := wire.NodeID(1 << 20)
-	i1 := in.Index(big)
-	i2 := in.Index(5)
-	if i1 != 0 || i2 != 1 {
-		t.Fatalf("indices = %d, %d; want 0, 1", i1, i2)
+	ids := []wire.NodeID{1 << 20, 5, math.MaxUint32, 0, math.MaxUint32 - 1}
+	for k, id := range ids {
+		if got := in.Index(id); got != uint32(k) {
+			t.Fatalf("Index(%d) = %d, want %d", id, got, k)
+		}
 	}
-	if got := in.Index(big); got != i1 {
-		t.Fatalf("big ID not stable: %d then %d", i1, got)
+	for k, id := range ids {
+		if got := in.Index(id); got != uint32(k) {
+			t.Fatalf("ID %d not stable: %d then %d", id, k, got)
+		}
+		if j, ok := in.Lookup(id); !ok || j != uint32(k) || in.NodeID(j) != id {
+			t.Fatalf("ID %d round trip failed: (%d, %v)", id, j, ok)
+		}
 	}
-	if j, ok := in.Lookup(big); !ok || j != i1 || in.NodeID(j) != big {
-		t.Fatalf("big ID round trip failed: (%d, %v)", j, ok)
+}
+
+// TestInternerMatchesMapModel drives the interner and a map[NodeID]uint32
+// reference with the same seeded ID streams — consecutive IDs, strides of
+// 2¹⁶ and 2²⁰ (which collide under a low-bits hash), IDs above 2²⁰, IDs near
+// MaxUint32 and a mix — each interleaving repeats and Lookup misses with new
+// IDs. Index must assign what the model assigns (consecutively, in first-Index
+// order), a Lookup miss must assign nothing, and NodeID and Len must agree.
+func TestInternerMatchesMapModel(t *testing.T) {
+	streams := []struct {
+		name string
+		next func(rng *rand.Rand, k int) wire.NodeID
+	}{
+		{"consecutive", func(_ *rand.Rand, k int) wire.NodeID { return wire.NodeID(k + 1) }},
+		{"stride2^16", func(_ *rand.Rand, k int) wire.NodeID { return wire.NodeID(k << 16) }},
+		{"stride2^20", func(_ *rand.Rand, k int) wire.NodeID { return wire.NodeID(k << 20) }},
+		{"above2^20", func(rng *rand.Rand, _ int) wire.NodeID {
+			return wire.NodeID(1<<20 + rng.Uint32()%(math.MaxUint32-1<<20))
+		}},
+		{"nearMax", func(rng *rand.Rand, _ int) wire.NodeID {
+			return wire.NodeID(math.MaxUint32 - rng.Uint32()%8192)
+		}},
+		{"mixed", func(rng *rand.Rand, _ int) wire.NodeID { return wire.NodeID(rng.Uint32()) }},
+	}
+	for seed, st := range streams {
+		t.Run(st.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(seed)))
+			var in Interner
+			model := map[wire.NodeID]uint32{}
+			var order []wire.NodeID
+			fresh := 0
+			for op := 0; op < 20000; op++ {
+				var id wire.NodeID
+				switch r := rng.Intn(4); {
+				case r == 0 && len(order) > 0: // repeat a known ID
+					id = order[rng.Intn(len(order))]
+				case r == 1: // probe an ID that may never be interned
+					id = st.next(rng, fresh+rng.Intn(4096)+1)
+					want, known := model[id]
+					got, ok := in.Lookup(id)
+					if ok != known || (ok && got != want) {
+						t.Fatalf("op %d: Lookup(%d) = (%d, %v), model (%d, %v)", op, id, got, ok, want, known)
+					}
+					if in.Len() != len(model) {
+						t.Fatalf("op %d: Lookup(%d) changed Len to %d, model %d", op, id, in.Len(), len(model))
+					}
+					continue
+				default:
+					id = st.next(rng, fresh)
+					fresh++
+				}
+				want, known := model[id]
+				if !known {
+					want = uint32(len(model))
+					model[id] = want
+					order = append(order, id)
+				}
+				if got := in.Index(id); got != want {
+					t.Fatalf("op %d: Index(%d) = %d, model %d", op, id, got, want)
+				}
+				if op%512 == 0 {
+					checkTables(t, &in)
+				}
+			}
+			if in.Len() != len(model) {
+				t.Fatalf("Len = %d, model %d", in.Len(), len(model))
+			}
+			checkTables(t, &in)
+			for i, id := range order {
+				if in.NodeID(uint32(i)) != id {
+					t.Fatalf("NodeID(%d) = %d, want %d", i, in.NodeID(uint32(i)), id)
+				}
+				if got, ok := in.Lookup(id); !ok || got != uint32(i) {
+					t.Fatalf("Lookup(%d) = (%d, %v), want (%d, true)", id, got, ok, i)
+				}
+			}
+		})
+	}
+}
+
+// checkTables asserts the Interner's table invariants: each part is at most
+// 3/4 full, every interned ID is in its slot or in over and nowhere else, and
+// over holds nothing else.
+func checkTables(t *testing.T, in *Interner) {
+	t.Helper()
+	if 4*in.Len() > 3*len(in.slots) || 4*in.nover > 3*len(in.over) {
+		t.Fatalf("%d IDs in %d slots, %d in over of %d: over 3/4 full", in.Len(), len(in.slots), in.nover, len(in.over))
+	}
+	inSlots, inOver := 0, 0
+	for _, e := range in.slots {
+		if e != 0 {
+			inSlots++
+		}
+	}
+	for _, v := range in.over {
+		if v != 0 {
+			inOver++
+		}
+	}
+	if inSlots+in.nover != in.Len() || inOver != in.nover {
+		t.Fatalf("%d IDs: %d in slots, %d in over, nover %d", in.Len(), inSlots, inOver, in.nover)
+	}
+}
+
+// TestInternerGrowEmptiesOverflow pins that a grow which gives every ID its
+// own slot leaves nothing behind in over: IDs 0 and 16 share a slot of the
+// first, 16-slot table and part at 32 slots.
+func TestInternerGrowEmptiesOverflow(t *testing.T) {
+	var in Interner
+	ids := []wire.NodeID{0, 16, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	for _, id := range ids {
+		in.Index(id)
+	}
+	if len(in.slots) != minSlots || in.nover != 1 {
+		t.Fatalf("before the grow: %d slots, %d in over; want %d, 1", len(in.slots), in.nover, minSlots)
+	}
+	checkTables(t, &in)
+	for id := wire.NodeID(11); id < 15; id++ {
+		in.Index(id)
+	}
+	if len(in.slots) != 2*minSlots || in.nover != 0 {
+		t.Fatalf("after the grow: %d slots, %d in over; want %d, 0", len(in.slots), in.nover, 2*minSlots)
+	}
+	checkTables(t, &in)
+	for k, id := range append(ids, 11, 12, 13, 14) {
+		if i, ok := in.Lookup(id); !ok || i != uint32(k) {
+			t.Fatalf("Lookup(%d) = (%d, %v), want (%d, true)", id, i, ok, k)
+		}
+	}
+	if _, ok := in.Lookup(32); ok {
+		t.Fatal("Lookup invented an index for an ID sharing 0's slot")
 	}
 }
 
@@ -145,10 +284,12 @@ func TestBitsetSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestInternerMillionIDs pins the flat-slice fast path at the million-node
-// scale the sharded kernel runs at: hosts numbered 1..1e6 must intern without
-// touching the map fallback, and the backing slice must stay within the
-// geometric-growth bound (2x the largest ID), not balloon per insertion.
+// TestInternerMillionIDs pins the table at the million-node scale the
+// sharded kernel runs at: hosts numbered 1..1e6 intern to 0..1e6-1, and the
+// table is sized to the IDs interned — at most twice the next power of two
+// of Len slots, whatever the largest ID — not to the ID range. IDs that all
+// want the same slot spill to the overflow table, which grows fourfold and so
+// stays within four times the next power of two.
 func TestInternerMillionIDs(t *testing.T) {
 	const n = 1_000_000
 	var in Interner
@@ -160,14 +301,11 @@ func TestInternerMillionIDs(t *testing.T) {
 	if in.Len() != n {
 		t.Fatalf("Len = %d, want %d", in.Len(), n)
 	}
-	if in.big != nil {
-		t.Fatalf("IDs 1..%d spilled into the map fallback (%d entries)", n, len(in.big))
+	if limit := 2 << bits.Len(uint(n-1)); len(in.slots) > limit {
+		t.Fatalf("table = %d slots for %d IDs, want <= %d", len(in.slots), n, limit)
 	}
-	// Footprint: the small slice holds uint32 words; geometric growth bounds
-	// it at twice the largest ID+1 (here 2^21 words = 8 MB), and rev holds
-	// exactly one NodeID per interned ID.
-	if len(in.small) > 2*(n+1) {
-		t.Fatalf("small slice = %d words for max ID %d, want <= %d", len(in.small), n, 2*(n+1))
+	if in.nover != 0 {
+		t.Fatalf("%d consecutive IDs overflowed their slots", in.nover)
 	}
 	if len(in.rev) != n {
 		t.Fatalf("rev = %d entries, want %d", len(in.rev), n)
@@ -178,6 +316,26 @@ func TestInternerMillionIDs(t *testing.T) {
 		if !ok || i != uint32(id-1) || in.NodeID(i) != id {
 			t.Fatalf("round trip failed for %d: (%d, %v)", id, i, ok)
 		}
+	}
+	// A handful of IDs spread over the whole 32-bit range costs a handful
+	// of slots, not a table as long as the largest ID.
+	var sparse Interner
+	for k := wire.NodeID(1); k <= 8; k++ {
+		sparse.Index(k * (math.MaxUint32 / 8))
+	}
+	if len(sparse.slots)+len(sparse.over) != minSlots {
+		t.Fatalf("8 sparse IDs took %d+%d slots, want %d", len(sparse.slots), len(sparse.over), minSlots)
+	}
+	// 4096 IDs strided by 2^16 share one slot; all but the first overflow.
+	var strided Interner
+	for k := wire.NodeID(0); k < 4096; k++ {
+		strided.Index(k << 16)
+	}
+	if strided.nover != 4095 {
+		t.Fatalf("strided IDs: %d in overflow, want 4095", strided.nover)
+	}
+	if limit := 2 << bits.Len(4096-1); len(strided.slots) > limit || len(strided.over) > 2*limit {
+		t.Fatalf("strided IDs took %d+%d slots, want <= %d+%d", len(strided.slots), len(strided.over), limit, 2*limit)
 	}
 }
 

@@ -1,0 +1,110 @@
+package fds
+
+import (
+	"slices"
+	"testing"
+	"time"
+
+	"clusterfds/internal/cluster"
+	"clusterfds/internal/geo"
+	"clusterfds/internal/node"
+	"clusterfds/internal/radio"
+	"clusterfds/internal/sim"
+	"clusterfds/internal/wire"
+)
+
+// fwdCapture is a bare protocol that deep-copies every ForwardedUpdate its
+// host receives (a delivered message dies with the handler).
+type fwdCapture struct{ got []wire.ForwardedUpdate }
+
+func (*fwdCapture) Start(*node.Host) {}
+
+func (c *fwdCapture) Handle(_ *node.Host, m wire.Message, _ wire.NodeID) {
+	if fu, ok := m.(*wire.ForwardedUpdate); ok {
+		u := &fu.Update
+		c.got = append(c.got, wire.ForwardedUpdate{
+			Forwarder: fu.Forwarder, Requester: fu.Requester,
+			Update: wire.HealthUpdate{
+				From: u.From, CH: u.CH, Epoch: u.Epoch, Takeover: u.Takeover,
+				NewFailed: slices.Clone(u.NewFailed),
+				AllFailed: slices.Clone(u.AllFailed),
+				Rescinded: slices.Clone(u.Rescinded),
+			},
+		})
+	}
+}
+
+// TestArmedForwardCarriesUpdateAsReceived pins what an armed peer-forward
+// sends: the CH's update exactly as the forwarder first received it. Between
+// arming and firing, the delivered message's decode buffers are reused and a
+// deputy's takeover update arrives, which moves the forwarder's CH to the
+// deputy. Neither may reach the ForwardedUpdate: it still speaks for the old
+// CH, with the original failure lists and rescissions and no takeover flag.
+func TestArmedForwardCarriesUpdateAsReceived(t *testing.T) {
+	members := []wire.NodeID{1, 2, 3, 4, 5, 6}
+	k := sim.New(7)
+	m := radio.New(k, radio.Defaults(0))
+	h := node.New(k, m, 3, geo.Point{})
+	cl := cluster.New(cluster.DefaultConfig())
+	cl.InstallStaticView(1, members, []wire.NodeID{2}, 3)
+	f := New(DefaultConfig(cluster.DefaultTiming()), cl)
+	h.Use(cl)
+	h.Use(f)
+	h.Boot()
+	requester := node.New(k, m, 5, geo.Point{X: 1})
+	capture := &fwdCapture{}
+	requester.Use(capture)
+	requester.Boot()
+	k.RunUntil(0)
+
+	delivered := &wire.HealthUpdate{
+		From: 1, CH: 1, Epoch: 0,
+		NewFailed: []wire.NodeID{6},
+		AllFailed: []wire.NodeID{6, 9},
+		Rescinded: []wire.Rescission{{Node: 4, Epoch: 0}},
+	}
+	f.Handle(h, delivered, 1)
+	f.Handle(h, &wire.ForwardRequest{NID: 5, Epoch: 0}, 5)
+	if n := f.pendingForwards(); n != 1 {
+		t.Fatalf("%d forwards armed, want 1", n)
+	}
+	// The receiver's decode scratch is reused for the next datagram.
+	delivered.NewFailed[0], delivered.AllFailed[1], delivered.Rescinded[0].Node = 99, 98, 97
+
+	wait := f.forwardWait()
+	k.RunUntil(wait / 2)
+	f.Handle(h, &wire.HealthUpdate{
+		From: 2, CH: 1, Epoch: 0, Takeover: true,
+		NewFailed: []wire.NodeID{1},
+		AllFailed: []wire.NodeID{1, 6, 9},
+	}, 2)
+	if got := cl.View().CH; got != 2 {
+		t.Fatalf("forwarder's CH after the takeover = %v, want n2 (scenario broken)", got)
+	}
+	if !f.UpdateReceived() || f.pendingForwards() != 1 {
+		t.Fatalf("after the takeover: update received %v, %d forwards armed; want true, 1",
+			f.UpdateReceived(), f.pendingForwards())
+	}
+	k.RunUntil(wait + sim.Time(50*time.Millisecond))
+
+	if len(capture.got) != 1 {
+		t.Fatalf("requester received %d forwarded updates, want 1", len(capture.got))
+	}
+	got := capture.got[0]
+	want := wire.ForwardedUpdate{
+		Forwarder: 3, Requester: 5,
+		Update: wire.HealthUpdate{
+			From: 1, CH: 1, Epoch: 0,
+			NewFailed: []wire.NodeID{6},
+			AllFailed: []wire.NodeID{6, 9},
+			Rescinded: []wire.Rescission{{Node: 4, Epoch: 0}},
+		},
+	}
+	u, w := got.Update, want.Update
+	if got.Forwarder != want.Forwarder || got.Requester != want.Requester ||
+		u.From != w.From || u.CH != w.CH || u.Epoch != w.Epoch || u.Takeover != w.Takeover ||
+		!slices.Equal(u.NewFailed, w.NewFailed) || !slices.Equal(u.AllFailed, w.AllFailed) ||
+		!slices.Equal(u.Rescinded, w.Rescinded) {
+		t.Fatalf("forwarded %+v,\nwant      %+v", got, want)
+	}
+}

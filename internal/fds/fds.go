@@ -151,15 +151,14 @@ type Protocol struct {
 	missedUpdates int
 	ackedForward  bool
 
-	// Peer-forwarding responder state, dense-indexed by requester with
-	// epoch-stamped validity: fwdStamp[i] == uint64(epoch)+1 marks
-	// fwdTimer[i] as belonging to the current epoch (0 = no entry; the +1
-	// keeps epoch 0 distinguishable from "empty"). fwdActive lists the
-	// indices touched this epoch so the boundary sweep cancels only them
-	// instead of scanning the whole table; duplicates are harmless because
-	// Cancel is idempotent.
-	fwdTimer  []sim.Timer
-	fwdStamp  []uint64
+	// Peer-forwarding responder state: one slot per requester, dense-indexed
+	// and reused every epoch, so arming a forward for a requester served
+	// before allocates nothing. A forward is pending iff its slot's timer is
+	// Active: firing, the requester's ack and the boundary sweep all end it.
+	// fwdActive lists the slots armed this epoch so the sweep cancels only
+	// them instead of scanning the whole table; duplicates are harmless
+	// because Cancel is idempotent.
+	fwd       []*fwdSlot
 	fwdActive []uint32
 
 	// pendingRescind collects the false detections this CH itself disproved
@@ -182,7 +181,7 @@ type Protocol struct {
 	// closures and no per-send heap messages. updMsg doubles as the buffer
 	// behind p.update when this host originates the epoch's update; its
 	// fields are only rewritten by the next origination, an epoch later,
-	// after every alias (peer-forward copies, CurrentUpdate callers) is dead.
+	// after every alias (armed peer-forwards, CurrentUpdate callers) is dead.
 	epochFn, digestFn, detectFn, checkCHFn, reqFwdFn func()
 	digestMsg                                        wire.Digest
 	updMsg                                           wire.HealthUpdate
@@ -770,82 +769,55 @@ func (p *Protocol) onForwardRequest(m *wire.ForwardRequest) {
 	if !p.snapshot.IsMember(m.NID) {
 		return
 	}
-	requester := m.NID
-	ri := p.ids.Index(requester)
-	if t, ok := p.fwdEntry(ri); ok && t.Active() {
+	ri := p.ids.Index(m.NID)
+	if int(ri) >= len(p.fwd) {
+		p.fwd = append(p.fwd, make([]*fwdSlot, int(ri)+1-len(p.fwd))...)
+	}
+	s := p.fwd[ri]
+	if s == nil {
+		s = &fwdSlot{p: p, requester: m.NID}
+		p.fwd[ri] = s
+	} else if s.timer.Active() {
 		return
 	}
-	j := &fwdJob{p: p, ri: ri, e: p.epoch, requester: requester, upd: *p.update}
-	p.setFwdEntry(ri, p.host.AfterArg(p.forwardWait(), fireForwardFn, j))
+	p.host.Arm(&s.timer, p.forwardWait(), fireForwardFn, s)
+	p.fwdActive = append(p.fwdActive, ri)
 }
 
-// fwdJob carries one armed peer-forward through the kernel: the snapshot of
-// the update to send plus the requester bookkeeping. Most are canceled (the
-// requester's ack is overheard, or the epoch ends) and die with their kernel
-// event.
-type fwdJob struct {
+// fwdSlot is one requester's peer-forward state and its timer's argument.
+// The timer carries its own record, so re-arming allocates nothing, and the
+// slot holds no copy of the update: p.update is fixed from the update's first
+// receipt to the epoch boundary, whose sweep cancels every armed forward, so
+// the fire sends exactly what arming saw.
+type fwdSlot struct {
 	p         *Protocol
-	ri        uint32
-	e         wire.Epoch
 	requester wire.NodeID
-	upd       wire.HealthUpdate
+	timer     node.Timer
 }
 
-// fireForwardFn transmits an armed peer-forward. The job's entry leaves the
-// lifecycle table immediately: a fired timer left in place would pin a stale
-// Timer handle per requester served until the next epoch's boundary sweep,
-// and the table would stop reflecting the pending-forward count.
+// fireForwardFn transmits an armed peer-forward. The kernel retires the
+// timer before running it, so the slot reads as idle from here on.
 var fireForwardFn sim.ArgHandler = func(a any) {
-	j := a.(*fwdJob)
-	p := j.p
-	p.clearFwdEntry(j.ri)
-	p.mFwdAns.Add(uint64(j.e), 1)
+	s := a.(*fwdSlot)
+	p := s.p
+	p.mFwdAns.Add(uint64(p.epoch), 1)
 	if p.host.Tracing() {
-		p.host.Trace(trace.TypePeerForward, j.requester.String())
+		p.host.Trace(trace.TypePeerForward, s.requester.String())
 	}
 	p.fwdUpdMsg = wire.ForwardedUpdate{
 		Forwarder: p.host.ID(),
-		Requester: j.requester,
-		Update:    j.upd,
+		Requester: s.requester,
+		Update:    *p.update,
 	}
 	p.host.Send(&p.fwdUpdMsg)
 }
 
-// fwdEntry returns the live forward timer for dense index i, if one was
-// recorded this epoch.
-func (p *Protocol) fwdEntry(i uint32) (sim.Timer, bool) {
-	if int(i) >= len(p.fwdStamp) || p.fwdStamp[i] != uint64(p.epoch)+1 {
-		return sim.Timer{}, false
-	}
-	return p.fwdTimer[i], true
-}
-
-// setFwdEntry records t as index i's forward timer for the current epoch.
-func (p *Protocol) setFwdEntry(i uint32, t sim.Timer) {
-	if int(i) >= len(p.fwdStamp) {
-		n := int(i) + 1 - len(p.fwdStamp)
-		p.fwdStamp = append(p.fwdStamp, make([]uint64, n)...)
-		p.fwdTimer = append(p.fwdTimer, make([]sim.Timer, n)...)
-	}
-	p.fwdStamp[i] = uint64(p.epoch) + 1
-	p.fwdTimer[i] = t
-	p.fwdActive = append(p.fwdActive, i)
-}
-
-// clearFwdEntry invalidates index i's forward entry (fired or acked).
-func (p *Protocol) clearFwdEntry(i uint32) {
-	if int(i) < len(p.fwdStamp) {
-		p.fwdStamp[i] = 0
-		p.fwdTimer[i] = sim.Timer{}
-	}
-}
-
-// pendingForwards counts the forward timers still live this epoch (recorded,
-// not fired, not canceled). Tests use it to pin the entry lifecycle.
+// pendingForwards counts the forwards armed and not yet fired or canceled.
+// Tests use it to pin the slot lifecycle.
 func (p *Protocol) pendingForwards() int {
 	n := 0
-	for i, s := range p.fwdStamp {
-		if s == uint64(p.epoch)+1 && p.fwdTimer[i].Active() {
+	for _, s := range p.fwd {
+		if s != nil && s.timer.Active() {
 			n++
 		}
 	}
@@ -904,11 +876,8 @@ func (p *Protocol) onForwardAck(m *wire.ForwardAck) {
 	if m.Epoch != p.epoch {
 		return
 	}
-	if i, ok := p.ids.Lookup(m.NID); ok {
-		if t, live := p.fwdEntry(i); live {
-			t.Cancel()
-			p.clearFwdEntry(i)
-		}
+	if i, ok := p.ids.Lookup(m.NID); ok && int(i) < len(p.fwd) && p.fwd[i] != nil {
+		p.fwd[i].timer.Cancel()
 	}
 }
 
@@ -956,10 +925,9 @@ func appendUnique(rs []wire.Rescission, r wire.Rescission) []wire.Rescission {
 
 func (p *Protocol) cancelForwardTimers() {
 	for _, i := range p.fwdActive {
-		// Duplicates and already-fired entries are fine: Cancel on a stale
-		// generation-stamped handle is inert, and clearing twice is a no-op.
-		p.fwdTimer[i].Cancel()
-		p.clearFwdEntry(i)
+		// Duplicates and already-fired or acked slots are fine: Cancel on a
+		// stale generation-stamped handle is inert.
+		p.fwd[i].timer.Cancel()
 	}
 	p.fwdActive = p.fwdActive[:0]
 }

@@ -108,3 +108,40 @@ func TestArmedForwardCarriesUpdateAsReceived(t *testing.T) {
 		t.Fatalf("forwarded %+v,\nwant      %+v", got, want)
 	}
 }
+
+// TestArmedForwardAllocatesNothing pins the responder's steady state: once a
+// requester has been served, arming a forward for it again allocates nothing,
+// whether the requester's ack cancels it or it fires. The requester's slot and
+// its timer record are reused, and the update is read where the forwarder
+// keeps it, not copied per arming.
+func TestArmedForwardAllocatesNothing(t *testing.T) {
+	f, h, k := newBenchProtocol(t, 3, []wire.NodeID{1, 2, 3, 4, 5, 6}, []wire.NodeID{2})
+	f.Handle(h, &wire.HealthUpdate{
+		From: 1, CH: 1, Epoch: 0,
+		NewFailed: []wire.NodeID{6}, AllFailed: []wire.NodeID{6},
+	}, 1)
+
+	req := &wire.ForwardRequest{NID: 5, Epoch: 0}
+	ack := &wire.ForwardAck{NID: 5, Epoch: 0}
+	wait := f.forwardWait() + sim.Time(time.Millisecond)
+	serve := func() {
+		// Acked: the canceled event is collected once the clock passes it.
+		f.Handle(h, req, 5)
+		f.Handle(h, ack, 5)
+		k.RunUntil(k.Now() + wait)
+		// Unanswered: the forward fires.
+		f.Handle(h, req, 5)
+		if f.pendingForwards() != 1 {
+			t.Fatal("request did not arm a forward")
+		}
+		k.RunUntil(k.Now() + wait)
+		if f.pendingForwards() != 0 {
+			t.Fatal("armed forward did not fire")
+		}
+	}
+	serve() // the first request for 5 creates its slot
+	// 20 more rounds stay inside epoch 0 (10 s), so the update stays current.
+	if n := testing.AllocsPerRun(20, serve); n != 0 {
+		t.Errorf("a canceled and a fired forward allocate %v times, want 0", n)
+	}
+}

@@ -248,6 +248,40 @@ func (h *Host) AfterArg(d sim.Time, fn sim.ArgHandler, arg any) sim.Timer {
 	return h.clock.ScheduleArg(d, fireTimerFn, rec)
 }
 
+// Timer is a host timer its owner re-arms in place. Its record lives in the
+// owner's memory rather than the host's pool, so arming allocates nothing and
+// a canceled arming leaves no record for the collector, where a canceled
+// After or AfterArg drops its pooled one. The zero value is disarmed.
+type Timer struct {
+	h   *Host
+	fn  sim.ArgHandler
+	arg any
+	t   sim.Timer
+}
+
+// Arm schedules fn(arg) on t after d, with After's crash guard. Arming a
+// timer that is still Active is a bug: the pending firing shares the record.
+func (h *Host) Arm(t *Timer, d sim.Time, fn sim.ArgHandler, arg any) {
+	if t.t.Active() {
+		panic(fmt.Sprintf("node: Arm on an armed timer of host %v", h.id))
+	}
+	t.h, t.fn, t.arg = h, fn, arg
+	t.t = h.clock.ScheduleArg(d, fireOwnedFn, t)
+}
+
+// Cancel disarms t. Canceling a fired or canceled timer is a no-op.
+func (t *Timer) Cancel() { t.t.Cancel() }
+
+// Active reports whether t is armed and has neither fired nor been canceled.
+func (t *Timer) Active() bool { return t.t.Active() }
+
+// fireOwnedFn runs an armed Timer, which is its own record.
+var fireOwnedFn sim.ArgHandler = func(a any) {
+	if t := a.(*Timer); !t.h.crashed {
+		t.fn(t.arg)
+	}
+}
+
 // AfterBatched schedules fn like After but coalesces all callbacks landing
 // on the same instant — across every host on the kernel — into one kernel
 // event (see sim.Kernel.AtBatched). There is no cancellation handle, so it

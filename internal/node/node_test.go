@@ -169,6 +169,56 @@ func TestAfterFiresWhenAlive(t *testing.T) {
 	}
 }
 
+// TestTimerRearmsInPlace pins the owned timer's lifecycle: it fires once per
+// arming, a canceled arming never fires and may be re-armed at once, arming
+// allocates nothing, arming a pending timer panics, and a crashed host's
+// timer stays silent like After's.
+func TestTimerRearmsInPlace(t *testing.T) {
+	k, _, hosts := newWorld(t, []geo.Point{{X: 0, Y: 0}})
+	h := hosts[0]
+	var tm Timer
+	fired := 0
+	fn := func(arg any) { fired += *arg.(*int) }
+	one := 1
+	if tm.Active() {
+		t.Fatal("zero Timer reads as armed")
+	}
+	h.Arm(&tm, sim.Time(time.Second), fn, &one)
+	tm.Cancel()
+	h.Arm(&tm, sim.Time(time.Second), fn, &one)
+	if !tm.Active() {
+		t.Fatal("re-armed timer not active")
+	}
+	k.Run()
+	if fired != 1 || tm.Active() {
+		t.Fatalf("fired %d times, active %v after the run; want 1, false", fired, tm.Active())
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		h.Arm(&tm, sim.Time(time.Second), fn, &one)
+		tm.Cancel()
+		k.Run()
+		h.Arm(&tm, sim.Time(time.Second), fn, &one)
+		k.Run()
+	}); n != 0 {
+		t.Errorf("arming, canceling and firing allocate %v times, want 0", n)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Arm on a pending timer did not panic")
+			}
+		}()
+		h.Arm(&tm, sim.Time(time.Second), fn, &one)
+		h.Arm(&tm, sim.Time(time.Second), fn, &one)
+	}()
+	fired = 0
+	h.Crash()
+	k.Run()
+	if fired != 0 {
+		t.Error("crashed host's timer fired")
+	}
+}
+
 func TestMoveTo(t *testing.T) {
 	_, m, hosts := newWorld(t, []geo.Point{{X: 0, Y: 0}, {X: 500, Y: 0}})
 	if len(m.Neighbors(hosts[0].Pos(), 1)) != 0 {

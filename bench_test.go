@@ -252,7 +252,7 @@ func chainHopDelivery(b *testing.B, lossProb float64, backups bool, icfg func(*i
 		var fdss []*fds.Protocol
 		for j, pos := range positions {
 			h := node.New(k, m, wire.NodeID(j+1), pos)
-			cl := cluster.New(cluster.DefaultConfig())
+			cl := cluster.New(cluster.Config{Timing: timing})
 			f := fds.New(fds.DefaultConfig(timing), cl)
 			cfg := intercluster.DefaultConfig(timing)
 			if icfg != nil {
@@ -725,7 +725,7 @@ func BenchmarkSleep(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cfg := scenario.Config{Seed: int64(i + 1), Nodes: 60, FieldSide: 300}
 			if mode != "awake" {
-				scfg := sleep.DefaultConfig(cluster.DefaultTiming())
+				scfg := sleep.DefaultConfig()
 				scfg.Announce = mode == "announced"
 				cfg.Sleep = &scfg
 			}

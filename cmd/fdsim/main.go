@@ -59,10 +59,8 @@ func main() {
 	epochs := flag.Int("epochs", 12, "heartbeat intervals to simulate")
 	crashes := flag.Int("crashes", 3, "hosts to crash")
 	crashEpoch := flag.Int("crash-epoch", 4, "epoch at whose midpoint crashes occur")
-	stackName := flag.String("stack", "cluster",
-		"detector stack: cluster (alias cluster-fds), gossip, flood, swim, query-response, all-pairs")
-	detector := flag.String("detector", "",
-		"detector to run (same names as -stack; takes precedence when set)")
+	detector := flag.String("detector", "cluster-fds",
+		"detector to run: cluster-fds, gossip, flood, swim, query-response, all-pairs")
 	seed := flag.Int64("seed", 1, "random seed")
 	trials := flag.Int("trials", 1, "independent seeded replicas to run (1 = single legacy run)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
@@ -141,20 +139,10 @@ func main() {
 		return
 	}
 
-	name := *stackName
-	if *detector != "" {
-		name = *detector
-	}
-	var stack scenario.Stack
-	if name == "cluster" {
-		stack = scenario.StackClusterFDS
-	} else {
-		s, err := scenario.ParseStack(name)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fdsim: %v\n", err)
-			os.Exit(2)
-		}
-		stack = s
+	stack, err := scenario.ParseStack(*detector)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fdsim: %v\n", err)
+		os.Exit(2)
 	}
 
 	cfg := scenario.Config{
@@ -173,7 +161,7 @@ func main() {
 		}
 	}
 	if *withSleep || *naiveSleep {
-		scfg := sleep.DefaultConfig(cluster.DefaultTiming())
+		scfg := sleep.DefaultConfig()
 		scfg.Announce = !*naiveSleep
 		cfg.Sleep = &scfg
 	}

@@ -15,7 +15,6 @@ package main
 import (
 	"fmt"
 
-	"clusterfds/internal/cluster"
 	"clusterfds/internal/scenario"
 	"clusterfds/internal/sleep"
 	"clusterfds/internal/trace"
@@ -44,7 +43,7 @@ func run(name string, withSleep, announce bool) outcome {
 		Seed: 77, Nodes: nodes, FieldSide: fieldSide, LossProb: lossProb, Trace: tr,
 	}
 	if withSleep {
-		scfg := sleep.DefaultConfig(cluster.DefaultTiming())
+		scfg := sleep.DefaultConfig()
 		scfg.Announce = announce
 		cfg.Sleep = &scfg
 	}

@@ -85,20 +85,9 @@ func (s Stat) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f min=%.3f max=%.3f", s.Count, s.Mean(), s.Min, s.Max)
 }
 
-// Config parameterizes the aggregation service.
-type Config struct {
-	// Timing must match the co-resident cluster/FDS timing.
-	Timing cluster.Timing
-}
-
 // keepEpochs bounds how many epochs of partials are retained for queries
 // (older entries are pruned).
 const keepEpochs = 4
-
-// DefaultConfig returns the configuration used by the examples.
-func DefaultConfig(t cluster.Timing) Config {
-	return Config{Timing: t}
-}
 
 // aggKey identifies one cluster's partial for one epoch.
 type aggKey struct {
@@ -109,7 +98,6 @@ type aggKey struct {
 // Protocol is the per-host aggregation service. It must be attached to the
 // host AFTER the cluster and FDS protocols.
 type Protocol struct {
-	cfg     Config
 	host    *node.Host
 	cluster *cluster.Protocol
 	fds     *fds.Protocol
@@ -131,19 +119,16 @@ type Protocol struct {
 }
 
 // New returns an aggregation service wired to the co-resident protocols.
-// It registers the sampler as the FDS's digest reading source.
-func New(cfg Config, cl *cluster.Protocol, f *fds.Protocol, sampler Sampler) *Protocol {
+// It runs on cl's timing and registers the sampler as the FDS's digest
+// reading source.
+func New(cl *cluster.Protocol, f *fds.Protocol, sampler Sampler) *Protocol {
 	if cl == nil || f == nil {
 		panic("aggregate: nil cluster or fds protocol")
 	}
 	if sampler == nil {
 		panic("aggregate: nil sampler")
 	}
-	if !cfg.Timing.Valid() {
-		panic("aggregate: invalid timing")
-	}
 	p := &Protocol{
-		cfg:       cfg,
 		cluster:   cl,
 		fds:       f,
 		sampler:   sampler,
@@ -158,11 +143,11 @@ func New(cfg Config, cl *cluster.Protocol, f *fds.Protocol, sampler Sampler) *Pr
 // Start implements node.Protocol.
 func (p *Protocol) Start(h *node.Host) {
 	p.host = h
-	p.scheduleEpoch(p.cfg.Timing.FirstEpochAt(h.Now()))
+	p.scheduleEpoch(p.cluster.Timing().FirstEpochAt(h.Now()))
 }
 
 func (p *Protocol) scheduleEpoch(e wire.Epoch) {
-	at := p.cfg.Timing.EpochStart(e)
+	at := p.cluster.Timing().EpochStart(e)
 	p.host.After(at-p.host.Now(), func() { p.runEpoch(e) })
 }
 
@@ -175,7 +160,7 @@ func (p *Protocol) runEpoch(e wire.Epoch) {
 
 	// The CH publishes its cluster partial right after the digest round —
 	// in the same slot as the health update, one broadcast per cluster.
-	t := p.cfg.Timing
+	t := p.cluster.Timing()
 	p.host.After(t.R2End()+t.Thop/8, func() { p.publishPartial(e) })
 }
 
@@ -280,7 +265,8 @@ func (p *Protocol) onAggregate(m *wire.Aggregate) {
 		// since overheard enough other transmissions of the same partial
 		// stands down (aggregation tolerates the residual loss risk).
 		heardAtDecision := p.heardTx[k]
-		jitter := sim.Time(uint64(p.host.ID()) * uint64(p.cfg.Timing.Thop) / 3 % uint64(2*p.cfg.Timing.Thop))
+		thop := p.cluster.Timing().Thop
+		jitter := sim.Time(uint64(p.host.ID()) * uint64(thop) / 3 % uint64(2*thop))
 		p.host.After(jitter, func() {
 			if p.heardTx[k]-heardAtDecision >= 2 {
 				return

@@ -68,13 +68,13 @@ func buildWorld(t *testing.T, seed int64, lossProb float64, positions []geo.Poin
 	for i, pos := range positions {
 		id := wire.NodeID(i + 1)
 		h := node.New(k, m, id, pos)
-		cl := cluster.New(cluster.DefaultConfig())
+		cl := cluster.New(cluster.Config{Timing: w.timing})
 		f := fds.New(fds.DefaultConfig(w.timing), cl)
 		fw := intercluster.New(intercluster.DefaultConfig(w.timing), cl, f)
 		sampler := func(id wire.NodeID) Sampler {
 			return func(e wire.Epoch) (float64, bool) { return float64(id), true }
 		}(id)
-		ag := New(DefaultConfig(w.timing), cl, f, sampler)
+		ag := New(cl, f, sampler)
 		h.Use(cl)
 		h.Use(f)
 		h.Use(fw)
@@ -203,10 +203,9 @@ func TestConfigValidation(t *testing.T) {
 	f := fds.New(fds.DefaultConfig(cluster.DefaultTiming()), cl)
 	sampler := func(wire.Epoch) (float64, bool) { return 0, true }
 	for name, fn := range map[string]func(){
-		"nil cluster": func() { New(DefaultConfig(cluster.DefaultTiming()), nil, f, sampler) },
-		"nil fds":     func() { New(DefaultConfig(cluster.DefaultTiming()), cl, nil, sampler) },
-		"nil sampler": func() { New(DefaultConfig(cluster.DefaultTiming()), cl, f, nil) },
-		"bad timing":  func() { New(Config{}, cl, f, sampler) },
+		"nil cluster": func() { New(nil, f, sampler) },
+		"nil fds":     func() { New(cl, nil, sampler) },
+		"nil sampler": func() { New(cl, f, nil) },
 	} {
 		func() {
 			defer func() {

@@ -166,7 +166,7 @@ type Protocol struct {
 	heardDeclare   bool // a CHDeclare was heard this epoch
 	heardAnnounce  bool // any ClusterAnnounce was heard this epoch
 	memberChanged  bool
-	declareTimer   sim.Timer
+	declareTimer   node.Timer
 	pendingDeclare bool
 	// deferCount counts consecutive epochs in which this unmarked host
 	// deferred declaring because an established cluster was within

@@ -157,7 +157,7 @@ func run(sc Scenario, k *sim.Kernel, bind func(wire.NodeID) transport.Transport,
 		id := wire.NodeID(i)
 		rt := &recordingTransport{Transport: bind(id), sends: &res.Sends}
 		h := node.New(k, rt, id, geo.UniformInRect(placer, field), node.WithTrace(mem))
-		cl := cluster.New(cluster.DefaultConfig())
+		cl := cluster.New(cluster.Config{Timing: timing})
 		f := fds.New(fds.DefaultConfig(timing), cl)
 		ic := intercluster.New(intercluster.DefaultConfig(timing), cl, f)
 		h.Use(cl)

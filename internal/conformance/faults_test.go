@@ -27,7 +27,7 @@ func faultRun(t *testing.T, seed int64, params transport.MeshParams, nodes int, 
 	for i := 1; i <= nodes; i++ {
 		id := wire.NodeID(i)
 		h := node.New(k, mesh.Port(id), id, geo.Point{})
-		cl := cluster.New(cluster.DefaultConfig())
+		cl := cluster.New(cluster.Config{Timing: timing})
 		f := fds.New(fds.DefaultConfig(timing), cl)
 		ic := intercluster.New(intercluster.DefaultConfig(timing), cl, f)
 		h.Use(cl)

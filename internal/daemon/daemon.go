@@ -86,9 +86,7 @@ func New(cfg Config, link transport.Link) *Daemon {
 	lt := transport.NewLinkTransport(k, link, cfg.Energy, ltOpts...)
 	h := node.New(k, lt, cfg.ID, geo.Point{}, hostOpts...)
 
-	ccfg := cluster.DefaultConfig()
-	ccfg.Timing = cfg.Timing
-	cl := cluster.New(ccfg)
+	cl := cluster.New(cluster.Config{Timing: cfg.Timing})
 	f := fds.New(fds.DefaultConfig(cfg.Timing), cl)
 	ic := intercluster.New(intercluster.DefaultConfig(cfg.Timing), cl, f)
 	h.Use(cl)

@@ -68,7 +68,7 @@ func lateBootWorld(t *testing.T, seed int64, positions []geo.Point, latePos geo.
 	all := append(append([]geo.Point(nil), positions...), latePos)
 	for i, pos := range all {
 		h := node.New(k, m, wire.NodeID(i+1), pos, node.WithTrace(tr))
-		cl := cluster.New(cluster.DefaultConfig())
+		cl := cluster.New(cluster.Config{Timing: w.timing})
 		f := New(DefaultConfig(w.timing), cl)
 		h.Use(cl)
 		h.Use(f)
@@ -135,7 +135,7 @@ func TestStartEpochBoundary(t *testing.T) {
 			k := sim.New(1)
 			m := radio.New(k, radio.Defaults(0))
 			h := node.New(k, m, 1, geo.Point{})
-			cl := cluster.New(cluster.DefaultConfig())
+			cl := cluster.New(cluster.Config{Timing: tm})
 			f := New(DefaultConfig(tm), cl)
 			h.Use(cl)
 			h.Use(f)

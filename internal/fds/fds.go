@@ -45,7 +45,8 @@ import (
 
 // Config parameterizes the failure detection service.
 type Config struct {
-	// Timing must equal the cluster protocol's timing (shared epochs).
+	// Timing must equal the cluster protocol's timing (shared epochs); New
+	// panics otherwise.
 	Timing cluster.Timing
 	// PeerForwarding enables the intra-cluster completeness enhancement.
 	// The ablation benchmarks switch it off to quantify its contribution.
@@ -227,8 +228,8 @@ func New(cfg Config, cl *cluster.Protocol) *Protocol {
 	if cl == nil {
 		panic("fds: nil cluster protocol")
 	}
-	if !cfg.Timing.Valid() {
-		panic("fds: invalid timing")
+	if cfg.Timing != cl.Timing() {
+		panic("fds: timing differs from the cluster protocol's")
 	}
 	r := cfg.Metrics // nil registry yields nil (no-op) handles
 	return &Protocol{
@@ -780,13 +781,13 @@ func (p *Protocol) onForwardRequest(m *wire.ForwardRequest) {
 	} else if s.timer.Active() {
 		return
 	}
-	p.host.Arm(&s.timer, p.forwardWait(), fireForwardFn, s)
+	s.timer = p.host.AfterArg(p.forwardWait(), fireForwardFn, s)
 	p.fwdActive = append(p.fwdActive, ri)
 }
 
 // fwdSlot is one requester's peer-forward state and its timer's argument.
-// The timer carries its own record, so re-arming allocates nothing, and the
-// slot holds no copy of the update: p.update is fixed from the update's first
+// An ack's Cancel hands the timer's record back to the host's pool, so
+// re-arming allocates nothing, and the slot holds no copy of the update: p.update is fixed from the update's first
 // receipt to the epoch boundary, whose sweep cancels every armed forward, so
 // the fire sends exactly what arming saw.
 type fwdSlot struct {

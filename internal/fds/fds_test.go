@@ -40,7 +40,7 @@ func buildWorld(t *testing.T, cfg worldConfig, positions []geo.Point) *world {
 	w := &world{kernel: k, medium: m, timing: cluster.DefaultTiming(), tracer: tr}
 	for i, pos := range positions {
 		h := node.New(k, m, wire.NodeID(i+1), pos, node.WithTrace(tr))
-		cl := cluster.New(cluster.DefaultConfig())
+		cl := cluster.New(cluster.Config{Timing: w.timing})
 		f := New(cfg.fdsCfg(w.timing), cl)
 		h.Use(cl)
 		h.Use(f)
@@ -379,6 +379,14 @@ func TestConfigValidation(t *testing.T) {
 		}()
 		New(Config{}, cl)
 	}()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a timing other than the cluster protocol's should panic")
+			}
+		}()
+		New(DefaultConfig(halfInterval()), cl)
+	}()
 }
 
 func TestEpochAndActiveQueries(t *testing.T) {
@@ -394,4 +402,11 @@ func TestEpochAndActiveQueries(t *testing.T) {
 	if f.Conflicts() != 0 {
 		t.Error("unexpected conflicts")
 	}
+}
+
+// halfInterval is a valid timing other than the cluster protocol's default.
+func halfInterval() cluster.Timing {
+	t := cluster.DefaultTiming()
+	t.Interval /= 2
+	return t
 }

@@ -197,7 +197,7 @@ func TestReportFromUpdateCanonical(t *testing.T) {
 func newStackHost(t *testing.T, w *world, id wire.NodeID, pos geo.Point) (*node.Host, *cluster.Protocol, *fds.Protocol, *Protocol) {
 	t.Helper()
 	h := node.New(w.kernel, w.medium, id, pos, node.WithTrace(w.tracer))
-	cl := cluster.New(cluster.DefaultConfig())
+	cl := cluster.New(cluster.Config{Timing: w.timing})
 	f := fds.New(fds.DefaultConfig(w.timing), cl)
 	fw := New(DefaultConfig(w.timing), cl, f)
 	h.Use(cl)

@@ -48,7 +48,7 @@ import (
 
 // Config parameterizes the forwarder.
 type Config struct {
-	// Timing must match the co-resident cluster/FDS timing.
+	// Timing must equal the cluster protocol's timing; New panics otherwise.
 	Timing cluster.Timing
 	// BGWAssist enables backup-gateway assisted forwarding; the ablation
 	// benchmarks disable it to quantify its contribution.
@@ -146,7 +146,7 @@ type gwDuty struct {
 	n         int // candidate count for the re-forward wait
 	kind      uint8
 	forwarded int
-	timer     sim.Timer
+	timer     node.Timer
 	done      bool
 }
 
@@ -232,8 +232,8 @@ func New(cfg Config, cl *cluster.Protocol, f *fds.Protocol) *Protocol {
 	if cl == nil || f == nil {
 		panic("intercluster: nil cluster or fds protocol")
 	}
-	if !cfg.Timing.Valid() {
-		panic("intercluster: invalid timing")
+	if cfg.Timing != cl.Timing() {
+		panic("intercluster: timing differs from the cluster protocol's")
 	}
 	return &Protocol{
 		cfg:     cfg,

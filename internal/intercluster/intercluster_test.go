@@ -37,7 +37,7 @@ func buildWorld(t *testing.T, seed int64, lossProb float64, cfg func(cluster.Tim
 	w := &world{kernel: k, medium: m, timing: cluster.DefaultTiming(), tracer: tr}
 	for i, pos := range positions {
 		h := node.New(k, m, wire.NodeID(i+1), pos, node.WithTrace(tr))
-		cl := cluster.New(cluster.DefaultConfig())
+		cl := cluster.New(cluster.Config{Timing: w.timing})
 		f := fds.New(fds.DefaultConfig(w.timing), cl)
 		fw := New(cfg(w.timing), cl, f)
 		h.Use(cl)
@@ -256,6 +256,9 @@ func TestConfigValidation(t *testing.T) {
 		"nil cluster": func() { New(DefaultConfig(cluster.DefaultTiming()), nil, f) },
 		"nil fds":     func() { New(DefaultConfig(cluster.DefaultTiming()), cl, nil) },
 		"bad timing":  func() { New(Config{}, cl, f) },
+		"other timing": func() {
+			New(DefaultConfig(halfInterval()), cl, f)
+		},
 	} {
 		func() {
 			defer func() {
@@ -266,4 +269,11 @@ func TestConfigValidation(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// halfInterval is a valid timing other than the cluster protocol's default.
+func halfInterval() cluster.Timing {
+	t := cluster.DefaultTiming()
+	t.Interval /= 2
+	return t
 }

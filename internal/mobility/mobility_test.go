@@ -85,7 +85,7 @@ func TestMobileFieldKeepsDetecting(t *testing.T) {
 	var fdss []*fds.Protocol
 	for i := 0; i < n; i++ {
 		h := node.New(k, m, wire.NodeID(i+1), geo.UniformInRect(k.Rand(), field))
-		cl := cluster.New(cluster.DefaultConfig())
+		cl := cluster.New(cluster.Config{Timing: timing})
 		f := fds.New(fds.DefaultConfig(timing), cl)
 		fw := intercluster.New(intercluster.DefaultConfig(timing), cl, f)
 		h.Use(cl)

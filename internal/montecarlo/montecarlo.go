@@ -153,7 +153,7 @@ func newTrial(e ClusterExperiment, seed int64, dchAdjacent bool, reg *metrics.Re
 	t := &trial{kernel: k, medium: m, timing: timing, subject: 2, dchIdx: 1}
 	for i, pos := range positions {
 		h := node.New(k, m, wire.NodeID(i+1), pos)
-		cl := cluster.New(cluster.DefaultConfig())
+		cl := cluster.New(cluster.Config{Timing: timing})
 		cl.InstallStaticView(1, members, []wire.NodeID{2}, wire.NodeID(i+1))
 		cfg := fds.DefaultConfig(timing)
 		cfg.StrictModelMode = true

@@ -49,7 +49,7 @@ func TestRuleMatchesEventLevel(t *testing.T) {
 		var hosts []*node.Host
 		for j, pos := range positions {
 			h := node.New(k, m, wire.NodeID(j+1), pos)
-			cl := cluster.New(cluster.DefaultConfig())
+			cl := cluster.New(cluster.Config{Timing: timing})
 			cl.InstallStaticView(1, members, []wire.NodeID{2}, wire.NodeID(j+1))
 			cfg := fds.DefaultConfig(timing)
 			cfg.StrictModelMode = true

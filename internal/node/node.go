@@ -61,40 +61,37 @@ type Host struct {
 	radioOff bool
 	wakeAt   sim.Time
 
-	// After/AfterArg/AfterBatched run through pooled timer records and one
-	// shared ArgHandler instead of allocating a crash-guard closure per timer.
+	// After, AfterArg and AfterBatched run through pooled timer records and
+	// one shared ArgHandler instead of allocating a crash-guard closure per
+	// timer.
 	timerFree []*timerRec
 	tracing   bool
 }
 
 // timerRec carries one pending host timer through the kernel: the host (for
-// the crash guard), plus either a plain callback or an (ArgHandler, arg)
-// pair. Records are pooled per host; a canceled timer's record is simply
-// dropped when the dead event is collected.
+// the crash guard) and an (ArgHandler, arg) pair. Records are pooled per host
+// and go back to the pool when their timer fires or is canceled.
 type timerRec struct {
 	h   *Host
-	fn  func()
-	afn sim.ArgHandler
+	fn  sim.ArgHandler
 	arg any
 }
 
-// fireTimerFn is the one ArgHandler behind every pooled host timer.
+// fireTimerFn is the one ArgHandler behind every host timer.
 var fireTimerFn sim.ArgHandler = func(a any) {
 	rec := a.(*timerRec)
-	h, fn, afn, arg := rec.h, rec.fn, rec.afn, rec.arg
-	rec.fn, rec.afn, rec.arg = nil, nil, nil
-	h.timerFree = append(h.timerFree, rec)
-	if h.crashed {
-		return
-	}
-	if fn != nil {
-		fn()
-	} else {
-		afn(arg)
+	h, fn, arg := rec.h, rec.fn, rec.arg
+	h.putTimerRec(rec)
+	if !h.crashed {
+		fn(arg)
 	}
 }
 
-func (h *Host) takeTimerRec() *timerRec {
+// callFn runs the func() an After timer carries as its argument: a func value
+// is one pointer, so storing it in the record's any allocates nothing.
+func callFn(fn any) { fn.(func())() }
+
+func (h *Host) takeTimerRec(fn sim.ArgHandler, arg any) *timerRec {
 	if len(h.timerFree) == 0 {
 		// Grow by a block: per-host pending-timer counts rise with report
 		// traffic, so one-at-a-time growth would allocate every epoch.
@@ -108,7 +105,13 @@ func (h *Host) takeTimerRec() *timerRec {
 	rec := h.timerFree[n-1]
 	h.timerFree[n-1] = nil
 	h.timerFree = h.timerFree[:n-1]
+	rec.fn, rec.arg = fn, arg
 	return rec
+}
+
+func (h *Host) putTimerRec(rec *timerRec) {
+	rec.fn, rec.arg = nil, nil
+	h.timerFree = append(h.timerFree, rec)
 }
 
 // Option customizes a Host.
@@ -217,13 +220,15 @@ func (h *Host) SleepRadio(until sim.Time) {
 	}
 	h.radioOff = true
 	h.wakeAt = until
-	h.clock.At(until, func() {
-		// Only the timer matching the latest wake deadline wakes the
-		// radio; stale timers from superseded naps are no-ops.
-		if h.Now() >= h.wakeAt {
-			h.radioOff = false
-		}
-	})
+	h.AfterArg(until-h.Now(), wakeRadioFn, h)
+}
+
+// wakeRadioFn ends a nap. Only the timer matching the latest wake deadline
+// wakes the radio; stale timers from superseded naps are no-ops.
+var wakeRadioFn sim.ArgHandler = func(a any) {
+	if h := a.(*Host); h.Now() >= h.wakeAt {
+		h.radioOff = false
+	}
 }
 
 // Asleep reports whether the radio is currently off.
@@ -233,54 +238,40 @@ func (h *Host) Asleep() bool { return h.radioOff }
 // has crashed by the time it fires (a dead process runs no code). Pass a
 // long-lived fn (a stored per-protocol func, not a fresh closure) to keep the
 // call allocation-free.
-func (h *Host) After(d sim.Time, fn func()) sim.Timer {
-	rec := h.takeTimerRec()
-	rec.fn = fn
-	return h.clock.ScheduleArg(d, fireTimerFn, rec)
+func (h *Host) After(d sim.Time, fn func()) Timer {
+	return h.AfterArg(d, callFn, fn)
 }
 
 // AfterArg schedules fn(arg) with After's crash-guard semantics. It lets
 // protocols thread pooled per-event records through one long-lived handler,
 // the same trick sim.Kernel.ScheduleArg enables one layer down.
-func (h *Host) AfterArg(d sim.Time, fn sim.ArgHandler, arg any) sim.Timer {
-	rec := h.takeTimerRec()
-	rec.afn, rec.arg = fn, arg
-	return h.clock.ScheduleArg(d, fireTimerFn, rec)
+func (h *Host) AfterArg(d sim.Time, fn sim.ArgHandler, arg any) Timer {
+	rec := h.takeTimerRec(fn, arg)
+	return Timer{rec: rec, t: h.clock.ScheduleArg(d, fireTimerFn, rec)}
 }
 
-// Timer is a host timer its owner re-arms in place. Its record lives in the
-// owner's memory rather than the host's pool, so arming allocates nothing and
-// a canceled arming leaves no record for the collector, where a canceled
-// After or AfterArg drops its pooled one. The zero value is disarmed.
+// Timer is the handle of a pending After or AfterArg timer. The zero value is
+// disarmed, and a handle may be copied: every copy reads the same kernel
+// event.
 type Timer struct {
-	h   *Host
-	fn  sim.ArgHandler
-	arg any
+	rec *timerRec
 	t   sim.Timer
 }
 
-// Arm schedules fn(arg) on t after d, with After's crash guard. Arming a
-// timer that is still Active is a bug: the pending firing shares the record.
-func (h *Host) Arm(t *Timer, d sim.Time, fn sim.ArgHandler, arg any) {
+// Cancel stops the timer from firing and hands its record back to the host's
+// pool at once. The kernel never reads a canceled event's argument, so the
+// record is free for the next timer while the dead event waits in the queue.
+// Canceling a fired or canceled timer is a no-op.
+func (t Timer) Cancel() {
 	if t.t.Active() {
-		panic(fmt.Sprintf("node: Arm on an armed timer of host %v", h.id))
-	}
-	t.h, t.fn, t.arg = h, fn, arg
-	t.t = h.clock.ScheduleArg(d, fireOwnedFn, t)
-}
-
-// Cancel disarms t. Canceling a fired or canceled timer is a no-op.
-func (t *Timer) Cancel() { t.t.Cancel() }
-
-// Active reports whether t is armed and has neither fired nor been canceled.
-func (t *Timer) Active() bool { return t.t.Active() }
-
-// fireOwnedFn runs an armed Timer, which is its own record.
-var fireOwnedFn sim.ArgHandler = func(a any) {
-	if t := a.(*Timer); !t.h.crashed {
-		t.fn(t.arg)
+		t.t.Cancel()
+		t.rec.h.putTimerRec(t.rec)
 	}
 }
+
+// Active reports whether the timer is pending: armed, and neither fired nor
+// canceled.
+func (t Timer) Active() bool { return t.t.Active() }
 
 // AfterBatched schedules fn like After but coalesces all callbacks landing
 // on the same instant — across every host on the kernel — into one kernel
@@ -288,9 +279,7 @@ var fireOwnedFn sim.ArgHandler = func(a any) {
 // suits the unconditional phase events of the epoch schedule: boundaries and
 // round ends, which every host hits at identical offsets.
 func (h *Host) AfterBatched(d sim.Time, fn func()) {
-	rec := h.takeTimerRec()
-	rec.fn = fn
-	h.clock.AtBatched(h.clock.Now()+d, fireTimerFn, rec)
+	h.clock.AtBatched(h.clock.Now()+d, fireTimerFn, h.takeTimerRec(callFn, fn))
 }
 
 // Now returns the current virtual time.

@@ -169,23 +169,24 @@ func TestAfterFiresWhenAlive(t *testing.T) {
 	}
 }
 
-// TestTimerRearmsInPlace pins the owned timer's lifecycle: it fires once per
-// arming, a canceled arming never fires and may be re-armed at once, arming
-// allocates nothing, arming a pending timer panics, and a crashed host's
-// timer stays silent like After's.
+// TestTimerRearmsInPlace pins the timer handle's lifecycle: the zero value is
+// disarmed, a timer fires once per arming, a canceled arming never fires,
+// canceling twice returns the record once, and a crashed host's timer stays
+// silent.
 func TestTimerRearmsInPlace(t *testing.T) {
 	k, _, hosts := newWorld(t, []geo.Point{{X: 0, Y: 0}})
 	h := hosts[0]
 	var tm Timer
-	fired := 0
-	fn := func(arg any) { fired += *arg.(*int) }
-	one := 1
 	if tm.Active() {
 		t.Fatal("zero Timer reads as armed")
 	}
-	h.Arm(&tm, sim.Time(time.Second), fn, &one)
+	tm.Cancel() // disarmed: a no-op
+	fired := 0
+	fn := func(arg any) { fired += *arg.(*int) }
+	one, ten := 1, 10
+	tm = h.AfterArg(sim.Time(time.Second), fn, &one)
 	tm.Cancel()
-	h.Arm(&tm, sim.Time(time.Second), fn, &one)
+	tm = h.AfterArg(sim.Time(time.Second), fn, &one)
 	if !tm.Active() {
 		t.Fatal("re-armed timer not active")
 	}
@@ -193,29 +194,66 @@ func TestTimerRearmsInPlace(t *testing.T) {
 	if fired != 1 || tm.Active() {
 		t.Fatalf("fired %d times, active %v after the run; want 1, false", fired, tm.Active())
 	}
-	if n := testing.AllocsPerRun(20, func() {
-		h.Arm(&tm, sim.Time(time.Second), fn, &one)
-		tm.Cancel()
-		k.Run()
-		h.Arm(&tm, sim.Time(time.Second), fn, &one)
-		k.Run()
-	}); n != 0 {
-		t.Errorf("arming, canceling and firing allocate %v times, want 0", n)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Arm on a pending timer did not panic")
-			}
-		}()
-		h.Arm(&tm, sim.Time(time.Second), fn, &one)
-		h.Arm(&tm, sim.Time(time.Second), fn, &one)
-	}()
+	tm.Cancel() // fired: a no-op
+
+	// A second Cancel must not return the record again: two later timers
+	// would then share it and one would run the other's callback.
 	fired = 0
+	tm = h.AfterArg(sim.Time(time.Second), fn, &one)
+	tm.Cancel()
+	tm.Cancel()
+	h.AfterArg(sim.Time(time.Second), fn, &one)
+	h.AfterArg(sim.Time(time.Second), fn, &ten)
+	k.Run()
+	if fired != 11 {
+		t.Fatalf("two timers armed after a double Cancel added %d, want 11", fired)
+	}
+
+	fired = 0
+	tm = h.AfterArg(sim.Time(time.Second), fn, &one)
+	h.After(sim.Time(time.Second), func() { fired++ })
 	h.Crash()
 	k.Run()
 	if fired != 0 {
 		t.Error("crashed host's timer fired")
+	}
+	if tm.Active() {
+		t.Error("crash-silenced timer still reads as armed")
+	}
+}
+
+// TestCanceledTimerReturnsItsRecord pins the pool's steady state: once the
+// host's pool has grown to its working size, arming, canceling and re-arming
+// a timer, and arming one that fires, allocate nothing through either After
+// or AfterArg. Each run cancels more timers than a pool block holds, so a
+// canceled timer that dropped its record would show as an allocation.
+func TestCanceledTimerReturnsItsRecord(t *testing.T) {
+	k, _, hosts := newWorld(t, []geo.Point{{X: 0, Y: 0}})
+	h := hosts[0]
+	fired := 0
+	fn := func() { fired++ }
+	afn := func(any) { fired++ }
+	var arg int
+	cycle := func() {
+		for i := 0; i < 40; i++ {
+			h.After(sim.Time(time.Second), fn).Cancel()
+			h.AfterArg(sim.Time(time.Second), afn, &arg).Cancel()
+		}
+		tm := h.After(sim.Time(time.Second), fn)
+		tm.Cancel()
+		h.After(sim.Time(time.Second), fn)
+		ta := h.AfterArg(sim.Time(time.Second), afn, &arg)
+		ta.Cancel()
+		h.AfterArg(sim.Time(time.Second), afn, &arg)
+		k.Run()
+	}
+	cycle() // warm-up: the pools grow to their working size
+	fired = 0
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Errorf("arm/cancel/re-arm and arm/fire cycles allocate %v times, want 0", n)
+	}
+	if fired != 2*21 {
+		t.Errorf("%d timers fired over 21 cycles, want %d", fired, 2*21)
 	}
 }
 

@@ -152,10 +152,8 @@ type hostRuntime struct {
 	rng *rand.Rand
 }
 
-func (r *hostRuntime) Now() sim.Time                                 { return r.k.Now() }
-func (r *hostRuntime) Schedule(d sim.Time, fn sim.Handler) sim.Timer { return r.k.Schedule(d, fn) }
-func (r *hostRuntime) At(at sim.Time, fn sim.Handler) sim.Timer      { return r.k.At(at, fn) }
-func (r *hostRuntime) Rand() *rand.Rand                              { return r.rng }
+func (r *hostRuntime) Now() sim.Time    { return r.k.Now() }
+func (r *hostRuntime) Rand() *rand.Rand { return r.rng }
 func (r *hostRuntime) ScheduleArg(d sim.Time, fn sim.ArgHandler, a any) sim.Timer {
 	return r.k.ScheduleArg(d, fn, a)
 }
@@ -434,7 +432,7 @@ func Build(cfg Config) *Engine {
 		}
 		rt := &hostRuntime{k: e.strips[s].k, rng: e.rngs[i]}
 		h := node.New(rt, ports[s], id, e.pos[i], node.WithTrace(sink))
-		cl := cluster.New(cluster.DefaultConfig())
+		cl := cluster.New(cluster.Config{Timing: cfg.Timing})
 		f := fds.New(fds.DefaultConfig(cfg.Timing), cl)
 		fw := intercluster.New(intercluster.DefaultConfig(cfg.Timing), cl, f)
 		h.Use(cl)

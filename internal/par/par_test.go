@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"clusterfds/internal/cluster"
 	"clusterfds/internal/node"
 	"clusterfds/internal/sim"
 	"clusterfds/internal/wire"
@@ -181,5 +182,17 @@ func TestSendFromLastLanding(t *testing.T) {
 	}
 	if len(st.free) != 2 || st.free[0] == st.free[1] {
 		t.Errorf("free list after the drain is %v, want 2 distinct flights", st.free)
+	}
+}
+
+// TestBuildRunsClusterOnConfiguredTiming pins that Build hands its configured
+// timing to every host's cluster layer, the same one the FDS runs on.
+func TestBuildRunsClusterOnConfiguredTiming(t *testing.T) {
+	timing := cluster.Timing{Thop: 40 * time.Millisecond, Interval: 5 * time.Second}
+	e := Build(Config{Seed: 1, Nodes: 12, FieldSide: 200, Strips: 2, Timing: timing})
+	for i, cl := range e.cls {
+		if got := cl.Timing(); got != timing {
+			t.Fatalf("host %d: cluster timing %+v, want %+v", i+1, got, timing)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"clusterfds/internal/cluster"
 	"clusterfds/internal/sleep"
 	"clusterfds/internal/trace"
 	"clusterfds/internal/wire"
@@ -146,7 +145,7 @@ func TestAggregationIntegration(t *testing.T) {
 // TestSleepIntegration runs duty-cycling on a random field: no false
 // suspicions (announced sleep) and real crashes still disseminate.
 func TestSleepIntegration(t *testing.T) {
-	scfg := sleep.DefaultConfig(cluster.DefaultTiming())
+	scfg := sleep.DefaultConfig()
 	w := Build(Config{Seed: 43, Nodes: 50, FieldSide: 300, Sleep: &scfg})
 	timing := w.Config().Timing
 	victim := w.CrashRandomAt(timing.EpochStart(4)+timing.Interval/2, 1)[0]

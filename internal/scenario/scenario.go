@@ -234,7 +234,7 @@ func (w *World) addHostWithID(id wire.NodeID, pos geo.Point) {
 	h := node.New(w.Kernel, w.Medium, id, pos, node.WithTrace(w.cfg.Trace))
 	switch w.cfg.Stack {
 	case StackClusterFDS:
-		cl := cluster.New(cluster.DefaultConfig())
+		cl := cluster.New(cluster.Config{Timing: w.cfg.Timing})
 		fcfg := fds.DefaultConfig(w.cfg.Timing)
 		fcfg.PeerForwarding = !w.cfg.DisablePeerForwarding
 		fcfg.Metrics = w.metrics
@@ -248,8 +248,7 @@ func (w *World) addHostWithID(id wire.NodeID, pos geo.Point) {
 		h.Use(fw)
 		if w.cfg.AggregateSampler != nil {
 			sampler := w.cfg.AggregateSampler
-			ag := aggregate.New(aggregate.DefaultConfig(w.cfg.Timing), cl, f,
-				func(e wire.Epoch) (float64, bool) { return sampler(id, e) })
+			ag := aggregate.New(cl, f, func(e wire.Epoch) (float64, bool) { return sampler(id, e) })
 			h.Use(ag)
 			w.aggs[id] = ag
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"clusterfds/internal/cluster"
 	"clusterfds/internal/geo"
 	"clusterfds/internal/sim"
 	"clusterfds/internal/wire"
@@ -191,6 +192,19 @@ func TestOperationalTracksCrashes(t *testing.T) {
 	for _, id := range ops {
 		if id == wire.NodeID(4) {
 			t.Error("crashed host listed as operational")
+		}
+	}
+}
+
+// TestBuildRunsClusterOnConfiguredTiming pins that Build hands its configured
+// timing to the cluster layer, not only to the FDS and the forwarder: with any
+// other schedule formation would run out of step with failure detection.
+func TestBuildRunsClusterOnConfiguredTiming(t *testing.T) {
+	timing := cluster.Timing{Thop: 40 * time.Millisecond, Interval: 5 * time.Second}
+	w := Build(Config{Seed: 1, Nodes: 12, FieldSide: 200, Timing: timing})
+	for _, id := range w.NodeIDs() {
+		if got := w.Cluster(id).Timing(); got != timing {
+			t.Fatalf("host %v: cluster timing %+v, want %+v", id, got, timing)
 		}
 	}
 }

@@ -41,16 +41,15 @@ type ArgHandler func(arg any)
 // detect that its event is gone and stay inert instead of touching the new
 // occupant.
 //
-// Exactly one of fn, argFn and run is set. argFn+arg is the closure-free
-// variant: arg is typically a pointer, and storing a pointer in an interface
-// does not allocate, so ScheduleArg events cost zero heap beyond the pooled
+// Exactly one of fn and run is set. fn+arg is every timer's callback: arg is
+// typically a pointer (or a Handler, for Schedule), and storing either in an
+// interface does not allocate, so an event costs zero heap beyond the pooled
 // event. A run's event carries the first seq of the run's block: no other
 // event's seq falls inside the block, so against everything else in the
 // queue any seq of the block orders the same.
 type event struct {
 	seq      uint64
-	fn       Handler
-	argFn    ArgHandler
+	fn       ArgHandler
 	arg      any
 	run      *Run
 	next     *event // free-list link while pooled
@@ -286,10 +285,11 @@ func (k *Kernel) Schedule(delay Time, fn Handler) Timer {
 	if fn == nil {
 		panic("sim: Schedule called with nil handler")
 	}
-	ev := k.schedule(delay)
-	ev.fn = fn
-	return Timer{ev: ev, gen: ev.gen}
+	return k.ScheduleArg(delay, callHandler, fn)
 }
+
+// callHandler runs the Handler a Schedule or At event carries as its argument.
+func callHandler(fn any) { fn.(Handler)() }
 
 // ScheduleArg runs fn(arg) after the given delay. It behaves exactly like
 // Schedule with respect to ordering and cancellation, but lets hot paths
@@ -300,22 +300,15 @@ func (k *Kernel) ScheduleArg(delay Time, fn ArgHandler, arg any) Timer {
 	if fn == nil {
 		panic("sim: ScheduleArg called with nil handler")
 	}
-	ev := k.schedule(delay)
-	ev.argFn = fn
-	ev.arg = arg
-	return Timer{ev: ev, gen: ev.gen}
-}
-
-// schedule allocates, stamps, and enqueues an event with no handler set.
-func (k *Kernel) schedule(delay Time) *event {
 	if delay < 0 {
 		delay = 0
 	}
 	ev := k.alloc()
+	ev.fn, ev.arg = fn, arg
 	ev.seq = k.seq
 	k.seq++
 	k.enqueue(k.now+delay, ev)
-	return ev
+	return Timer{ev: ev, gen: ev.gen}
 }
 
 func (k *Kernel) enqueue(at Time, ev *event) {
@@ -470,7 +463,6 @@ func (k *Kernel) alloc() *event {
 func (k *Kernel) release(ev *event) {
 	ev.gen++
 	ev.fn = nil
-	ev.argFn = nil
 	ev.arg = nil
 	ev.run = nil
 	ev.canceled = false
@@ -564,16 +556,12 @@ func (k *Kernel) step() bool {
 		}
 		k.now = top.at
 		k.steps++
-		fn, argFn, arg := ev.fn, ev.argFn, ev.arg
+		fn, arg := ev.fn, ev.arg
 		// Recycle before running: the handler may immediately schedule a
 		// follow-up, which then reuses this slot instead of allocating.
 		// Outstanding Timer handles are invalidated by the generation bump.
 		k.release(ev)
-		if fn != nil {
-			fn()
-		} else {
-			argFn(arg)
-		}
+		fn(arg)
 		return true
 	}
 	return false

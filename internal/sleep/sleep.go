@@ -32,8 +32,6 @@ import (
 
 // Config parameterizes the duty cycle.
 type Config struct {
-	// Timing must match the co-resident cluster/FDS timing.
-	Timing cluster.Timing
 	// Period is the duty-cycle length in epochs.
 	Period wire.Epoch
 	// NapEpochs is how many consecutive epochs of each period the radio is
@@ -45,13 +43,13 @@ type Config struct {
 }
 
 // DefaultConfig naps one epoch in four, announced.
-func DefaultConfig(t cluster.Timing) Config {
-	return Config{Timing: t, Period: 4, NapEpochs: 1, Announce: true}
+func DefaultConfig() Config {
+	return Config{Period: 4, NapEpochs: 1, Announce: true}
 }
 
 // Valid reports whether the configuration is coherent.
 func (c Config) Valid() bool {
-	return c.Timing.Valid() && c.Period >= 2 && c.NapEpochs >= 1 && c.NapEpochs < c.Period
+	return c.Period >= 2 && c.NapEpochs >= 1 && c.NapEpochs < c.Period
 }
 
 // Protocol is the per-host duty-cycling policy.
@@ -63,7 +61,8 @@ type Protocol struct {
 	naps int
 }
 
-// New returns a sleep policy bound to the co-resident cluster protocol.
+// New returns a sleep policy bound to the co-resident cluster protocol. It
+// runs on that protocol's timing.
 func New(cfg Config, cl *cluster.Protocol) *Protocol {
 	if cl == nil {
 		panic("sleep: nil cluster protocol")
@@ -77,11 +76,11 @@ func New(cfg Config, cl *cluster.Protocol) *Protocol {
 // Start implements node.Protocol.
 func (p *Protocol) Start(h *node.Host) {
 	p.host = h
-	p.scheduleEpoch(p.cfg.Timing.FirstEpochAt(h.Now()))
+	p.scheduleEpoch(p.cluster.Timing().FirstEpochAt(h.Now()))
 }
 
 func (p *Protocol) scheduleEpoch(e wire.Epoch) {
-	at := p.cfg.Timing.EpochStart(e)
+	at := p.cluster.Timing().EpochStart(e)
 	p.host.After(at-p.host.Now(), func() { p.runEpoch(e) })
 }
 
@@ -90,7 +89,7 @@ func (p *Protocol) scheduleEpoch(e wire.Epoch) {
 func (p *Protocol) runEpoch(e wire.Epoch) {
 	p.scheduleEpoch(e + 1)
 	// Decide after the FDS execution settles, before the epoch ends.
-	t := p.cfg.Timing
+	t := p.cluster.Timing()
 	p.host.After(t.R3End()+4*t.Thop, func() { p.maybeNap(e) })
 }
 
@@ -114,6 +113,7 @@ func (p *Protocol) maybeNap(e wire.Epoch) {
 		return // border relays stay awake
 	}
 
+	t := p.cluster.Timing()
 	firstNap := e + 1
 	wakeEpoch := firstNap + p.cfg.NapEpochs
 	if p.cfg.Announce {
@@ -123,7 +123,7 @@ func (p *Protocol) maybeNap(e wire.Epoch) {
 		// independent transmissions drop that risk from p to p².
 		notice := &wire.SleepNotice{NID: p.host.ID(), Epoch: e, Until: wakeEpoch}
 		p.host.Send(notice)
-		resendAt := p.cfg.Timing.EpochStart(firstNap) - p.cfg.Timing.Thop
+		resendAt := t.EpochStart(firstNap) - t.Thop
 		p.host.After(resendAt-p.host.Now(), func() { p.host.Send(notice) })
 	}
 	p.naps++
@@ -131,8 +131,8 @@ func (p *Protocol) maybeNap(e wire.Epoch) {
 	// The radio goes off exactly at the nap's first epoch boundary — the
 	// sleeper still participates in the remainder of the current epoch
 	// (including the notice resend above).
-	napStart := p.cfg.Timing.EpochStart(firstNap)
-	wake := p.cfg.Timing.EpochStart(wakeEpoch)
+	napStart := t.EpochStart(firstNap)
+	wake := t.EpochStart(wakeEpoch)
 	p.host.After(napStart-p.host.Now(), func() { p.host.SleepRadio(wake) })
 }
 

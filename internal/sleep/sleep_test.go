@@ -31,9 +31,9 @@ func buildWorld(t *testing.T, seed int64, announce bool, positions []geo.Point) 
 	w := &world{kernel: k, medium: m, timing: cluster.DefaultTiming(), tracer: tr}
 	for i, pos := range positions {
 		h := node.New(k, m, wire.NodeID(i+1), pos, node.WithTrace(tr))
-		cl := cluster.New(cluster.DefaultConfig())
+		cl := cluster.New(cluster.Config{Timing: w.timing})
 		f := fds.New(fds.DefaultConfig(w.timing), cl)
-		scfg := DefaultConfig(w.timing)
+		scfg := DefaultConfig()
 		scfg.Announce = announce
 		sl := New(scfg, cl)
 		h.Use(cl)
@@ -100,12 +100,12 @@ func TestSleepersSaveEnergy(t *testing.T) {
 		timing := cluster.DefaultTiming()
 		for i, pos := range star(10, 60) {
 			h := node.New(k, m, wire.NodeID(i+1), pos)
-			cl := cluster.New(cluster.DefaultConfig())
+			cl := cluster.New(cluster.Config{Timing: timing})
 			f := fds.New(fds.DefaultConfig(timing), cl)
 			h.Use(cl)
 			h.Use(f)
 			if sleepAtAll {
-				scfg := DefaultConfig(timing)
+				scfg := DefaultConfig()
 				scfg.Announce = announce
 				h.Use(New(scfg, cl))
 			}
@@ -155,8 +155,8 @@ func TestConfigValidation(t *testing.T) {
 	cl := cluster.New(cluster.DefaultConfig())
 	for name, cfg := range map[string]Config{
 		"zero":          {},
-		"nap >= period": {Timing: cluster.DefaultTiming(), Period: 2, NapEpochs: 2},
-		"period 1":      {Timing: cluster.DefaultTiming(), Period: 1, NapEpochs: 1},
+		"nap >= period": {Period: 2, NapEpochs: 2},
+		"period 1":      {Period: 1, NapEpochs: 1},
 	} {
 		func() {
 			defer func() {
@@ -173,6 +173,6 @@ func TestConfigValidation(t *testing.T) {
 				t.Error("nil cluster: want panic")
 			}
 		}()
-		New(DefaultConfig(cluster.DefaultTiming()), nil)
+		New(DefaultConfig(), nil)
 	}()
 }

@@ -58,7 +58,7 @@ func DefaultMeshParams(lossProb float64) MeshParams {
 // equivalent single-cell radio run does. The differential conformance suite
 // (internal/conformance) relies on this to assert trace-for-trace equality.
 type Mesh struct {
-	rt     Runtime
+	k      *sim.Kernel
 	params MeshParams
 	sink   trace.Sink // shared with every port's LinkTransport
 
@@ -80,8 +80,8 @@ func WithMeshTrace(s trace.Sink) MeshOption {
 	return func(m *Mesh) { m.sink = s }
 }
 
-// NewMesh creates a mesh on the given runtime.
-func NewMesh(rt Runtime, params MeshParams, opts ...MeshOption) *Mesh {
+// NewMesh creates a mesh on the given kernel.
+func NewMesh(k *sim.Kernel, params MeshParams, opts ...MeshOption) *Mesh {
 	if params.LossProb < 0 || params.LossProb > 1 {
 		panic(fmt.Sprintf("transport: mesh loss probability %v outside [0,1]", params.LossProb))
 	}
@@ -91,7 +91,7 @@ func NewMesh(rt Runtime, params MeshParams, opts ...MeshOption) *Mesh {
 	if params.MaxDelay < params.MinDelay {
 		panic("transport: mesh MaxDelay < MinDelay")
 	}
-	m := &Mesh{rt: rt, params: params, sink: trace.Nop{}}
+	m := &Mesh{k: k, params: params, sink: trace.Nop{}}
 	for _, opt := range opts {
 		opt(m)
 	}
@@ -113,7 +113,7 @@ func (m *Mesh) Port(id wire.NodeID) *LinkTransport {
 			panic(fmt.Sprintf("transport: duplicate mesh NID %v", id))
 		}
 	}
-	lt := NewLinkTransport(m.rt, m, m.params.Energy, WithLinkTrace(m.sink))
+	lt := NewLinkTransport(m.k, m, m.params.Energy, WithLinkTrace(m.sink))
 	m.ports = append(m.ports, meshPort{id: id, lt: lt})
 	return lt
 }
@@ -127,7 +127,7 @@ func (m *Mesh) Broadcast(from wire.NodeID, payload []byte) error {
 	// The sender's LinkTransport reuses payload for its next Send; every
 	// delivery of this transmission shares one private copy.
 	buf := append([]byte(nil), payload...)
-	rng := m.rt.Rand()
+	rng := m.k.Rand()
 	for i := range m.ports {
 		p := &m.ports[i]
 		if p.id == from {
@@ -136,7 +136,7 @@ func (m *Mesh) Broadcast(from wire.NodeID, payload []byte) error {
 		if rng.Float64() < m.params.LossProb {
 			if m.tracing {
 				m.sink.Emit(trace.Event{
-					At: m.rt.Now(), Type: trace.TypeDrop, Node: uint32(p.id),
+					At: m.k.Now(), Type: trace.TypeDrop, Node: uint32(p.id),
 					Detail: fmt.Sprintf("%s from %v", wire.Kind(buf[0]), from),
 				})
 			}
@@ -156,9 +156,9 @@ func (m *Mesh) Broadcast(from wire.NodeID, payload []byte) error {
 func (m *Mesh) scheduleDelivery(to *LinkTransport, from wire.NodeID, buf []byte) {
 	delay := m.params.MinDelay
 	if span := m.params.MaxDelay - m.params.MinDelay; span > 0 {
-		delay += sim.Time(m.rt.Rand().Int63n(int64(span) + 1))
+		delay += sim.Time(m.k.Rand().Int63n(int64(span) + 1))
 	}
-	m.rt.Schedule(delay, func() {
+	m.k.Schedule(delay, func() {
 		if err := to.Inject(Packet{From: from, Payload: buf}); err != nil {
 			// The mesh never corrupts messages; a rejected datagram is a
 			// codec bug.

@@ -7,8 +7,8 @@
 // comes from, and how bytes move between hosts — enters through the three
 // interfaces declared here:
 //
-//	Clock      schedules callbacks on a virtual timeline (sim.Kernel, or a
-//	           kernel paced against the wall clock by a live driver).
+//	Clock      reads the virtual now (sim.Kernel, or a kernel paced against
+//	           the wall clock by a live driver); Runtime adds scheduling.
 //	Rand       is a seeded randomness source (*rand.Rand satisfies it).
 //	Transport  carries encoded messages between hosts.
 //
@@ -31,19 +31,11 @@ import (
 	"clusterfds/internal/wire"
 )
 
-// Clock is the scheduling surface the protocol core runs on: a readable
-// virtual now plus cancellable one-shot timers. *sim.Kernel implements it.
-// Implementations must run callbacks one at a time (the protocol core is
-// lock-free by construction) and in (time, schedule-order) order.
+// Clock is the virtual now that energy meters and link transports stamp
+// their accounting and trace events with. *sim.Kernel implements it.
 type Clock interface {
 	// Now returns the current virtual time.
 	Now() sim.Time
-	// Schedule runs fn after the given delay and returns a cancellable
-	// handle. Negative delays fire at the current instant.
-	Schedule(delay sim.Time, fn sim.Handler) sim.Timer
-	// At runs fn at the given absolute virtual time, which must not be in
-	// the past.
-	At(at sim.Time, fn sim.Handler) sim.Timer
 }
 
 // Rand is the randomness surface of the protocol core. It is the subset of
@@ -59,10 +51,12 @@ type Rand interface {
 	Shuffle(n int, swap func(i, j int))
 }
 
-// Runtime is what a host binds to: a clock with both scheduling extensions
-// plus the seeded random source the clock's timeline was built with.
-// *sim.Kernel implements it directly, both under the simulator and under a
-// live driver that paces a kernel against the wall clock.
+// Runtime is what a host binds to: a clock, the two ways of scheduling on it,
+// and the seeded random source its timeline was built with. *sim.Kernel
+// implements it directly, both under the simulator and under a live driver
+// that paces a kernel against the wall clock. Implementations must run
+// callbacks one at a time (the protocol core is lock-free by construction)
+// and in (time, schedule-order) order.
 type Runtime interface {
 	Clock
 	ArgClock
@@ -72,11 +66,11 @@ type Runtime interface {
 }
 
 // ArgClock is closure-free scheduling of a long-lived handler with a
-// per-event argument. Hosts use it to run crash-guarded timers through pooled
-// records instead of a fresh closure per timer.
+// per-event argument. Hosts run every cancellable timer through it, each one
+// a pooled record instead of a fresh closure.
 type ArgClock interface {
-	// ScheduleArg runs fn(arg) after the given delay, ordered exactly like
-	// Schedule.
+	// ScheduleArg runs fn(arg) after the given delay and returns a
+	// cancellable handle. Negative delays fire at the current instant.
 	ScheduleArg(delay sim.Time, fn sim.ArgHandler, arg any) sim.Timer
 }
 
@@ -117,7 +111,7 @@ type Receiver interface {
 // node.Host needs from the network layer; *radio.Medium and *LinkTransport
 // implement it.
 //
-// Implementations are driven from Clock callbacks and must not be assumed
+// Implementations are driven from Runtime callbacks and must not be assumed
 // safe for concurrent use; in live mode the driver serializes everything
 // onto one goroutine.
 type Transport interface {

@@ -50,6 +50,10 @@ const (
 	// clusterhead declaration, as a fraction of Thop. Random competition
 	// resolves concurrent conflicting CH declarations (paper footnote 1).
 	declareBackoffFrac = 0.5
+	// staleAfter is how many epochs a foreign clusterhead or border peer
+	// stays "heard" after it was last heard: the view's OtherCHs, the
+	// gateway registration and AppendBorderClusters all read it.
+	staleAfter = 3
 )
 
 // View is an immutable snapshot of a host's cluster state.
@@ -176,12 +180,15 @@ type Protocol struct {
 
 	// viewCache memoizes View() between state mutations. Every co-resident
 	// protocol calls View() on each delivery (intercluster does it per
-	// report), and rebuilding — three fresh sorted slices — was the single
-	// largest allocation site in the epoch hot loop. Each mutator that
-	// changes view-visible state calls invalidateView; the rebuild carves
-	// fresh slices out of the epoch arena so snapshots handed out before a
-	// mutation stay immutable (fds holds its View across a whole epoch).
+	// report), so a mutator calls invalidateView only when it changed
+	// something a snapshot shows. A rebuild carves from the epoch arena only
+	// the parts that differ from the cached snapshot; an equal part keeps the
+	// cached slice, which is legal while that slice was carved in the arena's
+	// current generation (viewGen). Nothing writes to a carved slice, so
+	// snapshots handed out before a mutation stay immutable (fds holds its
+	// View across a whole epoch).
 	viewCache View
+	viewGen   uint64
 	viewValid bool
 
 	// arena backs the View snapshot slices. Snapshots are immutable but
@@ -209,15 +216,19 @@ type Protocol struct {
 
 // epochArena is a two-generation bump allocator for NodeID slices handed out
 // in View snapshots. flip() retires the previous generation and starts a new
-// one; memory allocated two flips ago is reused in place. A slice carved from
-// the arena therefore stays intact for the epoch of its creation plus the
-// next — exactly the lifetime contract of a View snapshot.
+// one, numbered gen; memory allocated two flips ago is reused in place. A
+// slice carved from the arena therefore stays intact for the epoch of its
+// creation plus the next — exactly the lifetime contract of a View snapshot
+// — and a slice carved in generation gen may be handed out again until the
+// next flip.
 type epochArena struct {
 	cur, prev []wire.NodeID
+	gen       uint64
 }
 
 func (a *epochArena) flip() {
 	a.cur, a.prev = a.prev[:0], a.cur
+	a.gen++
 }
 
 // carve appends the accumulated tail [start:] as an immutable slice and
@@ -227,6 +238,17 @@ func (a *epochArena) carve(start int) []wire.NodeID {
 		return nil
 	}
 	return a.cur[start:len(a.cur):len(a.cur)]
+}
+
+// carveChanged is carve, except that when the tail [start:] equals held — a
+// slice carved earlier in the current generation — it rolls the tail back
+// and returns held.
+func (a *epochArena) carveChanged(held []wire.NodeID, start int) []wire.NodeID {
+	if slices.Equal(held, a.cur[start:]) {
+		a.cur = a.cur[:start]
+		return held
+	}
+	return a.carve(start)
 }
 
 // New returns a formation protocol with the given configuration.
@@ -290,15 +312,7 @@ func (p *Protocol) scheduleEpoch(e wire.Epoch) {
 // runEpoch executes one iteration of the (never-terminating, F4) formation
 // algorithm for this host.
 func (p *Protocol) runEpoch(e wire.Epoch) {
-	p.epoch = e
-	p.arena.flip()     // view snapshots older than one epoch are dead; reuse
-	p.invalidateView() // epoch is view-visible, and staleness windows move
-	p.heardUnmarked.Clear()
-	p.heardList = p.heardList[:0]
-	p.heardMarked = false
-	p.heardDeclare = false
-	p.heardAnnounce = false
-	p.pendingDeclare = false
+	p.beginEpoch(e)
 	t := p.cfg.Timing
 
 	// Heartbeat diffusion (feature F5): one heartbeat per host per epoch,
@@ -324,6 +338,26 @@ func (p *Protocol) runEpoch(e wire.Epoch) {
 	p.host.AfterBatched(t.R3End(), p.registerGWFn)
 
 	p.scheduleEpoch(e + 1)
+}
+
+// beginEpoch moves the host's state into epoch e: the arena flips, foreign
+// clusterheads that left the staleAfter window (or became the host's own)
+// leave otherCHs, and the per-epoch formation state resets.
+func (p *Protocol) beginEpoch(e wire.Epoch) {
+	p.epoch = e
+	p.arena.flip()     // view snapshots older than one epoch are dead; reuse
+	p.invalidateView() // epoch is view-visible, and staleness windows move
+	for ch, last := range p.otherCHs {
+		if ch == p.myCH || uint64(p.epoch)-uint64(last) > staleAfter {
+			delete(p.otherCHs, ch)
+		}
+	}
+	p.heardUnmarked.Clear()
+	p.heardList = p.heardList[:0]
+	p.heardMarked = false
+	p.heardDeclare = false
+	p.heardAnnounce = false
+	p.pendingDeclare = false
 }
 
 // maybeDeclare runs the lowest-ID qualifying policy: an unmarked host that
@@ -501,7 +535,7 @@ func (p *Protocol) maybeRegisterGW(e wire.Epoch) {
 	if !p.marked || p.isCH {
 		return
 	}
-	p.gwOthers = p.appendOtherCHs(p.gwOthers[:0], e)
+	p.gwOthers = p.appendOtherCHs(p.gwOthers[:0])
 	if len(p.gwOthers) == 0 {
 		return
 	}
@@ -514,25 +548,32 @@ func (p *Protocol) maybeRegisterGW(e wire.Epoch) {
 	}
 }
 
-// appendOtherCHs appends the foreign CHs heard recently (within the last
-// few epochs), sorted, to dst. The sort covers only the appended tail, so
-// dst may already hold unrelated data.
-func (p *Protocol) appendOtherCHs(dst []wire.NodeID, e wire.Epoch) []wire.NodeID {
-	const staleAfter = 3 // epochs
+// appendOtherCHs appends the foreign CHs heard within the last staleAfter
+// epochs, sorted, to dst. The sort covers only the appended tail, so dst may
+// already hold unrelated data. It only reads otherCHs: beginEpoch purges it.
+func (p *Protocol) appendOtherCHs(dst []wire.NodeID) []wire.NodeID {
 	start := len(dst)
 	for ch, last := range p.otherCHs {
-		if ch == p.myCH {
-			delete(p.otherCHs, ch)
-			continue
+		if ch != p.myCH && uint64(p.epoch)-uint64(last) <= staleAfter {
+			dst = append(dst, ch)
 		}
-		if uint64(e)-uint64(last) > staleAfter {
-			delete(p.otherCHs, ch)
-			continue
-		}
-		dst = append(dst, ch)
 	}
 	slices.Sort(dst[start:])
 	return dst
+}
+
+// hearForeignCH records that the foreign clusterhead ch was heard directly
+// this epoch. Only a CH entering the view's window — new, or back after
+// going stale — changes OtherCHs; refreshing one already in it changes
+// nothing a snapshot shows, so the view stays valid.
+func (p *Protocol) hearForeignCH(ch wire.NodeID) {
+	if last, ok := p.otherCHs[ch]; !ok || uint64(p.epoch)-uint64(last) > staleAfter {
+		p.invalidateView()
+	}
+	p.otherCHs[ch] = p.epoch
+	if p.isCH {
+		p.neighborCHs[ch] = p.epoch
+	}
 }
 
 func (p *Protocol) addGWCandidate(key pairKey, id wire.NodeID) {
@@ -573,17 +614,7 @@ func (p *Protocol) onHealthUpdate(m *wire.HealthUpdate) {
 	if !p.marked || m.From != m.CH || m.CH == p.myCH {
 		return
 	}
-	// Only invalidate the memoized View when the entry actually changes:
-	// each foreign CH refreshes at most once per epoch, so the steady state
-	// (hearing the same CHs every epoch) rebuilds the view once per epoch
-	// instead of once per overheard health update.
-	if last, ok := p.otherCHs[m.CH]; !ok || last != p.epoch {
-		p.otherCHs[m.CH] = p.epoch
-		p.invalidateView()
-	}
-	if p.isCH {
-		p.neighborCHs[m.CH] = p.epoch
-	}
+	p.hearForeignCH(m.CH)
 }
 
 func (p *Protocol) onHeartbeat(m *wire.Heartbeat) {
@@ -630,13 +661,7 @@ func (p *Protocol) onAnnounce(m *wire.ClusterAnnounce) {
 	case p.marked && m.CH != p.myCH:
 		// A foreign clusterhead within earshot: we are a gateway
 		// candidate between the two clusters.
-		if last, ok := p.otherCHs[m.CH]; !ok || last != p.epoch {
-			p.otherCHs[m.CH] = p.epoch
-			p.invalidateView()
-		}
-		if p.isCH {
-			p.neighborCHs[m.CH] = p.epoch
-		}
+		p.hearForeignCH(m.CH)
 	}
 }
 
@@ -725,7 +750,6 @@ func (p *Protocol) BorderClusters() []wire.NodeID {
 // AppendBorderClusters is BorderClusters appending into dst; only the
 // appended tail is sorted.
 func (p *Protocol) AppendBorderClusters(dst []wire.NodeID) []wire.NodeID {
-	const staleAfter = 3
 	start := len(dst)
 	for ch, peers := range p.borderPeers {
 		for id, last := range peers {
@@ -740,7 +764,7 @@ func (p *Protocol) AppendBorderClusters(dst []wire.NodeID) []wire.NodeID {
 		if ch == p.myCH {
 			continue
 		}
-		if _, direct := p.otherCHs[ch]; direct {
+		if last, ok := p.otherCHs[ch]; ok && uint64(p.epoch)-uint64(last) <= staleAfter {
 			continue // a one-hop gateway path exists; prefer it
 		}
 		dst = append(dst, ch)
@@ -759,25 +783,24 @@ func (p *Protocol) IsBorderPeer(ch, id wire.NodeID) bool {
 // --- mutators invoked by the failure detection service --------------------
 
 // NoteFailed removes failed hosts from the cluster composition. The FDS
-// calls it on the CH when it detects failures and on members when they
-// process a health-status update.
+// calls it on the CH when it detects failures and on members with every
+// health-status update, whose failure list is cumulative: most of its IDs
+// left the composition epochs ago, so the view is invalidated only when a
+// member or a deputy is actually removed.
 func (p *Protocol) NoteFailed(ids []wire.NodeID) {
-	if len(ids) > 0 {
-		p.invalidateView()
-	}
 	for _, id := range ids {
-		if p.dropMember(id) && p.isCH {
-			p.memberChanged = true
+		if p.dropMember(id) {
+			if p.isCH {
+				p.memberChanged = true
+			}
+			p.invalidateView()
+		}
+		if p.dropDCH(id) {
+			p.invalidateView()
 		}
 		delete(p.coverage, id)
 		delete(p.epochCoverage, id)
 		delete(p.gwFlag, id)
-		for i, d := range p.dchs {
-			if d == id {
-				p.dchs = append(p.dchs[:i:i], p.dchs[i+1:]...)
-				break
-			}
-		}
 	}
 }
 
@@ -814,12 +837,7 @@ func (p *Protocol) TakeOver() {
 	p.myCH = p.host.ID()
 	p.dropMember(old)
 	p.addMember(p.host.ID())
-	for i, d := range p.dchs {
-		if d == p.host.ID() {
-			p.dchs = append(p.dchs[:i:i], p.dchs[i+1:]...)
-			break
-		}
-	}
+	p.dropDCH(p.host.ID())
 	p.memberChanged = true
 	p.invalidateView()
 	p.host.Trace(trace.TypeTakeover, old.String())
@@ -840,52 +858,57 @@ func (p *Protocol) NoteNewCH(oldCH, newCH wire.NodeID) {
 	p.myCH = newCH
 	p.dropMember(oldCH)
 	p.addMember(newCH)
-	for i, d := range p.dchs {
-		if d == newCH {
-			p.dchs = append(p.dchs[:i:i], p.dchs[i+1:]...)
-			break
-		}
-	}
+	p.dropDCH(newCH)
 	p.invalidateView()
 }
 
 // --- queries ----------------------------------------------------------------
 
 // View returns a snapshot of the host's cluster state. The snapshot is
-// memoized: repeated calls between mutations return the same slices, so
-// callers must treat Members/DCHs/OtherCHs as read-only (every in-repo
-// caller already did — the slices were always meant to be immutable).
+// memoized: repeated calls between mutations return the same slices, and a
+// rebuild within one arena generation shares every slice whose contents did
+// not change, so callers must treat Members/DCHs/OtherCHs as read-only
+// (every in-repo caller already did — the slices were always meant to be
+// immutable).
 func (p *Protocol) View() View {
 	// The epoch guard catches direct epoch manipulation (tests, harnesses)
 	// that bypasses runEpoch: staleness windows move with the epoch, so a
 	// cache built in an earlier epoch can never be served in a later one.
-	if !p.viewValid || p.viewCache.Epoch != p.epoch {
-		v := View{
-			Epoch:  p.epoch,
-			Marked: p.marked,
-			CH:     p.myCH,
-			IsCH:   p.isCH,
-		}
-		if p.marked {
-			start := len(p.arena.cur)
-			p.arena.cur = append(p.arena.cur, p.members...)
-			v.Members = p.arena.carve(start)
-			start = len(p.arena.cur)
-			p.arena.cur = append(p.arena.cur, p.dchs...)
-			v.DCHs = p.arena.carve(start)
-			start = len(p.arena.cur)
-			p.arena.cur = p.appendOtherCHs(p.arena.cur, p.epoch)
-			v.OtherCHs = p.arena.carve(start)
-		}
-		p.viewCache = v
-		p.viewValid = true
+	if p.viewValid && p.viewCache.Epoch == p.epoch {
+		return p.viewCache
 	}
-	return p.viewCache
+	v := View{
+		Epoch:  p.epoch,
+		Marked: p.marked,
+		CH:     p.myCH,
+		IsCH:   p.isCH,
+	}
+	if p.marked {
+		// The cached slices may be shared only while they belong to the
+		// arena's current generation: one carved before the last flip is
+		// recycled at the next, before a snapshot taken now expires.
+		var held View
+		if p.viewGen == p.arena.gen {
+			held = p.viewCache
+		}
+		start := len(p.arena.cur)
+		p.arena.cur = append(p.arena.cur, p.members...)
+		v.Members = p.arena.carveChanged(held.Members, start)
+		start = len(p.arena.cur)
+		p.arena.cur = append(p.arena.cur, p.dchs...)
+		v.DCHs = p.arena.carveChanged(held.DCHs, start)
+		start = len(p.arena.cur)
+		p.arena.cur = p.appendOtherCHs(p.arena.cur)
+		v.OtherCHs = p.arena.carveChanged(held.OtherCHs, start)
+	}
+	p.viewCache, p.viewGen, p.viewValid = v, p.arena.gen, true
+	return v
 }
 
 // invalidateView marks the memoized View stale. Call it after any mutation
-// of epoch, marked, isCH, myCH, members, dchs, or otherCHs. The next View()
-// rebuilds with fresh slices; previously returned snapshots are untouched.
+// of epoch, marked, isCH, myCH, members, dchs, or the set of otherCHs inside
+// the staleAfter window. The next View() rebuilds, carving fresh slices for
+// the parts that changed; previously returned snapshots are untouched.
 func (p *Protocol) invalidateView() { p.viewValid = false }
 
 // NeighborCHs returns the clusterheads of neighboring clusters known to
@@ -982,6 +1005,15 @@ func (p *Protocol) dropMember(id wire.NodeID) bool {
 		p.members = slices.Delete(p.members, i, i+1)
 	}
 	return ok
+}
+
+// dropDCH removes id from the deputy ranking and reports whether it was there.
+func (p *Protocol) dropDCH(id wire.NodeID) bool {
+	i := slices.Index(p.dchs, id)
+	if i >= 0 {
+		p.dchs = slices.Delete(p.dchs, i, i+1)
+	}
+	return i >= 0
 }
 
 // --- test/scenario support ---------------------------------------------------

@@ -16,7 +16,7 @@ func handle(p *Protocol, h *node.Host, m wire.Message) {
 }
 
 // soloHost builds a booted host with only the given protocol attached.
-func soloHost(t *testing.T, id wire.NodeID) (*sim.Kernel, *Protocol, *node.Host) {
+func soloHost(t testing.TB, id wire.NodeID) (*sim.Kernel, *Protocol, *node.Host) {
 	t.Helper()
 	k := sim.New(int64(id))
 	m := radio.New(k, radio.Defaults(0))

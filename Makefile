@@ -66,9 +66,10 @@ benchsmoke:
 ## a receiver that does not read the list; internal/shard: one pop + one push
 ## on the bucket queue with 10^5 deliveries in flight, beside the heap it
 ## replaced; internal/cluster: one warm epoch of View snapshots and no-op
-## mutations) and run as a third invocation; the pooled steady state of the
-## first two, the idle step, the unread digest, the shard queue and the View epoch allocate
-## nothing — the digest's ns/op is also the same at every length — and the
+## mutations; internal/intercluster: one warm epoch of a three-cluster chain
+## flooding one new report) and run as a third invocation; the pooled steady
+## state of the first two, the idle step, the unread digest, the shard queue,
+## the View epoch and the report epoch allocate nothing — the digest's ns/op is also the same at every length — and the
 ## mesh copies a broadcast's payload exactly once (352 B/op, not once per
 ## port), and the gate holds them there. All three invocations feed one
 ## benchcmp run.
@@ -77,8 +78,8 @@ benchcmp:
 		-benchtime 20x -benchmem . && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFDSEpoch10k$$|BenchmarkShardedEpoch$$|BenchmarkFDSEpochParallel' \
 		-benchtime 1x -benchmem . && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkPushPop$$|BenchmarkRunFanout$$|BenchmarkBroadcast$$|BenchmarkChanMeshBroadcast$$|BenchmarkDaemonIdleStep$$|BenchmarkDecodeDigestUnread$$|BenchmarkShardQueue$$|BenchmarkViewEpoch$$' \
-		-benchtime 10000x -benchmem ./internal/sim ./internal/radio ./internal/transport ./internal/daemon ./internal/wire ./internal/shard ./internal/cluster ; } | $(GO) run ./cmd/benchcmp -baseline bench_baseline.json
+	  $(GO) test -run '^$$' -bench 'BenchmarkPushPop$$|BenchmarkRunFanout$$|BenchmarkBroadcast$$|BenchmarkChanMeshBroadcast$$|BenchmarkDaemonIdleStep$$|BenchmarkDecodeDigestUnread$$|BenchmarkShardQueue$$|BenchmarkViewEpoch$$|BenchmarkReportEpoch$$' \
+		-benchtime 10000x -benchmem ./internal/sim ./internal/radio ./internal/transport ./internal/daemon ./internal/wire ./internal/shard ./internal/cluster ./internal/intercluster ; } | $(GO) run ./cmd/benchcmp -baseline bench_baseline.json
 
 ## scale-smoke: the sharded engine's cross-partition determinism gate at a
 ## scale the unit tests don't reach: a 10,000-host crash wave, run with 1

@@ -146,7 +146,8 @@ func TestGracefulShutdownDumpIsDeterministic(t *testing.T) {
 	if a != b {
 		t.Errorf("two identical runs dumped different state:\n--- a ---\n%s--- b ---\n%s", a, b)
 	}
-	for _, want := range []string{"fdsd node n1", "epoch:", "role:", "suspected: []", "bad-datagrams: 0", "queue-drops: 0"} {
+	for _, want := range []string{"fdsd node n1", "epoch:", "role:", "suspected: []",
+		"reports: 0 live, 0 pooled, 0 stale copies ignored", "bad-datagrams: 0", "queue-drops: 0"} {
 		if !strings.Contains(a, want) {
 			t.Errorf("dump missing %q:\n%s", want, a)
 		}
@@ -406,6 +407,11 @@ func TestRunFleetDetectsVanishedPeer(t *testing.T) {
 		}
 		if !strings.Contains(dump, "queue-drops: 0") {
 			t.Errorf("survivor %v dropped datagrams on a paced mesh:\n%s", r.d.ID(), dump)
+		}
+		// The failure's report was heard and, epochs later, has retired: a
+		// long-running daemon keeps no state for old reports.
+		if !strings.Contains(dump, "reports: 0 live, 1 pooled, 0 stale copies ignored") {
+			t.Errorf("survivor %v did not retire the failure's report:\n%s", r.d.ID(), dump)
 		}
 	}
 }

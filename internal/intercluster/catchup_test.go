@@ -182,8 +182,8 @@ func TestReportFromUpdateCanonical(t *testing.T) {
 	// The deep copy happens at state creation: tracked report content must
 	// not alias the (scratch-backed, handler-lifetime) update it derives
 	// from. reportFromUpdate itself stays a cheap view.
-	p := &Protocol{reports: make(map[key]*reportState)}
-	st := p.getState(key{origin: up.From, seq: uint64(up.Epoch)}, reportFromUpdate(up))
+	p := &Protocol{}
+	st := p.getState(reportFromUpdate(up))
 	up.AllFailed[0] = 99
 	up.NewFailed[0] = 99
 	up.Rescinded[0].Node = 99

@@ -24,7 +24,12 @@
 //
 // De-duplication is by (origin CH, sequence); a clusterhead rebroadcasts
 // each report at most once (plus bounded retransmissions), so flooding over
-// the backbone terminates.
+// the backbone terminates. A report's sequence is its epoch, and the next
+// epoch's cumulative update supersedes it ("no news is good news"), so a host
+// keeps a report's state only while the report can still be in flight: at
+// the epoch boundary reportEpochs after the report's epoch, a state no timer
+// holds is recycled, and a copy heard after that is stale and ignored here
+// (fds still merges its failed list).
 //
 // A report either carries news — NewFailed or Rescinded, flooded across the
 // whole backbone as above — or is cumulative-only: the catch-up a clusterhead
@@ -67,29 +72,38 @@ func DefaultConfig(t cluster.Timing) Config {
 	return Config{Timing: t, BGWAssist: true, ImplicitAcks: true}
 }
 
-// key de-duplicates reports network-wide.
-type key struct {
-	origin wire.NodeID
-	seq    uint64
-}
+// reportEpochs is how many epoch boundaries a report's state outlives its
+// epoch. At the boundary of epoch seq+reportEpochs, a state with no armed
+// timer is recycled, and a later copy of the report is stale. One boundary
+// is too few: an orphan takeover is announced on the boundary after its
+// epoch, and its report was still being received 1.2 epochs after its epoch
+// began on a dense field (EXPERIMENTS.md "Report state retires").
+const reportEpochs = 2
 
-// reportState is everything this host knows about one report. Reports live
-// for the rest of the run, and a host sees a few dozen of them with a handful
-// of transmitters and downstream targets each, so every set is a short slice
-// scanned linearly and each state is its own small allocation.
+// reportState is everything this host knows about one report while the
+// report can still be in flight. A host holds a few of them at a time with a
+// handful of transmitters and downstream targets each, so every set is a
+// short slice scanned linearly. A state retires to the host's free list at
+// the epoch boundary reportEpochs after its epoch once armed is zero, with
+// its duties, its sender set and its content's slices kept for the next
+// report.
 type reportState struct {
 	p       *Protocol
 	content wire.FailureReport // canonical content (Sender/TargetCH cleared)
 	// senders records every host overheard transmitting this report;
 	// implicit acknowledgments are lookups in this set.
 	senders []wire.NodeID
-	// rebroadcast marks that this host (as CH) already relayed the report.
-	rebroadcast bool
-	retriesLeft int
 	// engaged tracks gateway duty per downstream clusterhead, as an
 	// intrusive list (duties are only ever searched by target, never
 	// ordered, so list order is irrelevant).
 	engaged *gwDuty
+	// armed counts the pending timers whose callback holds this state: the
+	// CH watch, duty timers and deferred updJobs. A state is recycled only
+	// at zero ("free means gone").
+	armed       int32
+	retriesLeft int32
+	// rebroadcast marks that this host (as CH) already relayed the report.
+	rebroadcast bool
 }
 
 // sender reports whether id has been overheard transmitting this report.
@@ -121,11 +135,34 @@ func (st *reportState) duty(target wire.NodeID) *gwDuty {
 }
 
 // addDuty records a fresh duty toward target at the head of the report's
-// intrusive duty list.
+// intrusive duty list, taking it from the host's free list when it can.
 func (st *reportState) addDuty(target wire.NodeID) *gwDuty {
-	d := &gwDuty{st: st, target: target, next: st.engaged}
+	p := st.p
+	d := p.freeDuties
+	if d != nil {
+		p.freeDuties = d.next
+	} else {
+		d = new(gwDuty)
+	}
+	*d = gwDuty{st: st, target: target, next: st.engaged}
 	st.engaged = d
 	return d
+}
+
+// arm schedules the duty's timer; the timer holds the duty's state.
+func (d *gwDuty) arm(delay sim.Time, kind uint8) {
+	d.kind = kind
+	d.st.armed++
+	d.timer = d.st.p.host.AfterArg(delay, fireDutyFn, d)
+}
+
+// release marks the duty done and cancels its pending timer.
+func (d *gwDuty) release() {
+	d.done = true
+	if d.timer.Active() {
+		d.timer.Cancel()
+		d.st.armed--
+	}
 }
 
 // gwDuty kinds: what fireDutyFn does when the duty's timer fires.
@@ -139,15 +176,16 @@ const (
 // gwDuty is a gateway candidate's forwarding state toward one target CH. It
 // carries everything its timer callback needs, so arming a duty schedules the
 // shared fireDutyFn with the duty itself as argument — no per-arming closure.
+// A duty lives and retires with its report's state.
 type gwDuty struct {
 	st        *reportState
-	next      *gwDuty // intrusive link in the report's engaged list
+	next      *gwDuty // intrusive link in the report's engaged list, or the host's free list
 	target    wire.NodeID
-	n         int // candidate count for the re-forward wait
+	n         int32 // candidate count for the re-forward wait
 	kind      uint8
-	forwarded int
-	timer     node.Timer
+	forwarded uint8
 	done      bool
+	timer     node.Timer
 }
 
 // fireDutyFn is the one timer callback behind every gateway duty. A plain
@@ -158,6 +196,7 @@ func fireDutyFn(a any) {
 	d := a.(*gwDuty)
 	st := d.st
 	p := st.p
+	st.armed--
 	switch d.kind {
 	case dutyBGW:
 		if d.done || st.sender(d.target) {
@@ -194,6 +233,7 @@ func fireDutyFn(a any) {
 // chWatchFn is the shared implicit-ack-watch callback (armCHWatch).
 func chWatchFn(a any) {
 	st := a.(*reportState)
+	st.armed--
 	st.p.checkCHWatch(st)
 }
 
@@ -204,8 +244,15 @@ type Protocol struct {
 	cluster *cluster.Protocol
 	fds     *fds.Protocol
 
-	reports map[key]*reportState
-	epoch   wire.Epoch
+	// live holds the reports whose state is kept, in the order first heard;
+	// freeStates and freeDuties are the retired ones, kept for reuse.
+	live       []*reportState
+	freeStates []*reportState
+	freeDuties *gwDuty
+	epoch      wire.Epoch
+	// seen counts distinct reports taken into state, stale the copies ignored
+	// because their report had retired (or was first heard that late).
+	seen, stale int
 
 	// knownNeighbors tracks, on a clusterhead, which adjacent clusters
 	// have been seen before: a NEW adjacency (clusters forming or
@@ -223,6 +270,7 @@ type Protocol struct {
 	candScratch       []wire.NodeID
 	bridgedScratch    []wire.NodeID
 	borderScratch     []wire.NodeID
+	failedScratch     []wire.NodeID
 	oneTarget         [1]wire.NodeID
 }
 
@@ -235,12 +283,7 @@ func New(cfg Config, cl *cluster.Protocol, f *fds.Protocol) *Protocol {
 	if cfg.Timing != cl.Timing() {
 		panic("intercluster: timing differs from the cluster protocol's")
 	}
-	return &Protocol{
-		cfg:     cfg,
-		cluster: cl,
-		fds:     f,
-		reports: make(map[key]*reportState),
-	}
+	return &Protocol{cfg: cfg, cluster: cl, fds: f}
 }
 
 // Start implements node.Protocol.
@@ -256,11 +299,13 @@ func (p *Protocol) scheduleEpoch(e wire.Epoch) {
 	p.host.AfterBatched(at-p.host.Now(), p.epochFn)
 }
 
-// runEpoch arms the per-epoch origination check: shortly after the end of
-// fds.R-3 (leaving room for the deputy-takeover cascade), a clusterhead
-// whose own update announced new failures seeds the backbone flood.
+// runEpoch retires the reports that have aged out and arms the per-epoch
+// origination check: shortly after the end of fds.R-3 (leaving room for the
+// deputy-takeover cascade), a clusterhead whose own update announced new
+// failures seeds the backbone flood.
 func (p *Protocol) runEpoch(e wire.Epoch) {
 	p.epoch = e
+	p.retire()
 	p.scheduleEpoch(e + 1)
 	t := p.cfg.Timing
 	p.host.AfterBatched(t.R3End()+t.Thop/4, p.originFn)
@@ -285,7 +330,7 @@ func (p *Protocol) maybeOriginate(e wire.Epoch) {
 
 	if up, ok := p.fds.CurrentUpdate(); ok && up.Epoch == e &&
 		(len(up.NewFailed) > 0 || len(up.Rescinded) > 0) {
-		p.relay(p.getState(key{origin: up.From, seq: uint64(up.Epoch)}, reportFromUpdate(&up)))
+		p.relay(p.getState(reportFromUpdate(&up)))
 		return
 	}
 
@@ -293,15 +338,18 @@ func (p *Protocol) maybeOriginate(e wire.Epoch) {
 	// freshly (re)formed neighbor is not left waiting for the next
 	// failure to learn old news. The report is cumulative-only, which
 	// relay and onReport read as "one adjacency, then stop".
-	failed := p.fds.KnownFailed()
-	if !newNeighbor || len(failed) == 0 {
+	if !newNeighbor {
 		return
 	}
-	st := p.getState(key{origin: p.host.ID(), seq: uint64(e)}, wire.FailureReport{
+	p.failedScratch = p.fds.View().AppendFailed(p.failedScratch[:0])
+	if len(p.failedScratch) == 0 {
+		return
+	}
+	st := p.getState(wire.FailureReport{
 		OriginCH:  p.host.ID(),
 		Seq:       uint64(e),
 		Epoch:     e,
-		AllFailed: failed,
+		AllFailed: p.failedScratch,
 	})
 	if st.rebroadcast {
 		return
@@ -326,23 +374,87 @@ func reportFromUpdate(up *wire.HealthUpdate) wire.FailureReport {
 	}
 }
 
-// getState returns the tracked state for report key k, creating it from
-// content on first sight. Creation deep-copies content's slices: content
-// usually derives from a delivered message (or a health update aliasing the
-// FDS's reusable buffer), whose slices are only valid during the current
-// handler, while reportState lives for many epochs of retransmission.
-func (p *Protocol) getState(k key, content wire.FailureReport) *reportState {
-	st, ok := p.reports[k]
-	if !ok {
-		content.Sender = wire.NoNode
-		content.TargetCH = wire.NoNode
-		content.NewFailed = slices.Clone(content.NewFailed)
-		content.AllFailed = slices.Clone(content.AllFailed)
-		content.Rescinded = slices.Clone(content.Rescinded)
-		st = &reportState{p: p, content: content}
-		p.reports[k] = st
+// expired reports whether a report of sequence seq is past its state's
+// lifetime at the current epoch: seq+reportEpochs <= epoch, without the
+// overflow a hostile seq could cause.
+func (p *Protocol) expired(seq uint64) bool {
+	e := uint64(p.epoch)
+	return e >= reportEpochs && seq <= e-reportEpochs
+}
+
+// state returns the live state of report (origin, seq), or nil.
+func (p *Protocol) state(origin wire.NodeID, seq uint64) *reportState {
+	for _, st := range p.live {
+		if st.content.Seq == seq && st.content.OriginCH == origin {
+			return st
+		}
 	}
+	return nil
+}
+
+// getState returns the live state for the report content identifies,
+// creating it from content on first sight. It returns nil for a stale copy:
+// one of a report that has no live state and has expired, which the
+// forwarder ignores. Creation copies content's slices into the state's own:
+// content usually derives from a delivered message (or a health update
+// aliasing the FDS's reusable buffer), whose slices are only valid during
+// the current handler, while reportState lives for epochs of retransmission.
+// A recycled state's slices are reused; a nil list stays nil.
+func (p *Protocol) getState(content wire.FailureReport) *reportState {
+	if st := p.state(content.OriginCH, content.Seq); st != nil {
+		return st
+	}
+	if p.expired(content.Seq) {
+		p.stale++
+		return nil
+	}
+	var st *reportState
+	if n := len(p.freeStates); n > 0 {
+		st = p.freeStates[n-1]
+		p.freeStates[n-1] = nil
+		p.freeStates = p.freeStates[:n-1]
+	} else {
+		st = &reportState{p: p}
+	}
+	content.Sender = wire.NoNode
+	content.TargetCH = wire.NoNode
+	content.NewFailed = reuse(st.content.NewFailed, content.NewFailed)
+	content.AllFailed = reuse(st.content.AllFailed, content.AllFailed)
+	content.Rescinded = reuse(st.content.Rescinded, content.Rescinded)
+	st.content = content
+	p.live = append(p.live, st)
+	p.seen++
 	return st
+}
+
+// reuse copies src into dst's storage; a nil src stays nil.
+func reuse[T any](dst, src []T) []T {
+	if src == nil {
+		return nil
+	}
+	return append(dst[:0], src...)
+}
+
+// retire moves every expired state that no timer holds to the free list,
+// its duties to the duty free list, and keeps the rest in order.
+func (p *Protocol) retire() {
+	kept := p.live[:0]
+	for _, st := range p.live {
+		if st.armed > 0 || !p.expired(st.content.Seq) {
+			kept = append(kept, st)
+			continue
+		}
+		for d := st.engaged; d != nil; {
+			next := d.next
+			*d = gwDuty{next: p.freeDuties}
+			p.freeDuties = d
+			d = next
+		}
+		*st = reportState{p: p, content: st.content, senders: st.senders[:0]}
+		p.freeStates = append(p.freeStates, st)
+	}
+	clear(p.live[len(kept):])
+	p.live = kept
 }
 
 // note traces one backbone step of a report in the lineage grammar
@@ -410,6 +522,7 @@ func (p *Protocol) armCHWatch(st *reportState) {
 	if !p.cfg.ImplicitAcks {
 		return
 	}
+	st.armed++
 	p.host.AfterArg(2*p.cfg.Timing.Thop, chWatchFn, st)
 }
 
@@ -492,8 +605,7 @@ func (p *Protocol) engageTwoHop(st *reportState, target wire.NodeID) {
 	}
 	// NID-keyed jitter desynchronizes concurrent border forwarders.
 	jitter := sim.Time(uint64(p.host.ID()) * uint64(p.cfg.Timing.Thop) / 7 % uint64(p.cfg.Timing.Thop))
-	duty.kind = dutyTwoHop
-	duty.timer = p.host.AfterArg(2*p.cfg.Timing.Thop+jitter, fireDutyFn, duty)
+	duty.arm(2*p.cfg.Timing.Thop+jitter, dutyTwoHop)
 }
 
 // targetHasReport reports whether the target clusterhead, or any overheard
@@ -532,8 +644,7 @@ func (p *Protocol) maybeRelayInward(st *reportState, from wire.NodeID) {
 	// Spread relays over two round times so earlier relayers' (or the own
 	// CH's) transmissions suppress the rest.
 	jitter := sim.Time(uint64(p.host.ID()) * uint64(p.cfg.Timing.Thop) / 5 % uint64(2*p.cfg.Timing.Thop))
-	duty.kind = dutyInward
-	duty.timer = p.host.AfterArg(jitter, fireDutyFn, duty)
+	duty.arm(jitter, dutyInward)
 }
 
 // clusterHasReport reports whether this host's own CH or any fellow member
@@ -590,7 +701,7 @@ func (p *Protocol) engageTarget(st *reportState, viaCH, target wire.NodeID) {
 		return
 	}
 	hop := 2 * p.cfg.Timing.Thop
-	duty.n = n
+	duty.n = int32(n)
 	switch {
 	case rank == 1:
 		// Primary gateway: forward immediately, then watch for the
@@ -599,8 +710,7 @@ func (p *Protocol) engageTarget(st *reportState, viaCH, target wire.NodeID) {
 	case p.cfg.BGWAssist:
 		// Backup gateway (paper rank k-1): arm the staggered standby
 		// timer; only act if nobody got the report through first.
-		duty.kind = dutyBGW
-		duty.timer = p.host.AfterArg(sim.Time(rank-1)*hop, fireDutyFn, duty)
+		duty.arm(sim.Time(rank-1)*hop, dutyBGW)
 	}
 }
 
@@ -613,8 +723,7 @@ func (p *Protocol) forwardNow(duty *gwDuty, t trace.EventType, cause string) {
 		duty.done = true
 		return
 	}
-	duty.kind = dutyRefwd
-	duty.timer = p.host.AfterArg(sim.Time(duty.n+1)*2*p.cfg.Timing.Thop, fireDutyFn, duty)
+	duty.arm(sim.Time(duty.n+1)*2*p.cfg.Timing.Thop, dutyRefwd)
 }
 
 // --- message handling ---------------------------------------------------------
@@ -633,12 +742,14 @@ func (p *Protocol) Handle(h *node.Host, m wire.Message, from wire.NodeID) {
 // (an implicit ack), possibly a relay trigger (on a CH), and possibly a
 // gateway-duty trigger (when the transmitter is a CH this host bridges).
 func (p *Protocol) onReport(m *wire.FailureReport) {
-	st := p.getState(key{origin: m.OriginCH, seq: m.Seq}, *m)
+	st := p.getState(*m)
+	if st == nil {
+		return // stale: the report has retired
+	}
 	st.addSender(m.Sender)
 	// Release any duty toward a CH that evidently has the report.
 	if duty := st.duty(m.Sender); duty != nil {
-		duty.done = true
-		duty.timer.Cancel()
+		duty.release()
 	}
 
 	// A cumulative-only report rebroadcast by a clusterhead other than its
@@ -679,7 +790,10 @@ func (p *Protocol) onUpdate(m *wire.HealthUpdate) {
 	if len(m.NewFailed) == 0 && len(m.Rescinded) == 0 {
 		return
 	}
-	st := p.getState(key{origin: m.From, seq: uint64(m.Epoch)}, reportFromUpdate(m))
+	st := p.getState(reportFromUpdate(m))
+	if st == nil {
+		return // stale: the report has retired
+	}
 	st.addSender(m.From)
 	v := p.cluster.View()
 	if v.IsCH {
@@ -694,6 +808,7 @@ func (p *Protocol) onUpdate(m *wire.HealthUpdate) {
 	// the paper; the update may arrive during R-3, so delay until then.
 	tEnd := p.cfg.Timing.EpochStart(m.Epoch) + p.cfg.Timing.R3End() + p.cfg.Timing.Thop/8
 	delay := tEnd - p.host.Now()
+	st.armed++
 	p.host.AfterArg(delay, fireUpdJobFn, &updJob{st: st, via: m.From, takeover: m.Takeover, oldCH: m.CH})
 }
 
@@ -710,6 +825,7 @@ func fireUpdJobFn(a any) {
 	j := a.(*updJob)
 	st := j.st
 	p := st.p
+	st.armed--
 	if j.takeover {
 		// Candidate pairs are still keyed by the failed CH until gateways
 		// re-register; rank lookups must use the old CH while the targets
@@ -733,12 +849,23 @@ func fireUpdJobFn(a any) {
 
 // --- queries -------------------------------------------------------------------
 
-// Seen reports whether this host has processed (or overheard) the report
-// identified by origin and seq.
+// Seen reports whether this host holds the report identified by origin and
+// seq, or would ignore a copy of it as stale: a report whose state has
+// retired counts as seen.
 func (p *Protocol) Seen(origin wire.NodeID, seq uint64) bool {
-	_, ok := p.reports[key{origin: origin, seq: seq}]
-	return ok
+	return p.state(origin, seq) != nil || p.expired(seq)
 }
 
-// ReportCount returns how many distinct reports this host has seen.
-func (p *Protocol) ReportCount() int { return len(p.reports) }
+// ReportCount returns how many distinct reports this host has taken into
+// state.
+func (p *Protocol) ReportCount() int { return p.seen }
+
+// LiveReports returns how many report states this host holds now.
+func (p *Protocol) LiveReports() int { return len(p.live) }
+
+// PooledReports returns how many retired report states wait for reuse.
+func (p *Protocol) PooledReports() int { return len(p.freeStates) }
+
+// StaleCopies returns how many report copies this host ignored because the
+// report had expired with no state held for it.
+func (p *Protocol) StaleCopies() int { return p.stale }

@@ -1,6 +1,7 @@
 package intercluster
 
 import (
+	"slices"
 	"testing"
 
 	"clusterfds/internal/cluster"
@@ -27,16 +28,24 @@ type world struct {
 
 func buildWorld(t *testing.T, seed int64, lossProb float64, cfg func(cluster.Timing) Config, positions []geo.Point) *world {
 	t.Helper()
+	tr := trace.NewMemory(trace.TypeReportForward, trace.TypeReportDeliver,
+		trace.TypeRetransmit, trace.TypeBGWAssist, trace.TypeDetect)
+	w := buildWorldTo(tr, seed, lossProb, cfg, positions)
+	w.tracer = tr
+	return w
+}
+
+// buildWorldTo builds the world with every host tracing to sink; trace.Nop
+// turns tracing off, as a benchmark wants.
+func buildWorldTo(sink trace.Sink, seed int64, lossProb float64, cfg func(cluster.Timing) Config, positions []geo.Point) *world {
 	if cfg == nil {
 		cfg = DefaultConfig
 	}
 	k := sim.New(seed)
-	tr := trace.NewMemory(trace.TypeReportForward, trace.TypeReportDeliver,
-		trace.TypeRetransmit, trace.TypeBGWAssist, trace.TypeDetect)
 	m := radio.New(k, radio.Defaults(lossProb))
-	w := &world{kernel: k, medium: m, timing: cluster.DefaultTiming(), tracer: tr}
+	w := &world{kernel: k, medium: m, timing: cluster.DefaultTiming()}
 	for i, pos := range positions {
-		h := node.New(k, m, wire.NodeID(i+1), pos, node.WithTrace(tr))
+		h := node.New(k, m, wire.NodeID(i+1), pos, node.WithTrace(sink))
 		cl := cluster.New(cluster.Config{Timing: w.timing})
 		f := fds.New(fds.DefaultConfig(w.timing), cl)
 		fw := New(cfg(w.timing), cl, f)
@@ -239,13 +248,112 @@ func TestCHFailureReportedAcrossClusters(t *testing.T) {
 func TestSeenAndReportCount(t *testing.T) {
 	w := buildWorld(t, 10, 0, nil, threeClusterChain())
 	w.crashAtEpoch(7, 2)
-	w.runUntilEpoch(6)
+	w.runUntilEpoch(4)
 	fw := w.fwds[1] // CH B's forwarder
-	if fw.ReportCount() == 0 {
-		t.Error("CH B saw no reports")
+	if fw.ReportCount() == 0 || fw.LiveReports() == 0 {
+		t.Errorf("CH B saw %d reports, holds %d; want both > 0", fw.ReportCount(), fw.LiveReports())
 	}
 	if !fw.Seen(1, 3) {
 		t.Errorf("CH B should have seen the report from origin n1 seq 3")
+	}
+	if fw.Seen(1, 4) {
+		t.Errorf("CH B claims a report n1 never sent")
+	}
+	// Retired, the report still counts as seen and counted.
+	n := fw.ReportCount()
+	w.runUntilEpoch(6)
+	if fw.LiveReports() != 0 || !fw.Seen(1, 3) || fw.ReportCount() != n {
+		t.Errorf("after retirement: %d live, Seen(n1, 3) = %v, count %d; want 0, true, %d",
+			fw.LiveReports(), fw.Seen(1, 3), fw.ReportCount(), n)
+	}
+}
+
+// TestReportStateRetires walks one report through its lifetime on the
+// chain: held while it can be in flight, pooled reportEpochs boundaries
+// after its epoch once no timer holds it, reused by the next report, and
+// ignored (by the forwarder, not by fds) when a copy turns up late.
+func TestReportStateRetires(t *testing.T) {
+	w := buildWorld(t, 11, 0, nil, threeClusterChain())
+	w.crashAtEpoch(7, 2) // n8 fails; n1's epoch-3 update reports it
+	tm := w.timing
+	w.kernel.RunUntil(tm.EpochStart(4) + tm.Thop)
+	chB, gw := w.fwds[1], w.fwds[5] // CH B, and gateway n6 between A and B
+	stB, stGW := chB.state(1, 3), gw.state(1, 3)
+	if stB == nil || stGW == nil {
+		t.Fatal("report (n1, 3) not held at CH B and gateway n6 during epoch 4")
+	}
+	// (b) A backup-gateway duty still armed when the report ages out holds
+	// the state until it fires: n6 stands by toward n1 until mid-epoch aged.
+	aged := wire.Epoch(3 + reportEpochs)
+	duty := stGW.addDuty(1)
+	duty.arm(tm.EpochStart(aged)+tm.Interval/2-w.kernel.Now(), dutyBGW)
+
+	// (a) At the boundary of epoch aged, an idle state is pooled.
+	w.kernel.RunUntil(tm.EpochStart(aged) + tm.Thop)
+	if chB.state(1, 3) != nil || !slices.Contains(chB.freeStates, stB) {
+		t.Fatalf("CH B: report (n1, 3) not pooled at epoch %d: %d live, %d pooled",
+			aged, chB.LiveReports(), chB.PooledReports())
+	}
+	if gw.state(1, 3) != stGW || slices.Contains(gw.freeStates, stGW) {
+		t.Fatal("gateway n6: state pooled while its backup-gateway timer is armed")
+	}
+	w.kernel.RunUntil(tm.EpochStart(aged+1) - 1)
+	if !duty.done || duty.timer.Active() || gw.state(1, 3) != stGW {
+		t.Fatal("gateway n6: the standby timer did not fire, or its state left before the next boundary")
+	}
+	w.kernel.RunUntil(tm.EpochStart(aged+1) + tm.Thop)
+	if gw.state(1, 3) != nil || !slices.Contains(gw.freeStates, stGW) {
+		t.Fatal("gateway n6: state not pooled at the boundary after its timer fired")
+	}
+
+	// (c) A late copy of the retired report: no relay, no duty, no
+	// transmission from anyone, but fds still merges its failed list.
+	sent := w.medium.Sent(wire.KindFailureReport)
+	forwards := w.tracer.Count(trace.TypeReportForward)
+	stale := gw.StaleCopies()
+	w.hosts[1].Send(&wire.FailureReport{
+		OriginCH: 1, Seq: 3, Epoch: 3, Sender: 2, TargetCH: wire.NoNode,
+		NewFailed: []wire.NodeID{8}, AllFailed: []wire.NodeID{8, 99},
+	})
+	w.kernel.RunUntil(w.kernel.Now() + 20*tm.Thop)
+	if got := w.medium.Sent(wire.KindFailureReport); got != sent+1 {
+		t.Errorf("late copy caused %d more report transmissions", got-sent-1)
+	}
+	if got := w.tracer.Count(trace.TypeReportForward); got != forwards {
+		t.Errorf("late copy caused %d forwarding steps", got-forwards)
+	}
+	if gw.StaleCopies() != stale+1 || gw.state(1, 3) != nil {
+		t.Errorf("gateway n6: stale copies %d -> %d, state %v; want one more, none",
+			stale, gw.StaleCopies(), gw.state(1, 3))
+	}
+	for _, i := range []int{5, 6, 9, 10} { // n6, n7, n10, n11 hear CH B
+		if !w.fdss[i].IsSuspected(99) {
+			t.Errorf("n%d: fds did not merge the late copy's failed list", i+1)
+		}
+		// (d) The retired report still counts as seen.
+		if !w.fwds[i].Seen(1, 3) {
+			t.Errorf("n%d: retired report (n1, 3) not Seen", i+1)
+		}
+	}
+
+	// (a, continued) The next report reuses the pooled state at CH B.
+	held := chB.LiveReports() + chB.PooledReports()
+	w.crashAtEpoch(8, aged+1) // n9 fails; n1's next update reports it
+	w.kernel.RunUntil(tm.EpochStart(aged + 3))
+	if st := chB.state(1, uint64(aged+2)); st != stB {
+		t.Errorf("CH B: report (n1, %d) in %p, want the pooled state %p", aged+2, st, stB)
+	}
+	if got := chB.LiveReports() + chB.PooledReports(); got != held {
+		t.Errorf("CH B allocated %d report states for the next report, want 0", got-held)
+	}
+
+	// Every armed count returns to zero: once the last report ages out, no
+	// surviving host holds a state.
+	w.runUntilEpoch(aged + 2 + reportEpochs + 1)
+	for i, fw := range w.fwds {
+		if !w.hosts[i].Crashed() && fw.LiveReports() != 0 {
+			t.Errorf("n%d holds %d report states after every report aged out", i+1, fw.LiveReports())
+		}
 	}
 }
 
@@ -276,4 +384,41 @@ func halfInterval() cluster.Timing {
 	t := cluster.DefaultTiming()
 	t.Interval /= 2
 	return t
+}
+
+// BenchmarkReportEpoch is one warm epoch of the chain flooding one new
+// report: after fds.R-3, CH A transmits a report of the epoch (a new
+// sequence naming the already failed n8), gateway n6 forwards it, CH B
+// relays it, n7 forwards it and CH C relays it, with every implicit-ack
+// watch that goes with that. Report states, duties, sender sets and content
+// come from the forwarders' free lists, so the epoch is pinned at 0
+// allocs/op.
+func BenchmarkReportEpoch(b *testing.B) {
+	w := buildWorldTo(trace.Nop{}, 1, 0, nil, threeClusterChain())
+	w.crashAtEpoch(7, 2)
+	tm := w.timing
+	failed := []wire.NodeID{8}
+	msg := &wire.FailureReport{OriginCH: 1, Sender: 1, TargetCH: wire.NoNode, NewFailed: failed, AllFailed: failed}
+	e := wire.Epoch(4)
+	flood := func() {
+		w.kernel.RunUntil(tm.EpochStart(e) + tm.R3End() + tm.Thop/2)
+		msg.Seq, msg.Epoch = uint64(e), e
+		w.hosts[0].Send(msg)
+		e++
+		w.runUntilEpoch(e)
+	}
+	for i := 0; i < 4+reportEpochs; i++ {
+		flood()
+	}
+	sent := w.medium.Sent(wire.KindFailureReport)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		flood()
+	}
+	b.StopTimer()
+	if !w.fwds[2].Seen(1, uint64(e-1)) {
+		b.Fatal("the last report did not reach CH C")
+	}
+	b.ReportMetric(float64(w.medium.Sent(wire.KindFailureReport)-sent)/float64(b.N), "reports-tx/op")
 }

@@ -165,6 +165,7 @@ type World struct {
 	dets    map[wire.NodeID]baseline.Detector
 	cls     map[wire.NodeID]*cluster.Protocol
 	fdss    map[wire.NodeID]*fds.Protocol
+	fwds    map[wire.NodeID]*intercluster.Protocol
 	aggs    map[wire.NodeID]*aggregate.Protocol
 	nextNID wire.NodeID
 
@@ -206,6 +207,7 @@ func Build(cfg Config) *World {
 		dets:           make(map[wire.NodeID]baseline.Detector),
 		cls:            make(map[wire.NodeID]*cluster.Protocol),
 		fdss:           make(map[wire.NodeID]*fds.Protocol),
+		fwds:           make(map[wire.NodeID]*intercluster.Protocol),
 		aggs:           make(map[wire.NodeID]*aggregate.Protocol),
 		nextNID:        1,
 		crashSched:     make(map[wire.NodeID]bool),
@@ -257,6 +259,7 @@ func (w *World) addHostWithID(id wire.NodeID, pos geo.Point) {
 		}
 		w.cls[id] = cl
 		w.fdss[id] = f
+		w.fwds[id] = fw
 		w.dets[id] = f
 	case StackGossip, StackFlood, StackSWIM, StackQueryResponse, StackAllPairs:
 		// All flat detectors come from the baseline registry, configured
@@ -560,6 +563,10 @@ func (w *World) Detector(id wire.NodeID) baseline.Detector { return w.dets[id] }
 
 // FDS returns the cluster-based FDS on the given host (nil for baselines).
 func (w *World) FDS(id wire.NodeID) *fds.Protocol { return w.fdss[id] }
+
+// Forwarder returns the inter-cluster forwarder of a host (nil for flat
+// stacks).
+func (w *World) Forwarder(id wire.NodeID) *intercluster.Protocol { return w.fwds[id] }
 
 // Cluster returns the cluster protocol on the given host (nil for
 // baselines).

@@ -250,10 +250,9 @@ func TestDCHReachEvaluate(t *testing.T) {
 }
 
 func TestDCHReachSweep(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
 	c := DCHReach{R: 100, N: 50, P: 0.1}
 	ds := []float64{0, 25, 50, 75, 100}
-	rs := c.Sweep(rng, ds, 120)
+	rs := c.SweepParallel(5, ds, 120, 1)
 	if len(rs) != len(ds) {
 		t.Fatalf("sweep length %d", len(rs))
 	}

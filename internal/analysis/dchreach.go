@@ -116,25 +116,12 @@ func (c DCHReach) tripleIntersection(rng *rand.Rand, a, b, v geo.Point, samples 
 	return geo.DiskArea(c.R) * float64(hits) / float64(samples)
 }
 
-// Sweep evaluates reachability over a range of CH–DCH distances, serially,
-// sharing the caller's random stream. Kept for compatibility; SweepParallel
-// is the engine-backed form with per-distance random streams.
-func (c DCHReach) Sweep(rng *rand.Rand, ds []float64, samples int) []Result {
-	out := make([]Result, len(ds))
-	for i, d := range ds {
-		out[i] = c.Evaluate(rng, d, samples)
-	}
-	return out
-}
-
 // SweepParallel evaluates the distances concurrently on the replication
 // engine. Each distance gets a private random stream derived from (seed,
 // index), so the result is a pure function of the arguments: identical for
 // every worker count (0 = GOMAXPROCS) and across runs.
 func (c DCHReach) SweepParallel(seed int64, ds []float64, samples, workers int) []Result {
-	out, _ := replicate.Map(replicate.Opts{Workers: workers}, ds, seed,
-		func(i int, d float64, rng *rand.Rand) Result {
-			return c.Evaluate(rng, d, samples)
-		})
-	return out
+	return replicate.Map(workers, ds, seed, func(_ int, d float64, rng *rand.Rand) Result {
+		return c.Evaluate(rng, d, samples)
+	})
 }

@@ -40,8 +40,6 @@ type Config struct {
 	// descriptive only: the link's own address list decides who hears a
 	// broadcast, and nothing in the stack queries the roster.
 	Peers []wire.NodeID
-	// Energy is the energy model. Zero means DefaultEnergy.
-	Energy transport.EnergyParams
 	// Trace receives host and transport events (nil for none).
 	Trace trace.Sink
 	// BootAt delays Boot to the given virtual time (0 boots immediately),
@@ -73,9 +71,6 @@ func New(cfg Config, link transport.Link) *Daemon {
 	if cfg.Timing == (cluster.Timing{}) {
 		cfg.Timing = cluster.DefaultTiming()
 	}
-	if cfg.Energy == (transport.EnergyParams{}) {
-		cfg.Energy = transport.DefaultEnergy()
-	}
 	k := sim.New(cfg.Seed)
 	var ltOpts []transport.LinkOption
 	var hostOpts []node.Option
@@ -83,7 +78,7 @@ func New(cfg Config, link transport.Link) *Daemon {
 		ltOpts = append(ltOpts, transport.WithLinkTrace(cfg.Trace))
 		hostOpts = append(hostOpts, node.WithTrace(cfg.Trace))
 	}
-	lt := transport.NewLinkTransport(k, link, cfg.Energy, ltOpts...)
+	lt := transport.NewLinkTransport(k, link, ltOpts...)
 	h := node.New(k, lt, cfg.ID, geo.Point{}, hostOpts...)
 
 	cl := cluster.New(cluster.Config{Timing: cfg.Timing})

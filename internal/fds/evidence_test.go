@@ -109,17 +109,11 @@ func TestMemberWorkIndependentOfDigestLength(t *testing.T) {
 // added on any other host would read an empty aliveInDigest and fail here
 // rather than quietly detect everyone.
 func TestEvidenceOnlyConsultedByJudges(t *testing.T) {
-	orphanTakeover := func(tm cluster.Timing) Config {
-		c := DefaultConfig(tm)
-		c.OrphanTakeover = true
-		return c
-	}
 	for _, c := range []struct {
 		name    string
 		n       int
 		radius  float64
 		loss    float64
-		cfg     func(cluster.Timing) Config
 		crash   func(dchs []wire.NodeID) []wire.NodeID
 		want    trace.EventType // must have been traced, so the path was walked
 		toEpoch wire.Epoch
@@ -130,14 +124,14 @@ func TestEvidenceOnlyConsultedByJudges(t *testing.T) {
 			crash: func(d []wire.NodeID) []wire.NodeID { return []wire.NodeID{1, d[0]} }},
 		{name: "orphans reform", n: 6, radius: 50, want: trace.TypeDetect, toEpoch: 12,
 			crash: func(d []wire.NodeID) []wire.NodeID { return append([]wire.NodeID{1}, d...) }},
-		{name: "orphan takeover", n: 6, radius: 50, cfg: orphanTakeover, want: trace.TypeTakeover, toEpoch: 12,
+		{name: "orphan takeover", n: 6, radius: 50, want: trace.TypeTakeover, toEpoch: 12,
 			crash: func(d []wire.NodeID) []wire.NodeID { return append([]wire.NodeID{1}, d...) }},
 		{name: "lossy cluster, false detections and rescues", n: 12, radius: 60, loss: 0.3, want: trace.TypeDetect, toEpoch: 12,
 			crash: func([]wire.NodeID) []wire.NodeID { return []wire.NodeID{5} }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			evidence := ProbeEvidence(t)
-			w := buildWorld(t, worldConfig{seed: 21, lossProb: c.loss, fdsCfg: c.cfg}, star(c.n, c.radius))
+			w := buildWorld(t, worldConfig{seed: 21, lossProb: c.loss}, star(c.n, c.radius))
 			w.runUntilEpoch(2)
 			for _, id := range c.crash(w.cls[0].View().DCHs) {
 				w.crashAtEpoch(int(id)-1, 2, w.midEpoch())

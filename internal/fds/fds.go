@@ -22,6 +22,14 @@
 // logic to the CH, with a third condition — the R-3 update was also missed —
 // and takes over at the end of fds.R-3 if the CH is gone.
 //
+// Two extensions go beyond the paper and are always on (DESIGN.md §7).
+// Rescission: a CH that hears a heartbeat from a node it believes failed
+// (proof of a false detection, under fail-stop) lists the node in its next
+// update's Rescinded field, and the gateways carry the rescission across
+// clusters like a failure report. Orphan takeover: after orphanEpochs of
+// total CH silence, the lowest-NID surviving member declares the CH failed
+// and takes over, instead of the cluster dissolving without a trace.
+//
 // Completeness enhancement: a member that missed the R-3 update broadcasts a
 // forwarding request; peers holding the update answer after unique,
 // energy-aware waiting periods (energy-balanced peer forwarding) and stand
@@ -43,7 +51,8 @@ import (
 	"clusterfds/internal/wire"
 )
 
-// Config parameterizes the failure detection service.
+// Config parameterizes the failure detection service. Rescission and orphan
+// takeover are not settable: both are always on (see the package comment).
 type Config struct {
 	// Timing must equal the cluster protocol's timing (shared epochs); New
 	// panics otherwise.
@@ -51,27 +60,12 @@ type Config struct {
 	// PeerForwarding enables the intra-cluster completeness enhancement.
 	// The ablation benchmarks switch it off to quantify its contribution.
 	PeerForwarding bool
-	// RescindPropagation spreads withdrawn false detections system-wide:
-	// when a CH hears a heartbeat from a node it had announced as failed
-	// (proof of a false detection, under fail-stop), it lists the node in
-	// its next health update's Rescinded field and the gateways carry the
-	// rescission across clusters like a failure report. This extension
-	// goes beyond the paper, which leaves remote views permanently
-	// poisoned by a false detection; DESIGN.md discusses the trade-off.
-	RescindPropagation bool
 	// StrictModelMode disables the implementation's bonus evidence paths
 	// that the paper's analytic model does not credit (currently: adopting
 	// an overheard forwarded update addressed to another requester). The
 	// Monte-Carlo validation enables it so measured rates match the
 	// formulas exactly; production configurations leave it off.
 	StrictModelMode bool
-	// OrphanTakeover lets the lowest-NID surviving member of an orphaned
-	// cluster declare the silent CH failed and take over, instead of the
-	// cluster dissolving silently. It is the last line of defense when
-	// every deputy's view was desynchronized at the moment the CH died;
-	// the multi-epoch silence requirement keeps its false-positive
-	// probability around P̂(False detection)^orphanEpochs.
-	OrphanTakeover bool
 	// Metrics, when non-nil, receives the protocol's per-epoch event series
 	// (detections, false detections, rescissions, peer-forward traffic,
 	// orphan events) and the update-delivery latency histogram. Instrument
@@ -82,18 +76,15 @@ type Config struct {
 
 // DefaultConfig returns the configuration used by the experiments.
 func DefaultConfig(t cluster.Timing) Config {
-	return Config{
-		Timing:             t,
-		PeerForwarding:     true,
-		RescindPropagation: true,
-		OrphanTakeover:     true,
-	}
+	return Config{Timing: t, PeerForwarding: true}
 }
 
 const (
 	// orphanEpochs is how many consecutive epochs without a health update
 	// or a CH heartbeat a member tolerates before concluding its cluster
-	// has dissolved and re-entering formation.
+	// has dissolved: the lowest-NID surviving member then takes over, the
+	// others re-enter formation. The multi-epoch silence keeps a takeover's
+	// false-positive probability near P̂(False detection)^orphanEpochs.
 	orphanEpochs = 3
 	// referenceEnergy scales the energy-aware forwarding backoff: peers
 	// with more remaining energy than this wait less.
@@ -341,7 +332,7 @@ func (p *Protocol) finishEpoch() {
 	}
 	p.missedUpdates = 0
 	ch := p.snapshot.CH
-	if p.cfg.OrphanTakeover && !p.view.IsFailed(ch) && p.lowestSurvivingMember() {
+	if !p.view.IsFailed(ch) && p.lowestSurvivingMember() {
 		// Last-resort takeover: several epochs of total CH silence (no
 		// heartbeat, no update, epoch after epoch) mean the CH and every
 		// functioning deputy are gone; report the failure rather than let
@@ -643,14 +634,12 @@ func (p *Protocol) onHeartbeat(m *wire.Heartbeat) {
 	if p.view.IsFailed(m.NID) && p.view.ProveAlive(m.NID, m.Epoch) {
 		if p.snapshot.IsCH {
 			p.cluster.Readmit(m.NID)
-			if p.cfg.RescindPropagation {
-				// This CH holds the proof of life, so it authors the
-				// rescission, pinned to the heartbeat's epoch: that outranks
-				// every accusation made before the heartbeat, however the
-				// accuser (or this CH) learned of it.
-				p.pendingRescind = appendUnique(p.pendingRescind,
-					wire.Rescission{Node: m.NID, Epoch: m.Epoch})
-			}
+			// This CH holds the proof of life, so it authors the
+			// rescission, pinned to the heartbeat's epoch: that outranks
+			// every accusation made before the heartbeat, however the
+			// accuser (or this CH) learned of it.
+			p.pendingRescind = appendUnique(p.pendingRescind,
+				wire.Rescission{Node: m.NID, Epoch: m.Epoch})
 		}
 		p.mRescind.Add(uint64(p.epoch), 1)
 		if p.host.Tracing() {
@@ -679,7 +668,7 @@ func (p *Protocol) onHealthUpdate(m *wire.HealthUpdate, forwarded bool) {
 		// Still absorb the failure knowledge (see onFailureReport).
 		p.view.Merge(m.NewFailed, m.Epoch, p.host.Now())
 		p.view.Merge(m.AllFailed, 0, p.host.Now())
-		p.applyRescinds(m.Rescinded, m.Epoch)
+		p.applyRescinds(m.Rescinded)
 		p.view.Forget(p.host.ID())
 		return
 	}
@@ -722,7 +711,7 @@ func (p *Protocol) onHealthUpdate(m *wire.HealthUpdate, forwarded bool) {
 	// with its own NewFailed epoch through the report flood anyway.
 	p.view.Merge(m.NewFailed, m.Epoch, p.host.Now())
 	p.view.Merge(m.AllFailed, 0, p.host.Now())
-	p.applyRescinds(m.Rescinded, m.Epoch)
+	p.applyRescinds(m.Rescinded)
 	if p.view.IsFailed(p.host.ID()) {
 		// We are operational, so any claim of our own failure is a false
 		// detection; never believe it. Only when our OWN cluster's update
@@ -892,7 +881,7 @@ func (p *Protocol) onFailureReport(m *wire.FailureReport) {
 	// new failures occur ("no news is good news").
 	p.view.Merge(m.NewFailed, m.Epoch, p.host.Now())
 	p.view.Merge(m.AllFailed, 0, p.host.Now())
-	p.applyRescinds(m.Rescinded, m.Epoch)
+	p.applyRescinds(m.Rescinded)
 	p.view.Forget(p.host.ID()) // we are alive, whatever the report claims
 	if p.active && p.snapshot.IsCH {
 		p.failedScratch = append(append(p.failedScratch[:0], m.NewFailed...), m.AllFailed...)
@@ -905,10 +894,7 @@ func (p *Protocol) onFailureReport(m *wire.FailureReport) {
 // epoch, so a failure genuinely detected later survives. A received
 // rescission is never re-announced — its one author is the clusterhead that
 // heard the heartbeat (onHeartbeat), and the backbone floods that report once.
-func (p *Protocol) applyRescinds(rs []wire.Rescission, _ wire.Epoch) {
-	if !p.cfg.RescindPropagation {
-		return
-	}
+func (p *Protocol) applyRescinds(rs []wire.Rescission) {
 	for _, r := range rs {
 		p.view.ProveAlive(r.Node, r.Epoch)
 	}

@@ -190,7 +190,7 @@ type trialResult struct {
 // order. Per-trial kernels share no mutable state, so any worker count
 // yields bit-identical results.
 func (e ClusterExperiment) runTrials(dchAdjacent bool, verdict func(*trial) bool) (stats.Proportion, metrics.Snapshot) {
-	results, _ := replicate.RunOpts(replicate.Opts{Workers: e.Workers}, e.Trials, e.Seed,
+	results := replicate.Run(e.Workers, e.Trials, e.Seed,
 		func(i int, _ *rand.Rand) trialResult {
 			var reg *metrics.Registry // nil: instruments are no-ops
 			if e.CollectMetrics {

@@ -42,29 +42,20 @@ type Params struct {
 	// MinDelay and MaxDelay bound the uniform delivery delay; MaxDelay
 	// plays the role of Thop, the per-hop bound the round timeouts use.
 	MinDelay, MaxDelay sim.Time
-	// TxBaseCost, TxByteCost, RxByteCost parameterize the energy model in
-	// abstract energy units.
-	TxBaseCost, TxByteCost, RxByteCost float64
-	// HarvestRate is energy units gained per second of virtual time
-	// (solar cells, paper Section 2.1).
-	HarvestRate float64
-	// InitialEnergy is each host's starting energy budget.
-	InitialEnergy float64
+	// EnergyParams is the per-host energy model. Its fields are promoted:
+	// the strip and sharded engines read p.InitialEnergy and p.HarvestRate.
+	transport.EnergyParams
 }
 
 // Defaults returns the parameter set used throughout the experiments:
-// R = 100 m, p as given, Thop = 20 ms.
+// R = 100 m, p as given, Thop = 20 ms, and transport.DefaultEnergy.
 func Defaults(lossProb float64) Params {
 	return Params{
-		Range:         100,
-		LossProb:      lossProb,
-		MinDelay:      1e6,  // 1 ms
-		MaxDelay:      12e6, // 12 ms; with <=5 ms send jitter, still < Thop = 20 ms
-		TxBaseCost:    10,
-		TxByteCost:    0.5,
-		RxByteCost:    0.2,
-		HarvestRate:   5,
-		InitialEnergy: 100000,
+		Range:        100,
+		LossProb:     lossProb,
+		MinDelay:     1e6,  // 1 ms
+		MaxDelay:     12e6, // 12 ms; with <=5 ms send jitter, still < Thop = 20 ms
+		EnergyParams: transport.DefaultEnergy(),
 	}
 }
 
@@ -207,13 +198,7 @@ func New(kernel *sim.Kernel, params Params, opts ...Option) *Medium {
 		silenced: make(map[wire.NodeID]bool),
 		scratch:  wire.NewDecodeScratch(),
 	}
-	m.energy = transport.NewMeter(transport.EnergyParams{
-		TxBaseCost:    params.TxBaseCost,
-		TxByteCost:    params.TxByteCost,
-		RxByteCost:    params.RxByteCost,
-		HarvestRate:   params.HarvestRate,
-		InitialEnergy: params.InitialEnergy,
-	}, kernel)
+	m.energy = transport.NewMeter(params.EnergyParams, kernel)
 	for _, opt := range opts {
 		opt(m)
 	}

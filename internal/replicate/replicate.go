@@ -14,7 +14,6 @@
 package replicate
 
 import (
-	"context"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -28,27 +27,6 @@ import (
 // mutable state with other replicas; everything it touches should hang off
 // the rng (e.g. a sim.Kernel seeded from Seed(seed, i)).
 type Body[R any] func(i int, rng *rand.Rand) R
-
-// Opts tunes a run. The zero value is ready to use.
-type Opts struct {
-	// Workers is the pool size; 0 means runtime.GOMAXPROCS(0). Workers == 1
-	// runs the bodies inline on the calling goroutine, which is the exact
-	// legacy serial execution (no goroutines, no channels).
-	Workers int
-	// ChunkSize is how many consecutive replicas a worker claims at a time;
-	// 0 picks a size that gives each worker several chunks (amortizing the
-	// claim while keeping the tail balanced).
-	ChunkSize int
-	// Progress, when non-nil, is called after chunks complete with the
-	// number of finished replicas and the total. Calls are serialized and
-	// done is non-decreasing, but (with several workers) a call may lag the
-	// true count momentarily.
-	Progress func(done, total int)
-	// Context, when non-nil, cancels the run early: workers stop claiming
-	// chunks once it is done and RunOpts returns ctx.Err(). Replicas that
-	// already ran keep their slots; unstarted slots hold zero values.
-	Context context.Context
-}
 
 // Seed derives replica i's seed from the experiment seed via sim.SplitMix64
 // (Steele et al.'s finalizer — a strong mixer, so adjacent replica indices
@@ -65,84 +43,47 @@ func RNG(seed int64, i int) *rand.Rand {
 	return rand.New(rand.NewSource(Seed(seed, i)))
 }
 
-// Run executes n replicas of body over a GOMAXPROCS-sized pool and returns
-// their results in replica order. Output is identical to a serial loop
+// Run executes n replicas of body over a pool of workers goroutines (0 means
+// runtime.GOMAXPROCS(0)) and returns their results in replica order. Output
+// is identical to a serial loop
 //
 //	for i := 0; i < n; i++ { out[i] = body(i, RNG(seed, i)) }
 //
-// for every worker count. Panics in a body are re-raised on the caller.
-func Run[R any](n int, seed int64, body Body[R]) []R {
-	out, err := RunOpts(Opts{}, n, seed, body)
-	if err != nil {
-		// Only a context can produce an error, and Opts{} has none.
-		panic("replicate: impossible error without a context: " + err.Error())
-	}
-	return out
-}
-
-// RunOpts is Run with explicit options. It returns the ordered results and,
-// if opts.Context was canceled before all replicas ran, the context's error
-// (alongside the partial results).
-func RunOpts[R any](opts Opts, n int, seed int64, body Body[R]) ([]R, error) {
+// for every worker count. Workers == 1 runs the bodies inline on the calling
+// goroutine, which is exactly that loop (no goroutines, no channels).
+// Workers claim consecutive chunks of replicas, about four per worker, so
+// the claim is amortized and stragglers re-balance. A panic in a body is
+// re-raised on the caller.
+func Run[R any](workers, n int, seed int64, body Body[R]) []R {
 	if body == nil {
 		panic("replicate: nil body")
 	}
 	if n <= 0 {
-		return nil, ctxErr(opts.Context)
+		return nil
 	}
-	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
 	}
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
 
 	out := make([]R, n)
 
 	if workers == 1 {
-		// Inline serial path: the legacy execution, byte for byte.
 		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return out, err
-			}
 			out[i] = body(i, RNG(seed, i))
-			if opts.Progress != nil {
-				opts.Progress(i+1, n)
-			}
 		}
-		return out, nil
+		return out
 	}
 
-	chunk := opts.ChunkSize
-	if chunk <= 0 {
-		// Aim for ~4 chunks per worker so stragglers re-balance, floor 1.
-		chunk = n / (workers * 4)
-		if chunk < 1 {
-			chunk = 1
-		}
-	}
-
+	chunk := max(1, n/(workers*4))
 	var (
 		next      atomic.Int64 // next unclaimed replica index
-		done      atomic.Int64 // completed replicas, for progress reporting
-		prog      sync.Mutex   // serializes Progress callbacks
 		wg        sync.WaitGroup
 		panicOnce sync.Once
 		panicked  any
 	)
-	report := func() {
-		if opts.Progress == nil {
-			return
-		}
-		prog.Lock()
-		opts.Progress(int(done.Load()), n)
-		prog.Unlock()
-	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -153,22 +94,13 @@ func RunOpts[R any](opts Opts, n int, seed int64, body Body[R]) ([]R, error) {
 				}
 			}()
 			for {
-				if ctx.Err() != nil {
-					return
-				}
 				start := int(next.Add(int64(chunk))) - chunk
 				if start >= n {
 					return
 				}
-				end := start + chunk
-				if end > n {
-					end = n
-				}
-				for i := start; i < end; i++ {
+				for i := start; i < min(start+chunk, n); i++ {
 					out[i] = body(i, RNG(seed, i))
 				}
-				done.Add(int64(end - start))
-				report()
 			}
 		}()
 	}
@@ -176,21 +108,13 @@ func RunOpts[R any](opts Opts, n int, seed int64, body Body[R]) ([]R, error) {
 	if panicked != nil {
 		panic(panicked)
 	}
-	return out, ctxErr(ctx)
+	return out
 }
 
-// ctxErr returns ctx.Err() tolerating a nil context.
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
-}
-
-// Map is a convenience over Run for sweeping a parameter slice: it runs
-// body(i, items[i], rng) for every item, in parallel, preserving order.
-func Map[T, R any](opts Opts, items []T, seed int64, body func(i int, item T, rng *rand.Rand) R) ([]R, error) {
-	return RunOpts(opts, len(items), seed, func(i int, rng *rand.Rand) R {
+// Map is Run over a parameter slice: it runs body(i, items[i], rng) for
+// every item, in parallel, preserving order.
+func Map[T, R any](workers int, items []T, seed int64, body func(i int, item T, rng *rand.Rand) R) []R {
+	return Run(workers, len(items), seed, func(i int, rng *rand.Rand) R {
 		return body(i, items[i], rng)
 	})
 }

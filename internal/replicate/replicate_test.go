@@ -1,29 +1,21 @@
 package replicate
 
 import (
-	"context"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 )
 
 // TestOrderedResults checks that results land in replica order regardless of
-// worker count or chunking.
+// worker count (and so of the chunk size Run derives from it).
 func TestOrderedResults(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8, 33} {
-		for _, chunk := range []int{0, 1, 7} {
-			out, err := RunOpts(Opts{Workers: workers, ChunkSize: chunk}, 100, 42,
-				func(i int, _ *rand.Rand) int { return i * i })
-			if err != nil {
-				t.Fatalf("workers=%d chunk=%d: %v", workers, chunk, err)
-			}
-			if len(out) != 100 {
-				t.Fatalf("workers=%d: got %d results", workers, len(out))
-			}
-			for i, v := range out {
-				if v != i*i {
-					t.Fatalf("workers=%d chunk=%d: out[%d] = %d, want %d", workers, chunk, i, v, i*i)
-				}
+		out := Run(workers, 100, 42, func(i int, _ *rand.Rand) int { return i * i })
+		if len(out) != 100 {
+			t.Fatalf("workers=%d: got %d results", workers, len(out))
+		}
+		for i, v := range out {
+			if v != i*i {
+				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)
 			}
 		}
 	}
@@ -33,12 +25,7 @@ func TestOrderedResults(t *testing.T) {
 // function of (seed, index): identical across worker counts and runs.
 func TestDeterministicRNG(t *testing.T) {
 	draw := func(workers int) []int64 {
-		out, err := RunOpts(Opts{Workers: workers}, 64, 7,
-			func(i int, rng *rand.Rand) int64 { return rng.Int63() })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
+		return Run(workers, 64, 7, func(i int, rng *rand.Rand) int64 { return rng.Int63() })
 	}
 	serial := draw(1)
 	for _, workers := range []int{2, 4, 8} {
@@ -76,86 +63,22 @@ func TestSeedDerivation(t *testing.T) {
 	}
 }
 
-// TestContextCancel checks that a canceled context stops the run and is
-// reported.
-func TestContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	_, err := RunOpts(Opts{Workers: 4, ChunkSize: 1, Context: ctx}, 1000, 1,
-		func(i int, _ *rand.Rand) int {
-			if ran.Add(1) == 10 {
-				cancel()
-			}
-			return i
-		})
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n := ran.Load(); n >= 1000 {
-		t.Errorf("all %d replicas ran despite cancellation", n)
-	}
-
-	// Pre-canceled context on the serial path.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	cancel2()
-	out, err := RunOpts(Opts{Workers: 1, Context: ctx2}, 5, 1,
-		func(i int, _ *rand.Rand) int { return 1 })
-	if err != context.Canceled {
-		t.Fatalf("serial err = %v, want context.Canceled", err)
-	}
-	for _, v := range out {
-		if v != 0 {
-			t.Error("replica ran under a pre-canceled context")
-		}
-	}
-}
-
-// TestProgress checks the progress callback reaches n and never decreases.
-func TestProgress(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		last, calls := 0, 0
-		_, err := RunOpts(Opts{
-			Workers: workers, ChunkSize: 3,
-			Progress: func(done, total int) {
-				calls++
-				if total != 50 {
-					t.Fatalf("total = %d, want 50", total)
-				}
-				if done < last {
-					t.Fatalf("progress went backwards: %d after %d", done, last)
-				}
-				last = done
-			},
-		}, 50, 1, func(i int, _ *rand.Rand) int { return i })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if last != 50 {
-			t.Errorf("workers=%d: final progress %d, want 50", workers, last)
-		}
-		if calls == 0 {
-			t.Errorf("workers=%d: progress never called", workers)
-		}
-	}
-}
-
 // TestEdgeCases covers n<=0, workers>n, and the Map helper.
 func TestEdgeCases(t *testing.T) {
-	if out := Run(0, 1, func(i int, _ *rand.Rand) int { return i }); len(out) != 0 {
+	if out := Run(0, 0, 1, func(i int, _ *rand.Rand) int { return i }); len(out) != 0 {
 		t.Errorf("n=0 returned %d results", len(out))
 	}
-	out, err := RunOpts(Opts{Workers: 16}, 3, 1, func(i int, _ *rand.Rand) int { return i + 1 })
-	if err != nil || len(out) != 3 || out[2] != 3 {
-		t.Errorf("workers>n: out=%v err=%v", out, err)
+	if out := Run(16, 3, 1, func(i int, _ *rand.Rand) int { return i + 1 }); len(out) != 3 || out[2] != 3 {
+		t.Errorf("workers>n: out=%v", out)
 	}
-	sq, err := Map(Opts{Workers: 4}, []int{2, 3, 4}, 9,
-		func(i int, item int, _ *rand.Rand) int { return item * item })
-	if err != nil || len(sq) != 3 || sq[0] != 4 || sq[1] != 9 || sq[2] != 16 {
-		t.Errorf("Map: out=%v err=%v", sq, err)
+	sq := Map(4, []int{2, 3, 4}, 9, func(i int, item int, _ *rand.Rand) int { return item * item })
+	if len(sq) != 3 || sq[0] != 4 || sq[1] != 9 || sq[2] != 16 {
+		t.Errorf("Map: out=%v", sq)
 	}
 }
 
-// TestPanicPropagates checks that a panicking body surfaces on the caller.
+// TestPanicPropagates checks that a panicking body surfaces on the caller,
+// from the inline serial path (workers = 1) and from the pool.
 func TestPanicPropagates(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		func() {
@@ -164,7 +87,7 @@ func TestPanicPropagates(t *testing.T) {
 					t.Errorf("workers=%d: panic did not propagate", workers)
 				}
 			}()
-			Run(20, 1, func(i int, _ *rand.Rand) int {
+			Run(workers, 20, 1, func(i int, _ *rand.Rand) int {
 				if i == 7 {
 					panic("boom")
 				}
@@ -179,6 +102,6 @@ func TestPanicPropagates(t *testing.T) {
 func BenchmarkRunOverhead(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Run(64, int64(i), func(j int, rng *rand.Rand) int64 { return rng.Int63() })
+		Run(0, 64, int64(i), func(j int, rng *rand.Rand) int64 { return rng.Int63() })
 	}
 }

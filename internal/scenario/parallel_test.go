@@ -47,14 +47,8 @@ func TestParallelNestedInReplicas(t *testing.T) {
 			return runParallelReplica(replicate.Seed(seed, i), workers)
 		}
 	}
-	serial, err := replicate.RunOpts(replicate.Opts{Workers: 1}, trials, seed, body(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	nested, err := replicate.RunOpts(replicate.Opts{Workers: 3}, trials, seed, body(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := replicate.Run(1, trials, seed, body(1))
+	nested := replicate.Run(3, trials, seed, body(2))
 	for i := range serial {
 		if serial[i] != nested[i] {
 			t.Fatalf("replica %d: nested hash %s != serial hash %s", i, nested[i], serial[i])

@@ -109,9 +109,6 @@ type Config struct {
 	DisablePeerForwarding bool
 	DisableBGWAssist      bool
 	DisableImplicitAcks   bool
-	// BaselinePeriod is the heartbeat/gossip period for the baselines;
-	// zero means the cluster timing's interval (fair comparison).
-	BaselinePeriod sim.Time
 	// Trace receives structured events; nil means discard.
 	Trace trace.Sink
 	// AggregateSampler, when set, attaches the in-network aggregation
@@ -144,9 +141,6 @@ func (c Config) withDefaults() Config {
 	}
 	if !c.Timing.Valid() {
 		c.Timing = cluster.DefaultTiming()
-	}
-	if c.BaselinePeriod <= 0 {
-		c.BaselinePeriod = c.Timing.Interval
 	}
 	if c.Trace == nil {
 		c.Trace = trace.Nop{}
@@ -263,10 +257,11 @@ func (w *World) addHostWithID(id wire.NodeID, pos geo.Point) {
 		w.dets[id] = f
 	case StackGossip, StackFlood, StackSWIM, StackQueryResponse, StackAllPairs:
 		// All flat detectors come from the baseline registry, configured
-		// from the same period and suspicion timeout for a fair comparison.
+		// from the same period and suspicion timeout for a fair comparison:
+		// the cluster timing's heartbeat interval.
 		d, err := baseline.New(w.cfg.Stack.String(), baseline.Params{
-			Interval:     w.cfg.BaselinePeriod,
-			SuspectAfter: 4 * w.cfg.BaselinePeriod,
+			Interval:     w.cfg.Timing.Interval,
+			SuspectAfter: 4 * w.cfg.Timing.Interval,
 			TTL:          floodTTL,
 			RelayJitter:  sim.Time(5 * time.Millisecond),
 		})

@@ -77,12 +77,11 @@ func TestCrashWavesScheduledUpFrontAreDisjoint(t *testing.T) {
 }
 
 func TestGossipStack(t *testing.T) {
-	w := Build(Config{
-		Seed: 3, Nodes: 30, FieldSide: 300, Stack: StackGossip,
-		BaselinePeriod: sim.Time(time.Second),
-	})
-	w.CrashAt(sim.Time(5*time.Second), 7)
-	w.Run(sim.Time(30 * time.Second))
+	// The detectors run at the cluster timing's 10 s period; a host never
+	// heard is never suspected, so the victim dies after its first heartbeat.
+	w := Build(Config{Seed: 3, Nodes: 30, FieldSide: 300, Stack: StackGossip})
+	w.CrashAt(sim.Time(25*time.Second), 7)
+	w.Run(sim.Time(300 * time.Second))
 	aware, operational := w.Completeness(7)
 	if aware != operational {
 		t.Errorf("gossip: %d/%d aware", aware, operational)
@@ -93,12 +92,10 @@ func TestGossipStack(t *testing.T) {
 }
 
 func TestFloodStack(t *testing.T) {
-	w := Build(Config{
-		Seed: 4, Nodes: 30, FieldSide: 300, Stack: StackFlood,
-		BaselinePeriod: sim.Time(time.Second),
-	})
-	w.CrashAt(sim.Time(5*time.Second), 9)
-	w.Run(sim.Time(30 * time.Second))
+	// As in TestGossipStack, the victim dies after its first heartbeat.
+	w := Build(Config{Seed: 4, Nodes: 30, FieldSide: 300, Stack: StackFlood})
+	w.CrashAt(sim.Time(25*time.Second), 9)
+	w.Run(sim.Time(300 * time.Second))
 	aware, operational := w.Completeness(9)
 	if aware != operational {
 		t.Errorf("flood: %d/%d aware", aware, operational)

@@ -26,13 +26,11 @@ import (
 // bodies need no locks. The one shared object is cfg.Trace: leave it nil
 // (or use a concurrency-safe sink such as trace.Memory) when workers != 1.
 func Replicas[R any](cfg Config, trials, workers int, body func(i int, w *World) R) []R {
-	out, _ := replicate.RunOpts(replicate.Opts{Workers: workers}, trials, cfg.Seed,
-		func(i int, _ *rand.Rand) R {
-			c := cfg
-			c.Seed = replicate.Seed(cfg.Seed, i)
-			return body(i, Build(c))
-		})
-	return out
+	return replicate.Run(workers, trials, cfg.Seed, func(i int, _ *rand.Rand) R {
+		c := cfg
+		c.Seed = replicate.Seed(cfg.Seed, i)
+		return body(i, Build(c))
+	})
 }
 
 // CrashStudy is the canonical sweep: crash a few hosts mid-run and measure

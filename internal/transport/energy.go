@@ -22,8 +22,8 @@ type EnergyParams struct {
 	InitialEnergy float64
 }
 
-// DefaultEnergy returns the energy model used throughout the experiments
-// (identical to radio.Defaults).
+// DefaultEnergy returns the energy model: the only definition of its five
+// numbers. radio.Defaults embeds it, and every LinkTransport meters it.
 func DefaultEnergy() EnergyParams {
 	return EnergyParams{
 		TxBaseCost:    10,

@@ -50,15 +50,16 @@ func WithLinkTrace(s trace.Sink) LinkOption {
 	return func(lt *LinkTransport) { lt.sink = s }
 }
 
-// NewLinkTransport creates a transport for one host over bc.
-func NewLinkTransport(clock Clock, bc Broadcaster, energy EnergyParams, opts ...LinkOption) *LinkTransport {
+// NewLinkTransport creates a transport for one host over bc. Its host's
+// energy is metered with DefaultEnergy, the model every backend shares.
+func NewLinkTransport(clock Clock, bc Broadcaster, opts ...LinkOption) *LinkTransport {
 	lt := &LinkTransport{
 		clock:   clock,
 		bc:      bc,
 		sink:    trace.Nop{},
 		scratch: wire.NewDecodeScratch(),
+		meter:   NewMeter(DefaultEnergy(), clock),
 	}
-	lt.meter = NewMeter(energy, clock)
 	for _, opt := range opts {
 		opt(lt)
 	}

@@ -22,21 +22,17 @@ type MeshParams struct {
 	// setting) draws no randomness at all, preserving draw-order parity with
 	// the radio medium.
 	DupProb float64
-	// Energy is the per-host energy model of every port's LinkTransport; the
-	// radio shares Meter so the energy-biased forwarding backoff behaves
-	// identically.
-	Energy EnergyParams
 }
 
 // DefaultMeshParams returns mesh parameters matching radio.Defaults: the
-// same delay bounds and energy model, with the given loss probability and
-// no duplication.
+// same delay bounds, with the given loss probability and no duplication.
+// Every port's LinkTransport meters DefaultEnergy, the radio's model, so
+// the energy-biased forwarding backoff behaves identically on both.
 func DefaultMeshParams(lossProb float64) MeshParams {
 	return MeshParams{
 		LossProb: lossProb,
 		MinDelay: 1e6,  // 1 ms
 		MaxDelay: 12e6, // 12 ms
-		Energy:   DefaultEnergy(),
 	}
 }
 
@@ -113,7 +109,7 @@ func (m *Mesh) Port(id wire.NodeID) *LinkTransport {
 			panic(fmt.Sprintf("transport: duplicate mesh NID %v", id))
 		}
 	}
-	lt := NewLinkTransport(m.k, m, m.params.Energy, WithLinkTrace(m.sink))
+	lt := NewLinkTransport(m.k, m, WithLinkTrace(m.sink))
 	m.ports = append(m.ports, meshPort{id: id, lt: lt})
 	return lt
 }

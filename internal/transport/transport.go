@@ -38,19 +38,6 @@ type Clock interface {
 	Now() sim.Time
 }
 
-// Rand is the randomness surface of the protocol core. It is the subset of
-// *rand.Rand the stack draws from; every implementation must be explicitly
-// seeded so a run is a pure function of (scenario, seed) — the walltime
-// analyzer forbids the global math/rand source in the deterministic
-// packages.
-type Rand interface {
-	Int63n(n int64) int64
-	Intn(n int) int
-	Float64() float64
-	Perm(n int) []int
-	Shuffle(n int, swap func(i, j int))
-}
-
 // Runtime is what a host binds to: a clock, the two ways of scheduling on it,
 // and the seeded random source its timeline was built with. *sim.Kernel
 // implements it directly, both under the simulator and under a live driver
@@ -61,7 +48,8 @@ type Runtime interface {
 	Clock
 	ArgClock
 	BatchClock
-	// Rand returns the runtime's deterministic random source.
+	// Rand returns the runtime's explicitly seeded random source, so a run
+	// is a pure function of (scenario, seed).
 	Rand() *rand.Rand
 }
 
@@ -84,12 +72,8 @@ type BatchClock interface {
 	AtBatched(at sim.Time, fn sim.ArgHandler, arg any)
 }
 
-// Compile-time checks: the simulation kernel is a Runtime, and *rand.Rand is
-// a Rand.
-var (
-	_ Runtime = (*sim.Kernel)(nil)
-	_ Rand    = (*rand.Rand)(nil)
-)
+// The simulation kernel is a Runtime.
+var _ Runtime = (*sim.Kernel)(nil)
 
 // Receiver is the surface a host exposes to a transport.
 type Receiver interface {

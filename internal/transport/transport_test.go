@@ -310,8 +310,8 @@ func TestLinkTransportRoundTrip(t *testing.T) {
 	cm := NewChanMesh()
 	la := cm.Join(1)
 	lb := cm.Join(2)
-	ta := NewLinkTransport(k, la, DefaultEnergy())
-	tb := NewLinkTransport(k, lb, DefaultEnergy())
+	ta := NewLinkTransport(k, la)
+	tb := NewLinkTransport(k, lb)
 	ra := &stubReceiver{id: 1}
 	rb := &stubReceiver{id: 2}
 	ta.Attach(ra)
@@ -349,7 +349,7 @@ func TestLinkTransportRejectsHostileDatagrams(t *testing.T) {
 	k := sim.New(1)
 	cm := NewChanMesh()
 	l := cm.Join(1)
-	lt := NewLinkTransport(k, l, DefaultEnergy())
+	lt := NewLinkTransport(k, l)
 	r := &stubReceiver{id: 1}
 	lt.Attach(r)
 
@@ -378,7 +378,7 @@ func TestLinkTransportGatesOnOperational(t *testing.T) {
 	cm := NewChanMesh()
 	la := cm.Join(1)
 	lb := cm.Join(2)
-	ta := NewLinkTransport(k, la, DefaultEnergy())
+	ta := NewLinkTransport(k, la)
 	ra := &stubReceiver{id: 1, down: true}
 	ta.Attach(ra)
 

@@ -59,7 +59,8 @@ benchsmoke:
 ## -benchtime 1x: one iteration is seconds of simulation, and their
 ## allocation counts are deterministic at fixed seed regardless of
 ## iteration count. The per-layer micro-benchmarks live in the packages that
-## own the code (internal/sim: heap push/pop and run fan-out; internal/radio:
+## own the code (internal/sim: heap push/pop, run fan-out, and one epoch of
+## 600 hosts' batched boundary and round-end callbacks; internal/radio:
 ## broadcast fan-out vs density; internal/transport: one datagram through a
 ## 160-port mesh; internal/daemon: one Poll + AdvanceTo of a daemon with
 ## nothing to do; internal/wire: a digest of 10, 100 and 1,000 IDs decoded by
@@ -68,7 +69,7 @@ benchsmoke:
 ## replaced; internal/cluster: one warm epoch of View snapshots and no-op
 ## mutations; internal/intercluster: one warm epoch of a three-cluster chain
 ## flooding one new report) and run as a third invocation; the pooled steady
-## state of the first two, the idle step, the unread digest, the shard queue,
+## state of the first three, the idle step, the unread digest, the shard queue,
 ## the View epoch and the report epoch allocate nothing — the digest's ns/op is also the same at every length — and the
 ## mesh copies a broadcast's payload exactly once (352 B/op, not once per
 ## port), and the gate holds them there. All three invocations feed one
@@ -78,7 +79,7 @@ benchcmp:
 		-benchtime 20x -benchmem . && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFDSEpoch10k$$|BenchmarkShardedEpoch$$|BenchmarkFDSEpochParallel' \
 		-benchtime 1x -benchmem . && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkPushPop$$|BenchmarkRunFanout$$|BenchmarkBroadcast$$|BenchmarkChanMeshBroadcast$$|BenchmarkDaemonIdleStep$$|BenchmarkDecodeDigestUnread$$|BenchmarkShardQueue$$|BenchmarkViewEpoch$$|BenchmarkReportEpoch$$' \
+	  $(GO) test -run '^$$' -bench 'BenchmarkPushPop$$|BenchmarkRunFanout$$|BenchmarkBatchedPhases$$|BenchmarkBroadcast$$|BenchmarkChanMeshBroadcast$$|BenchmarkDaemonIdleStep$$|BenchmarkDecodeDigestUnread$$|BenchmarkShardQueue$$|BenchmarkViewEpoch$$|BenchmarkReportEpoch$$' \
 		-benchtime 10000x -benchmem ./internal/sim ./internal/radio ./internal/transport ./internal/daemon ./internal/wire ./internal/shard ./internal/cluster ./internal/intercluster ; } | $(GO) run ./cmd/benchcmp -baseline bench_baseline.json
 
 ## scale-smoke: the sharded engine's cross-partition determinism gate at a

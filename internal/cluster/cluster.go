@@ -95,6 +95,24 @@ type gwSet struct {
 	n  int
 }
 
+// borderPeer is one member id of the foreign cluster headed by ch, last
+// heard in epoch last.
+type borderPeer struct {
+	ch, id wire.NodeID
+	last   wire.Epoch
+}
+
+// findBorderPeer returns where (ch, id) is or would be in the sorted
+// borderPeers, and whether it is there.
+func (p *Protocol) findBorderPeer(ch, id wire.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(p.borderPeers, borderPeer{ch: ch, id: id}, func(x, y borderPeer) int {
+		if c := cmp.Compare(x.ch, y.ch); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.id, y.id)
+	})
+}
+
 // pairKey identifies an unordered pair of neighboring clusterheads.
 type pairKey struct{ lo, hi wire.NodeID }
 
@@ -133,12 +151,15 @@ type Protocol struct {
 	// epoch in which each was last heard so stale entries age out.
 	otherCHs map[wire.NodeID]wire.Epoch
 
-	// borderPeers tracks, per foreign clusterhead, the members of that
-	// cluster within earshot (learned from overheard digests). When no
-	// single node hears both clusterheads, a border node and one of these
-	// peers together form the paper's fallback "distributed gateway": a
-	// two-hop relay path between the clusters.
-	borderPeers map[wire.NodeID]map[wire.NodeID]wire.Epoch
+	// borderPeers tracks the members of foreign clusters within earshot
+	// (learned from overheard digests), one entry per (foreign CH, member)
+	// with the epoch it was last heard, sorted by (ch, id). When no single
+	// node hears both clusterheads, a border node and one of these peers
+	// together form the paper's fallback "distributed gateway": a two-hop
+	// relay path between the clusters. Hearing a known peer again updates
+	// its entry in place, and AppendBorderClusters compacts stale entries
+	// out, so the slice holds only the peers heard in the last few epochs.
+	borderPeers []borderPeer
 
 	// Gateway candidates per neighboring-cluster pair, learned from
 	// overheard GWRegister broadcasts. Used for BGW self-ranking and for
@@ -258,7 +279,6 @@ func New(cfg Config) *Protocol {
 	}
 	return &Protocol{
 		cfg:           cfg,
-		borderPeers:   make(map[wire.NodeID]map[wire.NodeID]wire.Epoch),
 		gwFlag:        make(map[wire.NodeID]bool),
 		otherCHs:      make(map[wire.NodeID]wire.Epoch),
 		gwCandidates:  make(map[pairKey]*gwSet),
@@ -714,12 +734,11 @@ func (p *Protocol) onDigest(m *wire.Digest) {
 	// A digest from a foreign cluster identifies a border peer: a member
 	// of an adjacent cluster within earshot.
 	if p.marked && m.CH != wire.NoNode && m.CH != p.myCH && m.CH != p.host.ID() {
-		peers := p.borderPeers[m.CH]
-		if peers == nil {
-			peers = make(map[wire.NodeID]wire.Epoch)
-			p.borderPeers[m.CH] = peers
+		if i, ok := p.findBorderPeer(m.CH, m.NID); ok {
+			p.borderPeers[i].last = p.epoch
+		} else {
+			p.borderPeers = slices.Insert(p.borderPeers, i, borderPeer{ch: m.CH, id: m.NID, last: p.epoch})
 		}
-		peers[m.NID] = p.epoch
 	}
 	if p.isCH && p.hasMember(m.NID) {
 		if m.CH != wire.NoNode && m.CH != p.host.ID() {
@@ -748,37 +767,47 @@ func (p *Protocol) BorderClusters() []wire.NodeID {
 }
 
 // AppendBorderClusters is BorderClusters appending into dst; only the
-// appended tail is sorted.
+// appended tail is sorted. It drops the stale border peers first.
 func (p *Protocol) AppendBorderClusters(dst []wire.NodeID) []wire.NodeID {
-	start := len(dst)
-	for ch, peers := range p.borderPeers {
-		for id, last := range peers {
-			if uint64(p.epoch)-uint64(last) > staleAfter {
-				delete(peers, id)
-			}
-		}
-		if len(peers) == 0 {
-			delete(p.borderPeers, ch)
+	kept := p.borderPeers[:0]
+	for _, b := range p.borderPeers {
+		if uint64(p.epoch)-uint64(b.last) > staleAfter {
 			continue
 		}
-		if ch == p.myCH {
+		kept = append(kept, b)
+		if len(kept) > 1 && kept[len(kept)-2].ch == b.ch {
+			continue // b's cluster was judged at its first fresh peer
+		}
+		if b.ch == p.myCH {
 			continue
 		}
-		if last, ok := p.otherCHs[ch]; ok && uint64(p.epoch)-uint64(last) <= staleAfter {
+		if last, ok := p.otherCHs[b.ch]; ok && uint64(p.epoch)-uint64(last) <= staleAfter {
 			continue // a one-hop gateway path exists; prefer it
 		}
-		dst = append(dst, ch)
+		dst = append(dst, b.ch)
 	}
-	slices.Sort(dst[start:])
+	p.borderPeers = kept
 	return dst
 }
 
 // IsBorderPeer reports whether id is a known member of the foreign cluster
 // headed by ch within this host's earshot.
 func (p *Protocol) IsBorderPeer(ch, id wire.NodeID) bool {
-	_, ok := p.borderPeers[ch][id]
+	_, ok := p.findBorderPeer(ch, id)
 	return ok
 }
+
+// BorderPeers returns how many border peers this host holds, stale ones not
+// yet dropped by AppendBorderClusters included.
+func (p *Protocol) BorderPeers() int { return len(p.borderPeers) }
+
+// GatewayPairs returns how many neighboring-cluster pairs this host holds
+// gateway candidates for.
+func (p *Protocol) GatewayPairs() int { return len(p.gwCandidates) }
+
+// ViewArenaEntries returns how many IDs the View arena's two live
+// generations hold.
+func (p *Protocol) ViewArenaEntries() int { return len(p.arena.cur) + len(p.arena.prev) }
 
 // --- mutators invoked by the failure detection service --------------------
 

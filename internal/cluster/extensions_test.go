@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"clusterfds/internal/geo"
@@ -98,6 +100,110 @@ func TestBorderPeersAgeOut(t *testing.T) {
 	p.epoch += 10 // silence for many epochs
 	if got := p.BorderClusters(); len(got) != 0 {
 		t.Errorf("stale border peers survived: %v", got)
+	}
+}
+
+// TestBorderPeersMatchMapModel drives the border-peer store with random
+// digests, foreign-CH updates, epoch advances and AppendBorderClusters calls,
+// against the map of maps it replaced, kept here as the model: per foreign
+// CH, the epoch each of its members was last heard. IsBorderPeer and
+// BorderClusters must give the model's answers throughout, a stale peer
+// included until the next AppendBorderClusters drops it.
+func TestBorderPeersMatchMapModel(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		_, p, h := soloHost(t, 5)
+		p.InstallStaticView(1, []wire.NodeID{1, 5}, nil, 5)
+		model := map[wire.NodeID]map[wire.NodeID]wire.Epoch{}
+		modelClusters := func() []wire.NodeID {
+			var out []wire.NodeID
+			for ch, peers := range model {
+				for id, last := range peers {
+					if uint64(p.epoch)-uint64(last) > staleAfter {
+						delete(peers, id)
+					}
+				}
+				if len(peers) == 0 {
+					delete(model, ch)
+					continue
+				}
+				if ch == p.myCH {
+					continue
+				}
+				if last, ok := p.otherCHs[ch]; ok && uint64(p.epoch)-uint64(last) <= staleAfter {
+					continue
+				}
+				out = append(out, ch)
+			}
+			slices.Sort(out)
+			return out
+		}
+		// CH 1 is the host's own, 5 the host itself and 0 no CH at all:
+		// digests naming them make no border peer.
+		chs := []wire.NodeID{0, 1, 5, 7, 8, 9, 11, 12}
+		for op := 0; op < 5000; op++ {
+			switch r := rng.Intn(20); {
+			case r < 12:
+				ch, id := chs[rng.Intn(len(chs))], wire.NodeID(20+rng.Intn(30))
+				e := p.epoch
+				if rng.Intn(8) == 0 {
+					e++ // not this epoch's digest: ignored
+				}
+				handle(p, h, &wire.Digest{NID: id, CH: ch, Epoch: e})
+				if e == p.epoch && ch != 0 && ch != p.myCH && ch != 5 {
+					if model[ch] == nil {
+						model[ch] = map[wire.NodeID]wire.Epoch{}
+					}
+					model[ch][id] = p.epoch
+				}
+			case r < 14:
+				ch := chs[3+rng.Intn(len(chs)-3)]
+				handle(p, h, &wire.HealthUpdate{From: ch, CH: ch, Epoch: p.epoch})
+			case r < 16:
+				p.epoch += wire.Epoch(1 + rng.Intn(3))
+			default:
+				if got, want := p.BorderClusters(), modelClusters(); !slices.Equal(got, want) {
+					t.Fatalf("seed %d op %d: BorderClusters = %v, model %v", seed, op, got, want)
+				}
+			}
+			for _, ch := range chs {
+				for id := wire.NodeID(20); id < 50; id++ {
+					_, want := model[ch][id]
+					if got := p.IsBorderPeer(ch, id); got != want {
+						t.Fatalf("seed %d op %d: IsBorderPeer(%v, %v) = %v, model %v", seed, op, ch, id, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBorderPeerRehearingAllocatesNothing pins the common reception: a
+// digest from a border peer already held updates its entry in place.
+func TestBorderPeerRehearingAllocatesNothing(t *testing.T) {
+	_, p, h := soloHost(t, 5)
+	p.InstallStaticView(1, []wire.NodeID{1, 5}, nil, 5)
+	digests := make([]*wire.Digest, 0, 24)
+	for ch := wire.NodeID(7); ch < 10; ch++ {
+		for id := wire.NodeID(20); id < 28; id++ {
+			digests = append(digests, &wire.Digest{NID: id, CH: ch})
+		}
+	}
+	hear := func() {
+		for _, d := range digests {
+			d.Epoch = p.epoch
+			handle(p, h, d)
+		}
+	}
+	hear()
+	if n := p.BorderPeers(); n != len(digests) {
+		t.Fatalf("%d border peers held, want %d", n, len(digests))
+	}
+	if n := testing.AllocsPerRun(20, func() { p.epoch++; hear() }); n != 0 {
+		t.Errorf("re-hearing %d known border peers allocates %v times, want 0", len(digests), n)
+	}
+	if n := p.BorderPeers(); n != len(digests) {
+		t.Errorf("%d border peers held after re-hearing, want %d", n, len(digests))
 	}
 }
 

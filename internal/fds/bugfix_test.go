@@ -51,7 +51,7 @@ func TestForwardTimerRemovedAfterFire(t *testing.T) {
 	// forward-timer entry: answered requests are deleted by the ack, fired
 	// timers must delete themselves.
 	for i, f := range w.fds {
-		if n := f.pendingForwards(); n != 0 {
+		if n := f.armedForwards(); n != 0 {
 			t.Errorf("node %d retains %d live forward-timer entries after fire", i+1, n)
 		}
 	}

@@ -32,3 +32,9 @@ func (c *EvidenceCount) Check(t testing.TB) {
 		t.Errorf("evidence consulted %d times, %d of them on a host that folded no digests", n, u)
 	}
 }
+
+// armedForwards is ForwardSlots' armed count.
+func (p *Protocol) armedForwards() int {
+	_, armed := p.ForwardSlots()
+	return armed
+}

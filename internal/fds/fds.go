@@ -143,15 +143,16 @@ type Protocol struct {
 	missedUpdates int
 	ackedForward  bool
 
-	// Peer-forwarding responder state: one slot per requester, dense-indexed
-	// and reused every epoch, so arming a forward for a requester served
-	// before allocates nothing. A forward is pending iff its slot's timer is
-	// Active: firing, the requester's ack and the boundary sweep all end it.
-	// fwdActive lists the slots armed this epoch so the sweep cancels only
-	// them instead of scanning the whole table; duplicates are harmless
-	// because Cancel is idempotent.
-	fwd       []*fwdSlot
-	fwdActive []uint32
+	// Peer-forwarding responder state: fwd holds one slot per requester
+	// served this epoch, found by linear scan (a host answers a few requests
+	// an epoch), and fwdFree the slots of earlier epochs. The boundary sweep
+	// cancels every slot in fwd and moves it to fwdFree, so the host holds
+	// as many slots as its busiest epoch armed, not one per requester it has
+	// ever served, and arming allocates nothing once the pool covers the
+	// epoch. A forward is pending iff its slot's timer is Active: firing, the
+	// requester's ack and the boundary sweep all end it.
+	fwd     []*fwdSlot
+	fwdFree []*fwdSlot
 
 	// pendingRescind collects the false detections this CH itself disproved
 	// (it heard the heartbeat) since its last health update; the next
@@ -759,26 +760,39 @@ func (p *Protocol) onForwardRequest(m *wire.ForwardRequest) {
 	if !p.snapshot.IsMember(m.NID) {
 		return
 	}
-	ri := p.ids.Index(m.NID)
-	if int(ri) >= len(p.fwd) {
-		p.fwd = append(p.fwd, make([]*fwdSlot, int(ri)+1-len(p.fwd))...)
-	}
-	s := p.fwd[ri]
+	s := p.forwardSlot(m.NID)
 	if s == nil {
-		s = &fwdSlot{p: p, requester: m.NID}
-		p.fwd[ri] = s
+		if n := len(p.fwdFree); n > 0 {
+			s = p.fwdFree[n-1]
+			p.fwdFree[n-1] = nil
+			p.fwdFree = p.fwdFree[:n-1]
+			s.requester = m.NID
+		} else {
+			s = &fwdSlot{p: p, requester: m.NID}
+		}
+		p.fwd = append(p.fwd, s)
 	} else if s.timer.Active() {
 		return
 	}
 	s.timer = p.host.AfterArg(p.forwardWait(), fireForwardFn, s)
-	p.fwdActive = append(p.fwdActive, ri)
+}
+
+// forwardSlot returns the slot serving requester this epoch, or nil.
+func (p *Protocol) forwardSlot(requester wire.NodeID) *fwdSlot {
+	for _, s := range p.fwd {
+		if s.requester == requester {
+			return s
+		}
+	}
+	return nil
 }
 
 // fwdSlot is one requester's peer-forward state and its timer's argument.
 // An ack's Cancel hands the timer's record back to the host's pool, so
-// re-arming allocates nothing, and the slot holds no copy of the update: p.update is fixed from the update's first
-// receipt to the epoch boundary, whose sweep cancels every armed forward, so
-// the fire sends exactly what arming saw.
+// re-arming allocates nothing, and the slot holds no copy of the update:
+// p.update is fixed from the update's first receipt to the epoch boundary,
+// whose sweep cancels every armed forward, so the fire sends exactly what
+// arming saw.
 type fwdSlot struct {
 	p         *Protocol
 	requester wire.NodeID
@@ -802,16 +816,16 @@ var fireForwardFn sim.ArgHandler = func(a any) {
 	p.host.Send(&p.fwdUpdMsg)
 }
 
-// pendingForwards counts the forwards armed and not yet fired or canceled.
-// Tests use it to pin the slot lifecycle.
-func (p *Protocol) pendingForwards() int {
-	n := 0
+// ForwardSlots reports the peer-forward slots this host holds, in use this
+// epoch or pooled, and how many of them have a forward armed: not yet fired,
+// acknowledged or swept.
+func (p *Protocol) ForwardSlots() (held, armed int) {
 	for _, s := range p.fwd {
-		if s != nil && s.timer.Active() {
-			n++
+		if s.timer.Active() {
+			armed++
 		}
 	}
-	return n
+	return len(p.fwd) + len(p.fwdFree), armed
 }
 
 // forwardWait computes this peer's waiting period for a requested forward
@@ -866,8 +880,8 @@ func (p *Protocol) onForwardAck(m *wire.ForwardAck) {
 	if m.Epoch != p.epoch {
 		return
 	}
-	if i, ok := p.ids.Lookup(m.NID); ok && int(i) < len(p.fwd) && p.fwd[i] != nil {
-		p.fwd[i].timer.Cancel()
+	if s := p.forwardSlot(m.NID); s != nil {
+		s.timer.Cancel()
 	}
 }
 
@@ -910,13 +924,17 @@ func appendUnique(rs []wire.Rescission, r wire.Rescission) []wire.Rescission {
 	return append(rs, r)
 }
 
+// cancelForwardTimers ends the epoch's forwards and pools their slots. Cancel
+// hands an armed timer's record back and is inert on a fired or acked one;
+// the kernel never reads a canceled event's argument, so a pooled slot is
+// free for the next requester while its dead event waits in the queue.
 func (p *Protocol) cancelForwardTimers() {
-	for _, i := range p.fwdActive {
-		// Duplicates and already-fired or acked slots are fine: Cancel on a
-		// stale generation-stamped handle is inert.
-		p.fwd[i].timer.Cancel()
+	for i, s := range p.fwd {
+		s.timer.Cancel()
+		p.fwdFree = append(p.fwdFree, s)
+		p.fwd[i] = nil
 	}
-	p.fwdActive = p.fwdActive[:0]
+	p.fwd = p.fwd[:0]
 }
 
 // --- queries -----------------------------------------------------------------

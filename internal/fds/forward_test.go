@@ -65,7 +65,7 @@ func TestArmedForwardCarriesUpdateAsReceived(t *testing.T) {
 	}
 	f.Handle(h, delivered, 1)
 	f.Handle(h, &wire.ForwardRequest{NID: 5, Epoch: 0}, 5)
-	if n := f.pendingForwards(); n != 1 {
+	if n := f.armedForwards(); n != 1 {
 		t.Fatalf("%d forwards armed, want 1", n)
 	}
 	// The receiver's decode scratch is reused for the next datagram.
@@ -81,9 +81,9 @@ func TestArmedForwardCarriesUpdateAsReceived(t *testing.T) {
 	if got := cl.View().CH; got != 2 {
 		t.Fatalf("forwarder's CH after the takeover = %v, want n2 (scenario broken)", got)
 	}
-	if !f.UpdateReceived() || f.pendingForwards() != 1 {
+	if !f.UpdateReceived() || f.armedForwards() != 1 {
 		t.Fatalf("after the takeover: update received %v, %d forwards armed; want true, 1",
-			f.UpdateReceived(), f.pendingForwards())
+			f.UpdateReceived(), f.armedForwards())
 	}
 	k.RunUntil(wait + sim.Time(50*time.Millisecond))
 
@@ -131,11 +131,11 @@ func TestArmedForwardAllocatesNothing(t *testing.T) {
 		k.RunUntil(k.Now() + wait)
 		// Unanswered: the forward fires.
 		f.Handle(h, req, 5)
-		if f.pendingForwards() != 1 {
+		if f.armedForwards() != 1 {
 			t.Fatal("request did not arm a forward")
 		}
 		k.RunUntil(k.Now() + wait)
-		if f.pendingForwards() != 0 {
+		if f.armedForwards() != 0 {
 			t.Fatal("armed forward did not fire")
 		}
 	}
@@ -143,5 +143,36 @@ func TestArmedForwardAllocatesNothing(t *testing.T) {
 	// 20 more rounds stay inside epoch 0 (10 s), so the update stays current.
 	if n := testing.AllocsPerRun(20, serve); n != 0 {
 		t.Errorf("a canceled and a fired forward allocate %v times, want 0", n)
+	}
+}
+
+// TestForwardSlotsFollowArmedForwards pins the responder's memory to what is
+// in flight: a member that answers one requester per epoch, a different one
+// each epoch, holds as many slots as its busiest epoch armed, not one per
+// requester it has ever served.
+func TestForwardSlotsFollowArmedForwards(t *testing.T) {
+	const epochs = 12
+	members := []wire.NodeID{1, 2, 3}
+	for i := 0; i < epochs; i++ {
+		members = append(members, wire.NodeID(4+i))
+	}
+	f, h, k := newBenchProtocol(t, 3, members, []wire.NodeID{2})
+	timing := cluster.DefaultTiming()
+	for e := wire.Epoch(0); e < epochs; e++ {
+		k.RunUntil(timing.EpochStart(e))
+		if !f.Active() || f.Epoch() != e {
+			t.Fatalf("epoch %d: active %v at epoch %d (scenario broken)", e, f.Active(), f.Epoch())
+		}
+		f.Handle(h, &wire.HealthUpdate{From: 1, CH: 1, Epoch: e}, 1)
+		requester := wire.NodeID(4 + e)
+		f.Handle(h, &wire.ForwardRequest{NID: requester, Epoch: e}, requester)
+		if held, armed := f.ForwardSlots(); armed != 1 || held != 1 {
+			t.Fatalf("epoch %d: %d slots held, %d armed; want 1 and 1", e, held, armed)
+		}
+	}
+	k.RunUntil(timing.EpochStart(epochs))
+	if held, armed := f.ForwardSlots(); held != 1 || armed != 0 {
+		t.Errorf("after %d epochs of one requester each: %d slots held, %d armed; want 1 and 0",
+			epochs, held, armed)
 	}
 }

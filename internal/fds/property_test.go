@@ -219,12 +219,12 @@ func TestEvidenceKeyedBySharedInterner(t *testing.T) {
 	f.Handle(h, &wire.ForwardRequest{NID: 5, Epoch: 0}, 5)
 	f.Handle(h, &wire.ForwardRequest{NID: 5, Epoch: 0}, 5) // already armed
 	f.Handle(h, &wire.ForwardRequest{NID: 6, Epoch: 0}, 6)
-	if n := f.pendingForwards(); n != 2 {
+	if n := f.armedForwards(); n != 2 {
 		t.Errorf("%d forwards pending after requests from 5 (twice) and 6, want 2", n)
 	}
 	f.Handle(h, &wire.ForwardAck{NID: 1000, Epoch: 0}, 1000) // interned by the cluster layer, never a requester
 	f.Handle(h, &wire.ForwardAck{NID: 5, Epoch: 0}, 5)
-	if n := f.pendingForwards(); n != 1 {
+	if n := f.armedForwards(); n != 1 {
 		t.Errorf("%d forwards pending after 5's ack, want 6's alone", n)
 	}
 

@@ -81,3 +81,34 @@ func BenchmarkRunFanout(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBatchedPhases is the epoch schedule's share of the kernel: 600
+// hosts each re-arm a boundary callback every epoch and register one of
+// three round-end callbacks from it, so one operation (one epoch) fills and
+// runs four batches, the boundary's with 600 entries.
+func BenchmarkBatchedPhases(b *testing.B) {
+	const (
+		hosts = 600
+		epoch = 10 * Time(time.Second)
+		round = 20 * Time(time.Millisecond)
+	)
+	k := New(1)
+	roundEnd := ArgHandler(func(any) {})
+	var boundary ArgHandler
+	boundary = func(a any) {
+		h := *a.(*int)
+		k.AtBatched(k.Now()+epoch, boundary, a)
+		k.AtBatched(k.Now()+Time(1+h%3)*round, roundEnd, a)
+	}
+	ids := make([]int, hosts)
+	for i := range ids {
+		ids[i] = i
+		k.AtBatched(0, boundary, &ids[i])
+	}
+	k.RunUntil(epoch) // warm-up: every batch and chunk the epoch needs
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.RunUntil(k.Now() + epoch)
+	}
+}

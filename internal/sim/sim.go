@@ -235,22 +235,70 @@ type Kernel struct {
 
 	// Same-instant batching (AtBatched): one kernel event per distinct
 	// timestamp, carrying every callback registered for it in FIFO order.
-	batches   map[Time]*batch
-	batchFree []*batch
-	batchFn   ArgHandler
+	// Batches and their chunks are pooled per kernel.
+	batches     map[Time]*batch
+	batchFree   []*batch
+	batchChunks *batchChunk
+	batchFn     ArgHandler
 }
 
 // batch is the pooled callback list behind AtBatched. Entries are
 // (handler, arg) pairs like ScheduleArg events, so registrants can thread
-// pooled records through without a closure per callback.
+// pooled records through without a closure per callback. The first
+// batchInline entries sit in the batch itself, which is all a one-host
+// kernel's phase instants need; the rest live in fixed-size chunks taken
+// from the kernel's free list and handed back as runBatch finishes each one.
+// A pooled batch therefore keeps no storage sized by the largest instant it
+// ever held: the kernel's chunks are shared by whichever instants are
+// pending.
 type batch struct {
-	at  Time
-	fns []batchEntry
+	at         Time
+	n          int // entries in inline
+	inline     [batchInline]batchEntry
+	head, tail *batchChunk
 }
 
 type batchEntry struct {
 	fn  ArgHandler
 	arg any
+}
+
+const (
+	batchInline   = 4
+	batchChunkLen = 8
+)
+
+type batchChunk struct {
+	next *batchChunk
+	n    int
+	e    [batchChunkLen]batchEntry
+}
+
+// add appends one entry, taking a chunk from the kernel's free list when the
+// inline entries and the tail chunk are full.
+func (b *batch) add(k *Kernel, e batchEntry) {
+	if b.n < batchInline {
+		b.inline[b.n] = e
+		b.n++
+		return
+	}
+	c := b.tail
+	if c == nil || c.n == batchChunkLen {
+		if c = k.batchChunks; c != nil {
+			k.batchChunks = c.next
+			c.next = nil
+		} else {
+			c = &batchChunk{}
+		}
+		if b.tail == nil {
+			b.head = c
+		} else {
+			b.tail.next = c
+		}
+		b.tail = c
+	}
+	c.e[c.n] = e
+	c.n++
 }
 
 // New returns a kernel whose random source is seeded with seed. Two kernels
@@ -500,7 +548,7 @@ func (k *Kernel) AtBatched(at Time, fn ArgHandler, arg any) {
 		panic(fmt.Sprintf("sim: AtBatched(%v) is in the past (now %v)", at, k.now))
 	}
 	if b, ok := k.batches[at]; ok {
-		b.fns = append(b.fns, batchEntry{fn: fn, arg: arg})
+		b.add(k, batchEntry{fn: fn, arg: arg})
 		return
 	}
 	if k.batches == nil {
@@ -516,23 +564,37 @@ func (k *Kernel) AtBatched(at Time, fn ArgHandler, arg any) {
 		b = &batch{}
 	}
 	b.at = at
-	b.fns = append(b.fns, batchEntry{fn: fn, arg: arg})
+	b.add(k, batchEntry{fn: fn, arg: arg})
 	k.batches[at] = b
 	k.ScheduleArg(at-k.now, k.batchFn, b)
 }
 
 // runBatch fires one batch: the map entry is removed first, so a callback
 // re-registering for the current instant starts a fresh batch that fires
-// after this event, preserving At's same-instant FIFO semantics.
+// after this event, preserving At's same-instant FIFO semantics. That also
+// means no callback adds to b while it runs. Each chunk goes back to the
+// free list once its last entry has run, so a callback registering for a
+// later instant may reuse it at once.
 func (k *Kernel) runBatch(arg any) {
 	b := arg.(*batch)
 	delete(k.batches, b.at)
-	for i := range b.fns {
-		e := b.fns[i]
-		b.fns[i] = batchEntry{}
+	for i := 0; i < b.n; i++ {
+		e := b.inline[i]
+		b.inline[i] = batchEntry{}
 		e.fn(e.arg)
 	}
-	b.fns = b.fns[:0]
+	for c := b.head; c != nil; {
+		for i := 0; i < c.n; i++ {
+			e := c.e[i]
+			c.e[i] = batchEntry{}
+			e.fn(e.arg)
+		}
+		next := c.next
+		c.n, c.next = 0, k.batchChunks
+		k.batchChunks = c
+		c = next
+	}
+	b.n, b.head, b.tail = 0, nil, nil
 	k.batchFree = append(k.batchFree, b)
 }
 

@@ -452,3 +452,73 @@ func TestScheduleArgNilPanics(t *testing.T) {
 	}()
 	New(1).ScheduleArg(time.Millisecond, nil, 7)
 }
+
+// TestBatchedEntriesRecycle pins the batch storage to what is pending: each
+// cycle registers one callback at an instant A and then 600 at a later
+// instant B, so the batch pool hands the batch that held 600 entries to A
+// and the one that held one to B. Once warm, no cycle allocates, and B's
+// callbacks still run in registration order across the chunk boundaries.
+func TestBatchedEntriesRecycle(t *testing.T) {
+	const hosts = 600
+	k := New(1)
+	var ran []int
+	record := ArgHandler(func(a any) { ran = append(ran, *a.(*int)) })
+	idx := make([]int, hosts)
+	for i := range idx {
+		idx[i] = i
+	}
+	cycle := func() {
+		ran = ran[:0]
+		k.AtBatched(k.Now()+Time(time.Millisecond), record, &idx[0])
+		for i := range idx {
+			k.AtBatched(k.Now()+2*Time(time.Millisecond), record, &idx[i])
+		}
+		k.RunUntil(k.Now() + 2*Time(time.Millisecond))
+	}
+	ran = make([]int, 0, hosts+1)
+	if n := testing.AllocsPerRun(5, cycle); n != 0 {
+		t.Errorf("a warm cycle of 1 + %d batched callbacks allocates %v times, want 0", hosts, n)
+	}
+	if len(ran) != hosts+1 || ran[0] != 0 {
+		t.Fatalf("ran %d callbacks, first %v; want %d, first 0", len(ran), ran[:1], hosts+1)
+	}
+	for i, v := range ran[1:] {
+		if v != i {
+			t.Fatalf("instant B's callback %d ran as %d: registration order lost", i, v)
+		}
+	}
+}
+
+// TestBatchedReregistrationStartsFreshBatch pins AtBatched's same-instant
+// FIFO: a callback that registers for the instant being run, from any chunk
+// of the batch, runs after the whole batch, in the order registered.
+func TestBatchedReregistrationStartsFreshBatch(t *testing.T) {
+	k := New(1)
+	at := Time(time.Millisecond)
+	var ran []int
+	const n = 3*batchChunkLen + batchInline
+	for i := 0; i < n; i++ {
+		k.AtBatched(at, func(any) {
+			ran = append(ran, i)
+			if i%5 == 0 {
+				k.AtBatched(at, func(any) { ran = append(ran, n+i) }, nil)
+			}
+		}, nil)
+	}
+	k.Run()
+	var want []int
+	for i := 0; i < n; i++ {
+		want = append(want, i)
+	}
+	for i := 0; i < n; i += 5 {
+		want = append(want, n+i)
+	}
+	if len(ran) != len(want) {
+		t.Fatalf("ran %v, want %v", ran, want)
+	}
+	for i := range want {
+		if ran[i] != want[i] {
+			t.Fatalf("ran %v, want %v", ran, want)
+		}
+	}
+}

@@ -427,9 +427,11 @@ func benchDetectorEpoch(b *testing.B, stack scenario.Stack) {
 	b.ReportMetric(float64(w.Kernel.Steps()-startEvents)/float64(b.N), "kernel-events/epoch")
 }
 
-// Per-detector epoch costs for the new pluggable baselines; each is pinned
-// in bench_baseline.json so an accidental allocation regression in a
+// Per-detector epoch costs of the flat baselines; each is pinned in
+// bench_baseline.json so an accidental allocation regression in a
 // detector's hot path (tick, Handle) fails `make benchcmp`.
+func BenchmarkFloodEpoch(b *testing.B)         { benchDetectorEpoch(b, scenario.StackFlood) }
+func BenchmarkGossipEpoch(b *testing.B)        { benchDetectorEpoch(b, scenario.StackGossip) }
 func BenchmarkSWIMEpoch(b *testing.B)          { benchDetectorEpoch(b, scenario.StackSWIM) }
 func BenchmarkQueryResponseEpoch(b *testing.B) { benchDetectorEpoch(b, scenario.StackQueryResponse) }
 func BenchmarkAllPairsEpoch(b *testing.B)      { benchDetectorEpoch(b, scenario.StackAllPairs) }

@@ -21,6 +21,11 @@ type AllPairs struct {
 	silence[allPairsPeer] // per-origin records
 
 	seq uint64
+
+	// Steady-state scratch, as in QueryResponse: one heartbeat value
+	// carries every transmission and the tick is bound once.
+	hb     wire.AllPairsHeartbeat
+	tickFn func()
 }
 
 func newAllPairs(p Params) *AllPairs {
@@ -30,14 +35,16 @@ func newAllPairs(p Params) *AllPairs {
 // Start implements node.Protocol.
 func (a *AllPairs) Start(h *node.Host) {
 	a.host = h
+	a.tickFn = a.tick
 	first := sim.Time(h.Rand().Int63n(int64(a.p.Interval)))
-	h.After(first, a.tick)
+	h.After(first, a.tickFn)
 }
 
 func (a *AllPairs) tick() {
 	a.seq++
-	a.host.Send(&wire.AllPairsHeartbeat{Origin: a.host.ID(), Seq: a.seq})
-	a.host.After(a.p.Interval, a.tick)
+	a.hb.Origin, a.hb.Seq = a.host.ID(), a.seq
+	a.host.Send(&a.hb)
+	a.host.After(a.p.Interval, a.tickFn)
 }
 
 // Handle implements node.Protocol: only a strictly newer sequence advances an

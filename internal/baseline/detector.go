@@ -115,3 +115,34 @@ func (s *silence[V]) KnownFailed() []wire.NodeID {
 // KnownPopulation returns how many origins this detector has heard, plus
 // itself. (Gossip's table holds the host itself, so Gossip overrides it.)
 func (s *silence[V]) KnownPopulation() int { return len(s.heard) + 1 }
+
+// recordPool hands out the pooled records a detector threads through
+// Host.AfterArg for jittered or deferred work, so no timer needs a capturing
+// closure. Records are allocated in blocks of recordBlock — how many a host
+// has in flight rises with fan-in, so one-at-a-time growth would allocate
+// every epoch — and made counts every record ever allocated. A record whose
+// host crashes before it fires is never put back; the crash guard keeps it
+// from running, and the host never takes another.
+type recordPool[T any] struct {
+	free []*T
+	made int
+}
+
+const recordBlock = 8
+
+func (p *recordPool[T]) take() *T {
+	if len(p.free) == 0 {
+		blk := make([]T, recordBlock)
+		for i := range blk {
+			p.free = append(p.free, &blk[i])
+		}
+		p.made += recordBlock
+	}
+	n := len(p.free)
+	r := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return r
+}
+
+func (p *recordPool[T]) put(r *T) { p.free = append(p.free, r) }

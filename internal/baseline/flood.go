@@ -31,6 +31,31 @@ type Flood struct {
 	silence[*floodOrigin] // per-origin records
 
 	seq uint64
+
+	// Steady-state scratch, as in QueryResponse: every transport encodes at
+	// Send, so one heartbeat value carries every transmission, the tick is
+	// bound once, and jittered relays are pooled records fired through
+	// AfterArg.
+	hb     wire.FloodHeartbeat
+	tickFn func()
+	relays recordPool[floodRelay]
+}
+
+// floodRelay is one jittered relay waiting for its send.
+type floodRelay struct {
+	f      *Flood
+	h      *node.Host
+	origin wire.NodeID
+	seq    uint64
+	ttl    uint8
+}
+
+// fireFloodRelayFn is the shared AfterArg trampoline for jittered relays.
+func fireFloodRelayFn(arg any) {
+	r := arg.(*floodRelay)
+	f := r.f
+	f.send(r.h, r.origin, r.seq, r.ttl)
+	f.relays.put(r)
 }
 
 func newFlood(p Params) *Flood {
@@ -40,19 +65,21 @@ func newFlood(p Params) *Flood {
 // Start implements node.Protocol.
 func (f *Flood) Start(h *node.Host) {
 	f.host = h
+	f.tickFn = f.tick
 	first := sim.Time(h.Rand().Int63n(int64(f.p.Interval)))
-	h.After(first, f.tick)
+	h.After(first, f.tickFn)
 }
 
 func (f *Flood) tick() {
 	f.seq++
-	f.host.Send(&wire.FloodHeartbeat{
-		Origin: f.host.ID(),
-		Seq:    f.seq,
-		TTL:    f.p.TTL,
-		Relay:  f.host.ID(),
-	})
-	f.host.After(f.p.Interval, f.tick)
+	f.send(f.host, f.host.ID(), f.seq, f.p.TTL)
+	f.host.After(f.p.Interval, f.tickFn)
+}
+
+// send transmits one heartbeat of origin from h, its originator or a relay.
+func (f *Flood) send(h *node.Host, origin wire.NodeID, seq uint64, ttl uint8) {
+	f.hb = wire.FloodHeartbeat{Origin: origin, Seq: seq, TTL: ttl, Relay: h.ID()}
+	h.Send(&f.hb)
 }
 
 // Handle implements node.Protocol: record liveness and relay unseen
@@ -92,12 +119,15 @@ func (f *Flood) Handle(h *node.Host, m wire.Message, from wire.NodeID) {
 	if hb.TTL <= 1 {
 		return
 	}
-	relay := &wire.FloodHeartbeat{Origin: hb.Origin, Seq: hb.Seq, TTL: hb.TTL - 1, Relay: h.ID()}
+	// Copy the fields out: the message is the transport's decode scratch and
+	// must not outlive Handle.
 	if f.p.RelayJitter > 0 {
-		h.After(sim.Time(h.Rand().Int63n(int64(f.p.RelayJitter))), func() { h.Send(relay) })
+		r := f.relays.take()
+		r.f, r.h, r.origin, r.seq, r.ttl = f, h, hb.Origin, hb.Seq, hb.TTL-1
+		h.AfterArg(sim.Time(h.Rand().Int63n(int64(f.p.RelayJitter))), fireFloodRelayFn, r)
 		return
 	}
-	h.Send(relay)
+	f.send(h, hb.Origin, hb.Seq, hb.TTL-1)
 }
 
 // dedupStateSize reports the number of per-origin dedup records — the

@@ -34,7 +34,8 @@
 package baseline
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"clusterfds/internal/node"
 	"clusterfds/internal/sim"
@@ -52,6 +53,12 @@ type Gossip struct {
 	silence[gossipEntry] // the local table, this host's own row included
 
 	counter uint64
+
+	// Steady-state scratch, as in QueryResponse: every transport encodes at
+	// Send, so one message and its entry buffer carry every round, and the
+	// tick is bound once.
+	msg    wire.Gossip
+	tickFn func()
 }
 
 func newGossip(p Params) *Gossip {
@@ -61,10 +68,11 @@ func newGossip(p Params) *Gossip {
 // Start implements node.Protocol.
 func (g *Gossip) Start(h *node.Host) {
 	g.host = h
+	g.tickFn = g.tick
 	g.heard[h.ID()] = gossipEntry{counter: 0, lastRaise: h.Now()}
 	// Desynchronize the fleet: first tick lands at a random phase.
 	first := sim.Time(h.Rand().Int63n(int64(g.p.Interval)))
-	h.After(first, g.tick)
+	h.After(first, g.tickFn)
 }
 
 // tick advances the local heartbeat and diffuses the table.
@@ -72,13 +80,14 @@ func (g *Gossip) tick() {
 	g.counter++
 	g.heard[g.host.ID()] = gossipEntry{counter: g.counter, lastRaise: g.host.Now()}
 
-	entries := make([]wire.GossipEntry, 0, len(g.heard))
+	entries := g.msg.Entries[:0]
 	for id, e := range g.heard {
 		entries = append(entries, wire.GossipEntry{NID: id, Heartbeat: e.counter})
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].NID < entries[j].NID })
-	g.host.Send(&wire.Gossip{From: g.host.ID(), Entries: entries})
-	g.host.After(g.p.Interval, g.tick)
+	slices.SortFunc(entries, func(a, b wire.GossipEntry) int { return cmp.Compare(a.NID, b.NID) })
+	g.msg.From, g.msg.Entries = g.host.ID(), entries
+	g.host.Send(&g.msg)
+	g.host.After(g.p.Interval, g.tickFn)
 }
 
 // Handle implements node.Protocol: merge higher counters.

@@ -22,14 +22,14 @@ type QueryResponse struct {
 	// and one response value are reused for every transmission, the tick
 	// closure is bound once, and jittered responses draw pooled jobs
 	// dispatched through AfterArg — the per-epoch loop allocates nothing.
-	query   wire.FDQuery
-	resp    wire.FDResponse
-	tickFn  func()
-	jobFree []*qrRespJob
+	query  wire.FDQuery
+	resp   wire.FDResponse
+	tickFn func()
+	jobs   recordPool[qrRespJob]
 }
 
 // qrRespJob carries one jittered response through AfterArg without a
-// capturing closure; fired jobs return to the owning detector's free list.
+// capturing closure; fired jobs return to the owning detector's pool.
 type qrRespJob struct {
 	q   *QueryResponse
 	to  wire.NodeID
@@ -42,24 +42,7 @@ func fireQRRespFn(arg any) {
 	q := j.q
 	q.resp.From, q.resp.To, q.resp.Seq = q.host.ID(), j.to, j.seq
 	q.host.Send(&q.resp)
-	q.jobFree = append(q.jobFree, j)
-}
-
-func (q *QueryResponse) takeJob() *qrRespJob {
-	if n := len(q.jobFree); n > 0 {
-		j := q.jobFree[n-1]
-		q.jobFree[n-1] = nil
-		q.jobFree = q.jobFree[:n-1]
-		return j
-	}
-	// Grow by blocks: the jittered-response fan-in keeps rising while
-	// queries and responses interleave, so amortize the growth.
-	blk := make([]qrRespJob, 8)
-	for i := range blk {
-		blk[i].q = q
-		q.jobFree = append(q.jobFree, &blk[i])
-	}
-	return q.takeJob()
+	q.jobs.put(j)
 }
 
 func newQueryResponse(p Params) *QueryResponse {
@@ -93,8 +76,8 @@ func (q *QueryResponse) Handle(h *node.Host, m wire.Message, from wire.NodeID) {
 		// outlive Handle.
 		to, seq := msg.From, msg.Seq
 		if q.p.RelayJitter > 0 {
-			j := q.takeJob()
-			j.to, j.seq = to, seq
+			j := q.jobs.take()
+			j.q, j.to, j.seq = q, to, seq
 			h.AfterArg(sim.Time(h.Rand().Int63n(int64(q.p.RelayJitter))), fireQRRespFn, j)
 			return
 		}

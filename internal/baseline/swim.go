@@ -56,6 +56,61 @@ type SWIM struct {
 		seq    uint64
 		acked  bool
 	}
+
+	// Steady-state scratch, as in QueryResponse: every transport encodes at
+	// Send, so one value per message kind, one rumor buffer and one proxy
+	// buffer carry every transmission, the tick is bound once, and probe
+	// timeouts are pooled records fired through AfterArg.
+	ping     wire.SWIMPing
+	pingReq  wire.SWIMPingReq
+	ack      wire.SWIMAck
+	evs      []wire.SWIMEvent
+	via      []wire.NodeID
+	tickFn   func()
+	timeouts recordPool[swimTimeout]
+}
+
+// swimTimeout is one armed probe-stage timeout. It carries the seq of the
+// probe it was armed for: when it fires after a later probe has been sent,
+// the seq no longer matches s.pending and the timeout is ignored.
+type swimTimeout struct {
+	s   *SWIM
+	seq uint64
+}
+
+// fireSWIMDirectFn and fireSWIMIndirectFn are the shared AfterArg
+// trampolines for the two probe stages.
+func fireSWIMDirectFn(arg any) {
+	t := arg.(*swimTimeout)
+	s, seq := t.s, t.seq
+	s.timeouts.put(t)
+	s.directTimeout(seq)
+}
+
+func fireSWIMIndirectFn(arg any) {
+	t := arg.(*swimTimeout)
+	s, seq := t.s, t.seq
+	s.timeouts.put(t)
+	s.indirectTimeout(seq)
+}
+
+// armTimeout schedules fn for probe seq one probe stage from now.
+func (s *SWIM) armTimeout(fn sim.ArgHandler, seq uint64) {
+	t := s.timeouts.take()
+	t.s, t.seq = s, seq
+	s.host.AfterArg(s.p.Interval/swimProbeDivisor, fn, t)
+}
+
+// sendPing transmits a ping from this host, with rumors attached.
+func (s *SWIM) sendPing(target wire.NodeID, seq uint64, onBehalf wire.NodeID) {
+	s.ping = wire.SWIMPing{From: s.host.ID(), Target: target, Seq: seq, OnBehalf: onBehalf, Events: s.takeEvents()}
+	s.host.Send(&s.ping)
+}
+
+// sendAck transmits an ack from this host, with rumors attached.
+func (s *SWIM) sendAck(to wire.NodeID, seq uint64, onBehalf wire.NodeID) {
+	s.ack = wire.SWIMAck{From: s.host.ID(), To: to, Seq: seq, OnBehalf: onBehalf, Events: s.takeEvents()}
+	s.host.Send(&s.ack)
 }
 
 func newSWIM(p Params) *SWIM {
@@ -69,30 +124,30 @@ func newSWIM(p Params) *SWIM {
 // Start implements node.Protocol.
 func (s *SWIM) Start(h *node.Host) {
 	s.host = h
+	s.tickFn = s.tick
+	s.evs = make([]wire.SWIMEvent, 0, swimMaxPiggyback)
+	s.via = make([]wire.NodeID, 0, swimIndirectProbes)
 	first := sim.Time(h.Rand().Int63n(int64(s.p.Interval)))
-	h.After(first, s.tick)
+	h.After(first, s.tickFn)
 }
 
 func (s *SWIM) tick() {
-	s.host.After(s.p.Interval, s.tick)
+	s.host.After(s.p.Interval, s.tickFn)
 	target, ok := s.pickTarget()
 	if !ok {
 		// Nobody to probe yet (or everybody we know is already declared
 		// failed). Send an unaddressed ping so neighbors can discover us
 		// and rumors keep moving.
 		s.seq++
-		s.host.Send(&wire.SWIMPing{From: s.host.ID(), Seq: s.seq, Events: s.takeEvents()})
+		s.sendPing(0, s.seq, 0)
 		return
 	}
 	s.seq++
 	s.pending.target = target
 	s.pending.seq = s.seq
 	s.pending.acked = false
-	s.host.Send(&wire.SWIMPing{
-		From: s.host.ID(), Target: target, Seq: s.seq, Events: s.takeEvents(),
-	})
-	seq := s.seq
-	s.host.After(s.p.Interval/swimProbeDivisor, func() { s.directTimeout(seq) })
+	s.sendPing(target, s.seq, 0)
+	s.armTimeout(fireSWIMDirectFn, s.seq)
 }
 
 // pickTarget returns a uniformly chosen member that is not already declared
@@ -122,11 +177,12 @@ func (s *SWIM) directTimeout(seq uint64) {
 		s.markFailed(s.pending.target)
 		return
 	}
-	s.host.Send(&wire.SWIMPingReq{
+	s.pingReq = wire.SWIMPingReq{
 		From: s.host.ID(), Target: s.pending.target, Seq: seq,
 		Via: via, Events: s.takeEvents(),
-	})
-	s.host.After(s.p.Interval/swimProbeDivisor, func() { s.indirectTimeout(seq) })
+	}
+	s.host.Send(&s.pingReq)
+	s.armTimeout(fireSWIMIndirectFn, seq)
 }
 
 func (s *SWIM) indirectTimeout(seq uint64) {
@@ -137,13 +193,13 @@ func (s *SWIM) indirectTimeout(seq uint64) {
 }
 
 // pickProxies returns up to swimIndirectProbes live members other than the
-// probe target, scanning from a random start.
+// probe target, scanning from a random start, in the reused via buffer.
 func (s *SWIM) pickProxies(target wire.NodeID) []wire.NodeID {
 	n := len(s.members)
 	if n == 0 {
 		return nil
 	}
-	var via []wire.NodeID
+	via := s.via[:0]
 	start := s.host.Rand().Intn(n)
 	for i := 0; i < n; i++ {
 		m := s.members[(start+i)%n]
@@ -154,6 +210,7 @@ func (s *SWIM) pickProxies(target wire.NodeID) []wire.NodeID {
 			}
 		}
 	}
+	s.via = via
 	return via
 }
 
@@ -165,10 +222,7 @@ func (s *SWIM) Handle(h *node.Host, m wire.Message, from wire.NodeID) {
 		s.heard(msg.From, now)
 		s.absorbEvents(msg.Events, now)
 		if msg.Target == h.ID() {
-			s.host.Send(&wire.SWIMAck{
-				From: h.ID(), To: msg.From, Seq: msg.Seq,
-				OnBehalf: msg.OnBehalf, Events: s.takeEvents(),
-			})
+			s.sendAck(msg.From, msg.Seq, msg.OnBehalf)
 		}
 	case *wire.SWIMPingReq:
 		s.heard(msg.From, now)
@@ -176,10 +230,7 @@ func (s *SWIM) Handle(h *node.Host, m wire.Message, from wire.NodeID) {
 		for _, v := range msg.Via {
 			if v == h.ID() {
 				// Proxy-probe the target; OnBehalf routes the ack home.
-				s.host.Send(&wire.SWIMPing{
-					From: h.ID(), Target: msg.Target, Seq: msg.Seq,
-					OnBehalf: msg.From, Events: s.takeEvents(),
-				})
+				s.sendPing(msg.Target, msg.Seq, msg.From)
 				break
 			}
 		}
@@ -197,10 +248,7 @@ func (s *SWIM) Handle(h *node.Host, m wire.Message, from wire.NodeID) {
 		if msg.OnBehalf != 0 && msg.OnBehalf != h.ID() {
 			// We are the proxy: relay the target's ack to the requester,
 			// moving the target's identity into OnBehalf for matching.
-			s.host.Send(&wire.SWIMAck{
-				From: h.ID(), To: msg.OnBehalf, Seq: msg.Seq,
-				OnBehalf: msg.From, Events: s.takeEvents(),
-			})
+			s.sendAck(msg.OnBehalf, msg.Seq, msg.From)
 		}
 	}
 }
@@ -275,29 +323,22 @@ func (s *SWIM) enqueue(id wire.NodeID, failedVerdict bool) {
 	s.announce = append(s.announce, swimAnnounce{node: id, failed: failedVerdict, left: swimRetransmit})
 }
 
-// takeEvents pops up to swimMaxPiggyback rumors for an outgoing message. Charged
-// rumors with budget left rotate to the back of the queue so every rumor
-// gets airtime; exhausted ones retire.
+// takeEvents pops up to swimMaxPiggyback rumors for an outgoing message, in
+// the reused evs buffer. Charged rumors with budget left rotate to the back
+// of the queue so every rumor gets airtime; exhausted ones retire.
 func (s *SWIM) takeEvents() []wire.SWIMEvent {
-	n := len(s.announce)
-	if n == 0 {
-		return nil
-	}
-	if n > swimMaxPiggyback {
-		n = swimMaxPiggyback
-	}
-	evs := make([]wire.SWIMEvent, 0, n)
-	var requeue []swimAnnounce
-	for i := 0; i < n; i++ {
-		a := s.announce[i]
+	n := min(len(s.announce), swimMaxPiggyback)
+	var charged [swimMaxPiggyback]swimAnnounce
+	copy(charged[:], s.announce[:n])
+	evs := s.evs[:0]
+	s.announce = append(s.announce[:0], s.announce[n:]...)
+	for _, a := range charged[:n] {
 		evs = append(evs, wire.SWIMEvent{Node: a.node, Failed: a.failed})
-		a.left--
-		if a.left > 0 {
-			requeue = append(requeue, a)
+		if a.left--; a.left > 0 {
+			s.announce = append(s.announce, a)
 		}
 	}
-	s.announce = append(s.announce[:0], s.announce[n:]...)
-	s.announce = append(s.announce, requeue...)
+	s.evs = evs
 	return evs
 }
 

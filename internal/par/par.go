@@ -13,6 +13,11 @@
 // inter-cluster relays — stays strip-local and goes through the strip kernel
 // exactly as in the serial engine.
 //
+// The medium is the serial world's, not a copy: Build checks it with
+// radio.Params.Validate, each sender's static neighbor roster is radio.Roster
+// (radio.Medium's grid query and range test), and energy goes through
+// transport.EnergyParams' TxCost, RxCost and Available, as the medium's does.
+//
 // Strips advance in lockstep conservative windows of width W = Radio.MinDelay,
 // the lower bound on delivery latency (the same lookahead internal/shard uses
 // at million-host scale). An event processed at time t inside the closed
@@ -224,7 +229,7 @@ type Engine struct {
 	pos   []geo.Point
 	spent []float64 // per-host energy expenditure; row owned by its strip
 
-	// Static neighbor CSR in ascending receiver index per sender.
+	// Static neighbor CSR (radio.Roster): ascending receiver index per sender.
 	nbStart []int32
 	nbList  []uint32
 
@@ -256,7 +261,7 @@ func (e *Engine) deliver(s int32, to uint32, from wire.NodeID, payload []byte) {
 	if h == nil || !h.Operational() {
 		return
 	}
-	e.spent[to] += e.params.RxByteCost * float64(len(payload))
+	e.spent[to] += e.params.RxCost(len(payload))
 	m, err := wire.DecodeInto(e.strips[s].scratch, payload)
 	if err != nil {
 		panic(fmt.Sprintf("par: decode on delivery: %v", err))
@@ -291,7 +296,7 @@ func (e *Engine) send(s int32, from wire.NodeID, m wire.Message) {
 	idx := uint32(from - 1)
 	st := &e.strips[s]
 	payload := st.encode(m)
-	e.spent[idx] += e.params.TxBaseCost + e.params.TxByteCost*float64(len(payload))
+	e.spent[idx] += e.params.TxCost(len(payload))
 	st.sends++
 	rng := e.rngs[idx]
 	span := int64(e.params.MaxDelay - e.params.MinDelay)
@@ -325,23 +330,21 @@ func (e *Engine) send(s int32, from wire.NodeID, m wire.Message) {
 	putFlight(f)
 }
 
-// energyOf mirrors the radio medium's budget formula: initial plus harvest
-// minus expenditure, floored at zero. Only the owning strip calls it (via the
-// host's own protocols), so reading the spent row is race-free.
+// energyOf is host id's available energy under the medium's energy model.
+// Only the owning strip calls it (via the host's own protocols), so reading
+// the spent row is race-free.
 func (e *Engine) energyOf(id wire.NodeID) float64 {
 	idx := id - 1
-	t := e.strips[e.stripOf[idx]].k.Now()
-	v := e.params.InitialEnergy + e.params.HarvestRate*float64(t)/1e9 - e.spent[idx]
-	if v < 0 {
-		return 0
-	}
-	return v
+	return e.params.Available(e.spent[idx], e.strips[e.stripOf[idx]].k.Now())
 }
 
 // Build lays out the field, partitions it into strips, and boots every host.
 func Build(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	params := radio.Defaults(cfg.LossProb)
+	if err := params.Validate(); err != nil {
+		panic(err)
+	}
 
 	nStrips := cfg.Strips
 	if nStrips < 1 {
@@ -389,33 +392,7 @@ func Build(cfg Config) *Engine {
 		e.rngs[i] = rand.New(rand.NewSource(cfg.Seed ^ (int64(i+1) * 0x9E3779B97F4A7C)))
 	}
 
-	// Static neighbor CSR: ascending receiver index per sender.
-	e.nbStart = make([]int32, n+1)
-	r2 := params.Range * params.Range
-	inRange := func(a, b int) bool {
-		dx, dy := e.pos[a].X-e.pos[b].X, e.pos[a].Y-e.pos[b].Y
-		return dx*dx+dy*dy <= r2
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j && inRange(i, j) {
-				e.nbStart[i+1]++
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		e.nbStart[i+1] += e.nbStart[i]
-	}
-	e.nbList = make([]uint32, e.nbStart[n])
-	fill := make([]int32, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j && inRange(i, j) {
-				e.nbList[e.nbStart[i]+fill[i]] = uint32(j)
-				fill[i]++
-			}
-		}
-	}
+	e.nbStart, e.nbList = radio.Roster(e.pos, params.Range)
 
 	// Hosts: the production stack on a per-host runtime facade, booted at
 	// time zero exactly like scenario.Build.

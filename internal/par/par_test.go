@@ -196,3 +196,20 @@ func TestBuildRunsClusterOnConfiguredTiming(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildRejectsInvalidMedium pins that the strip engine refuses a medium
+// the serial world refuses, with the same message: a loss probability
+// outside [0,1] is a configuration error, not a run.
+func TestBuildRejectsInvalidMedium(t *testing.T) {
+	for _, p := range []float64{1.5, -0.5} {
+		func() {
+			want := fmt.Sprintf("radio: loss probability %v outside [0,1]", p)
+			defer func() {
+				if r := recover(); r == nil || fmt.Sprint(r) != want {
+					t.Errorf("Build with LossProb %v recovered %v, want a panic %q", p, r, want)
+				}
+			}()
+			Build(Config{Seed: 1, Nodes: 5, FieldSide: 100, LossProb: p})
+		}()
+	}
+}

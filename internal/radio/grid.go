@@ -2,14 +2,15 @@ package radio
 
 import (
 	"math"
+	"slices"
 
 	"clusterfds/internal/geo"
 )
 
 // grid is a uniform spatial hash with cell size equal to the transmission
 // range, so all candidates within range of a point live in the 3x3 block of
-// cells around it. It keeps Neighbors and Send at O(density) instead of
-// O(network size), which matters for the 2000-node scalability runs.
+// cells around it. It keeps Neighbors, Send and Roster at O(density)
+// instead of O(network size), which matters for the 2000-node scalability runs.
 type grid struct {
 	cell  float64
 	cells map[[2]int64][]uint32 // host slots (Medium.hosts indices)
@@ -94,24 +95,9 @@ func (g *grid) move(id uint32, from, to geo.Point) {
 	g.insert(id, to)
 }
 
-// forNear invokes fn for every ID in the 3x3 cell block around p. Callers
-// still need an exact range check; the grid only prunes.
-func (g *grid) forNear(p geo.Point, fn func(uint32)) {
-	c := g.key(p)
-	for dx := int64(-1); dx <= 1; dx++ {
-		for dy := int64(-1); dy <= 1; dy++ {
-			for _, id := range g.cells[[2]int64{c[0] + dx, c[1] + dy}] {
-				fn(id)
-			}
-		}
-	}
-}
-
 // appendNear appends every ID in the 3x3 cell block around p to dst and
-// returns it. The allocation-free counterpart of forNear for hot paths that
-// would otherwise pay a closure: candidates come back in the same
-// deterministic cell order forNear uses. Callers still need an exact range
-// check; the grid only prunes.
+// returns it, in a fixed cell order. Callers still need an exact range check;
+// the grid only prunes.
 func (g *grid) appendNear(dst []uint32, p geo.Point) []uint32 {
 	c := g.key(p)
 	for dx := int64(-1); dx <= 1; dx++ {
@@ -120,4 +106,29 @@ func (g *grid) appendNear(dst []uint32, p geo.Point) []uint32 {
 		}
 	}
 	return dst
+}
+
+// Roster returns the static neighbor table of hosts at pos with range r in
+// compressed-row form: host i's neighbors are list[start[i]:start[i+1]],
+// ascending. It runs the medium's own query (the grid's 3x3 probe, then the
+// inclusive WithinRange test), so a row is exactly whom a Medium would reach.
+func Roster(pos []geo.Point, r float64) (start []int32, list []uint32) {
+	g := newGrid(r)
+	for i, p := range pos {
+		g.insert(uint32(i), p)
+	}
+	start = make([]int32, len(pos)+1)
+	var near []uint32
+	for i, p := range pos {
+		near = g.appendNear(near[:0], p)
+		row := len(list)
+		for _, j := range near {
+			if j != uint32(i) && p.WithinRange(pos[j], r) {
+				list = append(list, j)
+			}
+		}
+		slices.Sort(list[row:])
+		start[i+1] = int32(len(list))
+	}
+	return start, list
 }

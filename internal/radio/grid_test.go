@@ -1,8 +1,10 @@
 package radio
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"clusterfds/internal/geo"
@@ -53,7 +55,7 @@ func TestGridNoEmptyCellLeakUnderMobility(t *testing.T) {
 	}
 
 	// Membership must still be exact after the churn: every node findable via
-	// forNear at its current position, and total stored IDs == nodes.
+	// appendNear at its current position, and total stored IDs == nodes.
 	total := 0
 	for _, ids := range g.cells {
 		total += len(ids)
@@ -62,13 +64,7 @@ func TestGridNoEmptyCellLeakUnderMobility(t *testing.T) {
 		t.Errorf("grid stores %d ids, want %d", total, nodes)
 	}
 	for i, p := range pos {
-		found := false
-		g.forNear(p, func(id uint32) {
-			if id == uint32(i+1) {
-				found = true
-			}
-		})
-		if !found {
+		if !slices.Contains(g.appendNear(nil, p), uint32(i+1)) {
 			t.Errorf("node %d not found near its own position after walk", i+1)
 		}
 	}
@@ -98,17 +94,11 @@ func TestGridLargeCoordinateRanges(t *testing.T) {
 		// Each node must be findable near its own position, and the 3x3
 		// probe around a point must not drag in far-away nodes.
 		for i, p := range pts {
-			found, nearby := false, 0
-			g.forNear(p, func(id uint32) {
-				nearby++
-				if id == uint32(i+1) {
-					found = true
-				}
-			})
-			if !found {
+			near := g.appendNear(nil, p)
+			if !slices.Contains(near, uint32(i+1)) {
 				t.Fatalf("side %g: node %d missing from its own 3x3 block", side, i+1)
 			}
-			if nearby > 3 { // self plus at most the two diagonal neighbors
+			if nearby := len(near); nearby > 3 { // self plus at most the two diagonal neighbors
 				t.Fatalf("side %g: 3x3 block around node %d returned %d nodes", side, i+1, nearby)
 			}
 		}
@@ -152,5 +142,100 @@ func TestGridExtremeAndNonFiniteCoordinates(t *testing.T) {
 	}
 	if len(g.cells) != 0 {
 		t.Errorf("cells leak after removing extreme nodes: %d keys", len(g.cells))
+	}
+}
+
+// allPairsRoster is the brute-force reference for Roster: every ordered pair
+// tested, neighbors of i in ascending index order.
+func allPairsRoster(pos []geo.Point, r float64) (start []int32, list []uint32) {
+	start = make([]int32, len(pos)+1)
+	for i := range pos {
+		for j := range pos {
+			dx, dy := pos[i].X-pos[j].X, pos[i].Y-pos[j].Y
+			if i != j && dx*dx+dy*dy <= r*r {
+				list = append(list, uint32(j))
+			}
+		}
+		start[i+1] = int32(len(list))
+	}
+	return start, list
+}
+
+// TestRosterMatchesAllPairs checks the grid-built roster against the
+// all-pairs reference on seeded uniform fields, and on lattices whose points
+// sit on cell edges and corners with many pairs exactly R apart (the range
+// test is inclusive, so those pairs are neighbors).
+func TestRosterMatchesAllPairs(t *testing.T) {
+	type field struct {
+		name string
+		pos  []geo.Point
+		r    float64
+	}
+	var fields []field
+	for _, c := range []struct {
+		seed  int64
+		n     int
+		side  float64
+		r     float64
+		shift float64
+	}{
+		{1, 300, 700, 100, 0},
+		{2, 600, 1200, 100, 0},
+		{3, 200, 150, 100, 0},   // denser than one cell: every row long
+		{4, 400, 2000, 37.5, 0}, // sparse: many empty rows
+		{5, 250, 600, 100, -300},
+	} {
+		rng := rand.New(rand.NewSource(c.seed))
+		pos := make([]geo.Point, c.n)
+		for i := range pos {
+			pos[i] = geo.Point{X: c.shift + rng.Float64()*c.side, Y: c.shift + rng.Float64()*c.side}
+		}
+		fields = append(fields, field{fmt.Sprintf("uniform seed %d", c.seed), pos, c.r})
+	}
+	// Lattices at spacing R/2 and R: points on cell edges and corners, with
+	// axis pairs exactly R apart; the 60-80-100 offsets add diagonal pairs
+	// exactly R apart that straddle cells.
+	for _, step := range []float64{50, 100} {
+		var pos []geo.Point
+		for x := -200.0; x <= 400; x += step {
+			for y := -200.0; y <= 400; y += step {
+				pos = append(pos, geo.Point{X: x, Y: y}, geo.Point{X: x + 60, Y: y + 80})
+			}
+		}
+		fields = append(fields, field{fmt.Sprintf("lattice step %g", step), pos, 100})
+	}
+
+	for _, f := range fields {
+		wantStart, wantList := allPairsRoster(f.pos, f.r)
+		gotStart, gotList := Roster(f.pos, f.r)
+		if !slices.Equal(gotStart, wantStart) || !slices.Equal(gotList, wantList) {
+			for i := range f.pos {
+				got := gotList[gotStart[i]:gotStart[i+1]]
+				want := wantList[wantStart[i]:wantStart[i+1]]
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: host %d at %v: Roster row %v, all-pairs row %v", f.name, i, f.pos[i], got, want)
+				}
+			}
+			t.Fatalf("%s: Roster and all-pairs disagree", f.name)
+		}
+		if len(wantList) == 0 {
+			t.Fatalf("%s: no neighbor pairs: the field tests nothing", f.name)
+		}
+	}
+
+	// The lattices must really contain pairs at exactly R, or the inclusive
+	// boundary goes untested.
+	exact := 0
+	for _, f := range fields[len(fields)-2:] {
+		for i, p := range f.pos {
+			for _, q := range f.pos[i+1:] {
+				if p.Dist2(q) == f.r*f.r {
+					exact++
+				}
+			}
+		}
+	}
+	if exact == 0 {
+		t.Fatal("no pair exactly R apart in the lattice fields")
 	}
 }

@@ -15,6 +15,7 @@
 package radio
 
 import (
+	"errors"
 	"fmt"
 
 	"clusterfds/internal/geo"
@@ -42,9 +43,26 @@ type Params struct {
 	// MinDelay and MaxDelay bound the uniform delivery delay; MaxDelay
 	// plays the role of Thop, the per-hop bound the round timeouts use.
 	MinDelay, MaxDelay sim.Time
-	// EnergyParams is the per-host energy model. Its fields are promoted:
-	// the strip and sharded engines read p.InitialEnergy and p.HarvestRate.
+	// EnergyParams is the per-host energy model. Its fields and its cost
+	// methods are promoted: the strip engine charges through p.TxCost,
+	// p.RxCost and p.Available, as the medium's Meter does; the sharded
+	// engine reads the fields.
 	transport.EnergyParams
+}
+
+// Validate reports whether p describes a medium: a positive range, a loss
+// probability in [0,1] and MaxDelay >= MinDelay. New and the strip engine
+// panic with its error.
+func (p Params) Validate() error {
+	switch {
+	case p.Range <= 0:
+		return errors.New("radio: non-positive transmission range")
+	case p.LossProb < 0 || p.LossProb > 1:
+		return fmt.Errorf("radio: loss probability %v outside [0,1]", p.LossProb)
+	case p.MaxDelay < p.MinDelay:
+		return errors.New("radio: MaxDelay < MinDelay")
+	}
+	return nil
 }
 
 // Defaults returns the parameter set used throughout the experiments:
@@ -179,14 +197,8 @@ func WithMetrics(r *metrics.Registry) Option {
 
 // New creates a medium on the given kernel.
 func New(kernel *sim.Kernel, params Params, opts ...Option) *Medium {
-	if params.Range <= 0 {
-		panic("radio: non-positive transmission range")
-	}
-	if params.LossProb < 0 || params.LossProb > 1 {
-		panic(fmt.Sprintf("radio: loss probability %v outside [0,1]", params.LossProb))
-	}
-	if params.MaxDelay < params.MinDelay {
-		panic("radio: MaxDelay < MinDelay")
+	if err := params.Validate(); err != nil {
+		panic(err)
 	}
 	m := &Medium{
 		kernel:   kernel,

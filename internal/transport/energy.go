@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 
+	"clusterfds/internal/sim"
 	"clusterfds/internal/wire"
 )
 
@@ -32,6 +33,19 @@ func DefaultEnergy() EnergyParams {
 		HarvestRate:   5,
 		InitialEnergy: 100000,
 	}
+}
+
+// TxCost is one transmission's energy: the keying cost plus the per-byte cost.
+func (p EnergyParams) TxCost(bytes int) float64 {
+	return p.TxBaseCost + p.TxByteCost*float64(bytes)
+}
+
+// RxCost is the energy one reception of the given size spends.
+func (p EnergyParams) RxCost(bytes int) float64 { return p.RxByteCost * float64(bytes) }
+
+// Available is the initial budget plus the harvest by now, minus spent, floored at 0.
+func (p EnergyParams) Available(spent float64, now sim.Time) float64 {
+	return math.Max(0, p.InitialEnergy+p.HarvestRate*now.Seconds()-spent)
 }
 
 // Meter is the shared per-host energy meter. Both transport backends (the
@@ -70,30 +84,28 @@ func (m *Meter) Track(id wire.NodeID) uint32 {
 	return slot
 }
 
-// ChargeTx debits transmission energy: the base keying cost plus the
-// per-byte cost.
+// ChargeTx debits transmission energy.
 func (m *Meter) ChargeTx(slot uint32, bytes int) {
 	if int(slot) < len(m.spent) {
-		m.spent[slot] += m.params.TxBaseCost + m.params.TxByteCost*float64(bytes)
+		m.spent[slot] += m.params.TxCost(bytes)
 	}
 }
 
 // ChargeRx debits reception energy.
 func (m *Meter) ChargeRx(slot uint32, bytes int) {
 	if int(slot) < len(m.spent) {
-		m.spent[slot] += m.params.RxByteCost * float64(bytes)
+		m.spent[slot] += m.params.RxCost(bytes)
 	}
 }
 
-// Energy returns the host's available energy: initial budget plus harvest
-// minus spend, floored at zero. Untracked hosts have zero energy.
+// Energy returns the host's available energy. Untracked hosts have zero
+// energy.
 func (m *Meter) Energy(id wire.NodeID) float64 {
 	slot, ok := m.slotOf[id]
 	if !ok {
 		return 0
 	}
-	harvested := m.params.HarvestRate * m.clock.Now().Seconds()
-	return math.Max(0, m.params.InitialEnergy+harvested-m.spent[slot])
+	return m.params.Available(m.spent[slot], m.clock.Now())
 }
 
 // Spent returns the host's cumulative energy expenditure.

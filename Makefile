@@ -44,10 +44,11 @@ benchsmoke:
 	$(GO) test -run '^$$' -bench 'MonteCarlo' -benchtime 1x -benchmem .
 
 ## benchcmp: the allocation-regression gate. Runs the alloc-sensitive
-## benchmarks (FDSEpoch, RadioBroadcast, Codec, and the epoch benchmark of
-## every flat detector: Flood, Gossip, SWIM, QueryResponse and AllPairs,
-## whose steady state allocates nothing but a lower layer's occasional pool
-## block) and fails if any allocs/op
+## benchmarks (FDSEpoch, RadioBroadcast, Codec, CodecEncodeAppend — the
+## reused-buffer encode every transport runs, pinned at 0 allocs and so 0
+## B/op — and the epoch benchmark of every flat detector: Flood, Gossip,
+## SWIM, QueryResponse and AllPairs, whose steady state allocates nothing
+## but a lower layer's occasional pool block) and fails if any allocs/op
 ## or B/op figure regresses more than 10% against the committed baseline
 ## (bench_baseline.json); ns/op deltas print as info lines but never gate
 ## (wall-clock is machine-dependent). Bytes are what BENCHMARK.json gates
@@ -77,7 +78,7 @@ benchsmoke:
 ## port), and the gate holds them there. All three invocations feed one
 ## benchcmp run.
 benchcmp:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkFDSEpoch$$|BenchmarkRadioBroadcast$$|BenchmarkCodec$$|BenchmarkFloodEpoch$$|BenchmarkGossipEpoch$$|BenchmarkSWIMEpoch$$|BenchmarkQueryResponseEpoch$$|BenchmarkAllPairsEpoch$$' \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkFDSEpoch$$|BenchmarkRadioBroadcast$$|BenchmarkCodec$$|BenchmarkCodecEncodeAppend$$|BenchmarkFloodEpoch$$|BenchmarkGossipEpoch$$|BenchmarkSWIMEpoch$$|BenchmarkQueryResponseEpoch$$|BenchmarkAllPairsEpoch$$' \
 		-benchtime 20x -benchmem . && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFDSEpoch10k$$|BenchmarkShardedEpoch$$|BenchmarkFDSEpochParallel' \
 		-benchtime 1x -benchmem . && \

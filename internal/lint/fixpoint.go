@@ -134,8 +134,8 @@ func CheckRetention(pass *Pass, seeds func(fn *types.Func, decl *ast.FuncDecl) [
 // bodies a caller's package cannot see: an exported method of a wire message
 // that returns memory hands out memory the message owns — its scratch's, or
 // the datagram's (wire.Digest.HeardIDs) — so on a tainted receiver the result
-// is tainted exactly as a field read would be. (Unexported methods are the
-// codec's own append/decode, which copy.)
+// is tainted exactly as a field read would be. (The one unexported method,
+// walk, is each message's layout; only the codec calls it, from inside wire.)
 func messageMethodTaint(info *types.Info) func(*ast.CallExpr, func(ast.Expr) bool) bool {
 	return func(call *ast.CallExpr, tainted func(ast.Expr) bool) bool {
 		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)

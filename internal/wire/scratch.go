@@ -27,9 +27,10 @@ import "fmt"
 // concurrently; in this repository each attached receiver gets its own.
 type DecodeScratch struct {
 	msgs [kindEnd]Message
-	// heard is the Heard list of the scratch's Digest: validated, and still
-	// in the datagram it came in, 4 bytes per ID with the count stripped.
+	// heard is the Heard list of the scratch's Digest, count included:
+	// validated, and still in the datagram it came in.
 	heard       []byte
+	c           coder // on the heap already, so m.walk(&s.c) allocates nothing
 	ids         arena[NodeID]
 	rescissions arena[Rescission]
 	entries     arena[GossipEntry]
@@ -64,19 +65,28 @@ func DecodeInto(s *DecodeScratch, b []byte) (Message, error) {
 	if kind < KindHeartbeat || kind >= kindEnd {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownKind, b[0])
 	}
-	m := s.msgs[kind]
 	s.ids.reset()
 	s.rescissions.reset()
 	s.entries.reset()
 	s.events.reset()
-	rest, err := m.decode(b[1:], s)
-	if err != nil {
-		return nil, fmt.Errorf("wire: decoding %v: %w", kind, err)
+	m, c := s.msgs[kind], &s.c
+	c.op, c.buf, c.off, c.short, c.s = decoding, b[1:], 0, false, s
+	m.walk(c)
+	return c.done(m)
+}
+
+// alloc returns the n elements of a decoded list: from s's arena for T, or
+// from the heap when s is nil.
+func alloc[T any](s *DecodeScratch, n int) []T {
+	if s == nil {
+		return make([]T, n)
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after %v", len(rest), kind)
+	for _, a := range [...]any{&s.ids, &s.rescissions, &s.entries, &s.events} {
+		if a, ok := a.(*arena[T]); ok {
+			return a.take(n)
+		}
 	}
-	return m, nil
+	panic("wire: no arena for this list element")
 }
 
 // arena hands out sub-slices of one reused backing buffer. reset rewinds it;
@@ -90,7 +100,7 @@ type arena[T any] struct {
 }
 
 func (a *arena[T]) take(n int) []T {
-	if cap(a.buf)-len(a.buf) < n || a.buf == nil {
+	if cap(a.buf)-len(a.buf) < n {
 		c := 2 * cap(a.buf)
 		if c < n {
 			c = n

@@ -151,3 +151,56 @@ func TestArenaGrowthKeepsEarlierSlicesValid(t *testing.T) {
 		}
 	}
 }
+
+// TestEmptyListsDecodeNil pins one rule for every list on the wire: an empty
+// list decodes as nil, through Decode and through DecodeInto, so a message
+// with nil lists round-trips to a DeepEqual copy, and a fresh scratch
+// allocates nothing for it.
+func TestEmptyListsDecodeNil(t *testing.T) {
+	msgs := []Message{
+		&Digest{NID: 9, CH: 1, Epoch: 12},
+		&HealthUpdate{From: 2, CH: 2, Epoch: 4},
+		&ForwardedUpdate{Forwarder: 6, Requester: 42, Update: HealthUpdate{From: 2, CH: 2, Epoch: 8}},
+		&FailureReport{OriginCH: 2, Seq: 77, Epoch: 8, Sender: 19},
+		&ClusterAnnounce{CH: 1, Epoch: 1},
+		&GWRegister{GW: 16, AffiliateCH: 1},
+		&Gossip{From: 5},
+		&SWIMPing{From: 2, Target: 9, Seq: 41},
+		&SWIMPingReq{From: 2, Target: 9, Seq: 41},
+		&SWIMAck{From: 9, To: 2, Seq: 41},
+	}
+	const runs = 5
+	for _, m := range msgs {
+		enc := Encode(m)
+		heap, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("%v: Decode: %v", m.Kind(), err)
+		}
+		if !reflect.DeepEqual(heap, m) {
+			t.Errorf("%v: Decode = %#v, want %#v", m.Kind(), heap, m)
+		}
+		got, err := DecodeInto(NewDecodeScratch(), enc)
+		if err != nil {
+			t.Fatalf("%v: DecodeInto: %v", m.Kind(), err)
+		}
+		if got = heapForm(got); !reflect.DeepEqual(got, m) {
+			t.Errorf("%v: DecodeInto = %#v, want %#v", m.Kind(), got, m)
+		}
+		// AllocsPerRun calls the function runs+1 times; each call gets a
+		// scratch no decode has touched.
+		fresh := make([]*DecodeScratch, runs+1)
+		for i := range fresh {
+			fresh[i] = NewDecodeScratch()
+		}
+		allocs := testing.AllocsPerRun(runs, func() {
+			s := fresh[0]
+			fresh = fresh[1:]
+			if _, err := DecodeInto(s, enc); err != nil {
+				t.Fatalf("%v: DecodeInto: %v", m.Kind(), err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: DecodeInto on a fresh scratch allocates %.1f times, want 0", m.Kind(), allocs)
+		}
+	}
+}

@@ -7,12 +7,14 @@
 // because encoded size is an input to the radio medium's energy model and
 // because a lost/duplicated message must not alias state between hosts. The
 // paper assumes messages are never created or altered in transit
-// (Section 2.2); the codec's round-trip property tests pin that down.
+// (Section 2.2). Each kind therefore has exactly one layout, a walk method
+// naming its fields in wire order, and one coder runs it to encode, decode
+// or size the message, so the three cannot disagree.
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // NodeID identifies a host. The paper calls this the NID and assumes it is
@@ -71,52 +73,49 @@ const (
 // the kind space (per-kind counters, epoch series).
 const KindEnd = kindEnd
 
+// kinds names each kind and makes its zero message: the one table a new kind
+// joins, beside its walk case.
+var kinds = [kindEnd]struct {
+	name string
+	zero func() Message
+}{
+	KindHeartbeat:         {"heartbeat", func() Message { return new(Heartbeat) }},
+	KindDigest:            {"digest", func() Message { return new(Digest) }},
+	KindHealthUpdate:      {"health-update", func() Message { return new(HealthUpdate) }},
+	KindForwardRequest:    {"forward-request", func() Message { return new(ForwardRequest) }},
+	KindForwardedUpdate:   {"forwarded-update", func() Message { return new(ForwardedUpdate) }},
+	KindForwardAck:        {"forward-ack", func() Message { return new(ForwardAck) }},
+	KindFailureReport:     {"failure-report", func() Message { return new(FailureReport) }},
+	KindCHDeclare:         {"ch-declare", func() Message { return new(CHDeclare) }},
+	KindClusterAnnounce:   {"cluster-announce", func() Message { return new(ClusterAnnounce) }},
+	KindGWRegister:        {"gw-register", func() Message { return new(GWRegister) }},
+	KindGossip:            {"gossip", func() Message { return new(Gossip) }},
+	KindFloodHeartbeat:    {"flood-heartbeat", func() Message { return new(FloodHeartbeat) }},
+	KindAggregate:         {"aggregate", func() Message { return new(Aggregate) }},
+	KindSleepNotice:       {"sleep-notice", func() Message { return new(SleepNotice) }},
+	KindSWIMPing:          {"swim-ping", func() Message { return new(SWIMPing) }},
+	KindSWIMPingReq:       {"swim-ping-req", func() Message { return new(SWIMPingReq) }},
+	KindSWIMAck:           {"swim-ack", func() Message { return new(SWIMAck) }},
+	KindFDQuery:           {"fd-query", func() Message { return new(FDQuery) }},
+	KindFDResponse:        {"fd-response", func() Message { return new(FDResponse) }},
+	KindAllPairsHeartbeat: {"allpairs-heartbeat", func() Message { return new(AllPairsHeartbeat) }},
+}
+
 // String implements fmt.Stringer.
 func (k Kind) String() string {
-	switch k {
-	case KindHeartbeat:
-		return "heartbeat"
-	case KindDigest:
-		return "digest"
-	case KindHealthUpdate:
-		return "health-update"
-	case KindForwardRequest:
-		return "forward-request"
-	case KindForwardedUpdate:
-		return "forwarded-update"
-	case KindForwardAck:
-		return "forward-ack"
-	case KindFailureReport:
-		return "failure-report"
-	case KindCHDeclare:
-		return "ch-declare"
-	case KindClusterAnnounce:
-		return "cluster-announce"
-	case KindGWRegister:
-		return "gw-register"
-	case KindGossip:
-		return "gossip"
-	case KindFloodHeartbeat:
-		return "flood-heartbeat"
-	case KindAggregate:
-		return "aggregate"
-	case KindSleepNotice:
-		return "sleep-notice"
-	case KindSWIMPing:
-		return "swim-ping"
-	case KindSWIMPingReq:
-		return "swim-ping-req"
-	case KindSWIMAck:
-		return "swim-ack"
-	case KindFDQuery:
-		return "fd-query"
-	case KindFDResponse:
-		return "fd-response"
-	case KindAllPairsHeartbeat:
-		return "allpairs-heartbeat"
-	default:
+	if k < KindHeartbeat || k >= kindEnd {
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
+	return kinds[k].name
+}
+
+// newMessage returns a zero message of the given kind, or nil for an
+// unknown kind.
+func newMessage(k Kind) Message {
+	if k < KindHeartbeat || k >= kindEnd {
+		return nil
+	}
+	return kinds[k].zero()
 }
 
 // Rescission withdraws a previously announced failure detection: Node was
@@ -128,45 +127,6 @@ type Rescission struct {
 	Epoch Epoch
 }
 
-func appendRescissions(b []byte, rs []Rescission) []byte {
-	if len(rs) > math.MaxUint16 {
-		panic("wire: rescission list too long")
-	}
-	b = appendU16(b, uint16(len(rs)))
-	for _, r := range rs {
-		b = appendU32(b, uint32(r.Node))
-		b = appendU64(b, uint64(r.Epoch))
-	}
-	return b
-}
-
-func readRescissions(b []byte, s *DecodeScratch) ([]Rescission, []byte, error) {
-	n, b, err := readU16(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n == 0 {
-		return nil, b, nil
-	}
-	if len(b) < int(n)*12 {
-		return nil, nil, errShort
-	}
-	var rs []Rescission
-	if s != nil {
-		rs = s.rescissions.take(int(n))
-	} else {
-		rs = make([]Rescission, n)
-	}
-	for i := range rs {
-		var u32 uint32
-		var u64 uint64
-		u32, b, _ = readU32(b)
-		u64, b, _ = readU64(b)
-		rs[i] = Rescission{Node: NodeID(u32), Epoch: Epoch(u64)}
-	}
-	return rs, b, nil
-}
-
 // Message is the interface implemented by everything that can cross the
 // radio medium.
 type Message interface {
@@ -175,13 +135,59 @@ type Message interface {
 	// WireSize returns the encoded length in bytes, including the kind
 	// byte. The radio's energy model charges per byte.
 	WireSize() int
-	// append encodes the body (everything after the kind byte) onto b.
-	append(b []byte) []byte
-	// decode parses the body from b, returning the remaining bytes. When s
-	// is non-nil, variable-length fields are carved from s's arenas instead
-	// of freshly allocated; the decoded message then aliases s and is valid
-	// only until s's next DecodeInto call.
-	decode(b []byte, s *DecodeScratch) ([]byte, error)
+	// walk names the body's fields (everything after the kind byte) in
+	// wire order: the message's one layout, which encodes, decodes and
+	// sizes it (see coder for how the codec reaches it).
+	walk(c *coder)
+}
+
+// walk runs m's layout on c. It dispatches by a type switch, so each call is
+// static and c does not escape (see coder).
+func walk(c *coder, m Message) {
+	switch m := m.(type) {
+	case *Heartbeat:
+		m.walk(c)
+	case *Digest:
+		m.walk(c)
+	case *HealthUpdate:
+		m.walk(c)
+	case *ForwardRequest:
+		m.walk(c)
+	case *ForwardedUpdate:
+		m.walk(c)
+	case *ForwardAck:
+		m.walk(c)
+	case *FailureReport:
+		m.walk(c)
+	case *CHDeclare:
+		m.walk(c)
+	case *ClusterAnnounce:
+		m.walk(c)
+	case *GWRegister:
+		m.walk(c)
+	case *Gossip:
+		m.walk(c)
+	case *FloodHeartbeat:
+		m.walk(c)
+	case *Aggregate:
+		m.walk(c)
+	case *SleepNotice:
+		m.walk(c)
+	case *SWIMPing:
+		m.walk(c)
+	case *SWIMPingReq:
+		m.walk(c)
+	case *SWIMAck:
+		m.walk(c)
+	case *FDQuery:
+		m.walk(c)
+	case *FDResponse:
+		m.walk(c)
+	case *AllPairsHeartbeat:
+		m.walk(c)
+	default:
+		panic("wire: no layout for this message")
+	}
 }
 
 // --- FDS round 1: heartbeat exchange -----------------------------------
@@ -200,30 +206,12 @@ type Heartbeat struct {
 func (*Heartbeat) Kind() Kind { return KindHeartbeat }
 
 // WireSize implements Message.
-func (*Heartbeat) WireSize() int { return 1 + 4 + 8 + 1 }
+func (m *Heartbeat) WireSize() int { return size(m) }
 
-func (m *Heartbeat) append(b []byte) []byte {
-	b = appendU32(b, uint32(m.NID))
-	b = appendU64(b, uint64(m.Epoch))
-	return appendBool(b, m.Marked)
-}
-
-func (m *Heartbeat) decode(b []byte, s *DecodeScratch) ([]byte, error) {
-	var u32 uint32
-	var u64 uint64
-	var err error
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.NID = NodeID(u32)
-	if u64, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	m.Epoch = Epoch(u64)
-	if m.Marked, b, err = readBool(b); err != nil {
-		return nil, err
-	}
-	return b, nil
+func (m *Heartbeat) walk(c *coder) {
+	c.id(&m.NID)
+	c.epoch(&m.Epoch)
+	c.flag(&m.Marked)
 }
 
 // --- FDS round 2: digest exchange ---------------------------------------
@@ -266,12 +254,12 @@ type Digest struct {
 func (*Digest) Kind() Kind { return KindDigest }
 
 // WireSize implements Message.
-func (m *Digest) WireSize() int { return 1 + 4 + 4 + 8 + 2 + 4*m.HeardCount() + 1 + 8 }
+func (m *Digest) WireSize() int { return size(m) }
 
 // HeardCount returns how many IDs the digest lists.
 func (m *Digest) HeardCount() int {
 	if m.scratch != nil {
-		return len(m.scratch.heard) / 4
+		return int(binary.LittleEndian.Uint16(m.scratch.heard))
 	}
 	return len(m.Heard)
 }
@@ -279,62 +267,40 @@ func (m *Digest) HeardCount() int {
 // HeardIDs returns the listed IDs in wire order. On a DecodeInto digest each
 // call decodes them into the receiver's scratch: the result dies, like the
 // message, at the next DecodeInto on that scratch, and must be copied to be
-// kept.
+// kept. (DecodeInto checked the view's count against its bytes.)
 func (m *Digest) HeardIDs() []NodeID {
-	if m.scratch != nil {
-		return decodeIDs(m.scratch.heard, m.scratch)
+	if m.scratch == nil {
+		return m.Heard
 	}
-	return m.Heard
+	var c coder
+	c.op, c.buf = decoding, m.scratch.heard
+	var n uint16
+	if c.u16(&n); n == 0 {
+		return nil
+	}
+	ids := m.scratch.ids.take(int(n))
+	for i := range ids {
+		c.id(&ids[i])
+	}
+	return ids
 }
 
-func (m *Digest) append(b []byte) []byte {
-	b = appendU32(b, uint32(m.NID))
-	b = appendU32(b, uint32(m.CH))
-	b = appendU64(b, uint64(m.Epoch))
-	if m.scratch != nil {
-		b = appendU16(b, uint16(m.HeardCount()))
-		b = append(b, m.scratch.heard...)
+// walk decodes the list into Heard on the heap; into a scratch it leaves Heard
+// nil and keeps the scratch's view of the list, which encoding and sizing read.
+func (m *Digest) walk(c *coder) {
+	c.id(&m.NID)
+	c.id(&m.CH)
+	c.epoch(&m.Epoch)
+	if c.op == decoding {
+		m.Heard, m.scratch = nil, c.s
+	}
+	if m.scratch == nil {
+		list(c, &m.Heard)
 	} else {
-		b = appendIDs(b, m.Heard)
+		c.view(&m.scratch.heard)
 	}
-	b = appendBool(b, m.HasReading)
-	return appendU64(b, math.Float64bits(m.Reading))
-}
-
-func (m *Digest) decode(b []byte, s *DecodeScratch) ([]byte, error) {
-	var u32 uint32
-	var u64 uint64
-	var err error
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.NID = NodeID(u32)
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.CH = NodeID(u32)
-	if u64, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	m.Epoch = Epoch(u64)
-	var list []byte
-	if list, b, err = idList(b); err != nil {
-		return nil, err
-	}
-	m.Heard, m.scratch = nil, s
-	if s != nil {
-		s.heard = list
-	} else {
-		m.Heard = decodeIDs(list, nil)
-	}
-	if m.HasReading, b, err = readBool(b); err != nil {
-		return nil, err
-	}
-	if u64, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	m.Reading = math.Float64frombits(u64)
-	return b, nil
+	c.flag(&m.HasReading)
+	c.f64(&m.Reading)
 }
 
 // --- FDS round 3: health-status update ----------------------------------
@@ -361,50 +327,16 @@ type HealthUpdate struct {
 func (*HealthUpdate) Kind() Kind { return KindHealthUpdate }
 
 // WireSize implements Message.
-func (m *HealthUpdate) WireSize() int {
-	return 1 + 4 + 4 + 8 + (2 + 4*len(m.NewFailed)) + (2 + 4*len(m.AllFailed)) +
-		(2 + 12*len(m.Rescinded)) + 1
-}
+func (m *HealthUpdate) WireSize() int { return size(m) }
 
-func (m *HealthUpdate) append(b []byte) []byte {
-	b = appendU32(b, uint32(m.From))
-	b = appendU32(b, uint32(m.CH))
-	b = appendU64(b, uint64(m.Epoch))
-	b = appendIDs(b, m.NewFailed)
-	b = appendIDs(b, m.AllFailed)
-	b = appendRescissions(b, m.Rescinded)
-	return appendBool(b, m.Takeover)
-}
-
-func (m *HealthUpdate) decode(b []byte, s *DecodeScratch) ([]byte, error) {
-	var u32 uint32
-	var u64 uint64
-	var err error
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.From = NodeID(u32)
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.CH = NodeID(u32)
-	if u64, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	m.Epoch = Epoch(u64)
-	if m.NewFailed, b, err = readIDs(b, s); err != nil {
-		return nil, err
-	}
-	if m.AllFailed, b, err = readIDs(b, s); err != nil {
-		return nil, err
-	}
-	if m.Rescinded, b, err = readRescissions(b, s); err != nil {
-		return nil, err
-	}
-	if m.Takeover, b, err = readBool(b); err != nil {
-		return nil, err
-	}
-	return b, nil
+func (m *HealthUpdate) walk(c *coder) {
+	c.id(&m.From)
+	c.id(&m.CH)
+	c.epoch(&m.Epoch)
+	list(c, &m.NewFailed)
+	list(c, &m.AllFailed)
+	list(c, &m.Rescinded)
+	c.flag(&m.Takeover)
 }
 
 // --- Intra-cluster peer forwarding (completeness enhancement) ------------
@@ -421,26 +353,11 @@ type ForwardRequest struct {
 func (*ForwardRequest) Kind() Kind { return KindForwardRequest }
 
 // WireSize implements Message.
-func (*ForwardRequest) WireSize() int { return 1 + 4 + 8 }
+func (m *ForwardRequest) WireSize() int { return size(m) }
 
-func (m *ForwardRequest) append(b []byte) []byte {
-	b = appendU32(b, uint32(m.NID))
-	return appendU64(b, uint64(m.Epoch))
-}
-
-func (m *ForwardRequest) decode(b []byte, s *DecodeScratch) ([]byte, error) {
-	var u32 uint32
-	var u64 uint64
-	var err error
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.NID = NodeID(u32)
-	if u64, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	m.Epoch = Epoch(u64)
-	return b, nil
+func (m *ForwardRequest) walk(c *coder) {
+	c.id(&m.NID)
+	c.epoch(&m.Epoch)
 }
 
 // ForwardedUpdate is a peer's retransmission of the CH's health update in
@@ -456,26 +373,12 @@ type ForwardedUpdate struct {
 func (*ForwardedUpdate) Kind() Kind { return KindForwardedUpdate }
 
 // WireSize implements Message.
-func (m *ForwardedUpdate) WireSize() int { return 1 + 4 + 4 + m.Update.WireSize() - 1 }
+func (m *ForwardedUpdate) WireSize() int { return size(m) }
 
-func (m *ForwardedUpdate) append(b []byte) []byte {
-	b = appendU32(b, uint32(m.Forwarder))
-	b = appendU32(b, uint32(m.Requester))
-	return m.Update.append(b)
-}
-
-func (m *ForwardedUpdate) decode(b []byte, s *DecodeScratch) ([]byte, error) {
-	var u32 uint32
-	var err error
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.Forwarder = NodeID(u32)
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.Requester = NodeID(u32)
-	return m.Update.decode(b, s)
+func (m *ForwardedUpdate) walk(c *coder) {
+	c.id(&m.Forwarder)
+	c.id(&m.Requester)
+	m.Update.walk(c)
 }
 
 // ForwardAck is the requester's acknowledgment of a ForwardedUpdate; peers
@@ -489,26 +392,11 @@ type ForwardAck struct {
 func (*ForwardAck) Kind() Kind { return KindForwardAck }
 
 // WireSize implements Message.
-func (*ForwardAck) WireSize() int { return 1 + 4 + 8 }
+func (m *ForwardAck) WireSize() int { return size(m) }
 
-func (m *ForwardAck) append(b []byte) []byte {
-	b = appendU32(b, uint32(m.NID))
-	return appendU64(b, uint64(m.Epoch))
-}
-
-func (m *ForwardAck) decode(b []byte, s *DecodeScratch) ([]byte, error) {
-	var u32 uint32
-	var u64 uint64
-	var err error
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.NID = NodeID(u32)
-	if u64, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	m.Epoch = Epoch(u64)
-	return b, nil
+func (m *ForwardAck) walk(c *coder) {
+	c.id(&m.NID)
+	c.epoch(&m.Epoch)
 }
 
 // --- Inter-cluster failure report forwarding ------------------------------
@@ -536,56 +424,17 @@ type FailureReport struct {
 func (*FailureReport) Kind() Kind { return KindFailureReport }
 
 // WireSize implements Message.
-func (m *FailureReport) WireSize() int {
-	return 1 + 4 + 8 + 8 + (2 + 4*len(m.NewFailed)) + (2 + 4*len(m.AllFailed)) +
-		(2 + 12*len(m.Rescinded)) + 4 + 4
-}
+func (m *FailureReport) WireSize() int { return size(m) }
 
-func (m *FailureReport) append(b []byte) []byte {
-	b = appendU32(b, uint32(m.OriginCH))
-	b = appendU64(b, m.Seq)
-	b = appendU64(b, uint64(m.Epoch))
-	b = appendIDs(b, m.NewFailed)
-	b = appendIDs(b, m.AllFailed)
-	b = appendRescissions(b, m.Rescinded)
-	b = appendU32(b, uint32(m.Sender))
-	return appendU32(b, uint32(m.TargetCH))
-}
-
-func (m *FailureReport) decode(b []byte, s *DecodeScratch) ([]byte, error) {
-	var u32 uint32
-	var u64 uint64
-	var err error
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.OriginCH = NodeID(u32)
-	if u64, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	m.Seq = u64
-	if u64, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	m.Epoch = Epoch(u64)
-	if m.NewFailed, b, err = readIDs(b, s); err != nil {
-		return nil, err
-	}
-	if m.AllFailed, b, err = readIDs(b, s); err != nil {
-		return nil, err
-	}
-	if m.Rescinded, b, err = readRescissions(b, s); err != nil {
-		return nil, err
-	}
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.Sender = NodeID(u32)
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.TargetCH = NodeID(u32)
-	return b, nil
+func (m *FailureReport) walk(c *coder) {
+	c.id(&m.OriginCH)
+	c.u64(&m.Seq)
+	c.epoch(&m.Epoch)
+	list(c, &m.NewFailed)
+	list(c, &m.AllFailed)
+	list(c, &m.Rescinded)
+	c.id(&m.Sender)
+	c.id(&m.TargetCH)
 }
 
 // --- Cluster formation ----------------------------------------------------
@@ -602,24 +451,11 @@ type CHDeclare struct {
 func (*CHDeclare) Kind() Kind { return KindCHDeclare }
 
 // WireSize implements Message.
-func (*CHDeclare) WireSize() int { return 1 + 4 + 4 }
+func (m *CHDeclare) WireSize() int { return size(m) }
 
-func (m *CHDeclare) append(b []byte) []byte {
-	b = appendU32(b, uint32(m.CH))
-	return appendU32(b, m.Iteration)
-}
-
-func (m *CHDeclare) decode(b []byte, s *DecodeScratch) ([]byte, error) {
-	var u32 uint32
-	var err error
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.CH = NodeID(u32)
-	if m.Iteration, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	return b, nil
+func (m *CHDeclare) walk(c *coder) {
+	c.id(&m.CH)
+	c.u32(&m.Iteration)
 }
 
 // ClusterAnnounce is the CH's cluster-organization announcement: the member
@@ -636,36 +472,13 @@ type ClusterAnnounce struct {
 func (*ClusterAnnounce) Kind() Kind { return KindClusterAnnounce }
 
 // WireSize implements Message.
-func (m *ClusterAnnounce) WireSize() int {
-	return 1 + 4 + 8 + (2 + 4*len(m.Members)) + (2 + 4*len(m.DCHs))
-}
+func (m *ClusterAnnounce) WireSize() int { return size(m) }
 
-func (m *ClusterAnnounce) append(b []byte) []byte {
-	b = appendU32(b, uint32(m.CH))
-	b = appendU64(b, uint64(m.Epoch))
-	b = appendIDs(b, m.Members)
-	return appendIDs(b, m.DCHs)
-}
-
-func (m *ClusterAnnounce) decode(b []byte, s *DecodeScratch) ([]byte, error) {
-	var u32 uint32
-	var u64 uint64
-	var err error
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.CH = NodeID(u32)
-	if u64, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	m.Epoch = Epoch(u64)
-	if m.Members, b, err = readIDs(b, s); err != nil {
-		return nil, err
-	}
-	if m.DCHs, b, err = readIDs(b, s); err != nil {
-		return nil, err
-	}
-	return b, nil
+func (m *ClusterAnnounce) walk(c *coder) {
+	c.id(&m.CH)
+	c.epoch(&m.Epoch)
+	list(c, &m.Members)
+	list(c, &m.DCHs)
 }
 
 // GWRegister is sent by a node that hears the CHs of two or more clusters to
@@ -682,29 +495,12 @@ type GWRegister struct {
 func (*GWRegister) Kind() Kind { return KindGWRegister }
 
 // WireSize implements Message.
-func (m *GWRegister) WireSize() int { return 1 + 4 + 4 + 2 + 4*len(m.OtherCHs) }
+func (m *GWRegister) WireSize() int { return size(m) }
 
-func (m *GWRegister) append(b []byte) []byte {
-	b = appendU32(b, uint32(m.GW))
-	b = appendU32(b, uint32(m.AffiliateCH))
-	return appendIDs(b, m.OtherCHs)
-}
-
-func (m *GWRegister) decode(b []byte, s *DecodeScratch) ([]byte, error) {
-	var u32 uint32
-	var err error
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.GW = NodeID(u32)
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.AffiliateCH = NodeID(u32)
-	if m.OtherCHs, b, err = readIDs(b, s); err != nil {
-		return nil, err
-	}
-	return b, nil
+func (m *GWRegister) walk(c *coder) {
+	c.id(&m.GW)
+	c.id(&m.AffiliateCH)
+	list(c, &m.OtherCHs)
 }
 
 // --- Baseline detectors -----------------------------------------------------
@@ -727,51 +523,11 @@ type Gossip struct {
 func (*Gossip) Kind() Kind { return KindGossip }
 
 // WireSize implements Message.
-func (m *Gossip) WireSize() int { return 1 + 4 + 2 + 12*len(m.Entries) }
+func (m *Gossip) WireSize() int { return size(m) }
 
-func (m *Gossip) append(b []byte) []byte {
-	b = appendU32(b, uint32(m.From))
-	if len(m.Entries) > math.MaxUint16 {
-		panic("wire: gossip entry list too long")
-	}
-	b = appendU16(b, uint16(len(m.Entries)))
-	for _, e := range m.Entries {
-		b = appendU32(b, uint32(e.NID))
-		b = appendU64(b, e.Heartbeat)
-	}
-	return b
-}
-
-func (m *Gossip) decode(b []byte, s *DecodeScratch) ([]byte, error) {
-	var u16 uint16
-	var u32 uint32
-	var u64 uint64
-	var err error
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.From = NodeID(u32)
-	if u16, b, err = readU16(b); err != nil {
-		return nil, err
-	}
-	if len(b) < int(u16)*12 {
-		return nil, errShort
-	}
-	if s != nil {
-		m.Entries = s.entries.take(int(u16))
-	} else {
-		m.Entries = make([]GossipEntry, u16)
-	}
-	for i := range m.Entries {
-		if u32, b, err = readU32(b); err != nil {
-			return nil, err
-		}
-		if u64, b, err = readU64(b); err != nil {
-			return nil, err
-		}
-		m.Entries[i] = GossipEntry{NID: NodeID(u32), Heartbeat: u64}
-	}
-	return b, nil
+func (m *Gossip) walk(c *coder) {
+	c.id(&m.From)
+	list(c, &m.Entries)
 }
 
 // FloodHeartbeat is the baseline flat-flooding detector's heartbeat, relayed
@@ -788,37 +544,13 @@ type FloodHeartbeat struct {
 func (*FloodHeartbeat) Kind() Kind { return KindFloodHeartbeat }
 
 // WireSize implements Message.
-func (*FloodHeartbeat) WireSize() int { return 1 + 4 + 8 + 1 + 4 }
+func (m *FloodHeartbeat) WireSize() int { return size(m) }
 
-func (m *FloodHeartbeat) append(b []byte) []byte {
-	b = appendU32(b, uint32(m.Origin))
-	b = appendU64(b, m.Seq)
-	b = append(b, m.TTL)
-	return appendU32(b, uint32(m.Relay))
-}
-
-func (m *FloodHeartbeat) decode(b []byte, s *DecodeScratch) ([]byte, error) {
-	var u32 uint32
-	var u64 uint64
-	var err error
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.Origin = NodeID(u32)
-	if u64, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	m.Seq = u64
-	if len(b) < 1 {
-		return nil, errShort
-	}
-	m.TTL = b[0]
-	b = b[1:]
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.Relay = NodeID(u32)
-	return b, nil
+func (m *FloodHeartbeat) walk(c *coder) {
+	c.id(&m.Origin)
+	c.u64(&m.Seq)
+	c.u8(&m.TTL)
+	c.id(&m.Relay)
 }
 
 // Aggregate is a cluster's partial aggregate of its members' sensor
@@ -841,50 +573,16 @@ type Aggregate struct {
 func (*Aggregate) Kind() Kind { return KindAggregate }
 
 // WireSize implements Message.
-func (*Aggregate) WireSize() int { return 1 + 4 + 8 + 4 + 8 + 8 + 8 + 4 }
+func (m *Aggregate) WireSize() int { return size(m) }
 
-func (m *Aggregate) append(b []byte) []byte {
-	b = appendU32(b, uint32(m.OriginCH))
-	b = appendU64(b, uint64(m.Epoch))
-	b = appendU32(b, m.Count)
-	b = appendU64(b, math.Float64bits(m.Sum))
-	b = appendU64(b, math.Float64bits(m.Min))
-	b = appendU64(b, math.Float64bits(m.Max))
-	return appendU32(b, uint32(m.Sender))
-}
-
-func (m *Aggregate) decode(b []byte, s *DecodeScratch) ([]byte, error) {
-	var u32 uint32
-	var u64 uint64
-	var err error
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.OriginCH = NodeID(u32)
-	if u64, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	m.Epoch = Epoch(u64)
-	if m.Count, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	if u64, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	m.Sum = math.Float64frombits(u64)
-	if u64, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	m.Min = math.Float64frombits(u64)
-	if u64, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	m.Max = math.Float64frombits(u64)
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.Sender = NodeID(u32)
-	return b, nil
+func (m *Aggregate) walk(c *coder) {
+	c.id(&m.OriginCH)
+	c.epoch(&m.Epoch)
+	c.u32(&m.Count)
+	c.f64(&m.Sum)
+	c.f64(&m.Min)
+	c.f64(&m.Max)
+	c.id(&m.Sender)
 }
 
 // SleepNotice announces a member's intent to duty-cycle its radio: it will
@@ -903,31 +601,12 @@ type SleepNotice struct {
 func (*SleepNotice) Kind() Kind { return KindSleepNotice }
 
 // WireSize implements Message.
-func (*SleepNotice) WireSize() int { return 1 + 4 + 8 + 8 }
+func (m *SleepNotice) WireSize() int { return size(m) }
 
-func (m *SleepNotice) append(b []byte) []byte {
-	b = appendU32(b, uint32(m.NID))
-	b = appendU64(b, uint64(m.Epoch))
-	return appendU64(b, uint64(m.Until))
-}
-
-func (m *SleepNotice) decode(b []byte, s *DecodeScratch) ([]byte, error) {
-	var u32 uint32
-	var u64 uint64
-	var err error
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.NID = NodeID(u32)
-	if u64, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	m.Epoch = Epoch(u64)
-	if u64, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	m.Until = Epoch(u64)
-	return b, nil
+func (m *SleepNotice) walk(c *coder) {
+	c.id(&m.NID)
+	c.epoch(&m.Epoch)
+	c.epoch(&m.Until)
 }
 
 // --- Competing failure detectors (SWIM, query-response, all-pairs) ----------
@@ -938,48 +617,6 @@ func (m *SleepNotice) decode(b []byte, s *DecodeScratch) ([]byte, error) {
 type SWIMEvent struct {
 	Node   NodeID
 	Failed bool
-}
-
-const swimEventSize = 4 + 1
-
-func appendEvents(b []byte, evs []SWIMEvent) []byte {
-	if len(evs) > math.MaxUint16 {
-		panic("wire: SWIM event list too long")
-	}
-	b = appendU16(b, uint16(len(evs)))
-	for _, e := range evs {
-		b = appendU32(b, uint32(e.Node))
-		b = appendBool(b, e.Failed)
-	}
-	return b
-}
-
-func readEvents(b []byte, s *DecodeScratch) ([]SWIMEvent, []byte, error) {
-	u16, b, err := readU16(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(b) < int(u16)*swimEventSize {
-		return nil, nil, errShort
-	}
-	var evs []SWIMEvent
-	if s != nil {
-		evs = s.events.take(int(u16))
-	} else {
-		evs = make([]SWIMEvent, u16)
-	}
-	for i := range evs {
-		var u32 uint32
-		var fl bool
-		if u32, b, err = readU32(b); err != nil {
-			return nil, nil, err
-		}
-		if fl, b, err = readBool(b); err != nil {
-			return nil, nil, err
-		}
-		evs[i] = SWIMEvent{Node: NodeID(u32), Failed: fl}
-	}
-	return evs, b, nil
 }
 
 // SWIMPing is SWIM's direct probe. When OnBehalf is non-zero the ping is a
@@ -997,38 +634,14 @@ type SWIMPing struct {
 func (*SWIMPing) Kind() Kind { return KindSWIMPing }
 
 // WireSize implements Message.
-func (m *SWIMPing) WireSize() int { return 1 + 4 + 4 + 8 + 4 + 2 + swimEventSize*len(m.Events) }
+func (m *SWIMPing) WireSize() int { return size(m) }
 
-func (m *SWIMPing) append(b []byte) []byte {
-	b = appendU32(b, uint32(m.From))
-	b = appendU32(b, uint32(m.Target))
-	b = appendU64(b, m.Seq)
-	b = appendU32(b, uint32(m.OnBehalf))
-	return appendEvents(b, m.Events)
-}
-
-func (m *SWIMPing) decode(b []byte, s *DecodeScratch) ([]byte, error) {
-	var u32 uint32
-	var err error
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.From = NodeID(u32)
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.Target = NodeID(u32)
-	if m.Seq, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.OnBehalf = NodeID(u32)
-	if m.Events, b, err = readEvents(b, s); err != nil {
-		return nil, err
-	}
-	return b, nil
+func (m *SWIMPing) walk(c *coder) {
+	c.id(&m.From)
+	c.id(&m.Target)
+	c.u64(&m.Seq)
+	c.id(&m.OnBehalf)
+	list(c, &m.Events)
 }
 
 // SWIMPingReq asks the Via members to probe Target on the sender's behalf
@@ -1046,39 +659,14 @@ type SWIMPingReq struct {
 func (*SWIMPingReq) Kind() Kind { return KindSWIMPingReq }
 
 // WireSize implements Message.
-func (m *SWIMPingReq) WireSize() int {
-	return 1 + 4 + 4 + 8 + 2 + 4*len(m.Via) + 2 + swimEventSize*len(m.Events)
-}
+func (m *SWIMPingReq) WireSize() int { return size(m) }
 
-func (m *SWIMPingReq) append(b []byte) []byte {
-	b = appendU32(b, uint32(m.From))
-	b = appendU32(b, uint32(m.Target))
-	b = appendU64(b, m.Seq)
-	b = appendIDs(b, m.Via)
-	return appendEvents(b, m.Events)
-}
-
-func (m *SWIMPingReq) decode(b []byte, s *DecodeScratch) ([]byte, error) {
-	var u32 uint32
-	var err error
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.From = NodeID(u32)
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.Target = NodeID(u32)
-	if m.Seq, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	if m.Via, b, err = readIDs(b, s); err != nil {
-		return nil, err
-	}
-	if m.Events, b, err = readEvents(b, s); err != nil {
-		return nil, err
-	}
-	return b, nil
+func (m *SWIMPingReq) walk(c *coder) {
+	c.id(&m.From)
+	c.id(&m.Target)
+	c.u64(&m.Seq)
+	list(c, &m.Via)
+	list(c, &m.Events)
 }
 
 // SWIMAck answers a SWIMPing. To names the node the ack is addressed to (the
@@ -1096,38 +684,14 @@ type SWIMAck struct {
 func (*SWIMAck) Kind() Kind { return KindSWIMAck }
 
 // WireSize implements Message.
-func (m *SWIMAck) WireSize() int { return 1 + 4 + 4 + 8 + 4 + 2 + swimEventSize*len(m.Events) }
+func (m *SWIMAck) WireSize() int { return size(m) }
 
-func (m *SWIMAck) append(b []byte) []byte {
-	b = appendU32(b, uint32(m.From))
-	b = appendU32(b, uint32(m.To))
-	b = appendU64(b, m.Seq)
-	b = appendU32(b, uint32(m.OnBehalf))
-	return appendEvents(b, m.Events)
-}
-
-func (m *SWIMAck) decode(b []byte, s *DecodeScratch) ([]byte, error) {
-	var u32 uint32
-	var err error
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.From = NodeID(u32)
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.To = NodeID(u32)
-	if m.Seq, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.OnBehalf = NodeID(u32)
-	if m.Events, b, err = readEvents(b, s); err != nil {
-		return nil, err
-	}
-	return b, nil
+func (m *SWIMAck) walk(c *coder) {
+	c.id(&m.From)
+	c.id(&m.To)
+	c.u64(&m.Seq)
+	c.id(&m.OnBehalf)
+	list(c, &m.Events)
 }
 
 // FDQuery is the Sens et al. query-response detector's probe: a broadcast
@@ -1143,24 +707,11 @@ type FDQuery struct {
 func (*FDQuery) Kind() Kind { return KindFDQuery }
 
 // WireSize implements Message.
-func (*FDQuery) WireSize() int { return 1 + 4 + 8 }
+func (m *FDQuery) WireSize() int { return size(m) }
 
-func (m *FDQuery) append(b []byte) []byte {
-	b = appendU32(b, uint32(m.From))
-	return appendU64(b, m.Seq)
-}
-
-func (m *FDQuery) decode(b []byte, s *DecodeScratch) ([]byte, error) {
-	var u32 uint32
-	var err error
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.From = NodeID(u32)
-	if m.Seq, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	return b, nil
+func (m *FDQuery) walk(c *coder) {
+	c.id(&m.From)
+	c.u64(&m.Seq)
 }
 
 // FDResponse answers an FDQuery. To echoes the querier so overhearers can
@@ -1175,29 +726,12 @@ type FDResponse struct {
 func (*FDResponse) Kind() Kind { return KindFDResponse }
 
 // WireSize implements Message.
-func (*FDResponse) WireSize() int { return 1 + 4 + 4 + 8 }
+func (m *FDResponse) WireSize() int { return size(m) }
 
-func (m *FDResponse) append(b []byte) []byte {
-	b = appendU32(b, uint32(m.From))
-	b = appendU32(b, uint32(m.To))
-	return appendU64(b, m.Seq)
-}
-
-func (m *FDResponse) decode(b []byte, s *DecodeScratch) ([]byte, error) {
-	var u32 uint32
-	var err error
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.From = NodeID(u32)
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.To = NodeID(u32)
-	if m.Seq, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	return b, nil
+func (m *FDResponse) walk(c *coder) {
+	c.id(&m.From)
+	c.id(&m.To)
+	c.u64(&m.Seq)
 }
 
 // AllPairsHeartbeat is the all-pairs strawman's one-hop heartbeat: every node
@@ -1212,22 +746,9 @@ type AllPairsHeartbeat struct {
 func (*AllPairsHeartbeat) Kind() Kind { return KindAllPairsHeartbeat }
 
 // WireSize implements Message.
-func (*AllPairsHeartbeat) WireSize() int { return 1 + 4 + 8 }
+func (m *AllPairsHeartbeat) WireSize() int { return size(m) }
 
-func (m *AllPairsHeartbeat) append(b []byte) []byte {
-	b = appendU32(b, uint32(m.Origin))
-	return appendU64(b, m.Seq)
-}
-
-func (m *AllPairsHeartbeat) decode(b []byte, s *DecodeScratch) ([]byte, error) {
-	var u32 uint32
-	var err error
-	if u32, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	m.Origin = NodeID(u32)
-	if m.Seq, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	return b, nil
+func (m *AllPairsHeartbeat) walk(c *coder) {
+	c.id(&m.Origin)
+	c.u64(&m.Seq)
 }

@@ -69,8 +69,9 @@ benchsmoke:
 ## nothing to do; internal/wire: a digest of 10, 100 and 1,000 IDs decoded by
 ## a receiver that does not read the list; internal/shard: one pop + one push
 ## on the bucket queue with 10^5 deliveries in flight, beside the heap it
-## replaced; internal/cluster: one warm epoch of View snapshots and no-op
-## mutations; internal/intercluster: one warm epoch of a three-cluster chain
+## replaced; internal/cluster: one warm epoch of fds's ViewInto snapshot and
+## the accessor reads the co-resident protocols make per delivery;
+## internal/intercluster: one warm epoch of a three-cluster chain
 ## flooding one new report) and run as a third invocation; the pooled steady
 ## state of the first three, the idle step, the unread digest, the shard queue,
 ## the View epoch and the report epoch allocate nothing — the digest's ns/op is also the same at every length — and the

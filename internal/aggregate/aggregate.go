@@ -178,8 +178,7 @@ func (p *Protocol) prune(now wire.Epoch) {
 // publishPartial folds the CH's own reading into the gathered stats and
 // broadcasts the cluster partial.
 func (p *Protocol) publishPartial(e wire.Epoch) {
-	v := p.cluster.View()
-	if !v.IsCH {
+	if !p.cluster.IsCH() {
 		return
 	}
 	if !p.selfRead {
@@ -221,8 +220,7 @@ func (p *Protocol) onDigest(m *wire.Digest) {
 	if m.Epoch != p.epoch || !m.HasReading {
 		return
 	}
-	v := p.cluster.View()
-	if !v.IsCH || m.CH != p.host.ID() {
+	if !p.cluster.IsCH() || m.CH != p.host.ID() {
 		return
 	}
 	p.gathered.Add(m.Reading)
@@ -245,17 +243,17 @@ func (p *Protocol) onAggregate(m *wire.Aggregate) {
 	if p.forwarded[k] {
 		return
 	}
-	v := p.cluster.View()
+	cl := p.cluster
 	switch {
-	case v.IsCH:
+	case cl.IsCH():
 		p.forwarded[k] = true
 		out := *m
 		out.Sender = p.host.ID()
 		p.host.Send(&out)
-	case v.Marked && (v.IsGW() || len(p.cluster.BorderClusters()) > 0):
+	case cl.Marked() && (cl.IsGW() || cl.HasBorderClusters()):
 		// Forward only transmissions made by a clusterhead we can hear;
 		// everything else is another relay's echo.
-		if m.Sender != v.CH && !p.hearsCH(m.Sender) {
+		if m.Sender != cl.CH() && !cl.HearsCH(m.Sender) {
 			return
 		}
 		p.forwarded[k] = true
@@ -276,23 +274,12 @@ func (p *Protocol) onAggregate(m *wire.Aggregate) {
 	}
 }
 
-// hearsCH reports whether id is a clusterhead within earshot.
-func (p *Protocol) hearsCH(id wire.NodeID) bool {
-	for _, ch := range p.cluster.View().OtherCHs {
-		if ch == id {
-			return true
-		}
-	}
-	return false
-}
-
 // --- queries -------------------------------------------------------------------
 
 // ClusterPartial returns this host's cluster partial for the given epoch,
 // if known.
 func (p *Protocol) ClusterPartial(e wire.Epoch) (Stat, bool) {
-	v := p.cluster.View()
-	s, ok := p.partials[aggKey{origin: v.CH, epoch: e}]
+	s, ok := p.partials[aggKey{origin: p.cluster.CH(), epoch: e}]
 	return s, ok
 }
 

@@ -51,15 +51,14 @@ const (
 	// resolves concurrent conflicting CH declarations (paper footnote 1).
 	declareBackoffFrac = 0.5
 	// staleAfter is how many epochs a foreign clusterhead or border peer
-	// stays "heard" after it was last heard: the view's OtherCHs, the
+	// stays "heard" after it was last heard: AppendOtherCHs, HearsCH, the
 	// gateway registration and AppendBorderClusters all read it.
 	staleAfter = 3
 )
 
-// View is an immutable snapshot of a host's cluster state.
+// View is a copy of a host's cluster state: View and ViewInto fill it, and
+// it reads the same however the protocol changes afterwards.
 type View struct {
-	// Epoch is the epoch in which the snapshot was taken.
-	Epoch wire.Epoch
 	// Marked reports whether the host has been admitted to a cluster.
 	Marked bool
 	// CH is the host's clusterhead (== the host itself for a CH).
@@ -93,6 +92,33 @@ func (v View) IsGW() bool { return len(v.OtherCHs) > 0 }
 type gwSet struct {
 	in dense.Bitset
 	n  int
+}
+
+// foreignCH is a foreign clusterhead this host heard directly, last in epoch
+// last.
+type foreignCH struct {
+	ch   wire.NodeID
+	last wire.Epoch
+}
+
+// findOtherCH returns where ch is or would be in the sorted otherCHs, and
+// whether it is there.
+func (p *Protocol) findOtherCH(ch wire.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(p.otherCHs, ch, func(c foreignCH, ch wire.NodeID) int {
+		return cmp.Compare(c.ch, ch)
+	})
+}
+
+// inWindow reports whether c is a foreign clusterhead heard within the last
+// staleAfter epochs.
+func (p *Protocol) inWindow(c foreignCH) bool {
+	return c.ch != p.myCH && uint64(p.epoch)-uint64(c.last) <= staleAfter
+}
+
+// hears reports whether otherCHs holds ch within the window.
+func (p *Protocol) hears(ch wire.NodeID) bool {
+	i, ok := p.findOtherCH(ch)
+	return ok && p.inWindow(p.otherCHs[i])
 }
 
 // borderPeer is one member id of the foreign cluster headed by ch, last
@@ -139,7 +165,7 @@ type Protocol struct {
 	// Cluster composition (authoritative on the CH, advisory on members).
 	// members is the membership itself, sorted and duplicate-free (hasMember,
 	// addMember, dropMember keep it so): it changes a few times an epoch and
-	// is read whole once per View rebuild and per announcement, which are
+	// is read whole once per snapshot and per announcement, which are
 	// therefore a copy, and every loop over it runs in NID order. It is held
 	// once: a sorted cache beside a map costs more memory than its sort saves
 	// (DESIGN.md §12).
@@ -147,9 +173,11 @@ type Protocol struct {
 	dchs    []wire.NodeID
 	gwFlag  map[wire.NodeID]bool // CH: members known to be gateways
 
-	// Foreign clusterheads this host can hear (gateway candidacy), and the
-	// epoch in which each was last heard so stale entries age out.
-	otherCHs map[wire.NodeID]wire.Epoch
+	// Foreign clusterheads this host can hear (gateway candidacy), each with
+	// the epoch in which it was last heard so stale entries age out, sorted
+	// by ch. beginEpoch purges what left the window, so every read is a walk
+	// of a few entries that comes out sorted.
+	otherCHs []foreignCH
 
 	// borderPeers tracks the members of foreign clusters within earshot
 	// (learned from overheard digests), one entry per (foreign CH, member)
@@ -199,27 +227,6 @@ type Protocol struct {
 	// heard by a CH) still founds its own overlapping cluster.
 	deferCount int
 
-	// viewCache memoizes View() between state mutations. Every co-resident
-	// protocol calls View() on each delivery (intercluster does it per
-	// report), so a mutator calls invalidateView only when it changed
-	// something a snapshot shows. A rebuild carves from the epoch arena only
-	// the parts that differ from the cached snapshot; an equal part keeps the
-	// cached slice, which is legal while that slice was carved in the arena's
-	// current generation (viewGen). Nothing writes to a carved slice, so
-	// snapshots handed out before a mutation stay immutable (fds holds its
-	// View across a whole epoch).
-	viewCache View
-	viewGen   uint64
-	viewValid bool
-
-	// arena backs the View snapshot slices. Snapshots are immutable but
-	// short-lived — no consumer holds one past the epoch after it was taken
-	// (fds re-snapshots every runEpoch, intercluster per delivery) — so the
-	// arena recycles generation g's memory at generation g+2 instead of
-	// leaving three slices per rebuild to the garbage collector. See
-	// DESIGN.md §12 for the ownership rules.
-	arena epochArena
-
 	// Persistent phase callbacks and reusable message values: the epoch
 	// schedule re-arms the same func values and re-fills the same message
 	// structs every epoch (every transport encodes during Send, so a message
@@ -235,43 +242,6 @@ type Protocol struct {
 	dchSpare                                                          []wire.NodeID
 }
 
-// epochArena is a two-generation bump allocator for NodeID slices handed out
-// in View snapshots. flip() retires the previous generation and starts a new
-// one, numbered gen; memory allocated two flips ago is reused in place. A
-// slice carved from the arena therefore stays intact for the epoch of its
-// creation plus the next — exactly the lifetime contract of a View snapshot
-// — and a slice carved in generation gen may be handed out again until the
-// next flip.
-type epochArena struct {
-	cur, prev []wire.NodeID
-	gen       uint64
-}
-
-func (a *epochArena) flip() {
-	a.cur, a.prev = a.prev[:0], a.cur
-	a.gen++
-}
-
-// carve appends the accumulated tail [start:] as an immutable slice and
-// returns it capped, so later carves cannot append into it.
-func (a *epochArena) carve(start int) []wire.NodeID {
-	if len(a.cur) == start {
-		return nil
-	}
-	return a.cur[start:len(a.cur):len(a.cur)]
-}
-
-// carveChanged is carve, except that when the tail [start:] equals held — a
-// slice carved earlier in the current generation — it rolls the tail back
-// and returns held.
-func (a *epochArena) carveChanged(held []wire.NodeID, start int) []wire.NodeID {
-	if slices.Equal(held, a.cur[start:]) {
-		a.cur = a.cur[:start]
-		return held
-	}
-	return a.carve(start)
-}
-
 // New returns a formation protocol with the given configuration.
 func New(cfg Config) *Protocol {
 	if !cfg.Timing.Valid() {
@@ -280,7 +250,6 @@ func New(cfg Config) *Protocol {
 	return &Protocol{
 		cfg:           cfg,
 		gwFlag:        make(map[wire.NodeID]bool),
-		otherCHs:      make(map[wire.NodeID]wire.Epoch),
 		gwCandidates:  make(map[pairKey]*gwSet),
 		neighborCHs:   make(map[wire.NodeID]wire.Epoch),
 		coverage:      make(map[wire.NodeID]float64),
@@ -360,18 +329,12 @@ func (p *Protocol) runEpoch(e wire.Epoch) {
 	p.scheduleEpoch(e + 1)
 }
 
-// beginEpoch moves the host's state into epoch e: the arena flips, foreign
-// clusterheads that left the staleAfter window (or became the host's own)
-// leave otherCHs, and the per-epoch formation state resets.
+// beginEpoch moves the host's state into epoch e: foreign clusterheads that
+// left the staleAfter window (or became the host's own) leave otherCHs, and
+// the per-epoch formation state resets.
 func (p *Protocol) beginEpoch(e wire.Epoch) {
 	p.epoch = e
-	p.arena.flip()     // view snapshots older than one epoch are dead; reuse
-	p.invalidateView() // epoch is view-visible, and staleness windows move
-	for ch, last := range p.otherCHs {
-		if ch == p.myCH || uint64(p.epoch)-uint64(last) > staleAfter {
-			delete(p.otherCHs, ch)
-		}
-	}
+	p.otherCHs = slices.DeleteFunc(p.otherCHs, func(c foreignCH) bool { return !p.inWindow(c) })
 	p.heardUnmarked.Clear()
 	p.heardList = p.heardList[:0]
 	p.heardMarked = false
@@ -418,7 +381,6 @@ func (p *Protocol) becomeCH(e wire.Epoch) {
 	p.deferCount = 0
 	p.isCH = true
 	p.myCH = p.host.ID()
-	p.invalidateView()
 	p.members = p.members[:0]
 	p.addMember(p.host.ID())
 	for _, id := range p.heardList {
@@ -446,7 +408,6 @@ func (p *Protocol) maybeAnnounce(e wire.Epoch) {
 	}
 	p.foldCoverage()
 	p.rankDCHs()
-	p.invalidateView() // members may have grown; dchs re-ranked
 	p.memberChanged = false
 	// The reusable announce message aliases live protocol state (the DCH
 	// ranking) and message scratch; both are safe because Send encodes
@@ -545,7 +506,6 @@ func (p *Protocol) rankDCHs() {
 	}
 	p.dchSpare = p.dchs
 	p.dchs = next
-	p.invalidateView()
 }
 
 // maybeRegisterGW broadcasts a gateway registration when this host hears
@@ -555,7 +515,7 @@ func (p *Protocol) maybeRegisterGW(e wire.Epoch) {
 	if !p.marked || p.isCH {
 		return
 	}
-	p.gwOthers = p.appendOtherCHs(p.gwOthers[:0])
+	p.gwOthers = p.AppendOtherCHs(p.gwOthers[:0])
 	if len(p.gwOthers) == 0 {
 		return
 	}
@@ -568,29 +528,14 @@ func (p *Protocol) maybeRegisterGW(e wire.Epoch) {
 	}
 }
 
-// appendOtherCHs appends the foreign CHs heard within the last staleAfter
-// epochs, sorted, to dst. The sort covers only the appended tail, so dst may
-// already hold unrelated data. It only reads otherCHs: beginEpoch purges it.
-func (p *Protocol) appendOtherCHs(dst []wire.NodeID) []wire.NodeID {
-	start := len(dst)
-	for ch, last := range p.otherCHs {
-		if ch != p.myCH && uint64(p.epoch)-uint64(last) <= staleAfter {
-			dst = append(dst, ch)
-		}
-	}
-	slices.Sort(dst[start:])
-	return dst
-}
-
 // hearForeignCH records that the foreign clusterhead ch was heard directly
-// this epoch. Only a CH entering the view's window — new, or back after
-// going stale — changes OtherCHs; refreshing one already in it changes
-// nothing a snapshot shows, so the view stays valid.
+// this epoch.
 func (p *Protocol) hearForeignCH(ch wire.NodeID) {
-	if last, ok := p.otherCHs[ch]; !ok || uint64(p.epoch)-uint64(last) > staleAfter {
-		p.invalidateView()
+	if i, ok := p.findOtherCH(ch); ok {
+		p.otherCHs[i].last = p.epoch
+	} else {
+		p.otherCHs = slices.Insert(p.otherCHs, i, foreignCH{ch: ch, last: p.epoch})
 	}
-	p.otherCHs[ch] = p.epoch
 	if p.isCH {
 		p.neighborCHs[ch] = p.epoch
 	}
@@ -692,7 +637,6 @@ func (p *Protocol) setMembersFromAnnounce(m *wire.ClusterAnnounce) {
 	}
 	p.addMember(m.CH)
 	p.dchs = append(p.dchs[:0], m.DCHs...)
-	p.invalidateView()
 }
 
 func (p *Protocol) onGWRegister(m *wire.GWRegister) {
@@ -720,7 +664,6 @@ func (p *Protocol) onGWRegister(m *wire.GWRegister) {
 		if oc == me {
 			if p.dropMember(m.GW) {
 				p.memberChanged = true
-				p.invalidateView()
 			}
 			p.neighborCHs[m.AffiliateCH] = p.epoch
 		}
@@ -752,23 +695,32 @@ func (p *Protocol) onDigest(m *wire.Digest) {
 			delete(p.coverage, m.NID)
 			delete(p.epochCoverage, m.NID)
 			p.memberChanged = true
-			p.invalidateView()
 			return
 		}
 		p.epochCoverage[m.NID] = m.HeardCount()
 	}
 }
 
-// BorderClusters returns the foreign clusterheads reachable only through a
-// border peer (i.e. excluding clusters this host hears directly), sorted.
-// Stale entries age out after a few epochs.
-func (p *Protocol) BorderClusters() []wire.NodeID {
-	return p.AppendBorderClusters(nil)
+// AppendBorderClusters appends to dst the foreign clusterheads reachable only
+// through a border peer (i.e. excluding clusters this host hears directly);
+// the appended tail is sorted. Stale entries age out after a few epochs: it
+// drops the stale border peers first.
+func (p *Protocol) AppendBorderClusters(dst []wire.NodeID) []wire.NodeID {
+	p.borderClusters(func(ch wire.NodeID) { dst = append(dst, ch) })
+	return dst
 }
 
-// AppendBorderClusters is BorderClusters appending into dst; only the
-// appended tail is sorted. It drops the stale border peers first.
-func (p *Protocol) AppendBorderClusters(dst []wire.NodeID) []wire.NodeID {
+// HasBorderClusters reports whether AppendBorderClusters would append
+// anything, and drops the stale border peers as it does.
+func (p *Protocol) HasBorderClusters() bool {
+	found := false
+	p.borderClusters(func(wire.NodeID) { found = true })
+	return found
+}
+
+// borderClusters drops the stale border peers and calls each with every
+// border cluster, in ascending order.
+func (p *Protocol) borderClusters(each func(ch wire.NodeID)) {
 	kept := p.borderPeers[:0]
 	for _, b := range p.borderPeers {
 		if uint64(p.epoch)-uint64(b.last) > staleAfter {
@@ -781,13 +733,12 @@ func (p *Protocol) AppendBorderClusters(dst []wire.NodeID) []wire.NodeID {
 		if b.ch == p.myCH {
 			continue
 		}
-		if last, ok := p.otherCHs[b.ch]; ok && uint64(p.epoch)-uint64(last) <= staleAfter {
+		if p.hears(b.ch) {
 			continue // a one-hop gateway path exists; prefer it
 		}
-		dst = append(dst, b.ch)
+		each(b.ch)
 	}
 	p.borderPeers = kept
-	return dst
 }
 
 // IsBorderPeer reports whether id is a known member of the foreign cluster
@@ -805,28 +756,18 @@ func (p *Protocol) BorderPeers() int { return len(p.borderPeers) }
 // gateway candidates for.
 func (p *Protocol) GatewayPairs() int { return len(p.gwCandidates) }
 
-// ViewArenaEntries returns how many IDs the View arena's two live
-// generations hold.
-func (p *Protocol) ViewArenaEntries() int { return len(p.arena.cur) + len(p.arena.prev) }
-
 // --- mutators invoked by the failure detection service --------------------
 
 // NoteFailed removes failed hosts from the cluster composition. The FDS
 // calls it on the CH when it detects failures and on members with every
 // health-status update, whose failure list is cumulative: most of its IDs
-// left the composition epochs ago, so the view is invalidated only when a
-// member or a deputy is actually removed.
+// left the composition epochs ago.
 func (p *Protocol) NoteFailed(ids []wire.NodeID) {
 	for _, id := range ids {
-		if p.dropMember(id) {
-			if p.isCH {
-				p.memberChanged = true
-			}
-			p.invalidateView()
+		if p.dropMember(id) && p.isCH {
+			p.memberChanged = true
 		}
-		if p.dropDCH(id) {
-			p.invalidateView()
-		}
+		p.dropDCH(id)
 		delete(p.coverage, id)
 		delete(p.epochCoverage, id)
 		delete(p.gwFlag, id)
@@ -837,11 +778,9 @@ func (p *Protocol) NoteFailed(ids []wire.NodeID) {
 // detection is rescinded (the FDS heard a heartbeat from a host it believed
 // failed — impossible under fail-stop unless the detection was false).
 func (p *Protocol) Readmit(id wire.NodeID) {
-	if !p.isCH || !p.addMember(id) {
-		return
+	if p.isCH && p.addMember(id) {
+		p.memberChanged = true
 	}
-	p.memberChanged = true
-	p.invalidateView()
 }
 
 // Demote reverts the host to the unmarked state so it re-enters cluster
@@ -855,7 +794,6 @@ func (p *Protocol) Demote() {
 	p.myCH = wire.NoNode
 	p.members = p.members[:0]
 	p.dchs = p.dchs[:0]
-	p.invalidateView()
 }
 
 // TakeOver promotes this host (a deputy clusterhead) to clusterhead after
@@ -868,7 +806,6 @@ func (p *Protocol) TakeOver() {
 	p.addMember(p.host.ID())
 	p.dropDCH(p.host.ID())
 	p.memberChanged = true
-	p.invalidateView()
 	p.host.Trace(trace.TypeTakeover, old.String())
 }
 
@@ -888,66 +825,75 @@ func (p *Protocol) NoteNewCH(oldCH, newCH wire.NodeID) {
 	p.dropMember(oldCH)
 	p.addMember(newCH)
 	p.dropDCH(newCH)
-	p.invalidateView()
 }
 
 // --- queries ----------------------------------------------------------------
 
-// View returns a snapshot of the host's cluster state. The snapshot is
-// memoized: repeated calls between mutations return the same slices, and a
-// rebuild within one arena generation shares every slice whose contents did
-// not change, so callers must treat Members/DCHs/OtherCHs as read-only
-// (every in-repo caller already did — the slices were always meant to be
-// immutable).
-func (p *Protocol) View() View {
-	// The epoch guard catches direct epoch manipulation (tests, harnesses)
-	// that bypasses runEpoch: staleness windows move with the epoch, so a
-	// cache built in an earlier epoch can never be served in a later one.
-	if p.viewValid && p.viewCache.Epoch == p.epoch {
-		return p.viewCache
+// Marked reports whether the host has been admitted to a cluster.
+func (p *Protocol) Marked() bool { return p.marked }
+
+// CH returns the host's clusterhead (the host itself for a CH).
+func (p *Protocol) CH() wire.NodeID { return p.myCH }
+
+// IsCH reports whether the host is currently a clusterhead.
+func (p *Protocol) IsCH() bool { return p.isCH }
+
+// IsMember reports whether the host is admitted and id is in its cluster's
+// membership, the CH included.
+func (p *Protocol) IsMember(id wire.NodeID) bool { return p.marked && p.hasMember(id) }
+
+// IsDeputy reports whether the host is admitted and one of its cluster's
+// deputy clusterheads.
+func (p *Protocol) IsDeputy() bool { return p.marked && slices.Contains(p.dchs, p.host.ID()) }
+
+// IsGW reports whether the host is a gateway candidate: admitted, and
+// hearing at least one foreign clusterhead within the staleAfter window.
+func (p *Protocol) IsGW() bool {
+	return p.marked && slices.ContainsFunc(p.otherCHs, p.inWindow)
+}
+
+// HearsCH reports whether the admitted host hears the foreign clusterhead ch
+// within the staleAfter window.
+func (p *Protocol) HearsCH(ch wire.NodeID) bool { return p.marked && p.hears(ch) }
+
+// AppendOtherCHs appends to dst, in ascending order, the foreign clusterheads
+// an admitted host heard within the last staleAfter epochs: the clusters it
+// is a gateway candidate to.
+func (p *Protocol) AppendOtherCHs(dst []wire.NodeID) []wire.NodeID {
+	if !p.marked {
+		return dst
 	}
-	v := View{
-		Epoch:  p.epoch,
-		Marked: p.marked,
-		CH:     p.myCH,
-		IsCH:   p.isCH,
-	}
-	if p.marked {
-		// The cached slices may be shared only while they belong to the
-		// arena's current generation: one carved before the last flip is
-		// recycled at the next, before a snapshot taken now expires.
-		var held View
-		if p.viewGen == p.arena.gen {
-			held = p.viewCache
+	for _, c := range p.otherCHs {
+		if p.inWindow(c) {
+			dst = append(dst, c.ch)
 		}
-		start := len(p.arena.cur)
-		p.arena.cur = append(p.arena.cur, p.members...)
-		v.Members = p.arena.carveChanged(held.Members, start)
-		start = len(p.arena.cur)
-		p.arena.cur = append(p.arena.cur, p.dchs...)
-		v.DCHs = p.arena.carveChanged(held.DCHs, start)
-		start = len(p.arena.cur)
-		p.arena.cur = p.appendOtherCHs(p.arena.cur)
-		v.OtherCHs = p.arena.carveChanged(held.OtherCHs, start)
 	}
-	p.viewCache, p.viewGen, p.viewValid = v, p.arena.gen, true
+	return dst
+}
+
+// View returns a fresh copy of the host's cluster state.
+func (p *Protocol) View() View {
+	var v View
+	p.ViewInto(&v)
 	return v
 }
 
-// invalidateView marks the memoized View stale. Call it after any mutation
-// of epoch, marked, isCH, myCH, members, dchs, or the set of otherCHs inside
-// the staleAfter window. The next View() rebuilds, carving fresh slices for
-// the parts that changed; previously returned snapshots are untouched.
-func (p *Protocol) invalidateView() { p.viewValid = false }
-
-// NeighborCHs returns the clusterheads of neighboring clusters known to
-// this CH, sorted. Empty for non-CHs.
-func (p *Protocol) NeighborCHs() []wire.NodeID {
-	return p.AppendNeighborCHs(nil)
+// ViewInto copies the host's cluster state into v, reusing v's slices: a
+// caller that snapshots every epoch keeps one View and allocates nothing
+// once its slices have grown.
+func (p *Protocol) ViewInto(v *View) {
+	v.Marked, v.CH, v.IsCH = p.marked, p.myCH, p.isCH
+	v.Members, v.DCHs, v.OtherCHs = v.Members[:0], v.DCHs[:0], v.OtherCHs[:0]
+	if p.marked {
+		v.Members = append(v.Members, p.members...)
+		v.DCHs = append(v.DCHs, p.dchs...)
+		v.OtherCHs = p.AppendOtherCHs(v.OtherCHs)
+	}
 }
 
-// AppendNeighborCHs is NeighborCHs appending into dst; only the appended
-// tail is sorted.
+// AppendNeighborCHs appends to dst the clusterheads of neighboring clusters
+// known to this CH; only the appended tail is sorted. It appends nothing on a
+// non-CH.
 func (p *Protocol) AppendNeighborCHs(dst []wire.NodeID) []wire.NodeID {
 	if !p.isCH {
 		return dst
@@ -989,14 +935,9 @@ func (p *Protocol) GWRank(chA, chB wire.NodeID) (rank, n int, ok bool) {
 	return rank, set.n, true
 }
 
-// GatewayCandidates returns the known gateway candidates between chA and
-// chB, sorted by NID (the primary gateway first).
-func (p *Protocol) GatewayCandidates(chA, chB wire.NodeID) []wire.NodeID {
-	return p.AppendGatewayCandidates(nil, chA, chB)
-}
-
-// AppendGatewayCandidates is GatewayCandidates appending into dst; only the
-// appended tail is sorted.
+// AppendGatewayCandidates appends to dst the known gateway candidates
+// between chA and chB; the appended tail is sorted by NID (the primary
+// gateway first).
 func (p *Protocol) AppendGatewayCandidates(dst []wire.NodeID, chA, chB wire.NodeID) []wire.NodeID {
 	start := len(dst)
 	if set := p.gwCandidates[pairOf(chA, chB)]; set != nil {
@@ -1036,13 +977,11 @@ func (p *Protocol) dropMember(id wire.NodeID) bool {
 	return ok
 }
 
-// dropDCH removes id from the deputy ranking and reports whether it was there.
-func (p *Protocol) dropDCH(id wire.NodeID) bool {
-	i := slices.Index(p.dchs, id)
-	if i >= 0 {
+// dropDCH removes id from the deputy ranking.
+func (p *Protocol) dropDCH(id wire.NodeID) {
+	if i := slices.Index(p.dchs, id); i >= 0 {
 		p.dchs = slices.Delete(p.dchs, i, i+1)
 	}
-	return i >= 0
 }
 
 // --- test/scenario support ---------------------------------------------------
@@ -1060,5 +999,4 @@ func (p *Protocol) InstallStaticView(ch wire.NodeID, members, dchs []wire.NodeID
 	}
 	p.addMember(ch)
 	p.dchs = append([]wire.NodeID(nil), dchs...)
-	p.invalidateView()
 }

@@ -114,10 +114,10 @@ func TestTwoClustersWithGateway(t *testing.T) {
 		t.Error("gateway is a member of neither cluster")
 	}
 	// Both CHs should know each other as neighbors.
-	if n := w.protos[0].NeighborCHs(); len(n) != 1 || n[0] != 3 {
+	if n := w.protos[0].AppendNeighborCHs(nil); len(n) != 1 || n[0] != 3 {
 		t.Errorf("n1 neighbor CHs = %v, want [n3]", n)
 	}
-	if n := w.protos[2].NeighborCHs(); len(n) != 1 || n[0] != 1 {
+	if n := w.protos[2].AppendNeighborCHs(nil); len(n) != 1 || n[0] != 1 {
 		t.Errorf("n3 neighbor CHs = %v, want [n1]", n)
 	}
 	// The gateway should rank itself for the pair.
@@ -158,7 +158,7 @@ func TestMultipleGatewaysRanked(t *testing.T) {
 		}
 	}
 	// Candidate list visible to the CH, primary first.
-	cands := w.protos[0].GatewayCandidates(1, 2)
+	cands := w.protos[0].AppendGatewayCandidates(nil, 1, 2)
 	if len(cands) != 3 || cands[0] != 3 {
 		t.Errorf("candidates = %v, want [n3 n4 n5]", cands)
 	}

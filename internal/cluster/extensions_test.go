@@ -63,8 +63,8 @@ func TestBorderPeersFromForeignDigests(t *testing.T) {
 	// A digest from a member of a foreign cluster (CH 9) makes its sender
 	// a border peer toward 9.
 	handle(p, h, &wire.Digest{NID: 42, CH: 9, Epoch: p.epoch})
-	if got := p.BorderClusters(); len(got) != 1 || got[0] != 9 {
-		t.Fatalf("BorderClusters = %v, want [n9]", got)
+	if got := p.AppendBorderClusters(nil); len(got) != 1 || got[0] != 9 {
+		t.Fatalf("AppendBorderClusters = %v, want [n9]", got)
 	}
 	if !p.IsBorderPeer(9, 42) {
 		t.Error("n42 should be a border peer of cluster 9")
@@ -81,8 +81,8 @@ func TestBorderClustersExcludeDirectNeighbors(t *testing.T) {
 	// gateway path is preferred, so 9 must not be a border cluster.
 	handle(p, h, &wire.Digest{NID: 42, CH: 9, Epoch: p.epoch})
 	handle(p, h, &wire.HealthUpdate{From: 9, CH: 9, Epoch: p.epoch})
-	if got := p.BorderClusters(); len(got) != 0 {
-		t.Errorf("BorderClusters = %v, want none (direct path exists)", got)
+	if got := p.AppendBorderClusters(nil); len(got) != 0 {
+		t.Errorf("AppendBorderClusters = %v, want none (direct path exists)", got)
 	}
 	// And the direct candidacy is visible in the view.
 	if got := p.View().OtherCHs; len(got) != 1 || got[0] != 9 {
@@ -94,11 +94,11 @@ func TestBorderPeersAgeOut(t *testing.T) {
 	_, p, h := soloHost(t, 5)
 	p.InstallStaticView(1, []wire.NodeID{1, 5}, nil, 5)
 	handle(p, h, &wire.Digest{NID: 42, CH: 9, Epoch: p.epoch})
-	if len(p.BorderClusters()) != 1 {
+	if len(p.AppendBorderClusters(nil)) != 1 {
 		t.Fatal("border peer not recorded")
 	}
 	p.epoch += 10 // silence for many epochs
-	if got := p.BorderClusters(); len(got) != 0 {
+	if got := p.AppendBorderClusters(nil); len(got) != 0 {
 		t.Errorf("stale border peers survived: %v", got)
 	}
 }
@@ -106,9 +106,10 @@ func TestBorderPeersAgeOut(t *testing.T) {
 // TestBorderPeersMatchMapModel drives the border-peer store with random
 // digests, foreign-CH updates, epoch advances and AppendBorderClusters calls,
 // against the map of maps it replaced, kept here as the model: per foreign
-// CH, the epoch each of its members was last heard. IsBorderPeer and
-// BorderClusters must give the model's answers throughout, a stale peer
-// included until the next AppendBorderClusters drops it.
+// CH, the epoch each of its members was last heard. IsBorderPeer,
+// AppendBorderClusters and HasBorderClusters must give the model's answers
+// throughout, a stale peer included until the next AppendBorderClusters
+// drops it.
 func TestBorderPeersMatchMapModel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -130,7 +131,7 @@ func TestBorderPeersMatchMapModel(t *testing.T) {
 				if ch == p.myCH {
 					continue
 				}
-				if last, ok := p.otherCHs[ch]; ok && uint64(p.epoch)-uint64(last) <= staleAfter {
+				if p.HearsCH(ch) {
 					continue
 				}
 				out = append(out, ch)
@@ -162,8 +163,12 @@ func TestBorderPeersMatchMapModel(t *testing.T) {
 			case r < 16:
 				p.epoch += wire.Epoch(1 + rng.Intn(3))
 			default:
-				if got, want := p.BorderClusters(), modelClusters(); !slices.Equal(got, want) {
-					t.Fatalf("seed %d op %d: BorderClusters = %v, model %v", seed, op, got, want)
+				want := modelClusters()
+				if got := p.AppendBorderClusters(nil); !slices.Equal(got, want) {
+					t.Fatalf("seed %d op %d: AppendBorderClusters = %v, model %v", seed, op, got, want)
+				}
+				if got := p.HasBorderClusters(); got != (len(want) > 0) {
+					t.Fatalf("seed %d op %d: HasBorderClusters = %v, model %v", seed, op, got, want)
 				}
 			}
 			for _, ch := range chs {
@@ -362,7 +367,7 @@ func TestGWRankUnknownPair(t *testing.T) {
 	if _, _, ok := p.GWRank(1, 2); ok {
 		t.Error("rank reported for a pair with no candidates")
 	}
-	if got := p.GatewayCandidates(1, 2); len(got) != 0 {
+	if got := p.AppendGatewayCandidates(nil, 1, 2); len(got) != 0 {
 		t.Errorf("candidates = %v, want none", got)
 	}
 }

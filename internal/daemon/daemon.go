@@ -193,10 +193,10 @@ func (d *Daemon) DumpState(w io.Writer) error {
 	slices.Sort(members)
 	slots, armed := d.fds.ForwardSlots()
 	_, err := fmt.Fprintf(w,
-		"fdsd node %v\n  vtime: %v\n  epoch: %v\n  role: %s\n  members: %v\n  dchs: %v\n  suspected: %v\n  update-received: %v\n  reports: %d live, %d pooled, %d stale copies ignored\n  state: %d forward slots (%d armed), %d border peers, %d gateway-candidate pairs, %d view-arena entries\n  bad-datagrams: %v\n  queue-drops: %v\n",
+		"fdsd node %v\n  vtime: %v\n  epoch: %v\n  role: %s\n  members: %v\n  dchs: %v\n  suspected: %v\n  update-received: %v\n  reports: %d live, %d pooled, %d stale copies ignored\n  state: %d forward slots (%d armed), %d border peers, %d gateway-candidate pairs\n  bad-datagrams: %v\n  queue-drops: %v\n",
 		d.cfg.ID, d.kernel.Now(), d.fds.Epoch(), role, members, v.DCHs, suspected,
 		d.fds.UpdateReceived(), d.ic.LiveReports(), d.ic.PooledReports(), d.ic.StaleCopies(),
-		slots, armed, d.cl.BorderPeers(), d.cl.GatewayPairs(), d.cl.ViewArenaEntries(),
+		slots, armed, d.cl.BorderPeers(), d.cl.GatewayPairs(),
 		d.lt.BadDatagrams(), d.inbox.Dropped())
 	return err
 }

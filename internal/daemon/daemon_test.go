@@ -413,21 +413,20 @@ func TestRunFleetDetectsVanishedPeer(t *testing.T) {
 		if !strings.Contains(dump, "reports: 0 live, 1 pooled, 0 stale copies ignored") {
 			t.Errorf("survivor %v did not retire the failure's report:\n%s", r.d.ID(), dump)
 		}
-		// One cluster: no foreign peers or gateway pairs, no more forward
-		// slots than there are other survivors to ask, and a View arena
-		// that holds the live snapshots.
-		var slots, armed, border, pairs, arena int
+		// One cluster: no foreign peers or gateway pairs, and no more
+		// forward slots than there are other survivors to ask.
+		var slots, armed, border, pairs int
 		i := strings.Index(dump, "state: ")
 		if i < 0 {
 			t.Fatalf("survivor %v dump has no state line:\n%s", r.d.ID(), dump)
 		}
-		if _, err := fmt.Sscanf(dump[i:], "state: %d forward slots (%d armed), %d border peers, %d gateway-candidate pairs, %d view-arena entries",
-			&slots, &armed, &border, &pairs, &arena); err != nil {
+		if _, err := fmt.Sscanf(dump[i:], "state: %d forward slots (%d armed), %d border peers, %d gateway-candidate pairs",
+			&slots, &armed, &border, &pairs); err != nil {
 			t.Fatalf("survivor %v state line unreadable: %v\n%s", r.d.ID(), err, dump)
 		}
-		if slots > len(survivors)-1 || armed > slots || border != 0 || pairs != 0 || arena == 0 {
-			t.Errorf("survivor %v state: %d forward slots (%d armed), %d border peers, %d gateway-candidate pairs, %d view-arena entries",
-				r.d.ID(), slots, armed, border, pairs, arena)
+		if slots > len(survivors)-1 || armed > slots || border != 0 || pairs != 0 {
+			t.Errorf("survivor %v state: %d forward slots (%d armed), %d border peers, %d gateway-candidate pairs",
+				r.d.ID(), slots, armed, border, pairs)
 		}
 	}
 }

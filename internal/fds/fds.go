@@ -100,9 +100,12 @@ type Protocol struct {
 	cluster *cluster.Protocol
 	view    membership.View
 
-	epoch    wire.Epoch
-	snapshot cluster.View // role snapshot taken at epoch start
-	active   bool         // participating this epoch (marked at epoch start)
+	epoch wire.Epoch
+	// snapshot is the cluster as organized at the epoch start (refreshed
+	// after a takeover), which the whole execution judges by (§4.2). It is
+	// a copy into buffers fds owns, refilled in place every epoch.
+	snapshot cluster.View
+	active   bool // participating this epoch (marked at epoch start)
 
 	// ids is the co-resident cluster protocol's interner — a host owns one —
 	// and all bitset/slice state below is keyed by its indices. The cluster
@@ -265,7 +268,7 @@ func (p *Protocol) runEpoch(e wire.Epoch) {
 	p.finishEpoch() // settle orphan accounting for the epoch that just ended
 	p.epoch = e
 	p.pruneSleepers(e)
-	p.snapshot = p.cluster.View()
+	p.cluster.ViewInto(&p.snapshot)
 	p.active = p.snapshot.Marked
 	rank := p.dchRank()
 	p.judging = p.snapshot.IsCH || rank > 0
@@ -505,7 +508,7 @@ func (p *Protocol) checkCHFailure(e wire.Epoch) {
 	p.host.Trace(trace.TypeDetect, ch.String())
 	p.mDetect.Add(uint64(e), 1)
 	p.cluster.TakeOver()
-	p.snapshot = p.cluster.View()
+	p.cluster.ViewInto(&p.snapshot)
 	p.updateReceived = true // we originated this epoch's update
 	p.newFailedScratch = append(p.newFailedScratch[:0], ch)
 	up := p.fillUpdate(ch, e, p.newFailedScratch, true)
@@ -667,10 +670,7 @@ func (p *Protocol) onDigest(m *wire.Digest) {
 func (p *Protocol) onHealthUpdate(m *wire.HealthUpdate, forwarded bool) {
 	if !p.active {
 		// Still absorb the failure knowledge (see onFailureReport).
-		p.view.Merge(m.NewFailed, m.Epoch, p.host.Now())
-		p.view.Merge(m.AllFailed, 0, p.host.Now())
-		p.applyRescinds(m.Rescinded)
-		p.view.Forget(p.host.ID())
+		p.absorb(m.NewFailed, m.Epoch, m.AllFailed, m.Rescinded)
 		return
 	}
 	mine := m.CH == p.snapshot.CH || m.From == p.snapshot.CH
@@ -706,27 +706,16 @@ func (p *Protocol) onHealthUpdate(m *wire.HealthUpdate, forwarded bool) {
 		p.cluster.NoteFailed(local)
 	}
 	// Merge failure knowledge regardless of origin cluster: overheard
-	// foreign updates only improve completeness. Cumulative entries carry
-	// no detection epoch, so they are recorded as epoch 0 ("old"): any
-	// rescission may cancel them, and a genuine later detection arrives
-	// with its own NewFailed epoch through the report flood anyway.
-	p.view.Merge(m.NewFailed, m.Epoch, p.host.Now())
-	p.view.Merge(m.AllFailed, 0, p.host.Now())
-	p.applyRescinds(m.Rescinded)
-	if p.view.IsFailed(p.host.ID()) {
-		// We are operational, so any claim of our own failure is a false
-		// detection; never believe it. Only when our OWN cluster's update
-		// disowns us do we re-enter formation (unmarked) so the next
-		// heartbeat diffusion re-admits us by subscription — a foreign
-		// cluster's stale list is corrected by rescind propagation, not by
-		// us abandoning our cluster.
-		p.view.Forget(p.host.ID())
-		if mine {
-			p.mFalse.Add(uint64(m.Epoch), 1)
-			p.cluster.Demote()
-			p.active = false
-			p.host.Trace(trace.TypeFalseDetect, "self listed as failed")
-		}
+	// foreign updates only improve completeness.
+	if p.absorb(m.NewFailed, m.Epoch, m.AllFailed, m.Rescinded) && mine {
+		// Only when our OWN cluster's update disowns us do we re-enter
+		// formation (unmarked) so the next heartbeat diffusion re-admits us
+		// by subscription — a foreign cluster's stale list is corrected by
+		// rescind propagation, not by us abandoning our cluster.
+		p.mFalse.Add(uint64(m.Epoch), 1)
+		p.cluster.Demote()
+		p.active = false
+		p.host.Trace(trace.TypeFalseDetect, "self listed as failed")
 	}
 }
 
@@ -893,14 +882,25 @@ func (p *Protocol) onFailureReport(m *wire.FailureReport) {
 	// (or back in) cluster formation when a report flood passes by would
 	// otherwise miss it forever, because reports are only re-flooded when
 	// new failures occur ("no news is good news").
-	p.view.Merge(m.NewFailed, m.Epoch, p.host.Now())
-	p.view.Merge(m.AllFailed, 0, p.host.Now())
-	p.applyRescinds(m.Rescinded)
-	p.view.Forget(p.host.ID()) // we are alive, whatever the report claims
+	p.absorb(m.NewFailed, m.Epoch, m.AllFailed, m.Rescinded)
 	if p.active && p.snapshot.IsCH {
 		p.failedScratch = append(append(p.failedScratch[:0], m.NewFailed...), m.AllFailed...)
 		p.cluster.NoteFailed(p.failedScratch)
 	}
+}
+
+// absorb merges received failure news and reports whether it listed this
+// host. Detections in newFailed are recorded at epoch e; cumulative entries
+// carry no detection epoch, so they are recorded as epoch 0 ("old"): any
+// rescission may cancel them, and a genuine later detection arrives with its
+// own NewFailed epoch through the report flood anyway. A claim of this
+// host's own failure is a false detection — it is operational — so the
+// suspicion is dropped at once.
+func (p *Protocol) absorb(newFailed []wire.NodeID, e wire.Epoch, allFailed []wire.NodeID, rescinded []wire.Rescission) (selfListed bool) {
+	p.view.Merge(newFailed, e, p.host.Now())
+	p.view.Merge(allFailed, 0, p.host.Now())
+	p.applyRescinds(rescinded)
+	return p.view.Forget(p.host.ID())
 }
 
 // applyRescinds records the proof of life each received rescission carries

@@ -226,7 +226,7 @@ func fireDutyFn(a any) {
 			return
 		}
 		d.forwarded++
-		p.send(st, p.cluster.View().CH, trace.TypeReportForward, "inward")
+		p.send(st, p.cluster.CH(), trace.TypeReportForward, "inward")
 	}
 }
 
@@ -271,7 +271,6 @@ type Protocol struct {
 	bridgedScratch    []wire.NodeID
 	borderScratch     []wire.NodeID
 	failedScratch     []wire.NodeID
-	oneTarget         [1]wire.NodeID
 }
 
 // New returns a forwarder bound to the co-resident cluster and FDS
@@ -315,8 +314,7 @@ func (p *Protocol) runEpoch(e wire.Epoch) {
 // epoch update carried news (origination) or a new neighbor cluster
 // appeared (catch-up).
 func (p *Protocol) maybeOriginate(e wire.Epoch) {
-	v := p.cluster.View()
-	if !v.IsCH {
+	if !p.cluster.IsCH() {
 		return
 	}
 	newNeighbor := false
@@ -527,8 +525,7 @@ func (p *Protocol) armCHWatch(st *reportState) {
 }
 
 func (p *Protocol) checkCHWatch(st *reportState) {
-	v := p.cluster.View()
-	if !v.IsCH {
+	if !p.cluster.IsCH() {
 		return
 	}
 	if p.neighborsCovered(st) || st.retriesLeft <= 0 {
@@ -579,8 +576,7 @@ func (p *Protocol) engage(st *reportState, viaCH wire.NodeID) {
 	// clusters" option): when the trigger came from this host's own CH and
 	// an adjacent cluster is reachable only through a border peer, relay
 	// toward it after giving any one-hop gateways priority.
-	v := p.cluster.View()
-	if viaCH != v.CH {
+	if viaCH != p.cluster.CH() {
 		return
 	}
 	p.borderScratch = p.cluster.AppendBorderClusters(p.borderScratch[:0])
@@ -627,19 +623,19 @@ func (p *Protocol) targetHasReport(st *reportState, target wire.NodeID) bool {
 // of a distributed gateway): pass it on to the CH unless someone in the
 // cluster evidently has it already.
 func (p *Protocol) maybeRelayInward(st *reportState, from wire.NodeID) {
-	v := p.cluster.View()
-	if v.IsCH || !v.Marked {
+	cl := p.cluster
+	if cl.IsCH() || !cl.Marked() {
 		return
 	}
-	if v.IsMember(from) || from == v.CH {
+	if cl.IsMember(from) || from == cl.CH() {
 		return // an insider sent it; normal paths apply
 	}
-	duty := st.duty(v.CH)
+	duty := st.duty(cl.CH())
 	if duty != nil && (duty.done || duty.timer.Active() || duty.forwarded > 0) {
 		return
 	}
 	if duty == nil {
-		duty = st.addDuty(v.CH)
+		duty = st.addDuty(cl.CH())
 	}
 	// Spread relays over two round times so earlier relayers' (or the own
 	// CH's) transmissions suppress the rest.
@@ -650,12 +646,11 @@ func (p *Protocol) maybeRelayInward(st *reportState, from wire.NodeID) {
 // clusterHasReport reports whether this host's own CH or any fellow member
 // has been overheard transmitting the report.
 func (p *Protocol) clusterHasReport(st *reportState) bool {
-	v := p.cluster.View()
-	if st.sender(v.CH) {
+	if st.sender(p.cluster.CH()) {
 		return true
 	}
 	for _, sender := range st.senders {
-		if sender != p.host.ID() && v.IsMember(sender) {
+		if sender != p.host.ID() && p.cluster.IsMember(sender) {
 			return true
 		}
 	}
@@ -666,25 +661,16 @@ func (p *Protocol) clusterHasReport(st *reportState) bool {
 // (i.e. the partners of every candidate pair involving viaCH that this host
 // belongs to) to dst, sorted for determinism.
 func (p *Protocol) appendBridgedWith(dst []wire.NodeID, viaCH wire.NodeID) []wire.NodeID {
-	v := p.cluster.View()
-	if !v.Marked {
-		return dst
-	}
-	start := len(dst)
+	cl := p.cluster
 	switch {
-	case v.CH == viaCH:
-		dst = append(dst, v.OtherCHs...)
-	default:
+	case !cl.Marked():
+	case cl.CH() == viaCH:
+		dst = cl.AppendOtherCHs(dst)
+	case cl.HearsCH(viaCH):
 		// Trigger came from a foreign CH we can hear; we bridge it to our
 		// own cluster (and only there — feature F3).
-		for _, oc := range v.OtherCHs {
-			if oc == viaCH {
-				dst = append(dst, v.CH)
-				break
-			}
-		}
+		dst = append(dst, cl.CH())
 	}
-	slices.Sort(dst[start:])
 	return dst
 }
 
@@ -761,8 +747,7 @@ func (p *Protocol) onReport(m *wire.FailureReport) {
 		return
 	}
 
-	v := p.cluster.View()
-	if v.IsCH {
+	if p.cluster.IsCH() {
 		if m.TargetCH == p.host.ID() || m.TargetCH == wire.NoNode {
 			if p.host.Tracing() {
 				p.host.Trace(trace.TypeReportDeliver, fmt.Sprintf("origin=%v seq=%d", m.OriginCH, m.Seq))
@@ -778,7 +763,7 @@ func (p *Protocol) onReport(m *wire.FailureReport) {
 	// (the second hop of a distributed gateway) or a foreign clusterhead's
 	// rebroadcast overheard across the boundary — is relayed inward unless
 	// the cluster evidently has it.
-	if m.TargetCH == v.CH || m.TargetCH == wire.NoNode {
+	if m.TargetCH == p.cluster.CH() || m.TargetCH == wire.NoNode {
 		p.maybeRelayInward(st, m.Sender)
 	}
 }
@@ -795,8 +780,7 @@ func (p *Protocol) onUpdate(m *wire.HealthUpdate) {
 		return // stale: the report has retired
 	}
 	st.addSender(m.From)
-	v := p.cluster.View()
-	if v.IsCH {
+	if p.cluster.IsCH() {
 		// A foreign cluster's update overheard directly by this CH: the
 		// report content has effectively arrived; relay it.
 		if m.From != p.host.ID() && m.CH != p.host.ID() {
@@ -830,13 +814,12 @@ func fireUpdJobFn(a any) {
 		// Candidate pairs are still keyed by the failed CH until gateways
 		// re-register; rank lookups must use the old CH while the targets
 		// come from this gateway's current bridging set.
-		cv := p.cluster.View()
-		targets := cv.OtherCHs
-		if cv.CH != j.via { // we bridge the takeover cluster from outside
-			p.oneTarget[0] = cv.CH
-			targets = p.oneTarget[:]
+		if ch := p.cluster.CH(); ch != j.via { // we bridge the takeover cluster from outside
+			p.bridgedScratch = append(p.bridgedScratch[:0], ch)
+		} else {
+			p.bridgedScratch = p.cluster.AppendOtherCHs(p.bridgedScratch[:0])
 		}
-		for _, target := range targets {
+		for _, target := range p.bridgedScratch {
 			if target == st.content.OriginCH || st.sender(target) {
 				continue
 			}

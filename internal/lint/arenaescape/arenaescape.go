@@ -8,9 +8,9 @@
 //
 // What counts as arena memory:
 //
-//   - the result of any call whose callee name starts with "carve"
-//     (epochArena.carve in internal/cluster — the repository's
-//     bump-allocation verb);
+//   - the result of any call whose callee name starts with "carve" (the
+//     bump-allocation verb: a bump arena names the method that hands out a
+//     slice of its memory carve, as the fixtures under testdata do);
 //   - any read through a field or variable named `arena` or `*Arena`
 //     (p.arena, sh.arena), the backing stores themselves.
 //
@@ -21,10 +21,11 @@
 //     anything derived from it (`st := p.newState()`). Owners retain their
 //     own storage by construction: the two-generation flip is exactly the
 //     owner promising carved values one full generation of validity.
-//   - returns of carved values: `View()` hands carved slices to callers
-//     under the documented two-generation contract; the caller's side of
-//     that contract is package-external and policed by the §12 epoch
-//     tests, not by this analyzer.
+//   - returns of carved values: an accessor may hand carved slices to its
+//     callers under a documented lifetime contract (wire's decoded lists
+//     live until the scratch's next decode); the caller's side of that
+//     contract is package-external and policed by the §12 tests, not by
+//     this analyzer.
 //   - the encode-copies-bytes-out pattern (§12 rule 5): passing carved
 //     memory to a synchronous call such as Send is fine — the transport
 //     encodes before returning — unless the callee's interprocedural
@@ -225,8 +226,8 @@ func checkFunc(pass *lint.Pass, sums *lint.Summaries, fd *ast.FuncDecl) {
 				lint.ExprString(e), callee.Name())
 		}
 	}
-	// Returns of carved values are deliberately not flagged: View()-style
-	// APIs hand carved slices out under the two-generation contract.
+	// Returns of carved values are deliberately not flagged: an accessor
+	// hands carved slices out under its documented lifetime contract.
 	eng.CheckFunc(fd, nil)
 }
 

@@ -528,15 +528,15 @@ func (w *World) Census() ClusterCensus {
 		if w.hosts[id].Crashed() {
 			continue
 		}
-		v := w.cls[id].View()
+		cl := w.cls[id]
 		switch {
-		case !v.Marked:
+		case !cl.Marked():
 			c.Unmarked++
-		case v.IsCH:
+		case cl.IsCH():
 			c.Clusterheads++
 		default:
 			c.Members++
-			if v.IsGW() {
+			if cl.IsGW() {
 				c.Gateways++
 			}
 		}

@@ -100,17 +100,9 @@ func (p *Protocol) maybeNap(e wire.Epoch) {
 	if (e+phase)%p.cfg.Period != p.cfg.Period-1 {
 		return // not our slot
 	}
-	v := p.cluster.View()
-	if !v.Marked || v.IsCH || v.IsGW() {
-		return // structural duty: stay awake
-	}
-	for _, d := range v.DCHs {
-		if d == p.host.ID() {
-			return // deputies stay awake
-		}
-	}
-	if len(p.cluster.BorderClusters()) > 0 {
-		return // border relays stay awake
+	cl := p.cluster
+	if !cl.Marked() || cl.IsCH() || cl.IsGW() || cl.IsDeputy() || cl.HasBorderClusters() {
+		return // structural duty (CH, gateway, deputy, border relay): stay awake
 	}
 
 	t := p.cluster.Timing()

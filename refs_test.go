@@ -89,7 +89,7 @@ var (
 // TestDocsNameExistingTests guards README.md, DESIGN.md and the two records,
 // EXPERIMENTS.md and ROADMAP.md, against renames: every Test*, Benchmark* and
 // Fuzz* name they mention is a function in some _test.go file of the module,
-// and every `make X` in README.md is a Makefile target. A name ending in *,
+// and every `make X` they mention is a Makefile target. A name ending in *,
 // or inside a -run or -test.run pattern, matches as a prefix. A record's
 // fenced code blocks are recorded output and are not read, and any doc marks
 // a name as history, no longer defined, by striking it through (~~...~~).
@@ -113,6 +113,10 @@ func TestDocsNameExistingTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var targets []string
+	for _, m := range makeTarget.FindAllStringSubmatch(readFile(t, "Makefile"), -1) {
+		targets = append(targets, m[1])
+	}
 	exists := func(name string) bool {
 		if prefix, ok := strings.CutSuffix(name, "*"); ok {
 			return slices.ContainsFunc(funcs, func(f string) bool { return strings.HasPrefix(f, prefix) })
@@ -128,6 +132,11 @@ func TestDocsNameExistingTests(t *testing.T) {
 			text = fence.ReplaceAllString(text, "")
 		}
 		text = struck.ReplaceAllString(text, "")
+		for _, m := range docMakeTarget.FindAllStringSubmatch(text, -1) {
+			if !slices.Contains(targets, m[1]) {
+				t.Errorf("%s names `make %s`, which is not a Makefile target", doc.name, m[1])
+			}
+		}
 		var names []string
 		for _, m := range runPattern.FindAllStringSubmatch(text, -1) {
 			for _, name := range docTestName.FindAllString(m[1], -1) {
@@ -141,16 +150,6 @@ func TestDocsNameExistingTests(t *testing.T) {
 			if !exists(name) {
 				t.Errorf("%s names %s, which no _test.go file defines", doc.name, name)
 			}
-		}
-	}
-
-	var targets []string
-	for _, m := range makeTarget.FindAllStringSubmatch(readFile(t, "Makefile"), -1) {
-		targets = append(targets, m[1])
-	}
-	for _, m := range docMakeTarget.FindAllStringSubmatch(readFile(t, "README.md"), -1) {
-		if !slices.Contains(targets, m[1]) {
-			t.Errorf("README.md names `make %s`, which is not a Makefile target", m[1])
 		}
 	}
 }

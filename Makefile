@@ -74,9 +74,9 @@ benchsmoke:
 ## internal/intercluster: one warm epoch of a three-cluster chain
 ## flooding one new report) and run as a third invocation; the pooled steady
 ## state of the first three, the idle step, the unread digest, the shard queue,
-## the View epoch and the report epoch allocate nothing — the digest's ns/op is also the same at every length — and the
-## mesh copies a broadcast's payload exactly once (352 B/op, not once per
-## port), and the gate holds them there. All three invocations feed one
+## the View epoch and the report epoch allocate nothing — the digest's ns/op is also the same at every length — and so
+## does the mesh, whose one payload copy per broadcast goes into a reused
+## slab, and the gate holds them there. All three invocations feed one
 ## benchcmp run.
 benchcmp:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkFDSEpoch$$|BenchmarkRadioBroadcast$$|BenchmarkCodec$$|BenchmarkCodecEncodeAppend$$|BenchmarkFloodEpoch$$|BenchmarkGossipEpoch$$|BenchmarkSWIMEpoch$$|BenchmarkQueryResponseEpoch$$|BenchmarkAllPairsEpoch$$' \

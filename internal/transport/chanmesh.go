@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"net"
 	"sync"
 
 	"clusterfds/internal/wire"
@@ -13,13 +14,16 @@ import (
 // whole multi-node clusters in one process, with no real sockets and no wall
 // time, and can model a vanished node by simply leaving the mesh.
 //
-// A received Packet's payload is read-only and may be shared by all
-// receivers of one broadcast (see Packet); it never aliases the sender's
-// buffer. Delivery is best-effort: a port whose inbox is full drops the
-// datagram and counts it, exactly as a saturated socket buffer would.
+// A received Packet's payload is read-only, shared by all receivers of one
+// broadcast and valid until their Drain callback returns (see Packet); it
+// never aliases the sender's buffer. Delivery is best-effort: a port whose
+// inbox is full drops the datagram and counts it, exactly as a saturated
+// socket buffer would.
 type ChanMesh struct {
-	mu    sync.Mutex
-	ports []*ChanLink // join order; closed ports are compacted out
+	mu      sync.Mutex
+	ports   []*ChanLink // join order; closed ports are compacted out
+	inboxes []*Inbox    // ports[i].Inbox(), the consumers of rx
+	rx      slabs       // where every broadcast's one copy is carved
 }
 
 // NewChanMesh creates an empty mesh.
@@ -40,40 +44,52 @@ func (cm *ChanMesh) Join(id wire.NodeID) *ChanLink {
 	link := &ChanLink{mesh: cm, id: id}
 	link.in.init()
 	cm.ports = append(cm.ports, link)
+	cm.inboxes = append(cm.inboxes, &link.in)
 	return link
 }
 
 // leave removes a port and closes its inbox: under the lock every broadcast
-// holds, so nothing is queued on a port once its Close has returned. Called
-// by ChanLink.Close; leaving twice is harmless.
+// holds, so nothing is queued on a port once its Close has returned, and the
+// link transmits no more. The current slab is retired first, so the bytes
+// still queued on the port are not reused before it drains them. Called by
+// ChanLink.Close; leaving twice is harmless.
 func (cm *ChanMesh) leave(link *ChanLink) {
 	cm.mu.Lock()
 	defer cm.mu.Unlock()
 	for i, p := range cm.ports {
 		if p == link {
+			cm.rx.retire(cm.inboxes...)
 			cm.ports = append(cm.ports[:i], cm.ports[i+1:]...)
+			cm.inboxes = append(cm.inboxes[:i], cm.inboxes[i+1:]...)
 			break
 		}
 	}
+	link.left = true
 	link.in.close()
 }
 
-// broadcast queues payload on every port except the sender's own. The mesh
-// lock makes it the one producer every inbox expects, and is the only lock a
+// broadcast queues payload on every port except the sender's own, or
+// returns net.ErrClosed once the sender has left. The mesh lock makes it the
+// one producer every inbox and the slabs expect, and is the only lock a
 // broadcast takes.
-func (cm *ChanMesh) broadcast(sender *ChanLink, from wire.NodeID, payload []byte) {
-	// The sender's LinkTransport reuses payload for its next Send; every
-	// port's Packet shares one private, read-only copy, as Mesh.Broadcast's
-	// deliveries do.
-	pkt := Packet{From: from, Payload: append([]byte(nil), payload...)}
+func (cm *ChanMesh) broadcast(sender *ChanLink, from wire.NodeID, payload []byte) error {
 	cm.mu.Lock()
 	defer cm.mu.Unlock()
-	for _, p := range cm.ports {
-		if p == sender {
-			continue
-		}
-		p.in.push(pkt)
+	if sender.left {
+		return net.ErrClosed
 	}
+	// The sender's LinkTransport reuses payload for its next Send; every
+	// port's Packet shares one private, read-only copy.
+	pkt := Packet{From: from, Payload: cm.rx.carve(payload, cm.inboxes...)}
+	// Carved bytes go only to inboxes reached through cm, the slabs' owner,
+	// whose marks keep them valid: the arenaescape analyzer's owner rule
+	// (DESIGN.md §12), which it cannot see through a range variable.
+	for i := range cm.inboxes {
+		if q := cm.inboxes[i]; q != &sender.in {
+			q.push(pkt)
+		}
+	}
+	return nil
 }
 
 // ChanLink is one port on a ChanMesh. It implements Link.
@@ -81,15 +97,16 @@ type ChanLink struct {
 	mesh *ChanMesh
 	id   wire.NodeID
 	in   Inbox
+	left bool // guarded by mesh.mu
 }
 
 // ID returns the port's NID.
 func (l *ChanLink) ID() wire.NodeID { return l.id }
 
-// Broadcast implements Broadcaster.
+// Broadcast implements Broadcaster. After Close it queues nothing and
+// returns net.ErrClosed, as a closed socket would.
 func (l *ChanLink) Broadcast(from wire.NodeID, payload []byte) error {
-	l.mesh.broadcast(l, from, payload)
-	return nil
+	return l.mesh.broadcast(l, from, payload)
 }
 
 // Inbox implements Link.

@@ -22,10 +22,16 @@ const inboxDepth = 1024
 // Datagrams leave in arrival order. One that arrives while inboxDepth are
 // queued is dropped and counted (Dropped); the queued ones are never
 // displaced.
+//
+// A queued payload lies in its link's slabs (slab.go). The consumer
+// publishes done once per Drain, after its callbacks return; that is what
+// lets the producer reuse a slab, and why a payload is valid only until the
+// callback it was handed to returns.
 type Inbox struct {
 	ring    *[inboxDepth]Packet
 	head    atomic.Uint64 // next slot to drain; written by the consumer only
 	tail    atomic.Uint64 // next slot to fill; written by the producer only
+	done    atomic.Uint64 // datagrams whose callback has returned; written once per Drain
 	dropped atomic.Int64
 
 	ready chan struct{} // one token: "the inbox is not empty"
@@ -73,18 +79,24 @@ func (q *Inbox) Len() int {
 // Drain hands fn every datagram that was queued when Drain was called, oldest
 // first, and returns without blocking; what arrives meanwhile waits for the
 // next call, so a busy producer cannot hold the consumer here. A slot is the
-// producer's again before fn sees its datagram, and fn owns the Packet it is
-// given (the payload stays read-only, see Packet). Consumer side: one
-// goroutine at a time.
+// producer's again before fn sees its datagram; the payload's bytes are the
+// producer's again once Drain has returned, so fn reads them only until it
+// returns and copies what it keeps (see Packet). Consumer side: one goroutine
+// at a time.
 func (q *Inbox) Drain(fn func(Packet)) {
 	t := q.tail.Load()
-	for h := q.head.Load(); h != t; h++ {
+	h := q.head.Load()
+	if h == t {
+		return // nothing queued: a datagram queued since was announced by its push
+	}
+	for ; h != t; h++ {
 		slot := &q.ring[h%inboxDepth]
 		p := *slot
 		*slot = Packet{} // the ring must not pin a delivered payload
 		q.head.Store(h + 1)
 		fn(p)
 	}
+	q.done.Store(t) // once per drain: the producer may reuse these bytes now
 	if q.tail.Load() != t {
 		q.wake() // left datagrams behind: a consumer that parks now must wake
 	}

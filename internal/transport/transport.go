@@ -115,9 +115,12 @@ type Transport interface {
 }
 
 // Packet is one received datagram: the sender's NID and the encoded
-// message bytes (internal/wire format, no framing). Payload is read-only and
-// may be shared by all receivers of one broadcast: a receiver decodes it
-// (LinkTransport.Inject) and must copy before changing a byte.
+// message bytes (internal/wire format, no framing). Payload is read-only,
+// may be shared by all receivers of one broadcast, and is valid only until
+// the Inbox.Drain callback it was handed to returns: its bytes lie in a
+// reused slab of the link's. A receiver decodes it in place
+// (LinkTransport.Inject, which delivers synchronously and keeps nothing)
+// and copies whatever it keeps or changes.
 type Packet struct {
 	From    wire.NodeID
 	Payload []byte
@@ -125,15 +128,17 @@ type Packet struct {
 
 // Broadcaster is the outbound half of a link: it offers one encoded message
 // to every peer. The payload is owned by the caller and valid only for the
-// duration of the call; implementations that retain it must copy.
+// duration of the call; implementations that retain it copy it (ChanMesh
+// once per broadcast, into a reused slab). A closed Link sends nothing and
+// returns net.ErrClosed.
 type Broadcaster interface {
 	Broadcast(from wire.NodeID, payload []byte) error
 }
 
 // Link is a full-duplex best-effort broadcast link for a live node: UDP on
 // localhost (UDPLink) or an in-process mesh (ChanMesh). Inbound datagrams
-// queue on the port's Inbox; a received Packet's payload is read-only (see
-// Packet) and stays valid for as long as the receiver holds it.
+// queue on the port's Inbox; a received Packet's payload is read-only and
+// valid until the Drain callback returns (see Packet).
 type Link interface {
 	Broadcaster
 	// Inbox returns the port's inbound queue, the same one for the life of

@@ -2,7 +2,9 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -76,7 +78,8 @@ func TestFakeWallNonPositiveDelayIsClosed(t *testing.T) {
 // recv is how these tests read a port: with a positive wait it parks on the
 // inbox's Ready for at most that long, the way daemon.Run does, and then (or
 // at once, when wait is 0) drains what is queued. open is false once the
-// link is closed and Ready with it.
+// link is closed and Ready with it. A payload is valid only until the Drain
+// callback returns, so each is copied there.
 func recv(l Link, wait time.Duration) (pkts []Packet, open bool) {
 	in := l.Inbox()
 	open = true
@@ -86,7 +89,10 @@ func recv(l Link, wait time.Duration) (pkts []Packet, open bool) {
 		case <-time.After(wait):
 		}
 	}
-	in.Drain(func(p Packet) { pkts = append(pkts, p) })
+	in.Drain(func(p Packet) {
+		p.Payload = bytes.Clone(p.Payload)
+		pkts = append(pkts, p)
+	})
 	return pkts, open
 }
 
@@ -119,38 +125,66 @@ func TestChanMeshBroadcastReachesAllOthers(t *testing.T) {
 
 // TestChanMeshPayloadsDoNotAlias pins the datagram's ownership rule: every
 // port of one broadcast may see the same read-only bytes, but never the
-// sender's buffer, which its LinkTransport rewrites on the next Send.
+// sender's buffer, which its LinkTransport rewrites on the next Send. That
+// holds for a payload carved from a slab and for one longer than a slab.
 func TestChanMeshPayloadsDoNotAlias(t *testing.T) {
-	cm := NewChanMesh()
-	l1 := cm.Join(1)
-	ports := []*ChanLink{cm.Join(2), cm.Join(3), cm.Join(4)}
-	sent := []byte{1, 2, 3, 4, 5}
-	buf := append([]byte(nil), sent...)
-	if err := l1.Broadcast(1, buf); err != nil {
-		t.Fatal(err)
-	}
-	for i := range buf {
-		buf[i] = 99 // sender reuses its buffer immediately
-	}
-	for _, l := range ports {
-		pkts, _ := recv(l, 0)
-		if len(pkts) != 1 {
-			t.Fatalf("port %v got %d datagrams, want 1", l.ID(), len(pkts))
+	for _, size := range []int{5, slabSize + 1} {
+		cm := NewChanMesh()
+		l1 := cm.Join(1)
+		ports := []*ChanLink{cm.Join(2), cm.Join(3), cm.Join(4)}
+		sent := make([]byte, size)
+		for i := range sent {
+			sent[i] = byte(i + 1)
 		}
-		if p := pkts[0]; p.From != 1 || !bytes.Equal(p.Payload, sent) {
-			t.Errorf("port %v got %v from %v, want %v from n1: payload aliases the sender's reused buffer", l.ID(), p.Payload, p.From, sent)
+		buf := append([]byte(nil), sent...)
+		if err := l1.Broadcast(1, buf); err != nil {
+			t.Fatal(err)
+		}
+		fill(buf, 99) // sender reuses its buffer immediately
+		for _, l := range ports {
+			pkts, _ := recv(l, 0)
+			if len(pkts) != 1 {
+				t.Fatalf("%d bytes: port %v got %d datagrams, want 1", size, l.ID(), len(pkts))
+			}
+			if p := pkts[0]; p.From != 1 || !bytes.Equal(p.Payload, sent) {
+				t.Errorf("%d bytes: port %v got a %d-byte datagram from %v that differs from the one sent: payload aliases the sender's reused buffer", size, l.ID(), len(p.Payload), p.From)
+			}
 		}
 	}
 }
 
+// fill sets every byte of b to v.
+func fill(b []byte, v byte) {
+	for i := range b {
+		b[i] = v
+	}
+}
+
+// intact reports whether every byte of a datagram is v, as fill wrote it.
+func intact(p []byte, v byte) bool {
+	for _, b := range p {
+		if b != v {
+			return false
+		}
+	}
+	return true
+}
+
 // TestChanMeshConcurrentUse runs broadcasters that rewrite their buffer after
-// every Broadcast against receivers that read every byte of what arrives, all
-// at once: under -race this is the gate on "the shared copy is written once,
-// before any port can see it" and on the inbox's hand-over of a slot between
-// its producer and its consumer. A receiver parks on Ready between drains, so
-// a lost wake-up shows as a port that ends short.
+// every Broadcast against receivers that read every byte of what arrives
+// inside the Drain callback, the only place a payload is valid, all at once.
+// The traffic is 24 slabs, more than four times what the mesh holds, so
+// slabs are reused while receivers read them: under -race this is the gate on
+// "a slab is reused only after every drain that could see it has returned",
+// on "the shared copy is written once, before any port can see it" and on
+// the inbox's hand-over of a slot between its producer and its consumer. A
+// receiver parks on Ready between drains, so a lost wake-up shows as a port
+// that ends short.
 func TestChanMeshConcurrentUse(t *testing.T) {
-	const nPorts, perSender, size = 4, 200, 64 // (nPorts-1)*perSender < inboxDepth: nothing drops
+	const nPorts, perSender, size = 4, 200, 2000 // (nPorts-1)*perSender < inboxDepth: nothing drops
+	if nPorts*perSender*size < 4*(slabHold+1)*slabSize {
+		t.Fatal("the traffic does not cycle the slabs")
+	}
 	cm := NewChanMesh()
 	links := make([]*ChanLink, nPorts)
 	for i := range links {
@@ -164,9 +198,7 @@ func TestChanMeshConcurrentUse(t *testing.T) {
 			defer senders.Done()
 			buf := make([]byte, size)
 			for seq := 0; seq < perSender; seq++ {
-				for j := range buf {
-					buf[j] = byte(seq) // every byte of a datagram is its seq
-				}
+				fill(buf, byte(seq)) // every byte of a datagram is its seq
 				if err := l.Broadcast(l.ID(), buf); err != nil {
 					t.Error(err)
 				}
@@ -176,22 +208,28 @@ func TestChanMeshConcurrentUse(t *testing.T) {
 		go func() {
 			defer receivers.Done()
 			last := make(map[wire.NodeID]int) // sender -> seq of its latest datagram
-			for open := true; open; {
-				var pkts []Packet
-				pkts, open = recv(l, 30*time.Second)
-				for _, p := range pkts {
-					for _, b := range p.Payload {
-						if len(p.Payload) != size || b != p.Payload[0] {
-							t.Errorf("port %v: torn datagram from %v: % x", l.ID(), p.From, p.Payload)
-							return
-						}
+			torn := false
+			check := func(p Packet) {
+				got[i]++
+				if len(p.Payload) != size || !intact(p.Payload, p.Payload[0]) {
+					if !torn {
+						t.Errorf("port %v: torn datagram from %v: % x", l.ID(), p.From, p.Payload)
 					}
-					if seq, seen := last[p.From]; seen && int(p.Payload[0]) != seq+1 {
-						t.Errorf("port %v: datagram %d from %v follows %d: not FIFO", l.ID(), p.Payload[0], p.From, seq)
-					}
-					last[p.From] = int(p.Payload[0])
-					got[i]++
+					torn = true
+					return
 				}
+				if seq, seen := last[p.From]; seen && int(p.Payload[0]) != seq+1 {
+					t.Errorf("port %v: datagram %d from %v follows %d: not FIFO", l.ID(), p.Payload[0], p.From, seq)
+				}
+				last[p.From] = int(p.Payload[0])
+			}
+			in := l.Inbox()
+			for open := true; open; {
+				select {
+				case _, open = <-in.Ready():
+				case <-time.After(30 * time.Second):
+				}
+				in.Drain(check)
 			}
 		}()
 	}
@@ -205,6 +243,117 @@ func TestChanMeshConcurrentUse(t *testing.T) {
 			t.Errorf("port %v received %d datagrams, want %d", links[i].ID(), n, (nPorts-1)*perSender)
 		}
 	}
+}
+
+// TestChanMeshStalledPortHoldsBoundedSlabs keeps a port joined that never
+// drains while a peer broadcasts 20 slabs' worth: the mesh holds no more
+// than slabHold retired slabs, the draining port reads every datagram
+// intact, and so does the stalled port when it finally drains. Its slabs
+// were left to the collector, never reused.
+func TestChanMeshStalledPortHoldsBoundedSlabs(t *testing.T) {
+	cm := NewChanMesh()
+	l1, stalled, l3 := cm.Join(1), cm.Join(2), cm.Join(3)
+	payload := make([]byte, 1000)
+	for i := 0; i < 20*slabSize/len(payload); i++ {
+		fill(payload, byte(i))
+		if err := l1.Broadcast(1, payload); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		l3.Inbox().Drain(func(p Packet) {
+			if n++; !intact(p.Payload, byte(i)) {
+				t.Fatalf("draining port: datagram %d torn: % x", i, p.Payload[:8])
+			}
+		})
+		if n != 1 {
+			t.Fatalf("draining port got %d datagrams at broadcast %d, want 1", n, i)
+		}
+		if h := len(cm.rx.held); h > slabHold {
+			t.Fatalf("broadcast %d: the mesh holds %d retired slabs, want at most %d", i, h, slabHold)
+		}
+	}
+	n := 0
+	stalled.Inbox().Drain(func(p Packet) {
+		if !intact(p.Payload, byte(n)) {
+			t.Fatalf("stalled port: datagram %d was overwritten: % x", n, p.Payload[:8])
+		}
+		n++
+	})
+	if n != inboxDepth {
+		t.Errorf("stalled port held %d datagrams, want %d", n, inboxDepth)
+	}
+}
+
+// TestChanMeshLeftPortReadsIntact queues datagrams on a port that then
+// leaves the mesh: after more traffic, within and beyond what the mesh
+// holds, the port still drains them intact. Its slab was retired with its
+// mark when it left, not reused by the ports that stayed.
+func TestChanMeshLeftPortReadsIntact(t *testing.T) {
+	for _, slabs := range []int{3, 12} {
+		cm := NewChanMesh()
+		l1, gone, l3 := cm.Join(1), cm.Join(2), cm.Join(3)
+		payload := make([]byte, 1000)
+		broadcast := func(v byte) {
+			fill(payload, v)
+			if err := l1.Broadcast(1, payload); err != nil {
+				t.Fatal(err)
+			}
+			l3.Inbox().Drain(func(Packet) {})
+		}
+		const queued = 10
+		for i := 0; i < queued; i++ {
+			broadcast(byte(i))
+		}
+		gone.Close()
+		for i := 0; i < slabs*slabSize/len(payload); i++ {
+			broadcast(0xEE)
+		}
+		n := 0
+		gone.Inbox().Drain(func(p Packet) {
+			if !intact(p.Payload, byte(n)) {
+				t.Errorf("after %d slabs of traffic: the departed port's datagram %d was overwritten: % x", slabs, n, p.Payload[:8])
+			}
+			n++
+		})
+		if n != queued {
+			t.Errorf("after %d slabs of traffic: the departed port drained %d datagrams, want %d", slabs, n, queued)
+		}
+	}
+}
+
+// TestClosedLinkBroadcastsNothing pins that a closed link transmits nothing
+// and says so: both links return net.ErrClosed, and no peer queues the
+// datagram.
+func TestClosedLinkBroadcastsNothing(t *testing.T) {
+	t.Run("ChanLink", func(t *testing.T) {
+		cm := NewChanMesh()
+		l, peer := cm.Join(1), cm.Join(2)
+		l.Close()
+		if err := l.Broadcast(1, []byte{1}); !errors.Is(err, net.ErrClosed) {
+			t.Errorf("Broadcast after Close returned %v, want net.ErrClosed", err)
+		}
+		if n := peer.Inbox().Len(); n != 0 {
+			t.Errorf("a peer queued %d datagrams from a closed link, want 0", n)
+		}
+	})
+	t.Run("UDPLink", func(t *testing.T) {
+		peer, err := NewUDPLink(2, "127.0.0.1:0", nil)
+		if err != nil {
+			t.Skipf("cannot bind UDP in this environment: %v", err)
+		}
+		defer peer.Close()
+		l, err := NewUDPLink(1, "127.0.0.1:0", []string{peer.LocalAddr().String()})
+		if err != nil {
+			t.Skipf("cannot bind UDP in this environment: %v", err)
+		}
+		l.Close()
+		if err := l.Broadcast(1, []byte{1}); !errors.Is(err, net.ErrClosed) {
+			t.Errorf("Broadcast after Close returned %v, want net.ErrClosed", err)
+		}
+		if pkts, _ := recv(peer, 100*time.Millisecond); len(pkts) != 0 {
+			t.Errorf("the peer received %d datagrams from a closed link, want 0", len(pkts))
+		}
+	})
 }
 
 func TestChanMeshLeaveStopsDelivery(t *testing.T) {
@@ -462,6 +611,57 @@ func TestUDPLinkCountsRunts(t *testing.T) {
 	}
 	if got := l.Inbox().Dropped(); got != 0 {
 		t.Errorf("Dropped = %d, want 0: a runt is not a queue drop", got)
+	}
+}
+
+// TestUDPLinkReceiveAllocatesNothing sends and drains datagrams over
+// loopback one at a time and counts the allocations the whole process makes
+// meanwhile: the sender's framing, the reader goroutine's read and carve, the
+// inbox and the drain. Once the link has cycled past its first slabs, none
+// allocates per datagram.
+func TestUDPLinkReceiveAllocatesNothing(t *testing.T) {
+	rx, err := NewUDPLink(1, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Skipf("cannot bind UDP in this environment: %v", err)
+	}
+	defer rx.Close()
+	tx, err := NewUDPLink(2, "127.0.0.1:0", []string{rx.LocalAddr().String()})
+	if err != nil {
+		t.Skipf("cannot bind UDP in this environment: %v", err)
+	}
+	defer tx.Close()
+	payload := make([]byte, 333)
+	in := rx.Inbox()
+	deadline := time.NewTimer(30 * time.Second)
+	defer deadline.Stop()
+	received := 0
+	count := func(p Packet) { received += len(p.Payload) }
+	roundTrips := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := tx.Broadcast(2, payload); err != nil {
+				t.Fatal(err)
+			}
+			for in.Len() == 0 {
+				select {
+				case <-in.Ready():
+				case <-deadline.C:
+					t.Fatalf("datagram %d of %d did not arrive", i, n)
+				}
+			}
+			in.Drain(count)
+		}
+	}
+	roundTrips(2 * (slabHold + 1) * slabSize / len(payload))
+	const n = 2000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	roundTrips(n)
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs*10 >= n {
+		t.Errorf("%d allocations (%d B) for %d datagrams, want 0 per datagram", allocs, after.TotalAlloc-before.TotalAlloc, n)
+	}
+	if want := (2*(slabHold+1)*slabSize/len(payload) + n) * len(payload); received != want {
+		t.Errorf("received %d bytes, want %d", received, want)
 	}
 }
 

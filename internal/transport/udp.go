@@ -31,10 +31,12 @@ type UDPLink struct {
 	conn  *net.UDPConn
 	peers []*net.UDPAddr
 
-	in    Inbox
-	runts atomic.Int64
-	txMu  sync.Mutex
-	txBuf []byte
+	in     Inbox
+	rx     slabs // the reader goroutine's; what it queues is carved here
+	runts  atomic.Int64
+	txMu   sync.Mutex
+	txBuf  []byte
+	closed atomic.Bool
 
 	closeOnce sync.Once
 }
@@ -72,13 +74,14 @@ func NewUDPLink(id wire.NodeID, listen string, peerAddrs []string) (*UDPLink, er
 func (l *UDPLink) LocalAddr() net.Addr { return l.conn.LocalAddr() }
 
 // readLoop pumps datagrams from the socket into the inbox until the socket is
-// closed, then closes the inbox. Runs in its own goroutine; ReadFromUDP is
-// the only blocking point and Close unblocks it.
+// closed, then closes the inbox. Runs in its own goroutine; Read is the
+// only blocking point and Close unblocks it. The source address is not read:
+// the frame names its sender, and asking for the address would allocate one.
 func (l *UDPLink) readLoop() {
 	defer l.in.close()
 	buf := make([]byte, udpReadBuffer)
 	for {
-		n, _, err := l.conn.ReadFromUDP(buf)
+		n, err := l.conn.Read(buf)
 		if err != nil {
 			return // closed socket (or fatal error): the link is done
 		}
@@ -87,14 +90,18 @@ func (l *UDPLink) readLoop() {
 			continue
 		}
 		from := wire.NodeID(binary.LittleEndian.Uint32(buf[:udpFrameHeader]))
-		l.in.push(Packet{From: from, Payload: append([]byte(nil), buf[udpFrameHeader:n]...)})
+		l.in.push(Packet{From: from, Payload: l.rx.carve(buf[udpFrameHeader:n], &l.in)})
 	}
 }
 
 // Broadcast implements Broadcaster: frame the payload and send one datagram
 // to every peer. Send errors to individual peers are ignored — UDP is
-// best-effort and a down peer is indistinguishable from a lossy link.
+// best-effort and a down peer is indistinguishable from a lossy link. After
+// Close it sends nothing and returns net.ErrClosed.
 func (l *UDPLink) Broadcast(from wire.NodeID, payload []byte) error {
+	if l.closed.Load() {
+		return net.ErrClosed
+	}
 	l.txMu.Lock()
 	defer l.txMu.Unlock()
 	l.txBuf = l.txBuf[:0]
@@ -118,7 +125,10 @@ func (l *UDPLink) Runts() int64 { return l.runts.Load() }
 // closes the inbox.
 func (l *UDPLink) Close() error {
 	var err error
-	l.closeOnce.Do(func() { err = l.conn.Close() })
+	l.closeOnce.Do(func() {
+		l.closed.Store(true)
+		err = l.conn.Close()
+	})
 	return err
 }
 

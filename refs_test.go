@@ -190,3 +190,69 @@ func TestDocsNameExistingFlags(t *testing.T) {
 		}
 	}
 }
+
+var (
+	// docPath is a code span that starts with internal/, cmd/ or bench/. Its
+	// path runs to the first space not after a comma: an alternation may
+	// break across lines.
+	docPath = regexp.MustCompile("`((?:internal|cmd|bench)/[^`]*)`")
+	// commaSpace is a comma and the line break or spaces after it.
+	commaSpace = regexp.MustCompile(`,\s+`)
+	// pathAlternation is a {a,b} alternation in such a path.
+	pathAlternation = regexp.MustCompile(`\{([^{}]*)\}`)
+	// lineSuffix is a :line after a file name.
+	lineSuffix = regexp.MustCompile(`:\d+$`)
+)
+
+// expandPath returns the paths a doc path names: internal/{a,b} is
+// internal/a and internal/b.
+func expandPath(p string) []string {
+	m := pathAlternation.FindStringSubmatchIndex(p)
+	if m == nil {
+		return []string{p}
+	}
+	var out []string
+	for _, alt := range strings.Split(p[m[2]:m[3]], ",") {
+		out = append(out, expandPath(p[:m[0]]+alt+p[m[1]:])...)
+	}
+	return out
+}
+
+// pathExists reports whether a doc path names a file or directory of the
+// repository. A placeholder element (<name>, *) ends the path, a :line after
+// a file is dropped, and a path whose last element is pkg.Ident names the
+// package directory pkg.
+func pathExists(p string) bool {
+	if i := strings.IndexAny(p, "<*"); i >= 0 {
+		p = p[:i]
+	}
+	p = lineSuffix.ReplaceAllString(p, "")
+	if _, err := os.Stat(p); err == nil {
+		return true
+	}
+	dir, last := filepath.Split(p)
+	if i := strings.Index(last, "."); i > 0 {
+		fi, err := os.Stat(dir + last[:i])
+		return err == nil && fi.IsDir()
+	}
+	return false
+}
+
+// TestDocsNameExistingPaths guards README.md, DESIGN.md, EXPERIMENTS.md and
+// ROADMAP.md against moved or deleted files: every backticked path under
+// internal/, cmd/ or bench/ they name exists. Fenced blocks are recorded
+// output or commands and are not read, and a path struck through (~~...~~)
+// is history.
+func TestDocsNameExistingPaths(t *testing.T) {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md"} {
+		text := struck.ReplaceAllString(fence.ReplaceAllString(readFile(t, doc), ""), "")
+		for _, m := range docPath.FindAllStringSubmatch(text, -1) {
+			path := strings.Fields(commaSpace.ReplaceAllString(m[1], ","))[0]
+			for _, p := range expandPath(path) {
+				if !pathExists(p) {
+					t.Errorf("%s names `%s`, which is not in the repository", doc, p)
+				}
+			}
+		}
+	}
+}

@@ -301,6 +301,9 @@ func runReplicated(cfg scenario.Config, stack scenario.Stack, trials, workers, c
 		float64(trials)/elapsed.Seconds())
 	fmt.Printf("completeness: mean %.4f min %.4f max %.4f\n",
 		s.Completeness.Mean(), s.Completeness.Min(), s.Completeness.Max())
+	fmt.Printf("victims: %d, undetected %d; admitted at crash %d, of them undetected %d\n",
+		s.Victims, s.Undetected, s.Admitted, s.AdmittedUndetected)
+	fmt.Printf("failure-report tx: %d across %d replicas\n", s.ReportTx, s.Trials)
 	if s.LatencySeconds.N() > 0 {
 		fmt.Printf("detection latency (s): mean %.2f p95 %.2f max %.2f (%d observations)\n",
 			s.LatencySeconds.Mean(), s.LatencySeconds.Percentile(0.95),

@@ -574,8 +574,9 @@ func (p *Protocol) engage(st *reportState, viaCH wire.NodeID) {
 	}
 	// Distributed-gateway fallback (Section 3's "node located outside two
 	// clusters" option): when the trigger came from this host's own CH and
-	// an adjacent cluster is reachable only through a border peer, relay
-	// toward it after giving any one-hop gateways priority.
+	// an adjacent cluster is reachable only through a border peer — no
+	// direct gateway candidate for the pair is known — relay toward it after
+	// the one-hop gateways' window.
 	if viaCH != p.cluster.CH() {
 		return
 	}
@@ -583,6 +584,9 @@ func (p *Protocol) engage(st *reportState, viaCH wire.NodeID) {
 	for _, target := range p.borderScratch {
 		if target == st.content.OriginCH || st.sender(target) {
 			continue
+		}
+		if _, n, _ := p.cluster.GWRank(viaCH, target); n > 0 {
+			continue // a direct gateway serves the pair
 		}
 		p.engageTwoHop(st, target)
 	}

@@ -2,6 +2,7 @@ package intercluster
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"clusterfds/internal/cluster"
@@ -173,6 +174,51 @@ func TestBGWTakesOverWhenPrimaryCrashes(t *testing.T) {
 	// n6's own failure must also have been reported across.
 	if !w.fdss[1].IsSuspected(6) {
 		t.Error("CH B never learned of the gateway's own failure")
+	}
+}
+
+// TestTwoHopOnlyAcrossAGap: a border node that also knows a direct gateway
+// for (its CH, the target) leaves the pair to that gateway. It arms no
+// two-hop relay, and the target cluster still learns the report.
+func TestTwoHopOnlyAcrossAGap(t *testing.T) {
+	positions := append(threeClusterChain(),
+		geo.Point{X: 60, Y: 70},  // n14 member A: hears gateway n6 and n15, not CH B
+		geo.Point{X: 150, Y: 90}, // n15 member B: hears n14, not CH A or n6
+	)
+	w := buildWorld(t, 23, 0, nil, positions)
+	w.crashAtEpoch(7, 2) // n8 fails; n1's epoch-3 update reports it
+	w.runUntilEpoch(3)
+	border := w.cls[13]
+	if got := border.CH(); got != 1 {
+		t.Fatalf("layout: n14 follows %v, want n1", got)
+	}
+	if got := border.AppendBorderClusters(nil); !slices.Equal(got, []wire.NodeID{2}) {
+		t.Fatalf("layout: n14's border clusters are %v, want [n2]", got)
+	}
+	if _, n, _ := border.GWRank(1, 2); n == 0 {
+		t.Fatal("layout: n14 knows no direct gateway between A and B")
+	}
+
+	w.kernel.RunUntil(w.timing.EpochStart(4) + w.timing.Thop)
+	st := w.fwds[13].state(1, 3)
+	if st == nil {
+		t.Fatal("n14 never heard report (n1, 3)")
+	}
+	for d := st.engaged; d != nil; d = d.next {
+		if d.kind == dutyTwoHop {
+			t.Errorf("n14 armed a two-hop relay toward %v beside gateway n6", d.target)
+		}
+	}
+	w.runUntilEpoch(6)
+	for _, e := range w.tracer.OfType(trace.TypeReportForward) {
+		if e.Node == 14 && strings.HasPrefix(e.Detail, "two-hop") {
+			t.Errorf("n14 relayed two-hop: %v", e)
+		}
+	}
+	for _, i := range []int{1, 9, 10, 14} { // CH B and its members n10, n11, n15
+		if !w.fdss[i].IsSuspected(8) {
+			t.Errorf("n%d never learned of n8's failure", i+1)
+		}
 	}
 }
 

@@ -62,8 +62,11 @@ func TestBackboneInvariantsWithoutCrashes(t *testing.T) {
 	tr := trace.NewMemory(trace.TypeReportForward, trace.TypeRetransmit, trace.TypeBGWAssist,
 		trace.TypeDetect, trace.TypeViewUpdate)
 	// field600's density on 250 hosts; the seed has false detections in
-	// three consecutive epochs, calm epochs before and after.
-	w := Build(Config{Seed: 12, Nodes: 250, FieldSide: 775, LossProb: 0.1, Trace: tr})
+	// two bursts, calm epochs before, between and after. Of seeds 1-300 on
+	// this field, seven pass both with and without two-hop relays beside
+	// direct gateways; 151 keeps the most room above both minimums. (Seed
+	// 12, the earlier field, has one false detection without those relays.)
+	w := Build(Config{Seed: 151, Nodes: 250, FieldSide: 775, LossProb: 0.1, Trace: tr})
 	interval := time.Duration(w.Config().Timing.Interval)
 	sent := make([]int64, epochs) // failure-report transmissions per epoch
 	for e := 0; e < epochs; e++ {

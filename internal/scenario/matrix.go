@@ -233,6 +233,16 @@ func measureCrash(w *World, victims []wire.NodeID) CrashOutcome {
 		aware, operational := w.Completeness(v)
 		o.Aware += aware
 		o.Operational += operational
+		undetected := aware == 0 && operational > 0
+		if undetected {
+			o.Undetected++
+		}
+		if w.AdmittedAtCrash(v) {
+			o.Admitted++
+			if undetected {
+				o.AdmittedUndetected++
+			}
+		}
 		o.DetectionLatencies = append(o.DetectionLatencies, w.DetectionLatencies(v)...)
 	}
 	sort.Slice(o.DetectionLatencies, func(a, b int) bool {
@@ -246,6 +256,7 @@ func measureCrash(w *World, victims []wire.NodeID) CrashOutcome {
 		}
 	}
 	o.TxBytes = counts["tx-bytes"]
+	o.ReportTx = w.Medium.Sent(wire.KindFailureReport)
 	o.Energy = w.TotalEnergySpent()
 	o.Metrics = w.MetricsSnapshot()
 	return o

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"clusterfds/internal/geo"
 	"clusterfds/internal/metrics"
 	"clusterfds/internal/wire"
 )
@@ -103,5 +104,48 @@ func TestStudyMetricsWorkerCountInvariant(t *testing.T) {
 	}
 	if len(snaps[0].Counters) == 0 || len(snaps[0].Series) == 0 {
 		t.Error("merged snapshot suspiciously empty")
+	}
+}
+
+// TestSummarizeSumsVictimCounts pins what fdsim -trials prints beside
+// completeness: the totals of every replica's victims, undetected victims,
+// victims admitted at their crash instant (and of those, the undetected),
+// false suspicions and failure-report transmissions.
+func TestSummarizeSumsVictimCounts(t *testing.T) {
+	s := Summarize([]CrashOutcome{
+		{Victims: []wire.NodeID{3, 7}, Undetected: 1, Admitted: 2, AdmittedUndetected: 1, FalseSuspicions: 4, ReportTx: 100},
+		{Victims: []wire.NodeID{5}, ReportTx: 20},
+		{Victims: []wire.NodeID{1, 2, 9}, Undetected: 2, Admitted: 1, FalseSuspicions: 1, ReportTx: 3},
+	})
+	got := [...]int64{int64(s.Victims), int64(s.Undetected), int64(s.Admitted),
+		int64(s.AdmittedUndetected), int64(s.FalseSuspicions), s.ReportTx}
+	if want := [...]int64{6, 3, 3, 1, 5, 123}; got != want {
+		t.Errorf("victims, undetected, admitted, admitted-undetected, false suspicions, report tx = %v, want %v", got, want)
+	}
+}
+
+// TestMeasureCrashSplitsVictimsByAdmission: a host that crashes before any
+// cluster admits it has no clusterhead to miss it, so it is counted
+// undetected and unadmitted; an admitted victim is detected.
+func TestMeasureCrashSplitsVictimsByAdmission(t *testing.T) {
+	w := Build(Config{Seed: 3, Nodes: 30, FieldSide: 200})
+	tm := w.Config().Timing
+	deployAt := tm.EpochStart(3) + tm.Interval/4
+	late := w.DeployAt(deployAt, geo.Point{X: 100, Y: 100})
+	w.Run(deployAt + 1)
+	crashAt := tm.EpochStart(3) + tm.Interval/2
+	w.CrashAt(crashAt, 1)
+	w.CrashAt(crashAt, late)
+	w.RunEpochs(8)
+	o := measureCrash(w, []wire.NodeID{1, late})
+	if !w.AdmittedAtCrash(1) || w.AdmittedAtCrash(late) {
+		t.Fatalf("admitted at crash: n1 %v, late n%d %v; want true, false", w.AdmittedAtCrash(1), late, w.AdmittedAtCrash(late))
+	}
+	if o.Admitted != 1 || o.Undetected != 1 || o.AdmittedUndetected != 0 {
+		t.Errorf("admitted %d, undetected %d, admitted-undetected %d; want 1, 1, 0",
+			o.Admitted, o.Undetected, o.AdmittedUndetected)
+	}
+	if want := w.MessageCounts()["tx:failure-report"]; o.ReportTx != want || want == 0 {
+		t.Errorf("report tx %d, medium counted %d", o.ReportTx, want)
 	}
 }

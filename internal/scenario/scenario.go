@@ -166,6 +166,7 @@ type World struct {
 	crashSched     map[wire.NodeID]bool                     // hosts with a crash scheduled, fired or not
 	crashOrder     []wire.NodeID                            // the same hosts, in the order they were scheduled
 	crashedAt      map[wire.NodeID]sim.Time                 // when each crash fired
+	admitted       map[wire.NodeID]bool                     // crashed while admitted to a cluster (Marked)
 	firstSuspected map[wire.NodeID]map[wire.NodeID]sim.Time // subject -> observer -> time
 
 	// metrics is the world's registry, shared with the medium (per-kind
@@ -206,6 +207,7 @@ func Build(cfg Config) *World {
 		nextNID:        1,
 		crashSched:     make(map[wire.NodeID]bool),
 		crashedAt:      make(map[wire.NodeID]sim.Time),
+		admitted:       make(map[wire.NodeID]bool),
 		firstSuspected: make(map[wire.NodeID]map[wire.NodeID]sim.Time),
 	}
 	field := geo.NewRect(cfg.FieldSide, cfg.FieldSide)
@@ -401,6 +403,9 @@ func (w *World) CrashAt(at sim.Time, id wire.NodeID) {
 	}
 	w.Kernel.At(at, func() {
 		if !h.Crashed() {
+			if cl := w.cls[id]; cl != nil && cl.Marked() {
+				w.admitted[id] = true
+			}
 			h.Crash()
 			w.crashedAt[id] = w.Kernel.Now()
 		}
@@ -444,6 +449,11 @@ func (w *World) DeployAt(at sim.Time, pos geo.Point) wire.NodeID {
 }
 
 // --- metrics -------------------------------------------------------------------
+
+// AdmittedAtCrash reports whether id's crash has fired while it was admitted
+// to a cluster (Marked). A host that was still unmarked has no clusterhead
+// to miss its heartbeat, so no rule can detect it; flat stacks admit nobody.
+func (w *World) AdmittedAtCrash(id wire.NodeID) bool { return w.admitted[id] }
 
 // Operational returns the NIDs of hosts that are alive right now, sorted.
 func (w *World) Operational() []wire.NodeID {

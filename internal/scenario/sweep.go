@@ -62,11 +62,18 @@ type CrashOutcome struct {
 	// DetectionLatencies collects every observer's first-detection latency
 	// across all victims, ascending.
 	DetectionLatencies []sim.Time
+	// Undetected counts the victims no operational host suspects.
+	Undetected int
+	// Admitted counts the victims admitted to a cluster at their crash
+	// instant (World.AdmittedAtCrash); AdmittedUndetected, those of them
+	// that are undetected.
+	Admitted, AdmittedUndetected int
 	// FalseSuspicions counts operational-suspects-operational pairs at the
 	// end of the run.
 	FalseSuspicions int
-	// TxMessages and TxBytes total the fleet's transmissions.
-	TxMessages, TxBytes int64
+	// TxMessages and TxBytes total the fleet's transmissions; ReportTx is
+	// the failure-report share of TxMessages.
+	TxMessages, TxBytes, ReportTx int64
 	// Energy is the fleet's cumulative energy expenditure.
 	Energy float64
 	// Metrics is the replica's full registry snapshot: per-kind counters,
@@ -121,8 +128,10 @@ type StudySummary struct {
 	LatencySeconds *stats.Summary
 	// TxMessages, TxBytes, Energy are per-replica means.
 	TxMessages, TxBytes, Energy float64
-	// FalseSuspicions is the total across replicas.
-	FalseSuspicions int
+	// Victims, Undetected, Admitted, AdmittedUndetected, FalseSuspicions and
+	// ReportTx are totals across replicas.
+	Victims, Undetected, Admitted, AdmittedUndetected, FalseSuspicions int
+	ReportTx                                                           int64
 	// Metrics merges every replica's snapshot in replica order: counters
 	// and series sum, gauges sum (divide by Trials for a mean), histograms
 	// combine. Identical for every worker count.
@@ -144,7 +153,12 @@ func Summarize(outcomes []CrashOutcome) StudySummary {
 		s.TxMessages += float64(o.TxMessages)
 		s.TxBytes += float64(o.TxBytes)
 		s.Energy += float64(o.Energy)
+		s.Victims += len(o.Victims)
+		s.Undetected += o.Undetected
+		s.Admitted += o.Admitted
+		s.AdmittedUndetected += o.AdmittedUndetected
 		s.FalseSuspicions += o.FalseSuspicions
+		s.ReportTx += o.ReportTx
 		s.Metrics.Merge(o.Metrics)
 	}
 	if n := float64(len(outcomes)); n > 0 {

@@ -1,6 +1,7 @@
 package intercluster
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -183,11 +184,15 @@ func TestReportFromUpdateCanonical(t *testing.T) {
 	// not alias the (scratch-backed, handler-lifetime) update it derives
 	// from. reportFromUpdate itself stays a cheap view.
 	p := &Protocol{}
-	st := p.getState(reportFromUpdate(up))
+	st := p.getState(&a)
+	if !slices.Equal(st.newFailed(), []wire.NodeID{9}) || !slices.Equal(st.allFailed(), []wire.NodeID{9, 4}) ||
+		!slices.Equal(st.rescinded, up.Rescinded) {
+		t.Errorf("tracked report content wrong: new %v all %v rescinded %v", st.newFailed(), st.allFailed(), st.rescinded)
+	}
 	up.AllFailed[0] = 99
 	up.NewFailed[0] = 99
 	up.Rescinded[0].Node = 99
-	if st.content.AllFailed[0] == 99 || st.content.NewFailed[0] == 99 || st.content.Rescinded[0].Node == 99 {
+	if st.allFailed()[0] == 99 || st.newFailed()[0] == 99 || st.rescinded[0].Node == 99 {
 		t.Error("tracked report aliases the update")
 	}
 }

@@ -11,6 +11,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -163,11 +164,14 @@ type World struct {
 	aggs    map[wire.NodeID]*aggregate.Protocol
 	nextNID wire.NodeID
 
-	crashSched     map[wire.NodeID]bool                     // hosts with a crash scheduled, fired or not
-	crashOrder     []wire.NodeID                            // the same hosts, in the order they were scheduled
-	crashedAt      map[wire.NodeID]sim.Time                 // when each crash fired
-	admitted       map[wire.NodeID]bool                     // crashed while admitted to a cluster (Marked)
-	firstSuspected map[wire.NodeID]map[wire.NodeID]sim.Time // subject -> observer -> time
+	crashSched map[wire.NodeID]bool     // hosts with a crash scheduled, fired or not
+	crashOrder []wire.NodeID            // the same hosts, in the order they were scheduled
+	crashedAt  map[wire.NodeID]sim.Time // when each crash fired
+	admitted   map[wire.NodeID]bool     // crashed while admitted to a cluster (Marked)
+	// firstSuspected holds, per subject in crashOrder, when each observer
+	// first suspected it, indexed by the observer's position in order; 0 is
+	// "not yet".
+	firstSuspected [][]sim.Time
 
 	// metrics is the world's registry, shared with the medium (per-kind
 	// counters) and every FDS instance (per-epoch event series). The
@@ -193,22 +197,21 @@ func Build(cfg Config) *World {
 	reg := metrics.NewRegistry()
 	m := radio.New(k, radio.Defaults(cfg.LossProb), radio.WithTrace(cfg.Trace), radio.WithMetrics(reg))
 	w := &World{
-		cfg:            cfg,
-		Kernel:         k,
-		Medium:         m,
-		metrics:        reg,
-		detLat:         reg.Histogram("detection-latency-s", detectionLatencyBounds),
-		hosts:          make(map[wire.NodeID]*node.Host),
-		dets:           make(map[wire.NodeID]baseline.Detector),
-		cls:            make(map[wire.NodeID]*cluster.Protocol),
-		fdss:           make(map[wire.NodeID]*fds.Protocol),
-		fwds:           make(map[wire.NodeID]*intercluster.Protocol),
-		aggs:           make(map[wire.NodeID]*aggregate.Protocol),
-		nextNID:        1,
-		crashSched:     make(map[wire.NodeID]bool),
-		crashedAt:      make(map[wire.NodeID]sim.Time),
-		admitted:       make(map[wire.NodeID]bool),
-		firstSuspected: make(map[wire.NodeID]map[wire.NodeID]sim.Time),
+		cfg:        cfg,
+		Kernel:     k,
+		Medium:     m,
+		metrics:    reg,
+		detLat:     reg.Histogram("detection-latency-s", detectionLatencyBounds),
+		hosts:      make(map[wire.NodeID]*node.Host),
+		dets:       make(map[wire.NodeID]baseline.Detector),
+		cls:        make(map[wire.NodeID]*cluster.Protocol),
+		fdss:       make(map[wire.NodeID]*fds.Protocol),
+		fwds:       make(map[wire.NodeID]*intercluster.Protocol),
+		aggs:       make(map[wire.NodeID]*aggregate.Protocol),
+		nextNID:    1,
+		crashSched: make(map[wire.NodeID]bool),
+		crashedAt:  make(map[wire.NodeID]sim.Time),
+		admitted:   make(map[wire.NodeID]bool),
 	}
 	field := geo.NewRect(cfg.FieldSide, cfg.FieldSide)
 	for i := 0; i < cfg.Nodes; i++ {
@@ -295,25 +298,23 @@ func (w *World) scheduleMonitor() {
 	tick = func() {
 		now := w.Kernel.Now()
 		// Schedule order, not map order: Observe folds a float sum.
-		for _, subject := range w.crashOrder {
+		for i, subject := range w.crashOrder {
 			crashed, fired := w.crashedAt[subject]
 			if !fired {
 				continue
 			}
-			obs := w.firstSuspected[subject]
-			if obs == nil {
-				obs = make(map[wire.NodeID]sim.Time)
-				w.firstSuspected[subject] = obs
+			// Hosts deployed since the last tick extend the subject's row.
+			obs := w.firstSuspected[i]
+			if n := len(w.order) - len(obs); n > 0 {
+				obs = append(obs, make([]sim.Time, n)...)
+				w.firstSuspected[i] = obs
 			}
-			for _, id := range w.order {
-				if id == subject || w.hosts[id].Crashed() {
-					continue
-				}
-				if _, done := obs[id]; done {
+			for j, id := range w.order {
+				if id == subject || obs[j] != 0 || w.hosts[id].Crashed() {
 					continue
 				}
 				if w.dets[id].IsSuspected(subject) {
-					obs[id] = now
+					obs[j] = now
 					w.detLat.Observe(time.Duration(now - crashed).Seconds())
 				}
 			}
@@ -400,6 +401,7 @@ func (w *World) CrashAt(at sim.Time, id wire.NodeID) {
 	if !w.crashSched[id] {
 		w.crashSched[id] = true
 		w.crashOrder = append(w.crashOrder, id)
+		w.firstSuspected = append(w.firstSuspected, nil)
 	}
 	w.Kernel.At(at, func() {
 		if !h.Crashed() {
@@ -508,12 +510,17 @@ func (w *World) DetectionLatencies(subject wire.NodeID) []sim.Time {
 	if !crashed {
 		return nil
 	}
-	obs := w.firstSuspected[subject]
+	var obs []sim.Time
+	if i := slices.Index(w.crashOrder, subject); i >= 0 {
+		obs = w.firstSuspected[i]
+	}
 	out := make([]sim.Time, 0, len(obs))
 	for _, at := range obs {
-		out = append(out, at-crash)
+		if at != 0 {
+			out = append(out, at-crash)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -41,12 +40,22 @@ func BenchmarkPushPop(b *testing.B) {
 }
 
 // BenchmarkRunFanout is the run alone: one operation schedules a fan-out of
-// `fan` items spread over 11 ms and advances the clock 1 ms, so about a dozen
-// runs are in the heap at any time and every firing re-keys one of them — the
-// kernel's share of a radio broadcast, without the radio.
+// `fan` items spread over 11 ms, 1 ms after now, and advances the clock by
+// `every` — the kernel's share of a radio broadcast, without the radio. At
+// 1 ms, /10 and /100 keep about a dozen runs in flight; /90x200 keeps about
+// 200 runs of 90 items, the density of flood100's heap.
 func BenchmarkRunFanout(b *testing.B) {
-	for _, fan := range []int{10, 100} {
-		b.Run(fmt.Sprint(fan), func(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		fan   int
+		every Time
+	}{
+		{"10", 10, Time(time.Millisecond)},
+		{"100", 100, Time(time.Millisecond)},
+		{"90x200", 90, 12 * Time(time.Millisecond) / 200},
+	} {
+		fan, every := c.fan, c.every
+		b.Run(c.name, func(b *testing.B) {
 			k := New(1)
 			rng := rand.New(rand.NewSource(2))
 			var free []*Run
@@ -67,9 +76,9 @@ func BenchmarkRunFanout(b *testing.B) {
 					r.Items = append(r.Items, RunItem{At: at, Tag: uint32(i)})
 				}
 				k.ScheduleRun(r, fire, r)
-				k.RunUntil(k.Now() + Time(time.Millisecond))
+				k.RunUntil(k.Now() + every)
 			}
-			for i := 0; i < 100; i++ {
+			for i := 0; i < 100*int(Time(time.Millisecond)/every); i++ {
 				op()
 			}
 			b.ReportAllocs()

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -129,6 +130,26 @@ func TestRunEdges(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestRunFarLeadFromFiring schedules, from inside a firing, a run whose first
+// item is an hour out and whose second is ten seconds after that, with a
+// timer between them: a window as wide as that lead would hold offsets past
+// 32 bits, so the kernel must cap its width.
+func TestRunFarLeadFromFiring(t *testing.T) {
+	k := New(1)
+	var got []string
+	log := func(s string) { got = append(got, fmt.Sprintf("%v:%s", k.Now(), s)) }
+	k.Schedule(1, func() {
+		k.ScheduleRun(&Run{Items: []RunItem{{At: Time(time.Hour)}, {At: Time(time.Hour + 10*time.Second), Tag: 1}}},
+			func(_ any, it RunItem) { log(fmt.Sprint("item", it.Tag)) }, nil)
+		k.At(Time(time.Hour+5*time.Second), func() { log("timer") })
+	})
+	k.Run()
+	want := []string{"1h0m0s:item0", "1h0m5s:timer", "1h0m10s:item1"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("got %v, want %v", got, want)
 	}
 }
 
@@ -278,6 +299,34 @@ type scheduler interface {
 type realKernel struct {
 	*Kernel
 	t *testing.T
+	c *windowCases // nil: nothing counted
+}
+
+// windowCases counts how often the differential programs drive the kernel's
+// delivery window down each path it has (see Kernel.gather and merge).
+type windowCases struct {
+	mergedInFiring int // a run scheduled from a firing lands in the open window
+	mergedBetween  int // a run scheduled between drains lands in it
+	leftOpen       int // a RunUntil deadline or a Stop leaves it open
+	halved         int // a window narrowed to stay within winCap
+	instantOverCap int // one instant holds more than winCap items
+	start, last    Time
+	seen           bool
+}
+
+// sawFiring notes a window gathered since the last firing: the kernel fires
+// a new window's head at once, so its contents are still as gathered.
+func (c *windowCases) sawFiring(k *Kernel) {
+	if k.head == 0 || c.seen && k.winStart == c.start && k.winLast == c.last {
+		return
+	}
+	c.start, c.last, c.seen = k.winStart, k.winLast, true
+	if k.winLast-k.winStart+1 < k.width {
+		c.halved++
+	}
+	if k.winLast == k.winStart && len(k.win) > k.winCap {
+		c.instantOverCap++
+	}
 }
 
 func (r realKernel) Schedule(d Time, fn func()) handle { return r.Kernel.Schedule(d, fn) }
@@ -289,6 +338,13 @@ func (r realKernel) run(delays []Time, fire func(i int)) {
 	run := &Run{}
 	for i, d := range delays {
 		run.Items = append(run.Items, RunItem{At: r.Now() + d, Tag: uint32(i)})
+	}
+	if r.c != nil && len(delays) > 0 && r.head < len(r.win) && r.Now()+slices.Min(delays) <= r.winLast {
+		if r.firing {
+			r.c.mergedInFiring++
+		} else {
+			r.c.mergedBetween++
+		}
 	}
 	fired := 0
 	r.ScheduleRun(run, func(arg any, it RunItem) {
@@ -308,7 +364,8 @@ func (r realKernel) run(delays []Time, fire func(i int)) {
 type program struct {
 	s       scheduler
 	rng     *rand.Rand
-	span    int // delays are drawn from [0, span)
+	span    int  // delays are drawn from [0, span)
+	lead    Time // added to every run item's delay
 	nextID  int
 	budget  int // firings that may still schedule more work
 	handles []handle
@@ -322,6 +379,9 @@ func (p *program) delay() Time { return Time(p.rng.Intn(p.span)) }
 const tieSpan = 6
 
 func (p *program) fired(id int) {
+	if rk, ok := p.s.(realKernel); ok && rk.c != nil {
+		rk.c.sawFiring(rk.Kernel)
+	}
 	next, ok := p.s.NextEventAt()
 	p.log = append(p.log, fmt.Sprintf("t=%d id=%d steps=%d pending=%d next=%d/%v",
 		p.s.Now(), id, p.s.Steps(), p.s.Pending(), next, ok))
@@ -360,7 +420,7 @@ func (p *program) act() {
 	default:
 		delays := make([]Time, p.rng.Intn(30))
 		for i := range delays {
-			delays[i] = p.delay()
+			delays[i] = p.lead + p.delay()
 		}
 		base := p.nextID
 		p.nextID += len(delays)
@@ -380,6 +440,9 @@ func (p *program) drive() []string {
 		} else {
 			p.s.RunUntil(p.s.Now() + p.delay())
 		}
+		if rk, ok := p.s.(realKernel); ok && rk.c != nil && rk.head < len(rk.win) {
+			rk.c.leftOpen++
+		}
 		next, ok := p.s.NextEventAt()
 		p.log = append(p.log, fmt.Sprintf("drained t=%d steps=%d pending=%d next=%d/%v",
 			p.s.Now(), p.s.Steps(), p.s.Pending(), next, ok))
@@ -396,16 +459,32 @@ func (p *program) drive() []string {
 // deadlines that land mid-run, interrupted by Stop — fires on the kernel in
 // exactly the order, with the same Steps, Pending and NextEventAt at every
 // firing, as on a reference that knows only individual events.
+//
+// The seeds also vary what the kernel's delivery windows see: a third of the
+// programs give every run item a lead of 2, so windows span more than one
+// instant, and most run with a window cap of 1 to 4 items. The test counts
+// the window paths the programs reach — a run landing in the open window from
+// inside a firing and from between drains, a drain that leaves a window open,
+// a window narrowed to the cap, an instant holding more than the cap — and
+// fails if any is never reached.
 func TestRunDifferentialOrder(t *testing.T) {
+	var cases windowCases
 	for seed := int64(1); seed <= 300; seed++ {
+		k := New(seed)
+		if seed%5 != 0 {
+			k.winCap = 1 + int(seed%4)
+		}
 		progs := [2]*program{
-			{s: realKernel{New(seed), t}},
+			{s: realKernel{k, t, &cases}},
 			{s: &refKernel{batches: map[Time]*[]func(){}}},
 		}
 		var logs [2][]string
 		for i, p := range progs {
 			p.rng = rand.New(rand.NewSource(seed))
 			p.span = tieSpan
+			if seed%3 == 1 {
+				p.lead = 2
+			}
 			p.budget = 200
 			logs[i] = p.drive()
 		}
@@ -420,6 +499,11 @@ func TestRunDifferentialOrder(t *testing.T) {
 		if len(logs[0]) != len(logs[1]) {
 			t.Fatalf("seed %d: kernel logged %d lines, reference %d", seed, len(logs[0]), len(logs[1]))
 		}
+	}
+	t.Logf("window paths: %d merged in a firing, %d merged between drains, %d left open, %d halved, %d instants over the cap",
+		cases.mergedInFiring, cases.mergedBetween, cases.leftOpen, cases.halved, cases.instantOverCap)
+	if cases.mergedInFiring == 0 || cases.mergedBetween == 0 || cases.leftOpen == 0 || cases.halved == 0 || cases.instantOverCap == 0 {
+		t.Errorf("the programs never reached a window path the test is for: %+v", cases)
 	}
 }
 
@@ -453,7 +537,7 @@ func TestRunUntilIncrementsMatchRun(t *testing.T) {
 		for i := range ks {
 			k := New(seed)
 			ks[i] = k
-			p := &program{s: realKernel{k, t}, rng: rand.New(rand.NewSource(seed)), span: tieSpan, budget: 200}
+			p := &program{s: realKernel{Kernel: k, t: t}, rng: rand.New(rand.NewSource(seed)), span: tieSpan, budget: 200}
 			if seed%2 == 1 {
 				p.span = 40
 			}
@@ -576,7 +660,7 @@ func TestRunSortMatchesReference(t *testing.T) {
 		for _, n := range []int{insertLimit, insertLimit + 1, 100, 4096} {
 			delays := shape.delays(rand.New(rand.NewSource(int64(n))), n)
 			var logs [2][]string
-			for i, s := range []scheduler{realKernel{New(1), t}, &refKernel{batches: map[Time]*[]func(){}}} {
+			for i, s := range []scheduler{realKernel{Kernel: New(1), t: t}, &refKernel{batches: map[Time]*[]func(){}}} {
 				note := func(id string) {
 					logs[i] = append(logs[i], fmt.Sprintf("t=%d %s steps=%d pending=%d", s.Now(), id, s.Steps(), s.Pending()))
 				}
@@ -630,6 +714,58 @@ func TestRunSortWorstCaseIsNotQuadratic(t *testing.T) {
 		}
 		if !slices.Equal(items, want) {
 			t.Errorf("%s: distribute + insertion is not the stable order by At", shape.name)
+		}
+	}
+}
+
+// TestWindowSortWorstCaseIsNotQuadratic does for the delivery window's sort
+// what TestRunSortWorstCaseIsNotQuadratic does for the run's: the same shapes,
+// dealt out as runs of 90 items (each sorted, as ScheduleRun leaves it) and
+// distributed into one window, must leave the insertion pass at most
+// insertLimit moves per item, and the pass must finish the (at, seq) order. A
+// window is at most maxWidth wide, so a shape that spans more is shifted down
+// into it, which turns its finest structure into ties.
+func TestWindowSortWorstCaseIsNotQuadratic(t *testing.T) {
+	const n, fan = 1 << 16, 90
+	for _, shape := range runShapes {
+		delays := shape.delays(rand.New(rand.NewSource(1)), n)
+		hi := slices.Max(delays)
+		sh := max(0, bits.Len64(uint64(hi))-31)
+		k := New(1)
+		var want []RunItem
+		for start := 0; start < n; start += fan {
+			r := &Run{seq: uint64(start)}
+			for i := start; i < min(start+fan, n); i++ {
+				r.Items = append(r.Items, RunItem{At: delays[i] >> sh, Tag: uint32(i)})
+			}
+			k.sortItems(r.Items)
+			k.winRuns = append(k.winRuns, r)
+			want = append(want, r.Items...)
+		}
+		// Runs are numbered in seq order, so a stable sort by At alone is the
+		// (at, seq) order.
+		slices.SortStableFunc(want, func(a, b RunItem) int { return cmp.Compare(a.At, b.At) })
+
+		k.distributeWindow(0, hi>>sh+1, n)
+		win := k.win
+		moves := 0
+		for i := 1; i < n; i++ {
+			for j := i; j > 0 && k.winBefore(win[j], win[j-1]); j-- {
+				win[j-1], win[j] = win[j], win[j-1]
+				moves++
+			}
+		}
+		if moves > insertLimit*n {
+			t.Errorf("%s: %d moves left to the insertion pass for %d items, want at most %d", shape.name, moves, n, insertLimit*n)
+		}
+		got := make([]RunItem, 0, n)
+		next := make([]int, len(k.winRuns))
+		for _, e := range win {
+			got = append(got, k.winRuns[e.run].Items[next[e.run]])
+			next[e.run]++
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: distributeWindow + insertion is not the (at, seq) order", shape.name)
 		}
 	}
 }

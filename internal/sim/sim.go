@@ -12,8 +12,10 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -86,9 +88,10 @@ func less(x, y entry) bool {
 // of swapping pairwise, and write nothing back into the events they move —
 // no event knows its position; Timer.Active needs only event.queued.
 //
-// There are three operations: push, pop, and replaceTop — the root's key
-// moved later (a Run advanced to its next item), so it sinks from the root
-// in one pass instead of a pop followed by a push.
+// There are three operations: push, pop, and siftDown from any node whose key
+// has grown. A Run's entry is keyed by the first item the kernel has not yet
+// taken into a delivery window, so it is re-keyed and sunk once per window it
+// has items in, not once per item (see Kernel.gather).
 type eventQueue struct {
 	a []entry
 }
@@ -120,30 +123,23 @@ func (q *eventQueue) pop() entry {
 	a[n] = entry{}
 	q.a = a[:n]
 	if n > 0 {
-		q.siftDown(last)
+		q.siftDown(0, last)
 	}
 	return top
 }
 
-// replaceTop overwrites the root with e and restores the heap.
-func (q *eventQueue) replaceTop(e entry) { q.siftDown(e) }
-
-// siftDown places e starting from a hole at the root: the hole moves toward
-// the leaves past smaller children.
-func (q *eventQueue) siftDown(e entry) {
+// siftDown places e starting from a hole at i, whose subtrees are heaps: the
+// hole moves toward the leaves past smaller children.
+func (q *eventQueue) siftDown(i int, e entry) {
 	a := q.a
 	n := len(a)
-	i := 0
 	for {
 		c := i<<2 + 1
 		if c >= n {
 			break
 		}
 		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
+		end := min(c+4, n)
 		for j := c + 1; j < end; j++ {
 			if less(a[j], a[m]) {
 				m = j
@@ -194,9 +190,10 @@ type RunItem struct {
 // scheduled with and the item that is firing.
 type RunHandler func(arg any, it RunItem)
 
-// Run is a series of firings that occupies ONE heap entry however many items
-// it holds: the scheduling unit for "one cause, many timed effects", such as
-// a radio transmission heard by every host in range. See Kernel.ScheduleRun.
+// Run is a series of firings that occupies at most ONE heap entry however
+// many items it holds: the scheduling unit for "one cause, many timed
+// effects", such as a radio transmission heard by every host in range. See
+// Kernel.ScheduleRun.
 //
 // The caller owns the Run and its Items (typically inside a pooled record)
 // and must leave both alone from ScheduleRun until the last item has fired:
@@ -208,9 +205,11 @@ type Run struct {
 	// ScheduleRun reorders them by firing time.
 	Items []RunItem
 
-	pos int // next unfired item
-	fn  RunHandler
-	arg any
+	pos  int    // next unfired item
+	next int    // next item not yet taken into a delivery window
+	seq  uint64 // the first of the run's block of seqs
+	fn   RunHandler
+	arg  any
 }
 
 // Done reports whether every item has fired (the one now firing included).
@@ -224,14 +223,18 @@ type Kernel struct {
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
+	firing  bool // a handler is running: ScheduleRun learns width from its leads
 	steps   uint64
-	unfired int    // items of queued runs behind each run's next one: firings with no heap entry of their own
+	unfired int    // run items with no heap entry of their own: in the window, or behind their run's key
 	free    *event // recycled events (the #1 allocation site otherwise), linked through event.next
 
-	// sortTmp and sortCnt are distribute's scratch, grown to the largest run
-	// scheduled so far.
-	sortTmp []RunItem
-	sortCnt []uint32
+	// The delivery window (see gather): every unfired run item due in
+	// [winStart, winLast] is in win[head:], sorted by (at, seq), and no run
+	// in the heap has one. The fields every step reads come first; the
+	// rest of the window's state is at the end, out of the way of a kernel
+	// that runs only timers.
+	win  []winEntry
+	head int
 
 	// Same-instant batching (AtBatched): one kernel event per distinct
 	// timestamp, carrying every callback registered for it in FIFO order.
@@ -240,6 +243,27 @@ type Kernel struct {
 	batchFree   []*batch
 	batchChunks *batchChunk
 	batchFn     ArgHandler
+
+	// sortTmp and sortCnt are distribute's scratch, grown to the largest run
+	// scheduled so far.
+	sortTmp []RunItem
+	sortCnt []uint32
+
+	// win refers to runs through winRuns. width is the smallest lead of a
+	// run scheduled from inside a firing; until one is (firingLead), the
+	// smallest lead of any run stands in for it, so that a kernel fed only
+	// from outside its firings does not keep one window open for seconds of
+	// virtual time. lastWidth is the width the last window took, and winCap
+	// the entries a window may hold unless one instant has more. inside is
+	// gather's scratch.
+	winRuns    []*Run
+	winStart   Time
+	winLast    Time
+	width      Time
+	lastWidth  Time
+	firingLead bool
+	winCap     int
+	inside     []int32
 }
 
 // batch is the pooled callback list behind AtBatched. Entries are
@@ -305,7 +329,7 @@ func (b *batch) add(k *Kernel, e batchEntry) {
 // created with the same seed and driven by the same protocol code produce
 // identical runs.
 func New(seed int64) *Kernel {
-	return &Kernel{rng: rand.New(rand.NewSource(seed))}
+	return &Kernel{rng: rand.New(rand.NewSource(seed)), width: maxWidth, lastWidth: maxWidth, winCap: windowCap}
 }
 
 // Now returns the current virtual time.
@@ -322,8 +346,8 @@ func (k *Kernel) Steps() uint64 { return k.steps }
 
 // Pending returns the number of firings still scheduled: one per event
 // (including canceled events that have not yet been collected) and one per
-// unfired item of every Run — not the number of heap entries, which is one
-// per run.
+// unfired item of every Run — not the number of heap entries, which is at
+// most one per run.
 func (k *Kernel) Pending() int { return k.queue.len() + k.unfired }
 
 // Schedule runs fn after the given delay of virtual time and returns a
@@ -344,6 +368,8 @@ func callHandler(fn any) { fn.(Handler)() }
 // reuse one long-lived fn for many events and thread per-event state through
 // arg, avoiding a heap-allocated closure per event. Pass a pointer (or other
 // non-allocating interface payload) as arg to keep the call allocation-free.
+// A delay that would carry the firing past the end of time fires at
+// math.MaxInt64.
 func (k *Kernel) ScheduleArg(delay Time, fn ArgHandler, arg any) Timer {
 	if fn == nil {
 		panic("sim: ScheduleArg called with nil handler")
@@ -355,7 +381,7 @@ func (k *Kernel) ScheduleArg(delay Time, fn ArgHandler, arg any) Timer {
 	ev.fn, ev.arg = fn, arg
 	ev.seq = k.seq
 	k.seq++
-	k.enqueue(k.now+delay, ev)
+	k.enqueue(addSat(k.now, delay), ev)
 	return Timer{ev: ev, gen: ev.gen}
 }
 
@@ -364,19 +390,28 @@ func (k *Kernel) enqueue(at Time, ev *event) {
 	k.queue.push(entry{at: at, ev: ev})
 }
 
-// ScheduleRun schedules every item of r as one heap entry. The firing order
-// — among the items and against everything else in the queue — is exactly
-// the order len(r.Items) ScheduleArg calls made now, one per item in Items
-// order with delay At-Now, would have produced: the run takes that many
-// consecutive seqs, item i gets the i-th, and a k-way merge of (at, seq)
-// sorted series is the same total order as a heap of their members. Steps
-// counts every item.
+// addSat returns t+d for d >= 0, or math.MaxInt64 where that overflows.
+func addSat(t, d Time) Time {
+	if t > math.MaxInt64-d {
+		return math.MaxInt64
+	}
+	return t + d
+}
+
+// ScheduleRun schedules every item of r, as at most one heap entry. The
+// firing order — among the items and against everything else in the queue
+// — is exactly the order len(r.Items) ScheduleArg calls made now, one per
+// item in Items order with delay At-Now, would have produced: the run takes
+// that many consecutive seqs, item i gets the i-th, and a k-way merge of
+// (at, seq) sorted series is the same total order as a heap of their
+// members. Steps counts every item.
 //
 // What the run saves is heap work. Its items are sorted here, once, among
 // themselves — a contiguous sort of a few 16-byte records, not one sift each
-// through a heap of everything pending — and when one fires the kernel
-// re-keys the root to the next item and sinks it, instead of popping one
-// entry and having pushed another earlier.
+// through a heap of everything pending — and its heap entry is keyed by its
+// first item not yet in a delivery window: it moves once per window the run
+// has items in, not once per item (see gather). Items due inside the window
+// that is open now are merged into it at once.
 //
 // Items must not fire in the past. There is no cancellation handle. An empty
 // run schedules nothing and is Done at once.
@@ -385,7 +420,7 @@ func (k *Kernel) ScheduleRun(r *Run, fn RunHandler, arg any) {
 		panic("sim: ScheduleRun called with nil handler")
 	}
 	items := r.Items
-	r.pos = 0
+	r.pos, r.next = 0, 0
 	if len(items) == 0 {
 		return
 	}
@@ -396,12 +431,27 @@ func (k *Kernel) ScheduleRun(r *Run, fn RunHandler, arg any) {
 	}
 	k.sortItems(items)
 	r.fn, r.arg = fn, arg
+	r.seq = k.seq
+	k.seq += uint64(len(items))
+	k.unfired += len(items)
+	lead := max(items[0].At-k.now, 1)
+	switch {
+	case k.firing && !k.firingLead: // the first lead that counts replaces the stand-in
+		k.width, k.firingLead = min(lead, maxWidth), true
+	case k.firing || !k.firingLead:
+		k.width = min(k.width, lead)
+	}
+	if k.head < len(k.win) && items[0].At <= k.winLast {
+		k.merge(r)
+		if r.next == len(items) {
+			return
+		}
+	}
 	ev := k.alloc()
 	ev.run = r
-	ev.seq = k.seq
-	k.seq += uint64(len(items))
-	k.unfired += len(items) - 1
-	k.enqueue(items[0].At, ev)
+	ev.seq = r.seq
+	k.unfired--
+	k.enqueue(items[r.next].At, ev)
 }
 
 // sortItems orders items by (At, ord), ord being an item's position in the
@@ -452,6 +502,8 @@ func (k *Kernel) distribute(items []RunItem) {
 	shift := bits.Len64(uint64(hi-lo) / uint64(n))
 	if len(k.sortTmp) < n {
 		k.sortTmp = make([]RunItem, n)
+	}
+	if len(k.sortCnt) < n+1 {
 		k.sortCnt = make([]uint32, n+1)
 	}
 	tmp, cnt := k.sortTmp[:n], k.sortCnt[:n+1]
@@ -488,6 +540,241 @@ func (k *Kernel) distribute(items []RunItem) {
 	}
 }
 
+// A delivery window is a stretch [winStart, winLast] of virtual time whose run
+// items the kernel has taken out of their runs and sorted once (see gather).
+// It is never wider than maxWidth, so an item's offset into it fits 32 bits,
+// and holds at most windowCap items unless one instant has more.
+const (
+	maxWidth  = Time(math.MaxUint32)
+	windowCap = 1024
+)
+
+// winEntry is one item of the delivery window: its instant as an offset from
+// winStart and its run as an index into winRuns. A run's items fire in Items
+// order, so the one firing is always Items[pos]; the window keeps a run's
+// entries in that order because every pass that moves them is stable.
+type winEntry struct {
+	off, run uint32
+}
+
+// winBefore orders window entries of different instants or runs by
+// (at, seq); two entries of one run are equal to it.
+func (k *Kernel) winBefore(a, b winEntry) bool {
+	if a.off != b.off {
+		return a.off < b.off
+	}
+	return a.run != b.run && k.winRuns[a.run].seq < k.winRuns[b.run].seq
+}
+
+// winNext reports whether the window's head is the next firing: before the
+// heap's root. A live run's entry in the heap is always later than the window,
+// so the root the head can lose to is a timer, whose seq lies outside the
+// head's block, or a finished run's leftover entry, which never fires.
+func (k *Kernel) winNext() bool {
+	if k.head == len(k.win) {
+		return false
+	}
+	if k.queue.len() == 0 {
+		return true
+	}
+	e, top := k.win[k.head], k.queue.a[0]
+	at := k.winStart + Time(e.off)
+	return at < top.at || at == top.at && k.winRuns[e.run].seq < top.ev.seq
+}
+
+// gather opens the delivery window at t0, the instant of the run at the root.
+// The window spans width, halved while it would hold more than winCap items,
+// down to the one instant t0, which is taken whole. It starts no wider than
+// twice the last window, so in a burst that needed halving each window is
+// halved once or not at all, and after it the width doubles back.
+//
+// The heap entries due in the window are a subtree at the top of the heap,
+// and only its runs change. Their due items are distributed into the window
+// by time (distributeWindow), and an insertion pass finishes the order. Then,
+// from the deepest up, each run's entry is re-keyed to its first item after
+// the window and sunk: below it every subtree is a heap again by then, so one
+// sift each repairs the whole heap. A run with no item left keeps its entry,
+// canceled and with no handler, until the entry reaches the root and is
+// collected; until then it stands in Pending for one of the run's items.
+// Timers in the window stay where they are: the firing loop interleaves them
+// with the window by comparing each against its head.
+func (k *Kernel) gather(t0 Time) {
+	w := min(k.width, 2*k.lastWidth)
+	last := addSat(t0, w-1)
+	a := k.queue.a
+	// A breadth-first walk lists the subtree in ascending index order.
+	in := append(k.inside[:0], 0)
+	for j := 0; j < len(in); j++ {
+		c := int(in[j])<<2 + 1
+		for end := min(c+4, len(a)); c < end; c++ {
+			if a[c].at <= last {
+				in = append(in, int32(c))
+			}
+		}
+	}
+	clear(k.winRuns)
+	runs := k.winRuns[:0]
+	for _, i := range in {
+		if r := a[i].ev.run; r != nil {
+			runs = append(runs, r)
+		}
+	}
+	// A window over the cap is halved and counted again; counting stops
+	// once the cap is passed, so a burst costs at most winCap items a try.
+	var n int
+	for {
+		n = 0
+		kept := runs[:0]
+		for _, r := range runs {
+			if r.Items[r.next].At <= last {
+				kept = append(kept, r)
+				if n <= k.winCap || w == 1 {
+					n += due(r, last)
+				}
+			}
+		}
+		clear(runs[len(kept):])
+		runs = kept
+		if n <= k.winCap || w == 1 {
+			break
+		}
+		w /= 2
+		last = addSat(t0, w-1)
+	}
+	k.lastWidth = w
+	k.winRuns = runs
+
+	k.distributeWindow(t0, w, n)
+	for x := len(in) - 1; x >= 0; x-- {
+		i := int(in[x])
+		ev := a[i].ev
+		if r := ev.run; r == nil || a[i].at > last {
+			continue
+		} else if r.next < len(r.Items) {
+			k.queue.siftDown(i, entry{at: r.Items[r.next].At, ev: ev})
+		} else {
+			ev.run, ev.canceled = nil, true
+		}
+	}
+	k.inside = in[:0]
+	k.head, k.winStart, k.winLast = 0, t0, last
+
+	win := k.win
+	for i := 1; i < len(win); i++ {
+		e := win[i]
+		j := i
+		for ; j > 0 && k.winBefore(e, win[j-1]); j-- {
+			win[j] = win[j-1]
+		}
+		win[j] = e
+	}
+}
+
+// distributeWindow fills the window with the n items of winRuns due in the w
+// nanoseconds from t0, taking them out of their runs (advancing each run's
+// next). One counting pass by time and one stable scatter straight from the
+// runs put them into about n/4 equal-width buckets in firing order, and a
+// stable comparison sort orders any bucket fuller than insertLimit, so that
+// what is left out of order for the insertion pass is confined to stretches
+// of at most insertLimit entries. A delivery window's items are spread over
+// it about evenly: the buckets hold a few each. Up to insertLimit items the
+// insertion pass is the whole sort, so they all go in one bucket.
+func (k *Kernel) distributeWindow(t0, w Time, n int) {
+	last := addSat(t0, w-1)
+	// Buckets are 2^shift wide: the narrowest power of two that needs no
+	// more than n/4+1 of them to cover the window.
+	shift, nb := 63, 1
+	if n > insertLimit {
+		shift = bits.Len64(uint64(w-1) / uint64(n/4+1))
+		nb = int(uint64(w-1)>>shift) + 1
+	}
+	if len(k.sortCnt) < nb+1 {
+		k.sortCnt = make([]uint32, nb+1)
+	}
+	cnt := k.sortCnt[:nb+1]
+	clear(cnt)
+	if nb > 1 {
+		for _, r := range k.winRuns {
+			for j := r.next; j < len(r.Items) && r.Items[j].At <= last; j++ {
+				cnt[uint64(r.Items[j].At-t0)>>shift+1]++
+			}
+		}
+		for b := 1; b <= nb; b++ {
+			cnt[b] += cnt[b-1] // cnt[b] is now where bucket b starts
+		}
+	} else {
+		cnt[1] = uint32(n)
+	}
+	if cap(k.win) < n {
+		k.win = make([]winEntry, 0, max(n, min(max(4*cap(k.win), 256), k.winCap)))
+	}
+	win := k.win[:n]
+	for ri, r := range k.winRuns {
+		j := r.next
+		for ; j < len(r.Items) && r.Items[j].At <= last; j++ {
+			off := uint32(r.Items[j].At - t0)
+			b := off >> shift
+			win[cnt[b]] = winEntry{off: off, run: uint32(ri)}
+			cnt[b]++
+		}
+		r.next = j
+	}
+	k.win = win
+	for b, start := 0, 0; b < nb; b++ {
+		end := int(cnt[b]) // the scatter left cnt[b] where bucket b ends
+		if end-start > insertLimit {
+			slices.SortStableFunc(win[start:end], k.winCmp)
+		}
+		start = end
+	}
+}
+
+// winCmp is winBefore as a three-way comparison.
+func (k *Kernel) winCmp(a, b winEntry) int {
+	switch {
+	case k.winBefore(a, b):
+		return -1
+	case k.winBefore(b, a):
+		return 1
+	}
+	return 0
+}
+
+// due counts r's items from r.next on that are due by last.
+func due(r *Run, last Time) int {
+	i := r.next
+	for i < len(r.Items) && r.Items[i].At <= last {
+		i++
+	}
+	return i - r.next
+}
+
+// merge takes r's items that are due inside the open window into it, for a
+// run scheduled while the window is open. Its seqs are newer than every
+// entry's, so each item goes after every entry at or before its instant: one
+// merge from the back of two sorted lists. The fired entries are dropped
+// first.
+func (k *Kernel) merge(r *Run) {
+	m := due(r, k.winLast)
+	live := copy(k.win, k.win[k.head:])
+	win := slices.Grow(k.win[:live], m)[:live+m]
+	ri := uint32(len(k.winRuns))
+	k.winRuns = append(k.winRuns, r)
+	i, d := live-1, live+m-1
+	for j := m - 1; j >= 0; d-- {
+		off := uint32(r.Items[j].At - k.winStart)
+		if i >= 0 && win[i].off > off {
+			win[d] = win[i]
+			i--
+		} else {
+			win[d] = winEntry{off: off, run: ri}
+			j--
+		}
+	}
+	k.win, k.head = win, 0
+	r.next = m
+}
+
 // alloc takes an event from the free list. An empty list grows by a block of
 // 64 events in one allocation: under sustained traffic growth the pool never
 // reaches a steady high-water mark, so per-event allocation would recur every
@@ -515,6 +802,17 @@ func (k *Kernel) release(ev *event) {
 	ev.run = nil
 	ev.canceled = false
 	ev.next, k.free = k.free, ev
+}
+
+// collect recycles a canceled event that has reached the root. One with no
+// handler is a run's entry that outlived the run's last items going into a
+// window (see gather): it stood in Pending for one of them, and unfired now
+// counts that item instead.
+func (k *Kernel) collect(ev *event) {
+	if ev.fn == nil {
+		k.unfired++
+	}
+	k.release(ev)
 }
 
 // At runs fn at the given absolute virtual time, which must not be in the
@@ -602,18 +900,47 @@ func (k *Kernel) runBatch(arg any) {
 // executed completes. Pending events remain queued.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// step executes the next live firing. It reports whether one was executed.
-func (k *Kernel) step() bool {
-	for k.queue.len() > 0 {
-		top := k.queue.a[0]
-		ev := top.ev
-		if r := ev.run; r != nil {
-			k.fireRunItem(top.at, ev, r)
+// step executes the next live firing if it is due by deadline, opening a
+// delivery window first when that firing is a run's. It reports whether one
+// was executed. Canceled timers are collected as they reach the front.
+func (k *Kernel) step(deadline Time) bool {
+	for {
+		if k.winNext() {
+			e := k.win[k.head]
+			at := k.winStart + Time(e.off)
+			if at > deadline {
+				return false
+			}
+			k.head++
+			r := k.winRuns[e.run]
+			it := r.Items[r.pos]
+			r.pos++
+			if r.pos == len(r.Items) {
+				k.winRuns[e.run] = nil // the kernel keeps no finished run
+			}
+			k.unfired--
+			k.now = at
+			k.steps++
+			k.firing = true
+			r.fn(r.arg, it)
+			k.firing = false
 			return true
+		}
+		if k.queue.len() == 0 {
+			return false
+		}
+		top := k.queue.a[0]
+		if top.at > deadline {
+			return false
+		}
+		ev := top.ev
+		if ev.run != nil {
+			k.gather(top.at)
+			continue
 		}
 		k.pop()
 		if ev.canceled {
-			k.release(ev)
+			k.collect(ev)
 			continue
 		}
 		k.now = top.at
@@ -623,40 +950,21 @@ func (k *Kernel) step() bool {
 		// follow-up, which then reuses this slot instead of allocating.
 		// Outstanding Timer handles are invalidated by the generation bump.
 		k.release(ev)
+		k.firing = true
 		fn(arg)
+		k.firing = false
 		return true
 	}
-	return false
 }
 
 // pop removes the root entry.
 func (k *Kernel) pop() { k.queue.pop().ev.queued = false }
 
-// fireRunItem fires the next item of the run at the root. The heap is
-// settled first — root re-keyed to the following item, or removed after the
-// last — so the handler sees a consistent queue and, on the last item, a Run
-// the kernel no longer refers to.
-func (k *Kernel) fireRunItem(at Time, ev *event, r *Run) {
-	it := r.Items[r.pos]
-	r.pos++
-	fn, arg := r.fn, r.arg
-	if r.pos < len(r.Items) {
-		k.queue.replaceTop(entry{at: r.Items[r.pos].At, ev: ev})
-		k.unfired--
-	} else {
-		k.pop()
-		k.release(ev)
-	}
-	k.now = at
-	k.steps++
-	fn(arg, it)
-}
-
 // Run executes events until the queue drains or Stop is called. It returns
 // the virtual time at which the run ended.
 func (k *Kernel) Run() Time {
 	k.stopped = false
-	for !k.stopped && k.step() {
+	for !k.stopped && k.step(math.MaxInt64) {
 	}
 	return k.now
 }
@@ -664,23 +972,17 @@ func (k *Kernel) Run() Time {
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to the deadline. Events scheduled after the deadline stay queued, so
 // simulations can be resumed by calling RunUntil again with a later deadline.
+// A deadline inside a delivery window leaves the window open.
 func (k *Kernel) RunUntil(deadline Time) Time {
 	k.stopped = false
-	// The root's instant lies in its heap slot: a root later than the
-	// deadline ends the call whether it is live or canceled, so an idle
-	// kernel does not chase the event pointer to learn it has nothing due. A
-	// canceled root is collected once the deadline reaches it.
-	for !k.stopped && k.queue.len() > 0 {
-		top := k.queue.a[0]
-		if top.at > deadline {
+	for !k.stopped {
+		// The root's instant lies in its heap slot: with no window open, a
+		// root later than the deadline ends the call whether it is live or
+		// canceled, so an idle kernel neither calls step nor chases the
+		// event pointer to learn it has nothing due.
+		if k.head == len(k.win) && (k.queue.len() == 0 || k.queue.a[0].at > deadline) || !k.step(deadline) {
 			break
 		}
-		if top.ev.canceled {
-			k.pop()
-			k.release(top.ev)
-			continue
-		}
-		k.step()
 	}
 	if !k.stopped && k.now < deadline {
 		k.now = deadline
@@ -695,13 +997,18 @@ func (k *Kernel) NextEventAt() (Time, bool) { return k.peekTime() }
 
 // peekTime returns the timestamp of the next live event.
 func (k *Kernel) peekTime() (Time, bool) {
-	for k.queue.len() > 0 {
-		if top := k.queue.a[0]; top.ev.canceled {
-			k.pop()
-			k.release(top.ev)
-			continue
+	for {
+		if k.winNext() {
+			return k.winStart + Time(k.win[k.head].off), true
 		}
-		return k.queue.a[0].at, true
+		if k.queue.len() == 0 {
+			return 0, false
+		}
+		top := k.queue.a[0]
+		if !top.ev.canceled {
+			return top.at, true
+		}
+		k.pop()
+		k.collect(top.ev)
 	}
-	return 0, false
 }

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -70,6 +73,33 @@ func TestZeroAndNegativeDelay(t *testing.T) {
 	}
 	if k.Now() != 0 {
 		t.Fatalf("Now = %v, want 0", k.Now())
+	}
+}
+
+// TestDelaySaturatesAtTheEndOfTime schedules past math.MaxInt64 from a
+// non-zero now: the event must land at the end of time, after everything
+// nearer, and never wrap into the past. A run with items at the last two
+// instants opens a delivery window whose end would overflow the same way.
+func TestDelaySaturatesAtTheEndOfTime(t *testing.T) {
+	k := New(1)
+	k.RunUntil(5)
+	var got []string
+	note := func(s string) { got = append(got, fmt.Sprintf("%s@%d", s, k.Now())) }
+	k.Schedule(math.MaxInt64, func() { note("far") })
+	k.ScheduleArg(math.MaxInt64-4, func(any) { note("farArg") }, nil)
+	k.At(10, func() { note("near") })
+	k.ScheduleRun(&Run{Items: []RunItem{{At: math.MaxInt64}, {At: math.MaxInt64 - 1, Tag: 1}, {At: 7, Tag: 2}}},
+		func(_ any, it RunItem) { note(fmt.Sprint("run", it.Tag)) }, nil)
+	k.Run()
+	want := []string{
+		"run2@7", "near@10",
+		fmt.Sprintf("run1@%d", int64(math.MaxInt64-1)),
+		fmt.Sprintf("far@%d", int64(math.MaxInt64)),
+		fmt.Sprintf("farArg@%d", int64(math.MaxInt64)),
+		fmt.Sprintf("run0@%d", int64(math.MaxInt64)),
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("got %v\nwant %v", got, want)
 	}
 }
 

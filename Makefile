@@ -124,9 +124,11 @@ fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime 10s
 
-## conformance: the differential suite (simulated radio vs. the daemon's
-## LinkTransport over the deterministic mesh fabric: bit-identical traces,
-## wire bytes, states, energy) and the transport-fault tests alone, verbose.
+## conformance: the differential suite (hosts on the simulated radio vs.
+## each on the daemon's LinkTransport over its own port of the same medium,
+## in one cluster and on a 600-host field: bit-identical traces, wire
+## bytes, states, energy, counters) and the transport-fault tests alone,
+## verbose.
 ## A convenience alias: `make test` runs them.
 conformance:
 	$(GO) test ./internal/conformance/ -count=1 -v

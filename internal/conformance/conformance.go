@@ -1,33 +1,33 @@
-// Package conformance is the differential sim-vs-live harness: it replays
-// one scripted scenario through two independent Transport backends — the
-// simulated radio medium (internal/radio), and one transport.LinkTransport
-// per host (the transport cmd/fdsd runs) over the deterministic
-// transport.Mesh fabric — and asserts that the protocol stack behaved
+// Package conformance is the differential struct-vs-byte-path harness: it
+// replays one scripted scenario on the simulated radio medium
+// (internal/radio) twice — once with every host attached to the medium
+// directly (the struct path the simulator runs), once with every host on its
+// own radio.Port, whose transport.LinkTransport is the transport cmd/fdsd
+// runs (the byte path) — and asserts that the protocol stack behaved
 // identically.
 //
-// "Identically" is checked at three levels, strongest first:
+// "Identically" is checked at four levels, strongest first:
 //
 //  1. the full trace event sequence (every send, delivery, loss, crash,
 //     election, detection, takeover — with timestamps), which pins the
 //     per-host state-machine transition order;
 //  2. the global sequence of emitted messages as wire bytes, which pins
-//     that both backends carried byte-identical traffic;
+//     that both paths carried byte-identical traffic;
 //  3. the final protocol state of every host (FDS epoch and failed set,
-//     cluster role and membership) plus its exact energy spend.
+//     cluster role and membership) plus its exact energy spend;
+//  4. the medium's counters (tx, rx and drops per kind).
 //
-// The comparison is exact, not statistical: both backends consume the same
-// seeded kernel, and the mesh mirrors the radio's per-receiver randomness
-// draw order (see transport.Mesh). The scenario keeps every host inside one
-// radio grid cell of a 100 m-range medium, so the radio's receiver
-// iteration order (grid insertion order) coincides with the mesh's join
-// order and the unit-disk geometry never filters anyone out — making the
-// two backends' observable behaviour equal by construction, which is
-// exactly the property this suite turns into a machine check for every
-// future PR.
+// The comparison is exact, not statistical: both runs consume the same
+// seeded kernel, and the two paths share the medium's one fan-out (range
+// query, loss and delay draws, drop events); they differ only in who
+// encodes, meters, decodes and traces. Geometry is real, so a field wider
+// than the radio range puts the inter-cluster tier (gateways, failure-report
+// forwarding) under the same check as detection inside a cluster.
 package conformance
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 
@@ -43,37 +43,28 @@ import (
 	"clusterfds/internal/wire"
 )
 
-// fieldSide bounds host placement. 60 m with a 100 m radio range keeps
-// every pair within range (diagonal ~85 m) and every host inside the radio
-// grid's origin cell, so receiver order matches mesh join order.
-const fieldSide = 60.0
-
 // Crash schedules one fail-stop.
 type Crash struct {
 	Node wire.NodeID
 	At   sim.Time
 }
 
-// Scenario is one scripted run, replayable on either backend.
+// Scenario is one scripted run, replayable on either path.
 type Scenario struct {
 	// Seed seeds the kernel (and, xored, the placement source).
 	Seed int64
 	// Nodes is the host count; NIDs are 1..Nodes, attached in order.
 	Nodes int
-	// Loss is the per-receiver loss probability on both backends.
+	// Side is the square field's edge in meters; hosts are placed uniformly
+	// in it.
+	Side float64
+	// Loss is the per-receiver loss probability.
 	Loss float64
 	// Epochs is how many heartbeat intervals to run (plus half an interval
 	// of drain).
 	Epochs int
 	// Crashes are the scripted fail-stops.
 	Crashes []Crash
-	// DupProb, if nonzero, enables datagram duplication on the mesh
-	// backend. Conformance scenarios leave it zero (the radio cannot
-	// duplicate); the transport-fault tests set it.
-	DupProb float64
-	// MaxDelay, if nonzero, overrides the delivery-delay upper bound on
-	// both backends (fault tests widen it to force reordering).
-	MaxDelay sim.Time
 }
 
 // SendRecord is one emitted message: who sent it and the exact wire bytes.
@@ -92,11 +83,13 @@ type Result struct {
 	States []string
 	// Energy is each host's exact cumulative energy spend, NID order.
 	Energy []float64
+	// Counters is the medium's tally snapshot (radio.Medium.Counters).
+	Counters map[string]int64
 }
 
 // recordingTransport interposes on Send to capture the wire bytes of every
-// emitted message before handing it to the real backend. It works on any
-// backend — that it can is the point of the Transport seam.
+// emitted message before handing it to the real transport. It works on any
+// transport — that it can is the point of the Transport seam.
 type recordingTransport struct {
 	transport.Transport
 	sends *[]SendRecord
@@ -107,47 +100,43 @@ func (r *recordingTransport) Send(from wire.NodeID, m wire.Message) {
 	r.Transport.Send(from, m)
 }
 
-// RunSim replays the scenario on the simulated radio medium.
+// RunSim replays the scenario with every host attached to the medium
+// directly.
 func RunSim(sc Scenario) *Result {
-	k := sim.New(sc.Seed)
-	mem := trace.NewMemory()
-	params := radio.Defaults(sc.Loss)
-	if sc.MaxDelay > 0 {
-		params.MaxDelay = sc.MaxDelay
-	}
-	m := radio.New(k, params, radio.WithTrace(mem))
-	return run(sc, k, func(wire.NodeID) transport.Transport { return m }, mem, m.EnergySpent)
+	k, m, mem := newMedium(sc)
+	return run(sc, k, m, mem, func(wire.NodeID) transport.Transport { return m }, m.EnergySpent)
 }
 
-// RunMesh replays the scenario with every host bound to its own
-// LinkTransport on the in-process mesh.
-func RunMesh(sc Scenario) *Result {
+// RunLinks replays the scenario with every host on its own port of the
+// medium, so every message crosses the byte path: LinkTransport's encode,
+// the medium's fan-out, LinkTransport's Inject.
+func RunLinks(sc Scenario) *Result {
+	k, m, mem := newMedium(sc)
+	ports := make([]*radio.Port, 0, sc.Nodes) // NID order
+	bind := func(wire.NodeID) transport.Transport {
+		ports = append(ports, m.Link())
+		return ports[len(ports)-1]
+	}
+	return run(sc, k, m, mem, bind, func(id wire.NodeID) float64 { return ports[id-1].Meter().Spent(id) })
+}
+
+// newMedium builds the scenario's kernel and traced medium.
+func newMedium(sc Scenario) (*sim.Kernel, *radio.Medium, *trace.Memory) {
 	k := sim.New(sc.Seed)
 	mem := trace.NewMemory()
-	params := transport.DefaultMeshParams(sc.Loss)
-	params.DupProb = sc.DupProb
-	if sc.MaxDelay > 0 {
-		params.MaxDelay = sc.MaxDelay
-	}
-	m := transport.NewMesh(k, params, transport.WithMeshTrace(mem))
-	ports := make(map[wire.NodeID]*transport.LinkTransport, sc.Nodes)
-	bind := func(id wire.NodeID) transport.Transport {
-		ports[id] = m.Port(id)
-		return ports[id]
-	}
-	return run(sc, k, bind, mem, func(id wire.NodeID) float64 { return ports[id].Meter().Spent(id) })
+	return k, radio.New(k, radio.Defaults(sc.Loss), radio.WithTrace(mem)), mem
 }
 
 // run assembles the identical host stack, each host on the transport bind
 // returns for it (called once per host, in NID order), and executes the
 // script.
-func run(sc Scenario, k *sim.Kernel, bind func(wire.NodeID) transport.Transport, mem *trace.Memory, spent func(wire.NodeID) float64) *Result {
+func run(sc Scenario, k *sim.Kernel, m *radio.Medium, mem *trace.Memory, bind func(wire.NodeID) transport.Transport, spent func(wire.NodeID) float64) *Result {
 	res := &Result{}
 
-	// Placement draws from a private source so both backends consume the
+	// Placement draws from a private source so both paths consume the
 	// kernel's stream identically; positions are still seed-dependent.
 	placer := rand.New(rand.NewSource(sc.Seed ^ 0x51eDe7ec7))
-	field := geo.NewRect(fieldSide, fieldSide)
+	field := geo.NewRect(sc.Side, sc.Side)
 	timing := cluster.DefaultTiming()
 
 	hosts := make(map[wire.NodeID]*node.Host, sc.Nodes)
@@ -184,11 +173,12 @@ func run(sc Scenario, k *sim.Kernel, bind func(wire.NodeID) transport.Transport,
 		res.States = append(res.States, renderState(id, fdss[id], cls[id]))
 		res.Energy = append(res.Energy, spent(id))
 	}
+	res.Counters = m.Counters()
 	return res
 }
 
 // sortedHosts returns the hosts in NID order (boot order must match on
-// both backends).
+// both paths).
 func sortedHosts(hosts map[wire.NodeID]*node.Host) []*node.Host {
 	ids := make([]wire.NodeID, 0, len(hosts))
 	for id := range hosts {
@@ -234,6 +224,9 @@ func Diff(a, b *Result) string {
 		if i >= len(b.Energy) || a.Energy[i] != b.Energy[i] {
 			return fmt.Sprintf("energy[n%d] differs: a=%v b=%v", i+1, a.Energy[i], b.Energy[i])
 		}
+	}
+	if !maps.Equal(a.Counters, b.Counters) {
+		return fmt.Sprintf("medium counters differ:\n  a: %v\n  b: %v", a.Counters, b.Counters)
 	}
 	return ""
 }

@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"math/rand"
 	"testing"
 
 	"clusterfds/internal/cluster"
@@ -8,25 +9,31 @@ import (
 	"clusterfds/internal/geo"
 	"clusterfds/internal/intercluster"
 	"clusterfds/internal/node"
+	"clusterfds/internal/radio"
 	"clusterfds/internal/sim"
 	"clusterfds/internal/transport"
 	"clusterfds/internal/wire"
 )
 
-// faultRun assembles a full stack, every host on its own LinkTransport over
-// a mesh with the given fault parameters, crashes one host, and returns the
-// per-host FDS protocols for assertions. Deterministic: everything derives
-// from the seed.
-func faultRun(t *testing.T, seed int64, params transport.MeshParams, nodes int, crash wire.NodeID, crashAt sim.Time, epochs int) map[wire.NodeID]*fds.Protocol {
+// faultRun assembles a full stack, every host on its own port of a medium
+// that every host hears (all sit at one point), with the given loss and
+// delay bound; dup > 0 duplicates sends (see dupTransport). It crashes one
+// host and returns the per-host FDS protocols for assertions.
+// Deterministic: everything derives from the seed.
+func faultRun(t *testing.T, seed int64, params radio.Params, dup float64, nodes int, crash wire.NodeID, crashAt sim.Time, epochs int) map[wire.NodeID]*fds.Protocol {
 	t.Helper()
 	k := sim.New(seed)
-	mesh := transport.NewMesh(k, params)
+	m := radio.New(k, params)
 	timing := cluster.DefaultTiming()
 	fdss := make(map[wire.NodeID]*fds.Protocol, nodes)
 	hosts := make([]*node.Host, 0, nodes)
 	for i := 1; i <= nodes; i++ {
 		id := wire.NodeID(i)
-		h := node.New(k, mesh.Port(id), id, geo.Point{})
+		var net transport.Transport = m.Link()
+		if dup > 0 {
+			net = &dupTransport{Transport: net, rng: k.Rand(), p: dup}
+		}
+		h := node.New(k, net, id, geo.Point{})
 		cl := cluster.New(cluster.Config{Timing: timing})
 		f := fds.New(fds.DefaultConfig(timing), cl)
 		ic := intercluster.New(intercluster.DefaultConfig(timing), cl, f)
@@ -44,7 +51,24 @@ func faultRun(t *testing.T, seed int64, params transport.MeshParams, nodes int, 
 	return fdss
 }
 
-// TestFaultyTransportDoesNotWedgeProtocol drives the stack through a mesh
+// dupTransport models datagram duplication: with probability p (drawn from
+// the kernel's stream) it sends each message a second time, so every
+// receiver gets a second copy with its own loss and delay draws. With p = 1
+// and no loss, every receiver gets each message exactly twice.
+type dupTransport struct {
+	transport.Transport
+	rng *rand.Rand
+	p   float64
+}
+
+func (d *dupTransport) Send(from wire.NodeID, m wire.Message) {
+	d.Transport.Send(from, m)
+	if d.rng.Float64() < d.p {
+		d.Transport.Send(from, m)
+	}
+}
+
+// TestFaultyTransportDoesNotWedgeProtocol drives the stack through a medium
 // that drops, duplicates, AND reorders datagrams (high loss, 20% dup, a
 // delay window wider than a round, so a dup or straggler can land after
 // later messages) and asserts the paper's guarantees still hold:
@@ -64,11 +88,10 @@ func TestFaultyTransportDoesNotWedgeProtocol(t *testing.T) {
 		phi      = sim.Time(10 * 1e9)
 		finalMin = wire.Epoch(epochs - 1)
 	)
-	params := transport.DefaultMeshParams(0.20)
-	params.DupProb = 0.20
+	params := radio.Defaults(0.20)
 	params.MaxDelay = 30e6 // 30 ms > Thop: stragglers cross round boundaries
 	for _, seed := range []int64{1, 3, 11} {
-		fdss := faultRun(t, seed, params, nodes, crashed, sim.Time(2*phi+phi/3), epochs)
+		fdss := faultRun(t, seed, params, 0.20, nodes, crashed, sim.Time(2*phi+phi/3), epochs)
 		victims := make(map[wire.NodeID]bool)
 		for id, f := range fdss {
 			if id == crashed {
@@ -103,9 +126,7 @@ func TestFaultyTransportDoesNotWedgeProtocol(t *testing.T) {
 // received-once at the state-machine level.
 func TestDuplicatedDeliveriesAreIdempotent(t *testing.T) {
 	const nodes, epochs = 6, 4
-	params := transport.DefaultMeshParams(0)
-	params.DupProb = 1.0
-	fdss := faultRun(t, 5, params, nodes, 2, sim.Time(15*1e9), epochs)
+	fdss := faultRun(t, 5, radio.Defaults(0), 1.0, nodes, 2, sim.Time(15*1e9), epochs)
 	for id, f := range fdss {
 		if id == 2 {
 			continue
@@ -129,8 +150,7 @@ func TestDuplicatedDeliveriesAreIdempotent(t *testing.T) {
 // but the epoch schedule is clock-driven and must never stall.
 func TestExtremeLossStillLive(t *testing.T) {
 	const nodes, epochs = 6, 5
-	params := transport.DefaultMeshParams(0.50)
-	fdss := faultRun(t, 9, params, nodes, 3, sim.Time(25*1e9), epochs)
+	fdss := faultRun(t, 9, radio.Defaults(0.50), 0, nodes, 3, sim.Time(25*1e9), epochs)
 	for id, f := range fdss {
 		if id == 3 {
 			continue

@@ -126,8 +126,8 @@ func WithTrace(s trace.Sink) Option {
 // host does not run protocols until Boot is called, so scenarios can finish
 // wiring before any traffic flows. rt is typically a *sim.Kernel (which
 // implements transport.Runtime directly); net is any transport backend —
-// *radio.Medium or a *transport.LinkTransport (a daemon's, or a
-// transport.Mesh port).
+// *radio.Medium, or a *transport.LinkTransport (a daemon's, or the one in
+// a radio.Port).
 func New(rt transport.Runtime, net transport.Transport, id wire.NodeID, pos geo.Point, opts ...Option) *Host {
 	h := &Host{
 		id:    id,

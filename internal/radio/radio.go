@@ -31,8 +31,13 @@ import (
 // backend among several (see internal/transport).
 type Receiver = transport.Receiver
 
-// The medium implements the transport-agnostic network interface.
-var _ transport.Transport = (*Medium)(nil)
+// The medium implements the transport-agnostic network interface, and is
+// the Broadcaster under its ports' LinkTransports.
+var (
+	_ transport.Transport   = (*Medium)(nil)
+	_ transport.Broadcaster = (*Medium)(nil)
+	_ transport.Transport   = (*Port)(nil)
+)
 
 // Params configures the medium. Zero values are filled in by Defaults.
 type Params struct {
@@ -100,10 +105,11 @@ type Medium struct {
 	// partition injection).
 	silenced map[wire.NodeID]bool
 
-	// energy delegates to the shared transport meter so the radio backend
-	// and the in-process mesh produce bit-identical energy trajectories
-	// (the FDS forwarding backoff is energy-biased, so this is a
-	// determinism requirement, not a convenience).
+	// energy delegates to the shared transport meter, the one every
+	// LinkTransport meters with, so a host on a port and the same host
+	// attached directly spend bit-identical energy (the FDS forwarding
+	// backoff is energy-biased, so this is a determinism requirement, not a
+	// convenience).
 	energy *transport.Meter
 
 	// metrics is the counter backend. Per-kind counters resolve through the
@@ -145,24 +151,26 @@ type Medium struct {
 // receiver ever sees memory another one was handed (transmission cannot
 // alias memory, paper Section 2.2) and steady-state delivery allocates
 // nothing. The message handed to Deliver is valid only for the duration of
-// the call; receivers that keep any part of it must copy.
+// the call; receivers that keep any part of it must copy. A host attached
+// through a Port has its LinkTransport in lt, which decodes into its own
+// scratch instead.
 type host struct {
 	rcv Receiver
+	lt  *transport.LinkTransport
 	id  wire.NodeID
 }
 
 // txBuf is one transmission in flight: the encoded bytes and the sorted
 // per-receiver delivery run (one 16-byte item per surviving receiver, its
 // Tag the receiver's slot), scheduled as ONE kernel entry. It belongs to the
-// medium from Send until the run's last item has fired, and then returns to
-// the pool.
+// medium from Send or Broadcast until the run's last item has fired, and
+// then returns to the pool.
 type txBuf struct {
 	m    *Medium
 	buf  []byte
 	run  sim.Run
 	from wire.NodeID
 	rxc  *metrics.Counter
-	size int
 }
 
 // kind-tagged counter labels, precomputed so Send/deliver do not
@@ -254,7 +262,11 @@ func (m *Medium) Params() Params { return m.params }
 
 // Attach registers a host with the medium. Attaching two hosts with the
 // same NID is a configuration error and panics.
-func (m *Medium) Attach(r Receiver) {
+func (m *Medium) Attach(r Receiver) { m.attach(r, nil) }
+
+// attach registers r's position and binds its receptions to lt, or to the
+// medium's own decode when lt is nil.
+func (m *Medium) attach(r Receiver, lt *transport.LinkTransport) {
 	id := r.ID()
 	if id == wire.NoNode {
 		panic("radio: cannot attach node with NID 0")
@@ -265,10 +277,40 @@ func (m *Medium) Attach(r Receiver) {
 	// The meter hands out slots in Track order, so a host's meter slot is its
 	// slot here and a delivery's Tag charges the receiver directly.
 	slot := m.energy.Track(id)
-	m.hosts = append(m.hosts, host{rcv: r, id: id})
+	m.hosts = append(m.hosts, host{rcv: r, lt: lt, id: id})
 	m.slotOf[id] = slot
 	m.grid.insert(slot, r.Pos())
 }
+
+// Port is one host's byte-path attachment to the medium: the
+// transport.LinkTransport a live daemon runs, with the medium as its
+// Broadcaster. Everything the host side of a link does — the operational
+// check, energy metering, encode, decode into its own scratch, the send and
+// delivery trace events — is LinkTransport's code; the medium decides only
+// what the network decides (who is in range, loss, delay), with the fan-out
+// Send uses. A port host's energy is its LinkTransport's Meter, which
+// meters transport.DefaultEnergy; the medium's own meter never charges it.
+type Port struct {
+	*transport.LinkTransport
+	m *Medium
+}
+
+// Link hands out a new port whose LinkTransport traces to the medium's sink.
+// The host the port carries is placed by its Attach.
+func (m *Medium) Link() *Port {
+	lt := transport.NewLinkTransport(m.kernel, m, transport.WithLinkTrace(m.sink))
+	return &Port{LinkTransport: lt, m: m}
+}
+
+// Attach registers the host's position with the medium, as Medium.Attach
+// does, and binds the host to the port's LinkTransport.
+func (p *Port) Attach(r Receiver) {
+	p.m.attach(r, p.LinkTransport)
+	p.LinkTransport.Attach(r)
+}
+
+// UpdatePos tells the medium the port's host moved.
+func (p *Port) UpdatePos(id wire.NodeID, old geo.Point) { p.m.UpdatePos(id, old) }
 
 // UpdatePos tells the medium a host moved. (The paper defers migration to
 // future work; this exists so scenarios can reposition hosts between
@@ -352,22 +394,65 @@ func (m *Medium) Send(from wire.NodeID, msg wire.Message) {
 	if !ok || !m.hosts[fromSlot].rcv.Operational() {
 		return
 	}
-	size := msg.WireSize()
-	m.energy.ChargeTx(fromSlot, size)
-	now := m.kernel.Now()
+	m.energy.ChargeTx(fromSlot, msg.WireSize())
 	if m.tracing {
 		m.sink.Emit(trace.Event{
-			At: now, Type: trace.TypeSend, Node: uint32(from),
+			At: m.kernel.Now(), Type: trace.TypeSend, Node: uint32(from),
 			Detail: msg.Kind().String(),
 		})
 	}
+	// Encode once into a pooled transmission shared by every delivery. Each
+	// delivery decodes the bytes at reception time into its receiver's
+	// scratch, so hosts never share message memory and the whole path —
+	// encode, schedule, decode, dispatch — reuses pooled storage in steady
+	// state.
+	tb := m.takeTxBuf()
+	tb.buf = wire.EncodeAppend(tb.buf[:0], msg)
+	m.transmit(fromSlot, tb)
+}
+
+// Broadcast implements transport.Broadcaster for the medium's ports: it
+// carries one encoded message from an attached host through the fan-out
+// Send uses. The sender's LinkTransport has already checked that its host is
+// operational, charged it and traced the send; the payload is copied.
+func (m *Medium) Broadcast(from wire.NodeID, payload []byte) error {
+	if len(payload) == 0 {
+		return errors.New("radio: empty broadcast")
+	}
+	fromSlot, ok := m.slotOf[from]
+	if !ok {
+		return fmt.Errorf("radio: broadcast from unattached %v", from)
+	}
+	tb := m.takeTxBuf()
+	tb.buf = append(tb.buf[:0], payload...)
+	m.transmit(fromSlot, tb)
+	return nil
+}
+
+// transmit schedules the surviving deliveries of the encoded transmission in
+// tb as one kernel entry, or recycles tb at once if there are none.
+func (m *Medium) transmit(fromSlot uint32, tb *txBuf) {
+	if m.fanOut(fromSlot, tb) {
+		m.kernel.ScheduleRun(&tb.run, receive, tb)
+		return
+	}
+	// Silenced, or nobody survived the loss draws.
+	m.txFree = append(m.txFree, tb)
+}
+
+// fanOut is the one fan-out of both Send and Broadcast: silencing, the tx
+// counters, the in-range query and the per-receiver loss and delay draws,
+// which fill tb's delivery run. It reports whether any delivery survived.
+func (m *Medium) fanOut(fromSlot uint32, tb *txBuf) bool {
+	from := m.hosts[fromSlot].id
+	kind, size := wire.Kind(tb.buf[0]), len(tb.buf)
 	if m.silenced[from] {
 		m.dropSilenced.Add(1)
 		m.txSilencedMsgs.Add(1)
 		m.txSilencedBytes.Add(int64(size))
-		return
+		return false
 	}
-	m.txCounter(msg.Kind()).Add(1)
+	m.txCounter(kind).Add(1)
 	m.txBytes.Add(int64(size))
 
 	// The hosts in range, in grid cell order — the order loss and delay are
@@ -381,20 +466,15 @@ func (m *Medium) Send(from wire.NodeID, msg wire.Message) {
 		}
 	}
 
-	// Encode once into a pooled transmission shared by every delivery. Each
-	// delivery decodes the bytes at reception time into the medium's
-	// scratch, so hosts never share message memory and the whole path —
-	// encode, schedule, decode, dispatch — reuses pooled storage in steady
-	// state. The item slice is sized once (see maxFan).
-	tb := m.takeTxBuf()
-	tb.buf = wire.EncodeAppend(tb.buf[:0], msg)
-	tb.from, tb.size = from, size
-	tb.rxc = m.rxCounter(msg.Kind()) // resolved once; deliveries share the handle
+	// The item slice is sized once (see maxFan).
+	tb.from = from
+	tb.rxc = m.rxCounter(kind) // resolved once; deliveries share the handle
 	if cap(tb.run.Items) < len(inRange) {
 		m.maxFan = max(m.maxFan, len(inRange))
 		tb.run.Items = make([]sim.RunItem, 0, m.maxFan)
 	}
 	items := tb.run.Items[:0]
+	now := m.kernel.Now()
 	rng := m.kernel.Rand()
 	span := int64(m.params.MaxDelay - m.params.MinDelay)
 	for _, slot := range inRange {
@@ -409,7 +489,7 @@ func (m *Medium) Send(from wire.NodeID, msg wire.Message) {
 			if m.tracing {
 				m.sink.Emit(trace.Event{
 					At: now, Type: trace.TypeDrop, Node: uint32(m.hosts[slot].id),
-					Detail: fmt.Sprintf("%s from %v", msg.Kind(), from),
+					Detail: fmt.Sprintf("%s from %v", kind, from),
 				})
 			}
 			continue
@@ -421,26 +501,32 @@ func (m *Medium) Send(from wire.NodeID, msg wire.Message) {
 		items = append(items, sim.RunItem{At: at, Tag: slot})
 	}
 	tb.run.Items = items
-	if len(items) > 0 {
-		m.kernel.ScheduleRun(&tb.run, receive, tb)
-		return
-	}
-	// Nobody survived the loss draws; recycle the buffer immediately.
-	m.txFree = append(m.txFree, tb)
+	return len(items) > 0
 }
 
 // receive completes one reception of a transmission: charge, count, decode
-// into the medium's scratch, dispatch. The decoded message is valid only
-// during the Deliver call (see host). The transmission is recycled after the
-// last reception's Deliver has returned, so a receiver that sends from
-// inside it draws a different txBuf. (A plain function, not a method value:
-// scheduling a transmission then allocates no closure.)
+// into the medium's scratch, dispatch — or, for a port host, count and hand
+// the bytes to its LinkTransport, which charges, decodes and dispatches. The decoded
+// message is valid only during the Deliver call (see host). The transmission
+// is recycled after the last reception's Deliver has returned, so a receiver
+// that sends from inside it draws a different txBuf. (A plain function, not
+// a method value: scheduling a transmission then allocates no closure.)
 func receive(arg any, it sim.RunItem) {
 	tb := arg.(*txBuf)
 	m := tb.m
 	h := &m.hosts[it.Tag]
-	if h.rcv.Operational() {
-		m.energy.ChargeRx(it.Tag, tb.size)
+	switch {
+	case !h.rcv.Operational():
+		m.dropRxDown.Add(1)
+	case h.lt != nil:
+		tb.rxc.Add(1)
+		if err := h.lt.Inject(transport.Packet{From: tb.from, Payload: tb.buf}); err != nil {
+			// The medium never corrupts messages; a rejected delivery is a
+			// codec bug.
+			panic(fmt.Sprintf("radio: port delivery: %v", err))
+		}
+	default:
+		m.energy.ChargeRx(it.Tag, len(tb.buf))
 		tb.rxc.Add(1)
 		decoded, err := wire.DecodeInto(m.scratch, tb.buf)
 		if err != nil {
@@ -455,8 +541,6 @@ func receive(arg any, it sim.RunItem) {
 			})
 		}
 		h.rcv.Deliver(decoded, tb.from)
-	} else {
-		m.dropRxDown.Add(1)
 	}
 	if tb.run.Done() {
 		m.txFree = append(m.txFree, tb)

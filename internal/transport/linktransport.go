@@ -9,8 +9,8 @@ import (
 )
 
 // LinkTransport adapts a Broadcaster (UDP socket, in-process channel mesh,
-// or the deterministic Mesh fabric) into the Transport surface a single host
-// binds to. Where the radio medium carries every host of a run, a
+// or the simulated radio medium, through radio.Port) into the Transport
+// surface a single host binds to. Where the radio medium carries every host of a run, a
 // LinkTransport carries exactly one — the local daemon's — and treats
 // everything beyond the Broadcast call as another process.
 //

@@ -13,11 +13,11 @@
 //	Transport  carries encoded messages between hosts.
 //
 // The simulated radio medium (internal/radio) is one Transport backend;
-// LinkTransport, one host's adapter over a UDP socket, a channel mesh or the
-// deterministic Mesh fabric in this package, is the other. Both move the same
-// internal/wire bytes, so a protocol binary-level conformance harness
-// (internal/conformance) can assert that the state machines behave
-// identically regardless of which backend feeds them. The
+// LinkTransport, one host's adapter over a UDP socket, a channel mesh or a
+// port of the radio medium, is the other. Both move the same internal/wire
+// bytes, so a binary-level conformance harness (internal/conformance) can
+// assert that the state machines behave identically whether hosts sit on the
+// medium directly or each on its own LinkTransport over it. The
 // lint walltime analyzer polices this boundary mechanically: inside the
 // deterministic packages the only legal clock is a Clock and the only legal
 // randomness is a seeded Rand.

@@ -713,42 +713,3 @@ func TestMeterMatchesRadioArithmetic(t *testing.T) {
 		t.Errorf("TotalSpent = %v, want %v", got, want)
 	}
 }
-
-func TestMeshPortRejectsBadIDs(t *testing.T) {
-	m := NewMesh(sim.New(1), DefaultMeshParams(0))
-	m.Port(1)
-	mustPanic(t, "NID 0", func() { m.Port(0) })
-	mustPanic(t, "duplicate", func() { m.Port(1) })
-}
-
-func TestMeshDeliversWithDelayBounds(t *testing.T) {
-	k := sim.New(3)
-	params := DefaultMeshParams(0)
-	m := NewMesh(k, params)
-	a := &stubReceiver{id: 1}
-	b := &stubReceiver{id: 2}
-	pa := m.Port(1)
-	pa.Attach(a)
-	m.Port(2).Attach(b)
-	pa.Send(1, &wire.Heartbeat{NID: 1, Epoch: 1})
-	if len(b.got) != 0 {
-		t.Fatal("delivery before any time passed")
-	}
-	k.RunUntil(params.MaxDelay)
-	if len(b.got) != 1 {
-		t.Fatalf("got %d deliveries within MaxDelay, want 1", len(b.got))
-	}
-	if len(a.got) != 0 {
-		t.Error("sender heard its own transmission")
-	}
-}
-
-func mustPanic(t *testing.T, what string, fn func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("no panic for %s", what)
-		}
-	}()
-	fn()
-}

@@ -24,8 +24,8 @@ import (
 // tree's settable values.
 var settableTypes = []any{
 	fds.Config{}, intercluster.Config{}, cluster.Config{}, scenario.Config{},
-	daemon.Config{}, par.Config{}, radio.Params{}, transport.MeshParams{},
-	transport.EnergyParams{}, baseline.Params{}, sleep.Config{}, mobility.Config{},
+	daemon.Config{}, par.Config{}, radio.Params{}, transport.EnergyParams{},
+	baseline.Params{}, sleep.Config{}, mobility.Config{},
 }
 
 // settableRow is one row of DESIGN.md §6's settable-values table: the value
@@ -37,7 +37,8 @@ var settableRow = regexp.MustCompile("(?m)^\\| `([a-z]+\\.[A-Za-z]+\\.[A-Za-z]+)
 // settable is what some caller sets", checkable: every exported field of the
 // configuration structs (promoted fields included) has a row in §6's table
 // naming who sets it, and every row names a field that exists. A new knob
-// needs a documented caller; a deleted one takes its row with it.
+// needs a documented caller; a deleted one, or a deleted struct, takes its
+// rows with it.
 func TestSettableValuesDocumented(t *testing.T) {
 	doc, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -75,7 +76,10 @@ func TestSettableValuesDocumented(t *testing.T) {
 	}
 	for key := range rows {
 		typ := key[:strings.LastIndex(key, ".")]
-		if types[typ] && !fields[key] {
+		switch {
+		case !types[typ]:
+			t.Errorf("DESIGN.md §6 documents `%s`, but `%s` is not in settableTypes", key, typ)
+		case !fields[key]:
 			t.Errorf("DESIGN.md §6 documents `%s`, which is not a field", key)
 		}
 	}

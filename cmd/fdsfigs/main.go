@@ -300,31 +300,8 @@ func mcValidation(seed int64, trials, workers int, metricsJSON, metricsCSV strin
 		}
 	}
 	fmt.Println()
-	if collect {
-		exportMetrics(merged, metricsJSON, metricsCSV)
+	if err := merged.Export(os.Stdout, metricsJSON, metricsCSV); err != nil {
+		fmt.Fprintf(os.Stderr, "fdsfigs: %v\n", err)
+		os.Exit(1)
 	}
-}
-
-// exportMetrics writes the snapshot to the requested JSON/CSV files (empty
-// path = skip). Both exports are deterministic byte-for-byte.
-func exportMetrics(s metrics.Snapshot, jsonPath, csvPath string) {
-	write := func(path, format string, fn func(*os.File) error) {
-		if path == "" {
-			return
-		}
-		f, err := os.Create(path)
-		if err == nil {
-			err = fn(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fdsfigs: writing %s metrics: %v\n", format, err)
-			os.Exit(1)
-		}
-		fmt.Printf("metrics (%s) written to %s\n", format, path)
-	}
-	write(jsonPath, "json", func(f *os.File) error { return s.WriteJSON(f) })
-	write(csvPath, "csv", func(f *os.File) error { return s.WriteCSV(f) })
 }

@@ -251,27 +251,13 @@ func main() {
 }
 
 // exportMetrics writes the snapshot to the requested JSON/CSV files (empty
-// path = skip). Both exports are deterministic byte-for-byte.
+// path = skip) and exits 1 on the first error. Both exports are
+// deterministic byte-for-byte.
 func exportMetrics(s metrics.Snapshot, jsonPath, csvPath string) {
-	write := func(path, format string, fn func(*os.File) error) {
-		if path == "" {
-			return
-		}
-		f, err := os.Create(path)
-		if err == nil {
-			err = fn(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fdsim: writing %s metrics: %v\n", format, err)
-			os.Exit(1)
-		}
-		fmt.Printf("metrics (%s) written to %s\n", format, path)
+	if err := s.Export(os.Stdout, jsonPath, csvPath); err != nil {
+		fmt.Fprintf(os.Stderr, "fdsim: %v\n", err)
+		os.Exit(1)
 	}
-	write(jsonPath, "json", func(f *os.File) error { return s.WriteJSON(f) })
-	write(csvPath, "csv", func(f *os.File) error { return s.WriteCSV(f) })
 }
 
 // runReplicated fans trials independent replicas of the scenario out over

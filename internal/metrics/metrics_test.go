@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -227,5 +229,42 @@ func TestSnapshotEqual(t *testing.T) {
 	}
 	if buildSnapshot(2).Equal(buildSnapshot(3)) {
 		t.Error("different snapshots Equal")
+	}
+}
+
+// TestExportSkipsAndStops covers Export's two edges: an empty path writes
+// and logs nothing for its format, and the first failing file ends the
+// export with an error naming its format, after the files before it.
+func TestExportSkipsAndStops(t *testing.T) {
+	s := buildSnapshot(1)
+	dir := t.TempDir()
+	csvPath := filepath.Join(dir, "m.csv")
+	var log bytes.Buffer
+	if err := s.Export(&log, "", csvPath); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	_ = s.WriteCSV(&want)
+	if got, err := os.ReadFile(csvPath); err != nil || string(got) != want.String() {
+		t.Errorf("csv file = %q, %v; want WriteCSV's bytes", got, err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Errorf("%d files written, want only the csv", len(entries))
+	}
+	if log.String() != "metrics (csv) written to "+csvPath+"\n" {
+		t.Errorf("log = %q", log.String())
+	}
+
+	jsonPath := filepath.Join(dir, "m.json")
+	log.Reset()
+	err := s.Export(&log, jsonPath, filepath.Join(dir, "missing", "m.csv"))
+	if err == nil || !strings.HasPrefix(err.Error(), "writing csv metrics: ") {
+		t.Fatalf("err = %v, want a csv write error", err)
+	}
+	if _, statErr := os.Stat(jsonPath); statErr != nil {
+		t.Errorf("json file before the failure: %v", statErr)
+	}
+	if log.String() != "metrics (json) written to "+jsonPath+"\n" {
+		t.Errorf("log = %q, want only the json line", log.String())
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"strconv"
 )
 
@@ -220,6 +221,33 @@ func (s Snapshot) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// Export writes the snapshot as JSON to jsonPath and as CSV to csvPath,
+// skipping a format whose path is empty, and logs "metrics (<format>)
+// written to <path>" after each file. It stops at the first create, write or
+// close error and returns it, naming the format.
+func (s Snapshot) Export(log io.Writer, jsonPath, csvPath string) error {
+	for _, out := range []struct {
+		format, path string
+		write        func(io.Writer) error
+	}{{"json", jsonPath, s.WriteJSON}, {"csv", csvPath, s.WriteCSV}} {
+		if out.path == "" {
+			continue
+		}
+		f, err := os.Create(out.path)
+		if err == nil {
+			err = out.write(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("writing %s metrics: %w", out.format, err)
+		}
+		fmt.Fprintf(log, "metrics (%s) written to %s\n", out.format, out.path)
+	}
+	return nil
 }
 
 // formatFloat renders floats with the shortest round-trippable

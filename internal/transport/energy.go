@@ -48,10 +48,10 @@ func (p EnergyParams) Available(spent float64, now sim.Time) float64 {
 	return math.Max(0, p.InitialEnergy+p.HarvestRate*now.Seconds()-spent)
 }
 
-// Meter is the shared per-host energy meter. Both transport backends (the
-// simulated radio medium and the in-process mesh) delegate to it, so the
-// floating-point arithmetic — and therefore the energy-biased peer-forwarding
-// backoff in fds — is bit-identical regardless of backend.
+// Meter is the shared per-host energy meter. The simulated radio medium
+// (radio.Medium) and every LinkTransport (radio ports and daemons) delegate
+// to it, so the floating-point arithmetic — and therefore the energy-biased
+// peer-forwarding backoff in fds — is bit-identical on every path.
 //
 // A host is charged by its slot — its position in Track order, which the
 // radio keeps equal to the slot its delivery records carry — so a reception

@@ -60,6 +60,29 @@ func TestCIRunsMakeCheck(t *testing.T) {
 	}
 }
 
+// goFiles returns the module's Go files, test files included, outside
+// testdata and hidden directories.
+func goFiles(t *testing.T) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != ".") {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") {
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
 var (
 	// testFunc is a top-level test, benchmark or fuzz target in a _test.go file.
 	testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
@@ -96,22 +119,12 @@ var (
 // CHANGES.md is a history throughout and is not read.
 func TestDocsNameExistingTests(t *testing.T) {
 	var funcs []string
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != ".") {
-			return filepath.SkipDir
-		}
-		if !d.IsDir() && strings.HasSuffix(path, "_test.go") {
+	for _, path := range goFiles(t) {
+		if strings.HasSuffix(path, "_test.go") {
 			for _, m := range testFunc.FindAllStringSubmatch(readFile(t, path), -1) {
 				funcs = append(funcs, m[1])
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	var targets []string
 	for _, m := range makeTarget.FindAllStringSubmatch(readFile(t, "Makefile"), -1) {
@@ -252,6 +265,40 @@ func TestDocsNameExistingPaths(t *testing.T) {
 				if !pathExists(p) {
 					t.Errorf("%s names `%s`, which is not in the repository", doc, p)
 				}
+			}
+		}
+	}
+}
+
+var (
+	// sectionRef is a quoted EXPERIMENTS.md section title, with or without a
+	// § before the quote.
+	sectionRef = regexp.MustCompile(`EXPERIMENTS\.md\s+(?:§\s*)?"([^"]+)"`)
+	// lineBreak is a line break with the next line's indentation and comment
+	// marker (// or #), so that a reference wrapped across lines reads as one.
+	lineBreak = regexp.MustCompile(`\n[ \t]*(?:(?://|#+)[ \t]*)?`)
+	// sectionHeading is a section title of EXPERIMENTS.md.
+	sectionHeading = regexp.MustCompile(`(?m)^## (.+)$`)
+)
+
+// TestDocsNameExistingSections guards the places that send a reader to a
+// section of EXPERIMENTS.md by its quoted title — the Go source, the
+// Makefile, README.md, DESIGN.md, ROADMAP.md and the verify skill — against
+// a section renamed or cut: each title is a case-insensitive substring of
+// some `## ` heading. A reference struck through (~~...~~) is history, and
+// CHANGES.md is not read.
+func TestDocsNameExistingSections(t *testing.T) {
+	var headings []string
+	for _, m := range sectionHeading.FindAllStringSubmatch(readFile(t, "EXPERIMENTS.md"), -1) {
+		headings = append(headings, strings.ToLower(m[1]))
+	}
+	docs := append(goFiles(t), "Makefile", "README.md", "DESIGN.md", "ROADMAP.md", ".claude/skills/verify/SKILL.md")
+	for _, doc := range docs {
+		text := lineBreak.ReplaceAllString(struck.ReplaceAllString(readFile(t, doc), ""), " ")
+		for _, m := range sectionRef.FindAllStringSubmatch(text, -1) {
+			title := strings.ToLower(m[1])
+			if !slices.ContainsFunc(headings, func(h string) bool { return strings.Contains(h, title) }) {
+				t.Errorf("%s names EXPERIMENTS.md section %q, which no heading contains", doc, m[1])
 			}
 		}
 	}

@@ -13,9 +13,8 @@ check: vet fmt-check build test race benchsmoke benchcmp scale-smoke baseline-sm
 vet:
 	$(GO) vet ./...
 
-## lint: the repo's own analyzers alone — walltime, detmap, deliverretain,
-## scratchalias, arenaescape, rngdraw — over every package of the module,
-## plus their fixtures. A convenience alias: these
+## lint: the repo's own analyzers alone — walltime and detmap — over every
+## package of the module, plus their fixtures. A convenience alias: these
 ## are ordinary tests under ./internal/lint/ and `make test` runs them. See
 ## DESIGN.md "Determinism & lifetime invariants".
 lint:

@@ -33,8 +33,10 @@ func TestFloodRelayPoolBounded(t *testing.T) {
 	// Step to an instant where some host has a relay armed, and crash it.
 	var victim wire.NodeID
 	var armed int
-	for now := w.Kernel.Now(); victim == 0; {
-		now += sim.Time(time.Millisecond)
+	for now, end := w.Kernel.Now(), w.Kernel.Now()+sim.Time(10*time.Second); victim == 0; {
+		if now += sim.Time(time.Millisecond); now > end {
+			t.Fatal("no relay record was out of its pool in 10 s of flooding: a relay goes back to the pool while armed")
+		}
 		w.Run(now)
 		for _, id := range w.NodeIDs() {
 			if _, a := baseline.RelayPool(w.Detector(id)); a > 0 {

@@ -295,6 +295,36 @@ func TestPollDrainsOnlyWhatWasQueuedOnEntry(t *testing.T) {
 	}
 }
 
+// TestPollInjectsInsideDrain pins the Packet contract from the daemon's side:
+// Poll hands each datagram to the stack inside its Drain callback, while the
+// slab the datagram lies in cannot be reused. A peer that answers every
+// delivery with a longer datagram fills and recycles the mesh's slabs while
+// the queued batch is still being delivered, so a daemon that read a payload
+// after Drain returned would decode bytes an answer had overwritten.
+func TestPollInjectsInsideDrain(t *testing.T) {
+	cm := transport.NewChanMesh()
+	link := cm.Join(1)
+	ids := make([]wire.NodeID, 1000)
+	for i := range ids {
+		ids[i] = wire.NodeID(i + 1)
+	}
+	const queued = 200 // about nine slabs of 700-ID digests
+	peer := &answeringPeer{
+		link:     cm.Join(99),
+		datagram: wire.Encode(&wire.Digest{NID: 99, Epoch: 1, Heard: ids}),
+		limit:    queued,
+	}
+	d := New(Config{ID: 1, Seed: 5, Peers: []wire.NodeID{99}, Trace: peer}, link)
+	datagram := wire.Encode(&wire.Digest{NID: 99, Epoch: 1, Heard: ids[:700]})
+	for i := 0; i < queued; i++ {
+		peer.link.Broadcast(99, datagram)
+	}
+	d.Poll()
+	if bad := d.Transport().BadDatagrams(); bad != 0 || peer.delivered != queued {
+		t.Errorf("Poll delivered %d of %d queued datagrams and rejected %d: a payload was read after its slab was reused", peer.delivered, queued, bad)
+	}
+}
+
 // deliveries is a trace sink that counts the datagrams a daemon's transport
 // delivered from one sender. The daemon's goroutine emits; a test waits.
 type deliveries struct {

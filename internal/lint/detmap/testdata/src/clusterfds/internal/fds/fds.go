@@ -58,8 +58,8 @@ func (p *proto) badObserve(at map[NodeID]float64) {
 	}
 }
 
-// badDraw consumes a random stream in map order (the rule rngdraw held
-// until detmap learned to look at calls in expressions).
+// badDraw consumes a random stream in map order: a call in expression
+// position is checked like a statement call.
 func (p *proto) badDraw(rng interface{ Intn(int) int }) int {
 	n := 0
 	for range p.members {

@@ -8,10 +8,10 @@
 // mechanically if a vendored x/tools ever becomes available.
 //
 // The analyzers in the sub-packages machine-check the simulator's
-// determinism, message-lifetime and arena-ownership invariants (each
-// package's doc comment states its rule; DESIGN.md §9 has the table).
-// TestTree in this package runs all of them over every package of the
-// module, so `go test ./...` is the lint gate.
+// determinism invariants: no wall clock and no map order that reaches an
+// event (each package's doc comment states its rule; DESIGN.md §9 has the
+// table). TestTree in this package runs all of them over every package of
+// the module, so `go test ./...` is the lint gate.
 //
 // There is no suppression comment: a finding is fixed, or the analyzer is
 // strengthened until it can prove the flagged pattern safe.
@@ -124,8 +124,7 @@ func DeterministicPackage(path string) bool {
 }
 
 // TestFile reports whether pos lies in a _test.go file. walltime and detmap
-// guard the simulator's own event order, so they skip test files; the
-// lifetime analyzers (deliverretain, scratchalias) do not.
+// guard the simulator's own event order, so they skip test files.
 func TestFile(fset *token.FileSet, pos token.Pos) bool {
 	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }
@@ -142,63 +141,4 @@ func PkgFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		return f
 	}
 	return nil
-}
-
-// RetainsMemory reports whether values of type t can keep foreign backing
-// memory alive: pointers, slices, maps, channels, funcs, interfaces, and
-// aggregates containing any of those. Strings are immutable and safe;
-// pure-scalar structs copy fully by value.
-func RetainsMemory(t types.Type) bool {
-	seen := make(map[types.Type]bool)
-	var walk func(types.Type) bool
-	walk = func(t types.Type) bool {
-		if t == nil || seen[t] {
-			return false
-		}
-		seen[t] = true
-		switch u := t.Underlying().(type) {
-		case *types.Pointer, *types.Slice, *types.Map, *types.Chan,
-			*types.Signature, *types.Interface:
-			return true
-		case *types.Struct:
-			for i := 0; i < u.NumFields(); i++ {
-				if walk(u.Field(i).Type()) {
-					return true
-				}
-			}
-		case *types.Array:
-			return walk(u.Elem())
-		}
-		return false
-	}
-	return walk(t)
-}
-
-// WirePackage reports whether the package path is the wire message package
-// (matched by suffix so testdata fixtures can provide a stub under the same
-// tail path).
-func WirePackage(path string) bool {
-	return path == "clusterfds/internal/wire" || strings.HasSuffix(path, "/internal/wire")
-}
-
-// WireMessageType reports whether t is the wire.Message interface or a
-// (pointer to a) named message struct from the wire package.
-func WireMessageType(t types.Type) bool {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok || n.Obj().Pkg() == nil || !WirePackage(n.Obj().Pkg().Path()) {
-		return false
-	}
-	switch n.Underlying().(type) {
-	case *types.Interface:
-		return n.Obj().Name() == "Message"
-	case *types.Struct:
-		// Every exported struct in wire is a message or message payload
-		// (Rescission, GossipEntry, ...). Payload structs matter too:
-		// retaining a []Rescission from a delivered digest is the same bug.
-		return n.Obj().Exported()
-	}
-	return false
 }

@@ -2,6 +2,7 @@ package lintest_test
 
 import (
 	"go/ast"
+	"go/types"
 	"testing"
 
 	"clusterfds/internal/lint"
@@ -18,7 +19,7 @@ var probe = &lint.Analyzer{
 		for _, f := range pass.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				if inc, ok := n.(*ast.IncDecStmt); ok {
-					pass.Reportf(inc.Pos(), "increment or decrement of %s", lint.ExprString(inc.X))
+					pass.Reportf(inc.Pos(), "increment or decrement of %s", types.ExprString(inc.X))
 				}
 				return true
 			})

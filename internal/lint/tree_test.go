@@ -8,12 +8,8 @@ import (
 	"testing"
 
 	"clusterfds/internal/lint"
-	"clusterfds/internal/lint/arenaescape"
-	"clusterfds/internal/lint/deliverretain"
 	"clusterfds/internal/lint/detmap"
 	"clusterfds/internal/lint/lintest"
-	"clusterfds/internal/lint/rngdraw"
-	"clusterfds/internal/lint/scratchalias"
 	"clusterfds/internal/lint/walltime"
 )
 
@@ -22,10 +18,6 @@ import (
 var analyzers = []*lint.Analyzer{
 	walltime.Analyzer,
 	detmap.Analyzer,
-	deliverretain.Analyzer,
-	scratchalias.Analyzer,
-	arenaescape.Analyzer,
-	rngdraw.Analyzer,
 }
 
 // findings runs every analyzer over every unit of the tree at root and
@@ -103,12 +95,8 @@ func TestTree(t *testing.T) {
 func TestTreeReportsPlantedFinding(t *testing.T) {
 	lines, _, units := findings(t, filepath.Join("testdata", "src", "clusterfds"), "clusterfds")
 	want := [][2]string{
-		{"internal/fds/fds.go:14:63: ", " [deliverretain]"},
-		{"internal/fds/fds.go:19:2: ", " [scratchalias]"},
-		{"internal/fds/fds.go:26:59: ", " [arenaescape]"},
-		{"internal/sim/sim.go:19:29: ", " [walltime]"},
-		{"internal/sim/sim.go:24:3: ", " [detmap]"},
-		{"internal/sim/sim.go:33:9: ", " [rngdraw]"},
+		{"internal/sim/sim.go:15:29: ", " [walltime]"},
+		{"internal/sim/sim.go:20:3: ", " [detmap]"},
 	}
 	if len(want) != len(analyzers) {
 		t.Errorf("%d planted findings for %d analyzers", len(want), len(analyzers))
@@ -120,7 +108,7 @@ func TestTreeReportsPlantedFinding(t *testing.T) {
 	if !ok {
 		t.Errorf("findings = %q\nwant, by position and analyzer, %q", lines, want)
 	}
-	if units != 4 {
-		t.Errorf("units = %d, want 4 (fds; sim with in-package tests, its external test package; wire)", units)
+	if units != 2 {
+		t.Errorf("units = %d, want 2 (sim with in-package tests, its external test package)", units)
 	}
 }

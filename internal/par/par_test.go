@@ -185,6 +185,28 @@ func TestSendFromLastLanding(t *testing.T) {
 	}
 }
 
+// TestSendDrawsIgnoreReceiverState pins the sender-side randomness rule
+// (DESIGN.md §9): a send draws loss and delay for every roster neighbour,
+// whatever state the receiver is in, so a crash elsewhere never moves the
+// sender's stream. Two engines from one seed send the same heartbeat from
+// host 1, one of them with receiver 3 crashed; host 1's next draw must agree.
+func TestSendDrawsIgnoreReceiverState(t *testing.T) {
+	next := func(crash bool) int64 {
+		e := Build(Config{Seed: 1, Nodes: 3, FieldSide: 50, Strips: 1, LossProb: 0.5})
+		if !slices.Contains(e.nbList[e.nbStart[0]:e.nbStart[1]], 2) {
+			t.Fatalf("host 3 is not in host 1's roster %v", e.nbList[e.nbStart[0]:e.nbStart[1]])
+		}
+		if crash {
+			e.hosts[2].Crash()
+		}
+		e.send(0, 1, &wire.Heartbeat{NID: 1, Epoch: 9})
+		return e.rngs[0].Int63()
+	}
+	if live, crashed := next(false), next(true); live != crashed {
+		t.Errorf("host 1's next draw is %d with receiver 3 up and %d with it crashed: the send drew on receiver state", live, crashed)
+	}
+}
+
 // TestBuildRunsClusterOnConfiguredTiming pins that Build hands its configured
 // timing to every host's cluster layer, the same one the FDS runs on.
 func TestBuildRunsClusterOnConfiguredTiming(t *testing.T) {

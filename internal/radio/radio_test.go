@@ -205,6 +205,33 @@ func TestSendFromLastReception(t *testing.T) {
 	}
 }
 
+// TestOverlappingTransmissionsDeliverTheirOwn sends two heartbeats at one
+// instant with spread delays, so their receptions interleave and the medium's
+// decode scratch is rewritten between two receptions of the same
+// transmission: every reception must still carry its own sender's heartbeat.
+func TestOverlappingTransmissionsDeliverTheirOwn(t *testing.T) {
+	k := sim.New(1)
+	m, nodes := makeField(t, k, Defaults(0), []geo.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 0, Y: 10}, {X: 10, Y: 10}, {X: 5, Y: 5}})
+	var order []wire.NodeID
+	for _, n := range nodes {
+		n.onDeliver = func() { order = append(order, n.received[len(n.received)-1].from) }
+	}
+	m.Send(1, &wire.Heartbeat{NID: 1, Epoch: 1})
+	m.Send(2, &wire.Heartbeat{NID: 2, Epoch: 2})
+	k.Run()
+
+	if i := slices.Index(order, 2); i < 0 || !slices.Contains(order[i:], 1) {
+		t.Fatalf("receptions in order of senders %v do not interleave", order)
+	}
+	for _, n := range nodes {
+		for _, r := range n.received {
+			if hb, ok := r.msg.(*wire.Heartbeat); !ok || hb.NID != r.from || hb.Epoch != wire.Epoch(r.from) {
+				t.Errorf("node %v: reception from %v carries %+v, want that sender's heartbeat", n.id, r.from, r.msg)
+			}
+		}
+	}
+}
+
 // TestTxPoolHighWaterIsFlat overlaps broadcasts (one per millisecond, each in
 // flight for up to 12) and checks that the pool stops growing once it covers
 // the overlap: every transmission comes back exactly once.

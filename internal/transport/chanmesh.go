@@ -81,11 +81,11 @@ func (cm *ChanMesh) broadcast(sender *ChanLink, from wire.NodeID, payload []byte
 	// The sender's LinkTransport reuses payload for its next Send; every
 	// port's Packet shares one private, read-only copy.
 	pkt := Packet{From: from, Payload: cm.rx.carve(payload, cm.inboxes...)}
-	// Carved bytes go only to inboxes reached through cm, the slabs' owner,
-	// whose marks keep them valid: the arenaescape analyzer's owner rule
-	// (DESIGN.md §12), which it cannot see through a range variable.
-	for i := range cm.inboxes {
-		if q := cm.inboxes[i]; q != &sender.in {
+	// Every inbox below is a consumer the carve was given, so the slab is
+	// reused only once each has drained past it (slab.go's marks);
+	// TestChanMeshStalledPortHoldsBoundedSlabs pins that.
+	for _, q := range cm.inboxes {
+		if q != &sender.in {
 			q.push(pkt)
 		}
 	}

@@ -1,6 +1,8 @@
 package clusterfds_test
 
 import (
+	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -8,6 +10,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"clusterfds/internal/lint/lintest"
 )
 
 // readFile returns a repository file's contents, failing the test if it
@@ -299,6 +303,86 @@ func TestDocsNameExistingSections(t *testing.T) {
 			title := strings.ToLower(m[1])
 			if !slices.ContainsFunc(headings, func(h string) bool { return strings.Contains(h, title) }) {
 				t.Errorf("%s names EXPERIMENTS.md section %q, which no heading contains", doc, m[1])
+			}
+		}
+	}
+}
+
+var (
+	// codeSpan is one backticked span of a doc.
+	codeSpan = regexp.MustCompile("`[^`\n]+`")
+	// goRef is a dotted Go name in a code span: pkg.Name, pkg.Type.Member or
+	// Type.Member.
+	goRef = regexp.MustCompile(`\b([A-Za-z_]\w*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?`)
+)
+
+// TestDocsNameExistingIdentifiers guards README.md and DESIGN.md against
+// renamed or deleted Go names: every backticked pkg.Name whose pkg is an
+// in-tree package's name is declared in that package, or is a method or
+// field of one of its types; every pkg.Type.Member is a method or field of
+// that type (promoted through embedded fields and aliases included); and
+// every Type.Member whose exported Type is an in-tree type is a method or
+// field of some type of that name. A name after / or . in a span is part of
+// a path or an expression, one before - is a protocol phase (fds.R-3), and
+// neither is read; a name struck through (~~...~~) is history.
+func TestDocsNameExistingIdentifiers(t *testing.T) {
+	units, err := lintest.Tree(".", "clusterfds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs := map[string][]*types.Package{} // by package name
+	for _, u := range units {
+		if name := u.Pkg.Name(); name != "main" && !strings.HasSuffix(name, "_test") {
+			pkgs[name] = append(pkgs[name], u.Pkg)
+		}
+	}
+	hasMember := func(obj types.Object, member string) bool {
+		tn, ok := obj.(*types.TypeName)
+		if !ok {
+			return false
+		}
+		found, _, _ := types.LookupFieldOrMethod(tn.Type(), true, tn.Pkg(), member)
+		return found != nil
+	}
+	// resolves reports whether one of ps declares name as a type with member,
+	// or, with member empty, declares name or has a type with a method or
+	// field called name.
+	resolves := func(ps []*types.Package, name, member string) bool {
+		return slices.ContainsFunc(ps, func(p *types.Package) bool {
+			if obj := p.Scope().Lookup(name); obj != nil {
+				return member == "" || hasMember(obj, member)
+			}
+			return member == "" && slices.ContainsFunc(p.Scope().Names(), func(n string) bool {
+				return hasMember(p.Scope().Lookup(n), name)
+			})
+		})
+	}
+	var all []*types.Package
+	for _, ps := range pkgs {
+		all = append(all, ps...)
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		text := struck.ReplaceAllString(readFile(t, doc), "")
+		for _, span := range codeSpan.FindAllString(text, -1) {
+			for _, m := range goRef.FindAllStringSubmatchIndex(span, -1) {
+				if c := span[m[0]-1]; c == '/' || c == '.' || m[1] < len(span) && span[m[1]] == '-' {
+					continue
+				}
+				ref := span[m[0]:m[1]]
+				first, second, third := span[m[2]:m[3]], span[m[4]:m[5]], ""
+				if m[6] >= 0 {
+					third = span[m[6]:m[7]]
+				}
+				switch {
+				case pkgs[first] != nil:
+					if !resolves(pkgs[first], second, third) {
+						t.Errorf("%s names `%s`, which package %s does not declare or has no such member", doc, ref, first)
+					}
+				case third == "" && token.IsExported(first) && slices.ContainsFunc(all, func(p *types.Package) bool { return p.Scope().Lookup(first) != nil }):
+					if !resolves(all, first, second) {
+						t.Errorf("%s names `%s`, which no in-tree type %s has", doc, ref, first)
+					}
+				}
 			}
 		}
 	}

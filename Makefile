@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint fmt-check build test race benchsmoke benchcmp scale-smoke baseline-smoke fuzz-smoke conformance bench bench-e2e bench-claim fmt
+.PHONY: check vet lint docs fmt-check build test race benchsmoke benchcmp scale-smoke baseline-smoke fuzz-smoke conformance bench bench-e2e bench-claim fmt
 
 ## check: the pre-PR gate. Run this before sending any change for review.
 ## CI (.github/workflows/ci.yml) runs the same gates, one named step each.
@@ -19,6 +19,13 @@ vet:
 ## DESIGN.md "Determinism & lifetime invariants".
 lint:
 	$(GO) test ./internal/lint/...
+
+## docs: the root package's doc checks alone — the tests, flags, paths,
+## sections and Go names the docs cite, DESIGN.md §6's settable-values table,
+## CI against `check`, and the figure tables against their formulas. A
+## convenience alias: `make test` runs them.
+docs:
+	$(GO) test -run '^(TestDocs|TestSettableValuesDocumented|TestCIRunsMakeCheck|TestFigureTablesMatchFormulas)' .
 
 ## fmt-check: fails (listing the offenders) if any file is not gofmt-clean.
 fmt-check:

@@ -83,6 +83,11 @@ func main() {
 		"run the intra-replica parallel engine with this many workers (0 = legacy serial runtime); the trace hash is bit-identical at every worker count")
 	flag.Parse()
 
+	if *epochs < 0 || *crashes < 0 {
+		fmt.Fprintf(os.Stderr, "fdsim: -epochs %d -crashes %d: neither may be negative\n", *epochs, *crashes)
+		os.Exit(2)
+	}
+
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {

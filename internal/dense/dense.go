@@ -219,13 +219,6 @@ func (b *Bitset) Get(i uint32) bool {
 	return w < len(b.words) && b.words[w]&(1<<(i&63)) != 0
 }
 
-// Unset removes index i from the set if present.
-func (b *Bitset) Unset(i uint32) {
-	if w := int(i >> 6); w < len(b.words) {
-		b.words[w] &^= 1 << (i & 63)
-	}
-}
-
 // Clear empties the set in place, retaining capacity.
 func (b *Bitset) Clear() {
 	for i := range b.words {

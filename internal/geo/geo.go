@@ -72,11 +72,6 @@ func (r Rect) Contains(p Point) bool {
 	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
 }
 
-// Center returns the rectangle's center point.
-func (r Rect) Center() Point {
-	return Point{X: (r.MinX + r.MaxX) / 2, Y: (r.MinY + r.MaxY) / 2}
-}
-
 // UniformInRect draws a point uniformly at random inside r.
 func UniformInRect(rng *rand.Rand, r Rect) Point {
 	return Point{
@@ -100,17 +95,6 @@ func PlaceUniformRect(rng *rand.Rand, field Rect, n int) []Point {
 	pts := make([]Point, n)
 	for i := range pts {
 		pts[i] = UniformInRect(rng, field)
-	}
-	return pts
-}
-
-// PlaceUniformDisk places n points uniformly at random in the disk of the
-// given radius around c. The paper's per-cluster analysis assumes cluster
-// members are "statistically uniformly distributed" over the cluster disk.
-func PlaceUniformDisk(rng *rand.Rand, c Point, radius float64, n int) []Point {
-	pts := make([]Point, n)
-	for i := range pts {
-		pts[i] = UniformInDisk(rng, c, radius)
 	}
 	return pts
 }

@@ -50,9 +50,6 @@ func (c *Counter) Add(delta int64) {
 	}
 }
 
-// Inc adds one. Safe on a nil receiver.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Value returns the current tally (0 on a nil receiver).
 func (c *Counter) Value() int64 {
 	if c == nil {

@@ -12,7 +12,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("tx")
 	c.Add(3)
-	c.Inc()
+	c.Add(1)
 	if c.Value() != 4 {
 		t.Errorf("counter = %d, want 4", c.Value())
 	}
@@ -31,7 +31,6 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x")
 	c.Add(1)
-	c.Inc()
 	if c.Value() != 0 {
 		t.Error("nil counter recorded")
 	}
@@ -146,16 +145,22 @@ func TestMergeRules(t *testing.T) {
 func TestMergeOrderIndependentForCommutativeData(t *testing.T) {
 	// The per-instrument rules are associative AND commutative for integer
 	// data, so two orders agree here; float sums rely on replica order,
-	// which MergeAll fixes. This test pins the integer half.
+	// which the caller fixes by merging in replica order. This test pins
+	// the integer half.
 	a := buildSnapshot(0)
 	b := buildSnapshot(3)
-	ab := MergeAll([]Snapshot{a, b})
-	ba := MergeAll([]Snapshot{b, a})
+	var ab, ba, again Snapshot
+	ab.Merge(a)
+	ab.Merge(b)
+	ba.Merge(b)
+	ba.Merge(a)
+	again.Merge(a)
+	again.Merge(b)
 	if ab.Counters["tx:heartbeat"] != ba.Counters["tx:heartbeat"] {
 		t.Error("counter merge not commutative")
 	}
-	if !ab.Equal(MergeAll([]Snapshot{a, b})) {
-		t.Error("MergeAll not deterministic for identical input order")
+	if !ab.Equal(again) {
+		t.Error("Merge not deterministic for identical input order")
 	}
 }
 

@@ -135,16 +135,6 @@ func (s *Snapshot) Merge(o Snapshot) {
 	}
 }
 
-// MergeAll merges the snapshots in slice order (replica order for
-// replicated sweeps) into one snapshot.
-func MergeAll(snaps []Snapshot) Snapshot {
-	var out Snapshot
-	for _, s := range snaps {
-		out.Merge(s)
-	}
-	return out
-}
-
 func equalBounds(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false

@@ -439,7 +439,8 @@ func (e *Engine) CrashAt(at sim.Time, id wire.NodeID) {
 }
 
 // CrashRandomAt schedules count crashes of distinct not-yet-scheduled hosts
-// at the given time, picked deterministically from the control stream.
+// at the given time, picked deterministically from the control stream. A
+// count below one picks nobody, as scenario.World.CrashRandomAt does.
 func (e *Engine) CrashRandomAt(at sim.Time, count int) []wire.NodeID {
 	var candidates []wire.NodeID
 	for i := range e.hosts {
@@ -451,10 +452,7 @@ func (e *Engine) CrashRandomAt(at sim.Time, count int) []wire.NodeID {
 	e.ctrl.Shuffle(len(candidates), func(i, j int) {
 		candidates[i], candidates[j] = candidates[j], candidates[i]
 	})
-	if count > len(candidates) {
-		count = len(candidates)
-	}
-	picked := append([]wire.NodeID(nil), candidates[:count]...)
+	picked := append([]wire.NodeID(nil), candidates[:max(0, min(count, len(candidates)))]...)
 	for _, id := range picked {
 		e.CrashAt(at, id)
 	}

@@ -75,6 +75,22 @@ func TestCrashesAreDetected(t *testing.T) {
 	}
 }
 
+// TestCrashRandomAtNegativeCountPicksNobody pins that a negative count
+// schedules no crash, as in the serial world, instead of slicing out of
+// range.
+func TestCrashRandomAtNegativeCountPicksNobody(t *testing.T) {
+	e := Build(Config{Seed: 1, Nodes: 20, FieldSide: 200, Strips: 2})
+	if picked := e.CrashRandomAt(e.Now()+sim.Time(1e9), -1); len(picked) != 0 {
+		t.Fatalf("CrashRandomAt(-1) picked %v, want nobody", picked)
+	}
+	e.RunEpochs(1)
+	for i, h := range e.hosts {
+		if h.Crashed() {
+			t.Errorf("host %d crashed after CrashRandomAt(-1)", i+1)
+		}
+	}
+}
+
 // TestStripCountChangesAreExplicit documents that Strips (unlike Workers) is
 // part of the configuration: different partitions are different timelines.
 func TestStripCountChangesAreExplicit(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit the experiment
 // harnesses need: streaming summaries, proportion estimates with confidence
-// intervals, and histogram-style tallies. Nothing here is protocol-specific.
+// intervals, and binomial probabilities. Nothing here is protocol-specific.
 package stats
 
 import (
@@ -65,14 +65,6 @@ func (s *Summary) Variance() float64 {
 
 // StdDev returns the sample standard deviation.
 func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// StdErr returns the standard error of the mean.
-func (s *Summary) StdErr() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.StdDev() / math.Sqrt(float64(s.n))
-}
 
 // Percentile returns the q-th percentile (q in [0,1]) by linear
 // interpolation. It panics unless the summary was created with
@@ -161,51 +153,6 @@ func (p Proportion) String() string {
 	return fmt.Sprintf("%d/%d = %.4g [%.4g, %.4g]", p.Successes, p.Trials, p.Estimate(), lo, hi)
 }
 
-// Counter is a string-keyed tally, used for message counts by kind and for
-// event accounting. The zero value is ready to use.
-type Counter struct {
-	m map[string]int64
-}
-
-// Inc adds delta to the named tally.
-func (c *Counter) Inc(name string, delta int64) {
-	if c.m == nil {
-		c.m = make(map[string]int64)
-	}
-	c.m[name] += delta
-}
-
-// Get returns the named tally (0 if never incremented).
-func (c *Counter) Get(name string) int64 { return c.m[name] }
-
-// Total returns the sum over all names.
-func (c *Counter) Total() int64 {
-	var t int64
-	for _, v := range c.m {
-		t += v
-	}
-	return t
-}
-
-// Names returns the tally names in sorted order.
-func (c *Counter) Names() []string {
-	names := make([]string, 0, len(c.m))
-	for k := range c.m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Snapshot returns a copy of the tallies.
-func (c *Counter) Snapshot() map[string]int64 {
-	out := make(map[string]int64, len(c.m))
-	for k, v := range c.m {
-		out[k] = v
-	}
-	return out
-}
-
 // BinomialLogPMF returns log P[X = k] for X ~ Binomial(n, p). Computed in
 // log space so the analytic cross-checks can handle the paper's 1e-100-scale
 // probabilities without underflow.
@@ -235,25 +182,4 @@ func BinomialLogPMF(n, k int, p float64) float64 {
 // BinomialPMF returns P[X = k] for X ~ Binomial(n, p).
 func BinomialPMF(n, k int, p float64) float64 {
 	return math.Exp(BinomialLogPMF(n, k, p))
-}
-
-// LogSumExp returns log(sum(exp(xs))) stably; empty input yields -Inf.
-func LogSumExp(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.Inf(-1)
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	if math.IsInf(m, -1) {
-		return m
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += math.Exp(x - m)
-	}
-	return m + math.Log(sum)
 }

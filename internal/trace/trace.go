@@ -128,13 +128,6 @@ func (m *Memory) Count(t EventType) int {
 	return n
 }
 
-// Reset discards all retained events.
-func (m *Memory) Reset() {
-	m.mu.Lock()
-	m.events = nil
-	m.mu.Unlock()
-}
-
 // JSONL streams each event as one JSON object per line, suitable for jq.
 type JSONL struct {
 	enc *json.Encoder

@@ -32,11 +32,6 @@ func TestMemorySink(t *testing.T) {
 	if m.Events()[0].Node != 1 {
 		t.Error("Events aliases internal state")
 	}
-
-	m.Reset()
-	if len(m.Events()) != 0 {
-		t.Error("Reset did not clear events")
-	}
 }
 
 func TestMemoryFilter(t *testing.T) {

@@ -1,6 +1,7 @@
 package clusterfds_test
 
 import (
+	"encoding/json"
 	"go/token"
 	"go/types"
 	"io/fs"
@@ -283,26 +284,47 @@ var (
 	lineBreak = regexp.MustCompile(`\n[ \t]*(?:(?://|#+)[ \t]*)?`)
 	// sectionHeading is a section title of EXPERIMENTS.md.
 	sectionHeading = regexp.MustCompile(`(?m)^## (.+)$`)
+	// designRef is a DESIGN.md section cited by number (DESIGN.md §N or
+	// DESIGN §N) or by its quoted title after DESIGN.md, with or without a §
+	// before the quote.
+	designRef = regexp.MustCompile(`DESIGN(?:\.md)?\s+§\s*(\d+)|DESIGN\.md\s+§?"([^"]+)"`)
+	// designHeading is a numbered section of DESIGN.md.
+	designHeading = regexp.MustCompile(`(?m)^## (\d+)\. (.+)$`)
 )
 
 // TestDocsNameExistingSections guards the places that send a reader to a
-// section of EXPERIMENTS.md by its quoted title — the Go source, the
-// Makefile, README.md, DESIGN.md, ROADMAP.md and the verify skill — against
-// a section renamed or cut: each title is a case-insensitive substring of
-// some `## ` heading. A reference struck through (~~...~~) is history, and
-// CHANGES.md is not read.
+// section of EXPERIMENTS.md or DESIGN.md — the Go source, the Makefile,
+// README.md, DESIGN.md, EXPERIMENTS.md, ROADMAP.md and the verify skill —
+// against a section renamed, renumbered or cut: a quoted title is a
+// case-insensitive substring of some `## ` heading of the doc it names, and
+// DESIGN.md §N names a `## N.` heading. A reference struck through
+// (~~...~~) is history, and CHANGES.md is not read.
 func TestDocsNameExistingSections(t *testing.T) {
-	var headings []string
+	var headings, designTitles, designNumbers []string
 	for _, m := range sectionHeading.FindAllStringSubmatch(readFile(t, "EXPERIMENTS.md"), -1) {
 		headings = append(headings, strings.ToLower(m[1]))
 	}
-	docs := append(goFiles(t), "Makefile", "README.md", "DESIGN.md", "ROADMAP.md", ".claude/skills/verify/SKILL.md")
+	for _, m := range designHeading.FindAllStringSubmatch(readFile(t, "DESIGN.md"), -1) {
+		designNumbers = append(designNumbers, m[1])
+		designTitles = append(designTitles, strings.ToLower(m[2]))
+	}
+	contains := func(titles []string, title string) bool {
+		return slices.ContainsFunc(titles, func(h string) bool { return strings.Contains(h, strings.ToLower(title)) })
+	}
+	docs := append(goFiles(t), "Makefile", "README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md", ".claude/skills/verify/SKILL.md")
 	for _, doc := range docs {
 		text := lineBreak.ReplaceAllString(struck.ReplaceAllString(readFile(t, doc), ""), " ")
 		for _, m := range sectionRef.FindAllStringSubmatch(text, -1) {
-			title := strings.ToLower(m[1])
-			if !slices.ContainsFunc(headings, func(h string) bool { return strings.Contains(h, title) }) {
+			if !contains(headings, m[1]) {
 				t.Errorf("%s names EXPERIMENTS.md section %q, which no heading contains", doc, m[1])
+			}
+		}
+		for _, m := range designRef.FindAllStringSubmatch(text, -1) {
+			switch {
+			case m[1] != "" && !slices.Contains(designNumbers, m[1]):
+				t.Errorf("%s names DESIGN.md §%s, which is not a `## %s.` heading", doc, m[1], m[1])
+			case m[2] != "" && !contains(designTitles, m[2]):
+				t.Errorf("%s names DESIGN.md section %q, which no heading contains", doc, m[2])
 			}
 		}
 	}
@@ -314,17 +336,52 @@ var (
 	// goRef is a dotted Go name in a code span: pkg.Name, pkg.Type.Member or
 	// Type.Member.
 	goRef = regexp.MustCompile(`\b([A-Za-z_]\w*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?`)
+	// lowerCamel is a code span that is one bare lowerCamel name.
+	lowerCamel = regexp.MustCompile("`([a-z][a-z0-9]*[A-Z][A-Za-z0-9]*)`")
+	// runtimeFrames are lowerCamel names of the Go runtime that profiles
+	// print, not names of this tree.
+	runtimeFrames = []string{"asyncPreempt", "gcBgMarkWorker"}
 )
 
-// TestDocsNameExistingIdentifiers guards README.md and DESIGN.md against
+// benchMetrics returns the metric names BENCHMARK.json declares.
+func benchMetrics(t *testing.T) []string {
+	t.Helper()
+	var decl struct {
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal([]byte(readFile(t, "BENCHMARK.json")), &decl); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, m := range slices.Concat(decl.EndToEnd, decl.PerLayer) {
+		names = append(names, m.Name)
+	}
+	return names
+}
+
+// isMetric reports whether a span's text names declared metrics: a metric
+// name, or a pattern of them where * stands for any run of characters.
+func isMetric(metrics []string, text string) bool {
+	pattern := regexp.MustCompile(`^` + strings.ReplaceAll(regexp.QuoteMeta(text), `\*`, `.*`) + `$`)
+	return slices.ContainsFunc(metrics, pattern.MatchString)
+}
+
+// TestDocsNameExistingIdentifiers guards README.md, DESIGN.md, the two
+// records (EXPERIMENTS.md and ROADMAP.md) and the verify skill against
 // renamed or deleted Go names: every backticked pkg.Name whose pkg is an
 // in-tree package's name is declared in that package, or is a method or
 // field of one of its types; every pkg.Type.Member is a method or field of
 // that type (promoted through embedded fields and aliases included); and
 // every Type.Member whose exported Type is an in-tree type is a method or
-// field of some type of that name. A name after / or . in a span is part of
-// a path or an expression, one before - is a protocol phase (fds.R-3), and
-// neither is read; a name struck through (~~...~~) is history.
+// field of some type of that name. In README.md, DESIGN.md and
+// EXPERIMENTS.md a span that is one bare lowerCamel name (`jobFree`) is also
+// defined somewhere in the tree, as any identifier: a type, function, field,
+// method, variable or constant. A name after / or . in a span is part of a
+// path or an expression, one before - is a protocol phase (fds.R-3), and
+// neither is read; a span that names metrics BENCHMARK.json declares
+// (`radio.tx.*`) is not read; a record's fenced blocks are recorded output
+// and are not read; and a name struck through (~~...~~) is history.
 func TestDocsNameExistingIdentifiers(t *testing.T) {
 	units, err := lintest.Tree(".", "clusterfds")
 	if err != nil {
@@ -361,9 +418,36 @@ func TestDocsNameExistingIdentifiers(t *testing.T) {
 	for _, ps := range pkgs {
 		all = append(all, ps...)
 	}
-	for _, doc := range []string{"README.md", "DESIGN.md"} {
-		text := struck.ReplaceAllString(readFile(t, doc), "")
+	defined := map[string]bool{}
+	for _, u := range units {
+		for id := range u.Info.Defs {
+			defined[id.Name] = true
+		}
+	}
+	metrics := benchMetrics(t)
+	for _, doc := range []struct {
+		name          string
+		record, camel bool
+	}{
+		{"README.md", false, true}, {"DESIGN.md", false, true}, {"EXPERIMENTS.md", true, true},
+		{"ROADMAP.md", true, false}, {".claude/skills/verify/SKILL.md", false, false},
+	} {
+		text := readFile(t, doc.name)
+		if doc.record {
+			text = fence.ReplaceAllString(text, "")
+		}
+		text = struck.ReplaceAllString(text, "")
+		if doc.camel {
+			for _, m := range lowerCamel.FindAllStringSubmatch(text, -1) {
+				if !defined[m[1]] && !slices.Contains(runtimeFrames, m[1]) {
+					t.Errorf("%s names `%s`, which nothing in the tree defines", doc.name, m[1])
+				}
+			}
+		}
 		for _, span := range codeSpan.FindAllString(text, -1) {
+			if isMetric(metrics, strings.Trim(span, "`")) {
+				continue
+			}
 			for _, m := range goRef.FindAllStringSubmatchIndex(span, -1) {
 				if c := span[m[0]-1]; c == '/' || c == '.' || m[1] < len(span) && span[m[1]] == '-' {
 					continue
@@ -376,11 +460,11 @@ func TestDocsNameExistingIdentifiers(t *testing.T) {
 				switch {
 				case pkgs[first] != nil:
 					if !resolves(pkgs[first], second, third) {
-						t.Errorf("%s names `%s`, which package %s does not declare or has no such member", doc, ref, first)
+						t.Errorf("%s names `%s`, which package %s does not declare or has no such member", doc.name, ref, first)
 					}
 				case third == "" && token.IsExported(first) && slices.ContainsFunc(all, func(p *types.Package) bool { return p.Scope().Lookup(first) != nil }):
 					if !resolves(all, first, second) {
-						t.Errorf("%s names `%s`, which no in-tree type %s has", doc, ref, first)
+						t.Errorf("%s names `%s`, which no in-tree type %s has", doc.name, ref, first)
 					}
 				}
 			}

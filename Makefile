@@ -4,21 +4,22 @@ GO ?= go
 
 ## check: the pre-PR gate. Run this before sending any change for review.
 ## CI (.github/workflows/ci.yml) runs the same gates, one named step each.
-## No gate runs twice: `test` already covers the lint gate, the analyzers'
-## fixtures, the live-transport smoke and the conformance suite, so the
-## `lint` and `conformance` aliases below are not prerequisites.
+## No gate runs twice: `test` already covers the lint gate, the
+## live-transport smoke and the conformance suite, so the `lint` and
+## `conformance` aliases below are not prerequisites.
 check: vet fmt-check build test race benchsmoke benchcmp scale-smoke baseline-smoke fuzz-smoke
 	@echo "check: all gates passed"
 
 vet:
 	$(GO) vet ./...
 
-## lint: the repo's own analyzers alone — walltime and detmap — over every
-## package of the module, plus their fixtures. A convenience alias: these
-## are ordinary tests under ./internal/lint/ and `make test` runs them. See
-## DESIGN.md "Determinism & lifetime invariants".
+## lint: the wall-clock gate alone — TestTree, no wall clock or global
+## math/rand in a deterministic package, over every package of the module —
+## and its planted-finding control. A convenience alias: these are ordinary
+## tests in ./internal/lint/ and `make test` runs them. See DESIGN.md
+## "Determinism & lifetime invariants".
 lint:
-	$(GO) test ./internal/lint/...
+	$(GO) test ./internal/lint/
 
 ## docs: the root package's doc checks alone — the tests, flags, paths,
 ## sections and Go names the docs cite, DESIGN.md §6's settable-values table,

@@ -83,8 +83,8 @@ func main() {
 		"run the intra-replica parallel engine with this many workers (0 = legacy serial runtime); the trace hash is bit-identical at every worker count")
 	flag.Parse()
 
-	if *epochs < 0 || *crashes < 0 {
-		fmt.Fprintf(os.Stderr, "fdsim: -epochs %d -crashes %d: neither may be negative\n", *epochs, *crashes)
+	if err := checkFlags(*nodes, *lossProb, *epochs, *crashes, *shards); err != nil {
+		fmt.Fprintf(os.Stderr, "fdsim: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -253,6 +253,24 @@ func main() {
 	}
 
 	exportMetrics(w.MetricsSnapshot(), *metricsJSON, *metricsCSV)
+}
+
+// checkFlags rejects the flag values no engine can run, before any starts:
+// no hosts (the builders would silently substitute their default count), a
+// loss probability outside [0,1], a negative epoch or crash count, and a
+// sharded run of zero epochs.
+func checkFlags(nodes int, lossProb float64, epochs, crashes, shards int) error {
+	switch {
+	case nodes < 1:
+		return fmt.Errorf("-nodes %d: at least one host is needed", nodes)
+	case !(lossProb >= 0 && lossProb <= 1):
+		return fmt.Errorf("-p %v: a loss probability lies in [0,1]", lossProb)
+	case epochs < 0 || crashes < 0:
+		return fmt.Errorf("-epochs %d -crashes %d: neither may be negative", epochs, crashes)
+	case shards > 0 && epochs == 0:
+		return fmt.Errorf("-shards %d -epochs 0: the sharded engine runs at least one epoch", shards)
+	}
+	return nil
 }
 
 // exportMetrics writes the snapshot to the requested JSON/CSV files (empty

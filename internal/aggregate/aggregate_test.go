@@ -137,6 +137,20 @@ func TestGlobalAggregateAcrossClusters(t *testing.T) {
 	if len(origins) != 3 || origins[0] != 1 || origins[1] != 2 || origins[2] != 3 {
 		t.Errorf("origins = %v", origins)
 	}
+	// And sorted however many are known: with three, an Origins that
+	// returned map order was sorted by chance in about two runs in five.
+	for i := 0; i < 41; i++ {
+		w.aggs[0].partials[aggKey{origin: wire.NodeID(1 + i*17%41), epoch: 99}] = Stat{}
+	}
+	many := w.aggs[0].Origins(99)
+	for i, o := range many {
+		if o != wire.NodeID(i+1) {
+			t.Fatalf("Origins(99)[%d] = %v, want %v", i, o, i+1)
+		}
+	}
+	if len(many) != 41 {
+		t.Errorf("Origins(99) holds %d origins, want 41", len(many))
+	}
 }
 
 func TestCrashedMemberLeavesAggregate(t *testing.T) {

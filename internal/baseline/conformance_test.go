@@ -5,11 +5,15 @@
 package baseline_test
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"testing"
 	"time"
 
 	"clusterfds/internal/baseline"
+	"clusterfds/internal/geo"
 	"clusterfds/internal/scenario"
 	"clusterfds/internal/sim"
 	"clusterfds/internal/wire"
@@ -78,13 +82,37 @@ func TestConformanceNoSelfSuspicion(t *testing.T) {
 	})
 }
 
+// airHash listens on the medium at the centre of the conformance field,
+// which lies inside one radio range and loses nothing, so it hears every
+// transmission. It hashes each one's sender and wire bytes (wire.Encode, as
+// conformance's recordingTransport records a send) in reception order.
+type airHash struct {
+	at  geo.Point
+	sum hash.Hash64
+	n   int
+}
+
+func (a *airHash) ID() wire.NodeID   { return 1000 }
+func (a *airHash) Pos() geo.Point    { return a.at }
+func (a *airHash) Operational() bool { return true }
+func (a *airHash) Deliver(m wire.Message, from wire.NodeID) {
+	b := wire.Encode(m)
+	a.sum.Write(binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(nil, uint32(from)), uint32(len(b))))
+	a.sum.Write(b)
+	a.n++
+}
+
 // KnownFailed is sorted ascending and bit-identical across same-seed
-// rebuilds, for several seeds.
+// rebuilds, for several seeds, and so are the bytes every host sent: a
+// detector that builds a message in map order changes no verdict, only the
+// wire.
 func TestConformanceKnownFailedSortedAndDeterministic(t *testing.T) {
 	forEachStack(t, func(t *testing.T, stack scenario.Stack) {
 		for seed := int64(3); seed <= 5; seed++ {
-			run := func() map[wire.NodeID][]wire.NodeID {
+			run := func() (map[wire.NodeID][]wire.NodeID, *airHash) {
 				w := conformanceWorld(seed, stack)
+				air := &airHash{at: geo.Point{X: 25, Y: 25}, sum: fnv.New64a()}
+				w.Medium.Attach(air)
 				timing := w.Config().Timing
 				w.CrashRandomAt(timing.EpochStart(3)+timing.Interval/2, 3)
 				w.RunEpochs(12)
@@ -94,9 +122,14 @@ func TestConformanceKnownFailedSortedAndDeterministic(t *testing.T) {
 						out[id] = w.Detector(id).KnownFailed()
 					}
 				}
-				return out
+				return out, air
 			}
-			a, b := run(), run()
+			a, airA := run()
+			b, airB := run()
+			if airA.n == 0 || airA.n != airB.n || airA.sum.Sum64() != airB.sum.Sum64() {
+				t.Errorf("seed %d: bytes on the air differ across rebuilds: %d transmissions hashing to %x vs %d to %x",
+					seed, airA.n, airA.sum.Sum64(), airB.n, airB.sum.Sum64())
+			}
 			for _, id := range []wire.NodeID{1, 2, 3, 4, 5, 6, 7, 8} {
 				ka, inA := a[id]
 				kb, inB := b[id]

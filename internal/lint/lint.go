@@ -1,66 +1,33 @@
-// Package lint is the repository's first-party static-analysis framework.
-// It mirrors the shape of golang.org/x/tools/go/analysis — Analyzer / Pass /
-// Diagnostic, with package lintest as loader and analysistest-style fixture
-// runner — but is implemented entirely on the standard library
-// (go/ast, go/parser, go/types), because this repository builds hermetically
-// with no module downloads. The API is kept deliberately close to
-// go/analysis so the analyzers could be ported onto the upstream framework
-// mechanically if a vendored x/tools ever becomes available.
+// Package lint type-checks every package of the module from source, the way
+// `go vet ./...` walks it, on the standard library alone (go/ast, go/parser,
+// go/types), because this repository builds hermetically with no module
+// downloads.
 //
-// The analyzers in the sub-packages machine-check the simulator's
-// determinism invariants: no wall clock and no map order that reaches an
-// event (each package's doc comment states its rule; DESIGN.md §9 has the
-// table). TestTree in this package runs all of them over every package of
-// the module, so `go test ./...` is the lint gate.
-//
-// There is no suppression comment: a finding is fixed, or the analyzer is
-// strengthened until it can prove the flagged pattern safe.
+// TestTree in this package runs the walltime rule over what Tree loads: no
+// wall clock and no global math/rand draw in a deterministic simulator
+// package. `go test ./...` is therefore the lint gate. The root package's
+// doc checks resolve the Go names the docs cite against the same units.
 package lint
 
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
 	"go/token"
 	"go/types"
-	"sort"
+	"io"
+	"io/fs"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strconv"
 	"strings"
 )
 
-// An Analyzer describes one invariant check.
-type Analyzer struct {
-	// Name identifies the analyzer in diagnostics.
-	Name string
-	// Doc is the one-paragraph description of the invariant.
-	Doc string
-	// Run applies the analyzer to a single type-checked package,
-	// reporting findings through pass.Report*.
-	Run func(*Pass) error
-}
-
-// A Pass is one analyzer applied to one type-checked package.
-type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
-
-	diags []Diagnostic
-}
-
-// A Diagnostic is one finding.
-type Diagnostic struct {
-	Pos     token.Pos
-	Message string
-}
-
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.diags = append(p.diags, Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// Unit is the input shared by every analyzer run on one package: the parsed
-// files plus full type information.
+// Unit is one type-checked package: the parsed files plus the definitions
+// and uses the type checker resolved.
 type Unit struct {
 	Fset  *token.FileSet
 	Files []*ast.File
@@ -68,77 +35,223 @@ type Unit struct {
 	Info  *types.Info
 }
 
-// NewInfo returns a types.Info with every map the analyzers consult
-// allocated. Callers type-check with it and then hand it to Run.
-func NewInfo() *types.Info {
-	return &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Instances:  make(map[*ast.Ident]types.Instance),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
+// Tree type-checks every package directory at or below root, where root
+// holds the package whose import path is prefix, and returns the units
+// `go vet ./...` checks: per directory the package together with its
+// in-package test files, then the external _test package if there is one.
+// Like the go command it skips testdata and directories whose names begin
+// with "." or "_".
+func Tree(root, prefix string) ([]*Unit, error) {
+	ld := &loader{root: root, prefix: prefix, fset: token.NewFileSet(), pkgs: make(map[string]*Unit)}
+	var units []*Unit
+	err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if skipped(root, dir) {
+			return filepath.SkipDir
+		}
+		if goFiles, _ := filepath.Glob(filepath.Join(dir, "*.go")); len(goFiles) == 0 {
+			return nil
+		}
+		rel, err := filepath.Rel(root, dir)
+		if err != nil {
+			return err
+		}
+		us, err := ld.vetUnits(filepath.ToSlash(filepath.Join(prefix, rel)), dir)
+		units = append(units, us...)
+		return err
+	})
+	return units, err
 }
 
-// Run applies one analyzer to one unit and returns its findings sorted by
-// position.
-func Run(a *Analyzer, u *Unit) ([]Diagnostic, error) {
-	pass := &Pass{
-		Analyzer:  a,
-		Fset:      u.Fset,
-		Files:     u.Files,
-		Pkg:       u.Pkg,
-		TypesInfo: u.Info,
-	}
-	if err := a.Run(pass); err != nil {
+// skipped reports whether the go command passes over dir when it walks root:
+// testdata, and names beginning with "." or "_".
+func skipped(root, dir string) bool {
+	name := filepath.Base(dir)
+	return dir != root && (name == "testdata" || name[0] == '.' || name[0] == '_')
+}
+
+// loader type-checks packages from source. An import path at or under
+// prefix resolves to the matching directory below root when that directory
+// exists; every other import resolves to the standard library.
+type loader struct {
+	root, prefix string
+	fset         *token.FileSet
+	pkgs         map[string]*Unit // non-test packages, by import path
+	std          types.Importer   // made on first use
+}
+
+// stdImporter returns an importer over the toolchain's export data for every
+// standard-library package a file under root imports, and their
+// dependencies. importer.Default would find the same files by forking
+// `go list` once per package; this asks once for all of them.
+func (l *loader) stdImporter() (types.Importer, error) {
+	need := make(map[string]bool)
+	err := filepath.WalkDir(l.root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if skipped(l.root, path) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, im := range f.Imports {
+			p, err := strconv.Unquote(im.Path.Value)
+			if err != nil {
+				return err
+			}
+			if _, ok := l.dir(p); !ok {
+				need[p] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	sort.SliceStable(pass.diags, func(i, j int) bool { return pass.diags[i].Pos < pass.diags[j].Pos })
-	return pass.diags, nil
-}
-
-// deterministicDirs are the kernel-driven packages in which simulated time
-// and seeded RNGs are the only legal sources of time and randomness, and in
-// which map iteration must not order observable events. The list mirrors
-// DESIGN.md §"Determinism & lifetime invariants".
-var deterministicDirs = []string{
-	"sim", "fds", "radio", "cluster", "intercluster",
-	"membership", "sleep", "mobility", "scenario", "montecarlo", "shard",
-	"transport", "daemon", "conformance", "baseline",
-	"par", "dense", "node", "wire", "aggregate",
-}
-
-// DeterministicPackage reports whether the import path names one of the
-// deterministic simulator packages (clusterfds/internal/<dir> or a
-// sub-package of one).
-func DeterministicPackage(path string) bool {
-	for _, d := range deterministicDirs {
-		p := "clusterfds/internal/" + d
-		if path == p || strings.HasPrefix(path, p+"/") {
-			return true
+	args := []string{"list", "-export", "-deps", "-f", "{{if .Export}}{{.ImportPath}}={{.Export}}{{end}}"}
+	for p := range need {
+		args = append(args, p)
+	}
+	out, err := exec.Command("go", args...).Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list -export: %w", err)
+	}
+	export := make(map[string]string)
+	for _, line := range strings.Fields(string(out)) {
+		if path, file, ok := strings.Cut(line, "="); ok {
+			export[path] = file
 		}
 	}
-	return false
+	return importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := export[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data listed for %s", path)
+		}
+		return os.Open(file)
+	}), nil
 }
 
-// TestFile reports whether pos lies in a _test.go file. walltime and detmap
-// guard the simulator's own event order, so they skip test files.
-func TestFile(fset *token.FileSet, pos token.Pos) bool {
-	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
-}
-
-// PkgFunc returns the *types.Func a call's callee names — a package-level
-// function or a method selector — or nil.
-func PkgFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		f, _ := info.Uses[fun].(*types.Func)
-		return f
-	case *ast.SelectorExpr:
-		f, _ := info.Uses[fun.Sel].(*types.Func)
-		return f
+// dir maps an import path to its source directory below root.
+func (l *loader) dir(path string) (string, bool) {
+	rel, ok := strings.CutPrefix(path, l.prefix)
+	if !ok || (l.prefix != "" && rel != "" && rel[0] != '/') {
+		return "", false
 	}
-	return nil
+	dir := filepath.Join(l.root, filepath.FromSlash(rel))
+	st, err := os.Stat(dir)
+	return dir, err == nil && st.IsDir()
+}
+
+// load returns the non-test package at path — what an import of it sees.
+func (l *loader) load(path string) (*Unit, error) {
+	if u, ok := l.pkgs[path]; ok {
+		return u, nil
+	}
+	dir, ok := l.dir(path)
+	if !ok {
+		return nil, fmt.Errorf("no source directory for %s under %s", path, l.root)
+	}
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	u, err := l.check(path, dir, bp.GoFiles, l)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[path] = u
+	return u, nil
+}
+
+// vetUnits returns the units of the package directory dir, whose import
+// path is path, as `go vet` forms them. The external test package is checked
+// against the in-package test variant, not the plain package, so it sees
+// what export_test.go declares.
+func (l *loader) vetUnits(path, dir string) ([]*Unit, error) {
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	var under *Unit
+	if len(bp.TestGoFiles) == 0 {
+		under, err = l.load(path)
+	} else {
+		under, err = l.check(path, dir, append(bp.GoFiles, bp.TestGoFiles...), l)
+	}
+	if err != nil {
+		return nil, err
+	}
+	units := []*Unit{under}
+	if len(bp.XTestGoFiles) > 0 {
+		x, err := l.check(path+"_test", dir, bp.XTestGoFiles, importerFunc(func(p string) (*types.Package, error) {
+			if p == path {
+				return under.Pkg, nil
+			}
+			return l.Import(p)
+		}))
+		if err != nil {
+			return nil, err
+		}
+		units = append(units, x)
+	}
+	return units, nil
+}
+
+// check parses the named files of dir and type-checks them as one package.
+func (l *loader) check(path, dir string, names []string, imp types.Importer) (*Unit, error) {
+	if len(names) == 0 {
+		return nil, fmt.Errorf("no .go files in %s", dir)
+	}
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{
+		Defs: make(map[*ast.Ident]types.Object),
+		Uses: make(map[*ast.Ident]types.Object),
+	}
+	pkg, err := (&types.Config{Importer: imp}).Check(path, l.fset, files, info)
+	if err != nil {
+		return nil, err
+	}
+	return &Unit{Fset: l.fset, Files: files, Pkg: pkg, Info: info}, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// Import implements types.Importer.
+func (l *loader) Import(path string) (*types.Package, error) {
+	if _, ok := l.dir(path); ok {
+		u, err := l.load(path)
+		if err != nil {
+			return nil, err
+		}
+		return u.Pkg, nil
+	}
+	if l.std == nil {
+		var err error
+		if l.std, err = l.stdImporter(); err != nil {
+			// No go command or no export data: type-check the standard
+			// library from source.
+			l.std = importer.ForCompiler(l.fset, "source", nil)
+		}
+	}
+	return l.std.Import(path)
 }

@@ -1,6 +1,6 @@
 // Package sim is the negative control for the tree driver: one planted
-// finding for each analyzer, in a directory that has all three kinds of
-// file `go vet` folds into units — package, in-package test, external test.
+// finding, in a directory that has all three kinds of file `go vet` folds
+// into units — package, in-package test, external test.
 package sim
 
 import "time"
@@ -13,10 +13,3 @@ func (k *Kernel) Now() int64 { return k.now }
 
 // stamp reads the wall clock inside a deterministic package: walltime.
 func stamp() int64 { return time.Now().UnixNano() }
-
-// fireAll runs handlers in map order: detmap.
-func fireAll(timers map[int64]func()) {
-	for _, fn := range timers {
-		fn()
-	}
-}

@@ -2,31 +2,99 @@ package lint_test
 
 import (
 	"fmt"
+	"go/ast"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"clusterfds/internal/lint"
-	"clusterfds/internal/lint/detmap"
-	"clusterfds/internal/lint/lintest"
-	"clusterfds/internal/lint/walltime"
 )
 
-// analyzers is the full suite, in reporting order. Adding an analyzer to
-// the gate is one line here.
-var analyzers = []*lint.Analyzer{
-	walltime.Analyzer,
-	detmap.Analyzer,
+// deterministicDirs are the kernel-driven packages below internal/ in which
+// simulated time and seeded RNGs are the only legal sources of time and
+// randomness: every run is a pure function of (scenario, seed). DESIGN.md §9
+// names them.
+var deterministicDirs = []string{
+	"sim", "fds", "radio", "cluster", "intercluster",
+	"membership", "sleep", "mobility", "scenario", "montecarlo", "shard",
+	"transport", "daemon", "conformance", "baseline",
+	"par", "dense", "node", "wire", "aggregate",
 }
 
-// findings runs every analyzer over every unit of the tree at root and
-// returns one "file:line:col: message [analyzer]" line per finding, with
-// the file relative to root, plus the directories the units' files came
-// from and the number of units.
+// deterministic reports whether the import path names one of the
+// deterministic packages or a sub-package of one.
+func deterministic(path string) bool {
+	for _, d := range deterministicDirs {
+		p := "clusterfds/internal/" + d
+		if path == p || strings.HasPrefix(path, p+"/") {
+			return true
+		}
+	}
+	return false
+}
+
+// wallClock lists the time package functions that read or act on the wall
+// clock or the runtime timer heap.
+var wallClock = map[string]bool{
+	"Now": true, "Since": true, "Until": true, "Sleep": true, "After": true,
+	"Tick": true, "NewTimer": true, "NewTicker": true, "AfterFunc": true,
+}
+
+// walltime returns a message for each call in u, outside _test.go files, to
+// a wall-clock function of package time or to a package-level math/rand or
+// math/rand/v2 function that draws from the global source. Constructors
+// (rand.New, rand.NewSource, rand.NewPCG, ...) and methods on an explicit
+// *rand.Rand or time.Time stay legal, as do time values used as plain data.
+// Test files are exempt: the rule guards the simulator's own event order,
+// not the harness around it.
+func walltime(u *lint.Unit, report func(ast.Node, string)) {
+	if !deterministic(u.Pkg.Path()) {
+		return
+	}
+	for _, f := range u.Files {
+		if strings.HasSuffix(u.Fset.Position(f.Pos()).Filename, "_test.go") {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			var id *ast.Ident
+			switch fun := ast.Unparen(call.Fun).(type) {
+			case *ast.Ident:
+				id = fun
+			case *ast.SelectorExpr:
+				id = fun.Sel
+			default:
+				return true
+			}
+			fn, _ := u.Info.Uses[id].(*types.Func)
+			if fn == nil || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
+				return true
+			}
+			switch p := fn.Pkg().Path(); {
+			case p == "time" && wallClock[fn.Name()]:
+				report(call, fmt.Sprintf("time.%s in deterministic package %s: simulated time only (use the sim kernel's clock and timers)",
+					fn.Name(), u.Pkg.Path()))
+			case (p == "math/rand" || p == "math/rand/v2") && !strings.HasPrefix(fn.Name(), "New"):
+				report(call, fmt.Sprintf("global %s.%s in deterministic package %s: seeded *rand.Rand only (rand.New(rand.NewSource(seed)))",
+					p, fn.Name(), u.Pkg.Path()))
+			}
+			return true
+		})
+	}
+}
+
+// findings runs the walltime rule over every unit of the tree at root and
+// returns one "file:line:col: message" line per finding, with the file
+// relative to root, plus the directories the units' files came from and the
+// number of units.
 func findings(t *testing.T, root, prefix string) (lines []string, dirs map[string]bool, units int) {
 	t.Helper()
-	us, err := lintest.Tree(root, prefix)
+	us, err := lint.Tree(root, prefix)
 	if err != nil {
 		t.Fatalf("loading %s: %v", root, err)
 	}
@@ -42,24 +110,18 @@ func findings(t *testing.T, root, prefix string) (lines []string, dirs map[strin
 		for _, f := range u.Files {
 			dirs[filepath.Dir(rel(u.Fset.Position(f.Pos()).Filename))] = true
 		}
-		for _, a := range analyzers {
-			diags, err := lint.Run(a, u)
-			if err != nil {
-				t.Fatalf("%s on %s: %v", a.Name, u.Pkg.Path(), err)
-			}
-			for _, d := range diags {
-				pos := u.Fset.Position(d.Pos)
-				lines = append(lines, fmt.Sprintf("%s:%d:%d: %s [%s]", rel(pos.Filename), pos.Line, pos.Column, d.Message, a.Name))
-			}
-		}
+		walltime(u, func(n ast.Node, msg string) {
+			pos := u.Fset.Position(n.Pos())
+			lines = append(lines, fmt.Sprintf("%s:%d:%d: %s", rel(pos.Filename), pos.Line, pos.Column, msg))
+		})
 	}
 	return lines, dirs, len(us)
 }
 
-// TestTree is the lint gate: every package of the module — with its
-// in-package tests, and its external test package — passes every analyzer.
-// Each failure line reads like a `go vet` finding; DESIGN.md §9 says which
-// invariant the named analyzer guards.
+// TestTree is the lint gate: no package of the module reads the wall clock
+// or draws from the global math/rand source where simulated time and seeded
+// RNGs are the only legal ones. Each failure line reads like a `go vet`
+// finding.
 func TestTree(t *testing.T) {
 	root := filepath.Join("..", "..")
 	lines, dirs, units := findings(t, root, "clusterfds")
@@ -84,31 +146,21 @@ func TestTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d analyzers over %d units from %d directories: %d findings", len(analyzers), units, len(dirs), len(lines))
+	t.Logf("walltime over %d units from %d directories: %d findings", units, len(dirs), len(lines))
 }
 
 // TestTreeReportsPlantedFinding is the negative control: the same driver
-// over a fixture tree with one planted finding per analyzer reports exactly
-// those, so an analyzer unhooked from the list above fails here. The sim
-// directory's external test compiles only against the in-package test
-// variant.
+// over a fixture tree reports exactly the one planted time.Now in the
+// deterministic sim package, and nothing for the wall-clock read of a
+// command. The sim directory's external test compiles only against the
+// in-package test variant.
 func TestTreeReportsPlantedFinding(t *testing.T) {
 	lines, _, units := findings(t, filepath.Join("testdata", "src", "clusterfds"), "clusterfds")
-	want := [][2]string{
-		{"internal/sim/sim.go:15:29: ", " [walltime]"},
-		{"internal/sim/sim.go:20:3: ", " [detmap]"},
+	const want = "internal/sim/sim.go:15:29: time.Now in deterministic package clusterfds/internal/sim: "
+	if len(lines) != 1 || !strings.HasPrefix(lines[0], want) {
+		t.Errorf("findings = %q\nwant one, starting %q", lines, want)
 	}
-	if len(want) != len(analyzers) {
-		t.Errorf("%d planted findings for %d analyzers", len(want), len(analyzers))
-	}
-	ok := len(lines) == len(want)
-	for i := 0; ok && i < len(want); i++ {
-		ok = strings.HasPrefix(lines[i], want[i][0]) && strings.HasSuffix(lines[i], want[i][1])
-	}
-	if !ok {
-		t.Errorf("findings = %q\nwant, by position and analyzer, %q", lines, want)
-	}
-	if units != 2 {
-		t.Errorf("units = %d, want 2 (sim with in-package tests, its external test package)", units)
+	if units != 3 {
+		t.Errorf("units = %d, want 3 (sim with in-package tests, its external test package, cmd/fdsim)", units)
 	}
 }

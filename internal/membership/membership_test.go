@@ -63,14 +63,21 @@ func TestForget(t *testing.T) {
 	}
 }
 
+// TestRecordsSorted marks 41 nodes out of order: with three, a Records that
+// returned map order was sorted by chance in about one run in nine.
 func TestRecordsSorted(t *testing.T) {
 	var v View
-	for _, n := range []wire.NodeID{9, 2, 5} {
-		v.MarkFailed(n, 1, 0)
+	for i := 0; i < 41; i++ {
+		v.MarkFailed(wire.NodeID(1+i*17%41), 1, 0)
 	}
 	rs := v.Records()
-	if len(rs) != 3 || rs[0].Node != 2 || rs[1].Node != 5 || rs[2].Node != 9 {
-		t.Errorf("Records = %v", rs)
+	for i, r := range rs {
+		if r.Node != wire.NodeID(i+1) {
+			t.Fatalf("Records()[%d] = node %v, want %v: %v", i, r.Node, i+1, rs)
+		}
+	}
+	if len(rs) != 41 {
+		t.Errorf("Records holds %d records, want 41", len(rs))
 	}
 }
 

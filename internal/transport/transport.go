@@ -17,8 +17,8 @@
 // port of the radio medium, is the other. Both move the same internal/wire
 // bytes, so a binary-level conformance harness (internal/conformance) can
 // assert that the state machines behave identically whether hosts sit on the
-// medium directly or each on its own LinkTransport over it. The
-// lint walltime analyzer polices this boundary mechanically: inside the
+// medium directly or each on its own LinkTransport over it. The lint gate
+// (internal/lint's TestTree) polices this boundary mechanically: inside the
 // deterministic packages the only legal clock is a Clock and the only legal
 // randomness is a seeded Rand.
 package transport

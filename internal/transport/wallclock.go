@@ -9,7 +9,7 @@ import (
 // WallClock is the daemon driver's view of real time: how much of it has
 // passed since the daemon started, and a way to be woken after a delay. The
 // production implementation (in cmd/fdsd, outside the deterministic
-// packages, where the walltime analyzer permits time.*) wraps the system
+// packages, where the lint gate permits time.*) wraps the system
 // clock; tests use FakeWall so nothing ever sleeps on wall time.
 //
 // The protocol core itself never sees a WallClock — the daemon uses it only

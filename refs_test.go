@@ -12,7 +12,7 @@ import (
 	"strings"
 	"testing"
 
-	"clusterfds/internal/lint/lintest"
+	"clusterfds/internal/lint"
 )
 
 // readFile returns a repository file's contents, failing the test if it
@@ -383,7 +383,7 @@ func isMetric(metrics []string, text string) bool {
 // (`radio.tx.*`) is not read; a record's fenced blocks are recorded output
 // and are not read; and a name struck through (~~...~~) is history.
 func TestDocsNameExistingIdentifiers(t *testing.T) {
-	units, err := lintest.Tree(".", "clusterfds")
+	units, err := lint.Tree(".", "clusterfds")
 	if err != nil {
 		t.Fatal(err)
 	}

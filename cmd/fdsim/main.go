@@ -83,7 +83,7 @@ func main() {
 		"run the intra-replica parallel engine with this many workers (0 = legacy serial runtime); the trace hash is bit-identical at every worker count")
 	flag.Parse()
 
-	if err := checkFlags(*nodes, *lossProb, *epochs, *crashes, *shards); err != nil {
+	if err := checkFlags(*nodes, *field, *lossProb, *epochs, *crashes, *crashEpoch, *shards); err != nil {
 		fmt.Fprintf(os.Stderr, "fdsim: %v\n", err)
 		os.Exit(2)
 	}
@@ -177,11 +177,7 @@ func main() {
 	}
 	w := scenario.Build(cfg)
 	timing := w.Config().Timing
-	ce := *crashEpoch
-	if ce < 0 {
-		ce = 0
-	}
-	crashAt := timing.EpochStart(wire.Epoch(ce)) + timing.Interval/2
+	crashAt := timing.EpochStart(wire.Epoch(*crashEpoch)) + timing.Interval/2
 	victims := w.CrashRandomAt(crashAt, *crashes)
 	w.RunEpochs(*epochs)
 
@@ -256,17 +252,19 @@ func main() {
 }
 
 // checkFlags rejects the flag values no engine can run, before any starts:
-// no hosts (the builders would silently substitute their default count), a
-// loss probability outside [0,1], a negative epoch or crash count, and a
-// sharded run of zero epochs.
-func checkFlags(nodes int, lossProb float64, epochs, crashes, shards int) error {
+// no hosts or no field (the builders would silently substitute their
+// defaults), a loss probability outside [0,1], a negative epoch, crash count
+// or crash epoch, and a sharded run of zero epochs.
+func checkFlags(nodes int, field, lossProb float64, epochs, crashes, crashEpoch, shards int) error {
 	switch {
 	case nodes < 1:
 		return fmt.Errorf("-nodes %d: at least one host is needed", nodes)
+	case !(field > 0):
+		return fmt.Errorf("-field %v: the field's edge must be positive", field)
 	case !(lossProb >= 0 && lossProb <= 1):
 		return fmt.Errorf("-p %v: a loss probability lies in [0,1]", lossProb)
-	case epochs < 0 || crashes < 0:
-		return fmt.Errorf("-epochs %d -crashes %d: neither may be negative", epochs, crashes)
+	case epochs < 0 || crashes < 0 || crashEpoch < 0:
+		return fmt.Errorf("-epochs %d -crashes %d -crash-epoch %d: none may be negative", epochs, crashes, crashEpoch)
 	case shards > 0 && epochs == 0:
 		return fmt.Errorf("-shards %d -epochs 0: the sharded engine runs at least one epoch", shards)
 	}
@@ -288,9 +286,6 @@ func exportMetrics(s metrics.Snapshot, jsonPath, csvPath string) {
 // derived deterministically from cfg.Seed, so the printed numbers are a
 // pure function of the flags — never of the worker count.
 func runReplicated(cfg scenario.Config, stack scenario.Stack, trials, workers, crashes, crashEpoch, epochs int, metricsJSON, metricsCSV string) {
-	if crashEpoch < 0 {
-		crashEpoch = 0
-	}
 	study := scenario.CrashStudy{
 		Config:     cfg,
 		Crashes:    crashes,
@@ -404,11 +399,7 @@ func runParallel(cfg par.Config, epochs, crashes, crashEpoch int) {
 	buildElapsed := time.Since(buildStart)
 
 	timing := cluster.DefaultTiming() // cfg.Timing is zero: par.Build's default
-	ce := crashEpoch
-	if ce < 0 {
-		ce = 0
-	}
-	crashAt := timing.EpochStart(wire.Epoch(ce)) + timing.Interval/2
+	crashAt := timing.EpochStart(wire.Epoch(crashEpoch)) + timing.Interval/2
 	victims := p.CrashRandomAt(crashAt, crashes)
 
 	runStart := time.Now()
@@ -422,7 +413,7 @@ func runParallel(cfg par.Config, epochs, crashes, crashEpoch int) {
 		p.Sends(), p.Deliveries())
 
 	if len(victims) > 0 {
-		fmt.Printf("crashed at epoch %d (+%v): %v\n", ce, timing.Interval/2, victims)
+		fmt.Printf("crashed at epoch %d (+%v): %v\n", crashEpoch, timing.Interval/2, victims)
 		for _, v := range victims {
 			aware, operational := p.Completeness(v)
 			fmt.Printf("  %v: known by %d/%d operational hosts\n", v, aware, operational)

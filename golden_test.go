@@ -133,12 +133,12 @@ func TestGoldenParallelTraceHash(t *testing.T) {
 	}
 }
 
-// TestRunEpochsToVersusMore pins the two engines' opposite readings of the
-// same method name: scenario.World.RunEpochs(n) runs TO epoch n,
-// par.Engine.RunEpochs(n) runs n MORE epochs. Both reject a negative count,
-// which the world used to wrap into a silent no-op and the strip engine into
-// a horizon at the end of time.
-func TestRunEpochsToVersusMore(t *testing.T) {
+// TestRunEpochsRunsToEpoch pins that both engines read RunEpochs(n) the same
+// way: TO epoch n, counted from time zero, so RunEpochs(3) then RunEpochs(5)
+// stands at epoch 5. Both reject a negative count, which the world used to
+// wrap into a silent no-op and the strip engine into a horizon at the end of
+// time.
+func TestRunEpochsRunsToEpoch(t *testing.T) {
 	w := scenario.Build(scenario.Config{Seed: 1, Nodes: 10, FieldSide: 100})
 	p := par.Build(par.Config{Seed: 1, Nodes: 10, FieldSide: 100})
 	interval := w.Config().Timing.Interval
@@ -149,8 +149,8 @@ func TestRunEpochsToVersusMore(t *testing.T) {
 	if got, want := w.Kernel.Now(), 5*interval; got != want {
 		t.Errorf("World after RunEpochs(3), RunEpochs(5): now = %d, want %d (epoch 5)", got, want)
 	}
-	if got, want := p.Now(), 8*interval; got != want {
-		t.Errorf("par.Engine after RunEpochs(3), RunEpochs(5): now = %d, want %d (epoch 8)", got, want)
+	if got, want := p.Now(), 5*interval; got != want {
+		t.Errorf("par.Engine after RunEpochs(3), RunEpochs(5): now = %d, want %d (epoch 5)", got, want)
 	}
 	for name, run := range map[string]func(){
 		"World":      func() { w.RunEpochs(-1) },

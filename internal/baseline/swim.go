@@ -367,7 +367,3 @@ func (s *SWIM) KnownFailed() []wire.NodeID {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// KnownPopulation returns how many hosts this detector has discovered,
-// including itself.
-func (s *SWIM) KnownPopulation() int { return len(s.members) + 1 }

@@ -892,14 +892,13 @@ func (p *Protocol) ViewInto(v *View) {
 }
 
 // AppendNeighborCHs appends to dst the clusterheads of neighboring clusters
-// known to this CH; only the appended tail is sorted. It appends nothing on a
-// non-CH.
+// known to this CH, in unspecified order: both callers read the result as a
+// set. It appends nothing on a non-CH.
 func (p *Protocol) AppendNeighborCHs(dst []wire.NodeID) []wire.NodeID {
 	if !p.isCH {
 		return dst
 	}
 	const staleAfter = 5
-	start := len(dst)
 	for ch, last := range p.neighborCHs {
 		if uint64(p.epoch)-uint64(last) > staleAfter {
 			delete(p.neighborCHs, ch)
@@ -907,7 +906,6 @@ func (p *Protocol) AppendNeighborCHs(dst []wire.NodeID) []wire.NodeID {
 		}
 		dst = append(dst, ch)
 	}
-	slices.Sort(dst[start:])
 	return dst
 }
 

@@ -117,7 +117,7 @@ func RunLinks(sc Scenario) *Result {
 		ports = append(ports, m.Link())
 		return ports[len(ports)-1]
 	}
-	return run(sc, k, m, mem, bind, func(id wire.NodeID) float64 { return ports[id-1].Meter().Spent(id) })
+	return run(sc, k, m, mem, bind, func(id wire.NodeID) float64 { return ports[id-1].Spent() })
 }
 
 // newMedium builds the scenario's kernel and traced medium.

@@ -19,11 +19,6 @@ type Point struct {
 	X, Y float64
 }
 
-// Add returns p translated by (dx, dy).
-func (p Point) Add(dx, dy float64) Point {
-	return Point{X: p.X + dx, Y: p.Y + dy}
-}
-
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)

@@ -236,8 +236,7 @@ type Engine struct {
 	crashSched map[wire.NodeID]sim.Time // harness-side crash schedule
 	ctrl       *rand.Rand               // control stream for CrashRandom picks
 
-	epochsRun int
-	now       sim.Time
+	now sim.Time
 }
 
 // land completes one delivery of a flight — aliveness check at the receiver,
@@ -460,16 +459,17 @@ func (e *Engine) CrashRandomAt(at sim.Time, count int) []wire.NodeID {
 	return picked
 }
 
-// RunEpochs advances the replica through n MORE heartbeat intervals, from
-// where the last call stopped: RunEpochs(3) followed by RunEpochs(5) runs
-// eight intervals in all. (scenario.World.RunEpochs counts the other way, TO
-// epoch n.) It panics on a negative n.
+// RunEpochs advances the replica TO the start of epoch n, counted from time
+// zero, as scenario.World.RunEpochs does: RunEpochs(3) followed by
+// RunEpochs(5) runs five intervals in all, and an epoch already passed runs
+// nothing. It panics on a negative n.
 func (e *Engine) RunEpochs(n int) {
 	if n < 0 {
-		panic(fmt.Sprintf("par: RunEpochs(%d): negative epoch count", n))
+		panic(fmt.Sprintf("par: RunEpochs(%d): negative epoch", n))
 	}
-	e.epochsRun += n
-	e.runTo(e.cfg.Timing.EpochStart(wire.Epoch(e.epochsRun)))
+	if deadline := e.cfg.Timing.EpochStart(wire.Epoch(n)); deadline >= e.now {
+		e.runTo(deadline)
+	}
 }
 
 // runTo advances every strip to the deadline through sim.RunWindows: closed

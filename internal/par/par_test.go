@@ -23,7 +23,7 @@ func buildAndRun(t *testing.T, workers, strips int) (*Engine, string, []wire.Nod
 	})
 	e.RunEpochs(3)
 	victims := e.CrashRandomAt(e.Now()+sim.Time(1e9), 5)
-	e.RunEpochs(5)
+	e.RunEpochs(8)
 	return e, e.TraceHash(), victims
 }
 

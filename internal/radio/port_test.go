@@ -92,7 +92,7 @@ func TestPortOutOfRangeHearsNothing(t *testing.T) {
 	if len(nodes[2].received) != 0 {
 		t.Error("out-of-range port host heard the transmission")
 	}
-	if spent := ports[2].Meter().Spent(3); spent != 0 {
+	if spent := ports[2].Spent(); spent != 0 {
 		t.Errorf("out-of-range port host spent %v energy, want 0", spent)
 	}
 	if got := m.Received(wire.KindHeartbeat); got != 1 {
@@ -128,7 +128,7 @@ func TestPortSilencedSenderCounted(t *testing.T) {
 		t.Errorf("drop:silenced=%d tx-silenced-msgs=%d tx-silenced-bytes=%d, want 1, 1, %d",
 			c["drop:silenced"], c["tx-silenced-msgs"], c["tx-silenced-bytes"], msg.WireSize())
 	}
-	if spent := ports[0].Meter().Spent(1); spent <= 0 {
+	if spent := ports[0].Spent(); spent <= 0 {
 		t.Errorf("silenced port sender spent %v energy, want > 0", spent)
 	}
 	if len(nodes[1].received) != 0 {

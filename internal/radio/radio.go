@@ -9,9 +9,9 @@
 //   - bounded delivery delay: every successful delivery lands within Thop.
 //
 // The medium also keeps the bookkeeping the evaluation needs: per-kind
-// message and byte counters, drop counts, and a per-host energy meter with
-// solar harvest (Section 2.1 assumes hosts harvest energy, which is what
-// makes periodic heartbeat diffusion feasible).
+// message and byte counters, drop counts, and each host's energy spend, read
+// back with solar harvest (Section 2.1 assumes hosts harvest energy, which is
+// what makes periodic heartbeat diffusion feasible).
 package radio
 
 import (
@@ -49,9 +49,9 @@ type Params struct {
 	// plays the role of Thop, the per-hop bound the round timeouts use.
 	MinDelay, MaxDelay sim.Time
 	// EnergyParams is the per-host energy model. Its fields and its cost
-	// methods are promoted: the strip engine charges through p.TxCost,
-	// p.RxCost and p.Available, as the medium's Meter does; the sharded
-	// engine reads the fields.
+	// methods are promoted: the medium and the strip engine charge through
+	// p.TxCost, p.RxCost and p.Available; the sharded engine reads the
+	// fields.
 	transport.EnergyParams
 }
 
@@ -91,9 +91,9 @@ type Medium struct {
 
 	// hosts is the dense table of attached hosts in attach order; a host's
 	// index in it — its slot — is what the grid stores and what a delivery
-	// record carries, so the fan-out path resolves receiver and NID with one
-	// indexed load. slotOf maps a NID to its slot for the per-call entry
-	// points (Send's sender, UpdatePos).
+	// record carries, so the fan-out path resolves receiver, NID, spend and
+	// silence with one indexed load. slotOf maps a NID to its slot for the
+	// per-call entry points (Send's sender, UpdatePos, the energy reads).
 	hosts  []host
 	slotOf map[wire.NodeID]uint32
 	grid   *grid
@@ -101,16 +101,6 @@ type Medium struct {
 	// linkLoss overrides the global loss probability for specific directed
 	// links; used by failure-injection tests.
 	linkLoss map[[2]wire.NodeID]float64
-	// silenced hosts have all their transmissions dropped (radio jamming /
-	// partition injection).
-	silenced map[wire.NodeID]bool
-
-	// energy delegates to the shared transport meter, the one every
-	// LinkTransport meters with, so a host on a port and the same host
-	// attached directly spend bit-identical energy (the FDS forwarding
-	// backoff is energy-biased, so this is a determinism requirement, not a
-	// convenience).
-	energy *transport.Meter
 
 	// metrics is the counter backend. Per-kind counters resolve through the
 	// txCount/rxCount handle arrays so the broadcast hot path performs no
@@ -154,10 +144,20 @@ type Medium struct {
 // the call; receivers that keep any part of it must copy. A host attached
 // through a Port has its LinkTransport in lt, which decodes into its own
 // scratch instead.
+//
+// spent is the host's cumulative energy, charged with the same
+// EnergyParams.TxCost and RxCost a LinkTransport charges, so a host on a port
+// and the same host attached directly spend bit-identical energy (the FDS
+// forwarding backoff is energy-biased, so this is a determinism requirement).
+// A port host is charged by its LinkTransport; its row's spent stays 0.
+// silenced drops every transmission of the host (radio jamming / partition
+// injection).
 type host struct {
-	rcv Receiver
-	lt  *transport.LinkTransport
-	id  wire.NodeID
+	rcv      Receiver
+	lt       *transport.LinkTransport
+	id       wire.NodeID
+	silenced bool
+	spent    float64
 }
 
 // txBuf is one transmission in flight: the encoded bytes and the sorted
@@ -215,10 +215,8 @@ func New(kernel *sim.Kernel, params Params, opts ...Option) *Medium {
 		slotOf:   make(map[wire.NodeID]uint32),
 		grid:     newGrid(params.Range),
 		linkLoss: make(map[[2]wire.NodeID]float64),
-		silenced: make(map[wire.NodeID]bool),
 		scratch:  wire.NewDecodeScratch(),
 	}
-	m.energy = transport.NewMeter(params.EnergyParams, kernel)
 	for _, opt := range opts {
 		opt(m)
 	}
@@ -257,9 +255,6 @@ func (m *Medium) rxCounter(k wire.Kind) *metrics.Counter {
 	return c
 }
 
-// Params returns the medium's configuration.
-func (m *Medium) Params() Params { return m.params }
-
 // Attach registers a host with the medium. Attaching two hosts with the
 // same NID is a configuration error and panics.
 func (m *Medium) Attach(r Receiver) { m.attach(r, nil) }
@@ -274,9 +269,7 @@ func (m *Medium) attach(r Receiver, lt *transport.LinkTransport) {
 	if _, dup := m.slotOf[id]; dup {
 		panic(fmt.Sprintf("radio: duplicate NID %v", id))
 	}
-	// The meter hands out slots in Track order, so a host's meter slot is its
-	// slot here and a delivery's Tag charges the receiver directly.
-	slot := m.energy.Track(id)
+	slot := uint32(len(m.hosts))
 	m.hosts = append(m.hosts, host{rcv: r, lt: lt, id: id})
 	m.slotOf[id] = slot
 	m.grid.insert(slot, r.Pos())
@@ -288,8 +281,8 @@ func (m *Medium) attach(r Receiver, lt *transport.LinkTransport) {
 // check, energy metering, encode, decode into its own scratch, the send and
 // delivery trace events — is LinkTransport's code; the medium decides only
 // what the network decides (who is in range, loss, delay), with the fan-out
-// Send uses. A port host's energy is its LinkTransport's Meter, which
-// meters transport.DefaultEnergy; the medium's own meter never charges it.
+// Send uses. A port host's energy is its LinkTransport's, which charges
+// transport.DefaultEnergy; the medium never charges a port host's row.
 type Port struct {
 	*transport.LinkTransport
 	m *Medium
@@ -365,12 +358,11 @@ func (m *Medium) SetLinkLoss(from, to wire.NodeID, p float64) {
 
 // Silence makes every transmission from id vanish (on=true) or restores
 // normal behaviour (on=false). Used by failure-injection tests to model a
-// host whose radio fails while the host keeps running.
+// host whose radio fails while the host keeps running. A NID that never
+// attached is ignored.
 func (m *Medium) Silence(id wire.NodeID, on bool) {
-	if on {
-		m.silenced[id] = true
-	} else {
-		delete(m.silenced, id)
+	if slot, ok := m.slotOf[id]; ok {
+		m.hosts[slot].silenced = on
 	}
 }
 
@@ -394,7 +386,7 @@ func (m *Medium) Send(from wire.NodeID, msg wire.Message) {
 	if !ok || !m.hosts[fromSlot].rcv.Operational() {
 		return
 	}
-	m.energy.ChargeTx(fromSlot, msg.WireSize())
+	m.hosts[fromSlot].spent += m.params.TxCost(msg.WireSize())
 	if m.tracing {
 		m.sink.Emit(trace.Event{
 			At: m.kernel.Now(), Type: trace.TypeSend, Node: uint32(from),
@@ -446,7 +438,7 @@ func (m *Medium) transmit(fromSlot uint32, tb *txBuf) {
 func (m *Medium) fanOut(fromSlot uint32, tb *txBuf) bool {
 	from := m.hosts[fromSlot].id
 	kind, size := wire.Kind(tb.buf[0]), len(tb.buf)
-	if m.silenced[from] {
+	if m.hosts[fromSlot].silenced {
 		m.dropSilenced.Add(1)
 		m.txSilencedMsgs.Add(1)
 		m.txSilencedBytes.Add(int64(size))
@@ -526,7 +518,7 @@ func receive(arg any, it sim.RunItem) {
 			panic(fmt.Sprintf("radio: port delivery: %v", err))
 		}
 	default:
-		m.energy.ChargeRx(it.Tag, len(tb.buf))
+		h.spent += m.params.RxCost(len(tb.buf))
 		tb.rxc.Add(1)
 		decoded, err := wire.DecodeInto(m.scratch, tb.buf)
 		if err != nil {
@@ -558,18 +550,35 @@ func (m *Medium) takeTxBuf() *txBuf {
 }
 
 // Energy returns the host's available energy: initial budget plus harvest
-// minus spend, floored at zero. The peer-forwarding backoff consults this
-// (paper Section 4.2: the waiting period is "inversely proportional to the
-// node's remaining energy").
-func (m *Medium) Energy(id wire.NodeID) float64 { return m.energy.Energy(id) }
+// minus spend, floored at zero; an unattached NID has none. The
+// peer-forwarding backoff consults this (paper Section 4.2: the waiting
+// period is "inversely proportional to the node's remaining energy").
+func (m *Medium) Energy(id wire.NodeID) float64 {
+	slot, ok := m.slotOf[id]
+	if !ok {
+		return 0
+	}
+	return m.params.Available(m.hosts[slot].spent, m.kernel.Now())
+}
 
 // EnergySpent returns the host's cumulative energy expenditure.
-func (m *Medium) EnergySpent(id wire.NodeID) float64 { return m.energy.Spent(id) }
+func (m *Medium) EnergySpent(id wire.NodeID) float64 {
+	if slot, ok := m.slotOf[id]; ok {
+		return m.hosts[slot].spent
+	}
+	return 0
+}
 
 // TotalEnergySpent sums expenditure over all hosts — the system-level cost
-// measure in the baseline comparisons. Hosts are summed in NID order so the
+// measure in the baseline comparisons — in attach order, so the
 // floating-point total is identical across runs.
-func (m *Medium) TotalEnergySpent() float64 { return m.energy.TotalSpent() }
+func (m *Medium) TotalEnergySpent() float64 {
+	var t float64
+	for i := range m.hosts {
+		t += m.hosts[i].spent
+	}
+	return t
+}
 
 // Counters returns a snapshot of the medium's tallies (tx/rx per kind,
 // bytes, drops). Only nonzero tallies appear, matching the historical
@@ -605,7 +614,3 @@ func (m *Medium) Received(k wire.Kind) int64 { return m.rxCount[k].Value() }
 // Dropped returns how many point-to-point deliveries were lost to the
 // channel.
 func (m *Medium) Dropped() int64 { return m.dropLoss.Value() }
-
-// Metrics returns the registry the medium records into (the injected one,
-// or the medium's private registry).
-func (m *Medium) Metrics() *metrics.Registry { return m.metrics }

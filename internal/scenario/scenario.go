@@ -363,11 +363,6 @@ func (w *World) flushEpochDeltas(e uint64) {
 	}
 }
 
-// Metrics returns the world's registry (shared by the medium and every FDS
-// instance). Single-threaded like the kernel; snapshot before crossing
-// goroutines.
-func (w *World) Metrics() *metrics.Registry { return w.metrics }
-
 // MetricsSnapshot flushes the in-progress epoch's per-kind deltas, records
 // the summary gauges (operational host count, fleet energy spent), and
 // returns the registry's state as plain mergeable data.

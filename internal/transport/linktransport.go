@@ -24,23 +24,24 @@ import (
 // LinkTransport is not safe for concurrent use: the daemon serializes
 // Send (from protocol callbacks) and Inject (from its receive loop) onto one
 // goroutine.
+//
+// The local host's energy is metered with DefaultEnergy, the model every
+// backend shares: spent is charged with its TxCost and RxCost, exactly as the
+// radio medium charges a host attached to it directly, so the energy-biased
+// peer-forwarding backoff in fds is bit-identical on every path.
 type LinkTransport struct {
 	clock Clock
 	bc    Broadcaster
 	sink  trace.Sink
 
 	self    Receiver
-	meter   *Meter
+	spent   float64
 	scratch *wire.DecodeScratch
 	txBuf   []byte
 	tracing bool
 
 	rxBad int64
 }
-
-// selfSlot is the local host's slot in the transport's meter: the only one,
-// since Attach tracks exactly one host.
-const selfSlot = 0
 
 // LinkOption customizes a LinkTransport.
 type LinkOption func(*LinkTransport)
@@ -50,15 +51,13 @@ func WithLinkTrace(s trace.Sink) LinkOption {
 	return func(lt *LinkTransport) { lt.sink = s }
 }
 
-// NewLinkTransport creates a transport for one host over bc. Its host's
-// energy is metered with DefaultEnergy, the model every backend shares.
+// NewLinkTransport creates a transport for one host over bc.
 func NewLinkTransport(clock Clock, bc Broadcaster, opts ...LinkOption) *LinkTransport {
 	lt := &LinkTransport{
 		clock:   clock,
 		bc:      bc,
 		sink:    trace.Nop{},
 		scratch: wire.NewDecodeScratch(),
-		meter:   NewMeter(DefaultEnergy(), clock),
 	}
 	for _, opt := range opts {
 		opt(lt)
@@ -78,7 +77,6 @@ func (lt *LinkTransport) Attach(r Receiver) {
 		panic(fmt.Sprintf("transport: LinkTransport already carries %v; cannot attach %v", lt.self.ID(), r.ID()))
 	}
 	lt.self = r
-	lt.meter.Track(r.ID())
 }
 
 // Send implements Transport: encode and broadcast on behalf of the local
@@ -88,8 +86,7 @@ func (lt *LinkTransport) Send(from wire.NodeID, msg wire.Message) {
 	if lt.self == nil || from != lt.self.ID() || !lt.self.Operational() {
 		return
 	}
-	size := msg.WireSize()
-	lt.meter.ChargeTx(selfSlot, size)
+	lt.spent += DefaultEnergy().TxCost(msg.WireSize())
 	if lt.tracing {
 		lt.sink.Emit(trace.Event{
 			At: lt.clock.Now(), Type: trace.TypeSend, Node: uint32(from),
@@ -119,7 +116,7 @@ func (lt *LinkTransport) Inject(p Packet) error {
 		lt.rxBad++
 		return fmt.Errorf("transport: undecodable datagram from %v: %w", p.From, err)
 	}
-	lt.meter.ChargeRx(selfSlot, len(p.Payload))
+	lt.spent += DefaultEnergy().RxCost(len(p.Payload))
 	if lt.tracing {
 		lt.sink.Emit(trace.Event{
 			At: lt.clock.Now(), Type: trace.TypeDeliver, Node: uint32(lt.self.ID()),
@@ -134,13 +131,18 @@ func (lt *LinkTransport) Inject(p Packet) error {
 // malformed or mis-addressed.
 func (lt *LinkTransport) BadDatagrams() int64 { return lt.rxBad }
 
-// Energy implements Transport via the transport's meter. Only the local
-// host is tracked; remote hosts report zero (the protocol stack only ever
+// Energy implements Transport: the local host's available energy. Any other
+// host, or any host before Attach, reports zero (the protocol stack only ever
 // asks about its own budget).
-func (lt *LinkTransport) Energy(id wire.NodeID) float64 { return lt.meter.Energy(id) }
+func (lt *LinkTransport) Energy(id wire.NodeID) float64 {
+	if lt.self == nil || id != lt.self.ID() {
+		return 0
+	}
+	return DefaultEnergy().Available(lt.spent, lt.clock.Now())
+}
 
-// Meter returns the transport's energy meter (the local host's spend).
-func (lt *LinkTransport) Meter() *Meter { return lt.meter }
+// Spent returns the local host's cumulative energy expenditure.
+func (lt *LinkTransport) Spent() float64 { return lt.spent }
 
 // UpdatePos implements Transport; a link has no geometry.
 func (lt *LinkTransport) UpdatePos(id wire.NodeID, old geo.Point) {}

@@ -680,36 +680,30 @@ func TestUDPLinkCloseClosesPackets(t *testing.T) {
 	l.Close()
 }
 
-func TestMeterMatchesRadioArithmetic(t *testing.T) {
+// TestLinkTransportEnergyArithmetic pins a link's energy to EnergyParams'
+// TxCost, RxCost and Available, the arithmetic the radio medium charges a
+// host attached to it directly, and that only the attached host has any.
+func TestLinkTransportEnergyArithmetic(t *testing.T) {
 	k := sim.New(1)
 	p := DefaultEnergy()
-	m := NewMeter(p, k)
-	s1 := m.Track(1)
-	if got := m.Energy(1); got != p.InitialEnergy {
-		t.Fatalf("fresh meter energy %v, want %v", got, p.InitialEnergy)
+	lt := NewLinkTransport(k, NewChanMesh().Join(1))
+	if lt.Energy(1) != 0 || lt.Energy(2) != 0 {
+		t.Errorf("Energy before Attach = %v, %v; want 0, 0", lt.Energy(1), lt.Energy(2))
 	}
-	m.ChargeTx(s1, 100)
-	m.ChargeRx(s1, 40)
-	wantSpent := p.TxBaseCost + p.TxByteCost*100 + p.RxByteCost*40
-	if got := m.Spent(1); got != wantSpent {
-		t.Errorf("Spent = %v, want %v", got, wantSpent)
+	lt.Attach(&stubReceiver{id: 1})
+	if got := lt.Energy(1); got != p.InitialEnergy {
+		t.Fatalf("fresh energy %v, want %v", got, p.InitialEnergy)
 	}
-	// Charging an untracked host is a no-op; its energy reads zero.
-	m.ChargeTx(9, 1000)
-	m.ChargeRx(s1+1, 1000) // the slot the next Track will hand out
-	if m.Spent(9) != 0 || m.Energy(9) != 0 {
-		t.Error("untracked host has nonzero meter state")
+	out := &wire.Heartbeat{NID: 1, Epoch: 3}
+	lt.Send(1, out)
+	in := wire.Encode(&wire.Digest{NID: 2, CH: 2, Epoch: 3, Heard: []wire.NodeID{1, 2, 5}})
+	if err := lt.Inject(Packet{From: 2, Payload: in}); err != nil {
+		t.Fatal(err)
 	}
-	// Slots follow Track order, and tracking twice keeps the first slot.
-	s2 := m.Track(2)
-	if s1 != 0 || s2 != 1 || m.Track(1) != s1 {
-		t.Fatalf("slots = %d, %d, re-Track(1) = %d; want 0, 1, 0", s1, s2, m.Track(1))
+	if got, want := lt.Spent(), p.TxCost(out.WireSize())+p.RxCost(len(in)); got != want {
+		t.Errorf("Spent = %v, want %v", got, want)
 	}
-	if m.Spent(2) != 0 {
-		t.Error("a charge to a slot nobody held yet was kept for its later owner")
-	}
-	m.ChargeTx(s2, 10)
-	if got, want := m.TotalSpent(), wantSpent+p.TxBaseCost+p.TxByteCost*10; got != want {
-		t.Errorf("TotalSpent = %v, want %v", got, want)
+	if got := lt.Energy(2); got != 0 {
+		t.Errorf("Energy of another host = %v, want 0", got)
 	}
 }

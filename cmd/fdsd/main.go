@@ -55,25 +55,16 @@ func (w realWall) After(d sim.Time) <-chan struct{} {
 	return ch
 }
 
-// consoleSink prints the membership- and detection-relevant trace events;
-// with -verbose it prints every event including per-message send/deliver.
-type consoleSink struct {
-	verbose bool
-}
+// console prints each trace event it is given on a line of stdout.
+type console struct{}
 
-func (s consoleSink) Emit(e trace.Event) {
-	switch e.Type {
-	case trace.TypeSend, trace.TypeDeliver, trace.TypeDrop:
-		if !s.verbose {
-			return
-		}
-	}
-	fmt.Println(e)
-}
+func (console) Emit(e trace.Event) { fmt.Println(e) }
 
 // parsePeers parses "2=127.0.0.1:9002,3=127.0.0.1:9003" into a sorted
-// roster of NIDs and the matching address list.
-func parsePeers(s string) ([]wire.NodeID, []string, error) {
+// roster of NIDs and the matching address list. It refuses self, the node's
+// own NID, and a NID named twice: the node would hear its own broadcasts
+// back as hostile datagrams.
+func parsePeers(s string, self wire.NodeID) ([]wire.NodeID, []string, error) {
 	if s == "" {
 		return nil, nil, nil
 	}
@@ -91,12 +82,18 @@ func parsePeers(s string) ([]wire.NodeID, []string, error) {
 		if err != nil || n == 0 {
 			return nil, nil, fmt.Errorf("peer %q has invalid NID %q", part, id)
 		}
+		if wire.NodeID(n) == self {
+			return nil, nil, fmt.Errorf("peer %q is this node's own -id", part)
+		}
 		peers = append(peers, peer{id: wire.NodeID(n), addr: addr})
 	}
 	sort.Slice(peers, func(i, j int) bool { return peers[i].id < peers[j].id })
 	ids := make([]wire.NodeID, len(peers))
 	addrs := make([]string, len(peers))
 	for i, p := range peers {
+		if i > 0 && p.id == ids[i-1] {
+			return nil, nil, fmt.Errorf("peer NID %d is listed twice", p.id)
+		}
 		ids[i] = p.id
 		addrs[i] = p.addr
 	}
@@ -123,7 +120,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fdsd: invalid timing: interval %v must be at least 8x thop %v\n", *interval, *thop)
 		os.Exit(2)
 	}
-	roster, addrs, err := parsePeers(*peers)
+	roster, addrs, err := parsePeers(*peers, wire.NodeID(*id))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fdsd: %v\n", err)
 		os.Exit(2)
@@ -136,12 +133,16 @@ func main() {
 	}
 	defer link.Close()
 
+	var sink trace.Sink = console{}
+	if !*verbose {
+		sink = trace.Protocol{Next: sink} // membership and detection events only
+	}
 	d := daemon.New(daemon.Config{
 		ID:     wire.NodeID(*id),
 		Seed:   *seed,
 		Timing: timing,
 		Peers:  roster,
-		Trace:  consoleSink{verbose: *verbose},
+		Trace:  sink,
 	}, link)
 
 	// SIGINT/SIGTERM close stop; the run loop finishes the event in

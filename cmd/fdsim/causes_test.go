@@ -9,7 +9,7 @@ import (
 )
 
 func TestCauseTable(t *testing.T) {
-	c := &causeTable{interval: 10 * time.Second, epochs: 4, counts: make(map[string][]int)}
+	c := newCauseTable(10*time.Second, 4)
 	for _, e := range []trace.Event{
 		{At: 11 * time.Second, Type: trace.TypeReportForward, Detail: "origin-new origin=n3 seq=1"},
 		{At: 11 * time.Second, Type: trace.TypeReportForward, Detail: "relay origin=n3 seq=1"},

@@ -13,6 +13,7 @@
 //	      [-no-peer-forwarding] [-no-bgw] [-no-implicit-acks]
 //	      [-aggregate] [-sleep] [-naive-sleep]
 //	      [-cpuprofile cpu.out] [-memprofile mem.out]
+//	      [-trace protocol|radio|causes]
 //
 // -cpuprofile and -memprofile write pprof profiles covering the whole run
 // (the heap profile is taken at exit, after a final GC); see EXPERIMENTS.md
@@ -30,11 +31,23 @@
 // gauges — as deterministic JSON/CSV (see EXPERIMENTS.md for the schema).
 // With -trials T > 1 the exported snapshot is the merge of all replicas in
 // replica order, byte-identical at every -workers value.
+//
+// -trace prints one serial trial's structured events on stdout in place of
+// the summary; every other flag keeps its meaning. At -trace protocol the
+// protocol-level events (elections, detections, takeovers, report
+// forwarding) are JSON lines, one object per event, for jq or downstream
+// tooling; -trace radio adds the per-message send/deliver/drop firehose; and
+// -trace causes prints no event but ends with a table counting the
+// failure-report steps (report-forward, retransmit, bgw-assist) per epoch
+// and per cause — the first token of their Detail, see intercluster's note —
+// so a report storm can be read off as "which cause, starting in which
+// epoch". Lines naming -metrics files then go to stderr.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -49,6 +62,7 @@ import (
 	"clusterfds/internal/sim"
 	"clusterfds/internal/sleep"
 	"clusterfds/internal/stats"
+	"clusterfds/internal/trace"
 	"clusterfds/internal/wire"
 )
 
@@ -81,9 +95,12 @@ func main() {
 		"worker pool draining shards within a window (sharded engine only; any value gives identical results)")
 	epochWorkers := flag.Int("epoch-workers", 0,
 		"run the intra-replica parallel engine with this many workers (0 = legacy serial runtime); the trace hash is bit-identical at every worker count")
+	traceLevel := flag.String("trace", "",
+		"print one serial trial's events on stdout in place of the summary: protocol, radio (JSON lines), causes (per-epoch x cause table)")
 	flag.Parse()
 
-	if err := checkFlags(*nodes, *field, *lossProb, *epochs, *crashes, *crashEpoch, *shards); err != nil {
+	if err := checkFlags(options{*nodes, *field, *lossProb, *epochs, *crashes, *crashEpoch,
+		*shards, *epochWorkers, *trials, *traceLevel}); err != nil {
 		fmt.Fprintf(os.Stderr, "fdsim: %v\n", err)
 		os.Exit(2)
 	}
@@ -175,11 +192,28 @@ func main() {
 			*metricsJSON, *metricsCSV)
 		return
 	}
+	var causes *causeTable
+	switch *traceLevel {
+	case "protocol":
+		cfg.Trace = trace.Protocol{Next: trace.NewJSONL(os.Stdout)}
+	case "radio":
+		cfg.Trace = trace.NewJSONL(os.Stdout)
+	case "causes":
+		causes = newCauseTable(cluster.DefaultTiming().Interval, *epochs)
+		cfg.Trace = causes
+	}
 	w := scenario.Build(cfg)
 	timing := w.Config().Timing
 	crashAt := timing.EpochStart(wire.Epoch(*crashEpoch)) + timing.Interval/2
 	victims := w.CrashRandomAt(crashAt, *crashes)
 	w.RunEpochs(*epochs)
+	if *traceLevel != "" {
+		if causes != nil {
+			causes.write(os.Stdout)
+		}
+		exportMetrics(w.MetricsSnapshot(), *metricsJSON, *metricsCSV, os.Stderr)
+		return
+	}
 
 	fmt.Printf("fdsim: stack=%v nodes=%d field=%.0fm p=%.2f epochs=%d seed=%d\n",
 		stack, *nodes, *field, *lossProb, *epochs, *seed)
@@ -248,34 +282,52 @@ func main() {
 		}
 	}
 
-	exportMetrics(w.MetricsSnapshot(), *metricsJSON, *metricsCSV)
+	exportMetrics(w.MetricsSnapshot(), *metricsJSON, *metricsCSV, os.Stdout)
+}
+
+// options are the flag values checkFlags judges.
+type options struct {
+	nodes                       int
+	field, lossProb             float64
+	epochs, crashes, crashEpoch int
+	shards, epochWorkers        int
+	trials                      int
+	trace                       string
 }
 
 // checkFlags rejects the flag values no engine can run, before any starts:
 // no hosts or no field (the builders would silently substitute their
 // defaults), a loss probability outside [0,1], a negative epoch, crash count
-// or crash epoch, and a sharded run of zero epochs.
-func checkFlags(nodes int, field, lossProb float64, epochs, crashes, crashEpoch, shards int) error {
+// or crash epoch, a sharded run of zero epochs, an unknown trace level, and
+// a trace of anything but one serial trial.
+func checkFlags(o options) error {
 	switch {
-	case nodes < 1:
-		return fmt.Errorf("-nodes %d: at least one host is needed", nodes)
-	case !(field > 0):
-		return fmt.Errorf("-field %v: the field's edge must be positive", field)
-	case !(lossProb >= 0 && lossProb <= 1):
-		return fmt.Errorf("-p %v: a loss probability lies in [0,1]", lossProb)
-	case epochs < 0 || crashes < 0 || crashEpoch < 0:
-		return fmt.Errorf("-epochs %d -crashes %d -crash-epoch %d: none may be negative", epochs, crashes, crashEpoch)
-	case shards > 0 && epochs == 0:
-		return fmt.Errorf("-shards %d -epochs 0: the sharded engine runs at least one epoch", shards)
+	case o.nodes < 1:
+		return fmt.Errorf("-nodes %d: at least one host is needed", o.nodes)
+	case !(o.field > 0):
+		return fmt.Errorf("-field %v: the field's edge must be positive", o.field)
+	case !(o.lossProb >= 0 && o.lossProb <= 1):
+		return fmt.Errorf("-p %v: a loss probability lies in [0,1]", o.lossProb)
+	case o.epochs < 0 || o.crashes < 0 || o.crashEpoch < 0:
+		return fmt.Errorf("-epochs %d -crashes %d -crash-epoch %d: none may be negative", o.epochs, o.crashes, o.crashEpoch)
+	case o.shards > 0 && o.epochs == 0:
+		return fmt.Errorf("-shards %d -epochs 0: the sharded engine runs at least one epoch", o.shards)
+	case o.trace != "" && o.trace != "protocol" && o.trace != "radio" && o.trace != "causes":
+		return fmt.Errorf("-trace %q: the levels are protocol, radio and causes", o.trace)
+	case o.trace != "" && o.trials > 1:
+		return fmt.Errorf("-trace %s -trials %d: a trace follows one trial", o.trace, o.trials)
+	case o.trace != "" && (o.shards > 0 || o.epochWorkers > 0):
+		return fmt.Errorf("-trace %s -shards %d -epoch-workers %d: a trace follows the serial engine",
+			o.trace, o.shards, o.epochWorkers)
 	}
 	return nil
 }
 
 // exportMetrics writes the snapshot to the requested JSON/CSV files (empty
-// path = skip) and exits 1 on the first error. Both exports are
-// deterministic byte-for-byte.
-func exportMetrics(s metrics.Snapshot, jsonPath, csvPath string) {
-	if err := s.Export(os.Stdout, jsonPath, csvPath); err != nil {
+// path = skip), naming each file written on log, and exits 1 on the first
+// error. Both exports are deterministic byte-for-byte.
+func exportMetrics(s metrics.Snapshot, jsonPath, csvPath string, log io.Writer) {
+	if err := s.Export(log, jsonPath, csvPath); err != nil {
 		fmt.Fprintf(os.Stderr, "fdsim: %v\n", err)
 		os.Exit(1)
 	}
@@ -316,7 +368,7 @@ func runReplicated(cfg scenario.Config, stack scenario.Stack, trials, workers, c
 	fmt.Printf("false suspicions: %d across %d replicas\n", s.FalseSuspicions, s.Trials)
 	fmt.Printf("per-replica means: %.0f tx msgs, %.0f tx bytes, %.0f energy units\n",
 		s.TxMessages, s.TxBytes, s.Energy)
-	exportMetrics(s.Metrics, metricsJSON, metricsCSV)
+	exportMetrics(s.Metrics, metricsJSON, metricsCSV, os.Stdout)
 }
 
 // runSharded executes the large-scale sharded engine (see internal/shard)
@@ -398,7 +450,7 @@ func runParallel(cfg par.Config, epochs, crashes, crashEpoch int) {
 	p := par.Build(cfg)
 	buildElapsed := time.Since(buildStart)
 
-	timing := cluster.DefaultTiming() // cfg.Timing is zero: par.Build's default
+	timing := cluster.DefaultTiming()
 	crashAt := timing.EpochStart(wire.Epoch(crashEpoch)) + timing.Interval/2
 	victims := p.CrashRandomAt(crashAt, crashes)
 

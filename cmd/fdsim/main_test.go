@@ -7,36 +7,49 @@ import (
 )
 
 // TestCheckFlags pins which flag values fdsim refuses before any engine
-// starts, and that the defaults and the edges of each range pass.
+// starts, and that the defaults and the edges of each range pass. A row's
+// options are nodes, field, p, epochs, crashes, crash epoch, shards, epoch
+// workers, trials and trace level.
 func TestCheckFlags(t *testing.T) {
 	for _, c := range []struct {
-		nodes                               int
-		field, p                            float64
-		epochs, crashes, shards, crashEpoch int
-		want                                string // "" = accepted; else a substring of the error
+		opts options
+		want string // "" = accepted; else a substring of the error
 	}{
-		{100, 500, 0.1, 12, 3, 0, 4, ""},
-		{1, 1e-3, 0, 0, 0, 0, 0, ""},
-		{50, 500, 1, 1, 0, 4, 0, ""},
-		{0, 500, 0.1, 12, 3, 0, 4, "-nodes 0"},
-		{-5, 500, 0.1, 12, 3, 0, 4, "-nodes -5"},
-		{50, 0, 0.1, 12, 3, 0, 4, "-field 0"},
-		{50, -200, 0.1, 12, 3, 0, 4, "-field -200"},
-		{50, math.NaN(), 0.1, 12, 3, 0, 4, "-field NaN"},
-		{50, 500, 2, 1, 3, 0, 4, "-p 2"},
-		{50, 500, -0.1, 1, 3, 0, 4, "-p -0.1"},
-		{50, 500, math.NaN(), 1, 3, 0, 4, "-p NaN"},
-		{50, 500, 0.1, -1, 3, 0, 4, "-epochs -1"},
-		{50, 500, 0.1, 1, -1, 0, 4, "-crashes -1"},
-		{50, 500, 0.1, 4, 3, 0, -3, "-crash-epoch -3"},
-		{50, 500, 0.1, 0, 3, 1, 4, "-shards 1 -epochs 0"},
+		{options{100, 500, 0.1, 12, 3, 4, 0, 0, 1, ""}, ""},
+		{options{1, 1e-3, 0, 0, 0, 0, 0, 0, 1, ""}, ""},
+		{options{50, 500, 1, 1, 0, 0, 4, 0, 1, ""}, ""},
+		{options{0, 500, 0.1, 12, 3, 4, 0, 0, 1, ""}, "-nodes 0"},
+		{options{-5, 500, 0.1, 12, 3, 4, 0, 0, 1, ""}, "-nodes -5"},
+		{options{50, 0, 0.1, 12, 3, 4, 0, 0, 1, ""}, "-field 0"},
+		{options{50, -200, 0.1, 12, 3, 4, 0, 0, 1, ""}, "-field -200"},
+		{options{50, math.NaN(), 0.1, 12, 3, 4, 0, 0, 1, ""}, "-field NaN"},
+		{options{50, 500, 2, 1, 3, 4, 0, 0, 1, ""}, "-p 2"},
+		{options{50, 500, -0.1, 1, 3, 4, 0, 0, 1, ""}, "-p -0.1"},
+		{options{50, 500, math.NaN(), 1, 3, 4, 0, 0, 1, ""}, "-p NaN"},
+		{options{50, 500, 0.1, -1, 3, 4, 0, 0, 1, ""}, "-epochs -1"},
+		{options{50, 500, 0.1, 1, -1, 4, 0, 0, 1, ""}, "-crashes -1"},
+		{options{50, 500, 0.1, 4, 3, -3, 0, 0, 1, ""}, "-crash-epoch -3"},
+		{options{50, 500, 0.1, 0, 3, 4, 1, 0, 1, ""}, "-shards 1 -epochs 0"},
+		{options{40, 300, 0.1, 6, 1, 3, 0, 0, 1, "protocol"}, ""},
+		{options{40, 300, 0.1, 6, 1, 3, 0, 0, 1, "radio"}, ""},
+		{options{40, 300, 0.1, 6, 1, 3, 0, 0, 1, "causes"}, ""},
+		{options{40, 300, 2, 6, 1, 3, 0, 0, 1, "protocol"}, "-p 2"},
+		{options{40, 300, 0.1, -1, 1, 3, 0, 0, 1, "protocol"}, "-epochs -1"},
+		{options{0, 300, 0.1, 6, 1, 3, 0, 0, 1, "protocol"}, "-nodes 0"},
+		{options{40, 0, 0.1, 6, 1, 3, 0, 0, 1, "protocol"}, "-field 0"},
+		{options{40, 300, 0.1, 6, -1, 3, 0, 0, 1, "protocol"}, "-crashes -1"},
+		{options{40, 300, 0.1, 6, 1, -3, 0, 0, 1, "protocol"}, "-crash-epoch -3"},
+		{options{40, 300, 0.1, 6, 1, 3, 0, 0, 3, "protocol"}, "-trace protocol -trials 3"},
+		{options{40, 300, 0.1, 6, 1, 3, 0, 2, 1, "causes"}, "-trace causes -shards 0 -epoch-workers 2"},
+		{options{40, 300, 0.1, 6, 1, 3, 2, 0, 1, "radio"}, "-trace radio -shards 2 -epoch-workers 0"},
+		{options{40, 300, 0.1, 6, 1, 3, 0, 0, 1, "verbose"}, `-trace "verbose"`},
 	} {
-		err := checkFlags(c.nodes, c.field, c.p, c.epochs, c.crashes, c.crashEpoch, c.shards)
+		err := checkFlags(c.opts)
 		switch {
 		case c.want == "" && err != nil:
-			t.Errorf("%+v: rejected: %v", c, err)
+			t.Errorf("%+v: rejected: %v", c.opts, err)
 		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
-			t.Errorf("%+v: error %v, want one naming %q", c, err, c.want)
+			t.Errorf("%+v: error %v, want one naming %q", c.opts, err, c.want)
 		}
 	}
 }

@@ -13,7 +13,7 @@
 //
 //	go test -bench=. -benchmem
 //
-// The library lives under internal/; cmd/fdsim, cmd/fdsfigs, and
-// cmd/fdstrace are the command-line entry points, and examples/ holds four
-// runnable scenarios.
+// The library lives under internal/; cmd/fdsim, cmd/fdsfigs and cmd/fdsd
+// are the command-line entry points, and examples/ holds four runnable
+// scenarios.
 package clusterfds

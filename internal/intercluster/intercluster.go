@@ -489,7 +489,7 @@ func (p *Protocol) retire() {
 
 // note traces one backbone step of a report in the lineage grammar
 // "<cause> origin=<CH> seq=<n>[ -> <target>]": every report event's Detail
-// starts with the cause token, which is what fdstrace counts by.
+// starts with the cause token, which is what fdsim -trace causes counts by.
 func (p *Protocol) note(t trace.EventType, cause string, st *reportState, target wire.NodeID) {
 	if !p.host.Tracing() {
 		return

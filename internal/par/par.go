@@ -89,8 +89,6 @@ type Config struct {
 	FieldSide float64
 	// LossProb is the per-receiver loss probability p.
 	LossProb float64
-	// Timing is the protocol schedule; zero means cluster.DefaultTiming().
-	Timing cluster.Timing
 	// Strips is the fixed partition count; values < 1 pick
 	// max(1, min(16, FieldSide/Range)) — strip width ≈ the radio range.
 	Strips int
@@ -109,9 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FieldSide <= 0 {
 		c.FieldSide = 500
-	}
-	if !c.Timing.Valid() {
-		c.Timing = cluster.DefaultTiming()
 	}
 	if c.Workers < 1 {
 		c.Workers = 1
@@ -399,6 +394,7 @@ func Build(cfg Config) *Engine {
 	for s := range ports {
 		ports[s] = &stripPort{e: e, s: int32(s)}
 	}
+	timing := cluster.DefaultTiming()
 	for i := 0; i < n; i++ {
 		id := wire.NodeID(i + 1)
 		s := e.stripOf[i]
@@ -408,9 +404,9 @@ func Build(cfg Config) *Engine {
 		}
 		rt := &hostRuntime{k: e.strips[s].k, rng: e.rngs[i]}
 		h := node.New(rt, ports[s], id, e.pos[i], node.WithTrace(sink))
-		cl := cluster.New(cluster.Config{Timing: cfg.Timing})
-		f := fds.New(fds.DefaultConfig(cfg.Timing), cl)
-		fw := intercluster.New(intercluster.DefaultConfig(cfg.Timing), cl, f)
+		cl := cluster.New(cluster.Config{Timing: timing})
+		f := fds.New(fds.DefaultConfig(timing), cl)
+		fw := intercluster.New(intercluster.DefaultConfig(timing), cl, f)
 		h.Use(cl)
 		h.Use(f)
 		h.Use(fw)
@@ -467,7 +463,7 @@ func (e *Engine) RunEpochs(n int) {
 	if n < 0 {
 		panic(fmt.Sprintf("par: RunEpochs(%d): negative epoch", n))
 	}
-	if deadline := e.cfg.Timing.EpochStart(wire.Epoch(n)); deadline >= e.now {
+	if deadline := cluster.DefaultTiming().EpochStart(wire.Epoch(n)); deadline >= e.now {
 		e.runTo(deadline)
 	}
 }

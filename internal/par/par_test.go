@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"clusterfds/internal/cluster"
 	"clusterfds/internal/node"
 	"clusterfds/internal/sim"
 	"clusterfds/internal/wire"
@@ -220,18 +219,6 @@ func TestSendDrawsIgnoreReceiverState(t *testing.T) {
 	}
 	if live, crashed := next(false), next(true); live != crashed {
 		t.Errorf("host 1's next draw is %d with receiver 3 up and %d with it crashed: the send drew on receiver state", live, crashed)
-	}
-}
-
-// TestBuildRunsClusterOnConfiguredTiming pins that Build hands its configured
-// timing to every host's cluster layer, the same one the FDS runs on.
-func TestBuildRunsClusterOnConfiguredTiming(t *testing.T) {
-	timing := cluster.Timing{Thop: 40 * time.Millisecond, Interval: 5 * time.Second}
-	e := Build(Config{Seed: 1, Nodes: 12, FieldSide: 200, Strips: 2, Timing: timing})
-	for i, cl := range e.cls {
-		if got := cl.Timing(); got != timing {
-			t.Fatalf("host %d: cluster timing %+v, want %+v", i+1, got, timing)
-		}
 	}
 }
 

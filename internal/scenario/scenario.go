@@ -377,9 +377,8 @@ func (w *World) MetricsSnapshot() metrics.Snapshot {
 func (w *World) Run(until sim.Time) { w.Kernel.RunUntil(until) }
 
 // RunEpochs advances the world TO the start of epoch n, counted from time
-// zero: RunEpochs(3) followed by RunEpochs(5) runs five intervals in all.
-// (par.Engine.RunEpochs counts the other way, n MORE intervals.) It panics
-// on a negative n.
+// zero: RunEpochs(3) followed by RunEpochs(5) runs five intervals in all,
+// as par.Engine.RunEpochs does. It panics on a negative n.
 func (w *World) RunEpochs(n int) {
 	if n < 0 {
 		panic(fmt.Sprintf("scenario: RunEpochs(%d): negative epoch", n))
@@ -460,6 +459,7 @@ func (w *World) Operational() []wire.NodeID {
 			out = append(out, id)
 		}
 	}
+	slices.Sort(out) // w.order is attach order; DeployAt may attach out of NID order
 	return out
 }
 

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -117,6 +118,21 @@ func TestDeployAtReplenishes(t *testing.T) {
 	v := w.Cluster(id).View()
 	if !v.Marked {
 		t.Error("replenishment host never admitted")
+	}
+}
+
+// TestOperationalInNIDOrder pins Operational's order when hosts attach out
+// of NID order: a later DeployAt that fires first still lists after the
+// earlier NID.
+func TestOperationalInNIDOrder(t *testing.T) {
+	w := Build(Config{Seed: 1, Nodes: 5, FieldSide: 100})
+	tm := w.Config().Timing
+	late := w.DeployAt(tm.EpochStart(2), geo.Point{X: 50, Y: 50})
+	early := w.DeployAt(tm.EpochStart(1), geo.Point{X: 60, Y: 50})
+	w.RunEpochs(3)
+	want := []wire.NodeID{1, 2, 3, 4, 5, late, early}
+	if got := w.Operational(); !slices.Equal(got, want) || late != 6 || early != 7 {
+		t.Errorf("Operational() = %v, want %v", got, want)
 	}
 }
 

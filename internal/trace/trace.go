@@ -1,7 +1,7 @@
 // Package trace provides structured event tracing for simulation runs.
 // Protocol code emits typed events; sinks either discard them (the default,
 // zero-cost for benchmarks), retain them in memory (for tests and example
-// programs), or stream them as JSON lines (for cmd/fdstrace).
+// programs), or stream them as JSON lines (for fdsim -trace).
 package trace
 
 import (
@@ -143,6 +143,21 @@ func NewJSONL(w io.Writer) *JSONL {
 // consumer end.
 func (j *JSONL) Emit(e Event) {
 	_ = j.enc.Encode(e)
+}
+
+// Protocol passes protocol-level events on to Next and drops the
+// per-message radio events (send, deliver, drop).
+type Protocol struct {
+	Next Sink
+}
+
+// Emit implements Sink.
+func (p Protocol) Emit(e Event) {
+	switch e.Type {
+	case TypeSend, TypeDeliver, TypeDrop:
+		return
+	}
+	p.Next.Emit(e)
 }
 
 // Tee fans events out to several sinks.

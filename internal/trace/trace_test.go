@@ -73,6 +73,18 @@ func TestJSONL(t *testing.T) {
 	}
 }
 
+func TestProtocolDropsRadioEvents(t *testing.T) {
+	m := NewMemory()
+	p := Protocol{Next: m}
+	for _, typ := range []EventType{TypeSend, TypeDetect, TypeDeliver, TypeDrop, TypeReportForward} {
+		p.Emit(Event{Type: typ})
+	}
+	got := m.Events()
+	if len(got) != 2 || got[0].Type != TypeDetect || got[1].Type != TypeReportForward {
+		t.Errorf("Protocol passed %v, want only the detect and report-forward events", got)
+	}
+}
+
 func TestTee(t *testing.T) {
 	a, b := NewMemory(), NewMemory()
 	tee := Tee{a, b, Nop{}}

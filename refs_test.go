@@ -100,9 +100,10 @@ var (
 	// runPattern is a -run or -test.run pattern, whose names are regex
 	// prefixes.
 	runPattern = regexp.MustCompile("(?:^|[\\s`(])-(?:test\\.)?run[= ]+('[^']*'|\"[^\"]*\"|[^\\s`]+)")
-	// docCommand is one of the repo's commands on a command line in a doc,
-	// with the rest of that line up to a line end, backtick, pipe, ;, & or #.
-	docCommand = regexp.MustCompile("(?m)(?:^|[\\s`/(])(fdsim|fdsfigs|fdstrace|fdsd)\\b([^\n`|;&#]*)")
+	// docCommand is a command named like the repo's simulation and daemon
+	// commands, fds*, on a command line in a doc, with the rest of that line
+	// up to a line end, backtick, pipe, ;, & or #.
+	docCommand = regexp.MustCompile("(?m)(?:^|[\\s`/(])(fds[a-z]+)\\b([^\n`|;&#]*)")
 	// docFlag is a -flag or --flag on such a line.
 	docFlag = regexp.MustCompile(`(?:^|\s)--?([a-z][a-z0-9-]*)`)
 	// flagDef is a flag definition in a command's source.
@@ -172,15 +173,21 @@ func TestDocsNameExistingTests(t *testing.T) {
 	}
 }
 
-// TestDocsNameExistingFlags guards README.md, DESIGN.md and EXPERIMENTS.md
-// against renamed or removed flags: every -flag that follows fdsim, fdsfigs,
-// fdstrace or fdsd on a command line in them (a trailing backslash continues
+// TestDocsNameExistingFlags guards README.md, DESIGN.md, EXPERIMENTS.md,
+// ROADMAP.md and the verify skill against removed commands and renamed or
+// removed flags: every fds* command on a command line in them is a directory
+// of cmd/, and every -flag that follows it (a trailing backslash continues
 // the line) is defined by that command. A name struck through (~~...~~) is
-// history and is not read. ROADMAP.md is left out: it names flags that are
-// still only planned.
+// history and is not read. ROADMAP.md's flags are left out: it names flags
+// that are still only planned.
 func TestDocsNameExistingFlags(t *testing.T) {
+	dirs, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
 	defined := map[string][]string{}
-	for _, cmd := range []string{"fdsim", "fdsfigs", "fdstrace", "fdsd"} {
+	for _, dir := range dirs {
+		cmd := dir.Name()
 		files, err := filepath.Glob(filepath.Join("cmd", cmd, "*.go"))
 		if err != nil {
 			t.Fatal(err)
@@ -197,12 +204,26 @@ func TestDocsNameExistingFlags(t *testing.T) {
 			t.Fatalf("cmd/%s: no flag definitions found", cmd)
 		}
 	}
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
-		text := struck.ReplaceAllString(strings.ReplaceAll(readFile(t, doc), "\\\n", " "), "")
+	for _, doc := range []struct {
+		name  string
+		flags bool
+	}{
+		{"README.md", true}, {"DESIGN.md", true}, {"EXPERIMENTS.md", true},
+		{"ROADMAP.md", false}, {".claude/skills/verify/SKILL.md", true},
+	} {
+		text := struck.ReplaceAllString(strings.ReplaceAll(readFile(t, doc.name), "\\\n", " "), "")
 		for _, m := range docCommand.FindAllStringSubmatch(text, -1) {
+			flags, ok := defined[m[1]]
+			if !ok {
+				t.Errorf("%s names %s, which has no cmd/%s", doc.name, m[1], m[1])
+				continue
+			}
+			if !doc.flags {
+				continue
+			}
 			for _, f := range docFlag.FindAllStringSubmatch(m[2], -1) {
-				if !slices.Contains(defined[m[1]], f[1]) {
-					t.Errorf("%s names %s -%s, which cmd/%s does not define", doc, m[1], f[1], m[1])
+				if !slices.Contains(flags, f[1]) {
+					t.Errorf("%s names %s -%s, which cmd/%s does not define", doc.name, m[1], f[1], m[1])
 				}
 			}
 		}
@@ -256,13 +277,13 @@ func pathExists(p string) bool {
 	return false
 }
 
-// TestDocsNameExistingPaths guards README.md, DESIGN.md, EXPERIMENTS.md and
-// ROADMAP.md against moved or deleted files: every backticked path under
-// internal/, cmd/ or bench/ they name exists. Fenced blocks are recorded
-// output or commands and are not read, and a path struck through (~~...~~)
-// is history.
+// TestDocsNameExistingPaths guards README.md, DESIGN.md, EXPERIMENTS.md,
+// ROADMAP.md and the verify skill against moved or deleted files: every
+// backticked path under internal/, cmd/ or bench/ they name exists. Fenced
+// blocks are recorded output or commands and are not read, and a path struck
+// through (~~...~~) is history.
 func TestDocsNameExistingPaths(t *testing.T) {
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md", ".claude/skills/verify/SKILL.md"} {
 		text := struck.ReplaceAllString(fence.ReplaceAllString(readFile(t, doc), ""), "")
 		for _, m := range docPath.FindAllStringSubmatch(text, -1) {
 			path := strings.Fields(commaSpace.ReplaceAllString(m[1], ","))[0]

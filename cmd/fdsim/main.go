@@ -100,7 +100,7 @@ func main() {
 	flag.Parse()
 
 	if err := checkFlags(options{*nodes, *field, *lossProb, *epochs, *crashes, *crashEpoch,
-		*shards, *epochWorkers, *trials, *traceLevel}); err != nil {
+		*shards, *epochWorkers, *trials, *traceLevel, *workers, *shardWorkers}); err != nil {
 		fmt.Fprintf(os.Stderr, "fdsim: %v\n", err)
 		os.Exit(2)
 	}
@@ -293,13 +293,15 @@ type options struct {
 	shards, epochWorkers        int
 	trials                      int
 	trace                       string
+	workers, shardWorkers       int
 }
 
 // checkFlags rejects the flag values no engine can run, before any starts:
 // no hosts or no field (the builders would silently substitute their
 // defaults), a loss probability outside [0,1], a negative epoch, crash count
-// or crash epoch, a sharded run of zero epochs, an unknown trace level, and
-// a trace of anything but one serial trial.
+// or crash epoch, a sharded run of zero epochs, a worker pool of no workers
+// (a negative -epoch-workers; its 0 means the serial engine), an unknown
+// trace level, and a trace of anything but one serial trial.
 func checkFlags(o options) error {
 	switch {
 	case o.nodes < 1:
@@ -312,6 +314,9 @@ func checkFlags(o options) error {
 		return fmt.Errorf("-epochs %d -crashes %d -crash-epoch %d: none may be negative", o.epochs, o.crashes, o.crashEpoch)
 	case o.shards > 0 && o.epochs == 0:
 		return fmt.Errorf("-shards %d -epochs 0: the sharded engine runs at least one epoch", o.shards)
+	case o.workers < 1 || o.shardWorkers < 1 || o.epochWorkers < 0:
+		return fmt.Errorf("-workers %d -shard-workers %d -epoch-workers %d: a pool needs at least one worker (-epoch-workers 0 is the serial engine)",
+			o.workers, o.shardWorkers, o.epochWorkers)
 	case o.trace != "" && o.trace != "protocol" && o.trace != "radio" && o.trace != "causes":
 		return fmt.Errorf("-trace %q: the levels are protocol, radio and causes", o.trace)
 	case o.trace != "" && o.trials > 1:

@@ -15,7 +15,9 @@
 // epochs without remapping. A host interns only the IDs it actually hears, and
 // the NodeID-to-index table is sized to those IDs too, so an Interner — and
 // every bitset and table keyed by its indices — stays proportional to the
-// neighborhood, whatever the NodeIDs' range.
+// neighborhood, whatever the NodeIDs' range. A Bitset is as long as its
+// highest index needs, rounded up to a power of two of at least two words
+// (nextCap), so a set of a few neighbors costs 16 bytes.
 package dense
 
 import (
@@ -181,22 +183,26 @@ func (in *Interner) NodeID(i uint32) wire.NodeID { return wire.NodeID(in.rev[i])
 // exactly [0, Len).
 func (in *Interner) Len() int { return len(in.rev) }
 
-// nextCap grows geometrically toward need so repeated growth does not
-// reallocate per index during the boot storm.
+// minWords is a Bitset's first length: 128 indices. A larger floor costs
+// every small set (a gateway pair's candidates, a report's senders) memory
+// it never uses; one word adds a regrowth to every set that passes 64
+// indices while hosts boot.
+const minWords = 2
+
+// nextCap returns a Bitset's next length in words for a set that needs need
+// words and holds cur: the least power of two that is at least need, twice
+// cur and minWords. A set's length is thus fixed by its highest index alone,
+// at most twice the words that index needs. An Interner's capacity doubles as
+// it grows, so each growth costs a set at most one regrowth
+// (TestBitsetSizedToIndices).
 func nextCap(need, cur int) int {
-	c := cur * 2
-	if c < 16 {
-		c = 16
-	}
-	if c < need {
-		c = need
-	}
-	return c
+	return max(1<<bits.Len(uint(need-1)), 2*cur, minWords)
 }
 
 // Bitset is a word-packed set of dense indices. The zero value is an empty
-// set ready to use. It grows on Set and never shrinks; Clear zeroes the
-// words in place, so steady-state epochs allocate nothing.
+// set ready to use and holds no words. It grows on Set, by nextCap, and
+// never shrinks; Clear zeroes the words in place, so steady-state epochs
+// allocate nothing.
 type Bitset struct {
 	words []uint64
 }
@@ -233,6 +239,22 @@ func (b *Bitset) Count() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
+}
+
+// Any reports whether pred holds for some index in the set, trying them in
+// ascending index order and stopping at the first that holds. pred must not
+// mutate the set.
+func (b *Bitset) Any(pred func(uint32) bool) bool {
+	for wi, w := range b.words {
+		base := uint32(wi) << 6
+		for w != 0 {
+			if pred(base + uint32(bits.TrailingZeros64(w))) {
+				return true
+			}
+			w &= w - 1
+		}
+	}
+	return false
 }
 
 // ForEach calls fn for every index in the set, in ascending index order.

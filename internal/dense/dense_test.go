@@ -258,6 +258,20 @@ func TestBitsetMatchesMapModel(t *testing.T) {
 	if n != len(model) {
 		t.Fatalf("ForEach yielded %d indices, model %d", n, len(model))
 	}
+	// Any stops at the first index that holds, in ascending order.
+	for _, above := range []uint32{0, 500, 1998, 1999, 5000} {
+		want, first := false, uint32(0)
+		for i := range model {
+			if i >= above && (!want || i < first) {
+				want, first = true, i
+			}
+		}
+		var tried []uint32
+		got := b.Any(func(i uint32) bool { tried = append(tried, i); return i >= above })
+		if got != want || (want && tried[len(tried)-1] != first) {
+			t.Fatalf("Any(>= %d) = %v after trying %v, want %v stopping at %d", above, got, tried, want, first)
+		}
+	}
 }
 
 func TestBitsetSteadyStateAllocFree(t *testing.T) {
@@ -367,6 +381,67 @@ func TestBitsetMillionIndices(t *testing.T) {
 	})
 	if seen != want {
 		t.Fatalf("ForEach yielded %d indices, want %d", seen, want)
+	}
+}
+
+// TestBitsetSizedToIndices pins the growth rule: a set's length in words is
+// the least power of two, and at least minWords, that holds its highest
+// index, so a set indexed by an Interner is never longer than that
+// Interner's indices need, and each growth of the Interner costs a set at
+// most one regrowth. Sets keyed by sparse IDs grow in interning order (a
+// set of every index, a set of a random few) or start late (one index, set
+// first when the Interner is already large).
+func TestBitsetSizedToIndices(t *testing.T) {
+	wantLen := func(hi uint32) int {
+		n := minWords
+		for n*64 <= int(hi) {
+			n *= 2
+		}
+		return n
+	}
+	for _, i := range []uint32{0, 1, 127, 128, 255, 256, 1000, 1 << 20} {
+		var b Bitset
+		b.Set(i)
+		if len(b.words) != wantLen(i) {
+			t.Errorf("Set(%d) on an empty set: %d words, want %d", i, len(b.words), wantLen(i))
+		}
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	var in Interner
+	var all, few, late Bitset
+	var hiFew uint32
+	regrowths := make([]int, 3) // per set since the Interner last grew
+	slots := 0
+	for n := 0; n < 5000; n++ {
+		i := in.Index(wire.NodeID(uint32(n) * fib32)) // distinct and sparse
+		if len(in.slots) != slots {
+			slots = len(in.slots)
+			clear(regrowths)
+		}
+		for k, s := range []struct {
+			b   *Bitset
+			set bool
+			hi  uint32
+		}{{&all, true, i}, {&few, rng.Intn(50) == 0, max(hiFew, i)}, {&late, n >= 3000, i}} {
+			if !s.set {
+				continue
+			}
+			before := len(s.b.words)
+			s.b.Set(i)
+			if len(s.b.words) != before {
+				if regrowths[k]++; before > 0 && regrowths[k] > 1 {
+					t.Fatalf("set %d regrew twice (to %d words) while the Interner held %d slots", k, len(s.b.words), slots)
+				}
+			}
+			if len(s.b.words) != wantLen(s.hi) {
+				t.Fatalf("set %d: %d words for highest index %d (Interner Len %d), want %d",
+					k, len(s.b.words), s.hi, in.Len(), wantLen(s.hi))
+			}
+			if k == 1 {
+				hiFew = s.hi
+			}
+		}
 	}
 }
 

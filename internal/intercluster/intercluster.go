@@ -44,6 +44,7 @@ import (
 	"slices"
 
 	"clusterfds/internal/cluster"
+	"clusterfds/internal/dense"
 	"clusterfds/internal/fds"
 	"clusterfds/internal/node"
 	"clusterfds/internal/sim"
@@ -82,13 +83,14 @@ const reportEpochs = 2
 
 // reportState is everything this host knows about one report while the
 // report can still be in flight. A host holds a few of them at a time with a
-// handful of transmitters and downstream targets each, so every set is a
-// short slice scanned linearly. The record is sized to fit the 128-byte
-// allocation class (TestReportRecordSizes): it keeps the report's identity
-// and lists, not a copied wire.FailureReport, whose Sender and TargetCH a
-// state never uses. A state retires to the host's free list at the epoch
-// boundary reportEpochs after its epoch once armed is zero, with its duties,
-// its sender set and its lists' storage kept for the next report.
+// handful of downstream targets each, scanned linearly, and a handful of
+// transmitters, kept as a bitset over the host's one interner. The record is
+// sized to fit the 128-byte allocation class (TestReportRecordSizes): it
+// keeps the report's identity and lists, not a copied wire.FailureReport,
+// whose Sender and TargetCH a state never uses. A state retires to the
+// host's free list at the epoch boundary reportEpochs after its epoch once
+// armed is zero, with its duties, its sender set (cleared in place) and its
+// lists' storage kept for the next report.
 type reportState struct {
 	p *Protocol
 	// next links the state into the host's live list or its free list.
@@ -103,9 +105,12 @@ type reportState struct {
 	// nNew: one slice, one backing array, reused across occupants.
 	failed    []wire.NodeID
 	rescinded []wire.Rescission
-	// senders records every host overheard transmitting this report;
-	// implicit acknowledgments are lookups in this set.
-	senders []wire.NodeID
+	// senders records every host overheard transmitting this report, by its
+	// index in the host's interner (cluster.Protocol.IDs); implicit
+	// acknowledgments are lookups in this set. Its words grow with the
+	// interner, which holds only the IDs this host hears, so a recycled set
+	// is as long as the neighbourhood needs, not as the busiest report was.
+	senders dense.Bitset
 	origin  wire.NodeID
 	// armed counts the pending timers whose callback holds this state: the
 	// CH watch, duty timers and deferred updJobs. A state is recycled only
@@ -117,23 +122,19 @@ type reportState struct {
 	rebroadcast bool
 }
 
-// senderSetCap is a sender set's capacity on first use: the average set on
-// the reference field holds 5 hosts, the largest 19.
-const senderSetCap = 8
-
 // sender reports whether id has been overheard transmitting this report.
 func (st *reportState) sender(id wire.NodeID) bool {
-	return slices.Contains(st.senders, id)
+	i, ok := st.p.cluster.IDs().Lookup(id)
+	return ok && st.senders.Get(i)
 }
 
-func (st *reportState) addSender(id wire.NodeID) {
-	if st.sender(id) {
-		return
-	}
-	if st.senders == nil {
-		st.senders = make([]wire.NodeID, 0, senderSetCap)
-	}
-	st.senders = append(st.senders, id)
+func (st *reportState) addSender(id wire.NodeID) { st.senders.Set(st.p.cluster.IDs().Index(id)) }
+
+// anySender reports whether pred holds for some host overheard transmitting
+// this report, trying them in interning order.
+func (st *reportState) anySender(pred func(wire.NodeID) bool) bool {
+	ids := st.p.cluster.IDs()
+	return st.senders.Any(func(i uint32) bool { return pred(ids.NodeID(i)) })
 }
 
 // newFailed and allFailed are the report's two failed lists, both views of
@@ -476,12 +477,13 @@ func (p *Protocol) retire() {
 			p.freeDuties = d
 			d = next
 		}
+		st.senders.Clear()
 		*st = reportState{
 			p:         p,
 			next:      p.freeStates,
 			failed:    st.failed[:0],
 			rescinded: st.rescinded[:0],
-			senders:   st.senders[:0],
+			senders:   st.senders,
 		}
 		p.freeStates = st
 	}
@@ -650,15 +652,8 @@ func (p *Protocol) engageTwoHop(st *reportState, target wire.NodeID) {
 // targetHasReport reports whether the target clusterhead, or any overheard
 // member of its cluster, has evidently transmitted the report already.
 func (p *Protocol) targetHasReport(st *reportState, target wire.NodeID) bool {
-	if st.sender(target) {
-		return true
-	}
-	for _, sender := range st.senders {
-		if p.cluster.IsBorderPeer(target, sender) {
-			return true
-		}
-	}
-	return false
+	return st.sender(target) ||
+		st.anySender(func(sender wire.NodeID) bool { return p.cluster.IsBorderPeer(target, sender) })
 }
 
 // maybeRelayInward runs on an ordinary member that received a report
@@ -689,15 +684,9 @@ func (p *Protocol) maybeRelayInward(st *reportState, from wire.NodeID) {
 // clusterHasReport reports whether this host's own CH or any fellow member
 // has been overheard transmitting the report.
 func (p *Protocol) clusterHasReport(st *reportState) bool {
-	if st.sender(p.cluster.CH()) {
-		return true
-	}
-	for _, sender := range st.senders {
-		if sender != p.host.ID() && p.cluster.IsMember(sender) {
-			return true
-		}
-	}
-	return false
+	me := p.host.ID()
+	return st.sender(p.cluster.CH()) ||
+		st.anySender(func(sender wire.NodeID) bool { return sender != me && p.cluster.IsMember(sender) })
 }
 
 // appendBridgedWith appends the clusterheads this host bridges to from viaCH

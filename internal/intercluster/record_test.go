@@ -1,6 +1,7 @@
 package intercluster
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 	"unsafe"
@@ -68,8 +69,8 @@ func TestRecycledReportCarriesNothing(t *testing.T) {
 	if len(st.newFailed()) != 0 || !slices.Equal(st.allFailed(), []wire.NodeID{8}) || len(st.rescinded) != 0 {
 		t.Errorf("lists new %v all %v rescinded %v, want [] [n8] []", st.newFailed(), st.allFailed(), st.rescinded)
 	}
-	if len(st.senders) != 0 || st.sender(6) || st.sender(3) {
-		t.Errorf("senders %v survived retirement", st.senders)
+	if n := st.senders.Count(); n != 0 || st.sender(6) || st.sender(3) {
+		t.Errorf("%d senders survived retirement (n6 %v, n3 %v)", n, st.sender(6), st.sender(3))
 	}
 	if st.engaged != nil || st.armed != 0 || st.rebroadcast || st.retriesLeft != 0 {
 		t.Errorf("engaged %p, armed %d, rebroadcast %v, retries %d; want nil, 0, false, 0",
@@ -96,4 +97,72 @@ func TestRecycledReportCarriesNothing(t *testing.T) {
 		tx.TargetCH != wire.NoNode || !slices.Equal(tx.AllFailed, []wire.NodeID{8}) {
 		t.Errorf("transmitted %+v", tx)
 	}
+}
+
+// TestSenderQueriesMatchSliceModel checks a report's sender set against the
+// plain list it replaced: on hosts of every role on the chain, senders are
+// added in shuffled orders, some repeated and some never heard before, and
+// after each addition sender, targetHasReport and clusterHasReport must
+// answer as a linear scan of the list does. Both walks only ask whether a
+// sender exists, so the set's interning order must not matter.
+func TestSenderQueriesMatchSliceModel(t *testing.T) {
+	w := buildWorld(t, 3, 0, nil, threeClusterChain())
+	w.runUntilEpoch(4)
+	rng := rand.New(rand.NewSource(1))
+	pool := []wire.NodeID{40, 41} // never heard on the chain
+	for i := range w.hosts {
+		pool = append(pool, wire.NodeID(i+1))
+	}
+	chs := []wire.NodeID{1, 2, 3}
+	var border, member [2]int // [false, true] answers that rest on the list's walk
+	for _, fw := range w.fwds {
+		cl := fw.cluster
+		for order := 0; order < 20; order++ {
+			st := &reportState{p: fw}
+			var model []wire.NodeID
+			for _, id := range append(rng.Perm(len(pool)), rng.Perm(len(pool))[:4]...) {
+				id := pool[id]
+				st.addSender(id)
+				if !slices.Contains(model, id) {
+					model = append(model, id)
+				}
+				for _, q := range pool {
+					if st.sender(q) != slices.Contains(model, q) {
+						t.Fatalf("n%v after %v: sender(%v) = %v", fw.host.ID(), model, q, st.sender(q))
+					}
+				}
+				for _, target := range chs {
+					want := slices.Contains(model, target) || slices.ContainsFunc(model, func(s wire.NodeID) bool {
+						return cl.IsBorderPeer(target, s)
+					})
+					if got := fw.targetHasReport(st, target); got != want {
+						t.Fatalf("n%v after %v: targetHasReport(%v) = %v, want %v", fw.host.ID(), model, target, got, want)
+					}
+					if !slices.Contains(model, target) {
+						border[b2i(want)]++
+					}
+				}
+				want := slices.Contains(model, cl.CH()) || slices.ContainsFunc(model, func(s wire.NodeID) bool {
+					return s != fw.host.ID() && cl.IsMember(s)
+				})
+				if got := fw.clusterHasReport(st); got != want {
+					t.Fatalf("n%v after %v: clusterHasReport = %v, want %v", fw.host.ID(), model, got, want)
+				}
+				if !slices.Contains(model, cl.CH()) {
+					member[b2i(want)]++
+				}
+			}
+		}
+	}
+	t.Logf("walks over the senders answered false/true: targetHasReport %v, clusterHasReport %v", border, member)
+	if min(border[0], border[1], member[0], member[1]) == 0 {
+		t.Error("a query never answered one way: the chain no longer exercises it")
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

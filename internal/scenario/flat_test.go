@@ -17,7 +17,8 @@ func TestHostMemoryFlatInTime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 2,000 hosts for 48 epochs")
 	}
-	w := Build(Config{Seed: 1, Nodes: 2000, FieldSide: 894, LossProb: 0.1})
+	const hosts = 2000
+	w := Build(Config{Seed: 1, Nodes: hosts, FieldSide: 894, LossProb: 0.1})
 	timing := w.cfg.Timing
 	w.CrashRandomAt(timing.EpochStart(4)+timing.Interval/2, 10)
 	live := func(e int) float64 {
@@ -29,7 +30,8 @@ func TestHostMemoryFlatInTime(t *testing.T) {
 	}
 	at12, at48 := live(12), live(48)
 	runtime.KeepAlive(w)
-	t.Logf("live heap after GC: %.1f MB at epoch 12, %.1f MB at epoch 48 (%.3f×)", at12, at48, at48/at12)
+	t.Logf("live heap after GC: %.1f MB at epoch 12, %.1f MB at epoch 48 (%.3f×); %.1f and %.1f KB per host",
+		at12, at48, at48/at12, at12*1024/hosts, at48*1024/hosts)
 	if at48 > 1.05*at12 {
 		t.Errorf("live heap grows in time: %.1f MB at epoch 12, %.1f MB at epoch 48 (%.3f×, want <= 1.05×)",
 			at12, at48, at48/at12)

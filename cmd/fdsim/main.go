@@ -24,13 +24,23 @@
 // deterministically seeded replicas of the same scenario out over -workers
 // cores (default GOMAXPROCS) and prints aggregate statistics; the output is
 // identical for every worker count, and -workers 1 executes the replicas
-// strictly serially on the calling goroutine.
+// strictly serially on the calling goroutine. A study reads 0 as its
+// default, so with -trials > 1 fdsim refuses an -epochs, -crashes or
+// -crash-epoch of 0.
 //
 // -metrics and -metrics-csv export the run's full metrics snapshot — per-kind
 // message counters, per-epoch event series, latency histograms, summary
 // gauges — as deterministic JSON/CSV (see EXPERIMENTS.md for the schema).
 // With -trials T > 1 the exported snapshot is the merge of all replicas in
 // replica order, byte-identical at every -workers value.
+//
+// -shards and -epoch-workers select the sharded and the strip engine. Each
+// runs one trial of the cluster-fds stack with every mechanism on and
+// exports no metrics, so fdsim refuses (exit 2) the two together and, with
+// either, -trials above 1, a -detector other than cluster-fds, the -no-*
+// ablations, -aggregate, -sleep, -naive-sleep, -metrics and -metrics-csv,
+// rather than run without them. A -crash-epoch at or past -epochs crashes
+// nobody, and every summary says so instead of naming victims.
 //
 // -trace prints one serial trial's structured events on stdout in place of
 // the summary; every other flag keeps its meaning. At -trace protocol the
@@ -52,6 +62,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strings"
 	"time"
 
 	"clusterfds/internal/cluster"
@@ -100,9 +111,19 @@ func main() {
 	flag.Parse()
 
 	if err := checkFlags(options{*nodes, *field, *lossProb, *epochs, *crashes, *crashEpoch,
-		*shards, *epochWorkers, *trials, *traceLevel, *workers, *shardWorkers}); err != nil {
+		*shards, *epochWorkers, *trials, *traceLevel, *workers, *shardWorkers,
+		serialFlags{*detector, *noPeerFwd, *noBGW, *noAcks, *withAgg, *withSleep, *naiveSleep,
+			*metricsJSON, *metricsCSV}}); err != nil {
 		fmt.Fprintf(os.Stderr, "fdsim: %v\n", err)
 		os.Exit(2)
+	}
+	// A crash past the run's end never happens, so each summary says so in
+	// place of its crash report. The single-trial engines schedule none; a
+	// replicated study, which reads 0 crashes as 1, schedules its one victim
+	// past the end, where it never falls.
+	pastEnd := crashPastEnd(*crashes, *crashEpoch, *epochs)
+	if pastEnd != "" {
+		*crashes = 0
 	}
 
 	if *cpuProfile != "" {
@@ -145,7 +166,7 @@ func main() {
 			Nodes:     *nodes,
 			FieldSide: *field,
 			LossProb:  *lossProb,
-		}, *shards, *shardWorkers, *epochs, *crashes, *crashEpoch)
+		}, *shards, *shardWorkers, *epochs, *crashes, *crashEpoch, pastEnd)
 		return
 	}
 
@@ -157,15 +178,11 @@ func main() {
 			LossProb:     *lossProb,
 			Workers:      *epochWorkers,
 			CollectTrace: true,
-		}, *epochs, *crashes, *crashEpoch)
+		}, *epochs, *crashes, *crashEpoch, pastEnd)
 		return
 	}
 
-	stack, err := scenario.ParseStack(*detector)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fdsim: %v\n", err)
-		os.Exit(2)
-	}
+	stack, _ := scenario.ParseStack(*detector) // checkFlags has vetted the name
 
 	cfg := scenario.Config{
 		Seed:                  *seed,
@@ -189,7 +206,7 @@ func main() {
 	}
 	if *trials > 1 {
 		runReplicated(cfg, stack, *trials, *workers, *crashes, *crashEpoch, *epochs,
-			*metricsJSON, *metricsCSV)
+			*metricsJSON, *metricsCSV, pastEnd)
 		return
 	}
 	var causes *causeTable
@@ -226,6 +243,7 @@ func main() {
 			c.Clusterheads, c.Members, c.Gateways, c.Unmarked)
 	}
 
+	fmt.Print(pastEnd)
 	if len(victims) > 0 {
 		fmt.Printf("crashed at epoch %d (+%v): %v\n", *crashEpoch, timing.Interval/2, victims)
 		for _, v := range victims {
@@ -266,9 +284,11 @@ func main() {
 		fmt.Printf("  %-24s %d\n", name, counts[name])
 	}
 	fmt.Printf("  %-24s %d\n", "TX TOTAL", txTotal)
-	fmt.Printf("\nenergy spent (all hosts): %.0f units (%.1f per host per epoch)\n",
-		w.TotalEnergySpent(),
-		w.TotalEnergySpent()/float64(*nodes)/float64(*epochs))
+	fmt.Printf("\nenergy spent (all hosts): %.0f units", w.TotalEnergySpent())
+	if *epochs > 0 {
+		fmt.Printf(" (%.1f per host per epoch)", w.TotalEnergySpent()/float64(*nodes)/float64(*epochs))
+	}
+	fmt.Println()
 
 	if *withAgg {
 		for _, id := range w.Operational() {
@@ -294,6 +314,37 @@ type options struct {
 	trials                      int
 	trace                       string
 	workers, shardWorkers       int
+	serial                      serialFlags
+}
+
+// serialFlags are the flags only the serial engine reads.
+type serialFlags struct {
+	detector                 string
+	noPeerFwd, noBGW, noAcks bool
+	aggregate, sleep, naive  bool
+	metricsJSON, metricsCSV  string
+}
+
+// ignored names the flags in f that change the serial engine's run or
+// output, as given.
+func (f serialFlags) ignored() []string {
+	var names []string
+	if f.detector != scenario.StackClusterFDS.String() {
+		names = append(names, "-detector "+f.detector)
+	}
+	for _, b := range []struct {
+		set  bool
+		name string
+	}{
+		{f.noPeerFwd, "-no-peer-forwarding"}, {f.noBGW, "-no-bgw"}, {f.noAcks, "-no-implicit-acks"},
+		{f.aggregate, "-aggregate"}, {f.sleep, "-sleep"}, {f.naive, "-naive-sleep"},
+		{f.metricsJSON != "", "-metrics"}, {f.metricsCSV != "", "-metrics-csv"},
+	} {
+		if b.set {
+			names = append(names, b.name)
+		}
+	}
+	return names
 }
 
 // checkFlags rejects the flag values no engine can run, before any starts:
@@ -301,8 +352,15 @@ type options struct {
 // defaults), a loss probability outside [0,1], a negative epoch, crash count
 // or crash epoch, a sharded run of zero epochs, a worker pool of no workers
 // (a negative -epoch-workers; its 0 means the serial engine), an unknown
-// trace level, and a trace of anything but one serial trial.
+// trace level or detector, a trace of anything but one serial trial, and a
+// replicated study given a 0 it would replace by its default. It
+// also rejects a flag the chosen engine would silently ignore: -shards and
+// -epoch-workers together, and with either, more than one trial or any flag
+// only the serial engine reads.
 func checkFlags(o options) error {
+	if _, err := scenario.ParseStack(o.serial.detector); err != nil {
+		return fmt.Errorf("-detector %q: the detectors are %v", o.serial.detector, scenario.Stacks())
+	}
 	switch {
 	case o.nodes < 1:
 		return fmt.Errorf("-nodes %d: at least one host is needed", o.nodes)
@@ -324,8 +382,38 @@ func checkFlags(o options) error {
 	case o.trace != "" && (o.shards > 0 || o.epochWorkers > 0):
 		return fmt.Errorf("-trace %s -shards %d -epoch-workers %d: a trace follows the serial engine",
 			o.trace, o.shards, o.epochWorkers)
+	case o.trials > 1 && (o.epochs == 0 || o.crashes == 0 || o.crashEpoch == 0):
+		return fmt.Errorf("-trials %d -epochs %d -crashes %d -crash-epoch %d: a replicated study reads 0 as its default (8 epochs, 1 crash, crash epoch 3)",
+			o.trials, o.epochs, o.crashes, o.crashEpoch)
+	case o.shards > 0 && o.epochWorkers > 0:
+		return fmt.Errorf("-shards %d -epoch-workers %d: these choose two different engines", o.shards, o.epochWorkers)
+	}
+	engine := fmt.Sprintf("-shards %d", o.shards)
+	if o.epochWorkers > 0 {
+		engine = fmt.Sprintf("-epoch-workers %d", o.epochWorkers)
+	} else if o.shards == 0 {
+		return nil
+	}
+	ignored := o.serial.ignored()
+	if o.trials > 1 {
+		ignored = append(ignored, fmt.Sprintf("-trials %d", o.trials))
+	}
+	if len(ignored) > 0 {
+		return fmt.Errorf("%s: this engine runs one trial of the cluster-fds stack with every mechanism on and no metrics export; it would ignore %s",
+			engine, strings.Join(ignored, " "))
 	}
 	return nil
+}
+
+// crashPastEnd is the line a summary prints in place of its crash report
+// when the crash instant, the midpoint of epoch crashEpoch, is at or after
+// the run's end, the start of epoch `epochs`; it is empty when the crashes
+// fall inside the run or none are asked for.
+func crashPastEnd(crashes, crashEpoch, epochs int) string {
+	if crashes == 0 || crashEpoch < epochs {
+		return ""
+	}
+	return fmt.Sprintf("no crashes: -crash-epoch %d is at or past the run's end (-epochs %d)\n\n", crashEpoch, epochs)
 }
 
 // exportMetrics writes the snapshot to the requested JSON/CSV files (empty
@@ -342,7 +430,7 @@ func exportMetrics(s metrics.Snapshot, jsonPath, csvPath string, log io.Writer) 
 // the replication engine and prints aggregate statistics. Replica seeds are
 // derived deterministically from cfg.Seed, so the printed numbers are a
 // pure function of the flags — never of the worker count.
-func runReplicated(cfg scenario.Config, stack scenario.Stack, trials, workers, crashes, crashEpoch, epochs int, metricsJSON, metricsCSV string) {
+func runReplicated(cfg scenario.Config, stack scenario.Stack, trials, workers, crashes, crashEpoch, epochs int, metricsJSON, metricsCSV, pastEnd string) {
 	study := scenario.CrashStudy{
 		Config:     cfg,
 		Crashes:    crashes,
@@ -360,10 +448,14 @@ func runReplicated(cfg scenario.Config, stack scenario.Stack, trials, workers, c
 		stack, cfg.Nodes, cfg.FieldSide, cfg.LossProb, epochs, cfg.Seed, trials, workers)
 	fmt.Printf("wall clock: %v (%.1f replicas/s)\n\n", elapsed.Round(time.Millisecond),
 		float64(trials)/elapsed.Seconds())
-	fmt.Printf("completeness: mean %.4f min %.4f max %.4f\n",
-		s.Completeness.Mean(), s.Completeness.Min(), s.Completeness.Max())
-	fmt.Printf("victims: %d, undetected %d; admitted at crash %d, of them undetected %d\n",
-		s.Victims, s.Undetected, s.Admitted, s.AdmittedUndetected)
+	if pastEnd != "" {
+		fmt.Print(strings.TrimSuffix(pastEnd, "\n"))
+	} else {
+		fmt.Printf("completeness: mean %.4f min %.4f max %.4f\n",
+			s.Completeness.Mean(), s.Completeness.Min(), s.Completeness.Max())
+		fmt.Printf("victims: %d, undetected %d; admitted at crash %d, of them undetected %d\n",
+			s.Victims, s.Undetected, s.Admitted, s.AdmittedUndetected)
+	}
 	fmt.Printf("failure-report tx: %d across %d replicas\n", s.ReportTx, s.Trials)
 	if s.LatencySeconds.N() > 0 {
 		fmt.Printf("detection latency (s): mean %.2f p95 %.2f max %.2f (%d observations)\n",
@@ -382,7 +474,7 @@ func runReplicated(cfg scenario.Config, stack scenario.Stack, trials, workers, c
 // hashes. The hashes and the busy-window count are the scale-smoke contract:
 // `make scale-smoke` asserts they are identical between -shards 1 and
 // -shards 4.
-func runSharded(cfg scenario.Config, shards, workers, epochs, crashes, crashEpoch int) {
+func runSharded(cfg scenario.Config, shards, workers, epochs, crashes, crashEpoch int, pastEnd string) {
 	sc := scenario.ShardedCrashWave(cfg, shards, workers, epochs, crashes, crashEpoch)
 
 	// Liveness lines on stderr every 5 simulated seconds; stdout stays
@@ -414,6 +506,7 @@ func runSharded(cfg scenario.Config, shards, workers, epochs, crashes, crashEpoc
 		float64(res.Events)/float64(epochs))
 	fmt.Printf("busy windows: %d\n\n", res.Windows)
 
+	fmt.Print(pastEnd)
 	if len(res.Victims) > 0 {
 		fmt.Printf("crash wave: %d victims at epoch %d midpoint; %d detected by their cells\n",
 			len(res.Victims), crashEpoch, res.Detected)
@@ -450,7 +543,7 @@ func runSharded(cfg scenario.Config, shards, workers, epochs, crashes, crashEpoc
 // production cluster stack partitioned into field strips and drained by a
 // conservative-window worker pool. The printed trace hash is bit-identical at
 // every -epoch-workers value (TestGoldenParallelTraceHash pins it at 1, 2, 4).
-func runParallel(cfg par.Config, epochs, crashes, crashEpoch int) {
+func runParallel(cfg par.Config, epochs, crashes, crashEpoch int, pastEnd string) {
 	buildStart := time.Now()
 	p := par.Build(cfg)
 	buildElapsed := time.Since(buildStart)
@@ -469,6 +562,7 @@ func runParallel(cfg par.Config, epochs, crashes, crashEpoch int) {
 		buildElapsed.Round(time.Millisecond), runElapsed.Round(time.Millisecond),
 		p.Sends(), p.Deliveries())
 
+	fmt.Print(pastEnd)
 	if len(victims) > 0 {
 		fmt.Printf("crashed at epoch %d (+%v): %v\n", crashEpoch, timing.Interval/2, victims)
 		for _, v := range victims {

@@ -52,6 +52,19 @@
 //   - Trace events are buffered per strip and folded strip-by-strip into the
 //     hash; workers never touch another strip's buffer.
 //
+// # Memory
+//
+// Once the field is calm the drain runs on recycled memory. Each strip owns
+// three pools of blocks (blocks.go): the wire bytes of its sends, and the
+// cross entries and run items of the barrier flights arriving at it. A
+// block is freed only at a barrier, and only once the last delivery that
+// reads it is due before the barrier's end: a payload carved at t is read by
+// deliveries due by t+MaxDelay, and an entry merged at a barrier ending at e
+// is due by e+MaxDelay. The rule reads virtual time alone, so every worker
+// count frees the same blocks. Flights are pooled per strip; a same-strip
+// flight's items are sized to the largest roster degree its strip has sent
+// from, as radio.Medium sizes its transmissions.
+//
 // The topology is static (no mobility, no replenishment) and there is no
 // global monitor: completeness is probed serially after the run.
 package par
@@ -133,11 +146,17 @@ type strip struct {
 	seqCtr  uint32
 	scratch *wire.DecodeScratch
 	free    []*flight     // recycled flights of this strip's sends
-	freeIn  []*flight     // recycled flights of barrier arrivals: far larger, so pooled apart
-	enc     []byte        // the current encode chunk; see encode
+	freeIn  []*flight     // recycled flights of barrier arrivals, which own no slices
+	maxFan  int           // largest roster degree a send has drawn a flight for
 	events  []trace.Event // protocol trace buffer (CollectTrace)
 	sends   uint64
 	deliv   uint64
+
+	// The strip's blocks: its sends' payload bytes, and the cross entries
+	// and run items of the barrier flights arriving here.
+	enc   blocks[byte]
+	cross blocks[crossEntry]
+	items blocks[sim.RunItem]
 }
 
 // stripSink appends trace events to the owning strip's buffer.
@@ -176,10 +195,13 @@ func (p *stripPort) UpdatePos(wire.NodeID, geo.Point) {
 
 // flight is one delivery run in a strip's kernel (sim.Run: one heap entry
 // however many receivers), pooled per strip. A send's same-strip receivers
-// share from and payload, and each item's Tag is the receiver's host index; a
-// window barrier's arrivals each bring their own in cross, and Tag indexes
-// that. The flight belongs to the kernel from ScheduleRun until its last item
-// has fired, and then returns to the free list it was made for.
+// share from and payload, and each item's Tag is the receiver's host index;
+// such a flight owns its Items, made as long as the largest roster degree
+// its strip has sent from (maxFan). A window barrier's arrivals each bring
+// their own in cross, and Tag indexes that; cross and Items are carved from
+// the destination strip's blocks. The flight belongs to the kernel from
+// ScheduleRun until its last item has fired, and then returns to the free
+// list it was made for.
 type flight struct {
 	run     sim.Run
 	e       *Engine
@@ -201,13 +223,9 @@ func (e *Engine) takeFlight(s int32, pool *[]*flight) *flight {
 	return &flight{e: e, s: s, pool: pool}
 }
 
-// putFlight recycles f, dropping its payload references so the pool pins no
-// encode chunk.
-func putFlight(f *flight) {
-	clear(f.cross)
-	f.cross, f.payload = f.cross[:0], nil
-	*f.pool = append(*f.pool, f)
-}
+// putFlight recycles f. What it still refers to lies in its strip's blocks,
+// which the barrier reuses by time, not by reference.
+func putFlight(f *flight) { *f.pool = append(*f.pool, f) }
 
 // Engine is a built, runnable parallel replica.
 type Engine struct {
@@ -264,21 +282,12 @@ func (e *Engine) deliver(s int32, to uint32, from wire.NodeID, payload []byte) {
 	h.Deliver(m, from)
 }
 
-// encChunk is the size of a strip's encode chunk: a few hundred messages.
-const encChunk = 64 << 10
-
-// encode returns m's wire bytes, carved from the strip's current chunk. A
+// encode returns m's wire bytes, carved from the strip's payload blocks. A
 // payload is written once and then only read — by this strip's deliveries
-// and, after a barrier, by other strips' — so it needs no owner: a full chunk
-// is simply left to the collector, which frees it when its last delivery has
-// fired.
-func (st *strip) encode(m wire.Message) []byte {
-	if cap(st.enc)-len(st.enc) < m.WireSize() {
-		st.enc = make([]byte, 0, max(encChunk, m.WireSize()))
-	}
-	off := len(st.enc)
-	st.enc = wire.EncodeAppend(st.enc, m)
-	return st.enc[off:len(st.enc):len(st.enc)]
+// and, after a barrier, by other strips' — and every such delivery is due by
+// now + MaxDelay, which is when the block may next be reused.
+func (e *Engine) encode(st *strip, m wire.Message) []byte {
+	return wire.EncodeAppend(st.enc.carve(m.WireSize(), st.k.Now()+e.params.MaxDelay)[:0], m)
 }
 
 // send broadcasts m from host `from` (which lives in strip s). Loss and delay
@@ -289,16 +298,21 @@ func (st *strip) encode(m wire.Message) []byte {
 func (e *Engine) send(s int32, from wire.NodeID, m wire.Message) {
 	idx := uint32(from - 1)
 	st := &e.strips[s]
-	payload := st.encode(m)
+	payload := e.encode(st, m)
 	e.spent[idx] += e.params.TxCost(len(payload))
 	st.sends++
 	rng := e.rngs[idx]
 	span := int64(e.params.MaxDelay - e.params.MinDelay)
 	now := st.k.Now()
+	roster := e.nbList[e.nbStart[idx]:e.nbStart[idx+1]]
 	f := e.takeFlight(s, &st.free)
 	f.from, f.payload = from, payload
+	if cap(f.run.Items) < len(roster) {
+		st.maxFan = max(st.maxFan, len(roster))
+		f.run.Items = make([]sim.RunItem, 0, st.maxFan)
+	}
 	items := f.run.Items[:0]
-	for _, nb := range e.nbList[e.nbStart[idx]:e.nbStart[idx+1]] {
+	for _, nb := range roster {
 		if p := e.params.LossProb; p > 0 && rng.Float64() < p {
 			continue
 		}
@@ -370,6 +384,9 @@ func Build(cfg Config) *Engine {
 		e.strips[s].k = sim.New(cfg.Seed + int64(s) + 1)
 		e.strips[s].out = make([][]crossEntry, nStrips)
 		e.strips[s].scratch = wire.NewDecodeScratch()
+		e.strips[s].enc.size = payloadBlock
+		e.strips[s].cross.size = entryBlock
+		e.strips[s].items.size = entryBlock
 	}
 
 	// Placement: one (x, y) pair per host in NID order from a dedicated
@@ -485,30 +502,42 @@ func (e *Engine) runTo(deadline sim.Time) {
 	e.now = deadline
 }
 
-// mergeOutboxes injects every pending cross-strip delivery into its
-// destination kernel in canonical (at, src, seq) order, as one flight per
-// destination. Serial: it is the window barrier, and end is the instant every
+// mergeOutboxes is the window barrier. It first frees every strip's blocks
+// whose last reader was due before end, then injects every pending
+// cross-strip delivery into its destination kernel in canonical (at, src,
+// seq) order, as one flight per destination whose entries and items are
+// carved from the destination's blocks. Serial: end is the instant every
 // strip has just drained to.
 func (e *Engine) mergeOutboxes(end sim.Time) {
+	for s := range e.strips {
+		st := &e.strips[s]
+		st.enc.release(end)
+		st.cross.release(end)
+		st.items.release(end)
+	}
+	// Every entry merged here was sent by end, so it is due by end+MaxDelay.
+	until := end + e.params.MaxDelay
 	for d := range e.strips {
-		var f *flight
+		dst := &e.strips[d]
+		n := 0
+		for s := range e.strips {
+			n += len(e.strips[s].out[d])
+		}
+		if n == 0 {
+			continue
+		}
+		f := e.takeFlight(int32(d), &dst.freeIn)
+		f.cross = dst.cross.carve(n, until)[:0]
 		for s := range e.strips {
 			if box := e.strips[s].out[d]; len(box) > 0 {
-				if f == nil {
-					f = e.takeFlight(int32(d), &e.strips[d].freeIn)
-				}
 				f.cross = append(f.cross, box...)
-				clear(box)
 				e.strips[s].out[d] = box[:0]
 			}
-		}
-		if f == nil {
-			continue
 		}
 		slices.SortFunc(f.cross, func(a, b crossEntry) int {
 			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
 		})
-		items := f.run.Items[:0]
+		items := dst.items.carve(n, until)
 		for i := range f.cross {
 			at := f.cross[i].at
 			if at < end {
@@ -516,10 +545,10 @@ func (e *Engine) mergeOutboxes(end sim.Time) {
 				// "now" would silently reorder the run.
 				panic(fmt.Sprintf("par: conservative window invariant violated: cross-strip delivery at %d inside window ending %d", at, end))
 			}
-			items = append(items, sim.RunItem{At: at, Tag: uint32(i)})
+			items[i] = sim.RunItem{At: at, Tag: uint32(i)}
 		}
 		f.run.Items = items
-		e.strips[d].k.ScheduleRun(&f.run, land, f)
+		dst.k.ScheduleRun(&f.run, land, f)
 	}
 }
 

@@ -238,3 +238,40 @@ func TestBuildRejectsInvalidMedium(t *testing.T) {
 		}()
 	}
 }
+
+// TestBlocksOutliveTheirReaders is the check on the blocks' reuse rule
+// (DESIGN.md §12): a block is reused only at a barrier past the last instant
+// a reader of it is due. With every pool scrubbing each block as it is
+// released, a delivery that reads a payload, a cross entry or a run item
+// after its block's release decodes zeros and panics, or lands elsewhere and
+// moves the trace hash; either fails here. One worker, so that a panic
+// surfaces on the test's goroutine.
+func TestBlocksOutliveTheirReaders(t *testing.T) {
+	_, want, _ := buildAndRun(t, 1, 0)
+	e := Build(Config{
+		Seed: 42, Nodes: 200, FieldSide: 700, LossProb: 0.05,
+		Workers: 1, CollectTrace: true,
+	})
+	for s := range e.strips {
+		st := &e.strips[s]
+		st.enc.scrub, st.cross.scrub, st.items.scrub = true, true, true
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("a delivery read a released block: %v", r)
+		}
+	}()
+	e.RunEpochs(3)
+	e.CrashRandomAt(e.Now()+sim.Time(1e9), 5)
+	e.RunEpochs(8)
+	if got := e.TraceHash(); got != want {
+		t.Fatalf("trace hash with released blocks scrubbed is %s, want %s", got, want)
+	}
+	for s := range e.strips {
+		st := &e.strips[s]
+		if st.enc.scrubs == 0 || st.cross.scrubs == 0 || st.items.scrubs == 0 {
+			t.Fatalf("strip %d released %d payload, %d cross and %d item blocks; every pool must release some for the check to see anything",
+				s, st.enc.scrubs, st.cross.scrubs, st.items.scrubs)
+		}
+	}
+}

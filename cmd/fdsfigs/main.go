@@ -26,7 +26,8 @@
 //
 // The Monte-Carlo figures (A, B and I) run their replicas on the parallel
 // replication engine; -workers sizes the pool (default GOMAXPROCS, 1 =
-// serial). Output is bit-identical at every worker count.
+// serial). Output is bit-identical at every worker count. -trials,
+// -matrix-trials and -workers below 1 exit 2 before any figure runs.
 //
 // -detectors filters the Ext. I matrix to a comma-separated subset of
 // detector names (default: all of them); -matrix-trials sets its per-cell
@@ -66,6 +67,10 @@ func main() {
 		"comma-separated detector filter for the Ext. I matrix (default: all detectors)")
 	matrixTrials := flag.Int("matrix-trials", 5, "trials per Ext. I matrix cell")
 	flag.Parse()
+	if err := checkCounts(*trials, *matrixTrials, *workers); err != nil {
+		fmt.Fprintf(os.Stderr, "fdsfigs: %v\n", err)
+		os.Exit(2)
+	}
 
 	wantTSV := *format == "both" || *format == "tsv"
 	wantPlot := *format == "both" || *format == "plot"
@@ -99,6 +104,17 @@ func main() {
 			os.Exit(2)
 		}
 	}
+}
+
+// checkCounts refuses a trial or worker count below one before any figure
+// runs: a study of no trials would print an empty estimate as if it were
+// consistent, and a figure that read 0 as its default would report a trial
+// count it did not run.
+func checkCounts(trials, matrixTrials, workers int) error {
+	if trials < 1 || matrixTrials < 1 || workers < 1 {
+		return fmt.Errorf("-trials %d -matrix-trials %d -workers %d: each must be at least 1", trials, matrixTrials, workers)
+	}
+	return nil
 }
 
 // analyticFigure prints one of the paper's three results figures.

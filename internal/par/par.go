@@ -55,15 +55,15 @@
 // # Memory
 //
 // Once the field is calm the drain runs on recycled memory. Each strip owns
-// three pools of blocks (blocks.go): the wire bytes of its sends, and the
-// cross entries and run items of the barrier flights arriving at it. A
-// block is freed only at a barrier, and only once the last delivery that
-// reads it is due before the barrier's end: a payload carved at t is read by
-// deliveries due by t+MaxDelay, and an entry merged at a barrier ending at e
-// is due by e+MaxDelay. The rule reads virtual time alone, so every worker
-// count frees the same blocks. Flights are pooled per strip; a same-strip
-// flight's items are sized to the largest roster degree its strip has sent
-// from, as radio.Medium sizes its transmissions.
+// three pools of blocks (sim.Blocks): the wire bytes of its sends, the run
+// items of every flight landing in it, and the cross entries of the barrier
+// flights. A block is freed only at a barrier, and only once the last
+// delivery that reads it is due before the barrier's end: a payload or a
+// same-strip flight's items carved at t are read by deliveries due by
+// t+MaxDelay, and an entry merged at a barrier ending at e is due by
+// e+MaxDelay. The rule reads virtual time alone, so every worker count frees
+// the same blocks. A flight carves exactly the items that survived its loss
+// draws; flights themselves are pooled per strip.
 //
 // The topology is static (no mobility, no replenishment) and there is no
 // global monitor: completeness is probed serially after the run.
@@ -146,17 +146,17 @@ type strip struct {
 	seqCtr  uint32
 	scratch *wire.DecodeScratch
 	free    []*flight     // recycled flights of this strip's sends
-	freeIn  []*flight     // recycled flights of barrier arrivals, which own no slices
-	maxFan  int           // largest roster degree a send has drawn a flight for
+	freeIn  []*flight     // recycled flights of barrier arrivals
+	draws   []sim.RunItem // a send's same-strip deliveries, before they are carved
 	events  []trace.Event // protocol trace buffer (CollectTrace)
 	sends   uint64
 	deliv   uint64
 
-	// The strip's blocks: its sends' payload bytes, and the cross entries
-	// and run items of the barrier flights arriving here.
-	enc   blocks[byte]
-	cross blocks[crossEntry]
-	items blocks[sim.RunItem]
+	// The strip's blocks: its sends' payload bytes, the run items of every
+	// flight landing here, and the cross entries of the barrier flights.
+	enc   sim.Blocks[byte]
+	items sim.Blocks[sim.RunItem]
+	cross sim.Blocks[crossEntry]
 }
 
 // stripSink appends trace events to the owning strip's buffer.
@@ -195,13 +195,11 @@ func (p *stripPort) UpdatePos(wire.NodeID, geo.Point) {
 
 // flight is one delivery run in a strip's kernel (sim.Run: one heap entry
 // however many receivers), pooled per strip. A send's same-strip receivers
-// share from and payload, and each item's Tag is the receiver's host index;
-// such a flight owns its Items, made as long as the largest roster degree
-// its strip has sent from (maxFan). A window barrier's arrivals each bring
-// their own in cross, and Tag indexes that; cross and Items are carved from
-// the destination strip's blocks. The flight belongs to the kernel from
-// ScheduleRun until its last item has fired, and then returns to the free
-// list it was made for.
+// share from and payload, and each item's Tag is the receiver's host index.
+// A window barrier's arrivals each bring their own in cross, and Tag indexes
+// that. Items and cross are carved from the blocks of the strip the flight
+// lands in. The flight belongs to the kernel from ScheduleRun until its last
+// item has fired, and then returns to the free list it was made for.
 type flight struct {
 	run     sim.Run
 	e       *Engine
@@ -287,14 +285,15 @@ func (e *Engine) deliver(s int32, to uint32, from wire.NodeID, payload []byte) {
 // and, after a barrier, by other strips' — and every such delivery is due by
 // now + MaxDelay, which is when the block may next be reused.
 func (e *Engine) encode(st *strip, m wire.Message) []byte {
-	return wire.EncodeAppend(st.enc.carve(m.WireSize(), st.k.Now()+e.params.MaxDelay)[:0], m)
+	return wire.EncodeAppend(st.enc.Carve(m.WireSize(), st.k.Now()+e.params.MaxDelay)[:0], m)
 }
 
 // send broadcasts m from host `from` (which lives in strip s). Loss and delay
 // are drawn from the sender's stream for every static roster neighbor, in
 // ascending receiver order, independent of receiver state. Same-strip
-// receivers become one flight; outbox appends consume no kernel seq, so the
-// flight's consecutive seqs are the ones individual events would have taken.
+// receivers become one flight, whose items are carved once the draws are
+// done; outbox appends consume no kernel seq, so the flight's consecutive
+// seqs are the ones individual events would have taken.
 func (e *Engine) send(s int32, from wire.NodeID, m wire.Message) {
 	idx := uint32(from - 1)
 	st := &e.strips[s]
@@ -304,38 +303,34 @@ func (e *Engine) send(s int32, from wire.NodeID, m wire.Message) {
 	rng := e.rngs[idx]
 	span := int64(e.params.MaxDelay - e.params.MinDelay)
 	now := st.k.Now()
-	roster := e.nbList[e.nbStart[idx]:e.nbStart[idx+1]]
-	f := e.takeFlight(s, &st.free)
-	f.from, f.payload = from, payload
-	if cap(f.run.Items) < len(roster) {
-		st.maxFan = max(st.maxFan, len(roster))
-		f.run.Items = make([]sim.RunItem, 0, st.maxFan)
-	}
-	items := f.run.Items[:0]
-	for _, nb := range roster {
+	draws := st.draws[:0]
+	for _, nb := range e.nbList[e.nbStart[idx]:e.nbStart[idx+1]] {
 		if p := e.params.LossProb; p > 0 && rng.Float64() < p {
 			continue
 		}
-		at := now + e.params.MinDelay
+		delay := e.params.MinDelay
 		if span > 0 {
-			at += sim.Time(rng.Int63n(span + 1))
+			delay += sim.Time(rng.Int63n(span + 1))
 		}
 		if d := e.stripOf[nb]; d == s {
-			items = append(items, sim.RunItem{At: at, Tag: nb})
+			draws = append(draws, sim.RunItem{Off: uint32(delay), Tag: nb})
 		} else {
 			st.out[d] = append(st.out[d], crossEntry{
-				at: at, src: s, seq: st.seqCtr,
+				at: now + delay, src: s, seq: st.seqCtr,
 				to: nb, from: from, payload: payload,
 			})
 			st.seqCtr++
 		}
 	}
-	f.run.Items = items
-	if len(items) > 0 {
-		st.k.ScheduleRun(&f.run, land, f)
+	st.draws = draws
+	if len(draws) == 0 {
 		return
 	}
-	putFlight(f)
+	f := e.takeFlight(s, &st.free)
+	f.from, f.payload = from, payload
+	f.run.Items = st.items.Carve(len(draws), now+e.params.MaxDelay)
+	copy(f.run.Items, draws)
+	st.k.ScheduleRun(&f.run, land, f)
 }
 
 // energyOf is host id's available energy under the medium's energy model.
@@ -384,9 +379,6 @@ func Build(cfg Config) *Engine {
 		e.strips[s].k = sim.New(cfg.Seed + int64(s) + 1)
 		e.strips[s].out = make([][]crossEntry, nStrips)
 		e.strips[s].scratch = wire.NewDecodeScratch()
-		e.strips[s].enc.size = payloadBlock
-		e.strips[s].cross.size = entryBlock
-		e.strips[s].items.size = entryBlock
 	}
 
 	// Placement: one (x, y) pair per host in NID order from a dedicated
@@ -507,13 +499,13 @@ func (e *Engine) runTo(deadline sim.Time) {
 // cross-strip delivery into its destination kernel in canonical (at, src,
 // seq) order, as one flight per destination whose entries and items are
 // carved from the destination's blocks. Serial: end is the instant every
-// strip has just drained to.
+// strip has just drained to, and every strip's clock reads it.
 func (e *Engine) mergeOutboxes(end sim.Time) {
 	for s := range e.strips {
 		st := &e.strips[s]
-		st.enc.release(end)
-		st.cross.release(end)
-		st.items.release(end)
+		st.enc.Release(end)
+		st.items.Release(end)
+		st.cross.Release(end)
 	}
 	// Every entry merged here was sent by end, so it is due by end+MaxDelay.
 	until := end + e.params.MaxDelay
@@ -527,7 +519,7 @@ func (e *Engine) mergeOutboxes(end sim.Time) {
 			continue
 		}
 		f := e.takeFlight(int32(d), &dst.freeIn)
-		f.cross = dst.cross.carve(n, until)[:0]
+		f.cross = dst.cross.Carve(n, until)[:0]
 		for s := range e.strips {
 			if box := e.strips[s].out[d]; len(box) > 0 {
 				f.cross = append(f.cross, box...)
@@ -537,7 +529,7 @@ func (e *Engine) mergeOutboxes(end sim.Time) {
 		slices.SortFunc(f.cross, func(a, b crossEntry) int {
 			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
 		})
-		items := dst.items.carve(n, until)
+		items := dst.items.Carve(n, until)
 		for i := range f.cross {
 			at := f.cross[i].at
 			if at < end {
@@ -545,7 +537,7 @@ func (e *Engine) mergeOutboxes(end sim.Time) {
 				// "now" would silently reorder the run.
 				panic(fmt.Sprintf("par: conservative window invariant violated: cross-strip delivery at %d inside window ending %d", at, end))
 			}
-			items[i] = sim.RunItem{At: at, Tag: uint32(i)}
+			items[i] = sim.RunItem{Off: uint32(at - end), Tag: uint32(i)}
 		}
 		f.run.Items = items
 		dst.k.ScheduleRun(&f.run, land, f)

@@ -17,6 +17,7 @@ package radio
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"clusterfds/internal/geo"
 	"clusterfds/internal/metrics"
@@ -56,16 +57,21 @@ type Params struct {
 }
 
 // Validate reports whether p describes a medium: a positive range, a loss
-// probability in [0,1] and MaxDelay >= MinDelay. New and the strip engine
-// panic with its error.
+// probability in [0,1] and 0 <= MinDelay <= MaxDelay, with MaxDelay inside
+// the 32 bits of nanoseconds a kernel run item's offset holds (about 4.29 s).
+// New and the strip engine panic with its error.
 func (p Params) Validate() error {
 	switch {
 	case p.Range <= 0:
 		return errors.New("radio: non-positive transmission range")
 	case p.LossProb < 0 || p.LossProb > 1:
 		return fmt.Errorf("radio: loss probability %v outside [0,1]", p.LossProb)
+	case p.MinDelay < 0:
+		return fmt.Errorf("radio: negative MinDelay %v", p.MinDelay)
 	case p.MaxDelay < p.MinDelay:
 		return errors.New("radio: MaxDelay < MinDelay")
+	case p.MaxDelay > math.MaxUint32:
+		return fmt.Errorf("radio: MaxDelay %v past the %v a run item's offset holds", p.MaxDelay, sim.Time(math.MaxUint32))
 	}
 	return nil
 }
@@ -128,12 +134,18 @@ type Medium struct {
 	// nest (a receiver that sends from inside Deliver only schedules).
 	scratch *wire.DecodeScratch
 
-	// txFree pools transmissions between broadcasts. maxFan is the largest
-	// in-range count any Send has seen: a transmission's item slice is made
-	// that long, so a pooled one is sized once rather than regrown by every
-	// denser sender that draws it.
+	// txFree pools transmissions between broadcasts. draws is the fan-out's
+	// scratch: the surviving deliveries of one transmission, before they are
+	// carved from items.
 	txFree []*txBuf
-	maxFan int
+	draws  []sim.RunItem
+
+	// The blocks that transmissions in flight are carved from: their
+	// payloads and their delivery runs. Every delivery of a transmission sent
+	// at t is due by t+MaxDelay, and the kernel has fired every delivery due
+	// before its now, so each carve first releases what was due before now.
+	payloads sim.Blocks[byte]
+	items    sim.Blocks[sim.RunItem]
 }
 
 // host is one attached receiver's row in the dense table. Each delivery
@@ -161,10 +173,11 @@ type host struct {
 }
 
 // txBuf is one transmission in flight: the encoded bytes and the sorted
-// per-receiver delivery run (one 16-byte item per surviving receiver, its
-// Tag the receiver's slot), scheduled as ONE kernel entry. It belongs to the
-// medium from Send or Broadcast until the run's last item has fired, and
-// then returns to the pool.
+// per-receiver delivery run (one 8-byte item per surviving receiver, its Tag
+// the receiver's slot), scheduled as ONE kernel entry. Both are carved from
+// the medium's blocks. The record belongs to the medium from Send or
+// Broadcast until the run's last item has fired, and then returns to the
+// pool; the blocks are reused by time, not through it.
 type txBuf struct {
 	m    *Medium
 	buf  []byte
@@ -386,21 +399,23 @@ func (m *Medium) Send(from wire.NodeID, msg wire.Message) {
 	if !ok || !m.hosts[fromSlot].rcv.Operational() {
 		return
 	}
-	m.hosts[fromSlot].spent += m.params.TxCost(msg.WireSize())
+	size := msg.WireSize()
+	m.hosts[fromSlot].spent += m.params.TxCost(size)
 	if m.tracing {
 		m.sink.Emit(trace.Event{
 			At: m.kernel.Now(), Type: trace.TypeSend, Node: uint32(from),
 			Detail: msg.Kind().String(),
 		})
 	}
-	// Encode once into a pooled transmission shared by every delivery. Each
+	// Encode once into a transmission shared by every delivery. Each
 	// delivery decodes the bytes at reception time into its receiver's
 	// scratch, so hosts never share message memory and the whole path —
 	// encode, schedule, decode, dispatch — reuses pooled storage in steady
 	// state.
-	tb := m.takeTxBuf()
-	tb.buf = wire.EncodeAppend(tb.buf[:0], msg)
-	m.transmit(fromSlot, tb)
+	if tb := m.fanOut(fromSlot, msg.Kind(), size); tb != nil {
+		tb.buf = wire.EncodeAppend(tb.buf, msg)
+		m.kernel.ScheduleRun(&tb.run, receive, tb)
+	}
 }
 
 // Broadcast implements transport.Broadcaster for the medium's ports: it
@@ -415,34 +430,25 @@ func (m *Medium) Broadcast(from wire.NodeID, payload []byte) error {
 	if !ok {
 		return fmt.Errorf("radio: broadcast from unattached %v", from)
 	}
-	tb := m.takeTxBuf()
-	tb.buf = append(tb.buf[:0], payload...)
-	m.transmit(fromSlot, tb)
+	if tb := m.fanOut(fromSlot, wire.Kind(payload[0]), len(payload)); tb != nil {
+		tb.buf = append(tb.buf, payload...)
+		m.kernel.ScheduleRun(&tb.run, receive, tb)
+	}
 	return nil
 }
 
-// transmit schedules the surviving deliveries of the encoded transmission in
-// tb as one kernel entry, or recycles tb at once if there are none.
-func (m *Medium) transmit(fromSlot uint32, tb *txBuf) {
-	if m.fanOut(fromSlot, tb) {
-		m.kernel.ScheduleRun(&tb.run, receive, tb)
-		return
-	}
-	// Silenced, or nobody survived the loss draws.
-	m.txFree = append(m.txFree, tb)
-}
-
 // fanOut is the one fan-out of both Send and Broadcast: silencing, the tx
-// counters, the in-range query and the per-receiver loss and delay draws,
-// which fill tb's delivery run. It reports whether any delivery survived.
-func (m *Medium) fanOut(fromSlot uint32, tb *txBuf) bool {
+// counters, the in-range query and the per-receiver loss and delay draws. If
+// any delivery survives, it returns a transmission whose run holds exactly
+// the survivors and whose buf is an empty carve of size bytes, for the
+// caller to fill with the payload and schedule; otherwise nil.
+func (m *Medium) fanOut(fromSlot uint32, kind wire.Kind, size int) *txBuf {
 	from := m.hosts[fromSlot].id
-	kind, size := wire.Kind(tb.buf[0]), len(tb.buf)
 	if m.hosts[fromSlot].silenced {
 		m.dropSilenced.Add(1)
 		m.txSilencedMsgs.Add(1)
 		m.txSilencedBytes.Add(int64(size))
-		return false
+		return nil
 	}
 	m.txCounter(kind).Add(1)
 	m.txBytes.Add(int64(size))
@@ -458,14 +464,7 @@ func (m *Medium) fanOut(fromSlot uint32, tb *txBuf) bool {
 		}
 	}
 
-	// The item slice is sized once (see maxFan).
-	tb.from = from
-	tb.rxc = m.rxCounter(kind) // resolved once; deliveries share the handle
-	if cap(tb.run.Items) < len(inRange) {
-		m.maxFan = max(m.maxFan, len(inRange))
-		tb.run.Items = make([]sim.RunItem, 0, m.maxFan)
-	}
-	items := tb.run.Items[:0]
+	draws := m.draws[:0]
 	now := m.kernel.Now()
 	rng := m.kernel.Rand()
 	span := int64(m.params.MaxDelay - m.params.MinDelay)
@@ -486,14 +485,27 @@ func (m *Medium) fanOut(fromSlot uint32, tb *txBuf) bool {
 			}
 			continue
 		}
-		at := now + m.params.MinDelay
+		delay := m.params.MinDelay
 		if span > 0 {
-			at += sim.Time(rng.Int63n(span + 1))
+			delay += sim.Time(rng.Int63n(span + 1))
 		}
-		items = append(items, sim.RunItem{At: at, Tag: slot})
+		draws = append(draws, sim.RunItem{Off: uint32(delay), Tag: slot})
 	}
-	tb.run.Items = items
-	return len(items) > 0
+	m.draws = draws
+	if len(draws) == 0 {
+		return nil
+	}
+
+	until := now + m.params.MaxDelay
+	m.payloads.Release(now)
+	m.items.Release(now)
+	tb := m.takeTxBuf()
+	tb.from = from
+	tb.rxc = m.rxCounter(kind) // resolved once; deliveries share the handle
+	tb.buf = m.payloads.Carve(size, until)[:0]
+	tb.run.Items = m.items.Carve(len(draws), until)
+	copy(tb.run.Items, draws)
+	return tb
 }
 
 // receive completes one reception of a transmission: charge, count, decode
@@ -578,6 +590,14 @@ func (m *Medium) TotalEnergySpent() float64 {
 		t += m.hosts[i].spent
 	}
 	return t
+}
+
+// BlocksMade reports how many payload and item blocks the medium has made:
+// the most its transmissions in flight have needed at once.
+func (m *Medium) BlocksMade() (payloads, items int) {
+	payloads, _ = m.payloads.Counts()
+	items, _ = m.items.Counts()
+	return payloads, items
 }
 
 // Counters returns a snapshot of the medium's tallies (tx/rx per kind,

@@ -3,6 +3,7 @@ package radio
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -605,6 +606,36 @@ func TestNewValidation(t *testing.T) {
 			}()
 			New(k, p)
 		}()
+	}
+}
+
+// TestValidateDelays pins the delays a medium accepts to those the kernel
+// can schedule: no delivery before its send, and none further out than a run
+// item's 32-bit offset reaches, so that a bad delay is refused at New instead
+// of panicking or wrapping at the first draw.
+func TestValidateDelays(t *testing.T) {
+	for _, c := range []struct {
+		min, max sim.Time
+		want     string // "" when valid
+	}{
+		{-5 * sim.Time(time.Millisecond), sim.Time(time.Millisecond), "negative MinDelay"},
+		{-1, -1, "negative MinDelay"},
+		{0, 1 << 40, "MaxDelay 18m19.511627776s past"},
+		{0, math.MaxUint32 + 1, "past the 4.294967295s"},
+		{sim.Time(time.Millisecond), 0, "MaxDelay < MinDelay"},
+		{0, 0, ""},
+		{0, math.MaxUint32, ""},
+		{math.MaxUint32, math.MaxUint32, ""},
+	} {
+		p := Defaults(0)
+		p.MinDelay, p.MaxDelay = c.min, c.max
+		err := p.Validate()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("delays [%v, %v]: rejected: %v", c.min, c.max, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("delays [%v, %v]: error %v, want one containing %q", c.min, c.max, err, c.want)
+		}
 	}
 }
 

@@ -72,8 +72,8 @@ func BenchmarkRunFanout(b *testing.B) {
 				free = free[:len(free)-1]
 				r.Items = r.Items[:0]
 				for i := 0; i < fan; i++ {
-					at := k.Now() + Time(time.Millisecond) + Time(rng.Int63n(int64(11*time.Millisecond)))
-					r.Items = append(r.Items, RunItem{At: at, Tag: uint32(i)})
+					off := Time(time.Millisecond) + Time(rng.Int63n(int64(11*time.Millisecond)))
+					r.Items = append(r.Items, RunItem{Off: uint32(off), Tag: uint32(i)})
 				}
 				k.ScheduleRun(r, fire, r)
 				k.RunUntil(k.Now() + every)

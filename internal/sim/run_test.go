@@ -22,10 +22,10 @@ func TestRunFiresLikeIndividualEvents(t *testing.T) {
 
 	// Seqs: a0..a2 take 0-2, the timer takes 3, b0..b1 take 4-5. Everything
 	// ties at 5 except a1 (at 7) and b1 (at 9).
-	a := &Run{Items: []RunItem{{At: 5, Tag: 0}, {At: 7, Tag: 1}, {At: 5, Tag: 2}}}
+	a := &Run{Items: []RunItem{{Off: 5, Tag: 0}, {Off: 7, Tag: 1}, {Off: 5, Tag: 2}}}
 	k.ScheduleRun(a, fire, "a")
 	k.Schedule(5, func() { log("timer") })
-	b := &Run{Items: []RunItem{{At: 9, Tag: 0}, {At: 5, Tag: 1}}}
+	b := &Run{Items: []RunItem{{Off: 9, Tag: 0}, {Off: 5, Tag: 1}}}
 	k.ScheduleRun(b, fire, "b")
 
 	if k.Pending() != 6 {
@@ -67,8 +67,8 @@ func TestRunHandlerSchedulesAndStops(t *testing.T) {
 	var got []string
 	log := func(s string) { got = append(got, fmt.Sprintf("%d:%s", k.Now(), s)) }
 
-	inner := &Run{Items: []RunItem{{At: 3, Tag: 0}, {At: 2, Tag: 1}}}
-	outer := &Run{Items: []RunItem{{At: 2, Tag: 0}, {At: 2, Tag: 1}, {At: 4, Tag: 2}}}
+	inner := &Run{Items: []RunItem{{Off: 1, Tag: 0}, {Off: 0, Tag: 1}}} // scheduled at 2
+	outer := &Run{Items: []RunItem{{Off: 2, Tag: 0}, {Off: 2, Tag: 1}, {Off: 4, Tag: 2}}}
 	k.ScheduleRun(outer, func(_ any, it RunItem) {
 		log(fmt.Sprintf("outer%d", it.Tag))
 		switch it.Tag {
@@ -109,7 +109,7 @@ func TestRunEdges(t *testing.T) {
 	r := &Run{}
 	fired := 0
 	for round := 0; round < 3; round++ {
-		r.Items = append(r.Items[:0], RunItem{At: k.Now() + 1}, RunItem{At: k.Now() + 1})
+		r.Items = append(r.Items[:0], RunItem{Off: 1}, RunItem{Off: 1})
 		k.ScheduleRun(r, func(any, RunItem) { fired++ }, nil)
 		k.Run()
 	}
@@ -117,10 +117,14 @@ func TestRunEdges(t *testing.T) {
 		t.Fatalf("reused run fired %d items, want 6", fired)
 	}
 
-	k.RunUntil(100)
+	// An item one nanosecond past the end of time is refused; one on it is
+	// not.
+	end := New(1)
+	end.RunUntil(math.MaxInt64 - 5)
+	end.ScheduleRun(&Run{Items: []RunItem{{Off: 5}}}, func(any, RunItem) {}, nil)
 	for name, fn := range map[string]func(){
-		"past item":   func() { k.ScheduleRun(&Run{Items: []RunItem{{At: 99}}}, func(any, RunItem) {}, nil) },
-		"nil handler": func() { k.ScheduleRun(&Run{Items: []RunItem{{At: 100}}}, nil, nil) },
+		"past the end of time": func() { end.ScheduleRun(&Run{Items: []RunItem{{Off: 5}, {Off: 6}}}, func(any, RunItem) {}, nil) },
+		"nil handler":          func() { k.ScheduleRun(&Run{Items: []RunItem{{Off: 1}}}, nil, nil) },
 	} {
 		func() {
 			defer func() {
@@ -134,20 +138,20 @@ func TestRunEdges(t *testing.T) {
 }
 
 // TestRunFarLeadFromFiring schedules, from inside a firing, a run whose first
-// item is an hour out and whose second is ten seconds after that, with a
-// timer between them: a window as wide as that lead would hold offsets past
-// 32 bits, so the kernel must cap its width.
+// item is 4 s out and whose second is at the farthest offset 32 bits hold,
+// with a timer between them: the window that lead opens spans seconds, and
+// must still fire the timer between the two items.
 func TestRunFarLeadFromFiring(t *testing.T) {
 	k := New(1)
 	var got []string
 	log := func(s string) { got = append(got, fmt.Sprintf("%v:%s", k.Now(), s)) }
 	k.Schedule(1, func() {
-		k.ScheduleRun(&Run{Items: []RunItem{{At: Time(time.Hour)}, {At: Time(time.Hour + 10*time.Second), Tag: 1}}},
+		k.ScheduleRun(&Run{Items: []RunItem{{Off: uint32(4 * time.Second)}, {Off: math.MaxUint32, Tag: 1}}},
 			func(_ any, it RunItem) { log(fmt.Sprint("item", it.Tag)) }, nil)
-		k.At(Time(time.Hour+5*time.Second), func() { log("timer") })
+		k.At(Time(4100*time.Millisecond), func() { log("timer") })
 	})
 	k.Run()
-	want := []string{"1h0m0s:item0", "1h0m5s:timer", "1h0m10s:item1"}
+	want := []string{"4.000000001s:item0", "4.1s:timer", "4.294967296s:item1"}
 	if !slices.Equal(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
@@ -337,7 +341,7 @@ func (r realKernel) ScheduleArg(d Time, fn ArgHandler, arg any) handle {
 func (r realKernel) run(delays []Time, fire func(i int)) {
 	run := &Run{}
 	for i, d := range delays {
-		run.Items = append(run.Items, RunItem{At: r.Now() + d, Tag: uint32(i)})
+		run.Items = append(run.Items, RunItem{Off: uint32(d), Tag: uint32(i)})
 	}
 	if r.c != nil && len(delays) > 0 && r.head < len(r.win) && r.Now()+slices.Min(delays) <= r.winLast {
 		if r.firing {
@@ -601,7 +605,8 @@ func TestRunUntilIncrementsMatchRun(t *testing.T) {
 
 // runShapes are the item distributions the run's sort must order exactly as
 // the reference does, whatever route they take through it: delays from now,
-// returned in the order the items are appended.
+// each inside the 32 bits an item's offset holds, returned in the order the
+// items are appended.
 var runShapes = []struct {
 	name   string
 	delays func(rng *rand.Rand, n int) []Time
@@ -613,28 +618,28 @@ var runShapes = []struct {
 		}
 		return d
 	}},
-	// Everything inside 1 us except one item an hour out: by time, one
-	// bucket holds all but one item.
+	// Everything inside 1 us except one item at the farthest offset: by
+	// time, one bucket holds all but one item.
 	{"clustered with an outlier", func(rng *rand.Rand, n int) []Time {
 		d := spread(rng, n, 1000)
-		d[rng.Intn(n)] = Time(time.Hour)
+		d[rng.Intn(n)] = maxWidth
 		return d
 	}},
-	// Each item twice as far out as the one before it, wrapping at 2^62:
+	// Each item twice as far out as the one before it, wrapping at 2^31:
 	// every level of the distribution peels off a few and leaves the rest in
 	// its first bucket.
 	{"geometric", func(rng *rand.Rand, n int) []Time {
 		d := make([]Time, n)
 		for i := range d {
-			d[i] = Time(1) << (i % 63)
+			d[i] = Time(1) << (i % 32)
 		}
 		rng.Shuffle(n, func(i, j int) { d[i], d[j] = d[j], d[i] })
 		return d
 	}},
 	{"span 1ns", func(rng *rand.Rand, n int) []Time { return spread(rng, n, 1) }},
 	{"span 11ms", func(rng *rand.Rand, n int) []Time { return spread(rng, n, int64(11*time.Millisecond)) }},
-	{"span 2^41ns", func(rng *rand.Rand, n int) []Time { return spread(rng, n, 1<<41) }},
-	{"span to the end of time", func(rng *rand.Rand, n int) []Time { return spread(rng, n, math.MaxInt64) }},
+	{"span 2^31ns", func(rng *rand.Rand, n int) []Time { return spread(rng, n, 1<<31) }},
+	{"span every offset", func(rng *rand.Rand, n int) []Time { return spread(rng, n, math.MaxUint32) }},
 }
 
 // spread returns n delays drawn from [0, span], each end at least once.
@@ -695,16 +700,16 @@ func TestRunSortWorstCaseIsNotQuadratic(t *testing.T) {
 		delays := shape.delays(rand.New(rand.NewSource(1)), n)
 		items := make([]RunItem, n)
 		for i, d := range delays {
-			items[i] = RunItem{At: d, Tag: uint32(i)}
+			items[i] = RunItem{Off: uint32(d), Tag: uint32(i)}
 		}
 		want := slices.Clone(items)
-		slices.SortStableFunc(want, func(a, b RunItem) int { return cmp.Compare(a.At, b.At) })
+		slices.SortStableFunc(want, func(a, b RunItem) int { return cmp.Compare(a.Off, b.Off) })
 
 		k := New(1)
 		k.distribute(items)
 		moves := 0
 		for i := 1; i < n; i++ {
-			for j := i; j > 0 && items[j-1].At > items[j].At; j-- {
+			for j := i; j > 0 && items[j-1].Off > items[j].Off; j-- {
 				items[j-1], items[j] = items[j], items[j-1]
 				moves++
 			}
@@ -713,7 +718,7 @@ func TestRunSortWorstCaseIsNotQuadratic(t *testing.T) {
 			t.Errorf("%s: %d moves left to the insertion pass for %d items, want at most %d", shape.name, moves, n, insertLimit*n)
 		}
 		if !slices.Equal(items, want) {
-			t.Errorf("%s: distribute + insertion is not the stable order by At", shape.name)
+			t.Errorf("%s: distribute + insertion is not the stable order by Off", shape.name)
 		}
 	}
 }
@@ -723,8 +728,8 @@ func TestRunSortWorstCaseIsNotQuadratic(t *testing.T) {
 // dealt out as runs of 90 items (each sorted, as ScheduleRun leaves it) and
 // distributed into one window, must leave the insertion pass at most
 // insertLimit moves per item, and the pass must finish the (at, seq) order. A
-// window is at most maxWidth wide, so a shape that spans more is shifted down
-// into it, which turns its finest structure into ties.
+// window is at most maxWidth wide, so a shape that spans every offset is
+// halved into it, which turns its finest structure into ties.
 func TestWindowSortWorstCaseIsNotQuadratic(t *testing.T) {
 	const n, fan = 1 << 16, 90
 	for _, shape := range runShapes {
@@ -736,15 +741,15 @@ func TestWindowSortWorstCaseIsNotQuadratic(t *testing.T) {
 		for start := 0; start < n; start += fan {
 			r := &Run{seq: uint64(start)}
 			for i := start; i < min(start+fan, n); i++ {
-				r.Items = append(r.Items, RunItem{At: delays[i] >> sh, Tag: uint32(i)})
+				r.Items = append(r.Items, RunItem{Off: uint32(delays[i] >> sh), Tag: uint32(i)})
 			}
 			k.sortItems(r.Items)
 			k.winRuns = append(k.winRuns, r)
 			want = append(want, r.Items...)
 		}
-		// Runs are numbered in seq order, so a stable sort by At alone is the
-		// (at, seq) order.
-		slices.SortStableFunc(want, func(a, b RunItem) int { return cmp.Compare(a.At, b.At) })
+		// Runs are numbered in seq order and all scheduled at 0, so a stable
+		// sort by Off alone is the (at, seq) order.
+		slices.SortStableFunc(want, func(a, b RunItem) int { return cmp.Compare(a.Off, b.Off) })
 
 		k.distributeWindow(0, hi>>sh+1, n)
 		win := k.win

@@ -177,10 +177,13 @@ func (t Timer) Active() bool {
 	return t.ev != nil && t.ev.gen == t.gen && !t.ev.canceled && t.ev.queued
 }
 
-// RunItem is one firing of a Run.
+// RunItem is one firing of a Run: 8 bytes, so that the deliveries a radio
+// keeps in flight cost half what an absolute instant would.
 type RunItem struct {
-	// At is the absolute virtual instant the item fires.
-	At Time
+	// Off is the firing instant in nanoseconds after the instant the run is
+	// scheduled (ScheduleRun's now): a delivery lands within MaxDelay of its
+	// send, which is far inside the 4.29 s that 32 bits reach.
+	Off uint32
 	// Tag is the caller's: the kernel hands it back to the RunHandler and
 	// never reads it (the radio keeps the receiver's slot here).
 	Tag uint32
@@ -195,22 +198,31 @@ type RunHandler func(arg any, it RunItem)
 // effects", such as a radio transmission heard by every host in range. See
 // Kernel.ScheduleRun.
 //
-// The caller owns the Run and its Items (typically inside a pooled record)
-// and must leave both alone from ScheduleRun until the last item has fired:
-// Done reports that from inside the handler, and is the caller's cue to
-// recycle the record once the handler's own work is finished.
+// The caller owns the Run and its Items (typically a pooled record whose
+// Items are carved from a Blocks) and must leave both alone from ScheduleRun
+// until the last item has fired: Done reports that from inside the handler,
+// and is the caller's cue to recycle the record once the handler's own work
+// is finished.
 type Run struct {
 	// Items are the firings, appended by the caller in the order the
 	// equivalent individual ScheduleArg calls would have been made.
 	// ScheduleRun reorders them by firing time.
 	Items []RunItem
 
+	base Time   // the instant the run was scheduled: what Items' Off count from
 	pos  int    // next unfired item
 	next int    // next item not yet taken into a delivery window
 	seq  uint64 // the first of the run's block of seqs
 	fn   RunHandler
 	arg  any
 }
+
+// at returns the instant item i fires.
+func (r *Run) at(i int) Time { return r.base + Time(r.Items[i].Off) }
+
+// offBy returns the largest offset at which an item of r is due by last,
+// which is not before r.base.
+func (r *Run) offBy(last Time) uint32 { return uint32(min(last-r.base, maxWidth)) }
 
 // Done reports whether every item has fired (the one now firing included).
 func (r *Run) Done() bool { return r.pos == len(r.Items) }
@@ -401,20 +413,21 @@ func addSat(t, d Time) Time {
 // ScheduleRun schedules every item of r, as at most one heap entry. The
 // firing order — among the items and against everything else in the queue
 // — is exactly the order len(r.Items) ScheduleArg calls made now, one per
-// item in Items order with delay At-Now, would have produced: the run takes
+// item in Items order with delay Off, would have produced: the run takes
 // that many consecutive seqs, item i gets the i-th, and a k-way merge of
 // (at, seq) sorted series is the same total order as a heap of their
 // members. Steps counts every item.
 //
 // What the run saves is heap work. Its items are sorted here, once, among
-// themselves — a contiguous sort of a few 16-byte records, not one sift each
+// themselves — a contiguous sort of a few 8-byte records, not one sift each
 // through a heap of everything pending — and its heap entry is keyed by its
 // first item not yet in a delivery window: it moves once per window the run
 // has items in, not once per item (see gather). Items due inside the window
 // that is open now are merged into it at once.
 //
-// Items must not fire in the past. There is no cancellation handle. An empty
-// run schedules nothing and is Done at once.
+// No item can fire in the past; one must not fire past the end of time.
+// There is no cancellation handle. An empty run schedules nothing and is Done
+// at once.
 func (k *Kernel) ScheduleRun(r *Run, fn RunHandler, arg any) {
 	if fn == nil {
 		panic("sim: ScheduleRun called with nil handler")
@@ -424,24 +437,23 @@ func (k *Kernel) ScheduleRun(r *Run, fn RunHandler, arg any) {
 	if len(items) == 0 {
 		return
 	}
-	for i := range items {
-		if items[i].At < k.now {
-			panic(fmt.Sprintf("sim: ScheduleRun item at %v is in the past (now %v)", items[i].At, k.now))
-		}
-	}
 	k.sortItems(items)
+	if last := Time(items[len(items)-1].Off); k.now > math.MaxInt64-last {
+		panic(fmt.Sprintf("sim: ScheduleRun item %v after now %v is past the end of time", last, k.now))
+	}
+	r.base = k.now
 	r.fn, r.arg = fn, arg
 	r.seq = k.seq
 	k.seq += uint64(len(items))
 	k.unfired += len(items)
-	lead := max(items[0].At-k.now, 1)
+	lead := max(Time(items[0].Off), 1) // at most maxWidth
 	switch {
 	case k.firing && !k.firingLead: // the first lead that counts replaces the stand-in
-		k.width, k.firingLead = min(lead, maxWidth), true
+		k.width, k.firingLead = lead, true
 	case k.firing || !k.firingLead:
 		k.width = min(k.width, lead)
 	}
-	if k.head < len(k.win) && items[0].At <= k.winLast {
+	if k.head < len(k.win) && r.at(0) <= k.winLast {
 		k.merge(r)
 		if r.next == len(items) {
 			return
@@ -451,12 +463,12 @@ func (k *Kernel) ScheduleRun(r *Run, fn RunHandler, arg any) {
 	ev.run = r
 	ev.seq = r.seq
 	k.unfired--
-	k.enqueue(items[r.next].At, ev)
+	k.enqueue(r.at(r.next), ev)
 }
 
-// sortItems orders items by (At, ord), ord being an item's position in the
+// sortItems orders items by (Off, ord), ord being an item's position in the
 // order the caller appended it: its offset into the run's block of seqs. The
-// items arrive in that order, so any stable sort by At alone produces it and
+// items arrive in that order, so any stable sort by Off alone produces it and
 // no item carries its ord. Up to insertLimit items an insertion pass is the
 // whole sort; a longer run is first distributed by time, which leaves every
 // item within insertLimit places of its own, and the same pass finishes it.
@@ -467,7 +479,7 @@ func (k *Kernel) sortItems(items []RunItem) {
 	for i := 1; i < len(items); i++ {
 		it := items[i]
 		j := i
-		for ; j > 0 && items[j-1].At > it.At; j-- { // stable, so ties keep ord order
+		for ; j > 0 && items[j-1].Off > it.Off; j-- { // stable, so ties keep ord order
 			items[j] = items[j-1]
 		}
 		items[j] = it
@@ -486,13 +498,13 @@ const insertLimit = 12
 // completely: a counting pass and a scatter in place of a comparison sort.
 // Whatever the spread, a bucket that is divided again holds more than
 // insertLimit items, which makes its buckets at most an eighth as wide as
-// itself: at most 64/3 levels of O(n) each. Items that tie on At are left
+// itself: at most 32/3 levels of O(n) each. Items that tie on Off are left
 // alone, in ord order.
 func (k *Kernel) distribute(items []RunItem) {
 	n := len(items)
-	lo, hi := items[0].At, items[0].At
+	lo, hi := items[0].Off, items[0].Off
 	for i := range items {
-		lo, hi = min(lo, items[i].At), max(hi, items[i].At)
+		lo, hi = min(lo, items[i].Off), max(hi, items[i].Off)
 	}
 	if lo == hi {
 		return
@@ -509,7 +521,7 @@ func (k *Kernel) distribute(items []RunItem) {
 	tmp, cnt := k.sortTmp[:n], k.sortCnt[:n+1]
 	clear(cnt)
 	for i := range items {
-		cnt[uint64(items[i].At-lo)>>shift+1]++
+		cnt[uint64(items[i].Off-lo)>>shift+1]++
 	}
 	var most uint32 // the fullest bucket
 	for b := 1; b <= n; b++ {
@@ -517,7 +529,7 @@ func (k *Kernel) distribute(items []RunItem) {
 		cnt[b] += cnt[b-1] // cnt[b] is now where bucket b starts
 	}
 	for i := range items {
-		b := uint64(items[i].At-lo) >> shift
+		b := uint64(items[i].Off-lo) >> shift
 		tmp[cnt[b]] = items[i]
 		cnt[b]++
 	}
@@ -528,9 +540,9 @@ func (k *Kernel) distribute(items []RunItem) {
 	// The scratch is free again; the buckets' bounds are read back off the
 	// items themselves.
 	for i := 0; i < n; {
-		b := uint64(items[i].At-lo) >> shift
+		b := uint64(items[i].Off-lo) >> shift
 		j := i + 1
-		for j < n && uint64(items[j].At-lo)>>shift == b {
+		for j < n && uint64(items[j].Off-lo)>>shift == b {
 			j++
 		}
 		if j-i > insertLimit {
@@ -626,7 +638,7 @@ func (k *Kernel) gather(t0 Time) {
 		n = 0
 		kept := runs[:0]
 		for _, r := range runs {
-			if r.Items[r.next].At <= last {
+			if r.at(r.next) <= last {
 				kept = append(kept, r)
 				if n <= k.winCap || w == 1 {
 					n += due(r, last)
@@ -651,7 +663,7 @@ func (k *Kernel) gather(t0 Time) {
 		if r := ev.run; r == nil || a[i].at > last {
 			continue
 		} else if r.next < len(r.Items) {
-			k.queue.siftDown(i, entry{at: r.Items[r.next].At, ev: ev})
+			k.queue.siftDown(i, entry{at: r.at(r.next), ev: ev})
 		} else {
 			ev.run, ev.canceled = nil, true
 		}
@@ -693,10 +705,14 @@ func (k *Kernel) distributeWindow(t0, w Time, n int) {
 	}
 	cnt := k.sortCnt[:nb+1]
 	clear(cnt)
+	// A run in the window was scheduled by t0, and its items due in it are
+	// at or after t0: an item's offset into the window is its Off less the
+	// run's lag behind t0.
 	if nb > 1 {
 		for _, r := range k.winRuns {
-			for j := r.next; j < len(r.Items) && r.Items[j].At <= last; j++ {
-				cnt[uint64(r.Items[j].At-t0)>>shift+1]++
+			lag, lim := uint32(t0-r.base), r.offBy(last)
+			for j := r.next; j < len(r.Items) && r.Items[j].Off <= lim; j++ {
+				cnt[(r.Items[j].Off-lag)>>shift+1]++
 			}
 		}
 		for b := 1; b <= nb; b++ {
@@ -710,9 +726,10 @@ func (k *Kernel) distributeWindow(t0, w Time, n int) {
 	}
 	win := k.win[:n]
 	for ri, r := range k.winRuns {
+		lag, lim := uint32(t0-r.base), r.offBy(last)
 		j := r.next
-		for ; j < len(r.Items) && r.Items[j].At <= last; j++ {
-			off := uint32(r.Items[j].At - t0)
+		for ; j < len(r.Items) && r.Items[j].Off <= lim; j++ {
+			off := r.Items[j].Off - lag
 			b := off >> shift
 			win[cnt[b]] = winEntry{off: off, run: uint32(ri)}
 			cnt[b]++
@@ -742,8 +759,8 @@ func (k *Kernel) winCmp(a, b winEntry) int {
 
 // due counts r's items from r.next on that are due by last.
 func due(r *Run, last Time) int {
-	i := r.next
-	for i < len(r.Items) && r.Items[i].At <= last {
+	i, lim := r.next, r.offBy(last)
+	for i < len(r.Items) && r.Items[i].Off <= lim {
 		i++
 	}
 	return i - r.next
@@ -761,8 +778,9 @@ func (k *Kernel) merge(r *Run) {
 	ri := uint32(len(k.winRuns))
 	k.winRuns = append(k.winRuns, r)
 	i, d := live-1, live+m-1
+	since := r.base - k.winStart // the window opened at or before now
 	for j := m - 1; j >= 0; d-- {
-		off := uint32(r.Items[j].At - k.winStart)
+		off := uint32(since + Time(r.Items[j].Off))
 		if i >= 0 && win[i].off > off {
 			win[d] = win[i]
 			i--

@@ -78,18 +78,22 @@ func TestZeroAndNegativeDelay(t *testing.T) {
 
 // TestDelaySaturatesAtTheEndOfTime schedules past math.MaxInt64 from a
 // non-zero now: the event must land at the end of time, after everything
-// nearer, and never wrap into the past. A run with items at the last two
-// instants opens a delivery window whose end would overflow the same way.
+// nearer, and never wrap into the past. A run scheduled 100 ns before the
+// end, with items at the last two instants, opens a delivery window whose
+// end would overflow the same way.
 func TestDelaySaturatesAtTheEndOfTime(t *testing.T) {
 	k := New(1)
 	k.RunUntil(5)
 	var got []string
 	note := func(s string) { got = append(got, fmt.Sprintf("%s@%d", s, k.Now())) }
+	fire := func(_ any, it RunItem) { note(fmt.Sprint("run", it.Tag)) }
 	k.Schedule(math.MaxInt64, func() { note("far") })
 	k.ScheduleArg(math.MaxInt64-4, func(any) { note("farArg") }, nil)
 	k.At(10, func() { note("near") })
-	k.ScheduleRun(&Run{Items: []RunItem{{At: math.MaxInt64}, {At: math.MaxInt64 - 1, Tag: 1}, {At: 7, Tag: 2}}},
-		func(_ any, it RunItem) { note(fmt.Sprint("run", it.Tag)) }, nil)
+	k.ScheduleRun(&Run{Items: []RunItem{{Off: 2, Tag: 2}}}, fire, nil)
+	k.At(math.MaxInt64-100, func() {
+		k.ScheduleRun(&Run{Items: []RunItem{{Off: 100}, {Off: 99, Tag: 1}}}, fire, nil)
+	})
 	k.Run()
 	want := []string{
 		"run2@7", "near@10",

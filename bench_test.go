@@ -252,18 +252,12 @@ func chainHopDelivery(b *testing.B, lossProb float64, backups bool, icfg func(*i
 		var fdss []*fds.Protocol
 		for j, pos := range positions {
 			h := node.New(k, m, wire.NodeID(j+1), pos)
-			cl := cluster.New(cluster.Config{Timing: timing})
-			f := fds.New(fds.DefaultConfig(timing), cl)
 			cfg := intercluster.DefaultConfig(timing)
 			if icfg != nil {
 				icfg(&cfg)
 			}
-			fw := intercluster.New(cfg, cl, f)
-			h.Use(cl)
-			h.Use(f)
-			h.Use(fw)
 			hosts = append(hosts, h)
-			fdss = append(fdss, f)
+			fdss = append(fdss, intercluster.Install(h, fds.DefaultConfig(timing), cfg).FDS)
 		}
 		for _, h := range hosts {
 			h.Boot()

@@ -68,16 +68,8 @@ func buildWorld(t *testing.T, seed int64, lossProb float64, positions []geo.Poin
 	for i, pos := range positions {
 		id := wire.NodeID(i + 1)
 		h := node.New(k, m, id, pos)
-		cl := cluster.New(cluster.Config{Timing: w.timing})
-		f := fds.New(fds.DefaultConfig(w.timing), cl)
-		fw := intercluster.New(intercluster.DefaultConfig(w.timing), cl, f)
-		sampler := func(id wire.NodeID) Sampler {
-			return func(e wire.Epoch) (float64, bool) { return float64(id), true }
-		}(id)
-		ag := New(cl, f, sampler)
-		h.Use(cl)
-		h.Use(f)
-		h.Use(fw)
+		s := intercluster.Install(h, fds.DefaultConfig(w.timing), intercluster.DefaultConfig(w.timing))
+		ag := New(s.Cluster, s.FDS, func(wire.Epoch) (float64, bool) { return float64(id), true })
 		h.Use(ag)
 		w.hosts = append(w.hosts, h)
 		w.aggs = append(w.aggs, ag)

@@ -140,19 +140,13 @@ func run(sc Scenario, k *sim.Kernel, m *radio.Medium, mem *trace.Memory, bind fu
 	timing := cluster.DefaultTiming()
 
 	hosts := make(map[wire.NodeID]*node.Host, sc.Nodes)
-	cls := make(map[wire.NodeID]*cluster.Protocol, sc.Nodes)
-	fdss := make(map[wire.NodeID]*fds.Protocol, sc.Nodes)
+	stacks := make(map[wire.NodeID]intercluster.Stack, sc.Nodes)
 	for i := 1; i <= sc.Nodes; i++ {
 		id := wire.NodeID(i)
 		rt := &recordingTransport{Transport: bind(id), sends: &res.Sends}
 		h := node.New(k, rt, id, geo.UniformInRect(placer, field), node.WithTrace(mem))
-		cl := cluster.New(cluster.Config{Timing: timing})
-		f := fds.New(fds.DefaultConfig(timing), cl)
-		ic := intercluster.New(intercluster.DefaultConfig(timing), cl, f)
-		h.Use(cl)
-		h.Use(f)
-		h.Use(ic)
-		hosts[id], cls[id], fdss[id] = h, cl, f
+		hosts[id] = h
+		stacks[id] = intercluster.Install(h, fds.DefaultConfig(timing), intercluster.DefaultConfig(timing))
 	}
 	for _, h := range sortedHosts(hosts) {
 		h.Boot()
@@ -170,7 +164,7 @@ func run(sc Scenario, k *sim.Kernel, m *radio.Medium, mem *trace.Memory, bind fu
 	res.Trace = mem.Events()
 	for i := 1; i <= sc.Nodes; i++ {
 		id := wire.NodeID(i)
-		res.States = append(res.States, renderState(id, fdss[id], cls[id]))
+		res.States = append(res.States, renderState(id, stacks[id].FDS, stacks[id].Cluster))
 		res.Energy = append(res.Energy, spent(id))
 	}
 	res.Counters = m.Counters()

@@ -34,13 +34,7 @@ func faultRun(t *testing.T, seed int64, params radio.Params, dup float64, nodes 
 			net = &dupTransport{Transport: net, rng: k.Rand(), p: dup}
 		}
 		h := node.New(k, net, id, geo.Point{})
-		cl := cluster.New(cluster.Config{Timing: timing})
-		f := fds.New(fds.DefaultConfig(timing), cl)
-		ic := intercluster.New(intercluster.DefaultConfig(timing), cl, f)
-		h.Use(cl)
-		h.Use(f)
-		h.Use(ic)
-		fdss[id] = f
+		fdss[id] = intercluster.Install(h, fds.DefaultConfig(timing), intercluster.DefaultConfig(timing)).FDS
 		hosts = append(hosts, h)
 	}
 	for _, h := range hosts {

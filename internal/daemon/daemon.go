@@ -56,9 +56,7 @@ type Daemon struct {
 	inject func(transport.Packet) // what a drain hands each datagram to
 	lt     *transport.LinkTransport
 	host   *node.Host
-	cl     *cluster.Protocol
-	fds    *fds.Protocol
-	ic     *intercluster.Protocol
+	stack  intercluster.Stack
 }
 
 // New assembles a daemon over the given link. The full stack is wired and
@@ -81,14 +79,9 @@ func New(cfg Config, link transport.Link) *Daemon {
 	lt := transport.NewLinkTransport(k, link, ltOpts...)
 	h := node.New(k, lt, cfg.ID, geo.Point{}, hostOpts...)
 
-	cl := cluster.New(cluster.Config{Timing: cfg.Timing})
-	f := fds.New(fds.DefaultConfig(cfg.Timing), cl)
-	ic := intercluster.New(intercluster.DefaultConfig(cfg.Timing), cl, f)
-	h.Use(cl)
-	h.Use(f)
-	h.Use(ic)
+	stack := intercluster.Install(h, fds.DefaultConfig(cfg.Timing), intercluster.DefaultConfig(cfg.Timing))
 
-	d := &Daemon{cfg: cfg, kernel: k, link: link, inbox: link.Inbox(), lt: lt, host: h, cl: cl, fds: f, ic: ic}
+	d := &Daemon{cfg: cfg, kernel: k, link: link, inbox: link.Inbox(), lt: lt, host: h, stack: stack}
 	// Malformed datagrams are counted by the transport and dropped.
 	d.inject = func(p transport.Packet) { _ = lt.Inject(p) }
 	if cfg.BootAt > 0 {
@@ -106,10 +99,10 @@ func (d *Daemon) ID() wire.NodeID { return d.cfg.ID }
 func (d *Daemon) Kernel() *sim.Kernel { return d.kernel }
 
 // FDS returns the daemon's failure detection service.
-func (d *Daemon) FDS() *fds.Protocol { return d.fds }
+func (d *Daemon) FDS() *fds.Protocol { return d.stack.FDS }
 
 // Cluster returns the daemon's cluster-formation protocol.
-func (d *Daemon) Cluster() *cluster.Protocol { return d.cl }
+func (d *Daemon) Cluster() *cluster.Protocol { return d.stack.Cluster }
 
 // Transport returns the daemon's link transport.
 func (d *Daemon) Transport() *transport.LinkTransport { return d.lt }
@@ -180,23 +173,23 @@ func (d *Daemon) Run(wall transport.WallClock, stop <-chan struct{}, out io.Writ
 // seed. Two daemons fed the same history dump identical bytes, which the
 // graceful-shutdown test pins.
 func (d *Daemon) DumpState(w io.Writer) error {
-	v := d.cl.View()
+	v := d.stack.Cluster.View()
 	role := "unclustered"
 	if v.IsCH {
 		role = "clusterhead"
 	} else if v.Marked {
 		role = fmt.Sprintf("member of %v", v.CH)
 	}
-	suspected := append([]wire.NodeID(nil), d.fds.KnownFailed()...)
+	suspected := append([]wire.NodeID(nil), d.stack.FDS.KnownFailed()...)
 	slices.Sort(suspected)
 	members := append([]wire.NodeID(nil), v.Members...)
 	slices.Sort(members)
-	slots, armed := d.fds.ForwardSlots()
+	slots, armed := d.stack.FDS.ForwardSlots()
 	_, err := fmt.Fprintf(w,
 		"fdsd node %v\n  vtime: %v\n  epoch: %v\n  role: %s\n  members: %v\n  dchs: %v\n  suspected: %v\n  update-received: %v\n  reports: %d live, %d pooled, %d stale copies ignored\n  state: %d forward slots (%d armed), %d border peers, %d gateway-candidate pairs\n  bad-datagrams: %v\n  queue-drops: %v\n",
-		d.cfg.ID, d.kernel.Now(), d.fds.Epoch(), role, members, v.DCHs, suspected,
-		d.fds.UpdateReceived(), d.ic.LiveReports(), d.ic.PooledReports(), d.ic.StaleCopies(),
-		slots, armed, d.cl.BorderPeers(), d.cl.GatewayPairs(),
+		d.cfg.ID, d.kernel.Now(), d.stack.FDS.Epoch(), role, members, v.DCHs, suspected,
+		d.stack.FDS.UpdateReceived(), d.stack.Forwarder.LiveReports(), d.stack.Forwarder.PooledReports(), d.stack.Forwarder.StaleCopies(),
+		slots, armed, d.stack.Cluster.BorderPeers(), d.stack.Cluster.GatewayPairs(),
 		d.lt.BadDatagrams(), d.inbox.Dropped())
 	return err
 }

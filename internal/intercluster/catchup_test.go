@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"clusterfds/internal/cluster"
 	"clusterfds/internal/fds"
 	"clusterfds/internal/geo"
 	"clusterfds/internal/node"
@@ -41,11 +40,9 @@ func TestCatchUpOnNewAdjacency(t *testing.T) {
 	}
 	for i, pos := range late {
 		id := wire.NodeID(8 + i)
-		h, cl, f, fw := newStackHost(t, w, id, pos)
-		_ = cl
-		_ = fw
+		h := node.New(w.kernel, w.medium, id, pos, node.WithTrace(w.tracer))
 		w.hosts = append(w.hosts, h)
-		w.fdss = append(w.fdss, f)
+		w.stacks = append(w.stacks, Install(h, fds.DefaultConfig(w.timing), DefaultConfig(w.timing)))
 		at := w.timing.EpochStart(5) + w.timing.Interval/4
 		w.kernel.At(at, func() { h.Boot() })
 	}
@@ -72,12 +69,10 @@ func TestCatchUpOnNewAdjacency(t *testing.T) {
 		{geo.Point{X: 150, Y: -170}, 4}, // n17 member E, border to B
 		{geo.Point{X: 170, Y: -260}, 4}, // n18 member E
 	}
-	cls := make(map[wire.NodeID]*cluster.Protocol)
 	for i, x := range extra {
-		h, cl, f, _ := newStackHost(t, w, wire.NodeID(11+i), x.pos)
+		h := node.New(w.kernel, w.medium, wire.NodeID(11+i), x.pos, node.WithTrace(w.tracer))
 		w.hosts = append(w.hosts, h)
-		w.fdss = append(w.fdss, f)
-		cls[wire.NodeID(11+i)] = cl
+		w.stacks = append(w.stacks, Install(h, fds.DefaultConfig(w.timing), DefaultConfig(w.timing)))
 		if x.boot == 0 {
 			h.Boot()
 		} else {
@@ -86,7 +81,7 @@ func TestCatchUpOnNewAdjacency(t *testing.T) {
 	}
 	w.runUntilEpoch(14)
 	for id, ch := range map[wire.NodeID]wire.NodeID{11: 2, 13: 1, 12: 12, 14: 12, 16: 16, 17: 16, 18: 16} {
-		if got := cls[id].View().CH; got != ch {
+		if got := w.stacks[id-1].Cluster.View().CH; got != ch {
 			t.Fatalf("layout: n%d follows %v, want n%d", id, got, ch)
 		}
 	}
@@ -97,7 +92,7 @@ func TestCatchUpOnNewAdjacency(t *testing.T) {
 		if w.hosts[i].Crashed() {
 			continue
 		}
-		if !w.fdss[i].IsSuspected(4) {
+		if !w.stacks[i].FDS.IsSuspected(4) {
 			t.Errorf("late host n%d never learned the pre-formation failure of n4", i+1)
 		}
 	}
@@ -117,14 +112,14 @@ func TestCatchUpOnNewAdjacency(t *testing.T) {
 	// included: E, which no flood and no catch-up of its own ever reached,
 	// learns the old failure over n11 -> n17.
 	for id := wire.NodeID(16); id <= 18; id++ {
-		if !w.fdss[id-1].IsSuspected(4) {
+		if !w.stacks[id-1].FDS.IsSuspected(4) {
 			t.Errorf("n%d, behind the two-hop gateway, never learned the pre-formation failure of n4", id)
 		}
 	}
 	// And it stops after one adjacency: A rebroadcasts it for its members,
 	// but A's gateway does not engage on that, so nothing of Z's — which knew
 	// of n4 from the epoch-3 flood — transmits a report once D exists.
-	if !w.fdss[11].IsSuspected(4) {
+	if !w.stacks[11].FDS.IsSuspected(4) {
 		t.Fatal("layout: Z never heard the original flood")
 	}
 	relayedByA, twoHop := false, false
@@ -195,18 +190,4 @@ func TestReportFromUpdateCanonical(t *testing.T) {
 	if st.allFailed()[0] == 99 || st.newFailed()[0] == 99 || st.rescinded[0].Node == 99 {
 		t.Error("tracked report aliases the update")
 	}
-}
-
-// newStackHost builds (without booting) a full-stack host in an existing
-// test world.
-func newStackHost(t *testing.T, w *world, id wire.NodeID, pos geo.Point) (*node.Host, *cluster.Protocol, *fds.Protocol, *Protocol) {
-	t.Helper()
-	h := node.New(w.kernel, w.medium, id, pos, node.WithTrace(w.tracer))
-	cl := cluster.New(cluster.Config{Timing: w.timing})
-	f := fds.New(fds.DefaultConfig(w.timing), cl)
-	fw := New(DefaultConfig(w.timing), cl, f)
-	h.Use(cl)
-	h.Use(f)
-	h.Use(fw)
-	return h, cl, f, fw
 }

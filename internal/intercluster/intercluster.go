@@ -323,6 +323,27 @@ func New(cfg Config, cl *cluster.Protocol, f *fds.Protocol) *Protocol {
 	return &Protocol{cfg: cfg, cluster: cl, fds: f}
 }
 
+// Stack is one host's three-layer service: cluster formation (§3), the
+// intra-cluster FDS (§4.1–4.2) and the inter-cluster forwarder (§4.3).
+type Stack struct {
+	Cluster   *cluster.Protocol
+	FDS       *fds.Protocol
+	Forwarder *Protocol
+}
+
+// Install builds the stack on f's timing and runs it on h, which starts the
+// layers, and hands each message to them, in dependency order. It panics if
+// ic's timing is not f's.
+func Install(h *node.Host, f fds.Config, ic Config) Stack {
+	cl := cluster.New(cluster.Config{Timing: f.Timing})
+	fp := fds.New(f, cl)
+	fw := New(ic, cl, fp)
+	h.Use(cl)
+	h.Use(fp)
+	h.Use(fw)
+	return Stack{Cluster: cl, FDS: fp, Forwarder: fw}
+}
+
 // Start implements node.Protocol.
 func (p *Protocol) Start(h *node.Host) {
 	p.host = h

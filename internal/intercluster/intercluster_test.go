@@ -20,9 +20,7 @@ type world struct {
 	kernel *sim.Kernel
 	medium *radio.Medium
 	hosts  []*node.Host
-	cls    []*cluster.Protocol
-	fdss   []*fds.Protocol
-	fwds   []*Protocol
+	stacks []Stack
 	timing cluster.Timing
 	tracer *trace.Memory
 }
@@ -47,16 +45,8 @@ func buildWorldTo(sink trace.Sink, seed int64, lossProb float64, cfg func(cluste
 	w := &world{kernel: k, medium: m, timing: cluster.DefaultTiming()}
 	for i, pos := range positions {
 		h := node.New(k, m, wire.NodeID(i+1), pos, node.WithTrace(sink))
-		cl := cluster.New(cluster.Config{Timing: w.timing})
-		f := fds.New(fds.DefaultConfig(w.timing), cl)
-		fw := New(cfg(w.timing), cl, f)
-		h.Use(cl)
-		h.Use(f)
-		h.Use(fw)
 		w.hosts = append(w.hosts, h)
-		w.cls = append(w.cls, cl)
-		w.fdss = append(w.fdss, f)
-		w.fwds = append(w.fwds, fw)
+		w.stacks = append(w.stacks, Install(h, fds.DefaultConfig(w.timing), cfg(w.timing)))
 	}
 	for _, h := range w.hosts {
 		h.Boot()
@@ -105,13 +95,13 @@ func TestReportPropagatesAcrossChain(t *testing.T) {
 	w.runUntilEpoch(6)
 
 	// Every operational node in every cluster must know about n8.
-	for i, f := range w.fdss {
+	for i, s := range w.stacks {
 		if i == 7 {
 			continue
 		}
-		if !f.IsSuspected(8) {
+		if !s.FDS.IsSuspected(8) {
 			t.Errorf("node %d (cluster of %v) never learned of n8's failure",
-				i+1, w.cls[i].View().CH)
+				i+1, s.Cluster.View().CH)
 		}
 	}
 	if w.tracer.Count(trace.TypeReportForward) == 0 {
@@ -151,7 +141,7 @@ func TestBGWAssistsWhenPrimaryLinkDead(t *testing.T) {
 	w.runUntilEpoch(6)
 
 	for _, i := range []int{1, 9, 10} { // CH B and members of B
-		if !w.fdss[i].IsSuspected(8) {
+		if !w.stacks[i].FDS.IsSuspected(8) {
 			t.Errorf("node %d missed the failure despite backup gateway", i+1)
 		}
 	}
@@ -168,11 +158,11 @@ func TestBGWTakesOverWhenPrimaryCrashes(t *testing.T) {
 	w.crashAtEpoch(7, 3) // then a member failure to report
 	w.runUntilEpoch(8)
 
-	if !w.fdss[1].IsSuspected(8) {
+	if !w.stacks[1].FDS.IsSuspected(8) {
 		t.Error("CH B never learned of n8 after primary gateway crash")
 	}
 	// n6's own failure must also have been reported across.
-	if !w.fdss[1].IsSuspected(6) {
+	if !w.stacks[1].FDS.IsSuspected(6) {
 		t.Error("CH B never learned of the gateway's own failure")
 	}
 }
@@ -188,7 +178,7 @@ func TestTwoHopOnlyAcrossAGap(t *testing.T) {
 	w := buildWorld(t, 23, 0, nil, positions)
 	w.crashAtEpoch(7, 2) // n8 fails; n1's epoch-3 update reports it
 	w.runUntilEpoch(3)
-	border := w.cls[13]
+	border := w.stacks[13].Cluster
 	if got := border.CH(); got != 1 {
 		t.Fatalf("layout: n14 follows %v, want n1", got)
 	}
@@ -200,7 +190,7 @@ func TestTwoHopOnlyAcrossAGap(t *testing.T) {
 	}
 
 	w.kernel.RunUntil(w.timing.EpochStart(4) + w.timing.Thop)
-	st := w.fwds[13].state(1, 3)
+	st := w.stacks[13].Forwarder.state(1, 3)
 	if st == nil {
 		t.Fatal("n14 never heard report (n1, 3)")
 	}
@@ -216,7 +206,7 @@ func TestTwoHopOnlyAcrossAGap(t *testing.T) {
 		}
 	}
 	for _, i := range []int{1, 9, 10, 14} { // CH B and its members n10, n11, n15
-		if !w.fdss[i].IsSuspected(8) {
+		if !w.stacks[i].FDS.IsSuspected(8) {
 			t.Errorf("n%d never learned of n8's failure", i+1)
 		}
 	}
@@ -237,7 +227,7 @@ func TestRetransmitOnLostForward(t *testing.T) {
 	w.kernel.At(restoreAt, func() { w.medium.SetLinkLoss(6, 2, -1) })
 	w.runUntilEpoch(7)
 
-	if !w.fdss[1].IsSuspected(8) {
+	if !w.stacks[1].FDS.IsSuspected(8) {
 		t.Error("failure never reached cluster B despite retransmissions")
 	}
 	if w.tracer.Count(trace.TypeRetransmit) == 0 {
@@ -254,7 +244,7 @@ func TestPropagationUnderLoss(t *testing.T) {
 	w.crashAtEpoch(7, 2)
 	w.runUntilEpoch(8)
 	for _, i := range []int{1, 2, 9, 10, 11, 12} {
-		if !w.fdss[i].IsSuspected(8) {
+		if !w.stacks[i].FDS.IsSuspected(8) {
 			t.Errorf("node %d missed the remote failure at p=0.15", i+1)
 		}
 	}
@@ -269,7 +259,7 @@ func TestImplicitAcksDisabledStillWorksWithoutLoss(t *testing.T) {
 	w := buildWorld(t, 8, 0, noAck, threeClusterChain())
 	w.crashAtEpoch(7, 2)
 	w.runUntilEpoch(6)
-	if !w.fdss[2].IsSuspected(8) {
+	if !w.stacks[2].FDS.IsSuspected(8) {
 		t.Error("fire-and-forget forwarding failed even without loss")
 	}
 	if w.tracer.Count(trace.TypeRetransmit) != 0 {
@@ -285,7 +275,7 @@ func TestCHFailureReportedAcrossClusters(t *testing.T) {
 	w.crashAtEpoch(0, 2)
 	w.runUntilEpoch(8)
 	for _, i := range []int{1, 2, 9, 11} {
-		if !w.fdss[i].IsSuspected(1) {
+		if !w.stacks[i].FDS.IsSuspected(1) {
 			t.Errorf("node %d never learned the CH of A failed", i+1)
 		}
 	}
@@ -295,7 +285,7 @@ func TestSeenAndReportCount(t *testing.T) {
 	w := buildWorld(t, 10, 0, nil, threeClusterChain())
 	w.crashAtEpoch(7, 2)
 	w.runUntilEpoch(4)
-	fw := w.fwds[1] // CH B's forwarder
+	fw := w.stacks[1].Forwarder // CH B's forwarder
 	if fw.ReportCount() == 0 || fw.LiveReports() == 0 {
 		t.Errorf("CH B saw %d reports, holds %d; want both > 0", fw.ReportCount(), fw.LiveReports())
 	}
@@ -323,7 +313,7 @@ func TestReportStateRetires(t *testing.T) {
 	w.crashAtEpoch(7, 2) // n8 fails; n1's epoch-3 update reports it
 	tm := w.timing
 	w.kernel.RunUntil(tm.EpochStart(4) + tm.Thop)
-	chB, gw := w.fwds[1], w.fwds[5] // CH B, and gateway n6 between A and B
+	chB, gw := w.stacks[1].Forwarder, w.stacks[5].Forwarder // CH B, and gateway n6 between A and B
 	stB, stGW := chB.state(1, 3), gw.state(1, 3)
 	if stB == nil || stGW == nil {
 		t.Fatal("report (n1, 3) not held at CH B and gateway n6 during epoch 4")
@@ -373,11 +363,11 @@ func TestReportStateRetires(t *testing.T) {
 			stale, gw.StaleCopies(), gw.state(1, 3))
 	}
 	for _, i := range []int{5, 6, 9, 10} { // n6, n7, n10, n11 hear CH B
-		if !w.fdss[i].IsSuspected(99) {
+		if !w.stacks[i].FDS.IsSuspected(99) {
 			t.Errorf("n%d: fds did not merge the late copy's failed list", i+1)
 		}
 		// (d) The retired report still counts as seen.
-		if !w.fwds[i].Seen(1, 3) {
+		if !w.stacks[i].Forwarder.Seen(1, 3) {
 			t.Errorf("n%d: retired report (n1, 3) not Seen", i+1)
 		}
 	}
@@ -396,9 +386,9 @@ func TestReportStateRetires(t *testing.T) {
 	// Every armed count returns to zero: once the last report ages out, no
 	// surviving host holds a state.
 	w.runUntilEpoch(aged + 2 + reportEpochs + 1)
-	for i, fw := range w.fwds {
-		if !w.hosts[i].Crashed() && fw.LiveReports() != 0 {
-			t.Errorf("n%d holds %d report states after every report aged out", i+1, fw.LiveReports())
+	for i, s := range w.stacks {
+		if n := s.Forwarder.LiveReports(); !w.hosts[i].Crashed() && n != 0 {
+			t.Errorf("n%d holds %d report states after every report aged out", i+1, n)
 		}
 	}
 }
@@ -422,6 +412,11 @@ func TestConfigValidation(t *testing.T) {
 		"bad timing":  func() { New(Config{}, cl, f) },
 		"other timing": func() {
 			New(DefaultConfig(halfInterval()), cl, f)
+		},
+		"install other timing": func() {
+			k := sim.New(1)
+			h := node.New(k, radio.New(k, radio.Defaults(0)), 1, geo.Point{})
+			Install(h, fds.DefaultConfig(cluster.DefaultTiming()), DefaultConfig(halfInterval()))
 		},
 	} {
 		func() {
@@ -473,7 +468,7 @@ func BenchmarkReportEpoch(b *testing.B) {
 		flood()
 	}
 	b.StopTimer()
-	if !w.fwds[2].Seen(1, uint64(e-1)) {
+	if !w.stacks[2].Forwarder.Seen(1, uint64(e-1)) {
 		b.Fatal("the last report did not reach CH C")
 	}
 	b.ReportMetric(float64(w.medium.Sent(wire.KindFailureReport)-sent)/float64(b.N), "reports-tx/op")

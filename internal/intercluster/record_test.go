@@ -28,7 +28,7 @@ func TestReportRecordSizes(t *testing.T) {
 func TestRecycledReportCarriesNothing(t *testing.T) {
 	w := buildWorld(t, 12, 0, nil, threeClusterChain())
 	w.runUntilEpoch(2)
-	fw := w.fwds[1] // CH B
+	fw := w.stacks[1].Forwarder // CH B
 	e := uint64(fw.epoch)
 
 	st := fw.getState(&wire.FailureReport{
@@ -115,8 +115,8 @@ func TestSenderQueriesMatchSliceModel(t *testing.T) {
 	}
 	chs := []wire.NodeID{1, 2, 3}
 	var border, member [2]int // [false, true] answers that rest on the list's walk
-	for _, fw := range w.fwds {
-		cl := fw.cluster
+	for _, s := range w.stacks {
+		fw, cl := s.Forwarder, s.Cluster
 		for order := 0; order < 20; order++ {
 			st := &reportState{p: fw}
 			var model []wire.NodeID

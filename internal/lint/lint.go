@@ -80,6 +80,12 @@ type loader struct {
 	fset         *token.FileSet
 	pkgs         map[string]*Unit // non-test packages, by import path
 	std          types.Importer   // made on first use
+	// plain, when set, makes this the loader of under's external test
+	// package: an in-module package that imports under, directly or not,
+	// is checked again here against under's test variant, as the go command
+	// rebuilds it; every other import is plain's.
+	plain *loader
+	under string
 }
 
 // stdImporter returns an importer over the toolchain's export data for every
@@ -194,12 +200,8 @@ func (l *loader) vetUnits(path, dir string) ([]*Unit, error) {
 	}
 	units := []*Unit{under}
 	if len(bp.XTestGoFiles) > 0 {
-		x, err := l.check(path+"_test", dir, bp.XTestGoFiles, importerFunc(func(p string) (*types.Package, error) {
-			if p == path {
-				return under.Pkg, nil
-			}
-			return l.Import(p)
-		}))
+		xl := &loader{root: l.root, prefix: l.prefix, fset: l.fset, pkgs: map[string]*Unit{path: under}, plain: l, under: path}
+		x, err := l.check(path+"_test", dir, bp.XTestGoFiles, xl)
 		if err != nil {
 			return nil, err
 		}
@@ -232,12 +234,24 @@ func (l *loader) check(path, dir string, names []string, imp types.Importer) (*U
 	return &Unit{Fset: l.fset, Files: files, Pkg: pkg, Info: info}, nil
 }
 
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+// reaches reports whether pkg imports the in-module package path, directly
+// or through other in-module packages.
+func (l *loader) reaches(pkg *types.Package, path string) bool {
+	for _, im := range pkg.Imports() {
+		if _, ok := l.dir(im.Path()); ok && (im.Path() == path || l.reaches(im, path)) {
+			return true
+		}
+	}
+	return false
+}
 
 // Import implements types.Importer.
 func (l *loader) Import(path string) (*types.Package, error) {
+	if _, seen := l.pkgs[path]; !seen && l.plain != nil {
+		if p, err := l.plain.Import(path); err != nil || !l.plain.reaches(p, l.under) {
+			return p, err
+		}
+	}
 	if _, ok := l.dir(path); ok {
 		u, err := l.load(path)
 		if err != nil {

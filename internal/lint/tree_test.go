@@ -153,14 +153,15 @@ func TestTree(t *testing.T) {
 // over a fixture tree reports exactly the one planted time.Now in the
 // deterministic sim package, and nothing for the wall-clock read of a
 // command. The sim directory's external test compiles only against the
-// in-package test variant.
+// in-package test variant, and only if the scenario package it imports is
+// checked against that variant too.
 func TestTreeReportsPlantedFinding(t *testing.T) {
 	lines, _, units := findings(t, filepath.Join("testdata", "src", "clusterfds"), "clusterfds")
 	const want = "internal/sim/sim.go:15:29: time.Now in deterministic package clusterfds/internal/sim: "
 	if len(lines) != 1 || !strings.HasPrefix(lines[0], want) {
 		t.Errorf("findings = %q\nwant one, starting %q", lines, want)
 	}
-	if units != 3 {
-		t.Errorf("units = %d, want 3 (sim with in-package tests, its external test package, cmd/fdsim)", units)
+	if units != 4 {
+		t.Errorf("units = %d, want 4 (sim with in-package tests, its external test package, scenario, cmd/fdsim)", units)
 	}
 }

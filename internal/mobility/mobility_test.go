@@ -85,12 +85,7 @@ func TestMobileFieldKeepsDetecting(t *testing.T) {
 	var fdss []*fds.Protocol
 	for i := 0; i < n; i++ {
 		h := node.New(k, m, wire.NodeID(i+1), geo.UniformInRect(k.Rand(), field))
-		cl := cluster.New(cluster.Config{Timing: timing})
-		f := fds.New(fds.DefaultConfig(timing), cl)
-		fw := intercluster.New(intercluster.DefaultConfig(timing), cl, f)
-		h.Use(cl)
-		h.Use(f)
-		h.Use(fw)
+		f := intercluster.Install(h, fds.DefaultConfig(timing), intercluster.DefaultConfig(timing)).FDS
 		// 1 m/s: a host crosses ~10 m per heartbeat interval — slow
 		// migration, the regime the paper's "sound clustering will
 		// support cluster stability" remark targets.

@@ -235,7 +235,6 @@ type Engine struct {
 
 	hosts []*node.Host
 	fdss  []*fds.Protocol
-	cls   []*cluster.Protocol
 	rngs  []*rand.Rand
 	pos   []geo.Point
 	spent []float64 // per-host energy expenditure; row owned by its strip
@@ -368,7 +367,6 @@ func Build(cfg Config) *Engine {
 		stripOf:    make([]int32, n),
 		hosts:      make([]*node.Host, n),
 		fdss:       make([]*fds.Protocol, n),
-		cls:        make([]*cluster.Protocol, n),
 		rngs:       make([]*rand.Rand, n),
 		pos:        make([]geo.Point, n),
 		spent:      make([]float64, n),
@@ -413,14 +411,7 @@ func Build(cfg Config) *Engine {
 		}
 		rt := &hostRuntime{k: e.strips[s].k, rng: e.rngs[i]}
 		h := node.New(rt, ports[s], id, e.pos[i], node.WithTrace(sink))
-		cl := cluster.New(cluster.Config{Timing: timing})
-		f := fds.New(fds.DefaultConfig(timing), cl)
-		fw := intercluster.New(intercluster.DefaultConfig(timing), cl, f)
-		h.Use(cl)
-		h.Use(f)
-		h.Use(fw)
-		e.cls[i] = cl
-		e.fdss[i] = f
+		e.fdss[i] = intercluster.Install(h, fds.DefaultConfig(timing), intercluster.DefaultConfig(timing)).FDS
 		h.Boot()
 	}
 	return e

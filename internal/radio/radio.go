@@ -592,14 +592,6 @@ func (m *Medium) TotalEnergySpent() float64 {
 	return t
 }
 
-// BlocksMade reports how many payload and item blocks the medium has made:
-// the most its transmissions in flight have needed at once.
-func (m *Medium) BlocksMade() (payloads, items int) {
-	payloads, _ = m.payloads.Counts()
-	items, _ = m.items.Counts()
-	return payloads, items
-}
-
 // Counters returns a snapshot of the medium's tallies (tx/rx per kind,
 // bytes, drops). Only nonzero tallies appear, matching the historical
 // only-touched-names behaviour.

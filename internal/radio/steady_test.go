@@ -1,6 +1,10 @@
-package scenario
+package radio_test
 
-import "testing"
+import (
+	"testing"
+
+	"clusterfds/internal/scenario"
+)
 
 // TestMediumBlocksSteadyState pins that the serial medium's blocks are
 // recycled: on dense300's configuration (300 hosts on 200 m, loss 0.1, four
@@ -11,8 +15,8 @@ import "testing"
 // one more block (seed 1 does, in epoch 26), while a pool that never freed a
 // block would make about ninety item blocks an epoch.
 func TestMediumBlocksSteadyState(t *testing.T) {
-	w := Build(Config{Seed: 1, Nodes: 300, FieldSide: 200, LossProb: 0.1, Stack: StackClusterFDS})
-	timing := w.cfg.Timing
+	w := scenario.Build(scenario.Config{Seed: 1, Nodes: 300, FieldSide: 200, LossProb: 0.1, Stack: scenario.StackClusterFDS})
+	timing := w.Config().Timing
 	w.CrashRandomAt(timing.EpochStart(4)+timing.Interval/2, 4)
 	w.RunEpochs(8)
 	payloads, items := w.Medium.BlocksMade()

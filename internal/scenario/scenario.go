@@ -158,9 +158,7 @@ type World struct {
 	hosts   map[wire.NodeID]*node.Host
 	order   []wire.NodeID // insertion order, for deterministic iteration
 	dets    map[wire.NodeID]baseline.Detector
-	cls     map[wire.NodeID]*cluster.Protocol
-	fdss    map[wire.NodeID]*fds.Protocol
-	fwds    map[wire.NodeID]*intercluster.Protocol
+	stacks  map[wire.NodeID]intercluster.Stack
 	aggs    map[wire.NodeID]*aggregate.Protocol
 	nextNID wire.NodeID
 
@@ -204,9 +202,7 @@ func Build(cfg Config) *World {
 		detLat:     reg.Histogram("detection-latency-s", detectionLatencyBounds),
 		hosts:      make(map[wire.NodeID]*node.Host),
 		dets:       make(map[wire.NodeID]baseline.Detector),
-		cls:        make(map[wire.NodeID]*cluster.Protocol),
-		fdss:       make(map[wire.NodeID]*fds.Protocol),
-		fwds:       make(map[wire.NodeID]*intercluster.Protocol),
+		stacks:     make(map[wire.NodeID]intercluster.Stack),
 		aggs:       make(map[wire.NodeID]*aggregate.Protocol),
 		nextNID:    1,
 		crashSched: make(map[wire.NodeID]bool),
@@ -235,31 +231,24 @@ func (w *World) addHostWithID(id wire.NodeID, pos geo.Point) {
 	h := node.New(w.Kernel, w.Medium, id, pos, node.WithTrace(w.cfg.Trace))
 	switch w.cfg.Stack {
 	case StackClusterFDS:
-		cl := cluster.New(cluster.Config{Timing: w.cfg.Timing})
 		fcfg := fds.DefaultConfig(w.cfg.Timing)
 		fcfg.PeerForwarding = !w.cfg.DisablePeerForwarding
 		fcfg.Metrics = w.metrics
-		f := fds.New(fcfg, cl)
 		icfg := intercluster.DefaultConfig(w.cfg.Timing)
 		icfg.BGWAssist = !w.cfg.DisableBGWAssist
 		icfg.ImplicitAcks = !w.cfg.DisableImplicitAcks
-		fw := intercluster.New(icfg, cl, f)
-		h.Use(cl)
-		h.Use(f)
-		h.Use(fw)
+		s := intercluster.Install(h, fcfg, icfg)
 		if w.cfg.AggregateSampler != nil {
 			sampler := w.cfg.AggregateSampler
-			ag := aggregate.New(cl, f, func(e wire.Epoch) (float64, bool) { return sampler(id, e) })
+			ag := aggregate.New(s.Cluster, s.FDS, func(e wire.Epoch) (float64, bool) { return sampler(id, e) })
 			h.Use(ag)
 			w.aggs[id] = ag
 		}
 		if w.cfg.Sleep != nil {
-			h.Use(sleep.New(*w.cfg.Sleep, cl))
+			h.Use(sleep.New(*w.cfg.Sleep, s.Cluster))
 		}
-		w.cls[id] = cl
-		w.fdss[id] = f
-		w.fwds[id] = fw
-		w.dets[id] = f
+		w.stacks[id] = s
+		w.dets[id] = s.FDS
 	case StackGossip, StackFlood, StackSWIM, StackQueryResponse, StackAllPairs:
 		// All flat detectors come from the baseline registry, configured
 		// from the same period and suspicion timeout for a fair comparison:
@@ -399,7 +388,7 @@ func (w *World) CrashAt(at sim.Time, id wire.NodeID) {
 	}
 	w.Kernel.At(at, func() {
 		if !h.Crashed() {
-			if cl := w.cls[id]; cl != nil && cl.Marked() {
+			if cl := w.stacks[id].Cluster; cl != nil && cl.Marked() {
 				w.admitted[id] = true
 			}
 			h.Crash()
@@ -540,7 +529,7 @@ func (w *World) Census() ClusterCensus {
 		if w.hosts[id].Crashed() {
 			continue
 		}
-		cl := w.cls[id]
+		cl := w.stacks[id].Cluster
 		switch {
 		case !cl.Marked():
 			c.Unmarked++
@@ -569,15 +558,15 @@ func (w *World) Host(id wire.NodeID) *node.Host { return w.hosts[id] }
 func (w *World) Detector(id wire.NodeID) baseline.Detector { return w.dets[id] }
 
 // FDS returns the cluster-based FDS on the given host (nil for baselines).
-func (w *World) FDS(id wire.NodeID) *fds.Protocol { return w.fdss[id] }
+func (w *World) FDS(id wire.NodeID) *fds.Protocol { return w.stacks[id].FDS }
 
 // Forwarder returns the inter-cluster forwarder of a host (nil for flat
 // stacks).
-func (w *World) Forwarder(id wire.NodeID) *intercluster.Protocol { return w.fwds[id] }
+func (w *World) Forwarder(id wire.NodeID) *intercluster.Protocol { return w.stacks[id].Forwarder }
 
 // Cluster returns the cluster protocol on the given host (nil for
 // baselines).
-func (w *World) Cluster(id wire.NodeID) *cluster.Protocol { return w.cls[id] }
+func (w *World) Cluster(id wire.NodeID) *cluster.Protocol { return w.stacks[id].Cluster }
 
 // Aggregate returns the aggregation service on the given host (nil when
 // aggregation is not enabled).

@@ -8,6 +8,7 @@ import (
 	"clusterfds/internal/cluster"
 	"clusterfds/internal/geo"
 	"clusterfds/internal/sim"
+	"clusterfds/internal/trace"
 	"clusterfds/internal/wire"
 )
 
@@ -165,6 +166,32 @@ func TestAblationFlagsPropagate(t *testing.T) {
 	// Smoke: the world still functions with all enhancements off.
 	if c := w.Census(); c.Clusterheads == 0 {
 		t.Error("no clusters with ablations enabled")
+	}
+
+	// Each flag reaches its protocol: on a lossy field with two crashes the
+	// default world traces peer forwards (fds), backup-gateway forwards and
+	// retransmissions (intercluster), and each ablation silences its own
+	// mechanism's events and no other's.
+	kinds := []trace.EventType{trace.TypePeerForward, trace.TypeBGWAssist, trace.TypeRetransmit}
+	for _, c := range []struct {
+		cfg      Config
+		silenced trace.EventType
+	}{
+		{Config{}, ""},
+		{Config{DisablePeerForwarding: true}, trace.TypePeerForward},
+		{Config{DisableBGWAssist: true}, trace.TypeBGWAssist},
+		{Config{DisableImplicitAcks: true}, trace.TypeRetransmit},
+	} {
+		mem := trace.NewMemory(kinds...)
+		c.cfg.Seed, c.cfg.Nodes, c.cfg.FieldSide, c.cfg.LossProb, c.cfg.Trace = 6, 30, 300, 0.2, mem
+		w := Build(c.cfg)
+		w.CrashRandomAt(w.Config().Timing.EpochStart(2)+w.Config().Timing.Interval/2, 2)
+		w.RunEpochs(6)
+		for _, typ := range kinds {
+			if n := mem.Count(typ); (typ == c.silenced) != (n == 0) {
+				t.Errorf("silenced %q: %d %s events", c.silenced, n, typ)
+			}
+		}
 	}
 }
 

@@ -391,8 +391,9 @@ func isMetric(metrics []string, text string) bool {
 // TestDocsNameExistingIdentifiers guards README.md, DESIGN.md, the two
 // records (EXPERIMENTS.md and ROADMAP.md) and the verify skill against
 // renamed or deleted Go names: every backticked pkg.Name whose pkg is an
-// in-tree package's name is declared in that package, or is a method or
-// field of one of its types; every pkg.Type.Member is a method or field of
+// in-tree package's name is declared in that package, its tests or its
+// external test package, or is a method or field of one of its types;
+// every pkg.Type.Member is a method or field of
 // that type (promoted through embedded fields and aliases included); and
 // every Type.Member whose exported Type is an in-tree type is a method or
 // field of some type of that name. In README.md, DESIGN.md and
@@ -410,7 +411,7 @@ func TestDocsNameExistingIdentifiers(t *testing.T) {
 	}
 	pkgs := map[string][]*types.Package{} // by package name
 	for _, u := range units {
-		if name := u.Pkg.Name(); name != "main" && !strings.HasSuffix(name, "_test") {
+		if name := strings.TrimSuffix(u.Pkg.Name(), "_test"); name != "main" {
 			pkgs[name] = append(pkgs[name], u.Pkg)
 		}
 	}

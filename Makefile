@@ -151,8 +151,10 @@ bench-e2e:
 
 ## bench-claim: the evidence a change owes when it touches protocol traffic,
 ## the reception path or allocation — all six workloads, three repetitions
-## each, on seed 1 and again on held-out seed 2 (~2 min). Run it on the parent
-## commit and on the change and compare. A traffic change (what fds,
+## each, on seed 1 and again on held-out seed 2 (~2 min), each seed's report,
+## span tables and profiles in its own directory (bench/results/seed1 and
+## bench/results/seed2). Run it on the parent commit and on the change and
+## compare. A traffic change (what fds,
 ## intercluster, membership or cluster send, or when): wall_s, alloc_mb,
 ## completeness, false_suspicion_pairs, radio.tx.failure-report and the two
 ## intercluster.report_tx_* figures. A reception-path change (node.Host.Deliver,
@@ -166,8 +168,8 @@ bench-e2e:
 ## `check`: it gates nothing by itself, a cost that is a property of the seed
 ## cannot be bounded in CI.
 bench-claim:
-	$(GO) run ./bench -reps 3 -seed 1
-	$(GO) run ./bench -reps 3 -seed 2
+	$(GO) run ./bench -reps 3 -seed 1 -out bench/results/seed1
+	$(GO) run ./bench -reps 3 -seed 2 -out bench/results/seed2
 
 fmt:
 	gofmt -l -w .

@@ -237,37 +237,7 @@ func main() {
 	fmt.Printf("virtual time simulated: %v (%d kernel events)\n\n",
 		time.Duration(w.Kernel.Now()), w.Kernel.Steps())
 
-	if stack == scenario.StackClusterFDS {
-		c := w.Census()
-		fmt.Printf("cluster census: %d clusterheads, %d members (%d gateways), %d unadmitted\n\n",
-			c.Clusterheads, c.Members, c.Gateways, c.Unmarked)
-	}
-
-	fmt.Print(pastEnd)
-	if len(victims) > 0 {
-		fmt.Printf("crashed at epoch %d (+%v): %v\n", *crashEpoch, timing.Interval/2, victims)
-		for _, v := range victims {
-			aware, operational := w.Completeness(v)
-			lat := w.DetectionLatencies(v)
-			latSummary := stats.NewSummary(true)
-			for _, l := range lat {
-				latSummary.Add(time.Duration(l).Seconds())
-			}
-			fmt.Printf("  %v: known by %d/%d operational hosts", v, aware, operational)
-			if latSummary.N() > 0 {
-				fmt.Printf("; detection latency mean %.2fs p95 %.2fs max %.2fs",
-					latSummary.Mean(), latSummary.Percentile(0.95), latSummary.Max())
-			}
-			fmt.Println()
-		}
-		fmt.Println()
-	}
-
-	if fs := w.FalseSuspicions(); len(fs) > 0 {
-		fmt.Printf("FALSE SUSPICIONS (%d): %v\n\n", len(fs), fs)
-	} else {
-		fmt.Printf("false suspicions: none\n\n")
-	}
+	printDetection(&w.HostTable, stack == scenario.StackClusterFDS, pastEnd, *crashEpoch, timing.Interval, victims, w.DetectionLatencies)
 
 	counts := w.MessageCounts()
 	names := make([]string, 0, len(counts))
@@ -562,15 +532,47 @@ func runParallel(cfg par.Config, epochs, crashes, crashEpoch int, pastEnd string
 		buildElapsed.Round(time.Millisecond), runElapsed.Round(time.Millisecond),
 		p.Sends(), p.Deliveries())
 
+	printDetection(&p.HostTable, true, pastEnd, crashEpoch, timing.Interval, victims, nil)
+	fmt.Printf("trace hash: %s\n", p.TraceHash())
+}
+
+// printDetection prints, from the host table both engines keep, the cluster
+// census (if census is set), the victims of the crash wave at crashEpoch's
+// midpoint with how many operational hosts know of each, and the false
+// suspicions. latencies, where the engine samples them, adds each victim's
+// detection latency to its line.
+func printDetection(r *par.HostTable, census bool, pastEnd string, crashEpoch int, interval sim.Time,
+	victims []wire.NodeID, latencies func(wire.NodeID) []sim.Time) {
+	if census {
+		c := r.Census()
+		fmt.Printf("cluster census: %d clusterheads, %d members (%d gateways), %d unadmitted\n\n",
+			c.Clusterheads, c.Members, c.Gateways, c.Unmarked)
+	}
+
 	fmt.Print(pastEnd)
 	if len(victims) > 0 {
-		fmt.Printf("crashed at epoch %d (+%v): %v\n", crashEpoch, timing.Interval/2, victims)
+		fmt.Printf("crashed at epoch %d (+%v): %v\n", crashEpoch, interval/2, victims)
 		for _, v := range victims {
-			aware, operational := p.Completeness(v)
-			fmt.Printf("  %v: known by %d/%d operational hosts\n", v, aware, operational)
+			aware, operational := r.Completeness(v)
+			fmt.Printf("  %v: known by %d/%d operational hosts", v, aware, operational)
+			if latencies != nil {
+				lat := stats.NewSummary(true)
+				for _, l := range latencies(v) {
+					lat.Add(time.Duration(l).Seconds())
+				}
+				if lat.N() > 0 {
+					fmt.Printf("; detection latency mean %.2fs p95 %.2fs max %.2fs",
+						lat.Mean(), lat.Percentile(0.95), lat.Max())
+				}
+			}
+			fmt.Println()
 		}
 		fmt.Println()
 	}
 
-	fmt.Printf("trace hash: %s\n", p.TraceHash())
+	if fs := r.FalseSuspicions(); len(fs) > 0 {
+		fmt.Printf("FALSE SUSPICIONS (%d): %v\n\n", len(fs), fs)
+	} else {
+		fmt.Printf("false suspicions: none\n\n")
+	}
 }

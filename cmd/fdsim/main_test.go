@@ -57,9 +57,13 @@ func TestCrashesPastTheEnd(t *testing.T) {
 			t.Errorf("fdsim %s does not say %q:\n%s", strings.Join(args, " "), note, out)
 		}
 	}
-	// A crash inside the run is still reported.
-	if out := fdsim(t, "-nodes", "50", "-epochs", "6", "-epoch-workers", "2"); !strings.Contains(out, "crashed at epoch 4") || strings.Contains(out, "no crashes") {
-		t.Errorf("fdsim -epochs 6 -epoch-workers 2 does not report its crash wave:\n%s", out)
+	// A crash inside the run is still reported, and the strip engine prints
+	// the census and the false-suspicion line as the serial engine does.
+	out := fdsim(t, "-nodes", "50", "-epochs", "6", "-epoch-workers", "2")
+	for _, want := range []string{"cluster census:", "crashed at epoch 4", "false suspicions"} {
+		if !strings.Contains(out, want) || strings.Contains(out, "no crashes") {
+			t.Errorf("fdsim -epochs 6 -epoch-workers 2 does not print %q for its crash wave:\n%s", want, out)
+		}
 	}
 }
 

@@ -36,6 +36,7 @@ import (
 	"clusterfds/internal/geo"
 	"clusterfds/internal/intercluster"
 	"clusterfds/internal/node"
+	"clusterfds/internal/par"
 	"clusterfds/internal/radio"
 	"clusterfds/internal/sim"
 	"clusterfds/internal/trace"
@@ -139,24 +140,19 @@ func run(sc Scenario, k *sim.Kernel, m *radio.Medium, mem *trace.Memory, bind fu
 	field := geo.NewRect(sc.Side, sc.Side)
 	timing := cluster.DefaultTiming()
 
-	hosts := make(map[wire.NodeID]*node.Host, sc.Nodes)
-	stacks := make(map[wire.NodeID]intercluster.Stack, sc.Nodes)
+	var hosts par.HostTable // NID order
 	for i := 1; i <= sc.Nodes; i++ {
 		id := wire.NodeID(i)
 		rt := &recordingTransport{Transport: bind(id), sends: &res.Sends}
 		h := node.New(k, rt, id, geo.UniformInRect(placer, field), node.WithTrace(mem))
-		hosts[id] = h
-		stacks[id] = intercluster.Install(h, fds.DefaultConfig(timing), intercluster.DefaultConfig(timing))
+		s := intercluster.Install(h, fds.DefaultConfig(timing), intercluster.DefaultConfig(timing))
+		hosts.Attach(h, s.FDS, s)
 	}
-	for _, h := range sortedHosts(hosts) {
-		h.Boot()
+	for _, id := range hosts.NodeIDs() {
+		hosts.Host(id).Boot()
 	}
 	for _, c := range sc.Crashes {
-		h, ok := hosts[c.Node]
-		if !ok {
-			panic(fmt.Sprintf("conformance: crash of unknown node %v", c.Node))
-		}
-		k.At(c.At, h.Crash)
+		hosts.ScheduleCrash(k, c.At, c.Node)
 	}
 
 	k.RunUntil(sim.Time(sc.Epochs)*timing.Interval + timing.Interval/2)
@@ -164,26 +160,11 @@ func run(sc Scenario, k *sim.Kernel, m *radio.Medium, mem *trace.Memory, bind fu
 	res.Trace = mem.Events()
 	for i := 1; i <= sc.Nodes; i++ {
 		id := wire.NodeID(i)
-		res.States = append(res.States, renderState(id, stacks[id].FDS, stacks[id].Cluster))
+		res.States = append(res.States, renderState(id, hosts.FDS(id), hosts.Cluster(id)))
 		res.Energy = append(res.Energy, spent(id))
 	}
 	res.Counters = m.Counters()
 	return res
-}
-
-// sortedHosts returns the hosts in NID order (boot order must match on
-// both paths).
-func sortedHosts(hosts map[wire.NodeID]*node.Host) []*node.Host {
-	ids := make([]wire.NodeID, 0, len(hosts))
-	for id := range hosts {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	out := make([]*node.Host, len(ids))
-	for i, id := range ids {
-		out[i] = hosts[id]
-	}
-	return out
 }
 
 // renderState snapshots one host's protocol state as a canonical string.

@@ -66,7 +66,9 @@
 // draws; flights themselves are pooled per strip.
 //
 // The topology is static (no mobility, no replenishment) and there is no
-// global monitor: completeness is probed serially after the run.
+// global monitor. Completeness, false suspicions, the census and the crash
+// records are read serially after a run from the HostTable the engine
+// embeds, the one the serial world embeds too.
 package par
 
 import (
@@ -186,7 +188,7 @@ type stripPort struct {
 	s int32
 }
 
-func (p *stripPort) Attach(r transport.Receiver)           { p.e.hosts[r.ID()-1] = r.(*node.Host) }
+func (p *stripPort) Attach(transport.Receiver)             {} // Build attaches the whole row
 func (p *stripPort) Send(from wire.NodeID, m wire.Message) { p.e.send(p.s, from, m) }
 func (p *stripPort) Energy(id wire.NodeID) float64         { return p.e.energyOf(id) }
 func (p *stripPort) UpdatePos(wire.NodeID, geo.Point) {
@@ -225,16 +227,17 @@ func (e *Engine) takeFlight(s int32, pool *[]*flight) *flight {
 // which the barrier reuses by time, not by reference.
 func putFlight(f *flight) { *f.pool = append(*f.pool, f) }
 
-// Engine is a built, runnable parallel replica.
+// Engine is a built, runnable parallel replica. Its host index is its
+// HostTable row, NID−1.
 type Engine struct {
+	HostTable
+
 	cfg    Config
 	params radio.Params
 
 	strips  []strip
 	stripOf []int32 // host idx -> strip
 
-	hosts []*node.Host
-	fdss  []*fds.Protocol
 	rngs  []*rand.Rand
 	pos   []geo.Point
 	spent []float64 // per-host energy expenditure; row owned by its strip
@@ -243,8 +246,7 @@ type Engine struct {
 	nbStart []int32
 	nbList  []uint32
 
-	crashSched map[wire.NodeID]sim.Time // harness-side crash schedule
-	ctrl       *rand.Rand               // control stream for CrashRandom picks
+	ctrl *rand.Rand // control stream for CrashRandom picks
 
 	now sim.Time
 }
@@ -361,17 +363,14 @@ func Build(cfg Config) *Engine {
 
 	n := cfg.Nodes
 	e := &Engine{
-		cfg:        cfg,
-		params:     params,
-		strips:     make([]strip, nStrips),
-		stripOf:    make([]int32, n),
-		hosts:      make([]*node.Host, n),
-		fdss:       make([]*fds.Protocol, n),
-		rngs:       make([]*rand.Rand, n),
-		pos:        make([]geo.Point, n),
-		spent:      make([]float64, n),
-		crashSched: make(map[wire.NodeID]sim.Time),
-		ctrl:       rand.New(rand.NewSource(cfg.Seed ^ 0x5DEECE66D)),
+		cfg:     cfg,
+		params:  params,
+		strips:  make([]strip, nStrips),
+		stripOf: make([]int32, n),
+		rngs:    make([]*rand.Rand, n),
+		pos:     make([]geo.Point, n),
+		spent:   make([]float64, n),
+		ctrl:    rand.New(rand.NewSource(cfg.Seed ^ 0x5DEECE66D)),
 	}
 	for s := range e.strips {
 		e.strips[s].k = sim.New(cfg.Seed + int64(s) + 1)
@@ -411,7 +410,8 @@ func Build(cfg Config) *Engine {
 		}
 		rt := &hostRuntime{k: e.strips[s].k, rng: e.rngs[i]}
 		h := node.New(rt, ports[s], id, e.pos[i], node.WithTrace(sink))
-		e.fdss[i] = intercluster.Install(h, fds.DefaultConfig(timing), intercluster.DefaultConfig(timing)).FDS
+		st := intercluster.Install(h, fds.DefaultConfig(timing), intercluster.DefaultConfig(timing))
+		e.Attach(h, st.FDS, st)
 		h.Boot()
 	}
 	return e
@@ -421,29 +421,19 @@ func Build(cfg Config) *Engine {
 // must not be earlier than the last RunEpochs horizon. Call between runs
 // (serial), never concurrently with one.
 func (e *Engine) CrashAt(at sim.Time, id wire.NodeID) {
-	if id < 1 || int(id) > len(e.hosts) {
+	if e.Host(id) == nil {
 		panic(fmt.Sprintf("par: no host %v", id))
 	}
-	h := e.hosts[id-1]
-	e.crashSched[id] = at
-	e.strips[e.stripOf[id-1]].k.At(at, func() {
-		if !h.Crashed() {
-			h.Crash()
-		}
-	})
+	e.ScheduleCrash(e.strips[e.stripOf[id-1]].k, at, id)
 }
 
 // CrashRandomAt schedules count crashes of distinct not-yet-scheduled hosts
 // at the given time, picked deterministically from the control stream. A
 // count below one picks nobody, as scenario.World.CrashRandomAt does.
 func (e *Engine) CrashRandomAt(at sim.Time, count int) []wire.NodeID {
-	var candidates []wire.NodeID
-	for i := range e.hosts {
-		id := wire.NodeID(i + 1)
-		if _, done := e.crashSched[id]; !done && !e.hosts[i].Crashed() {
-			candidates = append(candidates, id)
-		}
-	}
+	candidates := slices.DeleteFunc(e.NodeIDs(), func(id wire.NodeID) bool {
+		return e.rows[id-1].scheduled || e.hosts[id-1].Crashed()
+	})
 	e.ctrl.Shuffle(len(candidates), func(i, j int) {
 		candidates[i], candidates[j] = candidates[j], candidates[i]
 	})
@@ -559,22 +549,6 @@ func (e *Engine) Deliveries() uint64 {
 	return t
 }
 
-// Completeness reports, for a crashed subject, how many operational hosts
-// currently suspect it and how many operational hosts there are. Serial.
-func (e *Engine) Completeness(subject wire.NodeID) (aware, operational int) {
-	for i := range e.hosts {
-		id := wire.NodeID(i + 1)
-		if id == subject || e.hosts[i].Crashed() {
-			continue
-		}
-		operational++
-		if e.fdss[i].IsSuspected(subject) {
-			aware++
-		}
-	}
-	return aware, operational
-}
-
 // TraceHash folds the per-strip trace buffers (strip order, emission order
 // within a strip) and every host's final failure knowledge into one hex
 // digest — the parallel path's golden fingerprint. Serial.
@@ -593,7 +567,7 @@ func (e *Engine) TraceHash() string {
 		}
 	}
 	for i := range e.hosts {
-		for _, f := range e.fdss[i].KnownFailed() {
+		for _, f := range e.rows[i].det.KnownFailed() {
 			binary.LittleEndian.PutUint64(b[:], uint64(i+1)<<32|uint64(f))
 			h.Write(b[:])
 		}

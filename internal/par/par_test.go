@@ -83,10 +83,8 @@ func TestCrashRandomAtNegativeCountPicksNobody(t *testing.T) {
 		t.Fatalf("CrashRandomAt(-1) picked %v, want nobody", picked)
 	}
 	e.RunEpochs(1)
-	for i, h := range e.hosts {
-		if h.Crashed() {
-			t.Errorf("host %d crashed after CrashRandomAt(-1)", i+1)
-		}
+	if ops := e.Operational(); len(ops) != 20 {
+		t.Errorf("%d hosts operational after CrashRandomAt(-1), want all 20", len(ops))
 	}
 }
 
@@ -152,14 +150,16 @@ func (r *recorder) Handle(h *node.Host, m wire.Message, from wire.NodeID) {
 // messages must arrive intact.
 func TestSendFromLastLanding(t *testing.T) {
 	// Three hosts within range of each other on one lossless strip; the
-	// production stacks are crashed and replaced by recorders.
+	// production stacks are crashed and their rows' hosts replaced by
+	// recorders.
 	e := Build(Config{Seed: 1, Nodes: 3, FieldSide: 50, Strips: 1})
 	st := &e.strips[0]
 	recs := make([]*recorder, 3)
 	for i := range recs {
-		e.hosts[i].Crash()
+		e.Host(wire.NodeID(i + 1)).Crash()
 		recs[i] = &recorder{}
 		h := node.New(&hostRuntime{k: st.k, rng: e.rngs[i]}, &stripPort{e: e}, wire.NodeID(i+1), e.pos[i])
+		e.hosts[i] = h
 		h.Use(recs[i])
 		h.Boot()
 	}
@@ -212,7 +212,7 @@ func TestSendDrawsIgnoreReceiverState(t *testing.T) {
 			t.Fatalf("host 3 is not in host 1's roster %v", e.nbList[e.nbStart[0]:e.nbStart[1]])
 		}
 		if crash {
-			e.hosts[2].Crash()
+			e.Host(3).Crash()
 		}
 		e.send(0, 1, &wire.Heartbeat{NID: 1, Epoch: 9})
 		return e.rngs[0].Int63()

@@ -24,6 +24,7 @@ import (
 	"clusterfds/internal/metrics"
 	"clusterfds/internal/mobility"
 	"clusterfds/internal/node"
+	"clusterfds/internal/par"
 	"clusterfds/internal/radio"
 	"clusterfds/internal/sim"
 	"clusterfds/internal/sleep"
@@ -149,27 +150,22 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// World is a built scenario ready to run.
+// World is a built scenario ready to run. Its hosts, their detectors and
+// crash records are the rows of the embedded par.HostTable, which answers
+// completeness, accuracy and the census for both engines.
 type World struct {
+	par.HostTable
+
 	cfg    Config
 	Kernel *sim.Kernel
 	Medium *radio.Medium
 
-	hosts   map[wire.NodeID]*node.Host
-	order   []wire.NodeID // insertion order, for deterministic iteration
-	dets    map[wire.NodeID]baseline.Detector
-	stacks  map[wire.NodeID]intercluster.Stack
 	aggs    map[wire.NodeID]*aggregate.Protocol
 	nextNID wire.NodeID
 
-	crashSched map[wire.NodeID]bool     // hosts with a crash scheduled, fired or not
-	crashOrder []wire.NodeID            // the same hosts, in the order they were scheduled
-	crashedAt  map[wire.NodeID]sim.Time // when each crash fired
-	admitted   map[wire.NodeID]bool     // crashed while admitted to a cluster (Marked)
-	// firstSuspected holds, per subject in crashOrder, when each observer
-	// first suspected it, indexed by the observer's position in order; 0 is
-	// "not yet".
-	firstSuspected [][]sim.Time
+	// firstSuspected holds, per crashed subject, when each observer first
+	// suspected it, indexed by the observer's row; 0 is "not yet".
+	firstSuspected map[wire.NodeID][]sim.Time
 
 	// metrics is the world's registry, shared with the medium (per-kind
 	// counters) and every FDS instance (per-epoch event series). The
@@ -195,40 +191,29 @@ func Build(cfg Config) *World {
 	reg := metrics.NewRegistry()
 	m := radio.New(k, radio.Defaults(cfg.LossProb), radio.WithTrace(cfg.Trace), radio.WithMetrics(reg))
 	w := &World{
-		cfg:        cfg,
-		Kernel:     k,
-		Medium:     m,
-		metrics:    reg,
-		detLat:     reg.Histogram("detection-latency-s", detectionLatencyBounds),
-		hosts:      make(map[wire.NodeID]*node.Host),
-		dets:       make(map[wire.NodeID]baseline.Detector),
-		stacks:     make(map[wire.NodeID]intercluster.Stack),
-		aggs:       make(map[wire.NodeID]*aggregate.Protocol),
-		nextNID:    1,
-		crashSched: make(map[wire.NodeID]bool),
-		crashedAt:  make(map[wire.NodeID]sim.Time),
-		admitted:   make(map[wire.NodeID]bool),
+		cfg:            cfg,
+		Kernel:         k,
+		Medium:         m,
+		metrics:        reg,
+		detLat:         reg.Histogram("detection-latency-s", detectionLatencyBounds),
+		aggs:           make(map[wire.NodeID]*aggregate.Protocol),
+		nextNID:        wire.NodeID(cfg.Nodes) + 1,
+		firstSuspected: make(map[wire.NodeID][]sim.Time),
 	}
 	field := geo.NewRect(cfg.FieldSide, cfg.FieldSide)
-	for i := 0; i < cfg.Nodes; i++ {
-		w.addHost(geo.UniformInRect(k.Rand(), field))
+	for id := wire.NodeID(1); id < w.nextNID; id++ {
+		w.addHost(id, geo.UniformInRect(k.Rand(), field))
 	}
 	w.scheduleMonitor()
 	w.scheduleEpochSampler()
 	return w
 }
 
-// addHost creates, equips, and boots one host at pos.
-func (w *World) addHost(pos geo.Point) wire.NodeID {
-	id := w.nextNID
-	w.nextNID++
-	w.addHostWithID(id, pos)
-	return id
-}
-
-// addHostWithID creates, equips, and boots one host with a pre-reserved NID.
-func (w *World) addHostWithID(id wire.NodeID, pos geo.Point) {
+// addHost creates, equips, and boots one host with a reserved NID.
+func (w *World) addHost(id wire.NodeID, pos geo.Point) {
 	h := node.New(w.Kernel, w.Medium, id, pos, node.WithTrace(w.cfg.Trace))
+	var s intercluster.Stack
+	var det par.Detector
 	switch w.cfg.Stack {
 	case StackClusterFDS:
 		fcfg := fds.DefaultConfig(w.cfg.Timing)
@@ -237,7 +222,7 @@ func (w *World) addHostWithID(id wire.NodeID, pos geo.Point) {
 		icfg := intercluster.DefaultConfig(w.cfg.Timing)
 		icfg.BGWAssist = !w.cfg.DisableBGWAssist
 		icfg.ImplicitAcks = !w.cfg.DisableImplicitAcks
-		s := intercluster.Install(h, fcfg, icfg)
+		s = intercluster.Install(h, fcfg, icfg)
 		if w.cfg.AggregateSampler != nil {
 			sampler := w.cfg.AggregateSampler
 			ag := aggregate.New(s.Cluster, s.FDS, func(e wire.Epoch) (float64, bool) { return sampler(id, e) })
@@ -247,8 +232,7 @@ func (w *World) addHostWithID(id wire.NodeID, pos geo.Point) {
 		if w.cfg.Sleep != nil {
 			h.Use(sleep.New(*w.cfg.Sleep, s.Cluster))
 		}
-		w.stacks[id] = s
-		w.dets[id] = s.FDS
+		det = s.FDS
 	case StackGossip, StackFlood, StackSWIM, StackQueryResponse, StackAllPairs:
 		// All flat detectors come from the baseline registry, configured
 		// from the same period and suspicion timeout for a fair comparison:
@@ -263,7 +247,7 @@ func (w *World) addHostWithID(id wire.NodeID, pos geo.Point) {
 			panic(err)
 		}
 		h.Use(d)
-		w.dets[id] = d
+		det = d
 	default:
 		panic(fmt.Sprintf("scenario: unknown stack %v", w.cfg.Stack))
 	}
@@ -274,8 +258,7 @@ func (w *World) addHostWithID(id wire.NodeID, pos geo.Point) {
 		}
 		h.Use(mobility.New(mcfg))
 	}
-	w.hosts[id] = h
-	w.order = append(w.order, id)
+	w.Attach(h, det, s)
 	h.Boot()
 }
 
@@ -287,25 +270,15 @@ func (w *World) scheduleMonitor() {
 	tick = func() {
 		now := w.Kernel.Now()
 		// Schedule order, not map order: Observe folds a float sum.
-		for i, subject := range w.crashOrder {
-			crashed, fired := w.crashedAt[subject]
+		for _, subject := range w.ScheduledCrashes() {
+			crashed, fired := w.CrashedAt(subject)
 			if !fired {
 				continue
 			}
-			// Hosts deployed since the last tick extend the subject's row.
-			obs := w.firstSuspected[i]
-			if n := len(w.order) - len(obs); n > 0 {
-				obs = append(obs, make([]sim.Time, n)...)
-				w.firstSuspected[i] = obs
-			}
-			for j, id := range w.order {
-				if id == subject || obs[j] != 0 || w.hosts[id].Crashed() {
-					continue
-				}
-				if w.dets[id].IsSuspected(subject) {
-					obs[j] = now
-					w.detLat.Observe(time.Duration(now - crashed).Seconds())
-				}
+			var stamped int
+			w.firstSuspected[subject], stamped = w.StampSuspicions(subject, w.firstSuspected[subject], now)
+			for range stamped {
+				w.detLat.Observe(time.Duration(now - crashed).Seconds())
 			}
 		}
 		w.Kernel.Schedule(monitorPeriod, tick)
@@ -375,27 +348,9 @@ func (w *World) RunEpochs(n int) {
 	w.Run(w.cfg.Timing.EpochStart(wire.Epoch(n)))
 }
 
-// CrashAt schedules a fail-stop crash of id at the given absolute time.
-func (w *World) CrashAt(at sim.Time, id wire.NodeID) {
-	h, ok := w.hosts[id]
-	if !ok {
-		panic(fmt.Sprintf("scenario: no host %v", id))
-	}
-	if !w.crashSched[id] {
-		w.crashSched[id] = true
-		w.crashOrder = append(w.crashOrder, id)
-		w.firstSuspected = append(w.firstSuspected, nil)
-	}
-	w.Kernel.At(at, func() {
-		if !h.Crashed() {
-			if cl := w.stacks[id].Cluster; cl != nil && cl.Marked() {
-				w.admitted[id] = true
-			}
-			h.Crash()
-			w.crashedAt[id] = w.Kernel.Now()
-		}
-	})
-}
+// CrashAt schedules a fail-stop crash of id at the given absolute time. It
+// panics on an unknown id.
+func (w *World) CrashAt(at sim.Time, id wire.NodeID) { w.ScheduleCrash(w.Kernel, at, id) }
 
 // CrashRandomAt schedules count crashes at the given time, of distinct
 // hosts that are alive and have no crash scheduled yet, chosen
@@ -403,18 +358,13 @@ func (w *World) CrashAt(at sim.Time, id wire.NodeID) {
 // the shuffle, not left out of it, so the shuffle spends the same draws
 // whether or not earlier waves are still pending.
 func (w *World) CrashRandomAt(at sim.Time, count int) []wire.NodeID {
-	candidates := make([]wire.NodeID, 0, len(w.order))
-	for _, id := range w.order {
-		if !w.hosts[id].Crashed() {
-			candidates = append(candidates, id)
-		}
-	}
+	candidates := slices.DeleteFunc(w.NodeIDs(), func(id wire.NodeID) bool { return w.Host(id).Crashed() })
 	w.Kernel.Rand().Shuffle(len(candidates), func(i, j int) {
 		candidates[i], candidates[j] = candidates[j], candidates[i]
 	})
 	picked := candidates[:0] // filtered in place: writes trail reads
 	for _, id := range candidates {
-		if len(picked) < count && !w.crashSched[id] {
+		if len(picked) < count && !slices.Contains(w.ScheduledCrashes(), id) {
 			picked = append(picked, id)
 			w.CrashAt(at, id)
 		}
@@ -429,75 +379,19 @@ func (w *World) CrashRandomAt(at sim.Time, count int) []wire.NodeID {
 func (w *World) DeployAt(at sim.Time, pos geo.Point) wire.NodeID {
 	id := w.nextNID
 	w.nextNID++
-	w.Kernel.At(at, func() { w.addHostWithID(id, pos) })
+	w.Kernel.At(at, func() { w.addHost(id, pos) })
 	return id
 }
 
 // --- metrics -------------------------------------------------------------------
 
-// AdmittedAtCrash reports whether id's crash has fired while it was admitted
-// to a cluster (Marked). A host that was still unmarked has no clusterhead
-// to miss its heartbeat, so no rule can detect it; flat stacks admit nobody.
-func (w *World) AdmittedAtCrash(id wire.NodeID) bool { return w.admitted[id] }
-
-// Operational returns the NIDs of hosts that are alive right now, sorted.
-func (w *World) Operational() []wire.NodeID {
-	var out []wire.NodeID
-	for _, id := range w.order {
-		if !w.hosts[id].Crashed() {
-			out = append(out, id)
-		}
-	}
-	slices.Sort(out) // w.order is attach order; DeployAt may attach out of NID order
-	return out
-}
-
-// Completeness returns, for the given crashed subject, how many operational
-// hosts currently suspect it and how many operational hosts there are.
-func (w *World) Completeness(subject wire.NodeID) (aware, operational int) {
-	for _, id := range w.order {
-		if id == subject || w.hosts[id].Crashed() {
-			continue
-		}
-		operational++
-		if w.dets[id].IsSuspected(subject) {
-			aware++
-		}
-	}
-	return aware, operational
-}
-
-// FalseSuspicions returns every (observer, subject) pair where an
-// operational observer currently suspects an operational subject — the
-// accuracy property's violations.
-func (w *World) FalseSuspicions() [][2]wire.NodeID {
-	var out [][2]wire.NodeID
-	for _, obs := range w.order {
-		if w.hosts[obs].Crashed() {
-			continue
-		}
-		for _, subject := range w.dets[obs].KnownFailed() {
-			if h, ok := w.hosts[subject]; ok && !h.Crashed() {
-				out = append(out, [2]wire.NodeID{obs, subject})
-			}
-		}
-	}
-	return out
-}
-
 // DetectionLatencies returns, for the subject, the per-observer latency
 // from the crash instant to the first sample at which the observer
 // suspected it (resolution = the monitor period). Observers that never
-// noticed are absent.
+// noticed are absent, and so is every observer before the crash fires.
 func (w *World) DetectionLatencies(subject wire.NodeID) []sim.Time {
-	crash, crashed := w.crashedAt[subject]
-	if !crashed {
-		return nil
-	}
-	var obs []sim.Time
-	if i := slices.Index(w.crashOrder, subject); i >= 0 {
-		obs = w.firstSuspected[i]
-	}
+	crash, _ := w.CrashedAt(subject)
+	obs := w.firstSuspected[subject]
 	out := make([]sim.Time, 0, len(obs))
 	for _, at := range obs {
 		if at != 0 {
@@ -508,65 +402,17 @@ func (w *World) DetectionLatencies(subject wire.NodeID) []sim.Time {
 	return out
 }
 
-// ClusterCensus summarizes the cluster structure (cluster stack only):
-// the number of clusterheads, admitted members, gateways, and unmarked
-// hosts among operational hosts.
-type ClusterCensus struct {
-	Clusterheads int
-	Members      int
-	Gateways     int
-	Unmarked     int
-}
-
-// Census computes the current cluster census. It panics for baseline
-// stacks, which have no cluster structure.
-func (w *World) Census() ClusterCensus {
-	if w.cfg.Stack != StackClusterFDS {
-		panic("scenario: census requires the cluster stack")
-	}
-	var c ClusterCensus
-	for _, id := range w.order {
-		if w.hosts[id].Crashed() {
-			continue
-		}
-		cl := w.stacks[id].Cluster
-		switch {
-		case !cl.Marked():
-			c.Unmarked++
-		case cl.IsCH():
-			c.Clusterheads++
-		default:
-			c.Members++
-			if cl.IsGW() {
-				c.Gateways++
-			}
-		}
-	}
-	return c
-}
-
 // MessageCounts returns the medium's per-kind transmission tallies.
 func (w *World) MessageCounts() map[string]int64 { return w.Medium.Counters() }
 
 // TotalEnergySpent returns the fleet's cumulative energy expenditure.
 func (w *World) TotalEnergySpent() float64 { return w.Medium.TotalEnergySpent() }
 
-// Host returns the host with the given NID (nil if unknown).
-func (w *World) Host(id wire.NodeID) *node.Host { return w.hosts[id] }
-
-// Detector returns the detector running on the given host.
-func (w *World) Detector(id wire.NodeID) baseline.Detector { return w.dets[id] }
-
-// FDS returns the cluster-based FDS on the given host (nil for baselines).
-func (w *World) FDS(id wire.NodeID) *fds.Protocol { return w.stacks[id].FDS }
-
-// Forwarder returns the inter-cluster forwarder of a host (nil for flat
-// stacks).
-func (w *World) Forwarder(id wire.NodeID) *intercluster.Protocol { return w.stacks[id].Forwarder }
-
-// Cluster returns the cluster protocol on the given host (nil for
-// baselines).
-func (w *World) Cluster(id wire.NodeID) *cluster.Protocol { return w.stacks[id].Cluster }
+// Detector returns the detector running on the given host (nil if unknown).
+func (w *World) Detector(id wire.NodeID) baseline.Detector {
+	d, _ := w.HostTable.Detector(id).(baseline.Detector)
+	return d
+}
 
 // Aggregate returns the aggregation service on the given host (nil when
 // aggregation is not enabled).
@@ -574,6 +420,3 @@ func (w *World) Aggregate(id wire.NodeID) *aggregate.Protocol { return w.aggs[id
 
 // Config returns the (defaulted) configuration the world was built with.
 func (w *World) Config() Config { return w.cfg }
-
-// NodeIDs returns all host NIDs in insertion order.
-func (w *World) NodeIDs() []wire.NodeID { return append([]wire.NodeID(nil), w.order...) }

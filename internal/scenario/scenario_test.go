@@ -30,6 +30,21 @@ func TestBuildClusterStack(t *testing.T) {
 	}
 }
 
+// TestUnknownNIDReadsNil is par.TestUnknownNIDReadsNil on the serial world:
+// every per-host read answers nil for NID 0 and one past the last host.
+func TestUnknownNIDReadsNil(t *testing.T) {
+	w := Build(Config{Seed: 1, Nodes: 5, FieldSide: 100})
+	if w.Host(5) == nil || w.Detector(5) == nil || w.FDS(5) == nil || w.Cluster(5) == nil || w.Forwarder(5) == nil {
+		t.Fatal("host 5 is missing a runtime or a protocol")
+	}
+	for _, id := range []wire.NodeID{0, 6} {
+		if w.Host(id) != nil || w.Detector(id) != nil || w.FDS(id) != nil || w.Cluster(id) != nil || w.Forwarder(id) != nil {
+			t.Errorf("NID %v: Host %v, Detector %v, FDS %v, Cluster %v, Forwarder %v; want all nil",
+				id, w.Host(id), w.Detector(id), w.FDS(id), w.Cluster(id), w.Forwarder(id))
+		}
+	}
+}
+
 func TestCrashDetectedAndDisseminated(t *testing.T) {
 	w := Build(Config{Seed: 2, Nodes: 70, FieldSide: 350})
 	victims := w.CrashRandomAt(w.Config().Timing.EpochStart(3)+w.Config().Timing.Interval/2, 2)

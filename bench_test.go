@@ -405,17 +405,34 @@ func BenchmarkFDSEpoch(b *testing.B) {
 	b.ReportMetric(float64(w.Kernel.Steps()-startEvents)/float64(b.N), "kernel-events/epoch")
 }
 
+// detectorSettleCap bounds the settle epochs benchDetectorEpoch runs past
+// epoch 3 while it waits for an epoch that allocates nothing.
+const detectorSettleCap = 16
+
 // benchDetectorEpoch measures one flat detector's steady-state epoch cost on
-// a dense 100-node field (everyone one hop apart, like the Ext. D study),
-// using the same settle-then-measure shape as BenchmarkFDSEpoch.
+// a dense 100-node field (everyone one hop apart, like the Ext. D study).
+// It settles through epoch 3, then one epoch at a time until an epoch
+// allocates nothing (at most detectorSettleCap more), so the timed epochs do
+// not pay the pools' warm-up.
 func benchDetectorEpoch(b *testing.B, stack scenario.Stack) {
 	w := scenario.Build(scenario.Config{Seed: 1, Nodes: 100, FieldSide: 64, LossProb: 0.1, Stack: stack})
-	w.RunEpochs(3)
+	epoch := 3
+	w.RunEpochs(epoch)
+	var before, after runtime.MemStats
+	for range detectorSettleCap {
+		runtime.ReadMemStats(&before)
+		epoch++
+		w.RunEpochs(epoch)
+		runtime.ReadMemStats(&after)
+		if after.Mallocs == before.Mallocs {
+			break
+		}
+	}
 	startEvents := w.Kernel.Steps()
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.RunEpochs(4 + i)
+	for i := 1; i <= b.N; i++ {
+		w.RunEpochs(epoch + i)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(w.Kernel.Steps()-startEvents)/float64(b.N), "kernel-events/epoch")

@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -106,8 +108,13 @@ func TestGoldenTraceHash(t *testing.T) {
 // Update it only for changes MEANT to alter the parallel engine's timeline
 // (e.g. a different strip partition), and say so in the commit message.
 // Re-pinned by PR 17 together with goldenRunHash, for the same reason, and
-// again with it for the two-hop gap rule.
-const goldenParallelHash = "30728f7f8859e097a3ffc10fa8617417bd81bd81846e2aa3a086c5ba36f5a799"
+// again with it for the two-hop gap rule. Re-pinned alone when the engine
+// took the serial world's pick rule from the shared host table: a wave
+// scheduled while an earlier one is still pending now shuffles every live
+// host and passes over the scheduled ones, where it used to leave them out
+// of the shuffle. This test is the only one that schedules two waves up
+// front, so its second wave is the only pick that moved.
+const goldenParallelHash = "cb2ece5c59ec9995a4fd8d2c1ca7e256ca365470dd66fbe6961a43fc135f4ded"
 
 // TestGoldenParallelTraceHash is the parallel twin of TestGoldenTraceHash:
 // clustering, FDS epochs, two crash waves, rescissions — drained by the
@@ -164,5 +171,117 @@ func TestRunEpochsRunsToEpoch(t *testing.T) {
 			}()
 			run()
 		}()
+	}
+}
+
+// crashReplica is what both engines offer to schedule crashes and read the
+// survivors: the host table's CrashAt and CrashRandomAt, by promotion.
+type crashReplica interface {
+	CrashAt(at sim.Time, id wire.NodeID)
+	CrashRandomAt(at sim.Time, count int) []wire.NodeID
+	RunEpochs(n int)
+	Operational() []wire.NodeID
+}
+
+// TestCrashPicksOnBothEngines pins the one crash-pick rule the host table
+// gives World and par.Engine. On each engine: two waves of k scheduled
+// before the run crash 2k distinct hosts (a wave used to exclude only hosts
+// whose crash had already fired, so a second up-front wave could name a
+// victim of the first); a negative count picks nobody instead of slicing
+// out of range; a count above the candidates picks every live host with no
+// crash scheduled; and an unknown NID panics. On the strip engine, two
+// waves also pick exactly what the rule picks from the engine's pick
+// stream: shuffle every live host, then pass over the scheduled ones.
+func TestCrashPicksOnBothEngines(t *testing.T) {
+	timing := cluster.DefaultTiming()
+	engines := []struct {
+		name  string
+		build func(seed int64, nodes int, side float64) crashReplica
+	}{
+		{"World", func(seed int64, nodes int, side float64) crashReplica {
+			return scenario.Build(scenario.Config{Seed: seed, Nodes: nodes, FieldSide: side})
+		}},
+		{"par.Engine", func(seed int64, nodes int, side float64) crashReplica {
+			return par.Build(par.Config{Seed: seed, Nodes: nodes, FieldSide: side, Strips: 2})
+		}},
+	}
+	for _, eng := range engines {
+		const k = 5
+		for seed := int64(1); seed <= 40; seed++ {
+			r := eng.build(seed, 20, 200)
+			first := r.CrashRandomAt(timing.EpochStart(1)+timing.Interval/2, k)
+			second := r.CrashRandomAt(timing.EpochStart(2)+timing.Interval/2, k)
+			r.RunEpochs(3)
+			if crashed := 20 - len(r.Operational()); len(first) != k || len(second) != k || crashed != 2*k {
+				t.Errorf("%s seed %d: waves %v and %v crashed %d hosts, want %d", eng.name, seed, first, second, crashed, 2*k)
+			}
+		}
+
+		r := eng.build(1, 20, 200)
+		if picked := r.CrashRandomAt(sim.Time(time.Second), -1); len(picked) != 0 {
+			t.Errorf("%s: CrashRandomAt(-1) picked %v, want nobody", eng.name, picked)
+		}
+		r.RunEpochs(1)
+		if ops := r.Operational(); len(ops) != 20 {
+			t.Errorf("%s: %d hosts operational after CrashRandomAt(-1), want all 20", eng.name, len(ops))
+		}
+
+		// Host 3 has crashed and host 5's crash is pending: a count above
+		// the candidates picks the other 18.
+		r = eng.build(2, 20, 200)
+		r.CrashAt(timing.EpochStart(1)+timing.Interval/2, 3)
+		r.RunEpochs(2)
+		r.CrashAt(timing.EpochStart(3), 5)
+		var want []wire.NodeID
+		for id := wire.NodeID(1); id <= 20; id++ {
+			if id != 3 && id != 5 {
+				want = append(want, id)
+			}
+		}
+		if picked := r.CrashRandomAt(timing.EpochStart(2)+timing.Interval/2, 100); !slices.Equal(picked, want) {
+			t.Errorf("%s: CrashRandomAt(100) picked %v, want %v", eng.name, picked, want)
+		}
+		r.RunEpochs(4)
+		if ops := r.Operational(); len(ops) != 0 {
+			t.Errorf("%s: %v still operational, want nobody", eng.name, ops)
+		}
+
+		func() {
+			defer func() {
+				if got, want := recover(), fmt.Sprintf("par: no host %v", wire.NodeID(999)); got != want {
+					t.Errorf("%s: CrashAt(999) panicked with %v, want %q", eng.name, got, want)
+				}
+			}()
+			eng.build(8, 5, 100).CrashAt(sim.Time(time.Second), 999)
+		}()
+	}
+
+	// The rule, from a copy of par.Engine's pick stream (seeded from
+	// Seed ^ 0x5DEECE66D): every host is alive when the waves are picked.
+	for seed := int64(1); seed <= 10; seed++ {
+		picks := rand.New(rand.NewSource(seed ^ 0x5DEECE66D))
+		scheduled := map[wire.NodeID]bool{}
+		wave := func(count int) []wire.NodeID {
+			ids := make([]wire.NodeID, 20)
+			for i := range ids {
+				ids[i] = wire.NodeID(i + 1)
+			}
+			picks.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+			var out []wire.NodeID
+			for _, id := range ids {
+				if len(out) < count && !scheduled[id] {
+					out = append(out, id)
+					scheduled[id] = true
+				}
+			}
+			slices.Sort(out)
+			return out
+		}
+		e := par.Build(par.Config{Seed: seed, Nodes: 20, FieldSide: 200, Strips: 2})
+		for i, at := range []sim.Time{timing.EpochStart(1), timing.EpochStart(2)} {
+			if got, want := e.CrashRandomAt(at, 5), wave(5); !slices.Equal(got, want) {
+				t.Errorf("par.Engine seed %d: wave %d picked %v, the rule picks %v", seed, i+1, got, want)
+			}
+		}
 	}
 }

@@ -146,13 +146,13 @@ func run(sc Scenario, k *sim.Kernel, m *radio.Medium, mem *trace.Memory, bind fu
 		rt := &recordingTransport{Transport: bind(id), sends: &res.Sends}
 		h := node.New(k, rt, id, geo.UniformInRect(placer, field), node.WithTrace(mem))
 		s := intercluster.Install(h, fds.DefaultConfig(timing), intercluster.DefaultConfig(timing))
-		hosts.Attach(h, s.FDS, s)
+		hosts.Attach(h, k, s.FDS, s)
 	}
 	for _, id := range hosts.NodeIDs() {
 		hosts.Host(id).Boot()
 	}
 	for _, c := range sc.Crashes {
-		hosts.ScheduleCrash(k, c.At, c.Node)
+		hosts.CrashAt(c.At, c.Node)
 	}
 
 	k.RunUntil(sim.Time(sc.Epochs)*timing.Interval + timing.Interval/2)

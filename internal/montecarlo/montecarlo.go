@@ -22,8 +22,10 @@ import (
 	"clusterfds/internal/cluster"
 	"clusterfds/internal/fds"
 	"clusterfds/internal/geo"
+	"clusterfds/internal/intercluster"
 	"clusterfds/internal/metrics"
 	"clusterfds/internal/node"
+	"clusterfds/internal/par"
 	"clusterfds/internal/radio"
 	"clusterfds/internal/replicate"
 	"clusterfds/internal/sim"
@@ -95,16 +97,15 @@ func (e ClusterExperiment) defaults() ClusterExperiment {
 	return e
 }
 
-// trial holds one simulated cluster ready for a single FDS execution.
+// trial holds one simulated cluster ready for a single FDS execution. Its
+// hosts are the rows of the embedded host table, in NID order.
 type trial struct {
+	par.HostTable
 	kernel  *sim.Kernel
 	medium  *radio.Medium
-	hosts   []*node.Host
-	fdss    []*fds.Protocol
-	cls     []*cluster.Protocol
 	timing  cluster.Timing
-	subject int // index of the worst-case node on the circumference
-	dchIdx  int // index of the deputy, placed adjacent to the CH
+	subject wire.NodeID // the worst-case node on the circumference
+	dch     wire.NodeID // the deputy, placed adjacent to the CH
 }
 
 // newTrial builds the paper's analysis cluster: host 1 is the CH at the
@@ -150,7 +151,7 @@ func newTrial(e ClusterExperiment, seed int64, dchAdjacent bool, reg *metrics.Re
 		members[i] = wire.NodeID(i + 1)
 	}
 
-	t := &trial{kernel: k, medium: m, timing: timing, subject: 2, dchIdx: 1}
+	t := &trial{kernel: k, medium: m, timing: timing, subject: 3, dch: 2}
 	for i, pos := range positions {
 		h := node.New(k, m, wire.NodeID(i+1), pos)
 		cl := cluster.New(cluster.Config{Timing: timing})
@@ -161,12 +162,10 @@ func newTrial(e ClusterExperiment, seed int64, dchAdjacent bool, reg *metrics.Re
 		f := fds.New(cfg, cl)
 		h.Use(cl)
 		h.Use(f)
-		t.hosts = append(t.hosts, h)
-		t.cls = append(t.cls, cl)
-		t.fdss = append(t.fdss, f)
+		t.Attach(h, k, f, intercluster.Stack{Cluster: cl, FDS: f})
 	}
-	for _, h := range t.hosts {
-		h.Boot()
+	for _, id := range members {
+		t.Host(id).Boot()
 	}
 	return t
 }
@@ -215,7 +214,7 @@ func (e ClusterExperiment) runTrials(dchAdjacent bool, verdict func(*trial) bool
 func (e ClusterExperiment) FalseDetection() Outcome {
 	e = e.defaults()
 	emp, snap := e.runTrials(false, func(t *trial) bool {
-		return t.fdss[0].IsSuspected(wire.NodeID(t.subject + 1))
+		return t.FDS(1).IsSuspected(t.subject)
 	})
 	return Outcome{
 		Name:      fmt.Sprintf("P(False detection) N=%d p=%.2f", e.N, e.LossProb),
@@ -231,7 +230,7 @@ func (e ClusterExperiment) FalseDetection() Outcome {
 func (e ClusterExperiment) FalseDetectionOnCH() Outcome {
 	e = e.defaults()
 	emp, snap := e.runTrials(true, func(t *trial) bool {
-		return t.cls[t.dchIdx].View().IsCH
+		return t.Cluster(t.dch).View().IsCH
 	})
 	return Outcome{
 		Name:      fmt.Sprintf("P(False detection on CH) N=%d p=%.2f", e.N, e.LossProb),
@@ -247,7 +246,7 @@ func (e ClusterExperiment) FalseDetectionOnCH() Outcome {
 func (e ClusterExperiment) Incompleteness() Outcome {
 	e = e.defaults()
 	emp, snap := e.runTrials(false, func(t *trial) bool {
-		return !t.fdss[t.subject].UpdateReceived()
+		return !t.FDS(t.subject).UpdateReceived()
 	})
 	return Outcome{
 		Name:      fmt.Sprintf("P(Incompleteness) N=%d p=%.2f", e.N, e.LossProb),

@@ -142,19 +142,19 @@ func TestEvidenceGeometry(t *testing.T) {
 	for i := 0; i < e.Trials; i++ {
 		tr := newTrial(e, e.Seed+int64(i), false, nil)
 		// Count neighbors of the subject before running.
-		subjPos := tr.hosts[tr.subject].Pos()
+		subjPos := tr.Host(tr.subject).Pos()
 		n := 0
-		for j, h := range tr.hosts {
-			if j == tr.subject || j == 0 {
+		for _, id := range tr.NodeIDs() {
+			if id == tr.subject || id == 1 {
 				continue
 			}
-			if subjPos.WithinRange(h.Pos(), 100) {
+			if subjPos.WithinRange(tr.Host(id).Pos(), 100) {
 				n++
 			}
 		}
 		totalNbrs += n
 		tr.runOneExecution()
-		if tr.fdss[0].IsSuspected(wire.NodeID(tr.subject + 1)) {
+		if tr.FDS(1).IsSuspected(tr.subject) {
 			detected++
 		}
 		digestsSentTotal += tr.medium.Sent(wire.KindDigest)
@@ -175,12 +175,12 @@ func TestEvidenceChainPerfect(t *testing.T) {
 	detected, zeroNbr, detectedWithNbr := 0, 0, 0
 	for i := 0; i < e.Trials; i++ {
 		tr := newTrial(e, e.Seed+int64(i), false, nil)
-		subj := wire.NodeID(tr.subject + 1)
+		subj := tr.subject
 		tr.medium.SetLinkLoss(subj, 1, 1.0)
-		subjPos := tr.hosts[tr.subject].Pos()
+		subjPos := tr.Host(subj).Pos()
 		n := 0
-		for j, h := range tr.hosts {
-			if j != tr.subject && j != 0 && subjPos.WithinRange(h.Pos(), 100) {
+		for _, id := range tr.NodeIDs() {
+			if id != subj && id != 1 && subjPos.WithinRange(tr.Host(id).Pos(), 100) {
 				n++
 			}
 		}
@@ -188,7 +188,7 @@ func TestEvidenceChainPerfect(t *testing.T) {
 			zeroNbr++
 		}
 		tr.runOneExecution()
-		if tr.fdss[0].IsSuspected(subj) {
+		if tr.FDS(1).IsSuspected(subj) {
 			detected++
 			if n > 0 {
 				detectedWithNbr++

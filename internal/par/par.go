@@ -66,9 +66,10 @@
 // draws; flights themselves are pooled per strip.
 //
 // The topology is static (no mobility, no replenishment) and there is no
-// global monitor. Completeness, false suspicions, the census and the crash
-// records are read serially after a run from the HostTable the engine
-// embeds, the one the serial world embeds too.
+// global monitor. Crashes are scheduled between runs, and completeness,
+// false suspicions, the census and the crash records read after one, through
+// the HostTable the engine embeds, the one the serial world embeds too; its
+// victims are drawn from the engine's own pick stream.
 package par
 
 import (
@@ -79,7 +80,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"clusterfds/internal/cluster"
 	"clusterfds/internal/fds"
@@ -246,8 +246,6 @@ type Engine struct {
 	nbStart []int32
 	nbList  []uint32
 
-	ctrl *rand.Rand // control stream for CrashRandom picks
-
 	now sim.Time
 }
 
@@ -370,8 +368,8 @@ func Build(cfg Config) *Engine {
 		rngs:    make([]*rand.Rand, n),
 		pos:     make([]geo.Point, n),
 		spent:   make([]float64, n),
-		ctrl:    rand.New(rand.NewSource(cfg.Seed ^ 0x5DEECE66D)),
 	}
+	e.Picks = rand.New(rand.NewSource(cfg.Seed ^ 0x5DEECE66D))
 	for s := range e.strips {
 		e.strips[s].k = sim.New(cfg.Seed + int64(s) + 1)
 		e.strips[s].out = make([][]crossEntry, nStrips)
@@ -411,38 +409,10 @@ func Build(cfg Config) *Engine {
 		rt := &hostRuntime{k: e.strips[s].k, rng: e.rngs[i]}
 		h := node.New(rt, ports[s], id, e.pos[i], node.WithTrace(sink))
 		st := intercluster.Install(h, fds.DefaultConfig(timing), intercluster.DefaultConfig(timing))
-		e.Attach(h, st.FDS, st)
+		e.Attach(h, rt.k, st.FDS, st)
 		h.Boot()
 	}
 	return e
-}
-
-// CrashAt schedules a fail-stop crash of id at the given absolute time, which
-// must not be earlier than the last RunEpochs horizon. Call between runs
-// (serial), never concurrently with one.
-func (e *Engine) CrashAt(at sim.Time, id wire.NodeID) {
-	if e.Host(id) == nil {
-		panic(fmt.Sprintf("par: no host %v", id))
-	}
-	e.ScheduleCrash(e.strips[e.stripOf[id-1]].k, at, id)
-}
-
-// CrashRandomAt schedules count crashes of distinct not-yet-scheduled hosts
-// at the given time, picked deterministically from the control stream. A
-// count below one picks nobody, as scenario.World.CrashRandomAt does.
-func (e *Engine) CrashRandomAt(at sim.Time, count int) []wire.NodeID {
-	candidates := slices.DeleteFunc(e.NodeIDs(), func(id wire.NodeID) bool {
-		return e.rows[id-1].scheduled || e.hosts[id-1].Crashed()
-	})
-	e.ctrl.Shuffle(len(candidates), func(i, j int) {
-		candidates[i], candidates[j] = candidates[j], candidates[i]
-	})
-	picked := append([]wire.NodeID(nil), candidates[:max(0, min(count, len(candidates)))]...)
-	for _, id := range picked {
-		e.CrashAt(at, id)
-	}
-	sort.Slice(picked, func(i, j int) bool { return picked[i] < picked[j] })
-	return picked
 }
 
 // RunEpochs advances the replica TO the start of epoch n, counted from time

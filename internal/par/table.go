@@ -2,6 +2,7 @@ package par
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 
 	"clusterfds/internal/cluster"
@@ -25,39 +26,46 @@ type ClusterCensus struct {
 	Clusterheads, Members, Gateways, Unmarked int
 }
 
-// HostTable is the read side of a replica: one row per host, in attach
-// order, with an NID index. scenario.World and Engine embed it, so both
-// answer completeness, accuracy and the census from the same code. Engine
-// attaches in NID order, so its row is NID−1.
+// HostTable is a replica's host side: one row per host, in attach order,
+// with an NID index, and the crash schedule. scenario.World and Engine embed
+// it, so both schedule crashes and answer completeness, accuracy and the
+// census from the same code. Engine attaches in NID order, so its row is
+// NID−1.
 //
-// Rows are written serially — Attach, ScheduleCrash — except a crash's fire,
+// Rows are written serially — Attach, CrashAt — except a crash's fire,
 // which writes only its own host's row: in Engine it runs on the worker
 // that drains the host's strip.
 type HostTable struct {
+	// Picks is the replica's pick stream, from which CrashRandomAt draws
+	// its victims: the serial world's kernel stream, the strip engine's
+	// own control source.
+	Picks *rand.Rand
+
 	hosts      []*node.Host // dense: Engine.deliver reads it once per delivery
 	rows       []hostRow
 	rowOf      []int32       // NID -> row+1; 0 is no host
 	crashOrder []wire.NodeID // hosts with a crash scheduled, in schedule order
 }
 
-// hostRow is a host's detector, its protocols (zero for a flat detector)
-// and its crash record: scheduled, fired and when, and whether the host was
-// admitted to a cluster (Marked) as it fired.
+// hostRow is a host's kernel, its detector, its protocols (zero for a flat
+// detector) and its crash record: scheduled, fired and when, and whether
+// the host was admitted to a cluster (Marked) as it fired.
 type hostRow struct {
+	k                          *sim.Kernel
 	det                        Detector
 	stack                      intercluster.Stack
 	scheduled, fired, admitted bool
 	crashedAt                  sim.Time
 }
 
-// Attach appends h's row: its detector d and, for the cluster stack, the
-// protocols s holds.
-func (t *HostTable) Attach(h *node.Host, d Detector, s intercluster.Stack) {
+// Attach appends h's row: the kernel k that runs it, its detector d and,
+// for the cluster stack, the protocols s holds.
+func (t *HostTable) Attach(h *node.Host, k *sim.Kernel, d Detector, s intercluster.Stack) {
 	if n := int(h.ID()) + 1 - len(t.rowOf); n > 0 {
 		t.rowOf = append(t.rowOf, make([]int32, n)...)
 	}
 	t.hosts = append(t.hosts, h)
-	t.rows = append(t.rows, hostRow{det: d, stack: s})
+	t.rows = append(t.rows, hostRow{k: k, det: d, stack: s})
 	t.rowOf[h.ID()] = int32(len(t.hosts))
 }
 
@@ -107,11 +115,12 @@ func (t *HostTable) NodeIDs() []wire.NodeID {
 	return out
 }
 
-// ScheduleCrash records a fail-stop crash of id and schedules it at the
-// given absolute time on k, the kernel that runs id. If id is still up
-// then, the fire records whether it was admitted, crashes it, and stamps
-// the instant, all in id's row. It panics on an unknown id.
-func (t *HostTable) ScheduleCrash(k *sim.Kernel, at sim.Time, id wire.NodeID) {
+// CrashAt schedules a fail-stop crash of id at the given absolute time, on
+// the kernel that runs id; in Engine the time must not be earlier than the
+// last RunEpochs horizon. If id is still up then, the fire records whether
+// it was admitted, crashes it, and stamps the instant, all in id's row. Call
+// it between runs, never concurrently with one. It panics on an unknown id.
+func (t *HostTable) CrashAt(at sim.Time, id wire.NodeID) {
 	r := t.row(id)
 	if r < 0 {
 		panic(fmt.Sprintf("par: no host %v", id))
@@ -120,14 +129,35 @@ func (t *HostTable) ScheduleCrash(k *sim.Kernel, at sim.Time, id wire.NodeID) {
 		t.rows[r].scheduled = true
 		t.crashOrder = append(t.crashOrder, id)
 	}
-	k.At(at, func() {
+	t.rows[r].k.At(at, func() {
 		h, row := t.hosts[r], &t.rows[r]
 		if !h.Crashed() {
 			row.admitted = row.stack.Cluster != nil && row.stack.Cluster.Marked()
 			h.Crash()
-			row.fired, row.crashedAt = true, k.Now()
+			row.fired, row.crashedAt = true, row.k.Now()
 		}
 	})
+}
+
+// CrashRandomAt schedules count crashes at the given time, of distinct
+// hosts that are alive and have no crash scheduled yet, drawn from Picks,
+// and returns them sorted. It shuffles every live host, then passes over
+// the scheduled ones, so the shuffle spends the same draws whether or not
+// earlier waves are still pending. A count below one picks nobody.
+func (t *HostTable) CrashRandomAt(at sim.Time, count int) []wire.NodeID {
+	candidates := slices.DeleteFunc(t.NodeIDs(), func(id wire.NodeID) bool { return t.Host(id).Crashed() })
+	t.Picks.Shuffle(len(candidates), func(i, j int) {
+		candidates[i], candidates[j] = candidates[j], candidates[i]
+	})
+	picked := candidates[:0] // filtered in place: writes trail reads
+	for _, id := range candidates {
+		if len(picked) < count && !t.at(id).scheduled {
+			picked = append(picked, id)
+			t.CrashAt(at, id)
+		}
+	}
+	slices.Sort(picked)
+	return picked
 }
 
 // CrashedAt returns when id's scheduled crash fired, and whether it has.

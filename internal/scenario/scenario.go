@@ -12,7 +12,6 @@ package scenario
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"clusterfds/internal/aggregate"
@@ -151,7 +150,8 @@ func (c Config) withDefaults() Config {
 }
 
 // World is a built scenario ready to run. Its hosts, their detectors and
-// crash records are the rows of the embedded par.HostTable, which answers
+// crash records are the rows of the embedded par.HostTable, which schedules
+// crashes, drawing victims from the kernel's stream, and answers
 // completeness, accuracy and the census for both engines.
 type World struct {
 	par.HostTable
@@ -191,6 +191,7 @@ func Build(cfg Config) *World {
 	reg := metrics.NewRegistry()
 	m := radio.New(k, radio.Defaults(cfg.LossProb), radio.WithTrace(cfg.Trace), radio.WithMetrics(reg))
 	w := &World{
+		HostTable:      par.HostTable{Picks: k.Rand()},
 		cfg:            cfg,
 		Kernel:         k,
 		Medium:         m,
@@ -258,7 +259,7 @@ func (w *World) addHost(id wire.NodeID, pos geo.Point) {
 		}
 		h.Use(mobility.New(mcfg))
 	}
-	w.Attach(h, det, s)
+	w.Attach(h, w.Kernel, det, s)
 	h.Boot()
 }
 
@@ -346,31 +347,6 @@ func (w *World) RunEpochs(n int) {
 		panic(fmt.Sprintf("scenario: RunEpochs(%d): negative epoch", n))
 	}
 	w.Run(w.cfg.Timing.EpochStart(wire.Epoch(n)))
-}
-
-// CrashAt schedules a fail-stop crash of id at the given absolute time. It
-// panics on an unknown id.
-func (w *World) CrashAt(at sim.Time, id wire.NodeID) { w.ScheduleCrash(w.Kernel, at, id) }
-
-// CrashRandomAt schedules count crashes at the given time, of distinct
-// hosts that are alive and have no crash scheduled yet, chosen
-// deterministically from the seed. Scheduled hosts are passed over after
-// the shuffle, not left out of it, so the shuffle spends the same draws
-// whether or not earlier waves are still pending.
-func (w *World) CrashRandomAt(at sim.Time, count int) []wire.NodeID {
-	candidates := slices.DeleteFunc(w.NodeIDs(), func(id wire.NodeID) bool { return w.Host(id).Crashed() })
-	w.Kernel.Rand().Shuffle(len(candidates), func(i, j int) {
-		candidates[i], candidates[j] = candidates[j], candidates[i]
-	})
-	picked := candidates[:0] // filtered in place: writes trail reads
-	for _, id := range candidates {
-		if len(picked) < count && !slices.Contains(w.ScheduledCrashes(), id) {
-			picked = append(picked, id)
-			w.CrashAt(at, id)
-		}
-	}
-	sort.Slice(picked, func(i, j int) bool { return picked[i] < picked[j] })
-	return picked
 }
 
 // DeployAt schedules a replenishment host to appear at pos at the given

@@ -158,14 +158,14 @@ func BenchmarkMonteCarloValidationParallel(b *testing.B) { benchMonteCarloFixedW
 // dissemination quality.
 func benchCost(b *testing.B, stack scenario.Stack, nodes int) {
 	b.Helper()
-	study := scenario.CrashStudy{
+	s := scenario.Matrix{
 		Config: scenario.Config{
 			Seed: 1, Nodes: nodes, FieldSide: 200 * float64(nodes) / 50,
-			LossProb: 0.1, Stack: stack,
+			LossProb: 0.1,
 		},
+		Stacks: []scenario.Stack{stack}, Scenarios: []scenario.ScenarioKind{scenario.ScenarioCrashWave},
 		Crashes: 1, CrashEpoch: 3, Epochs: 8, Trials: b.N,
-	}
-	s := scenario.Summarize(study.Run())
+	}.Run().Cells[0].Summary
 	b.ReportMetric(s.TxMessages, "tx-msgs/run")
 	b.ReportMetric(s.TxBytes, "tx-bytes/run")
 	b.ReportMetric(s.Energy, "energy/run")
@@ -196,10 +196,11 @@ func benchAblation(b *testing.B, mutate func(*scenario.Config)) {
 	}
 	// Detection happens in epoch 4; sample right after the report flood,
 	// at the end of epoch 4. Replicas fan out over the replication engine.
-	study := scenario.CrashStudy{
-		Config: cfg, Crashes: 1, CrashEpoch: 3, Epochs: 5, Trials: b.N,
-	}
-	s := scenario.Summarize(study.Run())
+	s := scenario.Matrix{
+		Config: cfg,
+		Stacks: []scenario.Stack{scenario.StackClusterFDS}, Scenarios: []scenario.ScenarioKind{scenario.ScenarioCrashWave},
+		Crashes: 1, CrashEpoch: 3, Epochs: 5, Trials: b.N,
+	}.Run().Cells[0].Summary
 	b.ReportMetric(s.Completeness.Mean(), "completeness@flood")
 }
 

@@ -119,8 +119,8 @@ func main() {
 	}
 	// A crash past the run's end never happens, so each summary says so in
 	// place of its crash report. The single-trial engines schedule none; a
-	// replicated study, which reads 0 crashes as 1, schedules its one victim
-	// past the end, where it never falls.
+	// replicated study, which reads 0 crashes as 2, schedules its two victims
+	// past the end, where they never fall.
 	pastEnd := crashPastEnd(*crashes, *crashEpoch, *epochs)
 	if pastEnd != "" {
 		*crashes = 0
@@ -353,7 +353,7 @@ func checkFlags(o options) error {
 		return fmt.Errorf("-trace %s -shards %d -epoch-workers %d: a trace follows the serial engine",
 			o.trace, o.shards, o.epochWorkers)
 	case o.trials > 1 && (o.epochs == 0 || o.crashes == 0 || o.crashEpoch == 0):
-		return fmt.Errorf("-trials %d -epochs %d -crashes %d -crash-epoch %d: a replicated study reads 0 as its default (8 epochs, 1 crash, crash epoch 3)",
+		return fmt.Errorf("-trials %d -epochs %d -crashes %d -crash-epoch %d: a replicated study reads 0 as its default (12 epochs, 2 crashes, crash epoch 3)",
 			o.trials, o.epochs, o.crashes, o.crashEpoch)
 	case o.shards > 0 && o.epochWorkers > 0:
 		return fmt.Errorf("-shards %d -epoch-workers %d: these choose two different engines", o.shards, o.epochWorkers)
@@ -401,8 +401,10 @@ func exportMetrics(s metrics.Snapshot, jsonPath, csvPath string, log io.Writer) 
 // derived deterministically from cfg.Seed, so the printed numbers are a
 // pure function of the flags — never of the worker count.
 func runReplicated(cfg scenario.Config, stack scenario.Stack, trials, workers, crashes, crashEpoch, epochs int, metricsJSON, metricsCSV, pastEnd string) {
-	study := scenario.CrashStudy{
+	study := scenario.Matrix{
 		Config:     cfg,
+		Stacks:     []scenario.Stack{stack},
+		Scenarios:  []scenario.ScenarioKind{scenario.ScenarioCrashWave},
 		Crashes:    crashes,
 		CrashEpoch: crashEpoch,
 		Epochs:     epochs,
@@ -410,9 +412,8 @@ func runReplicated(cfg scenario.Config, stack scenario.Stack, trials, workers, c
 		Workers:    workers,
 	}
 	start := time.Now()
-	outcomes := study.Run()
+	s := study.Run().Cells[0].Summary
 	elapsed := time.Since(start)
-	s := scenario.Summarize(outcomes)
 
 	fmt.Printf("fdsim: stack=%v nodes=%d field=%.0fm p=%.2f epochs=%d seed=%d trials=%d workers=%d\n",
 		stack, cfg.Nodes, cfg.FieldSide, cfg.LossProb, epochs, cfg.Seed, trials, workers)

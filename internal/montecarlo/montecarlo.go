@@ -40,8 +40,6 @@ type ClusterExperiment struct {
 	N int
 	// LossProb is the per-receiver message loss probability p.
 	LossProb float64
-	// Radius is the transmission range / cluster radius (default 100).
-	Radius float64
 	// Trials is the number of independent replications.
 	Trials int
 	// Seed makes the experiment reproducible. Trial i runs on a kernel
@@ -85,9 +83,6 @@ func (o Outcome) String() string {
 }
 
 func (e ClusterExperiment) defaults() ClusterExperiment {
-	if e.Radius == 0 {
-		e.Radius = 100
-	}
 	if e.Trials == 0 {
 		e.Trials = 1000
 	}
@@ -119,7 +114,7 @@ type trial struct {
 func newTrial(e ClusterExperiment, seed int64, dchAdjacent bool, reg *metrics.Registry) *trial {
 	k := sim.New(seed)
 	params := radio.Defaults(e.LossProb)
-	params.Range = e.Radius
+	radius := params.Range // the cluster radius is the transmission range
 	m := radio.New(k, params, radio.WithMetrics(reg))
 	timing := cluster.DefaultTiming()
 
@@ -129,21 +124,21 @@ func newTrial(e ClusterExperiment, seed int64, dchAdjacent bool, reg *metrics.Re
 	if dchAdjacent {
 		positions[1] = geo.Point{X: 1, Y: 0}
 	} else {
-		positions[1] = geo.UniformInDisk(k.Rand(), center, e.Radius)
+		positions[1] = geo.UniformInDisk(k.Rand(), center, radius)
 	}
 	if dchAdjacent {
 		// Figure 6's model has no worst-case member: every non-DCH member
 		// is uniform (and therefore within the DCH's range).
-		positions[2] = geo.UniformInDisk(k.Rand(), center, e.Radius)
+		positions[2] = geo.UniformInDisk(k.Rand(), center, radius)
 	} else {
 		// Worst case for Figures 5/7: the subject on the circumference
 		// (1 µm inside so floating-point noise never pushes it out of
 		// range).
 		angle := k.Rand().Float64() * 2 * 3.141592653589793
-		positions[2] = geo.OnCircle(center, e.Radius-1e-6, angle)
+		positions[2] = geo.OnCircle(center, radius-1e-6, angle)
 	}
 	for i := 3; i < e.N; i++ {
-		positions[i] = geo.UniformInDisk(k.Rand(), center, e.Radius)
+		positions[i] = geo.UniformInDisk(k.Rand(), center, radius)
 	}
 
 	members := make([]wire.NodeID, e.N)

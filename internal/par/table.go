@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"clusterfds/internal/baseline"
 	"clusterfds/internal/cluster"
 	"clusterfds/internal/fds"
 	"clusterfds/internal/intercluster"
@@ -12,13 +13,6 @@ import (
 	"clusterfds/internal/sim"
 	"clusterfds/internal/wire"
 )
-
-// Detector is what the read side asks of a host's failure detector. The
-// cluster FDS and every flat baseline satisfy it.
-type Detector interface {
-	IsSuspected(id wire.NodeID) bool
-	KnownFailed() []wire.NodeID
-}
 
 // ClusterCensus counts the clusterheads, admitted members, gateways and
 // unmarked hosts among operational hosts.
@@ -52,7 +46,7 @@ type HostTable struct {
 // the host was admitted to a cluster (Marked) as it fired.
 type hostRow struct {
 	k                          *sim.Kernel
-	det                        Detector
+	det                        baseline.Detector
 	stack                      intercluster.Stack
 	scheduled, fired, admitted bool
 	crashedAt                  sim.Time
@@ -60,7 +54,7 @@ type hostRow struct {
 
 // Attach appends h's row: the kernel k that runs it, its detector d and,
 // for the cluster stack, the protocols s holds.
-func (t *HostTable) Attach(h *node.Host, k *sim.Kernel, d Detector, s intercluster.Stack) {
+func (t *HostTable) Attach(h *node.Host, k *sim.Kernel, d baseline.Detector, s intercluster.Stack) {
 	if n := int(h.ID()) + 1 - len(t.rowOf); n > 0 {
 		t.rowOf = append(t.rowOf, make([]int32, n)...)
 	}
@@ -94,7 +88,7 @@ func (t *HostTable) at(id wire.NodeID) hostRow {
 }
 
 // Detector returns the detector running on the given host (nil if unknown).
-func (t *HostTable) Detector(id wire.NodeID) Detector { return t.at(id).det }
+func (t *HostTable) Detector(id wire.NodeID) baseline.Detector { return t.at(id).det }
 
 // FDS returns the host's cluster-based FDS (nil if unknown or flat).
 func (t *HostTable) FDS(id wire.NodeID) *fds.Protocol { return t.at(id).stack.FDS }

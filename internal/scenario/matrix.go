@@ -10,11 +10,13 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math/rand"
 	"sort"
 	"strings"
 	"time"
 
 	"clusterfds/internal/mobility"
+	"clusterfds/internal/replicate"
 	"clusterfds/internal/sim"
 	"clusterfds/internal/wire"
 )
@@ -61,11 +63,26 @@ func ScenarioKinds() []ScenarioKind {
 	return []ScenarioKind{ScenarioCrashWave, ScenarioPartition, ScenarioDutySleep, ScenarioMobility}
 }
 
-// Matrix is the head-to-head study: Stacks x Scenarios, each cell a seeded
-// replica sweep. All cells reuse Config.Seed, so replica i of every cell
-// sees the same field layout and the same crash victims (for stacks sharing
-// a build order) — differences in the measurements come from the detectors,
-// not the draw.
+// The disruption window of the partition and sleep scenarios, in epochs:
+// five intervals, exceeding the baselines' 4-interval suspicion timeout so
+// the disruption must cause false suspicions that a sound detector later
+// rescinds. The mobility scenario's hosts walk at mobilitySpeed m/s.
+const (
+	disruptFrom, disruptUntil = 4, 9
+	mobilitySpeed             = 5
+)
+
+// Matrix is the head-to-head study and the repository's one crash-study
+// driver: Stacks x Scenarios, each cell a seeded replica sweep (a plain
+// crash study is the one cell of one stack under ScenarioCrashWave). All
+// cells reuse Config.Seed, so replica i of every cell sees the same field
+// layout and the same crash victims (for stacks sharing a build order) —
+// differences in the measurements come from the detectors, not the draw.
+//
+// Each replica owns its whole simulation — kernel, medium, hosts — so
+// replicas need no locks. The one shared object is Config.Trace: leave it
+// nil (or use a concurrency-safe sink such as trace.Memory) when Workers
+// != 1.
 type Matrix struct {
 	// Config is the base scenario; its Stack field is overridden per cell.
 	Config Config
@@ -78,11 +95,6 @@ type Matrix struct {
 	// CrashEpoch is the epoch at whose midpoint the crashes occur
 	// (default 3).
 	CrashEpoch int
-	// DisruptFrom/DisruptUntil bound the partition and sleep windows in
-	// epochs (defaults 4 and 9 — five intervals, exceeding the baselines'
-	// 4-interval suspicion timeout so the disruption must cause false
-	// suspicions that a sound detector later rescinds).
-	DisruptFrom, DisruptUntil int
 	// Epochs is how long each replica runs (default 12, leaving three
 	// post-disruption epochs for rescission).
 	Epochs int
@@ -90,9 +102,6 @@ type Matrix struct {
 	Trials int
 	// Workers is the per-cell fan-out (0 = GOMAXPROCS, 1 = serial).
 	Workers int
-	// MobilitySpeed is the random-waypoint speed in m/s for the mobility
-	// scenario (default 5).
-	MobilitySpeed float64
 }
 
 func (m Matrix) defaults() Matrix {
@@ -108,20 +117,11 @@ func (m Matrix) defaults() Matrix {
 	if m.CrashEpoch == 0 {
 		m.CrashEpoch = 3
 	}
-	if m.DisruptFrom == 0 {
-		m.DisruptFrom = 4
-	}
-	if m.DisruptUntil == 0 {
-		m.DisruptUntil = 9
-	}
 	if m.Epochs == 0 {
 		m.Epochs = 12
 	}
 	if m.Trials == 0 {
 		m.Trials = 5
-	}
-	if m.MobilitySpeed == 0 {
-		m.MobilitySpeed = 5
 	}
 	return m
 }
@@ -167,19 +167,22 @@ func (m Matrix) runCell(stack Stack, kind ScenarioKind) MatrixCell {
 	cfg := m.Config
 	cfg.Stack = stack
 	if kind == ScenarioMobility {
-		cfg.Mobility = &mobility.Config{Speed: m.MobilitySpeed, Pause: sim.Time(2 * time.Second)}
+		cfg.Mobility = &mobility.Config{Speed: mobilitySpeed, Pause: sim.Time(2 * time.Second)}
 	}
-	outs := Replicas(cfg, m.Trials, m.Workers, func(i int, w *World) MatrixOutcome {
+	outs := replicate.Run(m.Workers, m.Trials, cfg.Seed, func(i int, _ *rand.Rand) MatrixOutcome {
+		c := cfg
+		c.Seed = replicate.Seed(cfg.Seed, i)
+		w := Build(c)
 		timing := w.Config().Timing
 		crashAt := timing.EpochStart(wire.Epoch(m.CrashEpoch)) + timing.Interval/2
 		victims := w.CrashRandomAt(crashAt, m.Crashes)
-		m.scheduleDisruption(w, kind)
+		scheduleDisruption(w, kind)
 
 		var out MatrixOutcome
 		// Sample false suspicions just before the disruption heals: the
 		// partition/sleep window exceeds the suspicion timeout, so this is
 		// where disruption-induced suspicions peak.
-		midAt := timing.EpochStart(wire.Epoch(m.DisruptUntil)) - timing.Interval/4
+		midAt := timing.EpochStart(disruptUntil) - timing.Interval/4
 		w.Kernel.At(midAt, func() { out.MidFalseSuspicions = len(w.FalseSuspicions()) })
 
 		w.RunEpochs(m.Epochs)
@@ -197,10 +200,10 @@ func (m Matrix) runCell(stack Stack, kind ScenarioKind) MatrixCell {
 }
 
 // scheduleDisruption installs the cell's fault schedule on a fresh world.
-func (m Matrix) scheduleDisruption(w *World, kind ScenarioKind) {
+func scheduleDisruption(w *World, kind ScenarioKind) {
 	timing := w.Config().Timing
-	from := timing.EpochStart(wire.Epoch(m.DisruptFrom))
-	until := timing.EpochStart(wire.Epoch(m.DisruptUntil))
+	from := timing.EpochStart(disruptFrom)
+	until := timing.EpochStart(disruptUntil)
 	ids := w.NodeIDs()
 	switch kind {
 	case ScenarioPartition:
@@ -224,8 +227,7 @@ func (m Matrix) scheduleDisruption(w *World, kind ScenarioKind) {
 }
 
 // measureCrash extracts the standard crash-study measurements from a run
-// world. CrashStudy.Run and the matrix share it so a matrix crash-wave cell
-// and a plain study measure identically.
+// world, the same for every cell.
 func measureCrash(w *World, victims []wire.NodeID) CrashOutcome {
 	var o CrashOutcome
 	o.Victims = victims

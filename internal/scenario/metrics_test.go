@@ -79,16 +79,19 @@ func TestMetricsSnapshotConsistency(t *testing.T) {
 // every worker count, because replicas are seeded by index and merged in
 // replica order.
 func TestStudyMetricsWorkerCountInvariant(t *testing.T) {
-	study := CrashStudy{
-		Config: Config{Seed: 42, Nodes: 25, FieldSide: 200},
-		Trials: 6,
-		Epochs: 6,
+	study := Matrix{
+		Config:    Config{Seed: 42, Nodes: 25, FieldSide: 200},
+		Stacks:    []Stack{StackClusterFDS},
+		Scenarios: []ScenarioKind{ScenarioCrashWave},
+		Crashes:   1,
+		Trials:    6,
+		Epochs:    6,
 	}
 	var snaps []metrics.Snapshot
 	var jsons [][]byte
 	for _, workers := range []int{1, 4} {
 		study.Workers = workers
-		sum := Summarize(study.Run())
+		sum := study.Run().Cells[0].Summary
 		var buf bytes.Buffer
 		if err := sum.Metrics.WriteJSON(&buf); err != nil {
 			t.Fatal(err)

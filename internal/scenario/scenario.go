@@ -214,7 +214,7 @@ func Build(cfg Config) *World {
 func (w *World) addHost(id wire.NodeID, pos geo.Point) {
 	h := node.New(w.Kernel, w.Medium, id, pos, node.WithTrace(w.cfg.Trace))
 	var s intercluster.Stack
-	var det par.Detector
+	var det baseline.Detector
 	switch w.cfg.Stack {
 	case StackClusterFDS:
 		fcfg := fds.DefaultConfig(w.cfg.Timing)
@@ -383,12 +383,6 @@ func (w *World) MessageCounts() map[string]int64 { return w.Medium.Counters() }
 
 // TotalEnergySpent returns the fleet's cumulative energy expenditure.
 func (w *World) TotalEnergySpent() float64 { return w.Medium.TotalEnergySpent() }
-
-// Detector returns the detector running on the given host (nil if unknown).
-func (w *World) Detector(id wire.NodeID) baseline.Detector {
-	d, _ := w.HostTable.Detector(id).(baseline.Detector)
-	return d
-}
 
 // Aggregate returns the aggregation service on the given host (nil when
 // aggregation is not enabled).

@@ -1,56 +1,18 @@
-// Replica sweeps: every scenario experiment in this repository boils down
-// to "build the same world under many seeds, run it, measure". These
-// helpers put that pattern on the replication engine so sweeps use every
-// core while staying bit-reproducible: replica i always runs on a world
-// seeded with replicate.Seed(cfg.Seed, i), regardless of worker count.
+// Crash-study results: what one replica of a Matrix cell measures
+// (CrashOutcome) and how a cell's replicas fold into one report
+// (Summarize). Matrix is the one driver that builds and runs the replicas:
+// replica i always runs on a world seeded with replicate.Seed(Config.Seed,
+// i), so every figure here is independent of the worker count.
 package scenario
 
 import (
-	"math/rand"
 	"time"
 
 	"clusterfds/internal/metrics"
-	"clusterfds/internal/replicate"
 	"clusterfds/internal/sim"
 	"clusterfds/internal/stats"
 	"clusterfds/internal/wire"
 )
-
-// Replicas builds and measures trials independent copies of the scenario in
-// parallel. Replica i gets cfg with Seed = replicate.Seed(cfg.Seed, i) and a
-// freshly built world; body runs the world and extracts a result. Results
-// come back in replica order, identical for every worker count (0 =
-// GOMAXPROCS, 1 = serial).
-//
-// Each replica owns its whole simulation — kernel, medium, hosts — so
-// bodies need no locks. The one shared object is cfg.Trace: leave it nil
-// (or use a concurrency-safe sink such as trace.Memory) when workers != 1.
-func Replicas[R any](cfg Config, trials, workers int, body func(i int, w *World) R) []R {
-	return replicate.Run(workers, trials, cfg.Seed, func(i int, _ *rand.Rand) R {
-		c := cfg
-		c.Seed = replicate.Seed(cfg.Seed, i)
-		return body(i, Build(c))
-	})
-}
-
-// CrashStudy is the canonical sweep: crash a few hosts mid-run and measure
-// detection quality and cost over many seeded replicas.
-type CrashStudy struct {
-	// Config is the per-replica scenario; Config.Seed is the experiment
-	// seed from which replica seeds are derived.
-	Config Config
-	// Crashes is how many hosts fail per replica (default 1).
-	Crashes int
-	// CrashEpoch is the epoch at whose midpoint the crashes occur
-	// (default 3).
-	CrashEpoch int
-	// Epochs is how long each replica runs (default 8).
-	Epochs int
-	// Trials is the number of replicas (default 20).
-	Trials int
-	// Workers is the fan-out (0 = GOMAXPROCS, 1 = serial).
-	Workers int
-}
 
 // CrashOutcome is one replica's measurements.
 type CrashOutcome struct {
@@ -88,34 +50,6 @@ func (o CrashOutcome) Completeness() float64 {
 		return 1
 	}
 	return float64(o.Aware) / float64(o.Operational)
-}
-
-func (s CrashStudy) defaults() CrashStudy {
-	if s.Crashes == 0 {
-		s.Crashes = 1
-	}
-	if s.CrashEpoch == 0 {
-		s.CrashEpoch = 3
-	}
-	if s.Epochs == 0 {
-		s.Epochs = 8
-	}
-	if s.Trials == 0 {
-		s.Trials = 20
-	}
-	return s
-}
-
-// Run executes the study and returns per-replica outcomes in replica order.
-func (s CrashStudy) Run() []CrashOutcome {
-	s = s.defaults()
-	return Replicas(s.Config, s.Trials, s.Workers, func(i int, w *World) CrashOutcome {
-		timing := w.Config().Timing
-		crashAt := timing.EpochStart(wire.Epoch(s.CrashEpoch)) + timing.Interval/2
-		victims := w.CrashRandomAt(crashAt, s.Crashes)
-		w.RunEpochs(s.Epochs)
-		return measureCrash(w, victims)
-	})
 }
 
 // StudySummary aggregates outcomes for reporting.

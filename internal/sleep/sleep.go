@@ -30,26 +30,23 @@ import (
 	"clusterfds/internal/wire"
 )
 
-// Config parameterizes the duty cycle.
+// The duty cycle: a member naps napEpochs consecutive epochs of every
+// period.
+const (
+	period    wire.Epoch = 4
+	napEpochs wire.Epoch = 1
+)
+
+// Config selects the sleep mode.
 type Config struct {
-	// Period is the duty-cycle length in epochs.
-	Period wire.Epoch
-	// NapEpochs is how many consecutive epochs of each period the radio is
-	// off. Must be < Period.
-	NapEpochs wire.Epoch
 	// Announce selects sleep-aware behaviour (send a SleepNotice and be
 	// excused) versus the naive silence the paper warns about.
 	Announce bool
 }
 
-// DefaultConfig naps one epoch in four, announced.
+// DefaultConfig is the announced mode.
 func DefaultConfig() Config {
-	return Config{Period: 4, NapEpochs: 1, Announce: true}
-}
-
-// Valid reports whether the configuration is coherent.
-func (c Config) Valid() bool {
-	return c.Period >= 2 && c.NapEpochs >= 1 && c.NapEpochs < c.Period
+	return Config{Announce: true}
 }
 
 // Protocol is the per-host duty-cycling policy.
@@ -66,9 +63,6 @@ type Protocol struct {
 func New(cfg Config, cl *cluster.Protocol) *Protocol {
 	if cl == nil {
 		panic("sleep: nil cluster protocol")
-	}
-	if !cfg.Valid() {
-		panic("sleep: invalid config")
 	}
 	return &Protocol{cfg: cfg, cluster: cl}
 }
@@ -96,8 +90,8 @@ func (p *Protocol) runEpoch(e wire.Epoch) {
 // maybeNap checks the duty-cycle phase and structural duties.
 func (p *Protocol) maybeNap(e wire.Epoch) {
 	// Phase-shift by NID so a cluster's members nap in staggered slots.
-	phase := wire.Epoch(uint64(p.host.ID())) % p.cfg.Period
-	if (e+phase)%p.cfg.Period != p.cfg.Period-1 {
+	phase := wire.Epoch(uint64(p.host.ID())) % period
+	if (e+phase)%period != period-1 {
 		return // not our slot
 	}
 	cl := p.cluster
@@ -107,7 +101,7 @@ func (p *Protocol) maybeNap(e wire.Epoch) {
 
 	t := p.cluster.Timing()
 	firstNap := e + 1
-	wakeEpoch := firstNap + p.cfg.NapEpochs
+	wakeEpoch := firstNap + napEpochs
 	if p.cfg.Announce {
 		// The notice is sent twice — at decision time and again just
 		// before the radio goes off — because a single lost notice would

@@ -152,27 +152,10 @@ func TestSleeperCatchesUpAfterWaking(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	cl := cluster.New(cluster.DefaultConfig())
-	for name, cfg := range map[string]Config{
-		"zero":          {},
-		"nap >= period": {Period: 2, NapEpochs: 2},
-		"period 1":      {Period: 1, NapEpochs: 1},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: want panic", name)
-				}
-			}()
-			New(cfg, cl)
-		}()
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("nil cluster: want panic")
-			}
-		}()
-		New(DefaultConfig(), nil)
+	defer func() {
+		if recover() == nil {
+			t.Error("nil cluster: want panic")
+		}
 	}()
+	New(DefaultConfig(), nil)
 }

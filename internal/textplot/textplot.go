@@ -130,10 +130,3 @@ func (c Chart) Render() string {
 	fmt.Fprintf(&b, "%s  legend: %s\n", strings.Repeat(" ", 8), strings.Join(legend, "   "))
 	return b.String()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

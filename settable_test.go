@@ -13,6 +13,7 @@ import (
 	"clusterfds/internal/fds"
 	"clusterfds/internal/intercluster"
 	"clusterfds/internal/mobility"
+	"clusterfds/internal/montecarlo"
 	"clusterfds/internal/par"
 	"clusterfds/internal/radio"
 	"clusterfds/internal/scenario"
@@ -26,6 +27,7 @@ var settableTypes = []any{
 	fds.Config{}, intercluster.Config{}, cluster.Config{}, scenario.Config{},
 	daemon.Config{}, par.Config{}, radio.Params{}, transport.EnergyParams{},
 	baseline.Params{}, sleep.Config{}, mobility.Config{},
+	scenario.Matrix{}, montecarlo.ClusterExperiment{},
 }
 
 // settableRow is one row of DESIGN.md §6's settable-values table: the value

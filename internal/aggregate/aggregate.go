@@ -143,12 +143,7 @@ func New(cl *cluster.Protocol, f *fds.Protocol, sampler Sampler) *Protocol {
 // Start implements node.Protocol.
 func (p *Protocol) Start(h *node.Host) {
 	p.host = h
-	p.scheduleEpoch(p.cluster.Timing().FirstEpochAt(h.Now()))
-}
-
-func (p *Protocol) scheduleEpoch(e wire.Epoch) {
-	at := p.cluster.Timing().EpochStart(e)
-	p.host.After(at-p.host.Now(), func() { p.runEpoch(e) })
+	p.cluster.Timing().EveryEpoch(h, p.runEpoch)
 }
 
 func (p *Protocol) runEpoch(e wire.Epoch) {
@@ -156,7 +151,6 @@ func (p *Protocol) runEpoch(e wire.Epoch) {
 	p.gathered = Stat{}
 	p.selfRead = false
 	p.prune(e)
-	p.scheduleEpoch(e + 1)
 
 	// The CH publishes its cluster partial right after the digest round —
 	// in the same slot as the health update, one broadcast per cluster.

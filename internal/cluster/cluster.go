@@ -171,7 +171,6 @@ type Protocol struct {
 	// (DESIGN.md §12).
 	members []wire.NodeID
 	dchs    []wire.NodeID
-	gwFlag  map[wire.NodeID]bool // CH: members known to be gateways
 
 	// Foreign clusterheads this host can hear (gateway candidacy), each with
 	// the epoch in which it was last heard so stale entries age out, sorted
@@ -218,7 +217,6 @@ type Protocol struct {
 	heardMarked    bool // any marked heartbeat heard this epoch
 	heardDeclare   bool // a CHDeclare was heard this epoch
 	heardAnnounce  bool // any ClusterAnnounce was heard this epoch
-	memberChanged  bool
 	declareTimer   node.Timer
 	pendingDeclare bool
 	// deferCount counts consecutive epochs in which this unmarked host
@@ -233,13 +231,13 @@ type Protocol struct {
 	// value is recyclable as soon as Send returns), which keeps the
 	// steady-state epoch free of per-timer closures and per-send heap
 	// messages.
-	epochFn, hbFn, declareFn, announceFn, registerGWFn, declareFireFn func()
-	hbMsg                                                             wire.Heartbeat
-	annMsg                                                            wire.ClusterAnnounce
-	gwMsg                                                             wire.GWRegister
-	gwOthers                                                          []wire.NodeID
-	rankScratch                                                       []wire.NodeID
-	dchSpare                                                          []wire.NodeID
+	hbFn, declareFn, announceFn, registerGWFn, declareFireFn func()
+	hbMsg                                                    wire.Heartbeat
+	annMsg                                                   wire.ClusterAnnounce
+	gwMsg                                                    wire.GWRegister
+	gwOthers                                                 []wire.NodeID
+	rankScratch                                              []wire.NodeID
+	dchSpare                                                 []wire.NodeID
 }
 
 // New returns a formation protocol with the given configuration.
@@ -249,7 +247,6 @@ func New(cfg Config) *Protocol {
 	}
 	return &Protocol{
 		cfg:           cfg,
-		gwFlag:        make(map[wire.NodeID]bool),
 		gwCandidates:  make(map[pairKey]*gwSet),
 		neighborCHs:   make(map[wire.NodeID]wire.Epoch),
 		coverage:      make(map[wire.NodeID]float64),
@@ -272,30 +269,22 @@ func (p *Protocol) IDs() *dense.Interner { return &p.ids }
 func (p *Protocol) Start(h *node.Host) {
 	p.host = h
 	// One closure per callback per lifetime, re-armed every epoch. The
-	// epoch-boundary callback derives its epoch from the clock (it fires at
-	// exactly EpochStart(e)); the in-epoch phase callbacks read p.epoch,
-	// which runEpoch set when their epoch began.
-	p.epochFn = func() { p.runEpoch(p.cfg.Timing.EpochOf(p.host.Now())) }
+	// in-epoch phase callbacks read p.epoch, which runEpoch set when their
+	// epoch began.
 	p.hbFn = func() {
 		p.hbMsg = wire.Heartbeat{NID: p.host.ID(), Epoch: p.epoch, Marked: p.marked}
 		p.host.Send(&p.hbMsg)
 	}
-	p.declareFn = func() { p.maybeDeclare(p.epoch) }
+	p.declareFn = p.maybeDeclare
 	p.announceFn = func() { p.maybeAnnounce(p.epoch) }
-	p.registerGWFn = func() { p.maybeRegisterGW(p.epoch) }
+	p.registerGWFn = p.maybeRegisterGW
 	p.declareFireFn = func() {
 		if !p.pendingDeclare || p.marked || p.heardDeclare {
 			return
 		}
 		p.becomeCH(p.epoch)
 	}
-	p.epoch = p.cfg.Timing.FirstEpochAt(h.Now())
-	p.scheduleEpoch(p.epoch)
-}
-
-func (p *Protocol) scheduleEpoch(e wire.Epoch) {
-	at := p.cfg.Timing.EpochStart(e)
-	p.host.AfterBatched(at-p.host.Now(), p.epochFn)
+	p.epoch = p.cfg.Timing.EveryEpoch(h, p.runEpoch)
 }
 
 // runEpoch executes one iteration of the (never-terminating, F4) formation
@@ -325,8 +314,6 @@ func (p *Protocol) runEpoch(e wire.Epoch) {
 
 	// Gateway registration slot.
 	p.host.AfterBatched(t.R3End(), p.registerGWFn)
-
-	p.scheduleEpoch(e + 1)
 }
 
 // beginEpoch moves the host's state into epoch e: foreign clusterheads that
@@ -347,7 +334,7 @@ func (p *Protocol) beginEpoch(e wire.Epoch) {
 // heard no unmarked neighbor with a lower NID during the probe round
 // declares itself clusterhead, after an RCC-style random backoff that yields
 // to any declaration heard in the meantime.
-func (p *Protocol) maybeDeclare(e wire.Epoch) {
+func (p *Protocol) maybeDeclare() {
 	if p.marked || p.heardDeclare {
 		return
 	}
@@ -386,7 +373,6 @@ func (p *Protocol) becomeCH(e wire.Epoch) {
 	for _, id := range p.heardList {
 		p.addMember(id)
 	}
-	p.memberChanged = true
 	p.host.Send(&wire.CHDeclare{CH: p.host.ID(), Iteration: uint32(e)})
 	p.host.Trace(trace.TypeCHElected, "")
 }
@@ -408,7 +394,6 @@ func (p *Protocol) maybeAnnounce(e wire.Epoch) {
 	}
 	p.foldCoverage()
 	p.rankDCHs()
-	p.memberChanged = false
 	// The reusable announce message aliases live protocol state (the DCH
 	// ranking) and message scratch; both are safe because Send encodes
 	// before returning.
@@ -511,7 +496,7 @@ func (p *Protocol) rankDCHs() {
 // maybeRegisterGW broadcasts a gateway registration when this host hears
 // foreign clusterheads (feature F3: the registration names the single
 // affiliated cluster).
-func (p *Protocol) maybeRegisterGW(e wire.Epoch) {
+func (p *Protocol) maybeRegisterGW() {
 	if !p.marked || p.isCH {
 		return
 	}
@@ -651,7 +636,6 @@ func (p *Protocol) onGWRegister(m *wire.GWRegister) {
 	me := p.host.ID()
 	if m.AffiliateCH == me {
 		// One of our members serves as a gateway; remember its reach.
-		p.gwFlag[m.GW] = true
 		for _, oc := range m.OtherCHs {
 			p.neighborCHs[oc] = p.epoch
 		}
@@ -662,9 +646,7 @@ func (p *Protocol) onGWRegister(m *wire.GWRegister) {
 	// feature F3 gives each gateway exactly one home cluster.
 	for _, oc := range m.OtherCHs {
 		if oc == me {
-			if p.dropMember(m.GW) {
-				p.memberChanged = true
-			}
+			p.dropMember(m.GW)
 			p.neighborCHs[m.AffiliateCH] = p.epoch
 		}
 	}
@@ -694,7 +676,6 @@ func (p *Protocol) onDigest(m *wire.Digest) {
 			p.dropMember(m.NID)
 			delete(p.coverage, m.NID)
 			delete(p.epochCoverage, m.NID)
-			p.memberChanged = true
 			return
 		}
 		p.epochCoverage[m.NID] = m.HeardCount()
@@ -764,13 +745,10 @@ func (p *Protocol) GatewayPairs() int { return len(p.gwCandidates) }
 // left the composition epochs ago.
 func (p *Protocol) NoteFailed(ids []wire.NodeID) {
 	for _, id := range ids {
-		if p.dropMember(id) && p.isCH {
-			p.memberChanged = true
-		}
+		p.dropMember(id)
 		p.dropDCH(id)
 		delete(p.coverage, id)
 		delete(p.epochCoverage, id)
-		delete(p.gwFlag, id)
 	}
 }
 
@@ -778,8 +756,8 @@ func (p *Protocol) NoteFailed(ids []wire.NodeID) {
 // detection is rescinded (the FDS heard a heartbeat from a host it believed
 // failed — impossible under fail-stop unless the detection was false).
 func (p *Protocol) Readmit(id wire.NodeID) {
-	if p.isCH && p.addMember(id) {
-		p.memberChanged = true
+	if p.isCH {
+		p.addMember(id)
 	}
 }
 
@@ -805,7 +783,6 @@ func (p *Protocol) TakeOver() {
 	p.dropMember(old)
 	p.addMember(p.host.ID())
 	p.dropDCH(p.host.ID())
-	p.memberChanged = true
 	p.host.Trace(trace.TypeTakeover, old.String())
 }
 
@@ -815,8 +792,7 @@ func (p *Protocol) TakeOver() {
 // is how the (rare) conflicting-reports scenario of Section 4.2 resolves.
 func (p *Protocol) NoteNewCH(oldCH, newCH wire.NodeID) {
 	if p.isCH && oldCH == p.host.ID() {
-		p.memberChanged = true // reassert at the next announce slot
-		return
+		return // the next announce slot reasserts
 	}
 	if !p.marked || p.myCH != oldCH {
 		return
@@ -951,28 +927,24 @@ func (p *Protocol) hasMember(id wire.NodeID) bool {
 	return ok
 }
 
-// addMember inserts id at its place in the sorted membership and reports
-// whether it was new. A list arriving in NID order — every announcement a
-// clusterhead of this tree sends — is a run of appends.
-func (p *Protocol) addMember(id wire.NodeID) bool {
+// addMember inserts id at its place in the sorted membership, if it is not
+// there. A list arriving in NID order — every announcement a clusterhead of
+// this tree sends — is a run of appends.
+func (p *Protocol) addMember(id wire.NodeID) {
 	if n := len(p.members); n == 0 || p.members[n-1] < id {
 		p.members = append(p.members, id)
-		return true
+		return
 	}
-	i, ok := slices.BinarySearch(p.members, id)
-	if !ok {
+	if i, ok := slices.BinarySearch(p.members, id); !ok {
 		p.members = slices.Insert(p.members, i, id)
 	}
-	return !ok
 }
 
-// dropMember removes id from the membership and reports whether it was there.
-func (p *Protocol) dropMember(id wire.NodeID) bool {
-	i, ok := slices.BinarySearch(p.members, id)
-	if ok {
+// dropMember removes id from the membership.
+func (p *Protocol) dropMember(id wire.NodeID) {
+	if i, ok := slices.BinarySearch(p.members, id); ok {
 		p.members = slices.Delete(p.members, i, i+1)
 	}
-	return ok
 }
 
 // dropDCH removes id from the deputy ranking.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"time"
 
+	"clusterfds/internal/node"
 	"clusterfds/internal/sim"
 	"clusterfds/internal/wire"
 )
@@ -76,6 +77,23 @@ func (t Timing) FirstEpochAt(now sim.Time) wire.Epoch {
 		e++
 	}
 	return e
+}
+
+// EveryEpoch runs a layer's epoch loop on h: it calls run(e) at the start of
+// every epoch e from FirstEpochAt(h.Now()) on, and returns that first epoch.
+// Each call re-arms the next boundary as one batched host timer before run,
+// so a crashed host is called no more, and the loop allocates once per
+// lifetime.
+func (t Timing) EveryEpoch(h *node.Host, run func(wire.Epoch)) wire.Epoch {
+	var tick func()
+	tick = func() {
+		e := t.EpochOf(h.Now())
+		h.AfterBatched(t.EpochStart(e+1)-h.Now(), tick)
+		run(e)
+	}
+	first := t.FirstEpochAt(h.Now())
+	h.AfterBatched(t.EpochStart(first)-h.Now(), tick)
+	return first
 }
 
 // Round-offset helpers, all relative to the epoch start.

@@ -2,12 +2,60 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
+	"clusterfds/internal/geo"
+	"clusterfds/internal/node"
+	"clusterfds/internal/radio"
 	"clusterfds/internal/sim"
 	"clusterfds/internal/wire"
 )
+
+// TestEveryEpoch: a layer started at a boundary is called there, one started
+// mid-epoch first at the next boundary with that epoch; after that every
+// boundary calls once with its own epoch, and a crashed host is called no
+// more.
+func TestEveryEpoch(t *testing.T) {
+	tm := DefaultTiming()
+	const crashEpoch = 6
+	for _, tc := range []struct {
+		name  string
+		start sim.Time
+		first wire.Epoch
+	}{
+		{"at zero", 0, 0},
+		{"mid-epoch", tm.EpochStart(1) + tm.Interval/3, 2},
+		{"on a boundary", tm.EpochStart(3), 3},
+	} {
+		k := sim.New(1)
+		h := node.New(k, radio.New(k, radio.Defaults(0)), 1, geo.Point{})
+		var first wire.Epoch
+		var calls []wire.Epoch
+		k.At(tc.start, func() {
+			first = tm.EveryEpoch(h, func(e wire.Epoch) {
+				if now := k.Now(); now != tm.EpochStart(e) {
+					t.Errorf("%s: called with epoch %d at %v, want its start %v", tc.name, e, now, tm.EpochStart(e))
+				}
+				calls = append(calls, e)
+			})
+		})
+		k.At(tm.EpochStart(crashEpoch)+tm.Interval/2, h.Crash)
+		k.RunUntil(tm.EpochStart(crashEpoch + 3))
+
+		if first != tc.first {
+			t.Errorf("%s: EveryEpoch returned %d, want %d", tc.name, first, tc.first)
+		}
+		var want []wire.Epoch
+		for e := tc.first; e <= crashEpoch; e++ {
+			want = append(want, e)
+		}
+		if !slices.Equal(calls, want) {
+			t.Errorf("%s: called with epochs %v, want %v", tc.name, calls, want)
+		}
+	}
+}
 
 func TestTimingRoundOffsets(t *testing.T) {
 	tm := DefaultTiming()

@@ -51,8 +51,7 @@ type Config struct {
 type Daemon struct {
 	cfg    Config
 	kernel *sim.Kernel
-	link   transport.Link
-	inbox  *transport.Inbox       // link.Inbox(), fetched once: Poll runs every step of a cooperative driver
+	inbox  *transport.Inbox       // the link's Inbox, fetched once: Poll runs every step of a cooperative driver
 	inject func(transport.Packet) // what a drain hands each datagram to
 	lt     *transport.LinkTransport
 	host   *node.Host
@@ -81,7 +80,7 @@ func New(cfg Config, link transport.Link) *Daemon {
 
 	stack := intercluster.Install(h, fds.DefaultConfig(cfg.Timing), intercluster.DefaultConfig(cfg.Timing))
 
-	d := &Daemon{cfg: cfg, kernel: k, link: link, inbox: link.Inbox(), lt: lt, host: h, stack: stack}
+	d := &Daemon{cfg: cfg, kernel: k, inbox: link.Inbox(), lt: lt, host: h, stack: stack}
 	// Malformed datagrams are counted by the transport and dropped.
 	d.inject = func(p transport.Packet) { _ = lt.Inject(p) }
 	if cfg.BootAt > 0 {

@@ -17,8 +17,9 @@ import (
 
 // buildCluster assembles n daemons on one in-process channel mesh, each
 // with a full roster of the others.
-func buildCluster(n int, timing cluster.Timing) (*transport.ChanMesh, []*Daemon) {
+func buildCluster(n int, timing cluster.Timing) ([]*transport.ChanLink, []*Daemon) {
 	cm := transport.NewChanMesh()
+	links := make([]*transport.ChanLink, 0, n)
 	daemons := make([]*Daemon, 0, n)
 	for i := 1; i <= n; i++ {
 		id := wire.NodeID(i)
@@ -29,6 +30,7 @@ func buildCluster(n int, timing cluster.Timing) (*transport.ChanMesh, []*Daemon)
 			}
 		}
 		link := cm.Join(id)
+		links = append(links, link)
 		daemons = append(daemons, New(Config{
 			ID:     id,
 			Seed:   int64(100 + i),
@@ -36,7 +38,7 @@ func buildCluster(n int, timing cluster.Timing) (*transport.ChanMesh, []*Daemon)
 			Peers:  peers,
 		}, link))
 	}
-	return cm, daemons
+	return links, daemons
 }
 
 // drive advances every daemon in lockstep steps of the given size until
@@ -94,13 +96,13 @@ func TestLiveSmokeCrashDetection(t *testing.T) {
 // looks like to the survivors.
 func TestVanishedPeerIsDetected(t *testing.T) {
 	timing := cluster.DefaultTiming()
-	_, daemons := buildCluster(3, timing)
+	links, daemons := buildCluster(3, timing)
 	step := timing.Thop / 4
 
 	drive(daemons, 2*timing.Interval+timing.Interval/2, step)
 	// Kill node 2: its port leaves the mesh and its daemon is never
 	// polled or advanced again.
-	daemons[1].link.Close()
+	links[1].Close()
 	survivors := []*Daemon{daemons[0], daemons[2]}
 	drive(survivors, 6*timing.Interval, step)
 
@@ -389,6 +391,7 @@ func TestRunFleetDetectsVanishedPeer(t *testing.T) {
 	stop := make(chan struct{})
 	type runner struct {
 		d    *Daemon
+		link *transport.ChanLink
 		seen *deliveries
 		out  bytes.Buffer
 		done chan error
@@ -396,8 +399,8 @@ func TestRunFleetDetectsVanishedPeer(t *testing.T) {
 	fleet := make([]*runner, n)
 	for i := range fleet {
 		id := wire.NodeID(i + 1)
-		r := &runner{seen: deliveriesFrom(pacerID), done: make(chan error, 1)}
-		r.d = New(Config{ID: id, Seed: int64(100 + id), Timing: timing, Trace: r.seen}, cm.Join(id))
+		r := &runner{link: cm.Join(id), seen: deliveriesFrom(pacerID), done: make(chan error, 1)}
+		r.d = New(Config{ID: id, Seed: int64(100 + id), Timing: timing, Trace: r.seen}, r.link)
 		fleet[i] = r
 		go func() { r.done <- r.d.Run(wall, stop, &r.out) }()
 	}
@@ -421,7 +424,7 @@ func TestRunFleetDetectsVanishedPeer(t *testing.T) {
 
 	pace(fleet, 2*timing.Interval+timing.Interval/2)
 	victim, survivors := fleet[n-1], fleet[:n-1]
-	victim.d.link.Close() // a killed process: its Run returns, its port is gone
+	victim.link.Close() // a killed process: its Run returns, its port is gone
 	if err := <-victim.done; err != nil {
 		t.Fatalf("victim's Run: %v", err)
 	}

@@ -178,13 +178,13 @@ type Protocol struct {
 	// behind p.update when this host originates the epoch's update; its
 	// fields are only rewritten by the next origination, an epoch later,
 	// after every alias (armed peer-forwards, CurrentUpdate callers) is dead.
-	epochFn, digestFn, detectFn, checkCHFn, reqFwdFn func()
-	digestMsg                                        wire.Digest
-	updMsg                                           wire.HealthUpdate
-	fwdReqMsg                                        wire.ForwardRequest
-	fwdUpdMsg                                        wire.ForwardedUpdate
-	newFailedScratch                                 []wire.NodeID
-	failedScratch                                    []wire.NodeID
+	digestFn, detectFn, checkCHFn, reqFwdFn func()
+	digestMsg                               wire.Digest
+	updMsg                                  wire.HealthUpdate
+	fwdReqMsg                               wire.ForwardRequest
+	fwdUpdMsg                               wire.ForwardedUpdate
+	newFailedScratch                        []wire.NodeID
+	failedScratch                           []wire.NodeID
 
 	// readingSource, when set, supplies a sensor measurement to piggyback
 	// on each epoch's digest — the Section 6 "message sharing between
@@ -241,26 +241,19 @@ func New(cfg Config, cl *cluster.Protocol) *Protocol {
 	}
 }
 
-// Start implements node.Protocol: it enters the epoch loop at the next
-// epoch boundary — the current epoch if the host boots exactly on its
-// start, the following one otherwise.
+// Start implements node.Protocol: it enters the epoch loop
+// (cluster.Timing.EveryEpoch) at the next epoch boundary — the current epoch
+// if the host boots exactly on its start, the following one otherwise.
 func (p *Protocol) Start(h *node.Host) {
 	p.host = h
 	// One closure per callback per lifetime, re-armed every epoch. The
-	// boundary callback derives its epoch from the clock (it fires exactly at
-	// EpochStart(e)); the in-epoch phase callbacks read p.epoch, which
-	// runEpoch set when their epoch began.
-	p.epochFn = func() { p.runEpoch(p.cfg.Timing.EpochOf(p.host.Now())) }
+	// in-epoch phase callbacks read p.epoch, which runEpoch set when their
+	// epoch began.
 	p.digestFn = func() { p.sendDigest(p.epoch) }
 	p.detectFn = func() { p.detectAndAnnounce(p.epoch) }
 	p.checkCHFn = func() { p.checkCHFailure(p.epoch) }
 	p.reqFwdFn = func() { p.maybeRequestForward(p.epoch) }
-	p.scheduleEpoch(p.cfg.Timing.FirstEpochAt(h.Now()))
-}
-
-func (p *Protocol) scheduleEpoch(e wire.Epoch) {
-	at := p.cfg.Timing.EpochStart(e)
-	p.host.AfterBatched(at-p.host.Now(), p.epochFn)
+	p.cfg.Timing.EveryEpoch(h, p.runEpoch)
 }
 
 // runEpoch executes one FDS execution for this host.
@@ -281,7 +274,6 @@ func (p *Protocol) runEpoch(e wire.Epoch) {
 	p.cancelForwardTimers()
 	t := p.cfg.Timing
 
-	p.scheduleEpoch(e + 1)
 	if !p.active {
 		return
 	}
@@ -341,7 +333,7 @@ func (p *Protocol) finishEpoch() {
 		// heartbeat, no update, epoch after epoch) mean the CH and every
 		// functioning deputy are gone; report the failure rather than let
 		// the cluster dissolve without a trace.
-		p.view.MarkFailed(ch, p.epoch, p.host.Now())
+		p.view.MarkFailed(ch, p.epoch)
 		p.host.Trace(trace.TypeDetect, ch.String())
 		p.mDetect.Add(uint64(p.epoch), 1)
 		p.mOrphan.Add(uint64(p.epoch), 1)
@@ -458,7 +450,7 @@ func (p *Protocol) detectAndAnnounce(e wire.Epoch) {
 	}
 	p.newFailedScratch = newFailed
 	for _, v := range newFailed {
-		p.view.MarkFailed(v, e, p.host.Now())
+		p.view.MarkFailed(v, e)
 		p.host.Trace(trace.TypeDetect, v.String())
 	}
 	p.mDetect.Add(uint64(e), int64(len(newFailed)))
@@ -504,7 +496,7 @@ func (p *Protocol) checkCHFailure(e wire.Epoch) {
 		return
 	}
 	// The CH is judged failed: take over and broadcast the update.
-	p.view.MarkFailed(ch, e, p.host.Now())
+	p.view.MarkFailed(ch, e)
 	p.host.Trace(trace.TypeDetect, ch.String())
 	p.mDetect.Add(uint64(e), 1)
 	p.cluster.TakeOver()
@@ -535,7 +527,7 @@ func (p *Protocol) Handle(h *node.Host, m wire.Message, from wire.NodeID) {
 	case *wire.Digest:
 		p.onDigest(msg)
 	case *wire.HealthUpdate:
-		p.onHealthUpdate(msg, false)
+		p.onHealthUpdate(msg)
 	case *wire.ForwardRequest:
 		p.onForwardRequest(msg)
 	case *wire.ForwardedUpdate:
@@ -666,8 +658,8 @@ func (p *Protocol) onDigest(m *wire.Digest) {
 }
 
 // onHealthUpdate processes a health-status update, whether received directly
-// from the CH/DCH or via peer forwarding (forwarded=true).
-func (p *Protocol) onHealthUpdate(m *wire.HealthUpdate, forwarded bool) {
+// from the CH/DCH or via peer forwarding.
+func (p *Protocol) onHealthUpdate(m *wire.HealthUpdate) {
 	if !p.active {
 		// Still absorb the failure knowledge (see onFailureReport).
 		p.absorb(m.NewFailed, m.Epoch, m.AllFailed, m.Rescinded)
@@ -853,13 +845,13 @@ func (p *Protocol) onForwardedUpdate(m *wire.ForwardedUpdate) {
 			p.ackedForward = true
 			p.host.Send(&wire.ForwardAck{NID: p.host.ID(), Epoch: p.epoch})
 		}
-		p.onHealthUpdate(&m.Update, true)
+		p.onHealthUpdate(&m.Update)
 		return
 	}
 	// Promiscuous bonus: any member still missing the update adopts an
 	// overheard forward (not credited by the analytic model, hence gated).
 	if !p.updateReceived && !p.cfg.StrictModelMode {
-		p.onHealthUpdate(&m.Update, true)
+		p.onHealthUpdate(&m.Update)
 	}
 }
 
@@ -897,8 +889,8 @@ func (p *Protocol) onFailureReport(m *wire.FailureReport) {
 // host's own failure is a false detection — it is operational — so the
 // suspicion is dropped at once.
 func (p *Protocol) absorb(newFailed []wire.NodeID, e wire.Epoch, allFailed []wire.NodeID, rescinded []wire.Rescission) (selfListed bool) {
-	p.view.Merge(newFailed, e, p.host.Now())
-	p.view.Merge(allFailed, 0, p.host.Now())
+	p.view.Merge(newFailed, e)
+	p.view.Merge(allFailed, 0)
 	p.applyRescinds(rescinded)
 	return p.view.Forget(p.host.ID())
 }

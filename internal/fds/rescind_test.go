@@ -42,7 +42,7 @@ func TestRescissionEpochPinning(t *testing.T) {
 	w.runUntilEpoch(3)
 	f := w.fds[1] // an ordinary member
 	// The member believes n7 failed, detected at epoch 5.
-	f.view.MarkFailed(7, 5, w.kernel.Now())
+	f.view.MarkFailed(7, 5)
 	// A relayed rescission pinned to epoch 3 (older detection) arrives.
 	f.applyRescinds([]wire.Rescission{{Node: 7, Epoch: 3}})
 	if !f.IsSuspected(7) {
@@ -63,11 +63,10 @@ func TestRescissionEpochPinning(t *testing.T) {
 func TestRescissionCarriesProofOfLifeEpoch(t *testing.T) {
 	w := buildWorld(t, worldConfig{seed: 39}, star(8, 60))
 	w.runUntilEpoch(3)
-	now := w.kernel.Now()
 	// The CH heard of n5's "failure" in somebody's AllFailed; n2, across the
 	// ring and out of n5's earshot, heard the original NewFailed of epoch 2.
-	w.fds[0].view.MarkFailed(5, 0, now)
-	w.fds[1].view.MarkFailed(5, 2, now)
+	w.fds[0].view.MarkFailed(5, 0)
+	w.fds[1].view.MarkFailed(5, 2)
 	w.runUntilEpoch(6)
 	if w.fds[0].IsSuspected(5) {
 		t.Fatal("CH never rescued n5 on its heartbeat")
@@ -85,7 +84,7 @@ func TestReceivedRescissionIsNotReannounced(t *testing.T) {
 	w := buildWorld(t, worldConfig{seed: 40}, star(8, 60))
 	w.runUntilEpoch(3)
 	ch := w.fds[0]
-	ch.view.MarkFailed(77, 2, w.kernel.Now())
+	ch.view.MarkFailed(77, 2)
 	ch.applyRescinds([]wire.Rescission{{Node: 77, Epoch: 3}})
 	if ch.IsSuspected(77) {
 		t.Fatal("rescission not applied")

@@ -302,13 +302,13 @@ type Protocol struct {
 
 	// Persistent epoch callbacks, the reusable transmit buffer (safe because
 	// every transport encodes during Send), and reused query scratch.
-	epochFn, originFn func()
-	txMsg             wire.FailureReport
-	nbScratch         []wire.NodeID
-	candScratch       []wire.NodeID
-	bridgedScratch    []wire.NodeID
-	borderScratch     []wire.NodeID
-	failedScratch     []wire.NodeID
+	originFn       func()
+	txMsg          wire.FailureReport
+	nbScratch      []wire.NodeID
+	candScratch    []wire.NodeID
+	bridgedScratch []wire.NodeID
+	borderScratch  []wire.NodeID
+	failedScratch  []wire.NodeID
 }
 
 // New returns a forwarder bound to the co-resident cluster and FDS
@@ -347,14 +347,8 @@ func Install(h *node.Host, f fds.Config, ic Config) Stack {
 // Start implements node.Protocol.
 func (p *Protocol) Start(h *node.Host) {
 	p.host = h
-	p.epochFn = func() { p.runEpoch(p.cfg.Timing.EpochOf(p.host.Now())) }
 	p.originFn = func() { p.maybeOriginate(p.epoch) }
-	p.scheduleEpoch(p.cfg.Timing.FirstEpochAt(h.Now()))
-}
-
-func (p *Protocol) scheduleEpoch(e wire.Epoch) {
-	at := p.cfg.Timing.EpochStart(e)
-	p.host.AfterBatched(at-p.host.Now(), p.epochFn)
+	p.cfg.Timing.EveryEpoch(h, p.runEpoch)
 }
 
 // runEpoch retires the reports that have aged out and arms the per-epoch
@@ -364,7 +358,6 @@ func (p *Protocol) scheduleEpoch(e wire.Epoch) {
 func (p *Protocol) runEpoch(e wire.Epoch) {
 	p.epoch = e
 	p.retire()
-	p.scheduleEpoch(e + 1)
 	t := p.cfg.Timing
 	p.host.AfterBatched(t.R3End()+t.Thop/4, p.originFn)
 }

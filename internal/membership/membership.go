@@ -1,33 +1,23 @@
 // Package membership maintains a host's view of system-wide failures: the
-// set of nodes it believes have failed, with the epoch and time at which it
-// learned of each failure. The failure detection service feeds this view
-// from local detections, health-status updates, and inter-cluster failure
-// reports; applications query it ("which hosts are gone?") and maintenance
-// logic uses its size to decide when to replenish the field (Section 2.1).
+// set of nodes it believes have failed, each with the epoch its accusation
+// carried, which proof of life is ordered against. The failure detection
+// service feeds this view from local detections, health-status updates, and
+// inter-cluster failure reports; applications query it ("which hosts are
+// gone?") and maintenance logic uses its size to decide when to replenish the
+// field (Section 2.1).
 package membership
 
 import (
 	"slices"
-	"sort"
 
-	"clusterfds/internal/sim"
 	"clusterfds/internal/wire"
 )
 
-// Record describes one believed failure.
-type Record struct {
-	// Node is the failed host.
-	Node wire.NodeID
-	// Epoch is the FDS epoch attributed to the failure report.
-	Epoch wire.Epoch
-	// LearnedAt is the local virtual time at which this host first learned
-	// of the failure. The detection-latency experiments read it.
-	LearnedAt sim.Time
-}
-
 // View is one host's failure knowledge. The zero value is ready to use.
 type View struct {
-	failed map[wire.NodeID]Record
+	// failed maps each believed-failed node to the FDS epoch attributed to
+	// the first accusation of it.
+	failed map[wire.NodeID]wire.Epoch
 	// alive is the tombstone of a withdrawn suspicion: per node, the latest
 	// epoch in which it was proven alive (see ProveAlive). Accusations at or
 	// below it are stale and ignored, so proof of life orders against
@@ -37,12 +27,11 @@ type View struct {
 
 // MarkFailed records that node failed, attributed to the given epoch.
 // It reports whether the fact was new to this view. Later reports about an
-// already-known failure never overwrite the original record, so LearnedAt
-// always reflects first knowledge. An accusation no newer than the node's
-// latest proof of life is ignored: cumulative lists carry epoch 0, so once a
-// node has been proven alive only an epoch-stamped detection can accuse it
-// again.
-func (v *View) MarkFailed(node wire.NodeID, epoch wire.Epoch, at sim.Time) bool {
+// already-known failure never overwrite the first one's epoch. An accusation
+// no newer than the node's latest proof of life is ignored: cumulative lists
+// carry epoch 0, so once a node has been proven alive only an epoch-stamped
+// detection can accuse it again.
+func (v *View) MarkFailed(node wire.NodeID, epoch wire.Epoch) bool {
 	if node == wire.NoNode {
 		return false
 	}
@@ -53,17 +42,17 @@ func (v *View) MarkFailed(node wire.NodeID, epoch wire.Epoch, at sim.Time) bool 
 		return false
 	}
 	if v.failed == nil {
-		v.failed = make(map[wire.NodeID]Record)
+		v.failed = make(map[wire.NodeID]wire.Epoch)
 	}
-	v.failed[node] = Record{Node: node, Epoch: epoch, LearnedAt: at}
+	v.failed[node] = epoch
 	return true
 }
 
 // Merge marks every listed node failed, returning how many were new.
-func (v *View) Merge(nodes []wire.NodeID, epoch wire.Epoch, at sim.Time) int {
+func (v *View) Merge(nodes []wire.NodeID, epoch wire.Epoch) int {
 	added := 0
 	for _, n := range nodes {
-		if v.MarkFailed(n, epoch, at) {
+		if v.MarkFailed(n, epoch) {
 			added++
 		}
 	}
@@ -82,7 +71,7 @@ func (v *View) ProveAlive(node wire.NodeID, epoch wire.Epoch) bool {
 	if proof, ok := v.alive[node]; !ok || epoch > proof {
 		v.alive[node] = epoch
 	}
-	if rec, known := v.failed[node]; !known || rec.Epoch > epoch {
+	if accused, known := v.failed[node]; !known || accused > epoch {
 		return false
 	}
 	delete(v.failed, node)
@@ -105,10 +94,11 @@ func (v *View) IsFailed(node wire.NodeID) bool {
 	return known
 }
 
-// Record returns the failure record for node, if any.
-func (v *View) Record(node wire.NodeID) (Record, bool) {
-	r, ok := v.failed[node]
-	return r, ok
+// Record returns the epoch attributed to node's failure, if it is believed
+// failed.
+func (v *View) Record(node wire.NodeID) (wire.Epoch, bool) {
+	e, ok := v.failed[node]
+	return e, ok
 }
 
 // Len returns the number of believed failures.
@@ -129,14 +119,4 @@ func (v *View) AppendFailed(dst []wire.NodeID) []wire.NodeID {
 	}
 	slices.Sort(dst[start:])
 	return dst
-}
-
-// Records returns all failure records in NID order.
-func (v *View) Records() []Record {
-	out := make([]Record, 0, len(v.failed))
-	for _, r := range v.failed {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
 }

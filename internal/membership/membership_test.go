@@ -2,9 +2,7 @@ package membership
 
 import (
 	"testing"
-	"time"
 
-	"clusterfds/internal/sim"
 	"clusterfds/internal/wire"
 )
 
@@ -13,15 +11,14 @@ func TestMarkFailed(t *testing.T) {
 	if v.IsFailed(1) || v.Len() != 0 {
 		t.Fatal("zero view should be empty")
 	}
-	if !v.MarkFailed(1, 3, sim.Time(time.Second)) {
+	if !v.MarkFailed(1, 3) {
 		t.Fatal("first mark should be new")
 	}
-	if v.MarkFailed(1, 9, sim.Time(5*time.Second)) {
+	if v.MarkFailed(1, 9) {
 		t.Fatal("second mark should not be new")
 	}
-	r, ok := v.Record(1)
-	if !ok || r.Epoch != 3 || r.LearnedAt != sim.Time(time.Second) {
-		t.Errorf("record = %+v; first knowledge must be preserved", r)
+	if e, ok := v.Record(1); !ok || e != 3 {
+		t.Errorf("Record = %v, %v; the first epoch must win", e, ok)
 	}
 	if !v.IsFailed(1) || v.Len() != 1 {
 		t.Error("view inconsistent after mark")
@@ -30,28 +27,28 @@ func TestMarkFailed(t *testing.T) {
 
 func TestMarkFailedNoNode(t *testing.T) {
 	var v View
-	if v.MarkFailed(wire.NoNode, 1, 0) {
+	if v.MarkFailed(wire.NoNode, 1) {
 		t.Error("NoNode should never be recorded")
 	}
 }
 
 func TestMerge(t *testing.T) {
 	var v View
-	added := v.Merge([]wire.NodeID{5, 3, 5, 7}, 2, 0)
+	added := v.Merge([]wire.NodeID{5, 3, 5, 7}, 2)
 	if added != 3 {
 		t.Errorf("Merge added %d, want 3 (duplicate collapses)", added)
 	}
 	if got := v.Failed(); len(got) != 3 || got[0] != 3 || got[1] != 5 || got[2] != 7 {
 		t.Errorf("Failed = %v, want [3 5 7]", got)
 	}
-	if added := v.Merge([]wire.NodeID{3, 9}, 4, 0); added != 1 {
+	if added := v.Merge([]wire.NodeID{3, 9}, 4); added != 1 {
 		t.Errorf("second Merge added %d, want 1", added)
 	}
 }
 
 func TestForget(t *testing.T) {
 	var v View
-	v.MarkFailed(4, 1, 0)
+	v.MarkFailed(4, 1)
 	if !v.Forget(4) {
 		t.Error("Forget of known failure should return true")
 	}
@@ -63,21 +60,22 @@ func TestForget(t *testing.T) {
 	}
 }
 
-// TestRecordsSorted marks 41 nodes out of order: with three, a Records that
-// returned map order was sorted by chance in about one run in nine.
-func TestRecordsSorted(t *testing.T) {
+// TestFailedSorted marks 41 nodes out of order: with the three TestMerge
+// marks, a Failed that returned map order was sorted by chance in about one
+// run in nine.
+func TestFailedSorted(t *testing.T) {
 	var v View
 	for i := 0; i < 41; i++ {
-		v.MarkFailed(wire.NodeID(1+i*17%41), 1, 0)
+		v.MarkFailed(wire.NodeID(1+i*17%41), 1)
 	}
-	rs := v.Records()
-	for i, r := range rs {
-		if r.Node != wire.NodeID(i+1) {
-			t.Fatalf("Records()[%d] = node %v, want %v: %v", i, r.Node, i+1, rs)
+	got := v.Failed()
+	for i, n := range got {
+		if n != wire.NodeID(i+1) {
+			t.Fatalf("Failed()[%d] = %v, want %v: %v", i, n, i+1, got)
 		}
 	}
-	if len(rs) != 41 {
-		t.Errorf("Records holds %d records, want 41", len(rs))
+	if len(got) != 41 {
+		t.Errorf("Failed holds %d nodes, want 41", len(got))
 	}
 }
 
@@ -121,7 +119,7 @@ func TestProofOfLifeOrdersAgainstAccusations(t *testing.T) {
 		for i, s := range tc.steps {
 			var got bool
 			if s.accuse {
-				got = v.Merge([]wire.NodeID{9}, s.epoch, 0) == 1
+				got = v.Merge([]wire.NodeID{9}, s.epoch) == 1
 			} else {
 				got = v.ProveAlive(9, s.epoch)
 			}
@@ -139,9 +137,9 @@ func TestProofOfLifeOrdersAgainstAccusations(t *testing.T) {
 // the node, so the same accusation may return.
 func TestForgetLeavesNoTombstone(t *testing.T) {
 	var v View
-	v.MarkFailed(4, 3, 0)
+	v.MarkFailed(4, 3)
 	v.Forget(4)
-	if !v.MarkFailed(4, 3, 0) {
+	if !v.MarkFailed(4, 3) {
 		t.Error("Forget must not block a later accusation")
 	}
 }

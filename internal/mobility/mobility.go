@@ -30,8 +30,6 @@ import (
 
 // Config parameterizes the random-waypoint walker.
 type Config struct {
-	// Field bounds the waypoints.
-	Field geo.Rect
 	// Speed is the movement speed in meters per second of virtual time.
 	Speed float64
 	// Pause is how long the host rests at each waypoint.
@@ -42,28 +40,24 @@ type Config struct {
 // simulation events.
 const moveStep = sim.Time(1e9) // 1 s
 
-// Valid reports whether the configuration is usable.
-func (c Config) Valid() bool {
-	return c.Field.Area() > 0 && c.Speed > 0
-}
-
 // Protocol is the per-host walker. It only moves the host; it neither
 // sends nor receives messages.
 type Protocol struct {
-	cfg  Config
-	host *node.Host
+	cfg   Config
+	field geo.Rect // bounds the waypoints
+	host  *node.Host
 
 	target   geo.Point
 	moving   bool
 	traveled float64
 }
 
-// New returns a random-waypoint walker.
-func New(cfg Config) *Protocol {
-	if !cfg.Valid() {
+// New returns a random-waypoint walker over the given field.
+func New(cfg Config, field geo.Rect) *Protocol {
+	if cfg.Speed <= 0 || field.Area() <= 0 {
 		panic("mobility: invalid config")
 	}
-	return &Protocol{cfg: cfg}
+	return &Protocol{cfg: cfg, field: field}
 }
 
 // Start implements node.Protocol.
@@ -77,7 +71,7 @@ func (p *Protocol) Start(h *node.Host) {
 func (p *Protocol) Handle(h *node.Host, m wire.Message, from wire.NodeID) {}
 
 func (p *Protocol) pickTarget() {
-	p.target = geo.UniformInRect(p.host.Rand(), p.cfg.Field)
+	p.target = geo.UniformInRect(p.host.Rand(), p.field)
 	p.moving = true
 }
 
@@ -104,8 +98,8 @@ func (p *Protocol) step() {
 		Y: pos.Y + (p.target.Y-pos.Y)*frac,
 	}
 	// Numerical safety: stay inside the field.
-	next.X = math.Min(math.Max(next.X, p.cfg.Field.MinX), p.cfg.Field.MaxX)
-	next.Y = math.Min(math.Max(next.Y, p.cfg.Field.MinY), p.cfg.Field.MaxY)
+	next.X = math.Min(math.Max(next.X, p.field.MinX), p.field.MaxX)
+	next.Y = math.Min(math.Max(next.Y, p.field.MinY), p.field.MaxY)
 	p.host.MoveTo(next)
 	p.traveled += hop
 	p.host.After(moveStep, p.step)

@@ -14,12 +14,8 @@ import (
 	"clusterfds/internal/wire"
 )
 
-func walkerCfg(side float64, speed float64) Config {
-	return Config{
-		Field: geo.NewRect(side, side),
-		Speed: speed,
-		Pause: sim.Time(2 * time.Second),
-	}
+func walker(side float64, speed float64) *Protocol {
+	return New(Config{Speed: speed, Pause: sim.Time(2 * time.Second)}, geo.NewRect(side, side))
 }
 
 func TestWalkerStaysInFieldAndMoves(t *testing.T) {
@@ -27,7 +23,7 @@ func TestWalkerStaysInFieldAndMoves(t *testing.T) {
 	m := radio.New(k, radio.Defaults(0))
 	field := geo.NewRect(300, 300)
 	h := node.New(k, m, 1, geo.Point{X: 150, Y: 150})
-	w := New(walkerCfg(300, 5))
+	w := walker(300, 5)
 	h.Use(w)
 	h.Boot()
 
@@ -60,7 +56,7 @@ func TestCrashedHostStopsMoving(t *testing.T) {
 	k := sim.New(2)
 	m := radio.New(k, radio.Defaults(0))
 	h := node.New(k, m, 1, geo.Point{X: 10, Y: 10})
-	h.Use(New(walkerCfg(200, 10)))
+	h.Use(walker(200, 10))
 	h.Boot()
 	k.RunUntil(sim.Time(30 * time.Second))
 	h.Crash()
@@ -89,7 +85,7 @@ func TestMobileFieldKeepsDetecting(t *testing.T) {
 		// 1 m/s: a host crosses ~10 m per heartbeat interval — slow
 		// migration, the regime the paper's "sound clustering will
 		// support cluster stability" remark targets.
-		h.Use(New(Config{Field: field, Speed: 1, Pause: sim.Time(5 * time.Second)}))
+		h.Use(New(Config{Speed: 1, Pause: sim.Time(5 * time.Second)}, field))
 		hosts = append(hosts, h)
 		fdss = append(fdss, f)
 	}
@@ -133,10 +129,13 @@ func TestMobileFieldKeepsDetecting(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	for name, cfg := range map[string]Config{
+	for name, tc := range map[string]struct {
+		cfg   Config
+		field geo.Rect
+	}{
 		"zero":       {},
-		"no speed":   {Field: geo.NewRect(10, 10)},
-		"zero field": {Speed: 1},
+		"no speed":   {field: geo.NewRect(10, 10)},
+		"zero field": {cfg: Config{Speed: 1}},
 	} {
 		func() {
 			defer func() {
@@ -144,7 +143,7 @@ func TestConfigValidation(t *testing.T) {
 					t.Errorf("%s: want panic", name)
 				}
 			}()
-			New(cfg)
+			New(tc.cfg, tc.field)
 		}()
 	}
 }

@@ -126,22 +126,11 @@ func (m Matrix) defaults() Matrix {
 	return m
 }
 
-// MatrixOutcome is one replica's measurements: the crash study's plus the
-// false-suspicion count sampled mid-disruption, when partitions and sleep
-// are at their most confusing.
-type MatrixOutcome struct {
-	CrashOutcome
-	MidFalseSuspicions int
-}
-
 // MatrixCell is one (stack, scenario) cell's aggregate.
 type MatrixCell struct {
 	Stack    Stack
 	Scenario ScenarioKind
 	Summary  StudySummary
-	// MidFalseSuspicions totals the mid-disruption false-suspicion counts
-	// across replicas.
-	MidFalseSuspicions int
 }
 
 // MatrixResult is the whole study, cells in (scenario-major, stack-minor)
@@ -169,7 +158,7 @@ func (m Matrix) runCell(stack Stack, kind ScenarioKind) MatrixCell {
 	if kind == ScenarioMobility {
 		cfg.Mobility = &mobility.Config{Speed: mobilitySpeed, Pause: sim.Time(2 * time.Second)}
 	}
-	outs := replicate.Run(m.Workers, m.Trials, cfg.Seed, func(i int, _ *rand.Rand) MatrixOutcome {
+	outs := replicate.Run(m.Workers, m.Trials, cfg.Seed, func(i int, _ *rand.Rand) CrashOutcome {
 		c := cfg
 		c.Seed = replicate.Seed(cfg.Seed, i)
 		w := Build(c)
@@ -178,25 +167,19 @@ func (m Matrix) runCell(stack Stack, kind ScenarioKind) MatrixCell {
 		victims := w.CrashRandomAt(crashAt, m.Crashes)
 		scheduleDisruption(w, kind)
 
-		var out MatrixOutcome
 		// Sample false suspicions just before the disruption heals: the
 		// partition/sleep window exceeds the suspicion timeout, so this is
 		// where disruption-induced suspicions peak.
+		mid := 0
 		midAt := timing.EpochStart(disruptUntil) - timing.Interval/4
-		w.Kernel.At(midAt, func() { out.MidFalseSuspicions = len(w.FalseSuspicions()) })
+		w.Kernel.At(midAt, func() { mid = len(w.FalseSuspicions()) })
 
 		w.RunEpochs(m.Epochs)
-		out.CrashOutcome = measureCrash(w, victims)
+		out := measureCrash(w, victims)
+		out.MidFalseSuspicions = mid
 		return out
 	})
-	cell := MatrixCell{Stack: stack, Scenario: kind}
-	crash := make([]CrashOutcome, len(outs))
-	for i, o := range outs {
-		crash[i] = o.CrashOutcome
-		cell.MidFalseSuspicions += o.MidFalseSuspicions
-	}
-	cell.Summary = Summarize(crash)
-	return cell
+	return MatrixCell{Stack: stack, Scenario: kind, Summary: Summarize(outs)}
 }
 
 // scheduleDisruption installs the cell's fault schedule on a fresh world.
@@ -280,7 +263,7 @@ func (r MatrixResult) WriteTSV(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "%s\t%s\t%d\t%.4f\t%.2f\t%.2f\t%d\t%d\t%.0f\t%.0f\t%.3f\n",
 			c.Scenario, c.Stack, c.Summary.Trials,
 			c.Summary.Completeness.Mean(), latMean, latP95,
-			c.Summary.FalseSuspicions, c.MidFalseSuspicions,
+			c.Summary.FalseSuspicions, c.Summary.MidFalseSuspicions,
 			c.Summary.TxMessages, c.Summary.TxBytes, c.Summary.Energy); err != nil {
 			return err
 		}

@@ -76,7 +76,7 @@ func TestMatrixDutySleepProvokesAndRescindsFalseSuspicions(t *testing.T) {
 	}
 	r := m.Run()
 	for _, c := range r.Cells {
-		if c.MidFalseSuspicions == 0 {
+		if c.Summary.MidFalseSuspicions == 0 {
 			t.Errorf("%s/%s: sleep window longer than SuspectAfter provoked no mid-run false suspicions",
 				c.Scenario, c.Stack)
 		}

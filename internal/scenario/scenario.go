@@ -118,8 +118,8 @@ type Config struct {
 	// Sleep, when set, attaches the duty-cycling policy (cluster stack
 	// only).
 	Sleep *sleep.Config
-	// Mobility, when set, attaches random-waypoint movement to every host
-	// (any stack). A zero Field is defaulted to the deployment field.
+	// Mobility, when set, attaches random-waypoint movement over the
+	// deployment field to every host (any stack).
 	Mobility *mobility.Config
 }
 
@@ -206,7 +206,7 @@ func Build(cfg Config) *World {
 		w.addHost(id, geo.UniformInRect(k.Rand(), field))
 	}
 	w.scheduleMonitor()
-	w.scheduleEpochSampler()
+	w.sampleEpochs()
 	return w
 }
 
@@ -253,11 +253,7 @@ func (w *World) addHost(id wire.NodeID, pos geo.Point) {
 		panic(fmt.Sprintf("scenario: unknown stack %v", w.cfg.Stack))
 	}
 	if w.cfg.Mobility != nil {
-		mcfg := *w.cfg.Mobility
-		if mcfg.Field.Area() <= 0 {
-			mcfg.Field = geo.NewRect(w.cfg.FieldSide, w.cfg.FieldSide)
-		}
-		h.Use(mobility.New(mcfg))
+		h.Use(mobility.New(*w.cfg.Mobility, geo.NewRect(w.cfg.FieldSide, w.cfg.FieldSide)))
 	}
 	w.Attach(h, w.Kernel, det, s)
 	h.Boot()
@@ -287,13 +283,13 @@ func (w *World) scheduleMonitor() {
 	w.Kernel.Schedule(monitorPeriod, tick)
 }
 
-// scheduleEpochSampler ticks at every heartbeat-interval boundary and turns
-// the medium's cumulative per-kind counters into per-epoch series: the delta
+// sampleEpochs ticks at every heartbeat-interval boundary and turns the
+// medium's cumulative per-kind counters into per-epoch series: the delta
 // accumulated between the boundaries of epoch e is attributed to epoch e.
 // Series share the counters' names (tx:<kind>, rx:<kind>); the namespaces
 // are distinct, so exports carry both the running total and its epoch
 // profile.
-func (w *World) scheduleEpochSampler() {
+func (w *World) sampleEpochs() {
 	var tick func()
 	tick = func() {
 		if e := w.cfg.Timing.EpochOf(w.Kernel.Now()); e > 0 {

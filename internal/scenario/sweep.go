@@ -31,8 +31,10 @@ type CrashOutcome struct {
 	// that are undetected.
 	Admitted, AdmittedUndetected int
 	// FalseSuspicions counts operational-suspects-operational pairs at the
-	// end of the run.
-	FalseSuspicions int
+	// end of the run; MidFalseSuspicions, just before the disruption of a
+	// Matrix scenario heals, when partitions and sleep are at their most
+	// confusing.
+	FalseSuspicions, MidFalseSuspicions int
 	// TxMessages and TxBytes total the fleet's transmissions; ReportTx is
 	// the failure-report share of TxMessages.
 	TxMessages, TxBytes, ReportTx int64
@@ -62,10 +64,10 @@ type StudySummary struct {
 	LatencySeconds *stats.Summary
 	// TxMessages, TxBytes, Energy are per-replica means.
 	TxMessages, TxBytes, Energy float64
-	// Victims, Undetected, Admitted, AdmittedUndetected, FalseSuspicions and
-	// ReportTx are totals across replicas.
-	Victims, Undetected, Admitted, AdmittedUndetected, FalseSuspicions int
-	ReportTx                                                           int64
+	// Victims, Undetected, Admitted, AdmittedUndetected, FalseSuspicions,
+	// MidFalseSuspicions and ReportTx are totals across replicas.
+	Victims, Undetected, Admitted, AdmittedUndetected, FalseSuspicions, MidFalseSuspicions int
+	ReportTx                                                                               int64
 	// Metrics merges every replica's snapshot in replica order: counters
 	// and series sum, gauges sum (divide by Trials for a mean), histograms
 	// combine. Identical for every worker count.
@@ -92,6 +94,7 @@ func Summarize(outcomes []CrashOutcome) StudySummary {
 		s.Admitted += o.Admitted
 		s.AdmittedUndetected += o.AdmittedUndetected
 		s.FalseSuspicions += o.FalseSuspicions
+		s.MidFalseSuspicions += o.MidFalseSuspicions
 		s.ReportTx += o.ReportTx
 		s.Metrics.Merge(o.Metrics)
 	}

@@ -70,18 +70,12 @@ func New(cfg Config, cl *cluster.Protocol) *Protocol {
 // Start implements node.Protocol.
 func (p *Protocol) Start(h *node.Host) {
 	p.host = h
-	p.scheduleEpoch(p.cluster.Timing().FirstEpochAt(h.Now()))
-}
-
-func (p *Protocol) scheduleEpoch(e wire.Epoch) {
-	at := p.cluster.Timing().EpochStart(e)
-	p.host.After(at-p.host.Now(), func() { p.runEpoch(e) })
+	p.cluster.Timing().EveryEpoch(h, p.runEpoch)
 }
 
 // runEpoch decides, near the end of epoch e, whether to nap through the
 // following epochs of this host's duty-cycle slot.
 func (p *Protocol) runEpoch(e wire.Epoch) {
-	p.scheduleEpoch(e + 1)
 	// Decide after the FDS execution settles, before the epoch ends.
 	t := p.cluster.Timing()
 	p.host.After(t.R3End()+4*t.Thop, func() { p.maybeNap(e) })

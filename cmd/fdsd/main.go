@@ -126,7 +126,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	link, err := transport.NewUDPLink(wire.NodeID(*id), *listen, addrs)
+	link, err := transport.NewUDPLink(*listen, addrs)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fdsd: %v\n", err)
 		os.Exit(1)

@@ -262,7 +262,7 @@ func main() {
 
 	if *withAgg {
 		for _, id := range w.Operational() {
-			if w.Cluster(id) != nil && w.Cluster(id).View().IsCH {
+			if w.Cluster(id) != nil && w.Cluster(id).IsCH() {
 				e := timing.EpochOf(w.Kernel.Now()) - 1
 				g, clusters := w.Aggregate(id).Global(e)
 				fmt.Printf("\nglobal aggregate at CH %v (epoch %d, %d clusters): %s\n",

@@ -79,7 +79,7 @@ func main() {
 			// The station also reads the in-network aggregate from the
 			// nearest clusterhead.
 			for _, id := range ops {
-				if w.Cluster(id).View().IsCH {
+				if w.Cluster(id).IsCH() {
 					if g, clusters := w.Aggregate(id).Global(wire.Epoch(e - 1)); g.Count > 0 {
 						fmt.Printf("          field temperature (from %d clusters, %d sensors): %s\n",
 							clusters, g.Count, g)

@@ -43,7 +43,7 @@ func main() {
 	// Find and schedule the simultaneous loss of every clusterhead.
 	var chs []wire.NodeID
 	for _, id := range w.NodeIDs() {
-		if w.Cluster(id).View().IsCH {
+		if w.Cluster(id).IsCH() {
 			chs = append(chs, id)
 		}
 	}

@@ -100,7 +100,6 @@ type aggKey struct {
 type Protocol struct {
 	host    *node.Host
 	cluster *cluster.Protocol
-	fds     *fds.Protocol
 	sampler Sampler
 
 	epoch wire.Epoch
@@ -130,7 +129,6 @@ func New(cl *cluster.Protocol, f *fds.Protocol, sampler Sampler) *Protocol {
 	}
 	p := &Protocol{
 		cluster:   cl,
-		fds:       f,
 		sampler:   sampler,
 		partials:  make(map[aggKey]Stat),
 		forwarded: make(map[aggKey]bool),

@@ -44,8 +44,6 @@ func (c DCHReach) OutOfRangeFraction(d float64) float64 {
 
 // Result is the outcome of a reachability evaluation at one DCH distance.
 type Result struct {
-	// D is the CH–DCH distance.
-	D float64
 	// OutOfRange is the probability a uniformly placed member lies outside
 	// the DCH's range.
 	OutOfRange float64
@@ -78,7 +76,7 @@ func (c DCHReach) Evaluate(rng *rand.Rand, d float64, samples int) Result {
 
 	outOfRange := c.OutOfRangeFraction(d)
 	if outOfRange <= 0 {
-		return Result{D: d, OutOfRange: 0, ReachGivenOut: 1, Unobserved: 0}
+		return Result{OutOfRange: 0, ReachGivenOut: 1, Unobserved: 0}
 	}
 
 	const areaSamples = 2000
@@ -95,7 +93,6 @@ func (c DCHReach) Evaluate(rng *rand.Rand, d float64, samples int) Result {
 	}
 	reachGivenOut := reached / float64(total)
 	return Result{
-		D:             d,
 		OutOfRange:    outOfRange,
 		ReachGivenOut: reachGivenOut,
 		Unobserved:    outOfRange * (1 - reachGivenOut),

@@ -72,9 +72,6 @@ type View struct {
 	Members []wire.NodeID
 	// DCHs lists the deputy clusterheads, highest-ranked first.
 	DCHs []wire.NodeID
-	// OtherCHs lists foreign clusterheads this host can hear, making it a
-	// gateway candidate (sorted). Empty for non-gateways.
-	OtherCHs []wire.NodeID
 }
 
 // IsMember reports whether id is in the snapshot's membership.
@@ -82,10 +79,6 @@ func (v View) IsMember(id wire.NodeID) bool {
 	_, ok := slices.BinarySearch(v.Members, id)
 	return ok
 }
-
-// IsGW reports whether the host is a gateway candidate to at least one
-// neighboring cluster.
-func (v View) IsGW() bool { return len(v.OtherCHs) > 0 }
 
 // gwSet is one pair's candidate set: a bitset over the protocol's interner
 // (ids) and its size.
@@ -859,11 +852,10 @@ func (p *Protocol) View() View {
 // once its slices have grown.
 func (p *Protocol) ViewInto(v *View) {
 	v.Marked, v.CH, v.IsCH = p.marked, p.myCH, p.isCH
-	v.Members, v.DCHs, v.OtherCHs = v.Members[:0], v.DCHs[:0], v.OtherCHs[:0]
+	v.Members, v.DCHs = v.Members[:0], v.DCHs[:0]
 	if p.marked {
 		v.Members = append(v.Members, p.members...)
 		v.DCHs = append(v.DCHs, p.dchs...)
-		v.OtherCHs = p.AppendOtherCHs(v.OtherCHs)
 	}
 }
 

@@ -98,8 +98,8 @@ func TestTwoClustersWithGateway(t *testing.T) {
 	if !v5.Marked {
 		t.Fatal("gateway node not admitted")
 	}
-	if !v5.IsGW() {
-		t.Fatalf("n5 should be a gateway candidate; OtherCHs=%v", v5.OtherCHs)
+	if !w.protos[4].IsGW() {
+		t.Fatalf("n5 should be a gateway candidate; OtherCHs=%v", w.protos[4].AppendOtherCHs(nil))
 	}
 	// F3: exactly one affiliation.
 	if v5.CH != 1 && v5.CH != 3 {

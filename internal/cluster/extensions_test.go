@@ -85,7 +85,7 @@ func TestBorderClustersExcludeDirectNeighbors(t *testing.T) {
 		t.Errorf("AppendBorderClusters = %v, want none (direct path exists)", got)
 	}
 	// And the direct candidacy is visible in the view.
-	if got := p.View().OtherCHs; len(got) != 1 || got[0] != 9 {
+	if got := p.AppendOtherCHs(nil); len(got) != 1 || got[0] != 9 {
 		t.Errorf("OtherCHs = %v, want [n9]", got)
 	}
 }
@@ -216,7 +216,7 @@ func TestDirectCandidacyRefreshedByForeignUpdates(t *testing.T) {
 	_, p, h := soloHost(t, 5)
 	p.InstallStaticView(1, []wire.NodeID{1, 5}, nil, 5)
 	handle(p, h, &wire.HealthUpdate{From: 9, CH: 9, Epoch: p.epoch})
-	if got := p.View().OtherCHs; len(got) != 1 {
+	if got := p.AppendOtherCHs(nil); len(got) != 1 {
 		t.Fatalf("OtherCHs = %v", got)
 	}
 	// Keep hearing updates: candidacy must persist across epochs.
@@ -224,12 +224,12 @@ func TestDirectCandidacyRefreshedByForeignUpdates(t *testing.T) {
 		p.epoch++
 		handle(p, h, &wire.HealthUpdate{From: 9, CH: 9, Epoch: p.epoch})
 	}
-	if got := p.View().OtherCHs; len(got) != 1 {
+	if got := p.AppendOtherCHs(nil); len(got) != 1 {
 		t.Errorf("candidacy decayed despite fresh updates: %v", got)
 	}
 	// Stop hearing: candidacy ages out.
 	p.epoch += 5
-	if got := p.View().OtherCHs; len(got) != 0 {
+	if got := p.AppendOtherCHs(nil); len(got) != 0 {
 		t.Errorf("candidacy survived silence: %v", got)
 	}
 }
@@ -240,7 +240,7 @@ func TestUpdateFromNonCHDoesNotCreateCandidacy(t *testing.T) {
 	// A takeover update has From != CH; only genuine CH transmissions
 	// (From == CH) prove proximity to a clusterhead.
 	handle(p, h, &wire.HealthUpdate{From: 7, CH: 9, Epoch: p.epoch, Takeover: true})
-	if got := p.View().OtherCHs; len(got) != 0 {
+	if got := p.AppendOtherCHs(nil); len(got) != 0 {
 		t.Errorf("OtherCHs = %v, want none", got)
 	}
 }

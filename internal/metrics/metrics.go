@@ -20,7 +20,10 @@
 //  2. Snapshots merge deterministically. Replicated experiments produce
 //     one Snapshot per replica; merging them in replica order yields a
 //     result that is a pure function of the replica set — never of the
-//     worker count (see Snapshot.Merge for the per-instrument rules).
+//     worker count (see Snapshot.Merge for the per-instrument rules). A
+//     Histogram and a Series are their own exported records, each with
+//     one merge: a snapshot holds copies of the registry's, made by
+//     merging them into an empty Snapshot.
 //  3. Exports are reproducible byte-for-byte: JSON keys are sorted (the
 //     encoding/json map behaviour) and the CSV schema emits sections,
 //     names, and bucket/epoch keys in a fixed order.
@@ -30,10 +33,15 @@
 // its own registry and merge the snapshots afterwards.
 package metrics
 
-import "sort"
+import (
+	"fmt"
+	"math"
+	"slices"
+	"sort"
+)
 
 // maxSeriesEpochs bounds how far a Series may grow. Epochs at or beyond
-// the bound are ignored (and counted in the series' dropped tally) so a
+// the bound are ignored (and counted in the series' Dropped tally) so a
 // corrupted or saturated epoch number cannot allocate unbounded memory.
 const maxSeriesEpochs = 1 << 20
 
@@ -80,16 +88,21 @@ func (g *Gauge) Value() float64 {
 	return g.v
 }
 
-// Histogram is a fixed-bucket distribution: bounds are upper bucket edges
+// Histogram is a fixed-bucket distribution: Bounds are upper bucket edges
 // (inclusive), and observations above the last bound land in the implicit
-// +Inf bucket. The nil Histogram is a valid no-op instrument.
+// +Inf bucket. It is its own exported record: a Snapshot holds copies of the
+// registry's histograms. The nil Histogram is a valid no-op instrument.
 type Histogram struct {
-	bounds  []float64
-	buckets []int64 // len(bounds)+1; buckets[len(bounds)] is +Inf
-	count   int64
-	sum     float64
-	min     float64
-	max     float64
+	// Bounds are the inclusive upper bucket edges.
+	Bounds []float64 `json:"bounds"`
+	// Buckets holds one count per bound plus a final +Inf bucket.
+	Buckets []int64 `json:"buckets"`
+	// Count, Sum, Min, Max summarize the raw observations. Min and Max are
+	// meaningful only when Count > 0.
+	Count int64   `json:"count"`
+	Sum   float64 `json:"sum"`
+	Min   float64 `json:"min"`
+	Max   float64 `json:"max"`
 }
 
 // Observe records one observation. Safe on a nil receiver. The bucket scan
@@ -98,94 +111,94 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	if h.count == 0 {
-		h.min, h.max = v, v
+	if h.Count == 0 {
+		h.Min, h.Max = v, v
 	} else {
-		if v < h.min {
-			h.min = v
+		if v < h.Min {
+			h.Min = v
 		}
-		if v > h.max {
-			h.max = v
+		if v > h.Max {
+			h.Max = v
 		}
 	}
-	h.count++
-	h.sum += v
-	for i, b := range h.bounds {
+	h.Count++
+	h.Sum += v
+	for i, b := range h.Bounds {
 		if v <= b {
-			h.buckets[i]++
+			h.Buckets[i]++
 			return
 		}
 	}
-	h.buckets[len(h.bounds)]++
+	h.Buckets[len(h.Bounds)]++
 }
 
-// Count returns the number of observations (0 on a nil receiver).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
+// merge folds o, the histogram named name, into h: buckets, count and sum
+// add, and min and max combine. Into the zero Histogram it is a deep copy.
+// Histograms with different bounds panic: that is a wiring error, not data.
+func (h *Histogram) merge(name string, o *Histogram) {
+	if h.Buckets == nil {
+		h.Bounds = append([]float64(nil), o.Bounds...)
+		h.Buckets = make([]int64, len(o.Buckets))
+	} else if !slices.Equal(h.Bounds, o.Bounds) {
+		panic(fmt.Sprintf("metrics: merging histogram %q with mismatched bounds", name))
 	}
-	return h.count
+	for i, n := range o.Buckets {
+		h.Buckets[i] += n
+	}
+	switch {
+	case h.Count == 0:
+		h.Min, h.Max = o.Min, o.Max
+	case o.Count > 0:
+		h.Min = math.Min(h.Min, o.Min)
+		h.Max = math.Max(h.Max, o.Max)
+	}
+	h.Count += o.Count
+	h.Sum += o.Sum
 }
 
-// Series is an epoch-bucketed int64 time series: index e accumulates the
-// deltas attributed to heartbeat-interval epoch e. The nil Series is a
-// valid no-op instrument.
+// Series is an epoch-bucketed int64 time series: Epochs[e] accumulates the
+// deltas attributed to heartbeat-interval epoch e. Like Histogram it is its
+// own exported record. The nil Series is a valid no-op instrument.
 type Series struct {
-	v       []int64
-	dropped int64 // adds beyond maxSeriesEpochs
+	// Epochs[e] is the tally attributed to heartbeat-interval epoch e.
+	Epochs []int64 `json:"epochs"`
+	// Dropped tallies deltas recorded beyond the series growth bound.
+	Dropped int64 `json:"dropped,omitempty"`
 }
 
 // Add accumulates delta into epoch e, growing the series as needed. Safe
-// on a nil receiver. Epochs ≥ maxSeriesEpochs are dropped (tallied in the
-// snapshot's Dropped field) so saturated epoch arithmetic cannot exhaust
-// memory.
+// on a nil receiver. Epochs ≥ maxSeriesEpochs are dropped (tallied in
+// Dropped) so saturated epoch arithmetic cannot exhaust memory.
 func (s *Series) Add(e uint64, delta int64) {
 	if s == nil {
 		return
 	}
 	if e >= maxSeriesEpochs {
-		s.dropped += delta
+		s.Dropped += delta
 		return
 	}
-	if need := int(e) + 1; need > len(s.v) {
-		if need <= cap(s.v) {
-			s.v = s.v[:need]
+	if need := int(e) + 1; need > len(s.Epochs) {
+		if need <= cap(s.Epochs) {
+			s.Epochs = s.Epochs[:need]
 		} else {
 			grown := make([]int64, need, 2*need)
-			copy(grown, s.v)
-			s.v = grown
+			copy(grown, s.Epochs)
+			s.Epochs = grown
 		}
 	}
-	s.v[e] += delta
+	s.Epochs[e] += delta
 }
 
-// Value returns the accumulated delta for epoch e (0 when unrecorded or on
-// a nil receiver).
-func (s *Series) Value(e uint64) int64 {
-	if s == nil || e >= uint64(len(s.v)) {
-		return 0
+// merge folds o into s element-wise, extending s to the longer vector. Into
+// the zero Series it is a deep copy.
+func (s *Series) merge(o *Series) {
+	if n := len(o.Epochs) - len(s.Epochs); n > 0 {
+		s.Epochs = append(s.Epochs, make([]int64, n)...)
 	}
-	return s.v[e]
-}
-
-// Len returns one past the highest recorded epoch (0 on a nil receiver).
-func (s *Series) Len() int {
-	if s == nil {
-		return 0
+	for i, v := range o.Epochs {
+		s.Epochs[i] += v
 	}
-	return len(s.v)
-}
-
-// Total sums the series over all epochs (plus any dropped tail).
-func (s *Series) Total() int64 {
-	if s == nil {
-		return 0
-	}
-	t := s.dropped
-	for _, v := range s.v {
-		t += v
-	}
-	return t
+	s.Dropped += o.Dropped
 }
 
 // Registry owns a namespace of instruments. The zero value is not usable;
@@ -256,8 +269,8 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 		}
 	}
 	h := &Histogram{
-		bounds:  append([]float64(nil), bounds...),
-		buckets: make([]int64, len(bounds)+1),
+		Bounds:  append([]float64(nil), bounds...),
+		Buckets: make([]int64, len(bounds)+1),
 	}
 	r.hists[name] = h
 	return h
@@ -278,47 +291,30 @@ func (r *Registry) Series(name string) *Series {
 }
 
 // Snapshot captures the registry's current state as plain data, suitable
-// for merging and export. Returns the zero Snapshot on a nil registry.
+// for merging and export. Its histograms and series are the registry's
+// merged into an empty Snapshot, so it shares no slice with the registry.
+// Returns the zero Snapshot on a nil registry.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {
 		return s
 	}
-	if len(r.counters) > 0 {
-		s.Counters = make(map[string]int64, len(r.counters))
-		for name, c := range r.counters {
-			s.Counters[name] = c.Value()
-		}
-	}
-	if len(r.gauges) > 0 {
-		s.Gauges = make(map[string]float64, len(r.gauges))
-		for name, g := range r.gauges {
-			s.Gauges[name] = g.Value()
-		}
-	}
-	if len(r.hists) > 0 {
-		s.Histograms = make(map[string]HistogramSnapshot, len(r.hists))
-		for name, h := range r.hists {
-			s.Histograms[name] = HistogramSnapshot{
-				Bounds:  append([]float64(nil), h.bounds...),
-				Buckets: append([]int64(nil), h.buckets...),
-				Count:   h.count,
-				Sum:     h.sum,
-				Min:     h.min,
-				Max:     h.max,
-			}
-		}
-	}
-	if len(r.series) > 0 {
-		s.Series = make(map[string]SeriesSnapshot, len(r.series))
-		for name, sr := range r.series {
-			s.Series[name] = SeriesSnapshot{
-				Epochs:  append([]int64(nil), sr.v...),
-				Dropped: sr.dropped,
-			}
-		}
-	}
+	s.Counters = readings(r.counters, (*Counter).Value)
+	s.Gauges = readings(r.gauges, (*Gauge).Value)
+	s.Merge(Snapshot{Histograms: r.hists, Series: r.series})
 	return s
+}
+
+// readings maps each instrument's name to its value, or is nil for none.
+func readings[I, V any](m map[string]*I, value func(*I) V) map[string]V {
+	if len(m) == 0 {
+		return nil
+	}
+	out := make(map[string]V, len(m))
+	for name, i := range m {
+		out[name] = value(i)
+	}
+	return out
 }
 
 // sortedKeys returns the keys of a string-keyed map in ascending order —

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -39,16 +40,8 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	if g.Value() != 0 {
 		t.Error("nil gauge recorded")
 	}
-	h := r.Histogram("x", []float64{1})
-	h.Observe(0.5)
-	if h.Count() != 0 {
-		t.Error("nil histogram recorded")
-	}
-	s := r.Series("x")
-	s.Add(3, 1)
-	if s.Total() != 0 || s.Len() != 0 {
-		t.Error("nil series recorded")
-	}
+	r.Histogram("x", []float64{1}).Observe(0.5)
+	r.Series("x").Add(3, 1)
 	if !r.Snapshot().Equal(Snapshot{}) {
 		t.Error("nil registry snapshot not empty")
 	}
@@ -87,23 +80,59 @@ func TestSeriesGrowthAndOverflow(t *testing.T) {
 	s.Add(2, 1)
 	s.Add(0, 5)
 	s.Add(2, 1)
-	if s.Len() != 3 || s.Value(0) != 5 || s.Value(1) != 0 || s.Value(2) != 2 {
-		t.Errorf("series wrong: len=%d values=%v %v %v", s.Len(), s.Value(0), s.Value(1), s.Value(2))
+	if got := r.Snapshot().Series["detect"].Epochs; !slices.Equal(got, []int64{5, 0, 2}) {
+		t.Errorf("series = %v, want [5 0 2]", got)
 	}
 	// A saturated epoch (e.g. from guarded EpochStart arithmetic) must not
 	// allocate a gigantic vector.
 	s.Add(1<<40, 7)
-	if s.Len() != 3 {
-		t.Errorf("overflow epoch grew the series to %d", s.Len())
-	}
-	if s.Total() != 14 { // 5 + 2 + 7 dropped
-		t.Errorf("Total = %d, want 14", s.Total())
-	}
 	snap := r.Snapshot().Series["detect"]
-	if snap.Dropped != 7 {
-		t.Errorf("Dropped = %d, want 7", snap.Dropped)
+	if !slices.Equal(snap.Epochs, []int64{5, 0, 2}) || snap.Dropped != 7 {
+		t.Errorf("after an overflow epoch: series = %v, dropped %d; want [5 0 2], 7", snap.Epochs, snap.Dropped)
 	}
 }
+
+// TestSnapshotSharesNoSlice pins the copy that Snapshot and Merge promise: a
+// snapshot shares no slice with its registry, nor a snapshot with one merged
+// into it, so later writes to either side never reach the other.
+func TestSnapshotSharesNoSlice(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("lat", []float64{1, 2})
+	h.Observe(0.5)
+	s := r.Series("det")
+	s.Add(1, 3)
+	snap := r.Snapshot()
+	var merged Snapshot
+	merged.Merge(snap)
+	for _, p := range []struct {
+		name     string
+		from, to Snapshot
+	}{{"registry", Snapshot{Histograms: r.hists, Series: r.series}, snap}, {"merge", snap, merged}} {
+		for name, h := range p.from.Histograms {
+			if to := p.to.Histograms[name]; sameArray(h.Bounds, to.Bounds) || sameArray(h.Buckets, to.Buckets) {
+				t.Errorf("%s: histogram %q shares a slice", p.name, name)
+			}
+		}
+		for name, s := range p.from.Series {
+			if sameArray(s.Epochs, p.to.Series[name].Epochs) {
+				t.Errorf("%s: series %q shares a slice", p.name, name)
+			}
+		}
+	}
+	var before bytes.Buffer
+	_ = snap.WriteJSON(&before)
+	h.Observe(1.5)
+	s.Add(1, 1)
+	merged.Merge(snap)
+	var after bytes.Buffer
+	_ = snap.WriteJSON(&after)
+	if after.String() != before.String() {
+		t.Errorf("snapshot changed under later writes:\n%s\nwas\n%s", after.String(), before.String())
+	}
+}
+
+// sameArray reports whether two non-empty slices start at the same element.
+func sameArray[T any](a, b []T) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
 
 func buildSnapshot(seed int64) Snapshot {
 	r := NewRegistry()

@@ -5,40 +5,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strconv"
 )
 
-// HistogramSnapshot is the exported form of a Histogram.
-type HistogramSnapshot struct {
-	// Bounds are the inclusive upper bucket edges.
-	Bounds []float64 `json:"bounds"`
-	// Buckets holds one count per bound plus a final +Inf bucket.
-	Buckets []int64 `json:"buckets"`
-	// Count, Sum, Min, Max summarize the raw observations. Min and Max are
-	// meaningful only when Count > 0.
-	Count int64   `json:"count"`
-	Sum   float64 `json:"sum"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-}
-
-// SeriesSnapshot is the exported form of an epoch Series.
-type SeriesSnapshot struct {
-	// Epochs[e] is the tally attributed to heartbeat-interval epoch e.
-	Epochs []int64 `json:"epochs"`
-	// Dropped tallies deltas recorded beyond the series growth bound.
-	Dropped int64 `json:"dropped,omitempty"`
-}
-
 // Snapshot is a registry's state as plain data. Snapshots merge (Merge)
 // and export (WriteJSON, WriteCSV); both operations are deterministic.
 type Snapshot struct {
-	Counters   map[string]int64             `json:"counters,omitempty"`
-	Gauges     map[string]float64           `json:"gauges,omitempty"`
-	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Series     map[string]SeriesSnapshot    `json:"series,omitempty"`
+	Counters   map[string]int64      `json:"counters,omitempty"`
+	Gauges     map[string]float64    `json:"gauges,omitempty"`
+	Histograms map[string]*Histogram `json:"histograms,omitempty"`
+	Series     map[string]*Series    `json:"series,omitempty"`
 }
 
 // Merge folds o into s. Rules, per instrument kind:
@@ -51,100 +28,44 @@ type Snapshot struct {
 //     count/sum/min/max. Merging histograms with different bounds panics:
 //     it is a wiring error, not data.
 //
-// Because every rule is associative and applied per sorted name, merging a
-// replica sequence in replica order yields a snapshot that is a pure
-// function of the replicas — bit-reproducible at any worker count.
+// An instrument s lacks is merged into a new zero one, which copies it: s
+// shares no slice with o. Because every rule is associative and applied per
+// name, merging a replica sequence in replica order yields a snapshot that
+// is a pure function of the replicas — bit-reproducible at any worker count.
 func (s *Snapshot) Merge(o Snapshot) {
-	if len(o.Counters) > 0 {
-		if s.Counters == nil {
-			s.Counters = make(map[string]int64, len(o.Counters))
-		}
-		for _, name := range sortedKeys(o.Counters) {
-			s.Counters[name] += o.Counters[name]
-		}
+	s.Counters = sum(s.Counters, o.Counters)
+	s.Gauges = sum(s.Gauges, o.Gauges)
+	for _, name := range sortedKeys(o.Histograms) {
+		entry(&s.Histograms, name).merge(name, o.Histograms[name])
 	}
-	if len(o.Gauges) > 0 {
-		if s.Gauges == nil {
-			s.Gauges = make(map[string]float64, len(o.Gauges))
-		}
-		for _, name := range sortedKeys(o.Gauges) {
-			s.Gauges[name] += o.Gauges[name]
-		}
-	}
-	if len(o.Histograms) > 0 {
-		if s.Histograms == nil {
-			s.Histograms = make(map[string]HistogramSnapshot, len(o.Histograms))
-		}
-		for _, name := range sortedKeys(o.Histograms) {
-			oh := o.Histograms[name]
-			h, ok := s.Histograms[name]
-			if !ok {
-				s.Histograms[name] = HistogramSnapshot{
-					Bounds:  append([]float64(nil), oh.Bounds...),
-					Buckets: append([]int64(nil), oh.Buckets...),
-					Count:   oh.Count,
-					Sum:     oh.Sum,
-					Min:     oh.Min,
-					Max:     oh.Max,
-				}
-				continue
-			}
-			if !equalBounds(h.Bounds, oh.Bounds) {
-				panic(fmt.Sprintf("metrics: merging histogram %q with mismatched bounds", name))
-			}
-			for i := range oh.Buckets {
-				h.Buckets[i] += oh.Buckets[i]
-			}
-			switch {
-			case h.Count == 0:
-				h.Min, h.Max = oh.Min, oh.Max
-			case oh.Count > 0:
-				h.Min = math.Min(h.Min, oh.Min)
-				h.Max = math.Max(h.Max, oh.Max)
-			}
-			h.Count += oh.Count
-			h.Sum += oh.Sum
-			s.Histograms[name] = h
-		}
-	}
-	if len(o.Series) > 0 {
-		if s.Series == nil {
-			s.Series = make(map[string]SeriesSnapshot, len(o.Series))
-		}
-		for _, name := range sortedKeys(o.Series) {
-			os := o.Series[name]
-			sr, ok := s.Series[name]
-			if !ok {
-				s.Series[name] = SeriesSnapshot{
-					Epochs:  append([]int64(nil), os.Epochs...),
-					Dropped: os.Dropped,
-				}
-				continue
-			}
-			if len(os.Epochs) > len(sr.Epochs) {
-				grown := make([]int64, len(os.Epochs))
-				copy(grown, sr.Epochs)
-				sr.Epochs = grown
-			}
-			for i, v := range os.Epochs {
-				sr.Epochs[i] += v
-			}
-			sr.Dropped += os.Dropped
-			s.Series[name] = sr
-		}
+	for _, name := range sortedKeys(o.Series) {
+		entry(&s.Series, name).merge(o.Series[name])
 	}
 }
 
-func equalBounds(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// sum adds src into dst name by name, making dst when src has a name.
+func sum[V int64 | float64](dst, src map[string]V) map[string]V {
+	for name, v := range src {
+		if dst == nil {
+			dst = make(map[string]V, len(src))
 		}
+		dst[name] += v
 	}
-	return true
+	return dst
+}
+
+// entry returns the instrument named name in *m, making the map and a zero
+// instrument as needed.
+func entry[I any](m *map[string]*I, name string) *I {
+	if *m == nil {
+		*m = make(map[string]*I)
+	}
+	in := (*m)[name]
+	if in == nil {
+		in = new(I)
+		(*m)[name] = in
+	}
+	return in
 }
 
 // Equal reports whether two snapshots carry identical data — the

@@ -225,7 +225,7 @@ func (e ClusterExperiment) FalseDetection() Outcome {
 func (e ClusterExperiment) FalseDetectionOnCH() Outcome {
 	e = e.defaults()
 	emp, snap := e.runTrials(true, func(t *trial) bool {
-		return t.Cluster(t.dch).View().IsCH
+		return t.Cluster(t.dch).IsCH()
 	})
 	return Outcome{
 		Name:      fmt.Sprintf("P(False detection on CH) N=%d p=%.2f", e.N, e.LossProb),

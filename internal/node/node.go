@@ -1,6 +1,6 @@
 // Package node implements the host runtime: a fail-stop process with a
-// position, an energy budget (delegated to the transport's meter), a
-// stack of protocols, and crash-aware timers.
+// position, an energy budget (kept by the medium or transport it sends
+// through), a stack of protocols, and crash-aware timers.
 //
 // Hosts follow the paper's fail-stop model (Section 2.2): a crashed host
 // stops sending, receiving, and firing timers, and never recovers. Crashes
@@ -288,7 +288,8 @@ func (h *Host) Now() sim.Time { return h.clock.Now() }
 // Rand returns the runtime's deterministic random source.
 func (h *Host) Rand() *rand.Rand { return h.clock.Rand() }
 
-// Energy returns the host's available energy per the transport's meter.
+// Energy returns the host's available energy as the medium or transport it
+// sends through accounts it.
 func (h *Host) Energy() float64 { return h.net.Energy(h.id) }
 
 // Trace emits a structured trace event attributed to this host.

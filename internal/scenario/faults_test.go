@@ -159,8 +159,8 @@ func TestGatewayAttrition(t *testing.T) {
 	// Kill up to three current gateways.
 	killed := 0
 	for _, id := range w.NodeIDs() {
-		v := w.Cluster(id).View()
-		if v.Marked && !v.IsCH && v.IsGW() && killed < 3 {
+		cl := w.Cluster(id)
+		if cl.Marked() && !cl.IsCH() && cl.IsGW() && killed < 3 {
 			w.CrashAt(timing.EpochStart(3)+timing.Interval/2, id)
 			killed++
 		}

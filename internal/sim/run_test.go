@@ -751,7 +751,7 @@ func TestWindowSortWorstCaseIsNotQuadratic(t *testing.T) {
 		// sort by Off alone is the (at, seq) order.
 		slices.SortStableFunc(want, func(a, b RunItem) int { return cmp.Compare(a.Off, b.Off) })
 
-		k.distributeWindow(0, hi>>sh+1, n)
+		k.distributeWindow(0, hi>>sh, n)
 		win := k.win
 		moves := 0
 		for i := 1; i < n; i++ {
@@ -766,8 +766,8 @@ func TestWindowSortWorstCaseIsNotQuadratic(t *testing.T) {
 		got := make([]RunItem, 0, n)
 		next := make([]int, len(k.winRuns))
 		for _, e := range win {
-			got = append(got, k.winRuns[e.run].Items[next[e.run]])
-			next[e.run]++
+			got = append(got, k.winRuns[e.Tag].Items[next[e.Tag]])
+			next[e.Tag]++
 		}
 		if !slices.Equal(got, want) {
 			t.Errorf("%s: distributeWindow + insertion is not the (at, seq) order", shape.name)

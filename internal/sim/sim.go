@@ -245,7 +245,7 @@ type Kernel struct {
 	// in the heap has one. The fields every step reads come first; the
 	// rest of the window's state is at the end, out of the way of a kernel
 	// that runs only timers.
-	win  []winEntry
+	win  []RunItem
 	head int
 
 	// Same-instant batching (AtBatched): one kernel event per distinct
@@ -256,8 +256,8 @@ type Kernel struct {
 	batchChunks *batchChunk
 	batchFn     ArgHandler
 
-	// sortTmp and sortCnt are distribute's scratch, grown to the largest run
-	// scheduled so far.
+	// sortTmp and sortCnt are distribute's scratch, grown (see grown) to the
+	// largest run or delivery window sorted so far.
 	sortTmp []RunItem
 	sortCnt []uint32
 
@@ -513,10 +513,8 @@ func (k *Kernel) distribute(items []RunItem) {
 	// more than n of them to cover [lo, hi].
 	shift := bits.Len64(uint64(hi-lo) / uint64(n))
 	if len(k.sortTmp) < n {
-		k.sortTmp = make([]RunItem, n)
-	}
-	if len(k.sortCnt) < n+1 {
-		k.sortCnt = make([]uint32, n+1)
+		k.sortTmp = make([]RunItem, k.grown(n, len(k.sortTmp)))
+		k.sortCnt = make([]uint32, len(k.sortTmp)+1)
 	}
 	tmp, cnt := k.sortTmp[:n], k.sortCnt[:n+1]
 	clear(cnt)
@@ -561,21 +559,17 @@ const (
 	windowCap = 1024
 )
 
-// winEntry is one item of the delivery window: its instant as an offset from
-// winStart and its run as an index into winRuns. A run's items fire in Items
-// order, so the one firing is always Items[pos]; the window keeps a run's
-// entries in that order because every pass that moves them is stable.
-type winEntry struct {
-	off, run uint32
-}
-
 // winBefore orders window entries of different instants or runs by
-// (at, seq); two entries of one run are equal to it.
-func (k *Kernel) winBefore(a, b winEntry) bool {
-	if a.off != b.off {
-		return a.off < b.off
+// (at, seq); two entries of one run are equal to it. A window entry is a
+// RunItem whose Off is its instant as an offset from winStart and whose Tag
+// is its run's index in winRuns. A run's items fire in Items order, so the
+// one firing is always Items[pos]; the window keeps a run's entries in that
+// order because every pass that moves them is stable.
+func (k *Kernel) winBefore(a, b RunItem) bool {
+	if a.Off != b.Off {
+		return a.Off < b.Off
 	}
-	return a.run != b.run && k.winRuns[a.run].seq < k.winRuns[b.run].seq
+	return a.Tag != b.Tag && k.winRuns[a.Tag].seq < k.winRuns[b.Tag].seq
 }
 
 // winNext reports whether the window's head is the next firing: before the
@@ -590,8 +584,8 @@ func (k *Kernel) winNext() bool {
 		return true
 	}
 	e, top := k.win[k.head], k.queue.a[0]
-	at := k.winStart + Time(e.off)
-	return at < top.at || at == top.at && k.winRuns[e.run].seq < top.ev.seq
+	at := k.winStart + Time(e.Off)
+	return at < top.at || at == top.at && k.winRuns[e.Tag].seq < top.ev.seq
 }
 
 // gather opens the delivery window at t0, the instant of the run at the root.
@@ -601,10 +595,11 @@ func (k *Kernel) winNext() bool {
 // halved once or not at all, and after it the width doubles back.
 //
 // The heap entries due in the window are a subtree at the top of the heap,
-// and only its runs change. Their due items are distributed into the window
-// by time (distributeWindow), and an insertion pass finishes the order. Then,
-// from the deepest up, each run's entry is re-keyed to its first item after
-// the window and sunk: below it every subtree is a heap again by then, so one
+// and only its runs change. Their due items are sorted into the window by
+// instant (distributeWindow), and an insertion pass by winBefore orders the
+// entries of different runs that share an instant by seq. Then, from the
+// deepest up, each run's entry is re-keyed to its first item after the
+// window and sunk: below it every subtree is a heap again by then, so one
 // sift each repairs the whole heap. A run with no item left keeps its entry,
 // canceled and with no handler, until the entry reaches the root and is
 // collected; until then it stands in Pending for one of the run's items.
@@ -656,7 +651,7 @@ func (k *Kernel) gather(t0 Time) {
 	k.lastWidth = w
 	k.winRuns = runs
 
-	k.distributeWindow(t0, w, n)
+	k.distributeWindow(t0, last, n)
 	for x := len(in) - 1; x >= 0; x-- {
 		i := int(in[x])
 		ev := a[i].ev
@@ -682,80 +677,36 @@ func (k *Kernel) gather(t0 Time) {
 	}
 }
 
-// distributeWindow fills the window with the n items of winRuns due in the w
-// nanoseconds from t0, taking them out of their runs (advancing each run's
-// next). One counting pass by time and one stable scatter straight from the
-// runs put them into about n/4 equal-width buckets in firing order, and a
-// stable comparison sort orders any bucket fuller than insertLimit, so that
-// what is left out of order for the insertion pass is confined to stretches
-// of at most insertLimit entries. A delivery window's items are spread over
-// it about evenly: the buckets hold a few each. Up to insertLimit items the
-// insertion pass is the whole sort, so they all go in one bucket.
-func (k *Kernel) distributeWindow(t0, w Time, n int) {
-	last := addSat(t0, w-1)
-	// Buckets are 2^shift wide: the narrowest power of two that needs no
-	// more than n/4+1 of them to cover the window.
-	shift, nb := 63, 1
-	if n > insertLimit {
-		shift = bits.Len64(uint64(w-1) / uint64(n/4+1))
-		nb = int(uint64(w-1)>>shift) + 1
+// distributeWindow fills the window with the n items of winRuns due by last,
+// taking them out of their runs (advancing each run's next), and sorts them
+// by instant with the run sort. Runs are appended in winRuns order, so the
+// stable sort leaves the entries of one instant in that order, and a run's
+// own entries in Items order.
+func (k *Kernel) distributeWindow(t0, last Time, n int) {
+	if cap(k.win) < n {
+		k.win = make([]RunItem, 0, k.grown(n, cap(k.win)))
 	}
-	if len(k.sortCnt) < nb+1 {
-		k.sortCnt = make([]uint32, nb+1)
-	}
-	cnt := k.sortCnt[:nb+1]
-	clear(cnt)
+	win := k.win[:0]
 	// A run in the window was scheduled by t0, and its items due in it are
 	// at or after t0: an item's offset into the window is its Off less the
 	// run's lag behind t0.
-	if nb > 1 {
-		for _, r := range k.winRuns {
-			lag, lim := uint32(t0-r.base), r.offBy(last)
-			for j := r.next; j < len(r.Items) && r.Items[j].Off <= lim; j++ {
-				cnt[(r.Items[j].Off-lag)>>shift+1]++
-			}
-		}
-		for b := 1; b <= nb; b++ {
-			cnt[b] += cnt[b-1] // cnt[b] is now where bucket b starts
-		}
-	} else {
-		cnt[1] = uint32(n)
-	}
-	if cap(k.win) < n {
-		k.win = make([]winEntry, 0, max(n, min(max(4*cap(k.win), 256), k.winCap)))
-	}
-	win := k.win[:n]
 	for ri, r := range k.winRuns {
 		lag, lim := uint32(t0-r.base), r.offBy(last)
 		j := r.next
 		for ; j < len(r.Items) && r.Items[j].Off <= lim; j++ {
-			off := r.Items[j].Off - lag
-			b := off >> shift
-			win[cnt[b]] = winEntry{off: off, run: uint32(ri)}
-			cnt[b]++
+			win = append(win, RunItem{Off: r.Items[j].Off - lag, Tag: uint32(ri)})
 		}
 		r.next = j
 	}
 	k.win = win
-	for b, start := 0, 0; b < nb; b++ {
-		end := int(cnt[b]) // the scatter left cnt[b] where bucket b ends
-		if end-start > insertLimit {
-			slices.SortStableFunc(win[start:end], k.winCmp)
-		}
-		start = end
-	}
+	k.sortItems(win)
 }
 
-// winCmp is winBefore as a three-way comparison.
-func (k *Kernel) winCmp(a, b winEntry) int {
-	switch {
-	case k.winBefore(a, b):
-		return -1
-	case k.winBefore(b, a):
-		return 1
-	}
-	return 0
-}
+// grown returns the size to which a buffer of have entries grows to hold n:
+// 256 at first, four times as many up to the window's cap, and exactly n past
+// it. The window and distribute's scratch, which sorts it, grow this way, so
+// both reach the cap in at most two allocations.
+func (k *Kernel) grown(n, have int) int { return max(n, min(max(4*have, 256), k.winCap)) }
 
 // due counts r's items from r.next on that are due by last.
 func due(r *Run, last Time) int {
@@ -781,11 +732,11 @@ func (k *Kernel) merge(r *Run) {
 	since := r.base - k.winStart // the window opened at or before now
 	for j := m - 1; j >= 0; d-- {
 		off := uint32(since + Time(r.Items[j].Off))
-		if i >= 0 && win[i].off > off {
+		if i >= 0 && win[i].Off > off {
 			win[d] = win[i]
 			i--
 		} else {
-			win[d] = winEntry{off: off, run: ri}
+			win[d] = RunItem{Off: off, Tag: ri}
 			j--
 		}
 	}
@@ -925,16 +876,16 @@ func (k *Kernel) step(deadline Time) bool {
 	for {
 		if k.winNext() {
 			e := k.win[k.head]
-			at := k.winStart + Time(e.off)
+			at := k.winStart + Time(e.Off)
 			if at > deadline {
 				return false
 			}
 			k.head++
-			r := k.winRuns[e.run]
+			r := k.winRuns[e.Tag]
 			it := r.Items[r.pos]
 			r.pos++
 			if r.pos == len(r.Items) {
-				k.winRuns[e.run] = nil // the kernel keeps no finished run
+				k.winRuns[e.Tag] = nil // the kernel keeps no finished run
 			}
 			k.unfired--
 			k.now = at
@@ -1017,7 +968,7 @@ func (k *Kernel) NextEventAt() (Time, bool) { return k.peekTime() }
 func (k *Kernel) peekTime() (Time, bool) {
 	for {
 		if k.winNext() {
-			return k.winStart + Time(k.win[k.head].off), true
+			return k.winStart + Time(k.win[k.head].Off), true
 		}
 		if k.queue.len() == 0 {
 			return 0, false

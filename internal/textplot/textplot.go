@@ -21,7 +21,6 @@ type Series struct {
 type Chart struct {
 	Title  string
 	XLabel string
-	YLabel string
 	// LogY plots log10(y); zero or negative values are clamped to YFloor.
 	LogY bool
 	// YFloor is the smallest positive value representable when LogY is

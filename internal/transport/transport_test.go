@@ -337,12 +337,12 @@ func TestClosedLinkBroadcastsNothing(t *testing.T) {
 		}
 	})
 	t.Run("UDPLink", func(t *testing.T) {
-		peer, err := NewUDPLink(2, "127.0.0.1:0", nil)
+		peer, err := NewUDPLink("127.0.0.1:0", nil)
 		if err != nil {
 			t.Skipf("cannot bind UDP in this environment: %v", err)
 		}
 		defer peer.Close()
-		l, err := NewUDPLink(1, "127.0.0.1:0", []string{peer.LocalAddr().String()})
+		l, err := NewUDPLink("127.0.0.1:0", []string{peer.LocalAddr().String()})
 		if err != nil {
 			t.Skipf("cannot bind UDP in this environment: %v", err)
 		}
@@ -551,12 +551,12 @@ func TestLinkTransportGatesOnOperational(t *testing.T) {
 }
 
 func TestUDPLinkRoundTrip(t *testing.T) {
-	la, err := NewUDPLink(1, "127.0.0.1:0", nil)
+	la, err := NewUDPLink("127.0.0.1:0", nil)
 	if err != nil {
 		t.Skipf("cannot bind UDP in this environment: %v", err)
 	}
 	defer la.Close()
-	lb, err := NewUDPLink(2, "127.0.0.1:0", []string{la.LocalAddr().String()})
+	lb, err := NewUDPLink("127.0.0.1:0", []string{la.LocalAddr().String()})
 	if err != nil {
 		t.Skipf("cannot bind UDP in this environment: %v", err)
 	}
@@ -586,7 +586,7 @@ func TestUDPLinkRoundTrip(t *testing.T) {
 // TestUDPLinkCountsRunts sends a frame too short to name its sender, then a
 // good one: the runt is counted on the link and never reaches the inbox.
 func TestUDPLinkCountsRunts(t *testing.T) {
-	l, err := NewUDPLink(1, "127.0.0.1:0", nil)
+	l, err := NewUDPLink("127.0.0.1:0", nil)
 	if err != nil {
 		t.Skipf("cannot bind UDP in this environment: %v", err)
 	}
@@ -620,12 +620,12 @@ func TestUDPLinkCountsRunts(t *testing.T) {
 // inbox and the drain. Once the link has cycled past its first slabs, none
 // allocates per datagram.
 func TestUDPLinkReceiveAllocatesNothing(t *testing.T) {
-	rx, err := NewUDPLink(1, "127.0.0.1:0", nil)
+	rx, err := NewUDPLink("127.0.0.1:0", nil)
 	if err != nil {
 		t.Skipf("cannot bind UDP in this environment: %v", err)
 	}
 	defer rx.Close()
-	tx, err := NewUDPLink(2, "127.0.0.1:0", []string{rx.LocalAddr().String()})
+	tx, err := NewUDPLink("127.0.0.1:0", []string{rx.LocalAddr().String()})
 	if err != nil {
 		t.Skipf("cannot bind UDP in this environment: %v", err)
 	}
@@ -666,7 +666,7 @@ func TestUDPLinkReceiveAllocatesNothing(t *testing.T) {
 }
 
 func TestUDPLinkCloseClosesPackets(t *testing.T) {
-	l, err := NewUDPLink(1, "127.0.0.1:0", nil)
+	l, err := NewUDPLink("127.0.0.1:0", nil)
 	if err != nil {
 		t.Skipf("cannot bind UDP in this environment: %v", err)
 	}

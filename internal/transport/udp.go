@@ -27,7 +27,6 @@ const udpReadBuffer = 64 * 1024
 // daemon's event loop falls behind. It is the live-deployment backend behind
 // cmd/fdsd.
 type UDPLink struct {
-	id    wire.NodeID
 	conn  *net.UDPConn
 	peers []*net.UDPAddr
 
@@ -44,10 +43,7 @@ type UDPLink struct {
 // NewUDPLink binds listen (e.g. "127.0.0.1:9001") and returns a link that
 // broadcasts to the given peer addresses. The reader goroutine runs until
 // Close.
-func NewUDPLink(id wire.NodeID, listen string, peerAddrs []string) (*UDPLink, error) {
-	if id == wire.NoNode {
-		return nil, fmt.Errorf("transport: udp link needs a nonzero NID")
-	}
+func NewUDPLink(listen string, peerAddrs []string) (*UDPLink, error) {
 	laddr, err := net.ResolveUDPAddr("udp", listen)
 	if err != nil {
 		return nil, fmt.Errorf("transport: resolve listen %q: %w", listen, err)
@@ -56,7 +52,7 @@ func NewUDPLink(id wire.NodeID, listen string, peerAddrs []string) (*UDPLink, er
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %q: %w", listen, err)
 	}
-	l := &UDPLink{id: id, conn: conn}
+	l := &UDPLink{conn: conn}
 	l.in.init()
 	for _, a := range peerAddrs {
 		addr, err := net.ResolveUDPAddr("udp", a)
